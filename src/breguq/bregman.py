@@ -55,7 +55,9 @@ class BregmanState:
 class TraceRecord:
     """Per-iteration log line; `joint_objective` is None when the weak
     prior is inactive. `skipped` marks a zero step forced by a vanishing
-    gradient (residual in the operator's null-space direction)."""
+    gradient (residual in the operator's null-space direction).
+    `proj_sweeps` and `proj_converged` report the projection onto the
+    constraint stack that produced the new primal iterate."""
 
     iter: int
     k: int
@@ -63,6 +65,8 @@ class TraceRecord:
     residual_norm: float
     joint_objective: float | None = None
     skipped: bool = False
+    proj_sweeps: int = 0
+    proj_converged: bool = True
 
 
 def initial_state(shape) -> BregmanState:
@@ -89,14 +93,16 @@ def dynamic_steplength(residual, gradient, t_max: float = T_MAX_DEFAULT) -> floa
 
 
 def _advance(state: BregmanState, t: float, direction: np.ndarray,
-             stack: ConstraintStack) -> BregmanState:
+             stack: ConstraintStack):
+    """Dual step and projection; returns the new state and the projection
+    result, whose health goes into the trace."""
     x_dual = state.x_dual - t * direction
     if not np.all(np.isfinite(x_dual)):
         raise NumericalAbortError(
             "non-finite dual iterate",
             diagnostics={"state": state, "steplength": t})
-    x_primal = project_intersection(x_dual, stack).x
-    return BregmanState(x_dual, x_primal, state.iter + 1)
+    proj = project_intersection(x_dual, stack)
+    return BregmanState(x_dual, proj.x, state.iter + 1), proj
 
 
 def bregman_step(state: BregmanState, experiment, stack: ConstraintStack,
@@ -111,8 +117,9 @@ def bregman_step(state: BregmanState, experiment, stack: ConstraintStack,
     grad = experiment.op.adjoint(r)
     num = float(np.dot(r.ravel(), r.ravel()))
     t, skipped = _steplength(num, float(np.dot(grad.ravel(), grad.ravel())), t_max)
-    new_state = _advance(state, t, grad, stack)
-    rec = TraceRecord(state.iter, k, t, float(np.sqrt(num)), None, skipped)
+    new_state, proj = _advance(state, t, grad, stack)
+    rec = TraceRecord(state.iter, k, t, float(np.sqrt(num)), None, skipped,
+                      proj.sweeps, proj.converged)
     return new_state, rec
 
 
@@ -150,9 +157,10 @@ def bregman_step_augmented(state: BregmanState, experiment, z, arch, w,
         num = rr
         den = float(np.dot(data_grad.ravel(), data_grad.ravel()))
     t, skipped = _steplength(num, den, t_max)
-    new_state = _advance(state, t, direction, stack)
+    new_state, proj = _advance(state, t, direction, stack)
     joint = 0.5 * rr + 0.5 * (lam * lam) * dd
-    rec = TraceRecord(state.iter, k, t, float(np.sqrt(rr)), joint, skipped)
+    rec = TraceRecord(state.iter, k, t, float(np.sqrt(rr)), joint, skipped,
+                      proj.sweeps, proj.converged)
     return new_state, rec
 
 
@@ -200,10 +208,13 @@ def eval_joint_objective(bank, x, z, arch, w, lam: float) -> float:
 
 
 def write_trace_csv(records, path) -> None:
-    """Trace export: iter, k, t_k, residual_norm, joint_objective."""
+    """Trace export: iter, k, t_k, residual_norm, joint_objective, skipped,
+    proj_sweeps, proj_converged (flags written as 0/1)."""
     with open(path, "w", newline="") as f:
         writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(["iter", "k", "t_k", "residual_norm", "joint_objective"])
+        writer.writerow(["iter", "k", "t_k", "residual_norm", "joint_objective",
+                         "skipped", "proj_sweeps", "proj_converged"])
         for r in records:
             joint = "" if r.joint_objective is None else repr(r.joint_objective)
-            writer.writerow([r.iter, r.k, repr(r.t_k), repr(r.residual_norm), joint])
+            writer.writerow([r.iter, r.k, repr(r.t_k), repr(r.residual_norm), joint,
+                             int(r.skipped), r.proj_sweeps, int(r.proj_converged)])

@@ -58,6 +58,20 @@ def test_projection_clips_primal_only():
     np.testing.assert_array_equal(state.x_primal, np.full((2, 2), 0.5))
 
 
+def test_record_carries_projection_health():
+    arch = small_arch()
+    w = net_init(arch, seed=3)
+    exp = LinearExperiment(IdentityOp((4, 4)), np.full((4, 4), 3.0))
+    empty = ConstraintStack((Box(0.0, 0.0), Box(1.0, 1.0)), dykstra_max_iters=7)
+    for lam in (0.0, 0.5):
+        _, rec = bregman_step_augmented(initial_state((4, 4)), exp, np.zeros(8),
+                                        arch, w, lam, empty)
+        assert (rec.proj_sweeps, rec.proj_converged) == (7, False)
+        _, rec = bregman_step_augmented(initial_state((4, 4)), exp, np.zeros(8),
+                                        arch, w, lam, WIDE)
+        assert (rec.proj_sweeps, rec.proj_converged) == (1, True)
+
+
 def test_consistent_restriction_bank_converges():
     x_star = np.array([[0.3, -0.2], [0.5, 0.1]])
     bank = restriction_bank(x_star, [[0, 1], [2, 3]])
@@ -223,11 +237,12 @@ def test_nonfinite_aborts_with_snapshot():
 
 
 def test_trace_csv_format(tmp_path):
-    records = [TraceRecord(0, 3, 0.5, 1.25, None),
-               TraceRecord(1, 0, 10.0, 0.5, 0.875)]
+    records = [TraceRecord(0, 3, 0.5, 1.25, None, False, 1, True),
+               TraceRecord(1, 0, 0.0, 0.5, 0.875, True, 200, False)]
     path = tmp_path / "trace.csv"
     write_trace_csv(records, path)
     lines = path.read_text().splitlines()
-    assert lines[0] == "iter,k,t_k,residual_norm,joint_objective"
-    assert lines[1] == "0,3,0.5,1.25,"
-    assert lines[2] == "1,0,10.0,0.5,0.875"
+    assert lines[0] == ("iter,k,t_k,residual_norm,joint_objective,"
+                        "skipped,proj_sweeps,proj_converged")
+    assert lines[1] == "0,3,0.5,1.25,,0,1,1"
+    assert lines[2] == "1,0,0.0,0.5,0.875,1,200,0"

@@ -121,7 +121,8 @@ def test_invert_writes_grids_trace_quality(gen_dir):
     assert x.shape == (16, 16)
     assert (out / "x_dual.pgrd").exists()
     trace = (out / "trace.csv").read_text().splitlines()
-    assert trace[0] == "iter,k,t_k,residual_norm,joint_objective"
+    assert trace[0] == ("iter,k,t_k,residual_norm,joint_objective,"
+                        "skipped,proj_sweeps,proj_converged")
     assert len(trace) == 13
     quality = (out / "quality.csv").read_text()
     assert quality.startswith("metric,value")

@@ -158,6 +158,64 @@ def test_intersection_empty_flags_nonconvergence():
     assert res.violations.max() > 0.1
 
 
+BOX_L1_BOXES = [Box(-0.6, 0.8), Box(0.1, 0.9), Box(-0.9, -0.2), Box(0.3, 0.3)]
+
+
+@pytest.mark.parametrize("box", BOX_L1_BOXES, ids=lambda b: f"{b.lo},{b.hi}")
+@pytest.mark.parametrize("box_first", [True, False], ids=["box_l1", "l1_box"])
+def test_box_l1_closed_form_matches_qp_oracle(box, box_first):
+    rng = np.random.default_rng(30)
+    for n in range(2, 9):
+        for _ in range(4):
+            x = 2.0 * rng.standard_normal((1, n))
+            # at least the box's least l1 norm, so the sets always meet
+            radius = n * max(box.lo, -box.hi, 0.0) + rng.uniform(0.2, 1.5)
+            sets = (box, L1Ball(radius)) if box_first else (L1Ball(radius), box)
+            res = project_intersection(x, ConstraintStack(sets))
+            assert res.converged and res.sweeps == 1
+            ref = oracles.qp_project_box_l1(x.ravel(), box.lo, box.hi, radius)
+            assert np.max(np.abs(res.x.ravel() - ref)) <= 1e-8
+
+
+def test_box_l1_closed_form_matches_converged_dykstra():
+    rng = np.random.default_rng(31)
+    box, ball = Box(-1.0, 1.0), L1Ball(2100.0)
+    # an inactive l2 ball sends the same intersection through Dykstra
+    dykstra = ConstraintStack((box, ball, L2Ball(1e9)), dykstra_max_iters=5000,
+                              dykstra_tol=1e-12)
+    layered = np.linspace(-40.0, 60.0, 64)[:, None] + 10.0 * rng.standard_normal((64, 64))
+    for x in (30.0 * rng.standard_normal((64, 64)), layered):
+        exact = project_intersection(x, ConstraintStack((box, ball)))
+        ref = project_intersection(x, dykstra)
+        assert exact.converged and ref.converged and ref.sweeps > 200
+        assert np.max(np.abs(exact.x - ref.x)) <= 1e-9
+        assert np.abs(exact.x).sum() == pytest.approx(ball.radius, abs=1e-8)
+
+
+def test_dykstra_three_set_stack_matches_qp_oracle():
+    rng = np.random.default_rng(32)
+    stack = ConstraintStack((Box(-0.6, 0.8), L1Ball(1.5), L2Ball(100.0)),
+                            dykstra_tol=1e-12, dykstra_max_iters=5000)
+    for _ in range(10):
+        x = 2.0 * rng.standard_normal((2, 3))
+        res = project_intersection(x, stack)
+        assert res.converged and res.sweeps > 1
+        ref = oracles.qp_project_box_l1(x.ravel(), -0.6, 0.8, 1.5).reshape(2, 3)
+        assert np.max(np.abs(res.x - ref)) < 1e-8
+
+
+@pytest.mark.parametrize("box_first", [True, False], ids=["box_l1", "l1_box"])
+def test_box_missing_l1_ball_flags_nonconvergence(box_first):
+    box, ball = Box(0.5, 1.0), L1Ball(1.0)
+    sets = (box, ball) if box_first else (ball, box)
+    res = project_intersection(np.full((2, 2), 3.0), ConstraintStack(sets))
+    assert not res.converged
+    # the box point of least l1 norm: inside the box, 1.0 over the radius
+    np.testing.assert_array_equal(res.x, np.full((2, 2), 0.5))
+    assert res.violations[sets.index(ball)] == pytest.approx(1.0)
+    assert res.violations[sets.index(box)] == 0.0
+
+
 # --- feasibility ---
 
 def test_feasibility_after_projection():
@@ -204,6 +262,22 @@ def test_idempotence_tv(x):
 def test_non_expansiveness(spec, x, y):
     px = project_constraint(spec, x)
     py = project_constraint(spec, y)
+    assert np.linalg.norm(px - py) <= np.linalg.norm(x - y) + 1e-12
+
+BOX_L1 = ConstraintStack((Box(-0.5, 0.75), L1Ball(1.5)))
+
+@given(x=finite_vec)
+@settings(max_examples=40, deadline=None)
+def test_idempotence_box_l1(x):
+    once = project_intersection(x[None, :], BOX_L1).x
+    twice = project_intersection(once, BOX_L1).x
+    assert np.max(np.abs(twice - once)) <= 1e-10
+
+@given(x=finite_vec, y=finite_vec)
+@settings(max_examples=40, deadline=None)
+def test_non_expansiveness_box_l1(x, y):
+    px = project_intersection(x[None, :], BOX_L1).x
+    py = project_intersection(y[None, :], BOX_L1).x
     assert np.linalg.norm(px - py) <= np.linalg.norm(x - y) + 1e-12
 
 @given(x=finite_grid, y=finite_grid)
