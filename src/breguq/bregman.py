@@ -3,9 +3,9 @@
 Each step draws one source experiment, takes a dynamically sized gradient
 step on the dual accumulator, and projects onto the constraint stack to
 obtain the primal iterate, which therefore stays feasible for every
-iteration. The augmented variant adds the weak generator penalty to the
-update direction; with a zero trade-off parameter it delegates to the
-plain step, so the two are bit-identical in that regime.
+iteration. One step function serves both plain inversion and training: a
+positive trade-off parameter adds the weak generator penalty to the
+update direction, and a zero one never evaluates the generator.
 
 A step never draws randomness itself: experiment selection happens in the
 driver loops, and bank objects are duck-typed (anything with an
@@ -28,13 +28,11 @@ __all__ = [
     "GRAD_TINY",
     "BregmanState",
     "TraceRecord",
-    "dynamic_steplength",
     "bregman_step",
-    "bregman_step_augmented",
     "run_bregman",
     "eval_lsq_objective",
-    "eval_joint_objective",
     "write_trace_csv",
+    "read_trace_csv",
     "initial_state",
 ]
 
@@ -75,93 +73,50 @@ def initial_state(shape) -> BregmanState:
     return BregmanState(z, z.copy(), 0)
 
 
-def _steplength(num: float, den: float, t_max: float) -> tuple[float, bool]:
-    if den < GRAD_TINY:
-        return 0.0, num >= GRAD_TINY
-    return min(num / den, t_max), False
+def bregman_step(state: BregmanState, experiment, stack: ConstraintStack,
+                 t_max: float = T_MAX_DEFAULT, k: int = -1, *, z=None, arch=None,
+                 w=None, lam: float = 0.0):
+    """One dual update against a single experiment, then projection.
 
-
-def dynamic_steplength(residual, gradient, t_max: float = T_MAX_DEFAULT) -> float:
-    """||residual||^2 / ||gradient||^2, capped at `t_max`.
-
-    Returns 0 when the gradient energy underflows (the step is a no-op).
+    The residual uses the current primal (projected) iterate. With
+    `lam == 0` the direction is the data gradient A_k^T(A_k x - y_k), the
+    generator is never evaluated and the record's `joint_objective` is None.
+    With `lam > 0` the weak generator penalty joins the direction,
+    A_k^T(A_k x - y_k) + lam^2 (x - g(z, w)), and the steplength is the
+    dynamic ratio for the stacked system [A_k; lam*I]: the stacked residual
+    energy over the direction energy. Either ratio is capped at `t_max`,
+    and a vanishing direction with a non-zero residual (a residual in the
+    operator's null space) drops the step. Returns the new state and a
+    trace record labeled with the caller-supplied bank index `k`.
     """
-    r = np.asarray(residual, dtype=np.float64).ravel()
-    g = np.asarray(gradient, dtype=np.float64).ravel()
-    t, _ = _steplength(float(np.dot(r, r)), float(np.dot(g, g)), t_max)
-    return t
+    if lam < 0:
+        raise ValueError(f"trade-off parameter must be non-negative, got {lam}")
+    x = state.x_primal
+    r = experiment.op.apply(x) - experiment.y
+    direction = experiment.op.adjoint(r)
+    rr = float(np.dot(r.ravel(), r.ravel()))
+    num, joint = rr, None
+    if lam > 0:
+        if z is None or arch is None or w is None:
+            raise ValueError("a positive trade-off parameter needs z, arch and w")
+        diff = x - net_forward(arch, w, z)
+        direction = direction + (lam * lam) * diff
+        dd = float(np.dot(diff.ravel(), diff.ravel()))
+        num = rr + (lam * lam) * dd
+        joint = 0.5 * rr + 0.5 * (lam * lam) * dd
+    den = float(np.dot(direction.ravel(), direction.ravel()))
+    skipped = den < GRAD_TINY and num >= GRAD_TINY
+    t = 0.0 if den < GRAD_TINY else min(num / den, t_max)
 
-
-def _advance(state: BregmanState, t: float, direction: np.ndarray,
-             stack: ConstraintStack):
-    """Dual step and projection; returns the new state and the projection
-    result, whose health goes into the trace."""
     x_dual = state.x_dual - t * direction
     if not np.all(np.isfinite(x_dual)):
         raise NumericalAbortError(
             "non-finite dual iterate",
             diagnostics={"state": state, "steplength": t})
     proj = project_intersection(x_dual, stack)
-    return BregmanState(x_dual, proj.x, state.iter + 1), proj
-
-
-def bregman_step(state: BregmanState, experiment, stack: ConstraintStack,
-                 t_max: float = T_MAX_DEFAULT, k: int = -1):
-    """One dual update against a single experiment, then projection.
-
-    The residual uses the current primal (projected) iterate. Returns the
-    new state and a trace record labeled with the caller-supplied bank
-    index `k`.
-    """
-    r = experiment.op.apply(state.x_primal) - experiment.y
-    grad = experiment.op.adjoint(r)
-    num = float(np.dot(r.ravel(), r.ravel()))
-    t, skipped = _steplength(num, float(np.dot(grad.ravel(), grad.ravel())), t_max)
-    new_state, proj = _advance(state, t, grad, stack)
-    rec = TraceRecord(state.iter, k, t, float(np.sqrt(num)), None, skipped,
-                      proj.sweeps, proj.converged)
-    return new_state, rec
-
-
-def bregman_step_augmented(state: BregmanState, experiment, z, arch, w,
-                           lam: float, stack: ConstraintStack,
-                           t_max: float = T_MAX_DEFAULT,
-                           steplength_mode: str = "stacked", k: int = -1):
-    """Dual update with the weak generator penalty added to the direction.
-
-    The update direction is A_k^T(A_k x - y_k) + lam^2 (x - g(z, w)). With
-    `steplength_mode="stacked"` (default) the steplength is the dynamic
-    ratio for the stacked system [A_k; lam*I], i.e. the stacked residual
-    (r_data, lam*(x - g)) over the full direction; `"data_only"` uses the
-    plain data-term ratio instead. lam == 0 delegates to `bregman_step`.
-    """
-    if lam < 0:
-        raise ValueError(f"trade-off parameter must be non-negative, got {lam}")
-    if lam == 0.0:
-        return bregman_step(state, experiment, stack, t_max=t_max, k=k)
-    if steplength_mode not in ("stacked", "data_only"):
-        raise ValueError(f"unknown steplength mode {steplength_mode!r}")
-
-    x = state.x_primal
-    r = experiment.op.apply(x) - experiment.y
-    data_grad = experiment.op.adjoint(r)
-    diff = x - net_forward(arch, w, z)
-    direction = data_grad + (lam * lam) * diff
-
-    rr = float(np.dot(r.ravel(), r.ravel()))
-    dd = float(np.dot(diff.ravel(), diff.ravel()))
-    if steplength_mode == "stacked":
-        num = rr + (lam * lam) * dd
-        den = float(np.dot(direction.ravel(), direction.ravel()))
-    else:
-        num = rr
-        den = float(np.dot(data_grad.ravel(), data_grad.ravel()))
-    t, skipped = _steplength(num, den, t_max)
-    new_state, proj = _advance(state, t, direction, stack)
-    joint = 0.5 * rr + 0.5 * (lam * lam) * dd
     rec = TraceRecord(state.iter, k, t, float(np.sqrt(rr)), joint, skipped,
                       proj.sweeps, proj.converged)
-    return new_state, rec
+    return BregmanState(x_dual, proj.x, state.iter + 1), rec
 
 
 def run_bregman(bank, stack: ConstraintStack, iters: int, seed: int,
@@ -196,17 +151,6 @@ def eval_lsq_objective(bank, x) -> float:
     return 0.5 * total
 
 
-def eval_joint_objective(bank, x, z, arch, w, lam: float) -> float:
-    """Data misfit over the bank plus the weak-prior penalty."""
-    if lam < 0:
-        raise ValueError(f"trade-off parameter must be non-negative, got {lam}")
-    data = eval_lsq_objective(bank, x)
-    if lam == 0.0:
-        return data
-    diff = np.asarray(x, dtype=np.float64) - net_forward(arch, w, z)
-    return data + 0.5 * (lam * lam) * float(np.dot(diff.ravel(), diff.ravel()))
-
-
 def write_trace_csv(records, path) -> None:
     """Trace export: iter, k, t_k, residual_norm, joint_objective, skipped,
     proj_sweeps, proj_converged (flags written as 0/1)."""
@@ -218,3 +162,15 @@ def write_trace_csv(records, path) -> None:
             joint = "" if r.joint_objective is None else repr(r.joint_objective)
             writer.writerow([r.iter, r.k, repr(r.t_k), repr(r.residual_norm), joint,
                              int(r.skipped), r.proj_sweeps, int(r.proj_converged)])
+
+
+def read_trace_csv(path) -> list:
+    """Inverse of `write_trace_csv`; floats round-trip exactly through repr."""
+    with open(path, newline="") as f:
+        return [TraceRecord(int(row["iter"]), int(row["k"]), float(row["t_k"]),
+                            float(row["residual_norm"]),
+                            None if row["joint_objective"] == ""
+                            else float(row["joint_objective"]),
+                            bool(int(row["skipped"])), int(row["proj_sweeps"]),
+                            bool(int(row["proj_converged"])))
+                for row in csv.DictReader(f)]

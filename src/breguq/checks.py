@@ -169,11 +169,11 @@ def run_sgld_variance_check() -> list:
     warmup, keep = 2000, 40000
     arch = None
     for _ in range(warmup):
-        z = sgld_step(z, None, arch, None, 0.0, params, rng)
+        z, _ = sgld_step(z, None, arch, None, 0.0, params, rng)
     acc = 0.0
     acc2 = 0.0
     for _ in range(keep):
-        z = sgld_step(z, None, arch, None, 0.0, params, rng)
+        z, _ = sgld_step(z, None, arch, None, 0.0, params, rng)
         acc += z.sum()
         acc2 += float(z @ z)
     mean = acc / (keep * dim)

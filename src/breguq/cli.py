@@ -15,8 +15,6 @@ import argparse
 import os
 import sys
 
-import numpy as np
-
 from . import checks
 from .bregman import run_bregman, write_trace_csv
 from .config import (apply_seed_override, build_arch, build_noise_spec,
@@ -139,6 +137,8 @@ def cmd_stats(args, config) -> int:
     if count < 2:
         raise ConfigError("[stats] samples: pointwise standard deviation needs "
                           "at least 2 realizations")
+    if s("bins") < 1:
+        raise ConfigError(f"[stats] bins: need at least one bin, got {s('bins')}")
     w_post = _checkpoint_weights(args.checkpoint, arch)
     w_prior = net_init(arch, config.get("net", "init_seed"),
                        config.get("net", "init_scale"))
@@ -161,11 +161,8 @@ def cmd_stats(args, config) -> int:
     write_portable_grid(pri.std, os.path.join(out, "prior_std.pgrd"))
 
     def hists(summary):
-        out_h = []
-        for p in probes:
-            counts, edges = np.histogram(summary.probe_values[p], bins=s("bins"))
-            out_h.append(PixelHistogram(p, edges, counts))
-        return out_h
+        return [PixelHistogram.of(p, summary.probe_values[p], s("bins"))
+                for p in probes]
 
     write_histograms_csv(hists(post), os.path.join(out, "hist_posterior.csv"))
     write_histograms_csv(hists(pri), os.path.join(out, "hist_prior.csv"))

@@ -90,7 +90,6 @@ SCHEMA = {
         "iterations": Field("int", 350),
         "t_max": Field("float", 10.0),
         "draw_seed": Field("int", 29),
-        "steplength": Field("choice:stacked|data_only", "stacked"),
     },
     "sgld": {
         "epsilon": Field("float", 0.01),
@@ -107,7 +106,6 @@ SCHEMA = {
         "lam_final": Field("float", 1.0),
         "lam_ramp_rounds": Field("int_or_auto", None),
         "m_steps_per_round": Field("int", 1),
-        "loss_normalization": Field("choice:mean|sum", "mean"),
         "z_seed": Field("int", 37),
         "draw_seed": Field("int", 41),
     },
@@ -331,8 +329,6 @@ def build_train_config(config: RunConfig) -> TrainConfig:
             lam_init=e("lam_init"), lam_final=e("lam_final"),
             lam_ramp_rounds=e("lam_ramp_rounds"),
             eta=e("eta"), m_steps_per_round=e("m_steps_per_round"),
-            loss_normalization=e("loss_normalization"),
-            steplength_mode=config.get("bregman", "steplength"),
             t_max=config.get("bregman", "t_max"),
             init_seed=config.get("net", "init_seed"),
             init_scale=config.get("net", "init_scale"),

@@ -3,19 +3,21 @@ alternated with averaged generator-weight updates.
 
 Each training tuple owns a disjoint round-robin subset of the experiment
 bank, a primal/dual grid pair, and a latent vector. A round runs, per
-tuple, a block of augmented Bregman steps (drawing experiments inside the
-tuple's subset) followed by a warm-started Langevin chain over the latent,
-all with the weights read-only; the round ends with a synchronization
-barrier where per-tuple gradients are reduced in ascending id order and
-the weights take one (configurable) descent step. The generator output
-acts as the shared center the per-tuple solutions are elastically pulled
-toward.
+tuple, a block of Bregman steps with the generator penalty (drawing
+experiments inside the tuple's subset) followed by a warm-started
+Langevin chain over the latent, all with the weights read-only; the round
+ends with a synchronization barrier where per-tuple gradients are reduced
+in ascending id order and averaged, and the weights take
+`m_steps_per_round` descent steps. The generator output acts as the
+shared center the per-tuple solutions are elastically pulled toward.
 
 Randomness is counter-keyed: experiment draws come from per-tuple streams
 (seed, tuple id) consumed sequentially across rounds, and Langevin noise
 from per-step streams (seed, tuple id, round, step). E-step results are
 therefore independent of tuple scheduling, and a run can resume from a
-checkpoint bit-exactly by fast-forwarding the draw streams.
+checkpoint bit-exactly by fast-forwarding the draw streams; the
+checkpoint carries the round and trace logs so far, so a resumed run
+writes the same files as an uninterrupted one.
 """
 
 from __future__ import annotations
@@ -27,7 +29,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bregman import T_MAX_DEFAULT, BregmanState, bregman_step_augmented
+from .bregman import (T_MAX_DEFAULT, BregmanState, bregman_step, read_trace_csv,
+                      write_trace_csv)
 from .errors import NumericalAbortError
 from .net import (NetArch, load_weights, net_eval_and_backward, net_forward,
                   net_init, save_weights)
@@ -74,8 +77,6 @@ class TrainConfig:
     lam_ramp_rounds: int | None = None  # None -> rounds // 2
     eta: float = 1e-3
     m_steps_per_round: int = 1
-    loss_normalization: str = "mean"
-    steplength_mode: str = "stacked"
     t_max: float = T_MAX_DEFAULT
     init_seed: int = 23
     init_scale: float = 1.0
@@ -92,8 +93,6 @@ class TrainConfig:
             raise ValueError("steplengths and trade-off values must be non-negative")
         if self.m_steps_per_round < 1:
             raise ValueError("m_steps_per_round must be at least 1")
-        if self.loss_normalization not in ("mean", "sum"):
-            raise ValueError(f"unknown loss normalization {self.loss_normalization!r}")
 
 
 @dataclass(frozen=True)
@@ -152,7 +151,7 @@ def _draw_stream(draw_seed: int, tuple_id: int, skip: int,
 
 def e_step(tuples, bank, arch: NetArch, w, lam: float, stack: ConstraintStack,
            config: TrainConfig, round_idx: int, on_primal=None):
-    """Per tuple: a block of augmented Bregman steps drawing experiments
+    """Per tuple: a block of penalized Bregman steps drawing experiments
     inside the tuple's subset, then a warm-started Langevin chain on the
     latent. Weights are read-only. Returns (new tuples, per-tuple trace).
     """
@@ -168,9 +167,8 @@ def e_step(tuples, bank, arch: NetArch, w, lam: float, stack: ConstraintStack,
         for _ in range(steps):
             j = int(rng.integers(0, t.experiment_ids.size))
             k = int(t.experiment_ids[j])
-            state, rec = bregman_step_augmented(
-                state, exps[k], t.z, arch, w, lam, stack,
-                t_max=config.t_max, steplength_mode=config.steplength_mode, k=k)
+            state, rec = bregman_step(state, exps[k], stack, t_max=config.t_max,
+                                      k=k, z=t.z, arch=arch, w=w, lam=lam)
             rows.append(rec)
             if on_primal is not None:
                 on_primal(state.x_primal)
@@ -184,11 +182,10 @@ def e_step(tuples, bank, arch: NetArch, w, lam: float, stack: ConstraintStack,
     return new_tuples, traces
 
 
-def m_step(tuples, arch: NetArch, w, eta: float,
-           loss_normalization: str = "mean") -> np.ndarray:
-    """One descent step on the summed (or tuple-averaged) squared mismatch
-    between primal grids and generator outputs; gradients accumulate in
-    ascending tuple-id order."""
+def m_step(tuples, arch: NetArch, w, eta: float) -> np.ndarray:
+    """One descent step on the tuple-averaged squared mismatch between
+    primal grids and generator outputs; gradients accumulate in ascending
+    tuple-id order."""
     grad = np.zeros(arch.n_params)
     losses = {}
     for t in sorted(tuples, key=lambda u: u.id):
@@ -197,8 +194,7 @@ def m_step(tuples, arch: NetArch, w, eta: float,
         diff = g - t.x_primal
         losses[t.id] = float(np.dot(diff.ravel(), diff.ravel()))
         grad += gw
-    if loss_normalization == "mean":
-        grad /= len(tuples)
+    grad /= len(tuples)
     if not np.all(np.isfinite(grad)):
         raise NumericalAbortError("non-finite weight gradient",
                                   diagnostics={"per_tuple_loss": losses})
@@ -230,16 +226,18 @@ def train(bank, stack: ConstraintStack, arch: NetArch, config: TrainConfig,
                          f"bank grid {tuple(bank.shape)}")
     w0 = net_init(arch, config.init_seed, config.init_scale)
     if resume_from is not None:
-        w, tuples, start_round = load_checkpoint(resume_from, arch)
+        w, tuples, start_round, round_records, tuple_traces = load_checkpoint(
+            resume_from, arch)
     else:
         w = w0.copy()
         tuples = init_tuples(bank, config.n_tuples, config.z_seed, arch.latent_dim)
         start_round = 0
+        round_records = []
+        tuple_traces = {t.id: [] for t in tuples}
         if checkpoint_dir is not None:
-            save_checkpoint(checkpoint_dir, arch, w, tuples, -1)
+            save_checkpoint(checkpoint_dir, arch, w, tuples, -1, round_records,
+                            tuple_traces)
 
-    round_records = []
-    tuple_traces = {t.id: [] for t in tuples}
     for r in range(start_round, config.rounds):
         lam = lam_schedule(config, r)
         stack_r = stack if stack_schedule is None else stack_schedule(r)
@@ -248,13 +246,14 @@ def train(bank, stack: ConstraintStack, arch: NetArch, config: TrainConfig,
         for tid, rows in traces.items():
             tuple_traces[tid].extend(rows)
         for _ in range(config.m_steps_per_round):
-            w = m_step(tuples, arch, w, config.eta, config.loss_normalization)
+            w = m_step(tuples, arch, w, config.eta)
         data = float(np.mean([_tuple_data_misfit(t, bank) for t in tuples]))
         prior = float(np.mean([np.linalg.norm(
             (t.x_primal - net_forward(arch, w, t.z)).ravel()) for t in tuples]))
         round_records.append(RoundRecord(r, lam, data, prior))
         if checkpoint_dir is not None:
-            save_checkpoint(checkpoint_dir, arch, w, tuples, r)
+            save_checkpoint(checkpoint_dir, arch, w, tuples, r, round_records,
+                            tuple_traces)
     return TrainResult(w, w0, tuples, round_records, tuple_traces)
 
 
@@ -267,7 +266,18 @@ def write_rounds_csv(records, path) -> None:
                              repr(r.mean_prior_misfit)])
 
 
-def save_checkpoint(dirpath, arch: NetArch, w, tuples, round_completed: int) -> None:
+def _read_rounds_csv(path) -> list:
+    with open(path, newline="") as f:
+        return [RoundRecord(int(row["round"]), float(row["lam"]),
+                            float(row["mean_data_misfit"]),
+                            float(row["mean_prior_misfit"]))
+                for row in csv.DictReader(f)]
+
+
+def save_checkpoint(dirpath, arch: NetArch, w, tuples, round_completed: int,
+                    rounds, traces) -> None:
+    """Everything a resume needs: weights, tuple state, and the round and
+    per-tuple trace logs so far, which the resumed run extends."""
     os.makedirs(dirpath, exist_ok=True)
     save_weights(os.path.join(dirpath, "weights.dpnw"), arch, w)
     state = {
@@ -288,10 +298,13 @@ def save_checkpoint(dirpath, arch: NetArch, w, tuples, round_completed: int) -> 
     for t in tuples:
         write_portable_grid(t.x_primal, os.path.join(dirpath, f"tuple_{t.id:03d}_x.pgrd"))
         write_portable_grid(t.x_dual, os.path.join(dirpath, f"tuple_{t.id:03d}_xdual.pgrd"))
+        write_trace_csv(traces[t.id], os.path.join(dirpath, f"trace_tuple_{t.id:03d}.csv"))
+    write_rounds_csv(rounds, os.path.join(dirpath, "rounds.csv"))
 
 
 def load_checkpoint(dirpath, arch: NetArch):
-    """Returns (weights, tuples, next round index)."""
+    """Returns (weights, tuples, next round index, round records, per-tuple
+    traces)."""
     with open(os.path.join(dirpath, "state.json")) as f:
         state = json.load(f)
     w = load_weights(os.path.join(dirpath, "weights.dpnw"), arch)
@@ -300,6 +313,7 @@ def load_checkpoint(dirpath, arch: NetArch):
         for row in csv.DictReader(f):
             latents.setdefault(int(row["tuple_id"]), {})[int(row["dim"])] = float(row["value"])
     tuples = []
+    traces = {}
     for rec in state["tuples"]:
         tid = rec["id"]
         z = np.array([latents[tid][d] for d in range(len(latents[tid]))])
@@ -308,4 +322,6 @@ def load_checkpoint(dirpath, arch: NetArch):
             read_portable_grid(os.path.join(dirpath, f"tuple_{tid:03d}_x.pgrd")),
             read_portable_grid(os.path.join(dirpath, f"tuple_{tid:03d}_xdual.pgrd")),
             z, rec["step_count"]))
-    return w, tuples, state["round_completed"] + 1
+        traces[tid] = read_trace_csv(os.path.join(dirpath, f"trace_tuple_{tid:03d}.csv"))
+    return (w, tuples, state["round_completed"] + 1,
+            _read_rounds_csv(os.path.join(dirpath, "rounds.csv")), traces)

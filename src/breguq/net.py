@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CheckpointFormatError, NumericalAbortError
+from .errors import CheckpointFormatError
 
 __all__ = [
     "StageSpec",
@@ -32,8 +32,6 @@ __all__ = [
     "net_forward",
     "net_backward",
     "net_eval_and_backward",
-    "prior_loss_grads",
-    "fit_strong",
     "save_weights",
     "load_weights",
     "CHECKPOINT_MAGIC",
@@ -317,53 +315,6 @@ def _backward_from_trace(arch: NetArch, tr, upstream):
     put("dense.b", g0)
     grad_z = P["dense.W"].T @ g0
     return grad_z, grad_w
-
-
-def prior_loss_grads(x, z, w, lam: float, arch: NetArch):
-    """Penalty (lam^2/2)*||x - g(z, w)||^2 and its gradients in z and w."""
-    if lam < 0:
-        raise ValueError(f"trade-off parameter must be non-negative, got {lam}")
-    x = np.asarray(x, dtype=np.float64)
-    if lam == 0.0:
-        zero_w = np.zeros(arch.n_params)
-        return 0.0, np.zeros(arch.latent_dim), zero_w
-    g, grad_z, grad_w = net_eval_and_backward(arch, w, z,
-                                              lambda out: lam * lam * (out - x))
-    diff = x - g
-    loss = 0.5 * lam * lam * float(np.dot(diff.ravel(), diff.ravel()))
-    return loss, grad_z, grad_w
-
-
-def fit_strong(y, A, arch: NetArch, seed: int, iters: int, eta: float,
-               init_scale: float = 1.0):
-    """Fit the generator as a strong prior: gradient descent on
-    0.5*||y - A g(z, w)||^2 over w, with z drawn once from N(0, I).
-
-    Returns (weights, loss_trace). Divergence to non-finite loss aborts
-    with the trace attached to the exception.
-    """
-    y = np.asarray(y, dtype=np.float64)
-    z = np.random.default_rng(np.random.SeedSequence([seed, 0])).standard_normal(
-        arch.latent_dim)
-    w = net_init(arch, int(np.random.SeedSequence([seed, 1]).generate_state(1)[0]),
-                 init_scale)
-    trace = []
-    for _ in range(iters):
-        loss_box = []
-
-        def upstream(g):
-            r = A.apply(g) - y
-            loss_box.append(0.5 * float(np.dot(r.ravel(), r.ravel())))
-            return A.adjoint(r)
-
-        _, _, grad_w = net_eval_and_backward(arch, w, z, upstream)
-        loss = loss_box[0]
-        trace.append(loss)
-        if not np.isfinite(loss):
-            raise NumericalAbortError("strong-prior fit diverged to non-finite loss",
-                                      diagnostics={"loss_trace": trace})
-        w = w - eta * grad_w
-    return w, trace
 
 
 def save_weights(path, arch: NetArch, w) -> None:

@@ -19,7 +19,6 @@ __all__ = [
     "qp_project_l1",
     "qp_project_tv",
     "qp_project_box_l1",
-    "dense_diff_matrix",
 ]
 
 _OPTS = {"maxiter": 800, "ftol": 1e-14}
@@ -101,7 +100,7 @@ def qp_project_box_l1(x, lo: float, hi: float, radius: float) -> np.ndarray:
     return res.x[:n] - res.x[n:]
 
 
-def dense_diff_matrix(shape) -> np.ndarray:
+def _dense_diff_matrix(shape) -> np.ndarray:
     """Dense matrix of the circular forward-difference operator, built by
     applying it to the identity basis (2*rows*cols x rows*cols)."""
     rows, cols = shape
@@ -120,7 +119,7 @@ def qp_project_tv(x, radius: float) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     rows, cols = x.shape
     n = rows * cols
-    d = dense_diff_matrix((rows, cols))
+    d = _dense_diff_matrix((rows, cols))
     m = d.shape[0]
     xf = x.ravel()
 

@@ -319,16 +319,20 @@ def project_tv_ball(x, radius: float, tol: float = TV_DEFAULT_TOL,
 
 
 def project_constraint(spec: Constraint, x, tv_tol: float = TV_DEFAULT_TOL,
-                       tv_max_iters: int = TV_DEFAULT_MAX_ITERS) -> np.ndarray:
-    """Dispatch the projection for a single constraint set."""
+                       tv_max_iters: int = TV_DEFAULT_MAX_ITERS):
+    """Dispatch the projection for a single constraint set.
+
+    Returns (projected point, converged); only the iterative TV solve can
+    report converged=False."""
     if isinstance(spec, Box):
-        return project_box(x, spec.lo, spec.hi)
+        return project_box(x, spec.lo, spec.hi), True
     if isinstance(spec, L2Ball):
-        return project_l2_ball(x, spec.radius)
+        return project_l2_ball(x, spec.radius), True
     if isinstance(spec, L1Ball):
-        return project_l1_ball(x, spec.radius)
+        return project_l1_ball(x, spec.radius), True
     if isinstance(spec, TVBall):
-        return project_tv_ball(x, spec.radius, tv_tol, tv_max_iters).x
+        res = project_tv_ball(x, spec.radius, tv_tol, tv_max_iters)
+        return res.x, res.converged
     raise TypeError(f"unknown constraint spec {spec!r}")
 
 
@@ -363,7 +367,9 @@ def project_intersection(x, stack: ConstraintStack) -> IntersectionResult:
     sets) runs Dykstra's alternating projections with increment vectors;
     the sweep loop stops when every per-set violation and the increment
     drift are below `dykstra_tol`. Hitting the cap returns a flagged
-    result carrying each set's remaining violation.
+    result carrying each set's remaining violation. A TV solve stopped by
+    `tv_max_iters` flags the result too: for a single TV set, or for any
+    TV solve in Dykstra's final sweep.
     """
     x = as_grid(x)
 
@@ -374,8 +380,8 @@ def project_intersection(x, stack: ConstraintStack) -> IntersectionResult:
         return np.array([constraint_violation(s, u) for s in stack.sets])
 
     if len(stack.sets) == 1:
-        out = proj(stack.sets[0], x)
-        return IntersectionResult(out, True, 1, violations_of(out))
+        out, converged = proj(stack.sets[0], x)
+        return IntersectionResult(out, converged, 1, violations_of(out))
 
     by_kind = {type(s): s for s in stack.sets}
     if len(stack.sets) == 2 and by_kind.keys() == {Box, L1Ball}:
@@ -391,15 +397,17 @@ def project_intersection(x, stack: ConstraintStack) -> IntersectionResult:
     violations = np.full(len(stack.sets), math.inf)
     for sweep in range(1, stack.dykstra_max_iters + 1):
         drift = 0.0
+        solves_converged = True
         for j, spec in enumerate(stack.sets):
             u = cur + increments[j]
-            cur = proj(spec, u)
+            cur, converged = proj(spec, u)
+            solves_converged &= converged
             new_inc = u - cur
             drift = max(drift, float(np.max(np.abs(new_inc - increments[j]))))
             increments[j] = new_inc
         violations = violations_of(cur)
         if violations.max(initial=0.0) <= stack.dykstra_tol and drift <= stack.dykstra_tol:
-            return IntersectionResult(cur, True, sweep, violations)
+            return IntersectionResult(cur, solves_converged, sweep, violations)
     return IntersectionResult(cur, False, stack.dykstra_max_iters, violations)
 
 

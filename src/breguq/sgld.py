@@ -7,9 +7,11 @@ gradient of the potential
 
 and injects N(0, epsilon*I) noise. The default latent-prior weight is
 c = 1, the literal potential; c = 0.5 (the weight implied by a standard
-normal latent prior) is selectable for comparison. Chains for different
-training tuples use independent noise streams keyed by
-(seed, tuple id, round, step), so results do not depend on scheduling.
+normal latent prior) is selectable for comparison. `sgld_step` is the only
+update: `sgld_run` chains it for training, and the property checks drive
+it with their own generator. Chains for different training tuples use
+independent noise streams keyed by (seed, tuple id, round, step), so
+results do not depend on scheduling.
 """
 
 from __future__ import annotations
@@ -20,13 +22,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalAbortError
-from .net import net_eval_and_backward, net_forward
+from .net import net_eval_and_backward
 
 __all__ = [
     "SgldParams",
-    "sgld_drift",
-    "sgld_potential",
-    "sgld_noise",
     "noise_rng",
     "sgld_step",
     "sgld_run",
@@ -55,17 +54,19 @@ class SgldParams:
                 f"z prior weight must be 1.0 (literal) or 0.5, got {self.z_prior_weight}")
 
 
-def sgld_potential(z, x, arch, w, lam: float, z_prior_weight: float = 1.0) -> float:
+def noise_rng(key) -> np.random.Generator:
+    """Counter-based stream: a fresh generator keyed by a tuple of ints."""
+    return np.random.default_rng(np.random.SeedSequence([int(v) for v in key]))
+
+
+def sgld_step(z, x, arch, w, lam: float, params: SgldParams,
+              rng: np.random.Generator):
+    """One Langevin update z + drift + noise, with drift -(epsilon/2) grad U(z)
+    and noise N(0, epsilon*I) drawn from `rng`. At lam = 0 the generator is
+    not evaluated (`x`, `arch` and `w` may be None). Returns the new latent
+    and U(z) at the current latent, both from one generator evaluation.
+    """
     z = np.asarray(z, dtype=np.float64).ravel()
-    val = z_prior_weight * float(np.dot(z, z))
-    if lam != 0.0:
-        diff = np.asarray(x, dtype=np.float64) - net_forward(arch, w, z)
-        val += lam * lam * float(np.dot(diff.ravel(), diff.ravel()))
-    return val
-
-
-def _drift_and_potential(z, x, arch, w, lam, params):
-    """One generator evaluation serving both the drift and U(z)."""
     pot = params.z_prior_weight * float(np.dot(z, z))
     grad = 2.0 * params.z_prior_weight * z
     if lam != 0.0:
@@ -75,37 +76,12 @@ def _drift_and_potential(z, x, arch, w, lam, params):
         diff = g - x
         pot += lam * lam * float(np.dot(diff.ravel(), diff.ravel()))
         grad = grad + grad_z
-    return -(0.5 * params.epsilon) * grad, pot
-
-
-def sgld_drift(z, x, arch, w, lam: float, params: SgldParams) -> np.ndarray:
-    """-(epsilon/2) * grad U(z); the deterministic part of one step."""
-    z = np.asarray(z, dtype=np.float64).ravel()
-    return _drift_and_potential(z, x, arch, w, lam, params)[0]
-
-
-def noise_rng(key) -> np.random.Generator:
-    """Counter-based stream: a fresh generator keyed by a tuple of ints."""
-    return np.random.default_rng(np.random.SeedSequence([int(v) for v in key]))
-
-
-def sgld_noise(rng: np.random.Generator, dim: int, epsilon: float) -> np.ndarray:
-    """One N(0, epsilon*I) perturbation."""
-    return math.sqrt(epsilon) * rng.standard_normal(dim)
-
-
-def sgld_step(z, x, arch, w, lam: float, params: SgldParams,
-              rng: np.random.Generator, noise=None) -> np.ndarray:
-    """One Langevin update. `noise` overrides the injected perturbation
-    (test hook); otherwise it is drawn from `rng`."""
-    z = np.asarray(z, dtype=np.float64).ravel()
-    if noise is None:
-        noise = sgld_noise(rng, z.size, params.epsilon)
-    z_new = z + sgld_drift(z, x, arch, w, lam, params) + noise
+    drift = -(0.5 * params.epsilon) * grad
+    z_new = z + drift + math.sqrt(params.epsilon) * rng.standard_normal(z.size)
     if not np.all(np.isfinite(z_new)):
         raise NumericalAbortError("non-finite latent iterate",
                                   diagnostics={"z": z, "epsilon": params.epsilon})
-    return z_new
+    return z_new, pot
 
 
 def sgld_run(z_warm, x, arch, w, lam: float, params: SgldParams, noise_key):
@@ -113,17 +89,12 @@ def sgld_run(z_warm, x, arch, w, lam: float, params: SgldParams, noise_key):
 
     `noise_key` is a tuple of ints; step s draws its noise from the stream
     keyed by noise_key + (s,). Returns the final latent and the potential
-    evaluated at each visited state (U(z_0) ... U(z_{steps-1}), sharing the
-    drift's generator evaluation).
+    evaluated at each visited state (U(z_0) ... U(z_{steps-1})).
     """
     z = np.asarray(z_warm, dtype=np.float64).ravel().copy()
     key = tuple(int(v) for v in noise_key)
     trace = []
     for s in range(params.steps):
-        drift, pot = _drift_and_potential(z, x, arch, w, lam, params)
+        z, pot = sgld_step(z, x, arch, w, lam, params, noise_rng(key + (s,)))
         trace.append(pot)
-        z = z + drift + sgld_noise(noise_rng(key + (s,)), z.size, params.epsilon)
-        if not np.all(np.isfinite(z)):
-            raise NumericalAbortError("non-finite latent iterate",
-                                      diagnostics={"step": s, "epsilon": params.epsilon})
     return z, trace

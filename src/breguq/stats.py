@@ -1,11 +1,13 @@
 """Posterior sampling from the trained generator and summary statistics.
 
 Realizations g(z, w) with fresh standard-normal latents are regenerated on
-demand from counter-based streams keyed by (seed, index), so mean and
-pointwise-standard-deviation grids stream through a Welford accumulator
-and the full sample set never has to sit in memory. Pixel histograms and
-model-quality metrics support the reporting CLI, and this module also owns
-the portable grid file format used everywhere for 2-D arrays.
+demand from counter-based streams keyed by (seed, index). `summarize` is
+the one pass over them: it streams the mean and pointwise-standard-
+deviation grids through a Welford accumulator and records the values of
+the probe pixels, so the full sample set never has to sit in memory.
+Pixel histograms of those probe values and model-quality metrics support
+the reporting CLI, and this module also owns the portable grid file
+format used everywhere for 2-D arrays.
 """
 
 from __future__ import annotations
@@ -24,16 +26,11 @@ __all__ = [
     "SampleSet",
     "PixelHistogram",
     "sample_generator",
-    "mean_grid",
-    "pointwise_std",
-    "pixel_histogram",
-    "pixel_values",
     "SampleSummary",
     "summarize",
     "model_quality",
     "WelfordState",
     "welford_update",
-    "welford_merge",
     "write_portable_grid",
     "read_portable_grid",
     "write_histograms_csv",
@@ -88,7 +85,7 @@ def sample_generator(arch: NetArch, w, count: int, seed: int) -> SampleSet:
 
 @dataclass
 class WelfordState:
-    """Streaming first/second moments; merge preserves exactness."""
+    """Streaming first/second moments."""
 
     count: int
     mean: np.ndarray
@@ -106,42 +103,6 @@ def welford_update(state: WelfordState | None, x: np.ndarray) -> WelfordState:
     return WelfordState(n, mean, m2)
 
 
-def welford_merge(a: WelfordState, b: WelfordState) -> WelfordState:
-    """Combine two partial accumulations (Chan et al. update)."""
-    n = a.count + b.count
-    delta = b.mean - a.mean
-    mean = a.mean + delta * (b.count / n)
-    m2 = a.m2 + b.m2 + delta * delta * (a.count * b.count / n)
-    return WelfordState(n, mean, m2)
-
-
-def _accumulate(samples: SampleSet) -> WelfordState:
-    state = None
-    for x in samples.realizations():
-        state = welford_update(state, x)
-    return state
-
-
-def mean_grid(samples: SampleSet) -> np.ndarray:
-    """Per-pixel arithmetic mean over all realizations."""
-    return _accumulate(samples).mean
-
-
-def pointwise_std(samples: SampleSet, mode: str = "population") -> np.ndarray:
-    """Per-pixel standard deviation among realizations.
-
-    `mode="population"` divides by M (the default descriptive statistic);
-    `"sample"` divides by M-1.
-    """
-    if samples.count < 2:
-        raise ValueError("pointwise standard deviation needs at least 2 realizations")
-    if mode not in ("population", "sample"):
-        raise ValueError(f"unknown std mode {mode!r}")
-    acc = _accumulate(samples)
-    denom = acc.count if mode == "population" else acc.count - 1
-    return np.sqrt(acc.m2 / denom)
-
-
 @dataclass(frozen=True)
 class PixelHistogram:
     pixel: tuple
@@ -154,24 +115,13 @@ class PixelHistogram:
         if np.any(self.counts < 0):
             raise ValueError("histogram counts must be non-negative")
 
-
-def pixel_values(samples: SampleSet, pixel) -> np.ndarray:
-    """One pixel's value across all realizations (streamed)."""
-    r, c = int(pixel[0]), int(pixel[1])
-    rows, cols = samples.shape
-    if not (0 <= r < rows and 0 <= c < cols):
-        raise ValueError(f"pixel ({r}, {c}) out of range for {rows}x{cols} grid")
-    return np.array([x[r, c] for x in samples.realizations()])
-
-
-def pixel_histogram(samples: SampleSet, pixel, bins: int) -> PixelHistogram:
-    """Equal-width histogram of one pixel across realizations; bins are
-    right-open except the last, which is closed."""
-    if bins < 1:
-        raise ValueError(f"need at least one bin, got {bins}")
-    values = pixel_values(samples, pixel)
-    counts, edges = np.histogram(values, bins=bins)
-    return PixelHistogram((int(pixel[0]), int(pixel[1])), edges, counts)
+    @classmethod
+    def of(cls, pixel, values, bins: int) -> "PixelHistogram":
+        """Equal-width histogram of one pixel's values across realizations
+        (a `SampleSummary.probe_values` entry); bins are right-open except
+        the last, which is closed."""
+        counts, edges = np.histogram(values, bins=bins)
+        return cls((int(pixel[0]), int(pixel[1])), edges, counts)
 
 
 @dataclass(frozen=True)

@@ -12,8 +12,7 @@ import numpy as np
 import pytest
 
 from breguq import oracles
-from breguq.bregman import (bregman_step, bregman_step_augmented, initial_state,
-                            run_bregman)
+from breguq.bregman import bregman_step, initial_state, run_bregman
 from breguq.cli import main
 from breguq.config import load_config
 from breguq.em import TrainConfig, train
@@ -202,12 +201,12 @@ def test_criterion_4_sgld_stationary_variance():
     dim = 8
     z = np.zeros(dim)
     for _ in range(2000):
-        z = sgld_step(z, None, None, None, 0.0, params, rng)
+        z, _ = sgld_step(z, None, None, None, 0.0, params, rng)
     n = 100000
     acc = np.zeros(dim)
     acc2 = np.zeros(dim)
     for _ in range(n):
-        z = sgld_step(z, None, None, None, 0.0, params, rng)
+        z, _ = sgld_step(z, None, None, None, 0.0, params, rng)
         acc += z
         acc2 += z * z
     var = acc2 / n - (acc / n) ** 2
@@ -229,9 +228,8 @@ def test_criterion_5_reduction_chain(rng):
     bitwise = True
     for k in range(4):
         plain, rp = bregman_step(s0, bank.experiments[k], stack, k=k)
-        aug, ra = bregman_step_augmented(s0, bank.experiments[k],
-                                         rng.standard_normal(8), arch, w,
-                                         0.0, stack, k=k)
+        aug, ra = bregman_step(s0, bank.experiments[k], stack, k=k,
+                               z=rng.standard_normal(8), arch=arch, w=w, lam=0.0)
         bitwise &= (plain.x_dual.tobytes() == aug.x_dual.tobytes()
                     and plain.x_primal.tobytes() == aug.x_primal.tobytes()
                     and rp == ra)
@@ -246,8 +244,9 @@ def test_criterion_5_reduction_chain(rng):
     trace_match = (res.tuple_traces[0] == trace
                    and res.tuples[0].x_primal.tobytes() == state.x_primal.tobytes())
     report(5, bitwise and trace_match,
-           "augmented step with zero trade-off is bit-identical to the plain "
-           "step, and single-tuple training reproduces the plain trace exactly")
+           "step given prior arguments at zero trade-off is bit-identical to "
+           "the plain step, and single-tuple training reproduces the plain "
+           "trace exactly")
 
 
 def test_criterion_6_noise_calibration(desk_bank):

@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from breguq.bregman import (BregmanState, bregman_step, bregman_step_augmented,
-                            dynamic_steplength, eval_joint_objective,
-                            eval_lsq_objective, initial_state, run_bregman,
+from breguq.bregman import (BregmanState, bregman_step, eval_lsq_objective,
+                            initial_state, read_trace_csv, run_bregman,
                             write_trace_csv, TraceRecord)
 from breguq.errors import NumericalAbortError
 from breguq.linops import IdentityOp, ScaleOp
@@ -16,27 +15,42 @@ from conftest import identity_bank, restriction_bank, small_arch
 WIDE = ConstraintStack((Box(-1e9, 1e9),))
 
 
+def _step_from_zero(op, y, t_max=10.0):
+    """One plain step from x = 0, where the residual is -y and the
+    gradient op^T(-y)."""
+    exp = LinearExperiment(op, np.asarray(y, dtype=np.float64))
+    return bregman_step(initial_state(op.domain_shape), exp, WIDE, t_max=t_max)
+
+
 def test_steplength_identity():
-    r = np.array([1.0, -2.0, 0.5])
-    assert dynamic_steplength(r, r) == pytest.approx(1.0)
+    # gradient equals residual: ||r||^2 / ||g||^2 = 1
+    _, rec = _step_from_zero(IdentityOp((1, 3)), [[1.0, -2.0, 0.5]])
+    assert rec.t_k == pytest.approx(1.0)
+    assert not rec.skipped
 
 
 def test_steplength_doubled_gradient():
-    r = np.array([1.0, -2.0, 0.5])
-    assert dynamic_steplength(r, 2.0 * r) == pytest.approx(0.25)
+    _, rec = _step_from_zero(ScaleOp((1, 3), 2.0), [[1.0, -2.0, 0.5]])
+    assert rec.t_k == pytest.approx(0.25)
 
 
 def test_steplength_zero_residual():
-    assert dynamic_steplength(np.zeros(3), np.zeros(3)) == 0.0
+    _, rec = _step_from_zero(IdentityOp((1, 3)), np.zeros((1, 3)))
+    assert rec.t_k == 0.0
+    assert not rec.skipped
 
 
 def test_steplength_cap():
-    assert dynamic_steplength(np.ones(4), 1e-3 * np.ones(4), t_max=10.0) == 10.0
+    _, rec = _step_from_zero(ScaleOp((1, 4), 1e-3), np.ones((1, 4)), t_max=10.0)
+    assert rec.t_k == 10.0
 
 
 def test_steplength_null_space_residual_skips():
     # non-zero residual, vanishing gradient: the step is dropped
-    assert dynamic_steplength(np.ones(3), 1e-200 * np.ones(3)) == 0.0
+    state, rec = _step_from_zero(ScaleOp((1, 3), 1e-200), np.ones((1, 3)))
+    assert rec.t_k == 0.0
+    assert rec.skipped
+    np.testing.assert_array_equal(state.x_dual, np.zeros((1, 3)))
 
 
 def test_one_step_exact_solve():
@@ -64,11 +78,11 @@ def test_record_carries_projection_health():
     exp = LinearExperiment(IdentityOp((4, 4)), np.full((4, 4), 3.0))
     empty = ConstraintStack((Box(0.0, 0.0), Box(1.0, 1.0)), dykstra_max_iters=7)
     for lam in (0.0, 0.5):
-        _, rec = bregman_step_augmented(initial_state((4, 4)), exp, np.zeros(8),
-                                        arch, w, lam, empty)
+        _, rec = bregman_step(initial_state((4, 4)), exp, empty, z=np.zeros(8),
+                              arch=arch, w=w, lam=lam)
         assert (rec.proj_sweeps, rec.proj_converged) == (7, False)
-        _, rec = bregman_step_augmented(initial_state((4, 4)), exp, np.zeros(8),
-                                        arch, w, lam, WIDE)
+        _, rec = bregman_step(initial_state((4, 4)), exp, WIDE, z=np.zeros(8),
+                              arch=arch, w=w, lam=lam)
         assert (rec.proj_sweeps, rec.proj_converged) == (1, True)
 
 
@@ -99,8 +113,8 @@ def test_augmented_lambda_zero_bit_identical(rng):
     stack = ConstraintStack((Box(-2.0, 2.0), L1Ball(10.0)))
     s0 = initial_state((4, 4))
     plain, rec_p = bregman_step(s0, exp, stack, k=3)
-    aug, rec_a = bregman_step_augmented(s0, exp, rng.standard_normal(8), arch, w,
-                                        0.0, stack, k=3)
+    aug, rec_a = bregman_step(s0, exp, stack, k=3, z=rng.standard_normal(8),
+                              arch=arch, w=w, lam=0.0)
     np.testing.assert_array_equal(plain.x_dual, aug.x_dual)
     np.testing.assert_array_equal(plain.x_primal, aug.x_primal)
     assert rec_p == rec_a
@@ -113,7 +127,7 @@ def test_augmented_joint_fixed_point_is_noop(rng):
     g = net_forward(arch, w, z)
     exp = LinearExperiment(IdentityOp((4, 4)), g.copy())  # zero data residual at x=g
     state = BregmanState(g.copy(), g.copy(), 0)
-    new, rec = bregman_step_augmented(state, exp, z, arch, w, 1.0, WIDE)
+    new, rec = bregman_step(state, exp, WIDE, z=z, arch=arch, w=w, lam=1.0)
     np.testing.assert_array_equal(new.x_dual, state.x_dual)
     np.testing.assert_array_equal(new.x_primal, state.x_primal)
     assert rec.t_k == 0.0
@@ -134,7 +148,8 @@ def test_augmented_scalar_fixed_point_unconstrained():
     exp = LinearExperiment(IdentityOp((1, 1)), y)
     x_fix = (y + 0.2) / 2.0
     state = BregmanState(x_fix.copy(), x_fix.copy(), 0)
-    new, rec = bregman_step_augmented(state, exp, np.zeros(1), arch, w, 1.0, WIDE)
+    new, rec = bregman_step(state, exp, WIDE, z=np.zeros(1), arch=arch, w=w,
+                            lam=1.0)
     assert rec.t_k == 0.0
     np.testing.assert_array_equal(new.x_primal, x_fix)
 
@@ -146,7 +161,8 @@ def test_augmented_scalar_fixed_point_clipped_box():
     stack = ConstraintStack((Box(0.0, 0.4),))
     state = BregmanState(np.array([[0.4]]), np.array([[0.4]]), 0)
     for _ in range(25):
-        state, _ = bregman_step_augmented(state, exp, np.zeros(1), arch, w, 1.0, stack)
+        state, _ = bregman_step(state, exp, stack, z=np.zeros(1), arch=arch, w=w,
+                                lam=1.0)
     # primal pinned at the projected stationary point P_C((y + g)/2)
     np.testing.assert_allclose(state.x_primal, [[0.4]], rtol=1e-12)
 
@@ -215,17 +231,35 @@ def test_eval_lsq_matches_reversed_accumulation(rng):
 
 
 def test_eval_joint_reduction_and_additivity(rng):
+    # the recorded joint objective is the data misfit plus the weak-prior
+    # penalty at the pre-step primal; with no prior there is none
     arch = small_arch()
     w = net_init(arch, seed=3)
     z = rng.standard_normal(8)
-    ys = [rng.standard_normal((4, 4)) for _ in range(2)]
-    bank = identity_bank(ys)
+    bank = identity_bank([rng.standard_normal((4, 4))])
     x = rng.standard_normal((4, 4))
-    assert eval_joint_objective(bank, x, z, arch, w, 0.0) == eval_lsq_objective(bank, x)
+    state = BregmanState(x.copy(), x.copy(), 0)
+    _, rec = bregman_step(state, bank.experiments[0], WIDE, z=z, arch=arch, w=w,
+                          lam=0.0)
+    assert rec.joint_objective is None
     lam = 0.7
+    _, rec = bregman_step(state, bank.experiments[0], WIDE, z=z, arch=arch, w=w,
+                          lam=lam)
     diff = x - net_forward(arch, w, z)
     expected = eval_lsq_objective(bank, x) + 0.5 * lam * lam * float(np.sum(diff * diff))
-    assert eval_joint_objective(bank, x, z, arch, w, lam) == expected
+    assert rec.joint_objective == pytest.approx(expected, rel=1e-14)
+
+
+def test_positive_lambda_requires_prior_and_negative_rejected():
+    exp = LinearExperiment(IdentityOp((4, 4)), np.ones((4, 4)))
+    arch = small_arch()
+    w = net_init(arch, seed=3)
+    with pytest.raises(ValueError):
+        bregman_step(initial_state((4, 4)), exp, WIDE, z=np.zeros(8), arch=arch,
+                     lam=0.5)
+    with pytest.raises(ValueError):
+        bregman_step(initial_state((4, 4)), exp, WIDE, z=np.zeros(8), arch=arch,
+                     w=w, lam=-0.1)
 
 
 def test_nonfinite_aborts_with_snapshot():
@@ -246,3 +280,4 @@ def test_trace_csv_format(tmp_path):
                         "skipped,proj_sweeps,proj_converged")
     assert lines[1] == "0,3,0.5,1.25,,0,1,1"
     assert lines[2] == "1,0,0.0,0.5,0.875,1,200,0"
+    assert read_trace_csv(path) == records

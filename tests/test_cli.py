@@ -205,8 +205,11 @@ def test_train_resume_reproduces(gen_dir, tmp_path):
     assert main(["train", "--config", cfg_full, "--bank", str(bank_dir),
                  "--out", str(out_res), "--resume",
                  str(out_half / "checkpoint")]) == 0
-    assert ((out_res / "weights.dpnw").read_bytes()
-            == (out_full / "weights.dpnw").read_bytes())
+    names = ["weights.dpnw", "rounds.csv"] + sorted(
+        p.name for p in out_full.glob("trace_tuple_*.csv"))
+    assert len(names) == 4
+    for name in names:
+        assert (out_res / name).read_bytes() == (out_full / name).read_bytes(), name
 
 
 def test_train_arch_grid_mismatch_exit_2(gen_dir, tmp_path):
@@ -261,6 +264,21 @@ def test_stats_single_sample_rejected(gen_dir, tmp_path, capsys):
                  "--out", str(tmp_path / "s")])
     assert code == 2
     assert "at least 2" in capsys.readouterr().err
+
+
+def test_stats_zero_bins_rejected_before_sampling(gen_dir, tmp_path, capsys):
+    cfg_path, bank_dir = gen_dir
+    train_out = tmp_path / "tr"
+    assert main(["train", "--config", cfg_path, "--bank", str(bank_dir),
+                 "--out", str(train_out)]) == 0
+    cfg = write_cfg(tmp_path, SMALL_TESTBED.replace("bins = 5", "bins = 0"),
+                    name="nobins.cfg")
+    out = tmp_path / "s"
+    code = main(["stats", "--config", cfg, "--checkpoint", str(train_out),
+                 "--out", str(out)])
+    assert code == 2
+    assert "config error" in capsys.readouterr().err
+    assert not (out / "mean.pgrd").exists()
 
 
 def test_check_passes_and_prints_table(capsys):

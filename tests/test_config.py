@@ -53,7 +53,7 @@ def test_bad_value_rejected_with_key(tmp_path):
 
 
 def test_choice_validated(tmp_path):
-    path = write(tmp_path, "[em]\nloss_normalization = median\n")
+    path = write(tmp_path, "[stats]\nstd_mode = median\n")
     with pytest.raises(ConfigError):
         load_config(path)
 

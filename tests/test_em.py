@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
-from breguq.bregman import bregman_step, run_bregman
-from breguq.em import (TrainConfig, TrainTuple, e_step, init_tuples, lam_schedule,
-                       load_checkpoint, m_step, save_checkpoint, train)
+from breguq.bregman import TraceRecord, bregman_step, run_bregman
+from breguq.em import (RoundRecord, TrainConfig, TrainTuple, e_step, init_tuples,
+                       lam_schedule, load_checkpoint, m_step, save_checkpoint,
+                       train)
 from breguq.errors import NumericalAbortError
-from breguq.net import NetArch, StageSpec, net_forward, net_init
+from breguq.net import (NetArch, StageSpec, net_eval_and_backward, net_forward,
+                        net_init)
 from breguq.projections import Box, ConstraintStack, L1Ball, is_feasible
 from breguq.sgld import SgldParams
 from breguq.testbed import (NoiseSpec, add_noise_to_snr, gaussian_kernel,
@@ -169,7 +171,7 @@ def test_m_step_scalar_hand_case():
     w = np.array([0.0, 0.0, 1.0, 0.0])
     t = TrainTuple(0, np.array([0]), np.array([[1.0]]), np.zeros((1, 1)),
                    np.array([1.0]))
-    out = m_step([t], arch, w, eta=0.5, loss_normalization="mean")
+    out = m_step([t], arch, w, eta=0.5)
     np.testing.assert_allclose(out, [1.0, 1.0, 1.0, 1.0], rtol=1e-15)
 
 
@@ -179,8 +181,12 @@ def test_m_step_sum_vs_mean_normalization(rng):
     tuples = [TrainTuple(i, np.array([i]), rng.standard_normal((4, 4)),
                          np.zeros((4, 4)), rng.standard_normal(8))
               for i in range(4)]
-    w_mean = m_step(tuples, arch, w, eta=1e-3, loss_normalization="mean")
-    w_sum = m_step(tuples, arch, w, eta=1e-3 / 4, loss_normalization="sum")
+    # the tuple-averaged step is a step on the summed loss with eta / tuples
+    w_mean = m_step(tuples, arch, w, eta=1e-3)
+    grad_sum = sum(net_eval_and_backward(arch, w, t.z,
+                                         lambda out, t=t: 2.0 * (out - t.x_primal))[2]
+                   for t in tuples)
+    w_sum = w - (1e-3 / 4) * grad_sum
     np.testing.assert_allclose(w_mean, w_sum, rtol=1e-12, atol=1e-15)
 
 
@@ -300,6 +306,8 @@ def test_train_checkpoint_resume_reproduces(tmp_path, rng):
     train(bank, stack, arch, cfg_half, checkpoint_dir=ckpt)
     resumed = train(bank, stack, arch, cfg, resume_from=ckpt)
     np.testing.assert_array_equal(resumed.weights, full.weights)
+    assert resumed.rounds == full.rounds
+    assert resumed.tuple_traces == full.tuple_traces
     for a, b in zip(resumed.tuples, full.tuples):
         np.testing.assert_array_equal(a.x_primal, b.x_primal)
         np.testing.assert_array_equal(a.z, b.z)
@@ -310,10 +318,15 @@ def test_checkpoint_roundtrip(tmp_path, rng):
     arch = small_arch()
     w = net_init(arch, seed=20)
     tuples = init_tuples(bank, 2, seed=21, latent_dim=8)
-    tuples = [t for t in tuples]
-    save_checkpoint(tmp_path / "c", arch, w, tuples, round_completed=4)
-    w2, tuples2, nxt = load_checkpoint(tmp_path / "c", arch)
+    rounds = [RoundRecord(r, 0.1 * r, 1.0 / 3.0 + r, 2.0 / 7.0) for r in range(5)]
+    traces = {0: [TraceRecord(0, 2, 0.1, 1.0 / 3.0, None, False, 1, True)],
+              1: [TraceRecord(0, 1, 0.0, 0.5, 2.0 / 3.0, True, 7, False),
+                  TraceRecord(1, 3, 10.0, 1e-17, 0.25, False, 1, True)]}
+    save_checkpoint(tmp_path / "c", arch, w, tuples, 4, rounds, traces)
+    w2, tuples2, nxt, rounds2, traces2 = load_checkpoint(tmp_path / "c", arch)
     assert nxt == 5
+    assert rounds2 == rounds
+    assert traces2 == traces
     np.testing.assert_array_equal(w2, w)
     for a, b in zip(tuples2, tuples):
         assert a.id == b.id and a.step_count == b.step_count

@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from breguq.errors import CheckpointFormatError
-from breguq.linops import IdentityOp
-from breguq.net import (NetArch, StageSpec, fit_strong, load_weights, net_backward,
-                        net_forward, net_init, prior_loss_grads, save_weights)
+from breguq.net import (NetArch, StageSpec, load_weights, net_backward,
+                        net_forward, net_init, save_weights)
 
 SMALL = NetArch(latent_dim=8, base_rows=2, base_cols=2, base_channels=4,
                 stages=(StageSpec(4),))
@@ -166,62 +165,6 @@ def test_forward_backward_pure():
     gz2, gw2 = net_backward(SMALL, w, z, up)
     np.testing.assert_array_equal(gz1, gz2)
     np.testing.assert_array_equal(gw1, gw2)
-
-
-def test_prior_loss_at_generator_output_is_zero():
-    w = net_init(SMALL, seed=18)
-    z = np.random.default_rng(19).standard_normal(8)
-    x = net_forward(SMALL, w, z)
-    loss, gz, gw = prior_loss_grads(x, z, w, 2.0, SMALL)
-    assert loss == 0.0
-    assert np.max(np.abs(gz)) < 1e-14 and np.max(np.abs(gw)) < 1e-14
-
-
-def test_prior_loss_lambda_zero():
-    w = net_init(SMALL, seed=20)
-    loss, gz, gw = prior_loss_grads(np.ones((4, 4)), np.ones(8), w, 0.0, SMALL)
-    assert loss == 0.0 and not gz.any() and not gw.any()
-
-
-def test_prior_loss_finite_differences():
-    rng = np.random.default_rng(21)
-    w = net_init(SMALL, seed=22)
-    z = rng.standard_normal(8)
-    x = rng.standard_normal((4, 4))
-    lam = 1.3
-    _, gz, gw = prior_loss_grads(x, z, w, lam, SMALL)
-    fd_z = finite_diff(
-        lambda zz: prior_loss_grads(x, zz, w, lam, SMALL)[0], z)
-    np.testing.assert_allclose(gz, fd_z, rtol=1e-5, atol=1e-9)
-    for i in rng.choice(SMALL.n_params, size=20, replace=False):
-        wp = w.copy()
-        wp[i] += 1e-5
-        wm = w.copy()
-        wm[i] -= 1e-5
-        fd = (prior_loss_grads(x, z, wp, lam, SMALL)[0]
-              - prior_loss_grads(x, z, wm, lam, SMALL)[0]) / 2e-5
-        assert rel_err(fd, gw[i]) <= 1e-5
-
-
-def test_fit_strong_zero_iters_and_zero_eta():
-    arch = SMALL
-    y = np.zeros((4, 4))
-    A = IdentityOp((4, 4))
-    w0, trace0 = fit_strong(y, A, arch, seed=23, iters=0, eta=0.1)
-    assert trace0 == []
-    w1, trace1 = fit_strong(y, A, arch, seed=23, iters=5, eta=0.0)
-    np.testing.assert_array_equal(w0, w1)
-    assert len(set(trace1)) == 1
-
-
-def test_fit_strong_converges_on_identity_instance():
-    arch = NetArch(latent_dim=16, base_rows=2, base_cols=2, base_channels=8,
-                   stages=(StageSpec(8), StageSpec(8)))
-    target = net_forward(arch, net_init(arch, seed=99),
-                         np.random.default_rng(3).standard_normal(16))
-    w, trace = fit_strong(target, IdentityOp((8, 8)), arch, seed=7,
-                          iters=2000, eta=1e-3)
-    assert trace[-1] <= 1e-2 * trace[0]
 
 
 def test_checkpoint_roundtrip(tmp_path):

@@ -158,6 +158,25 @@ def test_intersection_empty_flags_nonconvergence():
     assert res.violations.max() > 0.1
 
 
+def test_unconverged_tv_solve_flags_single_set_stack():
+    x = np.random.default_rng(0).standard_normal((8, 8))
+    ball = TVBall(0.2 * total_variation(x))
+    assert not project_intersection(x, ConstraintStack((ball,), tv_max_iters=2)).converged
+    assert project_intersection(x, ConstraintStack((ball,))).converged
+
+def test_unconverged_tv_solve_flags_dykstra():
+    # the capped TV solves meet Dykstra's stop rule, yet the point is far
+    # from the projection a converged TV solver reaches
+    x = np.random.default_rng(0).standard_normal((8, 8))
+    sets = (Box(-1.0, 1.0), TVBall(0.2 * total_variation(x)))
+    capped = project_intersection(x, ConstraintStack(sets, tv_max_iters=2))
+    exact = project_intersection(
+        x, ConstraintStack(sets, tv_max_iters=5000, tv_tol=1e-12))
+    assert capped.sweeps < 200 and not capped.converged
+    assert exact.converged
+    assert np.max(np.abs(capped.x - exact.x)) > 0.1
+
+
 BOX_L1_BOXES = [Box(-0.6, 0.8), Box(0.1, 0.9), Box(-0.9, -0.2), Box(0.3, 0.3)]
 
 
@@ -245,23 +264,23 @@ SINGLE_SETS = [Box(-0.5, 0.75), L2Ball(1.2), L1Ball(1.5)]
 @given(x=finite_vec)
 @settings(max_examples=40, deadline=None)
 def test_idempotence(spec, x):
-    once = project_constraint(spec, x)
-    twice = project_constraint(spec, once)
+    once = project_constraint(spec, x)[0]
+    twice = project_constraint(spec, once)[0]
     assert np.max(np.abs(twice - once)) <= 1e-10
 
 @given(x=finite_grid)
 @settings(max_examples=25, deadline=None)
 def test_idempotence_tv(x):
-    once = project_constraint(TVBall(2.0), x)
-    twice = project_constraint(TVBall(2.0), once)
+    once = project_constraint(TVBall(2.0), x)[0]
+    twice = project_constraint(TVBall(2.0), once)[0]
     assert np.max(np.abs(twice - once)) <= 1e-10
 
 @pytest.mark.parametrize("spec", SINGLE_SETS, ids=lambda s: type(s).__name__)
 @given(x=finite_vec, y=finite_vec)
 @settings(max_examples=40, deadline=None)
 def test_non_expansiveness(spec, x, y):
-    px = project_constraint(spec, x)
-    py = project_constraint(spec, y)
+    px = project_constraint(spec, x)[0]
+    py = project_constraint(spec, y)[0]
     assert np.linalg.norm(px - py) <= np.linalg.norm(x - y) + 1e-12
 
 BOX_L1 = ConstraintStack((Box(-0.5, 0.75), L1Ball(1.5)))
@@ -284,8 +303,8 @@ def test_non_expansiveness_box_l1(x, y):
 @settings(max_examples=25, deadline=None)
 def test_non_expansiveness_tv(x, y):
     # inexact dual solves get a tolerance-scale allowance
-    px = project_constraint(TVBall(1.0), x)
-    py = project_constraint(TVBall(1.0), y)
+    px = project_constraint(TVBall(1.0), x)[0]
+    py = project_constraint(TVBall(1.0), y)[0]
     assert np.linalg.norm(px - py) <= np.linalg.norm(x - y) + 1e-6
 
 @pytest.mark.parametrize("spec", SINGLE_SETS + [TVBall(1.0)],
@@ -294,5 +313,5 @@ def test_projection_lands_inside(spec):
     rng = np.random.default_rng(29)
     for _ in range(10):
         x = 3.0 * rng.standard_normal((3, 3))
-        out = project_constraint(spec, x)
+        out = project_constraint(spec, x)[0]
         assert constraint_violation(spec, out) <= 1e-8

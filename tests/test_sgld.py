@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
+from breguq.errors import NumericalAbortError
 from breguq.net import NetArch, net_forward, net_init
-from breguq.sgld import (SgldParams, noise_rng, sgld_drift, sgld_noise,
-                         sgld_potential, sgld_run, sgld_step)
+from breguq.sgld import SgldParams, noise_rng, sgld_run, sgld_step
 
 from conftest import small_arch
 
@@ -31,17 +31,27 @@ def test_params_validation():
         SgldParams(z_prior_weight=0.7)
 
 
+def _noise(seed, dim, eps):
+    """The perturbation a step driven by default_rng(seed) injects."""
+    return np.sqrt(eps) * np.random.default_rng(seed).standard_normal(dim)
+
+
 def test_contraction_with_noise_forced_zero():
+    # the noise is reproduced from a second generator with the same seed
     params = SgldParams(epsilon=0.1, steps=1)
-    z = np.ones(4)
-    out = sgld_step(z, None, None, None, 0.0, params, rng=None, noise=np.zeros(4))
-    np.testing.assert_allclose(out, 0.9 * np.ones(4), rtol=1e-15)
+    out, pot = sgld_step(np.ones(4), None, None, None, 0.0, params,
+                         np.random.default_rng(3))
+    np.testing.assert_allclose(out - _noise(3, 4, 0.1), 0.9 * np.ones(4), rtol=1e-15)
+    assert pot == 4.0
 
 
 def test_half_weight_prior_variant():
     params = SgldParams(epsilon=0.1, steps=1, z_prior_weight=0.5)
-    out = sgld_step(np.ones(4), None, None, None, 0.0, params, None, noise=np.zeros(4))
-    np.testing.assert_allclose(out, 0.95 * np.ones(4), rtol=1e-15)
+    out, pot = sgld_step(np.ones(4), None, None, None, 0.0, params,
+                         np.random.default_rng(4))
+    np.testing.assert_allclose(out - _noise(4, 4, 0.1), 0.95 * np.ones(4),
+                               rtol=1e-15)
+    assert pot == 2.0
 
 
 def test_drift_at_generator_match_reduces_to_latent_pull(rng):
@@ -50,15 +60,29 @@ def test_drift_at_generator_match_reduces_to_latent_pull(rng):
     z = rng.standard_normal(8)
     x = net_forward(arch, w, z)
     params = SgldParams(epsilon=0.2, steps=1)
-    drift = sgld_drift(z, x, arch, w, 3.0, params)
+    out, pot = sgld_step(z, x, arch, w, 3.0, params, np.random.default_rng(5))
+    drift = out - z - _noise(5, 8, params.epsilon)
     np.testing.assert_allclose(drift, -params.epsilon * z, rtol=1e-10, atol=1e-12)
+    assert pot == float(np.dot(z, z))
+
+
+def test_nonfinite_latent_aborts_with_diagnostics():
+    params = SgldParams(epsilon=0.1, steps=1)
+    z = np.full(4, 1e308)
+    with np.errstate(over="ignore"):
+        with pytest.raises(NumericalAbortError) as err:
+            sgld_step(z, None, None, None, 0.0, params, np.random.default_rng(0))
+    assert err.value.diagnostics["epsilon"] == 0.1
+    np.testing.assert_array_equal(err.value.diagnostics["z"], z)
 
 
 def test_injected_noise_covariance():
-    # drift-free measurement of the perturbation statistics
+    # from z = 0 at lam = 0 the drift vanishes and a step is pure noise
     eps = 0.05
+    params = SgldParams(epsilon=eps, steps=1)
     rng = np.random.default_rng(31337)
-    draws = np.stack([sgld_noise(rng, 4, eps) for _ in range(40000)])
+    draws = np.stack([sgld_step(np.zeros(4), None, None, None, 0.0, params, rng)[0]
+                      for _ in range(40000)])
     cov = np.cov(draws.T, bias=True)
     assert np.max(np.abs(np.diag(cov) - eps)) / eps < 0.05
     off = cov - np.diag(np.diag(cov))
@@ -72,12 +96,12 @@ def test_stationary_variance_matches_recursion_formula():
     dim = 8
     z = np.zeros(dim)
     for _ in range(2000):
-        z = sgld_step(z, None, None, None, 0.0, params, rng)
+        z, _ = sgld_step(z, None, None, None, 0.0, params, rng)
     n = 100000
     acc = np.zeros(dim)
     acc2 = np.zeros(dim)
     for _ in range(n):
-        z = sgld_step(z, None, None, None, 0.0, params, rng)
+        z, _ = sgld_step(z, None, None, None, 0.0, params, rng)
         acc += z
         acc2 += z * z
     mean = acc / n
@@ -119,7 +143,8 @@ def test_potential_trace_recorded_per_step(rng):
     out, trace = sgld_run(z0, x, arch, w, 1.0, params, (0,))
     assert len(trace) == 6
     assert all(np.isfinite(v) for v in trace)
-    assert trace[0] == sgld_potential(z0, x, arch, w, 1.0)
+    d = (x - net_forward(arch, w, z0)).ravel()
+    assert trace[0] == float(np.dot(z0, z0)) + float(np.dot(d, d))
 
 
 def test_linear_generator_posterior_mean_matches_ridge():
@@ -131,11 +156,11 @@ def test_linear_generator_posterior_mean_matches_ridge():
     rng = np.random.default_rng(777)
     z = np.zeros(3)
     for _ in range(1500):
-        z = sgld_step(z, x, arch, w, 1.0, params, rng)
+        z, _ = sgld_step(z, x, arch, w, 1.0, params, rng)
     keep = 20000
     acc = np.zeros(3)
     for _ in range(keep):
-        z = sgld_step(z, x, arch, w, 1.0, params, rng)
+        z, _ = sgld_step(z, x, arch, w, 1.0, params, rng)
         acc += z
     mean = acc / keep
     assert np.linalg.norm(mean - ridge) / np.linalg.norm(ridge) < 0.10

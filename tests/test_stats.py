@@ -6,10 +6,8 @@ from hypothesis.extra import numpy as hnp
 
 from breguq.errors import GridFormatError
 from breguq.net import net_init
-from breguq.stats import (PixelHistogram, WelfordState, mean_grid, model_quality,
-                          pixel_histogram, pixel_values, pointwise_std,
-                          read_portable_grid, sample_generator, summarize,
-                          welford_merge, welford_update, write_portable_grid)
+from breguq.stats import (PixelHistogram, model_quality, read_portable_grid,
+                          sample_generator, summarize, write_portable_grid)
 
 from conftest import small_arch
 
@@ -33,7 +31,8 @@ def test_sample_generator_single_realization():
     w = net_init(arch, seed=1)
     s = sample_generator(arch, w, 1, seed=5)
     assert s.realization(0).shape == arch.out_shape
-    np.testing.assert_array_equal(mean_grid(s), s.realization(0))
+    (only,) = list(s.realizations())
+    np.testing.assert_array_equal(only, s.realization(0))
 
 
 def test_zero_weights_give_zero_realizations():
@@ -71,54 +70,39 @@ def test_sample_count_validation():
 
 def test_mean_symmetry():
     a = np.array([[1.0, -2.0], [0.5, 3.0]])
-    np.testing.assert_array_equal(mean_grid(ListSamples([a, -a])), np.zeros((2, 2)))
+    np.testing.assert_array_equal(summarize(ListSamples([a, -a])).mean,
+                                  np.zeros((2, 2)))
 
 
 def test_std_identical_realizations_zero():
     a = np.ones((3, 3))
-    np.testing.assert_array_equal(pointwise_std(ListSamples([a, a, a])),
+    np.testing.assert_array_equal(summarize(ListSamples([a, a, a])).std,
                                   np.zeros((3, 3)))
 
 
 def test_std_two_realizations_half_gap():
     a = np.array([[0.0, 2.0]])
     b = np.array([[1.0, -2.0]])
-    np.testing.assert_allclose(pointwise_std(ListSamples([a, b])),
+    np.testing.assert_allclose(summarize(ListSamples([a, b])).std,
                                np.abs(a - b) / 2.0, rtol=1e-15)
 
 
 def test_std_requires_two(rng):
     with pytest.raises(ValueError):
-        pointwise_std(ListSamples([rng.standard_normal((2, 2))]))
+        summarize(ListSamples([rng.standard_normal((2, 2))]))
 
 
 def test_moments_match_two_pass_oracle(rng):
     grids = [rng.standard_normal((4, 5)) for _ in range(25)]
     stacked = np.stack(grids)
     samples = ListSamples(grids)
-    np.testing.assert_allclose(mean_grid(samples), stacked.mean(axis=0),
+    summary = summarize(samples)
+    np.testing.assert_allclose(summary.mean, stacked.mean(axis=0),
                                rtol=0, atol=1e-12)
-    np.testing.assert_allclose(pointwise_std(samples), stacked.std(axis=0, ddof=0),
+    np.testing.assert_allclose(summary.std, stacked.std(axis=0, ddof=0),
                                rtol=0, atol=1e-12)
-    np.testing.assert_allclose(pointwise_std(samples, mode="sample"),
+    np.testing.assert_allclose(summarize(samples, mode="sample").std,
                                stacked.std(axis=0, ddof=1), rtol=0, atol=1e-12)
-
-
-def test_welford_merge_matches_sequential(rng):
-    grids = [rng.standard_normal((3, 3)) for _ in range(20)]
-    seq = None
-    for g in grids:
-        seq = welford_update(seq, g)
-    left = None
-    for g in grids[:7]:
-        left = welford_update(left, g)
-    right = None
-    for g in grids[7:]:
-        right = welford_update(right, g)
-    merged = welford_merge(left, right)
-    assert merged.count == seq.count
-    np.testing.assert_allclose(merged.mean, seq.mean, atol=1e-13)
-    np.testing.assert_allclose(merged.m2, seq.m2, atol=1e-12)
 
 
 def test_summarize_matches_componentwise(rng):
@@ -126,16 +110,24 @@ def test_summarize_matches_componentwise(rng):
     w = net_init(arch, seed=9)
     samples = sample_generator(arch, w, 40, seed=10)
     summary = summarize(samples, probe_pixels=[(0, 0), (2, 3)])
-    np.testing.assert_array_equal(summary.mean, mean_grid(samples))
-    np.testing.assert_array_equal(summary.std, pointwise_std(samples))
-    np.testing.assert_array_equal(summary.probe_values[(2, 3)],
-                                  pixel_values(samples, (2, 3)))
+    stacked = np.stack([samples.realization(j) for j in range(40)])
+    np.testing.assert_allclose(summary.mean, stacked.mean(axis=0), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(summary.std, stacked.std(axis=0), rtol=0, atol=1e-12)
+    np.testing.assert_array_equal(summary.probe_values[(2, 3)], stacked[:, 2, 3])
+    np.testing.assert_array_equal(summary.probe_values[(0, 0)], stacked[:, 0, 0])
 
 
 # --- histograms ---
 
+def probe_histogram(samples, pixel, bins):
+    """What `breguq stats` does per probe: summarize, then bin the trace."""
+    values = summarize(samples, [pixel]).probe_values[tuple(pixel)]
+    return PixelHistogram.of(pixel, values, bins)
+
+
 def test_histogram_constant_pixel_single_bin():
-    h = pixel_histogram(ListSamples([np.full((2, 2), 0.3)] * 5), (0, 1), bins=4)
+    h = probe_histogram(ListSamples([np.full((2, 2), 0.3)] * 5), (0, 1), bins=4)
+    assert h.pixel == (0, 1)
     assert h.counts.sum() == 5
     assert np.count_nonzero(h.counts) == 1
 
@@ -143,22 +135,21 @@ def test_histogram_constant_pixel_single_bin():
 def test_histogram_conservation(rng):
     samples = ListSamples([rng.standard_normal((3, 3)) for _ in range(17)])
     for bins in (1, 2, 7):
-        assert pixel_histogram(samples, (1, 2), bins).counts.sum() == 17
+        assert probe_histogram(samples, (1, 2), bins).counts.sum() == 17
 
 
 def test_histogram_edge_convention():
     samples = ListSamples([np.full((1, 1), v) for v in [0.0, 1.0, 2.0, 3.0]])
-    h = pixel_histogram(samples, (0, 0), bins=2)
+    h = probe_histogram(samples, (0, 0), bins=2)
     np.testing.assert_array_equal(h.counts, [2, 2])
     np.testing.assert_allclose(h.edges, [0.0, 1.5, 3.0])
 
 
 def test_histogram_rejects_bad_pixel_and_bins(rng):
+    # bins < 1 is a config error in `breguq stats` (tests/test_cli.py)
     samples = ListSamples([rng.standard_normal((2, 2))] * 3)
     with pytest.raises(ValueError):
-        pixel_histogram(samples, (5, 0), 2)
-    with pytest.raises(ValueError):
-        pixel_histogram(samples, (0, 0), 0)
+        summarize(samples, [(5, 0)])
 
 
 # --- quality metrics ---
