@@ -55,7 +55,9 @@ class TraceRecord:
     prior is inactive. `skipped` marks a zero step forced by a vanishing
     gradient (residual in the operator's null-space direction).
     `proj_sweeps` and `proj_converged` report the projection onto the
-    constraint stack that produced the new primal iterate."""
+    constraint stack that produced the new primal iterate, and
+    `proj_tv_gap` the largest TV duality gap of its final sweep (None when
+    the stack has no TV set)."""
 
     iter: int
     k: int
@@ -65,6 +67,7 @@ class TraceRecord:
     skipped: bool = False
     proj_sweeps: int = 0
     proj_converged: bool = True
+    proj_tv_gap: float | None = None
 
 
 def initial_state(shape) -> BregmanState:
@@ -115,7 +118,7 @@ def bregman_step(state: BregmanState, experiment, stack: ConstraintStack,
             diagnostics={"state": state, "steplength": t})
     proj = project_intersection(x_dual, stack)
     rec = TraceRecord(state.iter, k, t, float(np.sqrt(rr)), joint, skipped,
-                      proj.sweeps, proj.converged)
+                      proj.sweeps, proj.converged, proj.tv_gap)
     return BregmanState(x_dual, proj.x, state.iter + 1), rec
 
 
@@ -153,15 +156,25 @@ def eval_lsq_objective(bank, x) -> float:
 
 def write_trace_csv(records, path) -> None:
     """Trace export: iter, k, t_k, residual_norm, joint_objective, skipped,
-    proj_sweeps, proj_converged (flags written as 0/1)."""
+    proj_sweeps, proj_converged, proj_tv_gap (flags written as 0/1, absent
+    values as empty fields)."""
     with open(path, "w", newline="") as f:
         writer = csv.writer(f, lineterminator="\n")
         writer.writerow(["iter", "k", "t_k", "residual_norm", "joint_objective",
-                         "skipped", "proj_sweeps", "proj_converged"])
+                         "skipped", "proj_sweeps", "proj_converged", "proj_tv_gap"])
         for r in records:
-            joint = "" if r.joint_objective is None else repr(r.joint_objective)
-            writer.writerow([r.iter, r.k, repr(r.t_k), repr(r.residual_norm), joint,
-                             int(r.skipped), r.proj_sweeps, int(r.proj_converged)])
+            writer.writerow([r.iter, r.k, repr(r.t_k), repr(r.residual_norm),
+                             _optional(r.joint_objective), int(r.skipped),
+                             r.proj_sweeps, int(r.proj_converged),
+                             _optional(r.proj_tv_gap)])
+
+
+def _optional(value) -> str:
+    return "" if value is None else repr(value)
+
+
+def _optional_float(field: str):
+    return None if field == "" else float(field)
 
 
 def read_trace_csv(path) -> list:
@@ -169,8 +182,8 @@ def read_trace_csv(path) -> list:
     with open(path, newline="") as f:
         return [TraceRecord(int(row["iter"]), int(row["k"]), float(row["t_k"]),
                             float(row["residual_norm"]),
-                            None if row["joint_objective"] == ""
-                            else float(row["joint_objective"]),
+                            _optional_float(row["joint_objective"]),
                             bool(int(row["skipped"])), int(row["proj_sweeps"]),
-                            bool(int(row["proj_converged"])))
+                            bool(int(row["proj_converged"])),
+                            _optional_float(row["proj_tv_gap"]))
                 for row in csv.DictReader(f)]

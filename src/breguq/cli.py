@@ -6,14 +6,20 @@ seeds produce byte-identical outputs, and each output directory receives
 the fully resolved config that produced it.
 
 Exit codes: 0 success, 1 property-check failure, 2 usage/config error,
-3 numerical abort.
+3 numerical abort. A numerical abort also writes `<out>/abort.json` with the
+message and the solver's diagnostics.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import json
+import math
 import os
 import sys
+
+import numpy as np
 
 from . import checks
 from .bregman import run_bregman, write_trace_csv
@@ -232,6 +238,32 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _jsonable(value):
+    """Strict-JSON form of abort diagnostics: dataclasses become objects,
+    arrays lists, and non-finite floats the strings "nan", "inf", "-inf"."""
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        return {f.name: _jsonable(getattr(value, f.name))
+                for f in dataclasses.fields(value)}
+    if isinstance(value, dict):
+        return {str(k): _jsonable(v) for k, v in value.items()}
+    if isinstance(value, (np.ndarray, np.generic)):
+        return _jsonable(value.tolist())
+    if isinstance(value, (list, tuple)):
+        return [_jsonable(v) for v in value]
+    if isinstance(value, float) and not math.isfinite(value):
+        return "nan" if math.isnan(value) else ("inf" if value > 0 else "-inf")
+    if value is None or isinstance(value, (bool, int, float, str)):
+        return value
+    return repr(value)
+
+
+def _write_abort(out, exc: NumericalAbortError) -> None:
+    report = {"message": str(exc), "diagnostics": _jsonable(exc.diagnostics)}
+    with open(os.path.join(_outdir(out), "abort.json"), "w") as f:
+        json.dump(report, f, allow_nan=False, sort_keys=True)
+        f.write("\n")
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -254,6 +286,8 @@ def main(argv=None) -> int:
         return 2
     except NumericalAbortError as exc:
         print(f"numerical abort: {exc}", file=sys.stderr)
+        if getattr(args, "out", None) is not None:
+            _write_abort(args.out, exc)
         return 3
 
 

@@ -31,7 +31,7 @@ import numpy as np
 
 from .bregman import (T_MAX_DEFAULT, BregmanState, bregman_step, read_trace_csv,
                       write_trace_csv)
-from .errors import NumericalAbortError
+from .errors import CheckpointFormatError, NumericalAbortError
 from .net import (NetArch, load_weights, net_eval_and_backward, net_forward,
                   net_init, save_weights)
 from .projections import ConstraintStack
@@ -322,6 +322,10 @@ def load_checkpoint(dirpath, arch: NetArch):
             read_portable_grid(os.path.join(dirpath, f"tuple_{tid:03d}_x.pgrd")),
             read_portable_grid(os.path.join(dirpath, f"tuple_{tid:03d}_xdual.pgrd")),
             z, rec["step_count"]))
-        traces[tid] = read_trace_csv(os.path.join(dirpath, f"trace_tuple_{tid:03d}.csv"))
+        trace_path = os.path.join(dirpath, f"trace_tuple_{tid:03d}.csv")
+        try:
+            traces[tid] = read_trace_csv(trace_path)
+        except KeyError as exc:
+            raise CheckpointFormatError(f"{trace_path} lacks the column {exc}") from exc
     return (w, tuples, state["round_completed"] + 1,
             _read_rounds_csv(os.path.join(dirpath, "rounds.csv")), traces)

@@ -8,6 +8,14 @@ gradients with respect to both the latent vector and the flat weight
 vector are implemented directly (no autodiff framework) and are checked
 against central finite differences in the test suite.
 
+No upsampled map and no shift-stack of a full-resolution map is built. A
+stage runs polyphase: a k x k convolution of the x2 upsampled map is four
+convolutions of the coarse map, one per output phase, whose kernels are
+folded from the stage kernel by a fixed 0/1 matrix; all four run as one
+GEMM against the coarse shift-stack. The final layer runs kn2row: one GEMM
+gives a plane per tap, and the shifted planes are summed; its backward
+pass stacks the one-channel upstream gradient instead of the input.
+
 Weights live in a single flat float64 vector; `NetArch.param_layout`
 describes the per-layer offsets and shapes. Forward and backward are pure
 functions of (arch, weights, z), so shared read-only weights are safe to
@@ -138,78 +146,109 @@ def _params(arch: NetArch, w: np.ndarray) -> dict:
             for p in arch.param_layout()}
 
 
-def _shift_stack(x: np.ndarray, k: int, sign: int = 1) -> np.ndarray:
-    """All k*k circular shifts of x (c, R, C), stacked as (k*k, c, R, C).
+@functools.lru_cache(maxsize=None)
+def _wrap_blocks(k: int, rows: int, cols: int) -> tuple:
+    """Slices (entry, dst, src) with entry[dst] = x[src] for the k*k circular
+    shifts of a (c, rows, cols) grid, entry u*k + v shifted by
+    (u - k//2, v - k//2). Each shift is up to four wrap-around blocks, which
+    avoids np.roll's per-axis copies."""
+    def pieces(d, n):
+        return ([(slice(d, None), slice(None, n - d))]
+                + [(slice(None, d), slice(n - d, None))] * (d > 0))
+    return tuple((u * k + v, (slice(None), rd, cd), (slice(None), rs, cs))
+                 for u in range(k) for v in range(k)
+                 for rd, rs in pieces((u - k // 2) % rows, rows)
+                 for cd, cs in pieces((v - k // 2) % cols, cols))
 
-    Entry u*k + v holds x shifted by sign*(u - k//2, v - k//2). Shifts are
-    written as four wrap-around blocks to avoid np.roll's per-axis copies.
-    """
-    h = k // 2
-    _, rows, cols = x.shape
+
+def _shift_stack(x: np.ndarray, k: int) -> np.ndarray:
+    """All k*k circular shifts of x (c, R, C), stacked as (k*k, c, R, C)."""
     out = np.empty((k * k,) + x.shape)
-    for u in range(k):
-        dr = (sign * (u - h)) % rows
-        for v in range(k):
-            dc = (sign * (v - h)) % cols
-            dst = out[u * k + v]
-            dst[:, dr:, dc:] = x[:, :rows - dr, :cols - dc]
-            if dr:
-                dst[:, :dr, dc:] = x[:, rows - dr:, :cols - dc]
-            if dc:
-                dst[:, dr:, :dc] = x[:, :rows - dr, cols - dc:]
-            if dr and dc:
-                dst[:, :dr, :dc] = x[:, rows - dr:, cols - dc:]
+    for t, dst, src in _wrap_blocks(k, *x.shape[1:]):
+        out[t][dst] = x[src]
     return out
 
 
-def _conv_channels(W: np.ndarray, b, x: np.ndarray, stack=None) -> np.ndarray:
-    """Circular multi-channel convolution: x (ci, R, C) -> (co, R, C).
-
-    Pass a precomputed `_shift_stack(x, k)` to share rolls with the
-    weight-gradient computation. Contractions run as matmuls over the
-    contiguous (k*k*ci, R*C) view of the stack."""
-    k = W.shape[-1]
-    if stack is None:
-        stack = _shift_stack(x, k)
-    co, ci = W.shape[:2]
-    n = stack.shape[2] * stack.shape[3]
-    w2 = np.ascontiguousarray(W.reshape(co, ci, k * k).transpose(0, 2, 1)
-                              ).reshape(co, k * k * ci)
-    out = (w2 @ stack.reshape(k * k * ci, n)).reshape(co, stack.shape[2],
-                                                      stack.shape[3])
-    if b is not None:
-        out += b[:, None, None]
+def _shift_stack_adjoint(planes: np.ndarray, k: int) -> np.ndarray:
+    """Adjoint of `_shift_stack`: (k*k, c, R, C) -> (c, R, C)."""
+    out = np.zeros(planes.shape[1:])
+    for t, dst, src in _wrap_blocks(k, *planes.shape[2:]):
+        out[src] += planes[t][dst]
     return out
 
 
-def _conv_channels_input_grad(W: np.ndarray, gout: np.ndarray) -> np.ndarray:
-    k = W.shape[-1]
-    co, ci = W.shape[:2]
-    gstack = _shift_stack(gout, k, sign=-1)
-    n = gout.shape[1] * gout.shape[2]
-    w2 = np.ascontiguousarray(W.reshape(co, ci, k * k).transpose(2, 0, 1)
-                              ).reshape(k * k * co, ci)
-    return (w2.T @ gstack.reshape(k * k * co, n)).reshape(ci, gout.shape[1],
-                                                          gout.shape[2])
+@functools.lru_cache(maxsize=None)
+def _fold(k: int) -> tuple:
+    """Polyphase fold of a k x k kernel run on a nearest-x2 upsampled map.
+
+    Output pixel (2y + p, 2x + q) reads coarse pixel
+    (y + (p - u + k//2) // 2, x + (q - v + k//2) // 2) through tap (u, v),
+    so each of the four phases is a convolution of the coarse map over
+    m x m shifts, m = 2 * ((k//2 + 1) // 2) + 1. Returns (M, m): column
+    (2p + q)*m*m + u'*m + v' of the 0/1 matrix M (k*k, 4*m*m) gathers the
+    taps of phase (p, q) that read entry u'*m + v' of `_shift_stack(h, m)`.
+    """
+    hm = (k // 2 + 1) // 2
+    F = np.zeros((2, k, 2 * hm + 1))
+    p, u = np.ogrid[:2, :k]
+    F[p, u, hm - (p - u + k // 2) // 2] = 1.0
+    M = np.einsum("pau,qbv->abpquv", F, F).reshape(k * k, -1)
+    M.flags.writeable = False
+    return M, 2 * hm + 1
 
 
-def _conv_channels_weight_grad(x_stack: np.ndarray, gout: np.ndarray, k: int):
-    ci = x_stack.shape[1]
-    co = gout.shape[0]
-    n = gout.shape[1] * gout.shape[2]
-    flat = gout.reshape(co, n) @ x_stack.reshape(k * k * ci, n).T  # (co, k*k*ci)
-    gW = flat.reshape(co, k * k, ci).transpose(0, 2, 1).reshape(co, ci, k, k)
-    gb = gout.sum(axis=(1, 2))
-    return gW, gb
+def _stage_forward(W: np.ndarray, b: np.ndarray, h: np.ndarray):
+    """Nearest-x2 upsampling then circular convolution, (ci, r, c) ->
+    (co, 2r, 2c): one GEMM of the four phase kernels against the coarse
+    shift-stack, phases interleaved. Returns (output, stack, phase kernels)."""
+    co, ci, k, _ = W.shape
+    M, m = _fold(k)
+    _, r, c = h.shape
+    stack = _shift_stack(h, m).reshape(m * m * ci, r * c)
+    weff = ((W.reshape(co * ci, k * k) @ M).reshape(co, ci, 4, m * m)
+            .transpose(2, 0, 3, 1).reshape(4 * co, m * m * ci))
+    out = np.empty((co, r, 2, c, 2))
+    np.add((weff @ stack).reshape(2, 2, co, r, c).transpose(2, 3, 0, 4, 1),
+           b[:, None, None, None, None], out=out)
+    return out.reshape(co, 2 * r, 2 * c), stack, weff
 
 
-def _upsample2(x: np.ndarray) -> np.ndarray:
-    return np.repeat(np.repeat(x, 2, axis=1), 2, axis=2)
+def _stage_backward(W: np.ndarray, stack: np.ndarray, weff: np.ndarray,
+                    g: np.ndarray):
+    """Gradients of `_stage_forward` for the upstream g (co, 2r, 2c):
+    (grad W, grad b, grad input on the coarse grid)."""
+    co, ci, k, _ = W.shape
+    M, m = _fold(k)
+    r, c = g.shape[1] // 2, g.shape[2] // 2
+    g4 = g.reshape(co, r, 2, c, 2).transpose(2, 4, 0, 1, 3).reshape(4 * co, r * c)
+    gW = ((g4 @ stack.T).reshape(4, co, m * m, ci).transpose(1, 3, 0, 2)
+          .reshape(co * ci, 4 * m * m) @ M.T).reshape(co, ci, k, k)
+    gS = (weff.T @ g4).reshape(m * m, ci, r, c)
+    return gW, g.sum(axis=(1, 2)), _shift_stack_adjoint(gS, m)
 
 
-def _upsample2_adjoint(g: np.ndarray) -> np.ndarray:
-    c, r, s = g.shape
-    return g.reshape(c, r // 2, 2, s // 2, 2).sum(axis=(2, 4))
+def _final_forward(W: np.ndarray, b: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Circular convolution (ci, R, C) -> (co, R, C) by kn2row: one
+    (k*k*co, ci) GEMM gives an output plane per tap, which
+    `_shift_stack_adjoint` shifts and sums. It shifts plane t opposite to
+    tap t, so the kernel enters turned by 180 degrees."""
+    co, ci, k, _ = W.shape
+    flipped = W[:, :, ::-1, ::-1].transpose(2, 3, 0, 1).reshape(k * k * co, ci)
+    planes = flipped @ h.reshape(ci, -1)
+    out = _shift_stack_adjoint(planes.reshape((k * k, co) + h.shape[1:]), k)
+    out += b[:, None, None]
+    return out
+
+
+def _final_backward(W: np.ndarray, h: np.ndarray, g: np.ndarray):
+    """Gradients of `_final_forward` for the upstream g (co, R, C), both from
+    the shift-stack of g: (grad W, grad b, grad input)."""
+    co, ci, k, _ = W.shape
+    gstack = _shift_stack(g, k).reshape(k * k * co, -1)
+    gW = (gstack @ h.reshape(ci, -1).T).reshape(k * k, co, ci)[::-1]
+    flipped = W[:, :, ::-1, ::-1].transpose(2, 3, 0, 1).reshape(k * k * co, ci)
+    gh = (flipped.T @ gstack).reshape(h.shape)
+    return gW.transpose(1, 2, 0).reshape(co, ci, k, k), g.sum(axis=(1, 2)), gh
 
 
 def _activate(x: np.ndarray, kind: str, slope: float) -> np.ndarray:
@@ -236,29 +275,28 @@ def net_init(arch: NetArch, seed: int, scale: float = 1.0) -> np.ndarray:
     return w
 
 
-def _forward_trace(arch: NetArch, w, z):
+def _forward_trace(arch: NetArch, w, z, keep: bool = True):
+    """Forward pass; with `keep` the trace holds what the backward reads."""
     P = _params(arch, w)
     z = np.asarray(z, dtype=np.float64).ravel()
     if z.size != arch.latent_dim:
         raise ValueError(f"latent length {z.size} != latent_dim {arch.latent_dim}")
     h0 = P["dense.W"] @ z + P["dense.b"]
     h = h0.reshape(arch.base_channels, arch.base_rows, arch.base_cols)
-    trace = {"z": z, "P": P, "stage_stacks": [], "stage_pre": []}
+    trace = {"z": z, "P": P, "stages": []}
     for i, st in enumerate(arch.stages):
-        stack = _shift_stack(_upsample2(h), st.kernel_size)
-        pre = _conv_channels(P[f"stage{i}.W"], P[f"stage{i}.b"], None, stack)
-        trace["stage_stacks"].append(stack)
-        trace["stage_pre"].append(pre)
+        pre, stack, weff = _stage_forward(P[f"stage{i}.W"], P[f"stage{i}.b"], h)
+        if keep:
+            trace["stages"].append((stack, weff, pre))
         h = _activate(pre, st.activation, arch.leaky_slope)
-    final_stack = _shift_stack(h, arch.final_kernel_size)
-    trace["final_stack"] = final_stack
-    out = _conv_channels(P["final.W"], P["final.b"], None, final_stack)
+    trace["final_in"] = h
+    out = _final_forward(P["final.W"], P["final.b"], h)
     return out[0], trace
 
 
 def net_forward(arch: NetArch, w, z) -> np.ndarray:
     """Evaluate the generator; output is a 2-D grid of `arch.out_shape`."""
-    out, _ = _forward_trace(arch, w, z)
+    out, _ = _forward_trace(arch, w, z, keep=False)
     return out
 
 
@@ -287,34 +325,19 @@ def _backward_from_trace(arch: NetArch, tr, upstream):
     if upstream.shape != arch.out_shape:
         raise ValueError(
             f"upstream shape {upstream.shape} != output shape {arch.out_shape}")
-    P = tr["P"]
-    grad_w = np.zeros(arch.n_params)
-    layout = {p.name: p for p in arch.param_layout()}
-
-    def put(name, g):
-        p = layout[name]
-        grad_w[p.offset:p.offset + p.size] = g.ravel()
-
-    g = upstream[None, :, :]
-    gW, gb = _conv_channels_weight_grad(tr["final_stack"], g, arch.final_kernel_size)
-    put("final.W", gW)
-    put("final.b", gb)
-    g = _conv_channels_input_grad(P["final.W"], g)
-
+    P, grads = tr["P"], {}
+    grads["final.W"], grads["final.b"], g = _final_backward(
+        P["final.W"], tr["final_in"], upstream[None, :, :])
     for i in range(len(arch.stages) - 1, -1, -1):
         st = arch.stages[i]
-        g = g * _activate_grad(tr["stage_pre"][i], st.activation, arch.leaky_slope)
-        gW, gb = _conv_channels_weight_grad(tr["stage_stacks"][i], g, st.kernel_size)
-        put(f"stage{i}.W", gW)
-        put(f"stage{i}.b", gb)
-        g = _conv_channels_input_grad(P[f"stage{i}.W"], g)
-        g = _upsample2_adjoint(g)
-
+        stack, weff, pre = tr["stages"][i]
+        g = g * _activate_grad(pre, st.activation, arch.leaky_slope)
+        grads[f"stage{i}.W"], grads[f"stage{i}.b"], g = _stage_backward(
+            P[f"stage{i}.W"], stack, weff, g)
     g0 = g.ravel()
-    put("dense.W", np.outer(g0, tr["z"]))
-    put("dense.b", g0)
-    grad_z = P["dense.W"].T @ g0
-    return grad_z, grad_w
+    grads["dense.W"], grads["dense.b"] = np.outer(g0, tr["z"]), g0
+    grad_w = np.concatenate([grads[p.name].ravel() for p in arch.param_layout()])
+    return P["dense.W"].T @ g0, grad_w
 
 
 def save_weights(path, arch: NetArch, w) -> None:

@@ -124,10 +124,14 @@ class TvResult:
 
 @dataclass(frozen=True)
 class IntersectionResult:
+    """`tv_gap` is the largest duality gap of the TV solves in the final
+    sweep, or None when the stack has no TV set."""
+
     x: np.ndarray
     converged: bool
     sweeps: int
     violations: np.ndarray
+    tv_gap: float | None = None
 
 
 @dataclass(frozen=True)
@@ -322,17 +326,18 @@ def project_constraint(spec: Constraint, x, tv_tol: float = TV_DEFAULT_TOL,
                        tv_max_iters: int = TV_DEFAULT_MAX_ITERS):
     """Dispatch the projection for a single constraint set.
 
-    Returns (projected point, converged); only the iterative TV solve can
-    report converged=False."""
+    Returns (projected point, converged, duality gap); only the iterative
+    TV solve can report converged=False, and only it has a gap (None for
+    the closed-form projections)."""
     if isinstance(spec, Box):
-        return project_box(x, spec.lo, spec.hi), True
+        return project_box(x, spec.lo, spec.hi), True, None
     if isinstance(spec, L2Ball):
-        return project_l2_ball(x, spec.radius), True
+        return project_l2_ball(x, spec.radius), True, None
     if isinstance(spec, L1Ball):
-        return project_l1_ball(x, spec.radius), True
+        return project_l1_ball(x, spec.radius), True, None
     if isinstance(spec, TVBall):
         res = project_tv_ball(x, spec.radius, tv_tol, tv_max_iters)
-        return res.x, res.converged
+        return res.x, res.converged, res.gap
     raise TypeError(f"unknown constraint spec {spec!r}")
 
 
@@ -380,8 +385,8 @@ def project_intersection(x, stack: ConstraintStack) -> IntersectionResult:
         return np.array([constraint_violation(s, u) for s in stack.sets])
 
     if len(stack.sets) == 1:
-        out, converged = proj(stack.sets[0], x)
-        return IntersectionResult(out, converged, 1, violations_of(out))
+        out, converged, gap = proj(stack.sets[0], x)
+        return IntersectionResult(out, converged, 1, violations_of(out), gap)
 
     by_kind = {type(s): s for s in stack.sets}
     if len(stack.sets) == 2 and by_kind.keys() == {Box, L1Ball}:
@@ -398,17 +403,21 @@ def project_intersection(x, stack: ConstraintStack) -> IntersectionResult:
     for sweep in range(1, stack.dykstra_max_iters + 1):
         drift = 0.0
         solves_converged = True
+        tv_gaps = []
         for j, spec in enumerate(stack.sets):
             u = cur + increments[j]
-            cur, converged = proj(spec, u)
+            cur, converged, gap = proj(spec, u)
             solves_converged &= converged
+            if gap is not None:
+                tv_gaps.append(gap)
             new_inc = u - cur
             drift = max(drift, float(np.max(np.abs(new_inc - increments[j]))))
             increments[j] = new_inc
         violations = violations_of(cur)
+        tv_gap = max(tv_gaps, default=None)
         if violations.max(initial=0.0) <= stack.dykstra_tol and drift <= stack.dykstra_tol:
-            return IntersectionResult(cur, solves_converged, sweep, violations)
-    return IntersectionResult(cur, False, stack.dykstra_max_iters, violations)
+            return IntersectionResult(cur, solves_converged, sweep, violations, tv_gap)
+    return IntersectionResult(cur, False, stack.dykstra_max_iters, violations, tv_gap)
 
 
 def is_feasible(x, stack: ConstraintStack, tol: float) -> FeasibilityReport:

@@ -7,7 +7,8 @@ from breguq.bregman import (BregmanState, bregman_step, eval_lsq_objective,
 from breguq.errors import NumericalAbortError
 from breguq.linops import IdentityOp, ScaleOp
 from breguq.net import NetArch, net_forward, net_init
-from breguq.projections import Box, ConstraintStack, L1Ball, is_feasible
+from breguq.projections import (Box, ConstraintStack, L1Ball, TVBall, is_feasible,
+                                total_variation)
 from breguq.testbed import ExperimentBank, LinearExperiment
 
 from conftest import identity_bank, restriction_bank, small_arch
@@ -84,6 +85,23 @@ def test_record_carries_projection_health():
         _, rec = bregman_step(initial_state((4, 4)), exp, WIDE, z=np.zeros(8),
                               arch=arch, w=w, lam=lam)
         assert (rec.proj_sweeps, rec.proj_converged) == (1, True)
+
+
+def test_record_and_trace_carry_tv_gap(tmp_path):
+    # Dykstra on (box, TV ball) with capped TV solves: the gap of the final
+    # sweep reaches the record and survives the CSV round trip
+    x = np.random.default_rng(0).standard_normal((8, 8))
+    capped = ConstraintStack((Box(-1.0, 1.0), TVBall(0.2 * total_variation(x))),
+                             tv_max_iters=2)
+    exp = LinearExperiment(IdentityOp(x.shape), x)
+    state = BregmanState(x.copy(), np.zeros_like(x), 0)
+    _, rec = bregman_step(state, exp, capped)
+    assert not rec.proj_converged and rec.proj_tv_gap > 1e3 * capped.tv_tol
+    _, plain = bregman_step(state, exp, WIDE)
+    assert plain.proj_tv_gap is None
+    path = tmp_path / "trace.csv"
+    write_trace_csv([rec, plain], path)
+    assert read_trace_csv(path) == [rec, plain]
 
 
 def test_consistent_restriction_bank_converges():
@@ -272,12 +290,12 @@ def test_nonfinite_aborts_with_snapshot():
 
 def test_trace_csv_format(tmp_path):
     records = [TraceRecord(0, 3, 0.5, 1.25, None, False, 1, True),
-               TraceRecord(1, 0, 0.0, 0.5, 0.875, True, 200, False)]
+               TraceRecord(1, 0, 0.0, 0.5, 0.875, True, 200, False, 0.0625)]
     path = tmp_path / "trace.csv"
     write_trace_csv(records, path)
     lines = path.read_text().splitlines()
     assert lines[0] == ("iter,k,t_k,residual_norm,joint_objective,"
-                        "skipped,proj_sweeps,proj_converged")
-    assert lines[1] == "0,3,0.5,1.25,,0,1,1"
-    assert lines[2] == "1,0,0.0,0.5,0.875,1,200,0"
+                        "skipped,proj_sweeps,proj_converged,proj_tv_gap")
+    assert lines[1] == "0,3,0.5,1.25,,0,1,1,"
+    assert lines[2] == "1,0,0.0,0.5,0.875,1,200,0,0.0625"
     assert read_trace_csv(path) == records

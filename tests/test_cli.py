@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -122,7 +124,7 @@ def test_invert_writes_grids_trace_quality(gen_dir):
     assert (out / "x_dual.pgrd").exists()
     trace = (out / "trace.csv").read_text().splitlines()
     assert trace[0] == ("iter,k,t_k,residual_norm,joint_objective,"
-                        "skipped,proj_sweeps,proj_converged")
+                        "skipped,proj_sweeps,proj_converged,proj_tv_gap")
     assert len(trace) == 13
     quality = (out / "quality.csv").read_text()
     assert quality.startswith("metric,value")
@@ -210,6 +212,21 @@ def test_train_resume_reproduces(gen_dir, tmp_path):
     assert len(names) == 4
     for name in names:
         assert (out_res / name).read_bytes() == (out_full / name).read_bytes(), name
+
+
+def test_resume_from_checkpoint_without_tv_gap_column_exit_2(gen_dir, tmp_path, capsys):
+    # checkpoints written before the trace gained proj_tv_gap
+    cfg_path, bank_dir = gen_dir
+    out = tmp_path / "tr"
+    assert main(["train", "--config", cfg_path, "--bank", str(bank_dir),
+                 "--out", str(out)]) == 0
+    trace = out / "checkpoint" / "trace_tuple_000.csv"
+    trace.write_text("".join(line.rsplit(",", 1)[0] + "\n"
+                             for line in trace.read_text().splitlines()))
+    assert main(["train", "--config", cfg_path, "--bank", str(bank_dir),
+                 "--out", str(tmp_path / "res"), "--resume",
+                 str(out / "checkpoint")]) == 2
+    assert "lacks the column 'proj_tv_gap'" in capsys.readouterr().err
 
 
 def test_train_arch_grid_mismatch_exit_2(gen_dir, tmp_path):
@@ -318,6 +335,46 @@ def test_numerical_abort_maps_to_exit_3(monkeypatch, tmp_path):
 
     monkeypatch.setattr(cli_mod, "cmd_gen", boom)
     assert cli_mod.main(["gen", "--out", str(tmp_path / "o")]) == 3
+
+
+def strict_json(path):
+    def refuse(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+    return json.loads(path.read_text(), parse_constant=refuse)
+
+
+def test_train_gradient_abort_writes_abort_json(gen_dir, tmp_path, capsys):
+    # the first M-step's huge step sends the weights to ~1e200; the second
+    # M-step's generator output overflows and its gradient is non-finite
+    cfg_path, bank_dir = gen_dir
+    body = SMALL_TESTBED.replace("eta = 0.0001", "eta = 1e200\nm_steps_per_round = 2")
+    cfg = write_cfg(tmp_path, body, name="blowup.cfg")
+    out = tmp_path / "tr"
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["train", "--config", cfg, "--bank", str(bank_dir),
+                     "--out", str(out)]) == 3
+    assert "numerical abort: non-finite weight gradient" in capsys.readouterr().err
+    report = strict_json(out / "abort.json")
+    assert report["message"] == "non-finite weight gradient"
+    assert report["diagnostics"] == {"per_tuple_loss": {"0": "nan", "1": "nan"}}
+
+
+def test_abort_json_is_strict_json(monkeypatch, tmp_path):
+    import breguq.cli as cli_mod
+    from breguq.bregman import BregmanState
+
+    def boom(args, config):
+        raise NumericalAbortError("synthetic abort", diagnostics={
+            "state": BregmanState(np.array([[1.0, np.inf]]), np.zeros((1, 2)), 4),
+            "latent": np.array([np.nan, -np.inf, 0.5]), "epsilon": 1e-2})
+
+    monkeypatch.setattr(cli_mod, "cmd_gen", boom)
+    assert cli_mod.main(["gen", "--out", str(tmp_path / "o")]) == 3
+    assert strict_json(tmp_path / "o" / "abort.json") == {
+        "message": "synthetic abort",
+        "diagnostics": {"state": {"x_dual": [[1.0, "inf"]], "x_primal": [[0.0, 0.0]],
+                                  "iter": 4},
+                        "latent": ["nan", "-inf", 0.5], "epsilon": 0.01}}
 
 
 def test_unknown_subcommand_exit_2():

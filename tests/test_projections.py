@@ -177,6 +177,24 @@ def test_unconverged_tv_solve_flags_dykstra():
     assert np.max(np.abs(capped.x - exact.x)) > 0.1
 
 
+def test_intersection_reports_final_sweep_tv_gap():
+    x = np.random.default_rng(0).standard_normal((8, 8))
+    sets = (Box(-1.0, 1.0), TVBall(0.2 * total_variation(x)))
+    capped = ConstraintStack(sets, tv_max_iters=2)
+    res = project_intersection(x, capped)
+    # the capped solves stop far from tv_tol, and the result says by how much
+    assert res.tv_gap > 1e3 * capped.tv_tol
+    exact = project_intersection(
+        x, ConstraintStack(sets, tv_max_iters=5000, tv_tol=1e-12))
+    assert 0.0 <= exact.tv_gap < res.tv_gap
+    single = project_intersection(x, ConstraintStack((sets[1],), tv_max_iters=2))
+    assert single.tv_gap == project_tv_ball(x, sets[1].radius, max_iters=2).gap
+    assert project_constraint(sets[0], x)[2] is None
+    assert project_intersection(x, ConstraintStack((Box(-1.0, 1.0),))).tv_gap is None
+    assert project_intersection(
+        x, ConstraintStack((Box(-1.0, 1.0), L1Ball(5.0)))).tv_gap is None
+
+
 BOX_L1_BOXES = [Box(-0.6, 0.8), Box(0.1, 0.9), Box(-0.9, -0.2), Box(0.3, 0.3)]
 
 
