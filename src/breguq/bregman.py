@@ -5,7 +5,9 @@ step on the dual accumulator, and projects onto the constraint stack to
 obtain the primal iterate, which therefore stays feasible for every
 iteration. One step function serves both plain inversion and training: a
 positive trade-off parameter adds the weak generator penalty to the
-update direction, and a zero one never evaluates the generator.
+update direction, and a zero one ignores it. The step never evaluates the
+generator: the caller passes its output g(z, w), which stays fixed while
+z and w do.
 
 A step never draws randomness itself: experiment selection happens in the
 driver loops, and bank objects are duck-typed (anything with an
@@ -20,7 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalAbortError
-from .net import net_forward
 from .projections import ConstraintStack, project_intersection
 
 __all__ = [
@@ -77,15 +78,16 @@ def initial_state(shape) -> BregmanState:
 
 
 def bregman_step(state: BregmanState, experiment, stack: ConstraintStack,
-                 t_max: float = T_MAX_DEFAULT, k: int = -1, *, z=None, arch=None,
-                 w=None, lam: float = 0.0):
+                 t_max: float = T_MAX_DEFAULT, k: int = -1, *, center=None,
+                 lam: float = 0.0):
     """One dual update against a single experiment, then projection.
 
     The residual uses the current primal (projected) iterate. With
     `lam == 0` the direction is the data gradient A_k^T(A_k x - y_k), the
-    generator is never evaluated and the record's `joint_objective` is None.
+    center is not needed and the record's `joint_objective` is None.
     With `lam > 0` the weak generator penalty joins the direction,
-    A_k^T(A_k x - y_k) + lam^2 (x - g(z, w)), and the steplength is the
+    A_k^T(A_k x - y_k) + lam^2 (x - g), where `center` is the generator
+    output g = g(z, w) computed by the caller, and the steplength is the
     dynamic ratio for the stacked system [A_k; lam*I]: the stacked residual
     energy over the direction energy. Either ratio is capped at `t_max`,
     and a vanishing direction with a non-zero residual (a residual in the
@@ -100,9 +102,9 @@ def bregman_step(state: BregmanState, experiment, stack: ConstraintStack,
     rr = float(np.dot(r.ravel(), r.ravel()))
     num, joint = rr, None
     if lam > 0:
-        if z is None or arch is None or w is None:
-            raise ValueError("a positive trade-off parameter needs z, arch and w")
-        diff = x - net_forward(arch, w, z)
+        if center is None:
+            raise ValueError("a positive trade-off parameter needs the center g(z, w)")
+        diff = x - center
         direction = direction + (lam * lam) * diff
         dd = float(np.dot(diff.ravel(), diff.ravel()))
         num = rr + (lam * lam) * dd

@@ -21,7 +21,6 @@ import sys
 
 import numpy as np
 
-from . import checks
 from .bregman import run_bregman, write_trace_csv
 from .config import (apply_seed_override, build_arch, build_noise_spec,
                      build_stack, build_stack_schedule, build_train_config,
@@ -180,6 +179,9 @@ def cmd_stats(args, config) -> int:
 
 
 def cmd_check(args, config) -> int:
+    # imported here: its oracles load scipy.optimize, which no other command needs
+    from . import checks
+
     results = checks.run_property_suite()
     width = max(len(r.name) for r in results)
     failed = [r for r in results if not r.passed]

@@ -153,7 +153,9 @@ def e_step(tuples, bank, arch: NetArch, w, lam: float, stack: ConstraintStack,
            config: TrainConfig, round_idx: int, on_primal=None):
     """Per tuple: a block of penalized Bregman steps drawing experiments
     inside the tuple's subset, then a warm-started Langevin chain on the
-    latent. Weights are read-only. Returns (new tuples, per-tuple trace).
+    latent. Weights are read-only and the latent is fixed during the block,
+    so its center g(z, w) is evaluated once per tuple (not at lam = 0).
+    Returns (new tuples, per-tuple trace).
     """
     exps = list(bank.experiments)
     steps = config.bregman_steps_per_round
@@ -163,12 +165,13 @@ def e_step(tuples, bank, arch: NetArch, w, lam: float, stack: ConstraintStack,
         rng = _draw_stream(config.draw_seed, t.id, round_idx * steps,
                            t.experiment_ids.size)
         state = BregmanState(t.x_dual, t.x_primal, t.step_count)
+        center = net_forward(arch, w, t.z) if lam > 0 else None
         rows = []
         for _ in range(steps):
             j = int(rng.integers(0, t.experiment_ids.size))
             k = int(t.experiment_ids[j])
             state, rec = bregman_step(state, exps[k], stack, t_max=config.t_max,
-                                      k=k, z=t.z, arch=arch, w=w, lam=lam)
+                                      k=k, center=center, lam=lam)
             rows.append(rec)
             if on_primal is not None:
                 on_primal(state.x_primal)

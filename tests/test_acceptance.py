@@ -229,7 +229,8 @@ def test_criterion_5_reduction_chain(rng):
     for k in range(4):
         plain, rp = bregman_step(s0, bank.experiments[k], stack, k=k)
         aug, ra = bregman_step(s0, bank.experiments[k], stack, k=k,
-                               z=rng.standard_normal(8), arch=arch, w=w, lam=0.0)
+                               center=net_forward(arch, w, rng.standard_normal(8)),
+                               lam=0.0)
         bitwise &= (plain.x_dual.tobytes() == aug.x_dual.tobytes()
                     and plain.x_primal.tobytes() == aug.x_primal.tobytes()
                     and rp == ra)

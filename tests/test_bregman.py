@@ -79,11 +79,11 @@ def test_record_carries_projection_health():
     exp = LinearExperiment(IdentityOp((4, 4)), np.full((4, 4), 3.0))
     empty = ConstraintStack((Box(0.0, 0.0), Box(1.0, 1.0)), dykstra_max_iters=7)
     for lam in (0.0, 0.5):
-        _, rec = bregman_step(initial_state((4, 4)), exp, empty, z=np.zeros(8),
-                              arch=arch, w=w, lam=lam)
+        _, rec = bregman_step(initial_state((4, 4)), exp, empty,
+                              center=net_forward(arch, w, np.zeros(8)), lam=lam)
         assert (rec.proj_sweeps, rec.proj_converged) == (7, False)
-        _, rec = bregman_step(initial_state((4, 4)), exp, WIDE, z=np.zeros(8),
-                              arch=arch, w=w, lam=lam)
+        _, rec = bregman_step(initial_state((4, 4)), exp, WIDE,
+                              center=net_forward(arch, w, np.zeros(8)), lam=lam)
         assert (rec.proj_sweeps, rec.proj_converged) == (1, True)
 
 
@@ -131,8 +131,9 @@ def test_augmented_lambda_zero_bit_identical(rng):
     stack = ConstraintStack((Box(-2.0, 2.0), L1Ball(10.0)))
     s0 = initial_state((4, 4))
     plain, rec_p = bregman_step(s0, exp, stack, k=3)
-    aug, rec_a = bregman_step(s0, exp, stack, k=3, z=rng.standard_normal(8),
-                              arch=arch, w=w, lam=0.0)
+    aug, rec_a = bregman_step(s0, exp, stack, k=3,
+                              center=net_forward(arch, w, rng.standard_normal(8)),
+                              lam=0.0)
     np.testing.assert_array_equal(plain.x_dual, aug.x_dual)
     np.testing.assert_array_equal(plain.x_primal, aug.x_primal)
     assert rec_p == rec_a
@@ -145,7 +146,7 @@ def test_augmented_joint_fixed_point_is_noop(rng):
     g = net_forward(arch, w, z)
     exp = LinearExperiment(IdentityOp((4, 4)), g.copy())  # zero data residual at x=g
     state = BregmanState(g.copy(), g.copy(), 0)
-    new, rec = bregman_step(state, exp, WIDE, z=z, arch=arch, w=w, lam=1.0)
+    new, rec = bregman_step(state, exp, WIDE, center=net_forward(arch, w, z), lam=1.0)
     np.testing.assert_array_equal(new.x_dual, state.x_dual)
     np.testing.assert_array_equal(new.x_primal, state.x_primal)
     assert rec.t_k == 0.0
@@ -166,8 +167,8 @@ def test_augmented_scalar_fixed_point_unconstrained():
     exp = LinearExperiment(IdentityOp((1, 1)), y)
     x_fix = (y + 0.2) / 2.0
     state = BregmanState(x_fix.copy(), x_fix.copy(), 0)
-    new, rec = bregman_step(state, exp, WIDE, z=np.zeros(1), arch=arch, w=w,
-                            lam=1.0)
+    new, rec = bregman_step(state, exp, WIDE,
+                            center=net_forward(arch, w, np.zeros(1)), lam=1.0)
     assert rec.t_k == 0.0
     np.testing.assert_array_equal(new.x_primal, x_fix)
 
@@ -179,8 +180,8 @@ def test_augmented_scalar_fixed_point_clipped_box():
     stack = ConstraintStack((Box(0.0, 0.4),))
     state = BregmanState(np.array([[0.4]]), np.array([[0.4]]), 0)
     for _ in range(25):
-        state, _ = bregman_step(state, exp, stack, z=np.zeros(1), arch=arch, w=w,
-                                lam=1.0)
+        state, _ = bregman_step(state, exp, stack,
+                                center=net_forward(arch, w, np.zeros(1)), lam=1.0)
     # primal pinned at the projected stationary point P_C((y + g)/2)
     np.testing.assert_allclose(state.x_primal, [[0.4]], rtol=1e-12)
 
@@ -257,12 +258,12 @@ def test_eval_joint_reduction_and_additivity(rng):
     bank = identity_bank([rng.standard_normal((4, 4))])
     x = rng.standard_normal((4, 4))
     state = BregmanState(x.copy(), x.copy(), 0)
-    _, rec = bregman_step(state, bank.experiments[0], WIDE, z=z, arch=arch, w=w,
-                          lam=0.0)
+    _, rec = bregman_step(state, bank.experiments[0], WIDE,
+                          center=net_forward(arch, w, z), lam=0.0)
     assert rec.joint_objective is None
     lam = 0.7
-    _, rec = bregman_step(state, bank.experiments[0], WIDE, z=z, arch=arch, w=w,
-                          lam=lam)
+    _, rec = bregman_step(state, bank.experiments[0], WIDE,
+                          center=net_forward(arch, w, z), lam=lam)
     diff = x - net_forward(arch, w, z)
     expected = eval_lsq_objective(bank, x) + 0.5 * lam * lam * float(np.sum(diff * diff))
     assert rec.joint_objective == pytest.approx(expected, rel=1e-14)
@@ -273,11 +274,10 @@ def test_positive_lambda_requires_prior_and_negative_rejected():
     arch = small_arch()
     w = net_init(arch, seed=3)
     with pytest.raises(ValueError):
-        bregman_step(initial_state((4, 4)), exp, WIDE, z=np.zeros(8), arch=arch,
-                     lam=0.5)
+        bregman_step(initial_state((4, 4)), exp, WIDE, lam=0.5)
     with pytest.raises(ValueError):
-        bregman_step(initial_state((4, 4)), exp, WIDE, z=np.zeros(8), arch=arch,
-                     w=w, lam=-0.1)
+        bregman_step(initial_state((4, 4)), exp, WIDE,
+                     center=net_forward(arch, w, np.zeros(8)), lam=-0.1)
 
 
 def test_nonfinite_aborts_with_snapshot():

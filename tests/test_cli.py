@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import breguq
 from breguq import checks
 from breguq.bregman import eval_lsq_objective
 from breguq.cli import main
@@ -325,6 +329,16 @@ def test_check_exit_1_on_failure(monkeypatch, capsys):
                         lambda: [CheckResult("dot_test:injected", False, "bad")])
     assert main(["check"]) == 1
     assert "dot_test:injected" in capsys.readouterr().out
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    # only `check` needs the scipy.optimize oracles; a fresh interpreter
+    # shows what every other command loads
+    src = os.path.dirname(os.path.dirname(breguq.__file__))
+    code = "import sys, breguq.cli; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "False"
 
 
 def test_numerical_abort_maps_to_exit_3(monkeypatch, tmp_path):

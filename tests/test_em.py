@@ -143,6 +143,28 @@ def test_e_step_schedule_independent(rng):
         np.testing.assert_array_equal(t.z, by_id[t.id].z)
 
 
+def test_e_step_evaluates_generator_once_per_tuple(rng, monkeypatch):
+    # z and w are fixed during a tuple's Bregman block, so the center g(z, w)
+    # is computed once per tuple, not once per step, and never at lam = 0
+    bank = small_bank(rng)
+    arch = small_arch()
+    w = net_init(arch, seed=18)
+    tuples = init_tuples(bank, 3, seed=19, latent_dim=8)
+    cfg = _null_config(n_tuples=3, bregman_steps_per_round=5)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return net_forward(*args)
+
+    monkeypatch.setattr("breguq.em.net_forward", counted)
+    e_step(tuples, bank, arch, w, 0.4, WIDE, cfg, 0)
+    assert len(calls) == len(tuples)
+    calls.clear()
+    e_step(tuples, bank, arch, w, 0.0, WIDE, cfg, 0)
+    assert calls == []
+
+
 # --- m-step ---
 
 def test_m_step_fixed_point(rng):

@@ -45,12 +45,20 @@ def test_offcenter_tap_is_circular_shift_and_matches_reference():
     np.testing.assert_allclose(got, conv_reference(taps, x), rtol=0, atol=0)
 
 
-def test_random_kernel_matches_reference():
-    rng = np.random.default_rng(2)
-    x = rng.standard_normal((6, 5))
-    taps = rng.standard_normal((5, 5))
+@pytest.mark.parametrize("k", [1, 3, 5, 7, 9], ids="k{}".format)
+@pytest.mark.parametrize("shape", [(1, 1), (1, 5), (2, 3), (3, 3), (6, 5), (17, 3)],
+                         ids=lambda s: "{}x{}".format(*s))
+def test_random_kernel_matches_reference(shape, k):
+    # includes kernels wider than the grid, which wrap around it repeatedly;
+    # the adjoint is the convolution with the point-reflected taps
+    rng = np.random.default_rng([k, *shape])
+    taps = rng.standard_normal((k, k))
+    x = rng.standard_normal(shape)
+    y = rng.standard_normal(shape)
     np.testing.assert_allclose(conv2d_apply(ConvKernel(taps), x),
                                conv_reference(taps, x), rtol=1e-13, atol=1e-13)
+    np.testing.assert_allclose(conv2d_adjoint(ConvKernel(taps), y),
+                               conv_reference(taps[::-1, ::-1], y), rtol=1e-13, atol=1e-13)
 
 
 def test_symmetric_kernel_self_adjoint():
