@@ -35,8 +35,7 @@ from .stats import (PixelHistogram, model_quality, read_portable_grid,
 from .testbed import (add_noise_to_snr, gaussian_kernel, load_bank, make_bank,
                       make_ground_truth, save_bank)
 
-__all__ = ["main", "entry", "cmd_gen", "cmd_invert", "cmd_train", "cmd_sample",
-           "cmd_stats", "cmd_check"]
+__all__ = ["main", "entry"]
 
 
 def _outdir(path):

@@ -8,23 +8,41 @@ gradients with respect to both the latent vector and the flat weight
 vector are implemented directly (no autodiff framework) and are checked
 against central finite differences in the test suite.
 
-No upsampled map and no shift-stack of a full-resolution map is built. A
-stage runs polyphase: a k x k convolution of the x2 upsampled map is four
-convolutions of the coarse map, one per output phase, whose kernels are
-folded from the stage kernel by a fixed 0/1 matrix; all four run as one
-GEMM against the coarse shift-stack. The final layer runs kn2row: one GEMM
-gives a plane per tap, and the shifted planes are summed; its backward
-pass stacks the one-channel upstream gradient instead of the input.
+Layout. A map of c channels on an R x C grid is held as an array (P, c, n).
+The dense layer's output is natural: P = 1 and n = R*C in raster order.
+Every stage output is phase-major, the sub-pixel ("pixel-shuffle") layout of
+Shi et al. (CVPR 2016): P = 4, n = R*C/4, and entry (2p + q, channel,
+y*C/2 + x) holds pixel (2y + p, 2x + q). Maps stay in that layout from
+stage to stage; only the final layer writes a natural grid.
+
+Kernels. A stage runs polyphase: a k x k convolution of the x2 upsampled
+map is four convolutions of the coarse map, one per output phase, whose
+kernels are folded from the stage kernel by a fixed 0/1 matrix. All four
+run as one GEMM against the coarse shift-stack, and the GEMM's output
+(4*c_out, n) already is the fine map in phase-major layout. The final layer
+runs kn2row: one GEMM per input phase gives an output plane per tap, and
+the planes are summed, shifted, onto the natural output grid.
+
+Tables. Every neighbor access goes through one cached, read-only flat-index
+table per (kernel, channels, grid, layout). A stage's shift-stack is
+`h.take(table)`, read straight out of the map in its own layout, and its
+adjoint is `np.bincount(table, weights=...)`. The final layer scatters its
+planes onto the output grid by `np.bincount` through its table, and its
+backward gathers the upstream gradient by `take` through the same table.
+The tables are int32: that halves the memory they hold for the life of the
+process, and `take` and `bincount` run no slower on them.
 
 Weights live in a single flat float64 vector; `NetArch.param_layout`
 describes the per-layer offsets and shapes. Forward and backward are pure
 functions of (arch, weights, z), so shared read-only weights are safe to
-evaluate concurrently.
+evaluate concurrently. `net_eval_and_backward(..., weights=False)` skips
+every weight gradient, for callers that need only the latent gradient.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 import struct
 from dataclasses import dataclass
 
@@ -74,9 +92,9 @@ class ParamSpec:
     shape: tuple
     fan_in: int
 
-    @property
+    @functools.cached_property
     def size(self) -> int:
-        return int(np.prod(self.shape))
+        return math.prod(self.shape)
 
 
 @dataclass(frozen=True)
@@ -97,6 +115,8 @@ class NetArch:
             raise ValueError("base channels must be positive")
         if self.final_kernel_size < 1 or self.final_kernel_size % 2 == 0:
             raise ValueError("final kernel size must be odd and positive")
+        if not 0.0 <= self.leaky_slope <= 1.0:
+            raise ValueError(f"leaky slope must lie in [0, 1], got {self.leaky_slope}")
 
     @property
     def out_shape(self) -> tuple:
@@ -104,38 +124,37 @@ class NetArch:
         return (self.base_rows * f, self.base_cols * f)
 
     def param_layout(self) -> tuple:
-        return _layout(self)
+        return self._layout
 
-    @property
+    @functools.cached_property
     def n_params(self) -> int:
-        last = self.param_layout()[-1]
+        last = self._layout[-1]
         return last.offset + last.size
 
+    @functools.cached_property
+    def _layout(self) -> tuple:
+        base_size = self.base_rows * self.base_cols * self.base_channels
+        layout = []
+        offset = 0
 
-@functools.lru_cache(maxsize=None)
-def _layout(arch: NetArch) -> tuple:
-    base_size = arch.base_rows * arch.base_cols * arch.base_channels
-    layout = []
-    offset = 0
+        def add(name, shape, fan_in):
+            nonlocal offset
+            spec = ParamSpec(name, offset, tuple(shape), fan_in)
+            layout.append(spec)
+            offset += spec.size
 
-    def add(name, shape, fan_in):
-        nonlocal offset
-        spec = ParamSpec(name, offset, tuple(shape), fan_in)
-        layout.append(spec)
-        offset += spec.size
-
-    add("dense.W", (base_size, arch.latent_dim), arch.latent_dim)
-    add("dense.b", (base_size,), arch.latent_dim)
-    ch_in = arch.base_channels
-    for i, st in enumerate(arch.stages):
-        fan = ch_in * st.kernel_size ** 2
-        add(f"stage{i}.W", (st.channels, ch_in, st.kernel_size, st.kernel_size), fan)
-        add(f"stage{i}.b", (st.channels,), fan)
-        ch_in = st.channels
-    fan = ch_in * arch.final_kernel_size ** 2
-    add("final.W", (1, ch_in, arch.final_kernel_size, arch.final_kernel_size), fan)
-    add("final.b", (1,), fan)
-    return tuple(layout)
+        add("dense.W", (base_size, self.latent_dim), self.latent_dim)
+        add("dense.b", (base_size,), self.latent_dim)
+        ch_in = self.base_channels
+        for i, st in enumerate(self.stages):
+            fan = ch_in * st.kernel_size ** 2
+            add(f"stage{i}.W", (st.channels, ch_in, st.kernel_size, st.kernel_size), fan)
+            add(f"stage{i}.b", (st.channels,), fan)
+            ch_in = st.channels
+        fan = ch_in * self.final_kernel_size ** 2
+        add("final.W", (1, ch_in, self.final_kernel_size, self.final_kernel_size), fan)
+        add("final.b", (1,), fan)
+        return tuple(layout)
 
 
 def _params(arch: NetArch, w: np.ndarray) -> dict:
@@ -146,35 +165,55 @@ def _params(arch: NetArch, w: np.ndarray) -> dict:
             for p in arch.param_layout()}
 
 
+def _shifts(a: np.ndarray, k: int) -> np.ndarray:
+    """All k*k circular shifts of a (c, R, C) array, stacked as (k*k, c, R, C):
+    entry u*k + v is `a` rolled by (u - k//2, v - k//2)."""
+    h = k // 2
+    return np.stack([np.roll(a, (u - h, v - h), axis=(1, 2))
+                     for u in range(k) for v in range(k)])
+
+
+def _to_layout(a: np.ndarray, phased: bool) -> np.ndarray:
+    """Reorder the trailing grid axes (..., R, C) of `a` into the map layout
+    (P, ..., n): natural (P = 1) or phase-major (P = 4)."""
+    *lead, rows, cols = a.shape
+    if not phased:
+        return a.reshape(1, *lead, rows * cols)
+    d = len(lead)
+    a = a.reshape(*lead, rows // 2, 2, cols // 2, 2)
+    return a.transpose(d + 1, d + 3, *range(d), d, d + 2).reshape(4, *lead, -1)
+
+
 @functools.lru_cache(maxsize=None)
-def _wrap_blocks(k: int, rows: int, cols: int) -> tuple:
-    """Slices (entry, dst, src) with entry[dst] = x[src] for the k*k circular
-    shifts of a (c, rows, cols) grid, entry u*k + v shifted by
-    (u - k//2, v - k//2). Each shift is up to four wrap-around blocks, which
-    avoids np.roll's per-axis copies."""
-    def pieces(d, n):
-        return ([(slice(d, None), slice(None, n - d))]
-                + [(slice(None, d), slice(n - d, None))] * (d > 0))
-    return tuple((u * k + v, (slice(None), rd, cd), (slice(None), rs, cs))
-                 for u in range(k) for v in range(k)
-                 for rd, rs in pieces((u - k // 2) % rows, rows)
-                 for cd, cs in pieces((v - k // 2) % cols, cols))
+def _stack_table(m: int, channels: int, rows: int, cols: int,
+                 phased: bool) -> np.ndarray:
+    """Flat indices (m*m*channels, rows*cols) into a (channels, rows, cols) map
+    held natural or phase-major: `h.take(table)` is the `_shifts` stack of
+    the map, one column per pixel in raster order, and
+    `np.bincount(table.ravel(), weights=stack.ravel())` is its adjoint."""
+    n = channels * rows * cols
+    position = np.empty(n, dtype=np.int32)
+    position[_to_layout(np.arange(n).reshape(channels, rows, cols), phased).ravel()] = \
+        np.arange(n)
+    table = _shifts(position.reshape(channels, rows, cols), m)
+    table = table.reshape(m * m * channels, rows * cols)
+    table.flags.writeable = False
+    return table
 
 
-def _shift_stack(x: np.ndarray, k: int) -> np.ndarray:
-    """All k*k circular shifts of x (c, R, C), stacked as (k*k, c, R, C)."""
-    out = np.empty((k * k,) + x.shape)
-    for t, dst, src in _wrap_blocks(k, *x.shape[1:]):
-        out[t][dst] = x[src]
-    return out
-
-
-def _shift_stack_adjoint(planes: np.ndarray, k: int) -> np.ndarray:
-    """Adjoint of `_shift_stack`: (k*k, c, R, C) -> (c, R, C)."""
-    out = np.zeros(planes.shape[1:])
-    for t, dst, src in _wrap_blocks(k, *planes.shape[2:]):
-        out[src] += planes[t][dst]
-    return out
+@functools.lru_cache(maxsize=None)
+def _plane_table(k: int, channels: int, rows: int, cols: int,
+                 phased: bool) -> np.ndarray:
+    """Flat indices (P, k*k*channels, n) into the natural (channels, rows, cols)
+    grid, for kn2row planes whose pixels are held natural or phase-major:
+    plane t of pixel (y, x) lands on pixel (y - u + k//2, x - v + k//2), so
+    `np.bincount` through the table shifts and sums the planes, and
+    `g.take(table)` is the `_shifts` stack of g in the planes' layout."""
+    grid = np.arange(channels * rows * cols, dtype=np.int32).reshape(channels, rows, cols)
+    table = _to_layout(_shifts(grid, k), phased)
+    table = table.reshape(len(table), k * k * channels, -1)
+    table.flags.writeable = False
+    return table
 
 
 @functools.lru_cache(maxsize=None)
@@ -186,7 +225,7 @@ def _fold(k: int) -> tuple:
     so each of the four phases is a convolution of the coarse map over
     m x m shifts, m = 2 * ((k//2 + 1) // 2) + 1. Returns (M, m): column
     (2p + q)*m*m + u'*m + v' of the 0/1 matrix M (k*k, 4*m*m) gathers the
-    taps of phase (p, q) that read entry u'*m + v' of `_shift_stack(h, m)`.
+    taps of phase (p, q) that read shift u'*m + v' of the coarse stack.
     """
     hm = (k // 2 + 1) // 2
     F = np.zeros((2, k, 2 * hm + 1))
@@ -197,70 +236,67 @@ def _fold(k: int) -> tuple:
     return M, 2 * hm + 1
 
 
-def _stage_forward(W: np.ndarray, b: np.ndarray, h: np.ndarray):
-    """Nearest-x2 upsampling then circular convolution, (ci, r, c) ->
-    (co, 2r, 2c): one GEMM of the four phase kernels against the coarse
-    shift-stack, phases interleaved. Returns (output, stack, phase kernels)."""
+def _stage_forward(W: np.ndarray, b: np.ndarray, h: np.ndarray, grid: tuple):
+    """Nearest-x2 upsampling then circular convolution of the map h (P, ci, n)
+    on the coarse grid `grid`: one GEMM of the four phase kernels against the
+    coarse shift-stack. Returns (output (4, co, rows*cols), phase-major;
+    stack; phase kernels)."""
     co, ci, k, _ = W.shape
     M, m = _fold(k)
-    _, r, c = h.shape
-    stack = _shift_stack(h, m).reshape(m * m * ci, r * c)
+    stack = h.take(_stack_table(m, ci, *grid, len(h) == 4))
     weff = ((W.reshape(co * ci, k * k) @ M).reshape(co, ci, 4, m * m)
             .transpose(2, 0, 3, 1).reshape(4 * co, m * m * ci))
-    out = np.empty((co, r, 2, c, 2))
-    np.add((weff @ stack).reshape(2, 2, co, r, c).transpose(2, 3, 0, 4, 1),
-           b[:, None, None, None, None], out=out)
-    return out.reshape(co, 2 * r, 2 * c), stack, weff
+    out = (weff @ stack).reshape(4, co, -1)
+    out += b[:, None]
+    return out, stack, weff
 
 
 def _stage_backward(W: np.ndarray, stack: np.ndarray, weff: np.ndarray,
-                    g: np.ndarray):
-    """Gradients of `_stage_forward` for the upstream g (co, 2r, 2c):
-    (grad W, grad b, grad input on the coarse grid)."""
+                    g: np.ndarray, grid: tuple, phased: bool, weights: bool = True):
+    """Gradients of `_stage_forward` for the upstream g (4, co, n), given the
+    coarse grid and layout of its input: (grad W, grad b, grad input in the
+    input's layout). Without `weights`, grad W and grad b are None."""
     co, ci, k, _ = W.shape
     M, m = _fold(k)
-    r, c = g.shape[1] // 2, g.shape[2] // 2
-    g4 = g.reshape(co, r, 2, c, 2).transpose(2, 4, 0, 1, 3).reshape(4 * co, r * c)
-    gW = ((g4 @ stack.T).reshape(4, co, m * m, ci).transpose(1, 3, 0, 2)
+    g2 = g.reshape(4 * co, -1)
+    gS = weff.T @ g2
+    gh = np.bincount(_stack_table(m, ci, *grid, phased).ravel(), weights=gS.ravel())
+    gh = gh.reshape(4 if phased else 1, ci, -1)
+    if not weights:
+        return None, None, gh
+    gW = ((g2 @ stack.T).reshape(4, co, m * m, ci).transpose(1, 3, 0, 2)
           .reshape(co * ci, 4 * m * m) @ M.T).reshape(co, ci, k, k)
-    gS = (weff.T @ g4).reshape(m * m, ci, r, c)
-    return gW, g.sum(axis=(1, 2)), _shift_stack_adjoint(gS, m)
+    return gW, g.sum(axis=(0, 2)), gh
 
 
-def _final_forward(W: np.ndarray, b: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """Circular convolution (ci, R, C) -> (co, R, C) by kn2row: one
-    (k*k*co, ci) GEMM gives an output plane per tap, which
-    `_shift_stack_adjoint` shifts and sums. It shifts plane t opposite to
-    tap t, so the kernel enters turned by 180 degrees."""
+def _final_forward(W: np.ndarray, b: np.ndarray, h: np.ndarray,
+                   grid: tuple) -> np.ndarray:
+    """Circular convolution of the map h (P, ci, n) onto the natural output
+    grid (co, *grid) by kn2row: one (k*k*co, ci) GEMM per phase gives an
+    output plane per tap, which the plane table shifts and sums. It shifts
+    plane t opposite to tap t, so the kernel enters turned by 180 degrees."""
     co, ci, k, _ = W.shape
     flipped = W[:, :, ::-1, ::-1].transpose(2, 3, 0, 1).reshape(k * k * co, ci)
-    planes = flipped @ h.reshape(ci, -1)
-    out = _shift_stack_adjoint(planes.reshape((k * k, co) + h.shape[1:]), k)
+    planes = flipped @ h
+    table = _plane_table(k, co, *grid, len(h) == 4)
+    out = np.bincount(table.ravel(), weights=planes.ravel()).reshape(co, *grid)
     out += b[:, None, None]
     return out
 
 
-def _final_backward(W: np.ndarray, h: np.ndarray, g: np.ndarray):
-    """Gradients of `_final_forward` for the upstream g (co, R, C), both from
-    the shift-stack of g: (grad W, grad b, grad input)."""
+def _final_backward(W: np.ndarray, h: np.ndarray, g: np.ndarray,
+                    weights: bool = True):
+    """Gradients of `_final_forward` for the natural upstream g (co, R, C),
+    both from the shift-stack of g gathered in the layout of h: (grad W,
+    grad b, grad input). Without `weights`, grad W and grad b are None."""
     co, ci, k, _ = W.shape
-    gstack = _shift_stack(g, k).reshape(k * k * co, -1)
-    gW = (gstack @ h.reshape(ci, -1).T).reshape(k * k, co, ci)[::-1]
+    gstack = g.take(_plane_table(k, co, *g.shape[1:], len(h) == 4))
     flipped = W[:, :, ::-1, ::-1].transpose(2, 3, 0, 1).reshape(k * k * co, ci)
-    gh = (flipped.T @ gstack).reshape(h.shape)
+    gh = flipped.T @ gstack
+    if not weights:
+        return None, None, gh
+    gW = (gstack @ h.transpose(0, 2, 1)).sum(axis=0).reshape(k * k, co, ci)[::-1]
     return gW.transpose(1, 2, 0).reshape(co, ci, k, k), g.sum(axis=(1, 2)), gh
-
-
-def _activate(x: np.ndarray, kind: str, slope: float) -> np.ndarray:
-    if kind == "linear":
-        return x.copy()
-    return np.where(x >= 0.0, x, slope * x)
-
-
-def _activate_grad(pre: np.ndarray, kind: str, slope: float) -> np.ndarray:
-    if kind == "linear":
-        return np.ones_like(pre)
-    return np.where(pre >= 0.0, 1.0, slope)
 
 
 def net_init(arch: NetArch, seed: int, scale: float = 1.0) -> np.ndarray:
@@ -275,22 +311,30 @@ def net_init(arch: NetArch, seed: int, scale: float = 1.0) -> np.ndarray:
     return w
 
 
+def _grid(arch: NetArch, i: int) -> tuple:
+    """Coarse grid of stage i's input."""
+    return (arch.base_rows << i, arch.base_cols << i)
+
+
 def _forward_trace(arch: NetArch, w, z, keep: bool = True):
     """Forward pass; with `keep` the trace holds what the backward reads."""
     P = _params(arch, w)
     z = np.asarray(z, dtype=np.float64).ravel()
     if z.size != arch.latent_dim:
         raise ValueError(f"latent length {z.size} != latent_dim {arch.latent_dim}")
-    h0 = P["dense.W"] @ z + P["dense.b"]
-    h = h0.reshape(arch.base_channels, arch.base_rows, arch.base_cols)
+    h = (P["dense.W"] @ z + P["dense.b"]).reshape(1, arch.base_channels, -1)
     trace = {"z": z, "P": P, "stages": []}
     for i, st in enumerate(arch.stages):
-        pre, stack, weff = _stage_forward(P[f"stage{i}.W"], P[f"stage{i}.b"], h)
+        pre, stack, weff = _stage_forward(P[f"stage{i}.W"], P[f"stage{i}.b"], h,
+                                          _grid(arch, i))
         if keep:
             trace["stages"].append((stack, weff, pre))
-        h = _activate(pre, st.activation, arch.leaky_slope)
+        h = pre
+        if st.activation == "leaky_relu":
+            h = arch.leaky_slope * pre
+            np.maximum(pre, h, out=h)
     trace["final_in"] = h
-    out = _final_forward(P["final.W"], P["final.b"], h)
+    out = _final_forward(P["final.W"], P["final.b"], h, arch.out_shape)
     return out[0], trace
 
 
@@ -310,34 +354,37 @@ def net_backward(arch: NetArch, w, z, upstream):
     return _backward_from_trace(arch, tr, upstream)
 
 
-def net_eval_and_backward(arch: NetArch, w, z, upstream_fn):
+def net_eval_and_backward(arch: NetArch, w, z, upstream_fn, *, weights: bool = True):
     """Forward pass plus gradients of <upstream_fn(g), g> in one traversal.
 
     `upstream_fn` maps the forward output to the upstream grid (treated as
-    constant); returns (output, grad_z, grad_w)."""
+    constant); returns (output, grad_z, grad_w). With `weights=False` no
+    weight gradient is formed and grad_w is None; grad_z is the same."""
     out, tr = _forward_trace(arch, w, z)
-    grad_z, grad_w = _backward_from_trace(arch, tr, upstream_fn(out))
+    grad_z, grad_w = _backward_from_trace(arch, tr, upstream_fn(out), weights)
     return out, grad_z, grad_w
 
 
-def _backward_from_trace(arch: NetArch, tr, upstream):
+def _backward_from_trace(arch: NetArch, tr, upstream, weights: bool = True):
     upstream = np.asarray(upstream, dtype=np.float64)
     if upstream.shape != arch.out_shape:
         raise ValueError(
             f"upstream shape {upstream.shape} != output shape {arch.out_shape}")
     P, grads = tr["P"], {}
     grads["final.W"], grads["final.b"], g = _final_backward(
-        P["final.W"], tr["final_in"], upstream[None, :, :])
+        P["final.W"], tr["final_in"], upstream[None, :, :], weights)
     for i in range(len(arch.stages) - 1, -1, -1):
-        st = arch.stages[i]
         stack, weff, pre = tr["stages"][i]
-        g = g * _activate_grad(pre, st.activation, arch.leaky_slope)
+        if arch.stages[i].activation == "leaky_relu":
+            g *= np.maximum(pre >= 0.0, arch.leaky_slope)
         grads[f"stage{i}.W"], grads[f"stage{i}.b"], g = _stage_backward(
-            P[f"stage{i}.W"], stack, weff, g)
+            P[f"stage{i}.W"], stack, weff, g, _grid(arch, i), i > 0, weights)
     g0 = g.ravel()
+    grad_z = P["dense.W"].T @ g0
+    if not weights:
+        return grad_z, None
     grads["dense.W"], grads["dense.b"] = np.outer(g0, tr["z"]), g0
-    grad_w = np.concatenate([grads[p.name].ravel() for p in arch.param_layout()])
-    return P["dense.W"].T @ g0, grad_w
+    return grad_z, np.concatenate([grads[p.name].ravel() for p in arch.param_layout()])
 
 
 def save_weights(path, arch: NetArch, w) -> None:

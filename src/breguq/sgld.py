@@ -72,7 +72,7 @@ def sgld_step(z, x, arch, w, lam: float, params: SgldParams,
     if lam != 0.0:
         x = np.asarray(x, dtype=np.float64)
         g, grad_z, _ = net_eval_and_backward(
-            arch, w, z, lambda out: 2.0 * lam * lam * (out - x))
+            arch, w, z, lambda out: 2.0 * lam * lam * (out - x), weights=False)
         diff = g - x
         pot += lam * lam * float(np.dot(diff.ravel(), diff.ravel()))
         grad = grad + grad_z

@@ -29,8 +29,6 @@ __all__ = [
     "SampleSummary",
     "summarize",
     "model_quality",
-    "WelfordState",
-    "welford_update",
     "write_portable_grid",
     "read_portable_grid",
     "write_histograms_csv",
@@ -84,7 +82,7 @@ def sample_generator(arch: NetArch, w, count: int, seed: int) -> SampleSet:
 
 
 @dataclass
-class WelfordState:
+class _WelfordState:
     """Streaming first/second moments."""
 
     count: int
@@ -92,15 +90,15 @@ class WelfordState:
     m2: np.ndarray
 
 
-def welford_update(state: WelfordState | None, x: np.ndarray) -> WelfordState:
+def _welford_update(state: _WelfordState | None, x: np.ndarray) -> _WelfordState:
     x = np.asarray(x, dtype=np.float64)
     if state is None:
-        return WelfordState(1, x.copy(), np.zeros_like(x))
+        return _WelfordState(1, x.copy(), np.zeros_like(x))
     n = state.count + 1
     delta = x - state.mean
     mean = state.mean + delta / n
     m2 = state.m2 + delta * (x - mean)
-    return WelfordState(n, mean, m2)
+    return _WelfordState(n, mean, m2)
 
 
 @dataclass(frozen=True)
@@ -145,7 +143,7 @@ def summarize(samples: SampleSet, probe_pixels=(), mode: str = "population") -> 
     traces = {p: np.empty(samples.count) for p in probes}
     state = None
     for j, x in enumerate(samples.realizations()):
-        state = welford_update(state, x)
+        state = _welford_update(state, x)
         for p in probes:
             traces[p][j] = x[p]
     denom = state.count if mode == "population" else state.count - 1

@@ -241,6 +241,16 @@ def test_train_arch_grid_mismatch_exit_2(gen_dir, tmp_path):
                  "--out", str(tmp_path / "t")]) == 2
 
 
+@pytest.mark.parametrize("slope", ["-0.1", "1.5"])
+def test_leaky_slope_outside_unit_interval_exit_2(tmp_path, capsys, slope):
+    body = SMALL_TESTBED.replace("stage_channels = 4",
+                                 f"stage_channels = 4\nleaky_slope = {slope}")
+    cfg = write_cfg(tmp_path, body)
+    assert main(["sample", "--config", cfg, "--checkpoint", str(tmp_path / "absent"),
+                 "--out", str(tmp_path / "s")]) == 2
+    assert "leaky slope must lie in [0, 1]" in capsys.readouterr().err
+
+
 def test_sample_writes_realizations(gen_dir, tmp_path):
     cfg, bank_dir = gen_dir
     train_out = tmp_path / "tr"

@@ -5,7 +5,8 @@ import pytest
 
 from breguq.errors import CheckpointFormatError
 from breguq.net import (NetArch, StageSpec, _final_backward, _final_forward,
-                        _stage_backward, _stage_forward, load_weights, net_backward,
+                        _fold, _plane_table, _stack_table, _stage_backward,
+                        _stage_forward, load_weights, net_backward,
                         net_eval_and_backward, net_forward, net_init, save_weights)
 
 SMALL = NetArch(latent_dim=8, base_rows=2, base_cols=2, base_channels=4,
@@ -253,45 +254,122 @@ def reference_weight_grad(x, g, k):
 GRIDS = [(1, 1), (2, 2), (3, 5)]
 
 
-@pytest.mark.parametrize("k", [1, 3, 5, 7])
-@pytest.mark.parametrize("rows,cols", GRIDS)
-def test_stage_kernel_matches_dense_upsample_conv(k, rows, cols):
-    rng = np.random.default_rng(100 + 10 * k + rows)
+def layout_perm(rows, cols, phased):
+    """Raster index of the pixel at each position (P, n) of the generator's map
+    layout: natural, or phase-major with position (2p + q, y*cols/2 + x)
+    holding pixel (2y + p, 2x + q)."""
+    if not phased:
+        return np.arange(rows * cols)[None]
+    return np.array([[(2 * y + p) * cols + 2 * x + q
+                      for y in range(rows // 2) for x in range(cols // 2)]
+                     for p in range(2) for q in range(2)])
+
+
+def to_layout(x, phased):
+    """Natural (c, rows, cols) map -> (P, c, n) in the given layout."""
+    perm = layout_perm(*x.shape[1:], phased)
+    return np.ascontiguousarray(x.reshape(len(x), -1)[:, perm].transpose(1, 0, 2))
+
+
+def to_natural(h, rows, cols):
+    """(P, c, n) map in its layout -> natural (c, rows, cols)."""
+    out = np.empty((h.shape[1], rows * cols))
+    out[:, layout_perm(rows, cols, len(h) == 4)] = h.transpose(1, 0, 2)
+    return out.reshape(-1, rows, cols)
+
+
+def check_stage_kernel(k, rows, cols, phased, seed):
+    rng = np.random.default_rng(seed)
     co, ci = 3, 2
     W = rng.standard_normal((co, ci, k, k))
     b = rng.standard_normal(co)
     x = rng.standard_normal((ci, rows, cols))
     U = upsample_matrix(ci, rows, cols)
     A = circular_conv_matrix(W, 2 * rows, 2 * cols) @ U
-    out, stack, weff = _stage_forward(W, b, x)
+    out, stack, weff = _stage_forward(W, b, to_layout(x, phased), (rows, cols))
+    assert out.shape == (4, co, rows * cols)
     ref = (A @ x.ravel()).reshape(co, 2 * rows, 2 * cols) + b[:, None, None]
-    np.testing.assert_allclose(out, ref, rtol=0, atol=1e-13)
+    np.testing.assert_allclose(to_natural(out, 2 * rows, 2 * cols), ref,
+                               rtol=0, atol=1e-13)
 
     g = rng.standard_normal((co, 2 * rows, 2 * cols))
-    gW, gb, gx = _stage_backward(W, stack, weff, g)
-    np.testing.assert_allclose(gx.ravel(), A.T @ g.ravel(), rtol=0, atol=1e-13)
+    gW, gb, gx = _stage_backward(W, stack, weff, to_layout(g, True), (rows, cols), phased)
+    np.testing.assert_allclose(to_natural(gx, rows, cols).ravel(), A.T @ g.ravel(),
+                               rtol=0, atol=1e-13)
     up = (U @ x.ravel()).reshape(ci, 2 * rows, 2 * cols)
     np.testing.assert_allclose(gW, reference_weight_grad(up, g, k), rtol=0, atol=1e-13)
     np.testing.assert_allclose(gb, g.sum(axis=(1, 2)), rtol=0, atol=1e-13)
 
 
-@pytest.mark.parametrize("k", [1, 3, 5, 7])
-@pytest.mark.parametrize("rows,cols", GRIDS)
-def test_final_kernel_matches_dense_conv(k, rows, cols):
-    rng = np.random.default_rng(200 + 10 * k + rows)
+def check_final_kernel(k, rows, cols, phased, seed):
+    rng = np.random.default_rng(seed)
     ci = 3
     W = rng.standard_normal((1, ci, k, k))
     b = rng.standard_normal(1)
     x = rng.standard_normal((ci, rows, cols))
     A = circular_conv_matrix(W, rows, cols)
-    out = _final_forward(W, b, x)
+    h = to_layout(x, phased)
+    out = _final_forward(W, b, h, (rows, cols))
+    assert out.shape == (1, rows, cols)
     np.testing.assert_allclose(out.ravel(), A @ x.ravel() + b[0], rtol=0, atol=1e-13)
 
     g = rng.standard_normal((1, rows, cols))
-    gW, gb, gx = _final_backward(W, x, g)
-    np.testing.assert_allclose(gx.ravel(), A.T @ g.ravel(), rtol=0, atol=1e-13)
+    gW, gb, gx = _final_backward(W, h, g)
+    np.testing.assert_allclose(to_natural(gx, rows, cols).ravel(), A.T @ g.ravel(),
+                               rtol=0, atol=1e-13)
     np.testing.assert_allclose(gW, reference_weight_grad(x, g, k), rtol=0, atol=1e-13)
     np.testing.assert_allclose(gb, g.sum(axis=(1, 2)), rtol=0, atol=1e-13)
+
+
+# The first stage reads the dense layer's natural map; every later stage, and
+# the final layer of a net with stages, reads a phase-major map, whose grid
+# is even.
+@pytest.mark.parametrize("k", [1, 3, 5, 7])
+@pytest.mark.parametrize("rows,cols", GRIDS)
+def test_stage_kernel_matches_dense_upsample_conv(k, rows, cols):
+    check_stage_kernel(k, rows, cols, False, 100 + 10 * k + rows)
+
+
+@pytest.mark.parametrize("k", [1, 3, 5, 7])
+@pytest.mark.parametrize("rows,cols", GRIDS)
+def test_stage_kernel_reads_phase_major_map(k, rows, cols):
+    check_stage_kernel(k, 2 * rows, 2 * cols, True, 300 + 10 * k + rows)
+
+
+@pytest.mark.parametrize("k", [1, 3, 5, 7])
+@pytest.mark.parametrize("rows,cols", GRIDS)
+def test_final_kernel_matches_dense_conv(k, rows, cols):
+    check_final_kernel(k, rows, cols, False, 200 + 10 * k + rows)
+
+
+@pytest.mark.parametrize("k", [1, 3, 5, 7])
+@pytest.mark.parametrize("rows,cols", GRIDS)
+def test_final_kernel_reads_phase_major_map(k, rows, cols):
+    check_final_kernel(k, 2 * rows, 2 * cols, True, 400 + 10 * k + rows)
+
+
+def test_index_tables_are_cached_and_read_only():
+    tables = [_stack_table(3, 2, 4, 6, False), _stack_table(3, 2, 4, 6, True),
+              _plane_table(3, 1, 4, 6, False), _plane_table(3, 1, 4, 6, True),
+              _fold(3)[0]]
+    assert _stack_table(3, 2, 4, 6, True) is tables[1]
+    assert _plane_table(3, 1, 4, 6, True) is tables[3]
+    for table in tables:
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[(0,) * table.ndim] = 0
+
+
+def test_latent_only_backward_gives_identical_grad_z():
+    arch = DESK_SHAPED
+    w = net_init(arch, seed=31, scale=1.3)
+    z = np.random.default_rng(32).standard_normal(arch.latent_dim)
+    upstream = np.random.default_rng(33).standard_normal(arch.out_shape)
+    out, gz, gw = net_eval_and_backward(arch, w, z, lambda o: upstream)
+    out2, gz2, gw2 = net_eval_and_backward(arch, w, z, lambda o: upstream, weights=False)
+    assert gw.shape == (arch.n_params,) and gw2 is None
+    np.testing.assert_array_equal(out2, out)
+    np.testing.assert_array_equal(gz2, gz)
 
 
 def test_backward_matches_finite_differences_k5_on_1x1_base():
