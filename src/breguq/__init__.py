@@ -6,15 +6,13 @@ loop, and posterior statistics, plus a CLI wiring it all to a synthetic
 desk-scale testbed.
 """
 
-from .bregman import (BregmanState, TraceRecord, bregman_step,
-                      eval_lsq_objective, run_bregman)
+from .bregman import BregmanState, TraceRecord, bregman_step, run_bregman
 from .em import TrainConfig, TrainTuple, e_step, init_tuples, m_step, train
 from .errors import (CheckpointFormatError, ConfigError, GridFormatError,
                      NumericalAbortError)
-from .linops import (ConvKernel, LinearOp, RestrictionMask, conv2d_adjoint,
-                     conv2d_apply, dot_test, op_compose, restriction_adjoint,
-                     restriction_apply)
-from .net import NetArch, StageSpec, net_backward, net_forward, net_init
+from .linops import (ComposeOp, ConvKernel, ConvOp, LinearOp, RestrictionMask,
+                     RestrictOp, dot_test)
+from .net import NetArch, StageSpec, net_eval_and_backward, net_forward, net_init
 from .projections import (Box, ConstraintStack, L1Ball, L2Ball, TVBall,
                           is_feasible, project_box, project_intersection,
                           project_l1_ball, project_l2_ball, project_tv_ball)
@@ -22,7 +20,6 @@ from .sgld import SgldParams, sgld_run, sgld_step
 from .stats import (model_quality, read_portable_grid, sample_generator,
                     summarize, write_portable_grid)
 from .testbed import (ExperimentBank, GroundTruth, LinearExperiment, NoiseSpec,
-                      add_noise_to_snr, linearization_error, make_bank,
-                      make_ground_truth, snr_db)
+                      add_noise_to_snr, make_bank, make_ground_truth, snr_db)
 
 __version__ = "0.1.0"

@@ -31,7 +31,6 @@ __all__ = [
     "TraceRecord",
     "bregman_step",
     "run_bregman",
-    "eval_lsq_objective",
     "write_trace_csv",
     "read_trace_csv",
     "initial_state",
@@ -145,15 +144,6 @@ def run_bregman(bank, stack: ConstraintStack, iters: int, seed: int,
         if on_state is not None:
             on_state(state)
     return state, trace
-
-
-def eval_lsq_objective(bank, x) -> float:
-    """0.5 * sum_i ||A_i x - y_i||^2, accumulated in bank order."""
-    total = 0.0
-    for exp in bank.experiments:
-        r = exp.op.apply(x) - exp.y
-        total += float(np.dot(r.ravel(), r.ravel()))
-    return 0.5 * total
 
 
 def write_trace_csv(records, path) -> None:

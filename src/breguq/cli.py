@@ -143,6 +143,14 @@ def cmd_stats(args, config) -> int:
                           "at least 2 realizations")
     if s("bins") < 1:
         raise ConfigError(f"[stats] bins: need at least one bin, got {s('bins')}")
+    auto = s("probes").strip() == "auto"
+    if not auto:
+        probes = parse_probes(s("probes"), None)
+        rows, cols = arch.out_shape
+        for r, c in probes:
+            if not (0 <= r < rows and 0 <= c < cols):
+                raise ConfigError(f"[stats] probes: pixel ({r}, {c}) out of range "
+                                  f"for the {rows}x{cols} output grid", key="stats.probes")
     w_post = _checkpoint_weights(args.checkpoint, arch)
     w_prior = net_init(arch, config.get("net", "init_seed"),
                        config.get("net", "init_scale"))
@@ -150,12 +158,8 @@ def cmd_stats(args, config) -> int:
     prior = sample_generator(arch, w_prior, count, s("sample_seed"))
     mode = s("std_mode")
 
-    raw_probes = s("probes")
-    if raw_probes.strip() == "auto":
-        first = summarize(posterior, (), mode)
-        probes = parse_probes("auto", first.std)
-    else:
-        probes = parse_probes(raw_probes, None)
+    if auto:
+        probes = parse_probes("auto", summarize(posterior, (), mode).std)
     post = summarize(posterior, probes, mode)
     pri = summarize(prior, probes, mode)
 

@@ -30,7 +30,6 @@ __all__ = [
     "build_stack",
     "build_stack_schedule",
     "build_noise_spec",
-    "build_sgld_params",
     "build_train_config",
     "parse_probes",
 ]
@@ -146,9 +145,6 @@ class RunConfig:
         values[section][key] = value
         return RunConfig(values)
 
-    def sections(self):
-        return self._values
-
 
 def _parse_value(section: str, key: str, kind: str, raw: str):
     raw = raw.strip()
@@ -240,10 +236,6 @@ def build_arch(config: RunConfig) -> NetArch:
         raise ConfigError(f"[net] {exc}") from exc
 
 
-_SET_KEYS = {"box": ("box_lo", "box_hi"), "l1": ("l1_radius",),
-             "l2": ("l2_radius",), "tv": ("tv_radius",)}
-
-
 def _stack_from_values(config: RunConfig, overrides: dict) -> ConstraintStack:
     c = lambda key: overrides.get(key, config.get("constraints", key))
     sets = []
@@ -310,22 +302,18 @@ def build_noise_spec(config: RunConfig) -> NoiseSpec:
         raise ConfigError(f"[testbed] {exc}") from exc
 
 
-def build_sgld_params(config: RunConfig) -> SgldParams:
+def build_train_config(config: RunConfig) -> TrainConfig:
     try:
-        return SgldParams(epsilon=config.get("sgld", "epsilon"),
+        sgld = SgldParams(epsilon=config.get("sgld", "epsilon"),
                           steps=config.get("sgld", "steps"),
                           z_prior_weight=float(config.get("sgld", "z_prior_weight")))
     except ValueError as exc:
         raise ConfigError(f"[sgld] {exc}") from exc
-
-
-def build_train_config(config: RunConfig) -> TrainConfig:
     e = lambda key: config.get("em", key)
     try:
         return TrainConfig(
             n_tuples=e("tuples"), rounds=e("rounds"),
-            bregman_steps_per_round=e("bregman_steps_per_round"),
-            sgld=build_sgld_params(config),
+            bregman_steps_per_round=e("bregman_steps_per_round"), sgld=sgld,
             lam_init=e("lam_init"), lam_final=e("lam_final"),
             lam_ramp_rounds=e("lam_ramp_rounds"),
             eta=e("eta"), m_steps_per_round=e("m_steps_per_round"),

@@ -223,6 +223,8 @@ def train(bank, stack: ConstraintStack, arch: NetArch, config: TrainConfig,
     handcrafted sets per round. `checkpoint_dir` receives a resumable
     checkpoint after every round; `resume_from` restarts from one and
     reproduces the uninterrupted run exactly (streams are counter-keyed).
+    A round whose prior misfit is not finite raises `NumericalAbortError`
+    before its checkpoint is written.
     """
     if arch.out_shape != tuple(bank.shape):
         raise ValueError(f"generator output {arch.out_shape} does not match "
@@ -251,8 +253,13 @@ def train(bank, stack: ConstraintStack, arch: NetArch, config: TrainConfig,
         for _ in range(config.m_steps_per_round):
             w = m_step(tuples, arch, w, config.eta)
         data = float(np.mean([_tuple_data_misfit(t, bank) for t in tuples]))
-        prior = float(np.mean([np.linalg.norm(
-            (t.x_primal - net_forward(arch, w, t.z)).ravel()) for t in tuples]))
+        misfits = {t.id: float(np.linalg.norm((t.x_primal - net_forward(arch, w, t.z))
+                                              .ravel())) for t in tuples}
+        prior = float(np.mean(list(misfits.values())))
+        if not np.isfinite(prior):
+            raise NumericalAbortError("non-finite prior misfit", diagnostics={
+                "round": r, "lam": lam, "eta": config.eta,
+                "per_tuple_misfit": misfits})
         round_records.append(RoundRecord(r, lam, data, prior))
         if checkpoint_dir is not None:
             save_checkpoint(checkpoint_dir, arch, w, tuples, r, round_records,

@@ -31,22 +31,15 @@ __all__ = [
     "ConvOp",
     "RestrictOp",
     "ComposeOp",
-    "conv2d_apply",
-    "conv2d_adjoint",
-    "restriction_apply",
-    "restriction_adjoint",
-    "op_compose",
     "dot_test",
 ]
 
 
-def as_grid(x, shape=None) -> np.ndarray:
-    """Coerce `x` to a 2-D float64 array, optionally enforcing its shape."""
+def as_grid(x) -> np.ndarray:
+    """Coerce `x` to a 2-D float64 array."""
     a = np.asarray(x, dtype=np.float64)
     if a.ndim != 2:
         raise ValueError(f"expected a 2-D grid, got ndim={a.ndim}")
-    if shape is not None and a.shape != tuple(shape):
-        raise ValueError(f"grid shape {a.shape} does not match expected {tuple(shape)}")
     return a
 
 
@@ -62,11 +55,6 @@ class ConvKernel:
 
     def __post_init__(self):
         t = np.asarray(self.taps, dtype=np.float64)
-        if t.ndim == 1:
-            k = int(round(np.sqrt(t.size)))
-            if k * k != t.size:
-                raise ValueError(f"flat tap vector of length {t.size} is not square")
-            t = t.reshape(k, k)
         if t.ndim != 2 or t.shape[0] != t.shape[1]:
             raise ValueError(f"kernel taps must be square, got shape {t.shape}")
         if t.shape[0] % 2 == 0 or t.shape[0] < 1:
@@ -105,57 +93,13 @@ class RestrictionMask:
         return int(self.indices.size)
 
 
-def conv2d_apply(kernel: ConvKernel, x) -> np.ndarray:
-    """Circular 2-D convolution by direct per-tap summation.
-
-    out[r, c] = sum_{u,v} taps[u, v] * x[(r - u + k//2) % rows, (c - v + k//2) % cols]
-
-    Kernels wider than the grid wrap around it more than once.
-    """
-    return ndimage.convolve(as_grid(x), kernel.taps, mode="wrap")
-
-
-def conv2d_adjoint(kernel: ConvKernel, y) -> np.ndarray:
-    """Adjoint of `conv2d_apply`: circular correlation with the same taps.
-
-    out[r, c] = sum_{u,v} taps[u, v] * y[(r + u - k//2) % rows, (c + v - k//2) % cols]
-    """
-    return ndimage.correlate(as_grid(y), kernel.taps, mode="wrap")
-
-
-def restriction_apply(mask: RestrictionMask, x) -> np.ndarray:
-    """Gather the masked entries of a grid into a vector."""
-    x = as_grid(x)
-    if mask.n and int(mask.indices[-1]) >= x.size:
-        raise ValueError(
-            f"mask index {int(mask.indices[-1])} out of range for grid of size {x.size}"
-        )
-    return x.ravel()[mask.indices]
-
-
-def restriction_adjoint(mask: RestrictionMask, v, shape) -> np.ndarray:
-    """Scatter a vector back onto a zero grid (adjoint of the gather)."""
-    v = np.asarray(v, dtype=np.float64).ravel()
-    if v.size != mask.n:
-        raise ValueError(f"vector length {v.size} does not match mask length {mask.n}")
-    rows, cols = shape
-    if mask.n and int(mask.indices[-1]) >= rows * cols:
-        raise ValueError(
-            f"mask index {int(mask.indices[-1])} out of range for grid of size {rows * cols}"
-        )
-    out = np.zeros(rows * cols)
-    out[mask.indices] = v
-    return out.reshape(rows, cols)
-
-
 class LinearOp:
     """Matrix-free linear operator with an exact adjoint.
 
-    Subclasses set `kind`, `domain_shape`, `range_shape` and implement
-    `apply` / `adjoint`. Shapes are tuples: 2-D for grids, 1-D for vectors.
+    Subclasses set `domain_shape`, `range_shape` and implement `apply` /
+    `adjoint`. Shapes are tuples: 2-D for grids, 1-D for vectors.
     """
 
-    kind: str = "abstract"
     domain_shape: tuple
     range_shape: tuple
 
@@ -182,8 +126,6 @@ class LinearOp:
 
 
 class IdentityOp(LinearOp):
-    kind = "identity"
-
     def __init__(self, shape):
         self.domain_shape = tuple(shape)
         self.range_shape = tuple(shape)
@@ -196,8 +138,6 @@ class IdentityOp(LinearOp):
 
 
 class ScaleOp(LinearOp):
-    kind = "scale"
-
     def __init__(self, shape, factor: float):
         if not np.isfinite(factor):
             raise ValueError("scale factor must be finite")
@@ -213,7 +153,13 @@ class ScaleOp(LinearOp):
 
 
 class ConvOp(LinearOp):
-    kind = "conv"
+    """Circular 2-D convolution by direct per-tap summation,
+
+    out[r, c] = sum_{u,v} taps[u, v] * x[(r - u + k//2) % rows, (c - v + k//2) % cols];
+
+    the adjoint is the circular correlation with the same taps. Kernels
+    wider than the grid wrap around it more than once.
+    """
 
     def __init__(self, kernel: ConvKernel, shape):
         self.kernel = kernel
@@ -221,14 +167,15 @@ class ConvOp(LinearOp):
         self.range_shape = tuple(shape)
 
     def apply(self, x):
-        return conv2d_apply(self.kernel, self._check_domain(x))
+        return ndimage.convolve(self._check_domain(x), self.kernel.taps, mode="wrap")
 
     def adjoint(self, y):
-        return conv2d_adjoint(self.kernel, self._check_range(y))
+        return ndimage.correlate(self._check_range(y), self.kernel.taps, mode="wrap")
 
 
 class RestrictOp(LinearOp):
-    kind = "restrict"
+    """Gather of the masked grid entries into a vector; the adjoint
+    scatters a vector back onto a zero grid."""
 
     def __init__(self, mask: RestrictionMask, shape):
         rows, cols = shape
@@ -241,14 +188,16 @@ class RestrictOp(LinearOp):
         self.range_shape = (mask.n,)
 
     def apply(self, x):
-        return restriction_apply(self.mask, self._check_domain(x))
+        return self._check_domain(x).ravel()[self.mask.indices]
 
     def adjoint(self, y):
-        return restriction_adjoint(self.mask, self._check_range(y), self.domain_shape)
+        out = np.zeros(self.domain_shape[0] * self.domain_shape[1])
+        out[self.mask.indices] = self._check_range(y)
+        return out.reshape(self.domain_shape)
 
 
 class ComposeOp(LinearOp):
-    kind = "compose"
+    """outer∘inner, with adjoint inner^T∘outer^T. Shapes must chain."""
 
     def __init__(self, outer: LinearOp, inner: LinearOp):
         if inner.range_shape != outer.domain_shape:
@@ -266,11 +215,6 @@ class ComposeOp(LinearOp):
 
     def adjoint(self, y):
         return self.inner.adjoint(self.outer.adjoint(y))
-
-
-def op_compose(outer: LinearOp, inner: LinearOp) -> ComposeOp:
-    """outer∘inner, with adjoint inner^T∘outer^T. Shapes must chain."""
-    return ComposeOp(outer, inner)
 
 
 def dot_test(op: LinearOp, seed: int = 0, trials: int = 20) -> float:

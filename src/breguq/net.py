@@ -56,7 +56,6 @@ __all__ = [
     "ParamSpec",
     "net_init",
     "net_forward",
-    "net_backward",
     "net_eval_and_backward",
     "save_weights",
     "load_weights",
@@ -70,19 +69,16 @@ _HEADER = struct.Struct("<4sIIIII")  # magic, version, latent, stages, rows, col
 
 @dataclass(frozen=True)
 class StageSpec:
-    """One upsampling stage: x2 nearest-neighbor, conv, activation."""
+    """One upsampling stage: x2 nearest-neighbor, conv, leaky ReLU."""
 
     channels: int
     kernel_size: int = 3
-    activation: str = "leaky_relu"
 
     def __post_init__(self):
         if self.channels < 1:
             raise ValueError("stage channels must be positive")
         if self.kernel_size < 1 or self.kernel_size % 2 == 0:
             raise ValueError("stage kernel size must be odd and positive")
-        if self.activation not in ("leaky_relu", "linear"):
-            raise ValueError(f"unknown activation {self.activation!r}")
 
 
 @dataclass(frozen=True)
@@ -99,6 +95,8 @@ class ParamSpec:
 
 @dataclass(frozen=True)
 class NetArch:
+    """Generator shape; a `leaky_slope` of 1.0 makes every stage linear."""
+
     latent_dim: int
     base_rows: int
     base_cols: int
@@ -324,15 +322,13 @@ def _forward_trace(arch: NetArch, w, z, keep: bool = True):
         raise ValueError(f"latent length {z.size} != latent_dim {arch.latent_dim}")
     h = (P["dense.W"] @ z + P["dense.b"]).reshape(1, arch.base_channels, -1)
     trace = {"z": z, "P": P, "stages": []}
-    for i, st in enumerate(arch.stages):
+    for i in range(len(arch.stages)):
         pre, stack, weff = _stage_forward(P[f"stage{i}.W"], P[f"stage{i}.b"], h,
                                           _grid(arch, i))
         if keep:
             trace["stages"].append((stack, weff, pre))
-        h = pre
-        if st.activation == "leaky_relu":
-            h = arch.leaky_slope * pre
-            np.maximum(pre, h, out=h)
+        h = arch.leaky_slope * pre
+        np.maximum(pre, h, out=h)
     trace["final_in"] = h
     out = _final_forward(P["final.W"], P["final.b"], h, arch.out_shape)
     return out[0], trace
@@ -344,22 +340,13 @@ def net_forward(arch: NetArch, w, z) -> np.ndarray:
     return out
 
 
-def net_backward(arch: NetArch, w, z, upstream):
-    """Exact gradients of <upstream, g(z, w)> with respect to z and w.
-
-    Returns (grad_z, grad_w) where grad_w is flat with the same layout
-    as the weight vector.
-    """
-    _, tr = _forward_trace(arch, w, z)
-    return _backward_from_trace(arch, tr, upstream)
-
-
 def net_eval_and_backward(arch: NetArch, w, z, upstream_fn, *, weights: bool = True):
     """Forward pass plus gradients of <upstream_fn(g), g> in one traversal.
 
     `upstream_fn` maps the forward output to the upstream grid (treated as
-    constant); returns (output, grad_z, grad_w). With `weights=False` no
-    weight gradient is formed and grad_w is None; grad_z is the same."""
+    constant); returns (output, grad_z, grad_w), grad_w flat in the layout
+    of the weight vector. With `weights=False` no weight gradient is formed
+    and grad_w is None; grad_z is the same."""
     out, tr = _forward_trace(arch, w, z)
     grad_z, grad_w = _backward_from_trace(arch, tr, upstream_fn(out), weights)
     return out, grad_z, grad_w
@@ -375,8 +362,7 @@ def _backward_from_trace(arch: NetArch, tr, upstream, weights: bool = True):
         P["final.W"], tr["final_in"], upstream[None, :, :], weights)
     for i in range(len(arch.stages) - 1, -1, -1):
         stack, weff, pre = tr["stages"][i]
-        if arch.stages[i].activation == "leaky_relu":
-            g *= np.maximum(pre >= 0.0, arch.leaky_slope)
+        g *= np.maximum(pre >= 0.0, arch.leaky_slope)
         grads[f"stage{i}.W"], grads[f"stage{i}.b"], g = _stage_backward(
             P[f"stage{i}.W"], stack, weff, g, _grid(arch, i), i > 0, weights)
     g0 = g.ravel()

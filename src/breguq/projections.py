@@ -119,7 +119,6 @@ class TvResult:
     x: np.ndarray
     converged: bool
     gap: float
-    iterations: int
 
 
 @dataclass(frozen=True)
@@ -277,9 +276,9 @@ def project_tv_ball(x, radius: float, tol: float = TV_DEFAULT_TOL,
         raise ValueError(f"tv ball radius must be non-negative, got {radius}")
     mean = float(x.mean())
     if radius == 0.0:
-        return TvResult(np.full_like(x, mean), True, 0.0, 0)
+        return TvResult(np.full_like(x, mean), True, 0.0)
     if total_variation(x) <= radius:
-        return TvResult(x.copy(), True, 0.0, 0)
+        return TvResult(x.copy(), True, 0.0)
 
     step = 1.0 / 8.0  # 1 / ||D||^2 for 2-D circular differences
     p = np.zeros((2,) + x.shape)
@@ -288,7 +287,7 @@ def project_tv_ball(x, radius: float, tol: float = TV_DEFAULT_TOL,
     prev_obj = math.inf
     best_gap = math.inf
     best_x = np.full_like(x, mean)
-    for it in range(1, max_iters + 1):
+    for _ in range(max_iters):
         grad = tv_forward_diff(tv_diff_adjoint(v) - x)
         q = (v - step * grad).ravel()
         p_new = (q - _l1_project_flat(q, step * radius)).reshape(p.shape)
@@ -308,7 +307,7 @@ def project_tv_ball(x, radius: float, tol: float = TV_DEFAULT_TOL,
             best_gap = gap
             best_x = x_feas
         if gap <= tol * max(1.0, primal):
-            return TvResult(x_feas, True, gap, it)
+            return TvResult(x_feas, True, gap)
 
         if obj > prev_obj:
             t_mom = 1.0
@@ -319,7 +318,7 @@ def project_tv_ball(x, radius: float, tol: float = TV_DEFAULT_TOL,
             t_mom = t_next
         p = p_new
         prev_obj = obj
-    return TvResult(best_x, False, best_gap, max_iters)
+    return TvResult(best_x, False, best_gap)
 
 
 def project_constraint(spec: Constraint, x, tv_tol: float = TV_DEFAULT_TOL,

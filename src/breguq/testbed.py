@@ -8,9 +8,7 @@ to hit a target signal-to-noise ratio exactly.
 The surrogate forward for experiment i is
     F_i(v) = A_i v + gamma * R_i((C v) * (C v))
 whose linearization error around any background is exactly
-gamma * R_i((C dm)^2); this closed form is what `linearization_error`
-returns, while `linearization_error_direct` evaluates the three-term
-definition so the identity can be checked numerically.
+gamma * R_i((C dm)^2), the coherent error added to the data.
 
 Generation is deterministic given (shape, counts, seeds) and outputs are
 treated as immutable afterwards.
@@ -25,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linops import (ConvKernel, ConvOp, RestrictionMask, RestrictOp, dot_test,
-                     op_compose)
+from .linops import (ComposeOp, ConvKernel, ConvOp, RestrictionMask, RestrictOp,
+                     dot_test)
 from .stats import read_portable_grid, write_portable_grid
 
 __all__ = [
@@ -37,13 +35,14 @@ __all__ = [
     "gaussian_kernel",
     "make_ground_truth",
     "make_bank",
-    "linearization_error",
-    "linearization_error_direct",
     "add_noise_to_snr",
     "snr_db",
     "save_bank",
     "load_bank",
 ]
+
+# worst relative adjoint discrepancy a generated operator may show
+_AUDIT_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -156,8 +155,7 @@ def make_ground_truth(shape, seed: int) -> GroundTruth:
 
 
 def make_bank(truth: GroundTruth, n_experiments: int, kernel: ConvKernel,
-              sampling_fraction: float, seed: int,
-              audit_tol: float = 1e-10) -> ExperimentBank:
+              sampling_fraction: float, seed: int) -> ExperimentBank:
     """Noiseless bank: per-experiment seeded restriction masks over one
     shared convolution; every operator is adjoint-audited at generation."""
     if n_experiments < 1:
@@ -173,9 +171,9 @@ def make_bank(truth: GroundTruth, n_experiments: int, kernel: ConvKernel,
     for i in range(n_experiments):
         idx = np.sort(rng.choice(size, size=m_keep, replace=False))
         mask = RestrictionMask(idx)
-        op = op_compose(RestrictOp(mask, shape), conv)
+        op = ComposeOp(RestrictOp(mask, shape), conv)
         worst = dot_test(op, seed=int(seed) + i, trials=3)
-        if worst > audit_tol:
+        if worst > _AUDIT_TOL:
             raise RuntimeError(f"operator {i} failed the adjoint audit: {worst:.3e}")
         experiments.append(LinearExperiment(op, op.apply(truth.delta_m), mask))
     return ExperimentBank(tuple(experiments), shape)
@@ -193,34 +191,6 @@ def _coherent_basis(truth: GroundTruth, C, bank: ExperimentBank):
     return out
 
 
-def linearization_error(truth: GroundTruth, C, gamma: float, bank: ExperimentBank):
-    """Closed-form coherent error gamma * R_i((C dm)^2), per experiment."""
-    if gamma < 0:
-        raise ValueError(f"gamma must be non-negative, got {gamma}")
-    return [gamma * b for b in _coherent_basis(truth, C, bank)]
-
-
-def linearization_error_direct(truth: GroundTruth, C, gamma: float,
-                               bank: ExperimentBank):
-    """Three-term linearization error of the quadratic surrogate forward,
-    evaluated literally around the background model."""
-    m = truth.m_background
-    dm = truth.delta_m
-
-    def restrict(exp, grid):
-        return grid.ravel()[exp.mask.indices].copy()
-
-    out = []
-    for exp in bank.experiments:
-        def forward(v):
-            cv = C.apply(v)
-            return exp.op.apply(v) + gamma * restrict(exp, cv * cv)
-
-        jac = exp.op.apply(dm) + 2.0 * gamma * restrict(exp, C.apply(m) * C.apply(dm))
-        out.append(forward(m + dm) - forward(m) - jac)
-    return out
-
-
 def snr_db(signal_energy: float, perturbation_energy: float) -> float:
     """10*log10(signal / perturbation)."""
     if not (signal_energy > 0 and perturbation_energy > 0):
@@ -229,7 +199,7 @@ def snr_db(signal_energy: float, perturbation_energy: float) -> float:
 
 
 def add_noise_to_snr(bank: ExperimentBank, truth: GroundTruth, spec: NoiseSpec,
-                     seed: int, C=None):
+                     seed: int):
     """Add coherent plus white error so the survey-wide SNR hits the target.
 
     The white-noise amplitude solves the exact quadratic for the total
@@ -253,9 +223,7 @@ def add_noise_to_snr(bank: ExperimentBank, truth: GroundTruth, spec: NoiseSpec,
     want_coherent = ((spec.gamma is None and spec.coherent_fraction > 0)
                      or (spec.gamma is not None and spec.gamma > 0))
     if want_coherent:
-        if C is None:
-            C = bank.experiments[0].op.inner
-        basis = _coherent_basis(truth, C, bank)
+        basis = _coherent_basis(truth, bank.experiments[0].op.inner, bank)
         b_total = float(sum(np.dot(b.ravel(), b.ravel()) for b in basis))
         if spec.gamma is None:
             target_coherent = spec.coherent_fraction * p_total
@@ -342,7 +310,7 @@ def load_bank(dirpath):
     experiments = []
     for i, idx in enumerate(manifest["masks"]):
         mask = RestrictionMask(np.asarray(idx, dtype=np.int64))
-        op = op_compose(RestrictOp(mask, shape), conv)
+        op = ComposeOp(RestrictOp(mask, shape), conv)
         y = read_portable_grid(os.path.join(dirpath, f"y_{i:04d}.pgrd")).ravel()
         experiments.append(LinearExperiment(op, y, mask))
     return ExperimentBank(tuple(experiments), shape), manifest

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from breguq.linops import (ConvKernel, ConvOp, IdentityOp, RestrictionMask,
-                           RestrictOp, op_compose)
+from breguq.linops import (ComposeOp, ConvKernel, ConvOp, IdentityOp,
+                           RestrictionMask, RestrictOp)
 from breguq.net import NetArch, StageSpec
-from breguq.testbed import ExperimentBank, LinearExperiment
+from breguq.testbed import ExperimentBank, LinearExperiment, _coherent_basis
 
 
 def small_arch():
@@ -37,9 +37,45 @@ def conv_restrict_bank(x_star, kernel_taps, masks):
     exps = []
     for idx in masks:
         mask = RestrictionMask(np.asarray(sorted(idx), dtype=np.int64))
-        op = op_compose(RestrictOp(mask, shape), conv)
+        op = ComposeOp(RestrictOp(mask, shape), conv)
         exps.append(LinearExperiment(op, op.apply(x_star), mask))
     return ExperimentBank(tuple(exps), shape)
+
+
+def eval_lsq_objective(bank, x) -> float:
+    """0.5 * sum_i ||A_i x - y_i||^2, accumulated in bank order."""
+    total = 0.0
+    for exp in bank.experiments:
+        r = exp.op.apply(x) - exp.y
+        total += float(np.dot(r.ravel(), r.ravel()))
+    return 0.5 * total
+
+
+def linearization_error(truth, C, gamma, bank):
+    """Closed-form coherent error gamma * R_i((C dm)^2), per experiment, as
+    `add_noise_to_snr` computes it."""
+    return [gamma * b for b in _coherent_basis(truth, C, bank)]
+
+
+def linearization_error_direct(truth, C, gamma, bank):
+    """Three-term linearization error of the quadratic surrogate forward
+    F_i(v) = A_i v + gamma * R_i((C v)^2), evaluated literally around the
+    background model."""
+    m = truth.m_background
+    dm = truth.delta_m
+
+    def restrict(exp, grid):
+        return grid.ravel()[exp.mask.indices].copy()
+
+    out = []
+    for exp in bank.experiments:
+        def forward(v):
+            cv = C.apply(v)
+            return exp.op.apply(v) + gamma * restrict(exp, cv * cv)
+
+        jac = exp.op.apply(dm) + 2.0 * gamma * restrict(exp, C.apply(m) * C.apply(dm))
+        out.append(forward(m + dm) - forward(m) - jac)
+    return out
 
 
 @pytest.fixture

@@ -18,17 +18,18 @@ from breguq.config import load_config
 from breguq.em import TrainConfig, train
 from breguq.linops import (ComposeOp, ConvKernel, ConvOp, IdentityOp,
                            RestrictionMask, RestrictOp, ScaleOp, dot_test)
-from breguq.net import (NetArch, StageSpec, net_backward, net_forward, net_init)
+from breguq.net import (NetArch, StageSpec, net_eval_and_backward, net_forward,
+                        net_init)
 from breguq.projections import (Box, ConstraintStack, L1Ball, is_feasible,
                                 project_box, project_intersection,
                                 project_l1_ball, project_l2_ball,
                                 project_tv_ball, total_variation)
 from breguq.sgld import SgldParams, sgld_step
 from breguq.stats import model_quality, sample_generator, summarize
-from breguq.testbed import (linearization_error, linearization_error_direct,
-                            load_bank, make_ground_truth)
+from breguq.testbed import load_bank, make_ground_truth
 
-from conftest import identity_bank, small_arch
+from conftest import (eval_lsq_objective, identity_bank, linearization_error,
+                      linearization_error_direct, small_arch)
 
 DESK_SHAPE = (64, 64)
 DESK_SEEDS = {"truth": 11, "mask": 13, "noise": 17}
@@ -168,7 +169,7 @@ def test_criterion_3_gradient_exactness():
     w = net_init(arch, seed=13)
     z = rng.standard_normal(arch.latent_dim)
     upstream = rng.standard_normal(arch.out_shape)
-    gz, gw = net_backward(arch, w, z, upstream)
+    _, gz, gw = net_eval_and_backward(arch, w, z, lambda _: upstream)
 
     def f(w_, z_):
         return float(np.sum(upstream * net_forward(arch, w_, z_)))
@@ -269,8 +270,6 @@ def test_criterion_6_noise_calibration(desk_bank):
 def test_desk_inversion_misfit_reaches_noise_floor(desk_bank, desk_inversion):
     # after 350 iterations the data misfit sits at the injected perturbation
     # energy (within 10%), checked against the generation-time report
-    from breguq.bregman import eval_lsq_objective
-
     misfit = 2.0 * eval_lsq_objective(desk_bank["bank"],
                                       desk_inversion["state"].x_primal)
     floor = desk_bank["manifest"]["snr_report"]["perturbation_energy"]

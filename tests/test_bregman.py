@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from breguq.bregman import (BregmanState, bregman_step, eval_lsq_objective,
-                            initial_state, read_trace_csv, run_bregman,
-                            write_trace_csv, TraceRecord)
+from breguq.bregman import (BregmanState, bregman_step, initial_state,
+                            read_trace_csv, run_bregman, write_trace_csv,
+                            TraceRecord)
 from breguq.errors import NumericalAbortError
 from breguq.linops import IdentityOp, ScaleOp
 from breguq.net import NetArch, net_forward, net_init
@@ -11,7 +11,8 @@ from breguq.projections import (Box, ConstraintStack, L1Ball, TVBall, is_feasibl
                                 total_variation)
 from breguq.testbed import ExperimentBank, LinearExperiment
 
-from conftest import identity_bank, restriction_bank, small_arch
+from conftest import (eval_lsq_objective, identity_bank, restriction_bank,
+                      small_arch)
 
 WIDE = ConstraintStack((Box(-1e9, 1e9),))
 

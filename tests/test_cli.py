@@ -8,13 +8,14 @@ import pytest
 
 import breguq
 from breguq import checks
-from breguq.bregman import eval_lsq_objective
 from breguq.cli import main
 from breguq.errors import NumericalAbortError
 from breguq.linops import ScaleOp
 from breguq.net import load_weights, net_init
 from breguq.stats import read_portable_grid
 from breguq.testbed import load_bank
+
+from conftest import eval_lsq_objective
 
 SMALL_TESTBED = """\
 [testbed]
@@ -312,6 +313,22 @@ def test_stats_zero_bins_rejected_before_sampling(gen_dir, tmp_path, capsys):
     assert not (out / "mean.pgrd").exists()
 
 
+def test_stats_out_of_range_probes_rejected(gen_dir, tmp_path, capsys):
+    cfg_path, bank_dir = gen_dir
+    train_out = tmp_path / "tr"
+    assert main(["train", "--config", cfg_path, "--bank", str(bank_dir),
+                 "--out", str(train_out)]) == 0
+    cfg = write_cfg(tmp_path, SMALL_TESTBED.replace("bins = 5", "bins = 5\nprobes = 99,99"),
+                    name="farprobe.cfg")
+    out = tmp_path / "s"
+    code = main(["stats", "--config", cfg, "--checkpoint", str(train_out),
+                 "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "config error: [stats] probes" in err and "(99, 99)" in err
+    assert not (out / "mean.pgrd").exists()
+
+
 def test_check_passes_and_prints_table(capsys):
     assert main(["check"]) == 0
     out = capsys.readouterr().out
@@ -381,6 +398,28 @@ def test_train_gradient_abort_writes_abort_json(gen_dir, tmp_path, capsys):
     report = strict_json(out / "abort.json")
     assert report["message"] == "non-finite weight gradient"
     assert report["diagnostics"] == {"per_tuple_loss": {"0": "nan", "1": "nan"}}
+
+
+def test_train_prior_misfit_abort_writes_abort_json(gen_dir, tmp_path, capsys):
+    # one huge M-step sends the generator output to nan, so round 0's prior
+    # misfit is not finite; the run stops before logging it
+    cfg_path, bank_dir = gen_dir
+    body = SMALL_TESTBED.replace("eta = 0.0001",
+                                 "eta = 1e100\nlam_init = 0.25\nlam_final = 0.25")
+    cfg = write_cfg(tmp_path, body, name="misfit.cfg")
+    out = tmp_path / "tr"
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["train", "--config", cfg, "--bank", str(bank_dir),
+                     "--out", str(out)]) == 3
+    assert "numerical abort: non-finite prior misfit" in capsys.readouterr().err
+    report = strict_json(out / "abort.json")
+    assert report["message"] == "non-finite prior misfit"
+    assert report["diagnostics"] == {"round": 0, "lam": 0.25, "eta": 1e100,
+                                     "per_tuple_misfit": {"0": "nan", "1": "nan"}}
+    csvs = list(out.rglob("*.csv"))
+    assert csvs
+    for path in csvs:
+        assert "nan" not in path.read_text(), path
 
 
 def test_abort_json_is_strict_json(monkeypatch, tmp_path):

@@ -1,3 +1,7 @@
+import configparser
+import pathlib
+import re
+
 import numpy as np
 import pytest
 
@@ -128,6 +132,27 @@ def test_build_train_config_wires_sections(tmp_path):
     assert tc.n_tuples == 3 and tc.rounds == 9 and tc.eta == 0.01
     assert tc.sgld.epsilon == 0.2 and tc.sgld.steps == 4
     assert tc.t_max == 5.0
+
+
+def test_build_train_config_names_the_sgld_section(tmp_path):
+    cfg = load_config(write(tmp_path, "[sgld]\nepsilon = 5.0\n"))
+    with pytest.raises(ConfigError) as err:
+        build_train_config(cfg)
+    assert str(err.value).startswith("[sgld] epsilon")
+
+
+def test_readme_configuration_block_loads_as_the_defaults(tmp_path):
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    block = re.search(r"## Configuration\n.*?```ini\n(.*?)```", readme.read_text(),
+                      re.S).group(1)
+    path = write(tmp_path, block)
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.read_string(block)
+    cfg = load_config(path)
+    for section, keys in SCHEMA.items():
+        for key, field in keys.items():
+            assert parser.has_option(section, key), (section, key)
+            assert cfg.get(section, key) == field.default, (section, key)
 
 
 def test_parse_probes_auto_and_literal():

@@ -2,9 +2,7 @@ import numpy as np
 import pytest
 
 from breguq.linops import (ComposeOp, ConvKernel, ConvOp, IdentityOp,
-                           RestrictionMask, RestrictOp, ScaleOp, conv2d_adjoint,
-                           conv2d_apply, dot_test, op_compose, restriction_adjoint,
-                           restriction_apply)
+                           RestrictionMask, RestrictOp, ScaleOp, dot_test)
 
 
 def conv_reference(taps, x):
@@ -26,13 +24,13 @@ def conv_reference(taps, x):
 def test_identity_kernel_is_identity():
     x = np.random.default_rng(0).standard_normal((5, 7))
     k = ConvKernel(np.array([[0.0, 0, 0], [0, 1.0, 0], [0, 0, 0]]))
-    np.testing.assert_array_equal(conv2d_apply(k, x), x)
+    np.testing.assert_array_equal(ConvOp(k, x.shape).apply(x), x)
 
 
 def test_centered_tap_scales():
     x = np.random.default_rng(1).standard_normal((4, 4))
     k = ConvKernel(np.array([[2.0]]))
-    np.testing.assert_array_equal(conv2d_apply(k, x), 2.0 * x)
+    np.testing.assert_array_equal(ConvOp(k, x.shape).apply(x), 2.0 * x)
 
 
 def test_offcenter_tap_is_circular_shift_and_matches_reference():
@@ -40,7 +38,7 @@ def test_offcenter_tap_is_circular_shift_and_matches_reference():
     taps = np.zeros((3, 3))
     taps[0, 1] = 1.0  # displacement (-1, 0): pulls from the row below
     k = ConvKernel(taps)
-    got = conv2d_apply(k, x)
+    got = ConvOp(k, x.shape).apply(x)
     np.testing.assert_array_equal(got, np.roll(x, -1, axis=0))
     np.testing.assert_allclose(got, conv_reference(taps, x), rtol=0, atol=0)
 
@@ -55,9 +53,10 @@ def test_random_kernel_matches_reference(shape, k):
     taps = rng.standard_normal((k, k))
     x = rng.standard_normal(shape)
     y = rng.standard_normal(shape)
-    np.testing.assert_allclose(conv2d_apply(ConvKernel(taps), x),
+    op = ConvOp(ConvKernel(taps), shape)
+    np.testing.assert_allclose(op.apply(x),
                                conv_reference(taps, x), rtol=1e-13, atol=1e-13)
-    np.testing.assert_allclose(conv2d_adjoint(ConvKernel(taps), y),
+    np.testing.assert_allclose(op.adjoint(y),
                                conv_reference(taps[::-1, ::-1], y), rtol=1e-13, atol=1e-13)
 
 
@@ -66,12 +65,13 @@ def test_symmetric_kernel_self_adjoint():
     a = rng.standard_normal((3, 3))
     k = ConvKernel(a + a[::-1, ::-1])  # point-symmetric
     y = rng.standard_normal((6, 6))
-    np.testing.assert_allclose(conv2d_adjoint(k, y), conv2d_apply(k, y), rtol=1e-14)
+    op = ConvOp(k, y.shape)
+    np.testing.assert_allclose(op.adjoint(y), op.apply(y), rtol=1e-14)
 
 
 def test_identity_kernel_adjoint_is_identity():
     y = np.random.default_rng(4).standard_normal((4, 5))
-    np.testing.assert_array_equal(conv2d_adjoint(ConvKernel.identity(), y), y)
+    np.testing.assert_array_equal(ConvOp(ConvKernel.identity(), y.shape).adjoint(y), y)
 
 
 def test_conv_adjoint_dot_identity():
@@ -79,34 +79,36 @@ def test_conv_adjoint_dot_identity():
     k = ConvKernel(rng.standard_normal((3, 3)))
     x = rng.standard_normal((5, 5))
     y = rng.standard_normal((5, 5))
-    lhs = np.sum(conv2d_apply(k, x) * y)
-    rhs = np.sum(x * conv2d_adjoint(k, y))
+    op = ConvOp(k, (5, 5))
+    lhs = np.sum(op.apply(x) * y)
+    rhs = np.sum(x * op.adjoint(y))
     assert abs(lhs - rhs) / abs(lhs) < 1e-12
 
 
 def test_restriction_full_mask_flattens():
     x = np.arange(9.0).reshape(3, 3)
     mask = RestrictionMask(np.arange(9))
-    np.testing.assert_array_equal(restriction_apply(mask, x), x.ravel())
+    np.testing.assert_array_equal(RestrictOp(mask, x.shape).apply(x), x.ravel())
 
 
 def test_restriction_empty_mask():
     x = np.ones((3, 3))
     mask = RestrictionMask(np.array([], dtype=np.int64))
-    assert restriction_apply(mask, x).size == 0
-    np.testing.assert_array_equal(restriction_adjoint(mask, [], (3, 3)),
+    op = RestrictOp(mask, x.shape)
+    assert op.apply(x).size == 0
+    np.testing.assert_array_equal(op.adjoint([]),
                                   np.zeros((3, 3)))
 
 
 def test_restriction_direct_read():
     x = np.arange(9.0).reshape(3, 3)
     np.testing.assert_array_equal(
-        restriction_apply(RestrictionMask(np.array([0, 5])), x), [0.0, 5.0])
+        RestrictOp(RestrictionMask(np.array([0, 5])), x.shape).apply(x), [0.0, 5.0])
 
 
-def test_restriction_adjoint_full_mask_reshapes():
+def test_restrict_op_adjoint_full_mask_reshapes():
     v = np.arange(6.0)
-    got = restriction_adjoint(RestrictionMask(np.arange(6)), v, (2, 3))
+    got = RestrictOp(RestrictionMask(np.arange(6)), (2, 3)).adjoint(v)
     np.testing.assert_array_equal(got, v.reshape(2, 3))
 
 
@@ -115,8 +117,9 @@ def test_restriction_dot_identity():
     mask = RestrictionMask(np.sort(rng.choice(20, 7, replace=False)))
     x = rng.standard_normal((4, 5))
     y = rng.standard_normal(7)
-    lhs = np.dot(restriction_apply(mask, x), y)
-    rhs = np.sum(x * restriction_adjoint(mask, y, (4, 5)))
+    op = RestrictOp(mask, (4, 5))
+    lhs = np.dot(op.apply(x), y)
+    rhs = np.sum(x * op.adjoint(y))
     assert abs(lhs - rhs) / abs(lhs) < 1e-12
 
 
@@ -124,13 +127,13 @@ def test_compose_with_identity_is_inner():
     rng = np.random.default_rng(7)
     mask = RestrictionMask(np.sort(rng.choice(16, 5, replace=False)))
     p = RestrictOp(mask, (4, 4))
-    comp = op_compose(IdentityOp((5,)), p)
+    comp = ComposeOp(IdentityOp((5,)), p)
     x = rng.standard_normal((4, 4))
     np.testing.assert_array_equal(comp.apply(x), p.apply(x))
 
 
 def test_compose_scales_multiply():
-    comp = op_compose(ScaleOp((3, 3), 2.0), ScaleOp((3, 3), 3.0))
+    comp = ComposeOp(ScaleOp((3, 3), 2.0), ScaleOp((3, 3), 3.0))
     x = np.random.default_rng(8).standard_normal((3, 3))
     np.testing.assert_allclose(comp.apply(x), 6.0 * x, rtol=1e-15)
     np.testing.assert_allclose(comp.adjoint(x), 6.0 * x, rtol=1e-15)
@@ -140,7 +143,7 @@ def test_restrict_compose_conv_dot_test():
     rng = np.random.default_rng(9)
     kernel = ConvKernel(rng.standard_normal((3, 3)))
     mask = RestrictionMask(np.sort(rng.choice(36, 12, replace=False)))
-    op = op_compose(RestrictOp(mask, (6, 6)), ConvOp(kernel, (6, 6)))
+    op = ComposeOp(RestrictOp(mask, (6, 6)), ConvOp(kernel, (6, 6)))
     assert dot_test(op, seed=1, trials=20) <= 1e-10
 
 
@@ -176,11 +179,11 @@ def test_linearity():
 
 def test_shift_equivariance_on_torus():
     rng = np.random.default_rng(13)
-    kernel = ConvKernel(rng.standard_normal((3, 3)))
+    op = ConvOp(ConvKernel(rng.standard_normal((3, 3))), (6, 8))
     x = rng.standard_normal((6, 8))
     for shift in [(1, 0), (0, 3), (4, 5)]:
-        lhs = conv2d_apply(kernel, np.roll(x, shift, axis=(0, 1)))
-        rhs = np.roll(conv2d_apply(kernel, x), shift, axis=(0, 1))
+        lhs = op.apply(np.roll(x, shift, axis=(0, 1)))
+        rhs = np.roll(op.apply(x), shift, axis=(0, 1))
         np.testing.assert_allclose(lhs, rhs, rtol=1e-12, atol=1e-12)
 
 
@@ -194,11 +197,11 @@ def test_rejections():
     with pytest.raises(ValueError):
         RestrictOp(RestrictionMask(np.array([99])), (3, 3))  # out of range
     with pytest.raises(ValueError):
-        conv2d_apply(ConvKernel.identity(), np.ones(5))  # not 2-D
+        ConvOp(ConvKernel.identity(), (3, 3)).apply(np.ones(5))  # not 2-D
     op = ConvOp(ConvKernel.identity(), (3, 3))
     with pytest.raises(ValueError):
         op.apply(np.ones((4, 4)))
     with pytest.raises(ValueError):
-        op_compose(ScaleOp((2, 2), 1.0), ScaleOp((3, 3), 1.0))
+        ComposeOp(ScaleOp((2, 2), 1.0), ScaleOp((3, 3), 1.0))
     with pytest.raises(ValueError):
-        restriction_adjoint(RestrictionMask(np.array([0, 1])), [1.0], (2, 2))
+        RestrictOp(RestrictionMask(np.array([0, 1])), (2, 2)).adjoint([1.0])

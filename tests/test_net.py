@@ -6,8 +6,8 @@ import pytest
 from breguq.errors import CheckpointFormatError
 from breguq.net import (NetArch, StageSpec, _final_backward, _final_forward,
                         _fold, _plane_table, _stack_table, _stage_backward,
-                        _stage_forward, load_weights, net_backward,
-                        net_eval_and_backward, net_forward, net_init, save_weights)
+                        _stage_forward, load_weights, net_eval_and_backward,
+                        net_forward, net_init, save_weights)
 
 SMALL = NetArch(latent_dim=8, base_rows=2, base_cols=2, base_channels=4,
                 stages=(StageSpec(4),))
@@ -93,7 +93,7 @@ def test_forward_regression_vector():
 
 def test_backward_zero_upstream():
     w = net_init(SMALL, seed=8)
-    gz, gw = net_backward(SMALL, w, np.ones(8), np.zeros((4, 4)))
+    _, gz, gw = net_eval_and_backward(SMALL, w, np.ones(8), lambda _: np.zeros((4, 4)))
     assert not gz.any() and not gw.any()
 
 
@@ -109,7 +109,7 @@ def test_backward_dense_block_is_outer_product():
     w[layout["final.W"].offset] = 1.0
     z = np.random.default_rng(10).standard_normal(5)
     upstream = np.random.default_rng(11).standard_normal((3, 2))
-    gz, gw = net_backward(arch, w, z, upstream)
+    _, gz, gw = net_eval_and_backward(arch, w, z, lambda _: upstream)
     dW = layout["dense.W"]
     got = gw[dW.offset:dW.offset + dW.size].reshape(dW.shape)
     np.testing.assert_allclose(got, np.outer(upstream.ravel(), z), rtol=1e-14)
@@ -123,7 +123,7 @@ def test_backward_matches_finite_differences_default_arch():
     w = net_init(arch, seed=13)
     z = rng.standard_normal(arch.latent_dim)
     upstream = rng.standard_normal(arch.out_shape)
-    gz, gw = net_backward(arch, w, z, upstream)
+    _, gz, gw = net_eval_and_backward(arch, w, z, lambda _: upstream)
 
     def f_z(zz):
         return float(np.sum(upstream * net_forward(arch, w, zz)))
@@ -143,13 +143,14 @@ def test_backward_matches_finite_differences_default_arch():
 
 
 def test_backward_linear_activation_stage():
+    # a leaky slope of 1 makes the stage linear
     arch = NetArch(latent_dim=6, base_rows=2, base_cols=2, base_channels=2,
-                   stages=(StageSpec(3, activation="linear"),))
+                   stages=(StageSpec(3),), leaky_slope=1.0)
     rng = np.random.default_rng(14)
     w = net_init(arch, seed=15)
     z = rng.standard_normal(6)
     upstream = rng.standard_normal(arch.out_shape)
-    gz, gw = net_backward(arch, w, z, upstream)
+    _, gz, gw = net_eval_and_backward(arch, w, z, lambda _: upstream)
     fd_z = finite_diff(lambda zz: float(np.sum(upstream * net_forward(arch, w, zz))), z)
     np.testing.assert_allclose(gz, fd_z, rtol=1e-6, atol=1e-9)
     for i in rng.choice(arch.n_params, size=25, replace=False):
@@ -168,8 +169,8 @@ def test_forward_backward_pure():
     z = rng.standard_normal(8)
     up = rng.standard_normal((4, 4))
     np.testing.assert_array_equal(net_forward(SMALL, w, z), net_forward(SMALL, w, z))
-    gz1, gw1 = net_backward(SMALL, w, z, up)
-    gz2, gw2 = net_backward(SMALL, w, z, up)
+    _, gz1, gw1 = net_eval_and_backward(SMALL, w, z, lambda _: up)
+    _, gz2, gw2 = net_eval_and_backward(SMALL, w, z, lambda _: up)
     np.testing.assert_array_equal(gz1, gz2)
     np.testing.assert_array_equal(gw1, gw2)
 
@@ -209,7 +210,7 @@ def test_forward_rejects_bad_latent_and_upstream():
     with pytest.raises(ValueError):
         net_forward(SMALL, w, np.ones(9))
     with pytest.raises(ValueError):
-        net_backward(SMALL, w, np.ones(8), np.ones((5, 5)))
+        net_eval_and_backward(SMALL, w, np.ones(8), lambda _: np.ones((5, 5)))
     with pytest.raises(ValueError):
         net_forward(SMALL, w[:-1], np.ones(8))
 
@@ -381,7 +382,7 @@ def test_backward_matches_finite_differences_k5_on_1x1_base():
     w = net_init(arch, seed=28)
     z = rng.standard_normal(arch.latent_dim)
     upstream = rng.standard_normal(arch.out_shape)
-    gz, gw = net_backward(arch, w, z, upstream)
+    _, gz, gw = net_eval_and_backward(arch, w, z, lambda _: upstream)
 
     fd_z = finite_diff(lambda zz: float(np.sum(upstream * net_forward(arch, w, zz))), z)
     for i in range(arch.latent_dim):

@@ -3,14 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from breguq.bregman import eval_lsq_objective
 from breguq.linops import ConvKernel, ConvOp, dot_test
 from breguq.testbed import (ExperimentBank, GroundTruth, NoiseSpec,
-                            add_noise_to_snr, gaussian_kernel, linearization_error,
-                            linearization_error_direct, load_bank,
+                            add_noise_to_snr, gaussian_kernel, load_bank,
                             make_bank, make_ground_truth, save_bank, snr_db)
 
-from conftest import identity_bank
+from conftest import (eval_lsq_objective, identity_bank, linearization_error,
+                      linearization_error_direct)
 
 
 def test_truth_deterministic_and_bounded():
