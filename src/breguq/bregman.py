@@ -55,9 +55,9 @@ class TraceRecord:
     prior is inactive. `skipped` marks a zero step forced by a vanishing
     gradient (residual in the operator's null-space direction).
     `proj_sweeps` and `proj_converged` report the projection onto the
-    constraint stack that produced the new primal iterate, and
-    `proj_tv_gap` the largest TV duality gap of its final sweep (None when
-    the stack has no TV set)."""
+    constraint stack that produced the new primal iterate (its dual-solve
+    iteration count, 1 for a closed form), and `proj_tv_gap` that solve's
+    duality gap (None when the stack has no TV set)."""
 
     iter: int
     k: int

@@ -18,8 +18,8 @@ from .linops import (ComposeOp, ConvKernel, ConvOp, IdentityOp, RestrictionMask,
 from .net import (NetArch, StageSpec, net_eval_and_backward, net_forward,
                   net_init)
 from .projections import (project_box, project_intersection, project_l1_ball,
-                          project_l2_ball, project_tv_ball, Box, L1Ball,
-                          ConstraintStack)
+                          project_l2_ball, project_tv_ball, total_variation,
+                          Box, L1Ball, TVBall, ConstraintStack)
 from .sgld import SgldParams, sgld_step
 from .testbed import gaussian_kernel, make_bank, make_ground_truth
 
@@ -116,6 +116,17 @@ def run_projection_oracle_checks() -> list:
         ref = oracles.qp_project_box_l1(x.ravel(), -0.6, 0.8, 1.5).reshape(x.shape)
         worst = max(worst, float(np.max(np.abs(mine - ref))))
     record("box_l1_intersection", worst, 1e-6)
+
+    worst = 0.0
+    for _ in range(3):
+        x = 2.0 * rng.standard_normal((3, 4))
+        radius = rng.uniform(0.2, 0.6) * total_variation(np.clip(x, -0.8, 0.6))
+        mine = project_intersection(x, ConstraintStack((Box(-0.8, 0.6), TVBall(radius))))
+        ref = oracles.qp_project_tv(x, radius, -0.8, 0.6)
+        obj_mine = 0.5 * float(np.sum((mine.x - x) ** 2))
+        obj_ref = 0.5 * float(np.sum((ref - x) ** 2))
+        worst = max(worst, abs(obj_mine - obj_ref) / max(1.0, abs(obj_ref)))
+    record("box_tv_intersection", worst, 1e-4)
     return results
 
 

@@ -5,9 +5,9 @@ is a pure function of its config and input files: reruns with identical
 seeds produce byte-identical outputs, and each output directory receives
 the fully resolved config that produced it.
 
-Exit codes: 0 success, 1 property-check failure, 2 usage/config error,
-3 numerical abort. A numerical abort also writes `<out>/abort.json` with the
-message and the solver's diagnostics.
+Exit codes: 0 success, 1 property-check failure, 2 usage/config error or
+malformed input file, 3 numerical abort. A numerical abort also writes
+`<out>/abort.json` with the message and the solver's diagnostics.
 """
 
 from __future__ import annotations
@@ -26,8 +26,7 @@ from .config import (apply_seed_override, build_arch, build_noise_spec,
                      build_stack, build_stack_schedule, build_train_config,
                      load_config, parse_probes, write_resolved)
 from .em import train, write_rounds_csv
-from .errors import (CheckpointFormatError, ConfigError, GridFormatError,
-                     NumericalAbortError)
+from .errors import ConfigError, InputFormatError, NumericalAbortError
 from .net import load_weights, net_init, save_weights
 from .stats import (PixelHistogram, model_quality, read_portable_grid,
                     sample_generator, summarize, write_histograms_csv,
@@ -283,7 +282,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (GridFormatError, CheckpointFormatError) as exc:
+    except InputFormatError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except FileNotFoundError as exc:

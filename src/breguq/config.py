@@ -68,7 +68,6 @@ SCHEMA = {
         "l1_radius_final": Field("float_or_none", None),
         "l2_radius_final": Field("float_or_none", None),
         "tv_radius_final": Field("float_or_none", None),
-        "dykstra_max_iters": Field("int", 200),
         "dykstra_tol": Field("float", 1e-8),
         "tv_max_iters": Field("int", 500),
         "tv_tol": Field("float", 1e-6),
@@ -256,7 +255,6 @@ def _stack_from_values(config: RunConfig, overrides: dict) -> ConstraintStack:
                           key="constraints.sets")
     try:
         return ConstraintStack(tuple(sets),
-                               dykstra_max_iters=config.get("constraints", "dykstra_max_iters"),
                                dykstra_tol=config.get("constraints", "dykstra_tol"),
                                tv_max_iters=config.get("constraints", "tv_max_iters"),
                                tv_tol=config.get("constraints", "tv_tol"))

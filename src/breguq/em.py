@@ -314,28 +314,46 @@ def save_checkpoint(dirpath, arch: NetArch, w, tuples, round_completed: int,
 
 def load_checkpoint(dirpath, arch: NetArch):
     """Returns (weights, tuples, next round index, round records, per-tuple
-    traces)."""
-    with open(os.path.join(dirpath, "state.json")) as f:
+    traces). Malformed content in `state.json` or `latents.csv` raises
+    `CheckpointFormatError` naming the file."""
+
+    def parse(name, read):
+        path = os.path.join(dirpath, name)
+        with open(path, newline="") as f:
+            try:
+                return read(f)
+            except (ValueError, KeyError, TypeError) as exc:
+                raise CheckpointFormatError(
+                    f"{path}: {type(exc).__name__}: {exc}") from exc
+
+    def read_state(f):
         state = json.load(f)
-    w = load_weights(os.path.join(dirpath, "weights.dpnw"), arch)
-    latents = {}
-    with open(os.path.join(dirpath, "latents.csv"), newline="") as f:
+        return (state["round_completed"] + 1,
+                [(rec["id"], np.asarray(rec["experiment_ids"], dtype=np.int64),
+                  rec["step_count"]) for rec in state["tuples"]])
+
+    def read_latents(f):
+        latents = {}
         for row in csv.DictReader(f):
             latents.setdefault(int(row["tuple_id"]), {})[int(row["dim"])] = float(row["value"])
+        return {tid: np.array([latents[tid][d] for d in range(arch.latent_dim)])
+                for tid, _, _ in records}
+
+    next_round, records = parse("state.json", read_state)
+    w = load_weights(os.path.join(dirpath, "weights.dpnw"), arch)
+    latents = parse("latents.csv", read_latents)
     tuples = []
     traces = {}
-    for rec in state["tuples"]:
-        tid = rec["id"]
-        z = np.array([latents[tid][d] for d in range(len(latents[tid]))])
+    for tid, experiment_ids, step_count in records:
         tuples.append(TrainTuple(
-            tid, np.asarray(rec["experiment_ids"], dtype=np.int64),
+            tid, experiment_ids,
             read_portable_grid(os.path.join(dirpath, f"tuple_{tid:03d}_x.pgrd")),
             read_portable_grid(os.path.join(dirpath, f"tuple_{tid:03d}_xdual.pgrd")),
-            z, rec["step_count"]))
+            latents[tid], step_count))
         trace_path = os.path.join(dirpath, f"trace_tuple_{tid:03d}.csv")
         try:
             traces[tid] = read_trace_csv(trace_path)
         except KeyError as exc:
             raise CheckpointFormatError(f"{trace_path} lacks the column {exc}") from exc
-    return (w, tuples, state["round_completed"] + 1,
+    return (w, tuples, next_round,
             _read_rounds_csv(os.path.join(dirpath, "rounds.csv")), traces)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 __all__ = [
     "ConfigError",
+    "InputFormatError",
     "GridFormatError",
     "CheckpointFormatError",
     "NumericalAbortError",
@@ -18,20 +19,20 @@ class ConfigError(ValueError):
         self.key = key
 
 
-class GridFormatError(ValueError):
-    """Malformed portable grid file; `offset` is the failing byte offset."""
+class InputFormatError(ValueError):
+    """Malformed input file; `offset` is the failing byte offset when known."""
 
     def __init__(self, message: str, offset: int = 0):
         super().__init__(message)
         self.offset = offset
 
 
-class CheckpointFormatError(ValueError):
-    """Malformed weight checkpoint; `offset` is the failing byte offset."""
+class GridFormatError(InputFormatError):
+    """Malformed portable grid file."""
 
-    def __init__(self, message: str, offset: int = 0):
-        super().__init__(message)
-        self.offset = offset
+
+class CheckpointFormatError(InputFormatError):
+    """Malformed weight checkpoint or checkpoint directory."""
 
 
 class NumericalAbortError(RuntimeError):

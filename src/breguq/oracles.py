@@ -113,9 +113,11 @@ def _dense_diff_matrix(shape) -> np.ndarray:
     return d
 
 
-def qp_project_tv(x, radius: float) -> np.ndarray:
+def qp_project_tv(x, radius: float, lo: float | None = None,
+                  hi: float | None = None) -> np.ndarray:
     """Auxiliary-variable formulation: minimize over (z, s) with
-    s >= |Dz| elementwise and sum(s) <= radius."""
+    s >= |Dz| elementwise and sum(s) <= radius, and lo <= z <= hi when
+    bounds are given (None leaves that side open)."""
     x = np.asarray(x, dtype=np.float64)
     rows, cols = x.shape
     n = rows * cols
@@ -140,8 +142,8 @@ def qp_project_tv(x, radius: float) -> np.ndarray:
         {"type": "ineq", "fun": lambda p: p[n:] + d @ p[:n], "jac": lambda p: jac_neg},
         {"type": "ineq", "fun": lambda p: radius - p[n:].sum(), "jac": lambda p: sum_jac},
     ]
-    p0 = np.concatenate([np.full(n, xf.mean()), np.zeros(m)])
-    bounds = [(None, None)] * n + [(0.0, None)] * m
+    p0 = np.concatenate([np.full(n, np.clip(xf.mean(), lo, hi)), np.zeros(m)])
+    bounds = [(lo, hi)] * n + [(0.0, None)] * m
     res = minimize(f, p0, jac=jac, bounds=bounds, constraints=cons,
                    method="SLSQP", options=_OPTS)
     return res.x[:n].reshape(rows, cols)

@@ -1,13 +1,21 @@
-"""Euclidean projections onto handcrafted convex sets and intersections.
+"""Euclidean projections onto handcrafted convex sets and their intersections.
 
-Supported sets: boxes, l2 balls, l1 balls (sort-and-threshold), and
-anisotropic total-variation balls with circular boundary (accelerated
-projected/proximal gradient on the dual). A box intersected with an l1 ball
-is projected exactly, in closed form: a soft threshold followed by the box
-clamp, with the threshold found by a sorted-breakpoint search. Every other
-intersection (one holding an l2 or TV ball, or more than two sets) runs
-Dykstra's algorithm, which converges to the Euclidean-nearest point of the
-intersection and reports when its sweep cap stops it first.
+Supported sets: boxes, l2 balls, l1 balls (sort-and-threshold) and
+anisotropic total-variation balls with circular boundary. A stack's boxes
+merge into one box [lo, hi]. Three kinds of stack are projected exactly, in
+closed form: boxes only (the clamp), a lone l2 or l1 ball, and boxes with
+one l1 ball (a soft threshold followed by the clamp, with the threshold
+found by a sorted-breakpoint search). Every other stack is projected by one
+iterative solve: FISTA (Beck & Teboulle, SIAM J. Imaging Sci. 2009) on the
+dual of
+
+    min_x 0.5*||x - v||^2  s.t.  lo <= x <= hi,  ||K_i x|| <= r_i,
+
+with one dual block per ball (K_i = I for an l1 or l2 ball, circular
+forward differences D for a TV ball) and the box as a clip, the route
+Peters & Herrmann (Geophysics 2019) take for intersections of constraints.
+Its primal iterates are always feasible, its stopping rule is a relative
+duality gap, and it reports when its iteration cap stops it first.
 
 All functions are pure and safe for concurrent use.
 """
@@ -32,7 +40,6 @@ __all__ = [
     "project_l2_ball",
     "project_l1_ball",
     "project_tv_ball",
-    "project_constraint",
     "project_intersection",
     "constraint_violation",
     "is_feasible",
@@ -96,10 +103,13 @@ Constraint = Box | L2Ball | L1Ball | TVBall
 
 @dataclass(frozen=True)
 class ConstraintStack:
-    """Ordered constraint sets plus solver knobs for their intersection."""
+    """Ordered constraint sets plus solver knobs for their intersection.
+
+    `tv_max_iters` and `tv_tol` cap and stop the dual solve of any stack
+    without a closed form; `dykstra_tol` is the feasibility bar every
+    result must meet to count as converged."""
 
     sets: tuple
-    dykstra_max_iters: int = 200
     dykstra_tol: float = 1e-8
     tv_max_iters: int = TV_DEFAULT_MAX_ITERS
     tv_tol: float = TV_DEFAULT_TOL
@@ -110,8 +120,8 @@ class ConstraintStack:
             raise ValueError("constraint stack must contain at least one set")
         if self.dykstra_tol <= 0 or self.tv_tol <= 0:
             raise ValueError("tolerances must be positive")
-        if self.dykstra_max_iters < 1 or self.tv_max_iters < 1:
-            raise ValueError("iteration caps must be positive")
+        if self.tv_max_iters < 1:
+            raise ValueError("tv_max_iters must be positive")
 
 
 @dataclass(frozen=True)
@@ -123,8 +133,8 @@ class TvResult:
 
 @dataclass(frozen=True)
 class IntersectionResult:
-    """`tv_gap` is the largest duality gap of the TV solves in the final
-    sweep, or None when the stack has no TV set."""
+    """`sweeps` is the dual solve's iteration count (1 for a closed form);
+    `tv_gap` is its duality gap when the stack holds a TV ball, else None."""
 
     x: np.ndarray
     converged: bool
@@ -159,11 +169,15 @@ def project_l2_ball(x, radius: float) -> np.ndarray:
     return x * (radius / n)
 
 
-def _l1_project_flat(v: np.ndarray, radius: float) -> np.ndarray:
-    """Sort-and-threshold projection of a flat vector onto the l1 ball."""
+def project_l1_ball(x, radius: float) -> np.ndarray:
+    """Sort-and-threshold projection onto the l1 ball."""
+    if not radius > 0:
+        raise ValueError(f"l1 ball radius must be positive, got {radius}")
+    x = np.asarray(x, dtype=np.float64)
+    v = x.ravel()
     a = np.abs(v)
     if a.sum() <= radius:
-        return v.copy()
+        return x.copy()
     u = np.sort(a)[::-1]
     css = np.cumsum(u)
     j = np.arange(1, u.size + 1)
@@ -175,7 +189,7 @@ def _l1_project_flat(v: np.ndarray, radius: float) -> np.ndarray:
     norm = np.abs(out).sum()
     if norm > radius:
         out *= radius / norm
-    return out
+    return out.reshape(x.shape)
 
 
 def _box_l1_project_flat(v: np.ndarray, lo: float, hi: float,
@@ -235,13 +249,6 @@ def _box_l1_project_flat(v: np.ndarray, lo: float, hi: float,
     return np.clip(x, lo, hi, out=x)
 
 
-def project_l1_ball(x, radius: float) -> np.ndarray:
-    if not radius > 0:
-        raise ValueError(f"l1 ball radius must be positive, got {radius}")
-    x = np.asarray(x, dtype=np.float64)
-    return _l1_project_flat(x.ravel(), radius).reshape(x.shape)
-
-
 def tv_forward_diff(x: np.ndarray) -> np.ndarray:
     """Circular forward differences, stacked (2, rows, cols): down then right."""
     return np.stack((np.roll(x, -1, axis=0) - x, np.roll(x, -1, axis=1) - x))
@@ -257,87 +264,111 @@ def total_variation(x) -> float:
     return float(np.abs(tv_forward_diff(as_grid(x))).sum())
 
 
-def project_tv_ball(x, radius: float, tol: float = TV_DEFAULT_TOL,
-                    max_iters: int = TV_DEFAULT_MAX_ITERS) -> TvResult:
-    """Project a grid onto {v : TV(v) <= radius}.
+def _l1_norm(a) -> float:
+    return float(np.abs(a).sum())
 
-    Runs an accelerated proximal-gradient method on the dual problem
-        min_p 0.5*||D^T p||^2 - <D^T p, x> + radius*||p||_inf
-    (D = circular forward differences), recovering the primal as
-    x - D^T p and rescaling around the grid mean so the returned point is
-    always feasible. The duality gap drives the stopping rule; momentum is
-    reset whenever the dual objective backtracks.
 
-    Non-convergence within `max_iters` is reported, not raised: the result
-    carries the attained gap with converged=False.
+def _l2_norm(a) -> float:
+    return float(np.linalg.norm(a.ravel()))
+
+
+def _linf_norm(a) -> float:
+    return float(np.abs(a).max())
+
+
+def _ball_terms(spec):
+    """(K is D, norm, dual norm, ball projection) of one ball {||K x|| <= r}."""
+    if isinstance(spec, L2Ball):
+        return False, _l2_norm, _l2_norm, project_l2_ball
+    if isinstance(spec, L1Ball):
+        return False, _l1_norm, _linf_norm, project_l1_ball
+    if isinstance(spec, TVBall):
+        return True, _l1_norm, _linf_norm, project_l1_ball
+    raise TypeError(f"unknown constraint spec {spec!r}")
+
+
+def _dual_solve(v, lo, hi, balls, tol, max_iters):
+    """Project `v` onto {lo <= x <= hi} intersected with `balls`.
+
+    Accelerated proximal gradient on the dual
+        min_y  -h(sum_i K_i^T y_i) + sum_i r_i*||y_i||_*,
+        h(s) = min_{lo <= x <= hi} 0.5*||x - v||^2 + <x, s>,
+    whose gradient is -K_i x(s) with x(s) = clip(v - s, lo, hi). The step is
+    1 / sum_i ||K_i||^2 (||D||^2 = 8); each dual prox is the Moreau
+    complement of a ball projection. Each x(s) is pulled toward a constant
+    anchor in every set, by the one scalar that satisfies every ball
+    (enough by convexity): clip(mean(v), lo, hi) when every ball is a TV
+    ball, else clip(0, lo, hi), the box point of least l1 and l2 norm. An
+    anchor outside a ball means the sets do not meet; it is returned
+    unconverged with an infinite gap. Momentum restarts whenever the dual
+    objective backtracks. Returns (x, converged, duality gap, iterations);
+    a loop capped before its relative gap falls to `tol` returns its
+    least-gap iterate.
     """
-    x = as_grid(x)
-    if radius < 0:
-        raise ValueError(f"tv ball radius must be non-negative, got {radius}")
-    mean = float(x.mean())
-    if radius == 0.0:
-        return TvResult(np.full_like(x, mean), True, 0.0)
-    if total_variation(x) <= radius:
-        return TvResult(x.copy(), True, 0.0)
+    terms = [(b.radius,) + _ball_terms(b) for b in balls]
+    fwd = lambda diff, u: tv_forward_diff(u) if diff else u
+    adj = lambda diff, p: tv_diff_adjoint(p) if diff else p
 
-    step = 1.0 / 8.0  # 1 / ||D||^2 for 2-D circular differences
-    p = np.zeros((2,) + x.shape)
-    v = p.copy()
-    t_mom = 1.0
-    prev_obj = math.inf
-    best_gap = math.inf
-    best_x = np.full_like(x, mean)
-    for _ in range(max_iters):
-        grad = tv_forward_diff(tv_diff_adjoint(v) - x)
-        q = (v - step * grad).ravel()
-        p_new = (q - _l1_project_flat(q, step * radius)).reshape(p.shape)
+    u = np.clip(v, lo, hi)
+    if all(norm(fwd(diff, u)) <= r for r, diff, norm, _, _ in terms):
+        return u, True, 0.0, 1
+    tv_only = all(diff for _, diff, _, _, _ in terms)
+    anchor = float(np.clip(v.mean() if tv_only else 0.0, lo, hi))
+    anchor_norms = [norm(fwd(diff, np.full_like(v, anchor)))
+                    for _, diff, norm, _, _ in terms]
+    if any(na > r for (r, *_), na in zip(terms, anchor_norms)):
+        return np.full_like(v, anchor), False, math.inf, 1
 
-        dtp = tv_diff_adjoint(p_new)
-        obj = (0.5 * float(np.dot(dtp.ravel(), dtp.ravel()))
-               - float(np.dot(dtp.ravel(), x.ravel()))
-               + radius * float(np.abs(p_new).max()))
+    step = 1.0 / sum(8.0 if diff else 1.0 for _, diff, _, _, _ in terms)
+    ps = [np.zeros_like(fwd(diff, v)) for _, diff, _, _, _ in terms]
+    ws, s, s_w = ps, np.zeros_like(v), np.zeros_like(v)
+    t_mom, prev_obj = 1.0, math.inf
+    best_gap, best_x = math.inf, None
+    for it in range(1, max_iters + 1):
+        u_w = np.clip(v - s_w, lo, hi)
+        new = []
+        for (r, diff, _, _, project), w in zip(terms, ws):
+            q = w + step * fwd(diff, u_w)
+            new.append(q - project(q, step * r) if r > 0 else q)
+        s_new = sum(adj(diff, p) for (_, diff, _, _, _), p in zip(terms, new))
+        u = np.clip(v - s_new, lo, hi)
+        obj = (sum(r * dual(p) for (r, _, _, dual, _), p in zip(terms, new))
+               - 0.5 * float(np.vdot(u - v, u - v)) - float(np.vdot(u, s_new)))
 
-        u = x - dtp
-        tvu = total_variation(u)
-        x_feas = u if tvu <= radius else mean + (radius / tvu) * (u - mean)
-        diff = x_feas - x
-        primal = 0.5 * float(np.dot(diff.ravel(), diff.ravel()))
+        theta = 1.0
+        for (r, diff, norm, _, _), na in zip(terms, anchor_norms):
+            nu = norm(fwd(diff, u))
+            if nu > r:
+                theta = min(theta, (r - na) / (nu - na))
+        x_feas = u if theta >= 1.0 else anchor + theta * (u - anchor)
+        primal = 0.5 * float(np.vdot(x_feas - v, x_feas - v))
         gap = primal + obj
-        if gap < best_gap:
-            best_gap = gap
-            best_x = x_feas
+        if best_x is None or gap < best_gap:
+            best_gap, best_x = gap, x_feas
         if gap <= tol * max(1.0, primal):
-            return TvResult(x_feas, True, gap)
+            return x_feas, True, gap, it
 
         if obj > prev_obj:
-            t_mom = 1.0
-            v = p_new
+            t_mom, ws, s_w = 1.0, new, s_new
         else:
             t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_mom * t_mom))
-            v = p_new + ((t_mom - 1.0) / t_next) * (p_new - p)
+            beta = (t_mom - 1.0) / t_next
+            ws = [p + beta * (p - p_old) for p, p_old in zip(new, ps)]
+            s_w = s_new + beta * (s_new - s)
             t_mom = t_next
-        p = p_new
-        prev_obj = obj
-    return TvResult(best_x, False, best_gap)
+        ps, s, prev_obj = new, s_new, obj
+    return best_x, False, best_gap, max_iters
 
 
-def project_constraint(spec: Constraint, x, tv_tol: float = TV_DEFAULT_TOL,
-                       tv_max_iters: int = TV_DEFAULT_MAX_ITERS):
-    """Dispatch the projection for a single constraint set.
-
-    Returns (projected point, converged, duality gap); only the iterative
-    TV solve can report converged=False, and only it has a gap (None for
-    the closed-form projections)."""
-    if isinstance(spec, Box):
-        return project_box(x, spec.lo, spec.hi), True, None
-    if isinstance(spec, L2Ball):
-        return project_l2_ball(x, spec.radius), True, None
-    if isinstance(spec, L1Ball):
-        return project_l1_ball(x, spec.radius), True, None
-    if isinstance(spec, TVBall):
-        res = project_tv_ball(x, spec.radius, tv_tol, tv_max_iters)
-        return res.x, res.converged, res.gap
-    raise TypeError(f"unknown constraint spec {spec!r}")
+def project_tv_ball(x, radius: float, tol: float = TV_DEFAULT_TOL,
+                    max_iters: int = TV_DEFAULT_MAX_ITERS) -> TvResult:
+    """Project a grid onto {v : TV(v) <= radius}: the dual solve of
+    `project_intersection` with an unbounded box. The result is always
+    feasible; non-convergence within `max_iters` is reported, not raised,
+    with the attained gap and converged=False."""
+    out, converged, gap, _ = _dual_solve(as_grid(x), -math.inf, math.inf,
+                                         [TVBall(radius)], tol, max_iters)
+    return TvResult(out, converged, gap)
 
 
 def constraint_violation(spec: Constraint, x) -> float:
@@ -348,75 +379,45 @@ def constraint_violation(spec: Constraint, x) -> float:
     """
     x = np.asarray(x, dtype=np.float64)
     if isinstance(spec, Box):
-        over = float(max(np.max(x - spec.hi, initial=0.0),
+        return float(max(np.max(x - spec.hi, initial=0.0),
                          np.max(spec.lo - x, initial=0.0)))
-        return max(0.0, over)
-    if isinstance(spec, L2Ball):
-        return max(0.0, float(np.linalg.norm(x.ravel())) - spec.radius)
-    if isinstance(spec, L1Ball):
-        return max(0.0, float(np.abs(x).sum()) - spec.radius)
-    if isinstance(spec, TVBall):
-        return max(0.0, total_variation(x) - spec.radius)
-    raise TypeError(f"unknown constraint spec {spec!r}")
+    diff, norm, _, _ = _ball_terms(spec)
+    return max(0.0, norm(tv_forward_diff(as_grid(x)) if diff else x) - spec.radius)
 
 
 def project_intersection(x, stack: ConstraintStack) -> IntersectionResult:
     """Euclidean projection onto the intersection of the stack's sets.
 
-    Single-set stacks reduce exactly to that set's projection. A stack of
-    one box and one l1 ball, in either order, is projected exactly in
-    closed form (one "sweep"); if the box misses the ball, the result is
-    flagged converged=False and carries the l1 violation. Every other
-    multi-set stack (any stack with an l2 or TV ball, or more than two
-    sets) runs Dykstra's alternating projections with increment vectors;
-    the sweep loop stops when every per-set violation and the increment
-    drift are below `dykstra_tol`. Hitting the cap returns a flagged
-    result carrying each set's remaining violation. A TV solve stopped by
-    `tv_max_iters` flags the result too: for a single TV set, or for any
-    TV solve in Dykstra's final sweep.
+    The stack's boxes merge into one. Boxes alone, a lone l2 or l1 ball,
+    and boxes with one l1 ball are projected in closed form; every other
+    stack runs the dual solve, capped by `tv_max_iters` and stopped by
+    `tv_tol`. A result is converged when its solve converged and every
+    per-set violation is within `dykstra_tol`: sets that do not meet and
+    a capped solve are flagged.
     """
     x = as_grid(x)
-
-    def proj(spec, u):
-        return project_constraint(spec, u, stack.tv_tol, stack.tv_max_iters)
-
-    def violations_of(u):
-        return np.array([constraint_violation(s, u) for s in stack.sets])
-
-    if len(stack.sets) == 1:
-        out, converged, gap = proj(stack.sets[0], x)
-        return IntersectionResult(out, converged, 1, violations_of(out), gap)
-
-    by_kind = {type(s): s for s in stack.sets}
-    if len(stack.sets) == 2 and by_kind.keys() == {Box, L1Ball}:
-        box, ball = by_kind[Box], by_kind[L1Ball]
-        out = _box_l1_project_flat(x.ravel(), box.lo, box.hi,
-                                   ball.radius).reshape(x.shape)
-        violations = violations_of(out)
-        return IntersectionResult(out, bool(violations.max() <= stack.dykstra_tol),
-                                  1, violations)
-
-    cur = x.copy()
-    increments = [np.zeros_like(x) for _ in stack.sets]
-    violations = np.full(len(stack.sets), math.inf)
-    for sweep in range(1, stack.dykstra_max_iters + 1):
-        drift = 0.0
-        solves_converged = True
-        tv_gaps = []
-        for j, spec in enumerate(stack.sets):
-            u = cur + increments[j]
-            cur, converged, gap = proj(spec, u)
-            solves_converged &= converged
-            if gap is not None:
-                tv_gaps.append(gap)
-            new_inc = u - cur
-            drift = max(drift, float(np.max(np.abs(new_inc - increments[j]))))
-            increments[j] = new_inc
-        violations = violations_of(cur)
-        tv_gap = max(tv_gaps, default=None)
-        if violations.max(initial=0.0) <= stack.dykstra_tol and drift <= stack.dykstra_tol:
-            return IntersectionResult(cur, solves_converged, sweep, violations, tv_gap)
-    return IntersectionResult(cur, False, stack.dykstra_max_iters, violations, tv_gap)
+    lo = max((s.lo for s in stack.sets if isinstance(s, Box)), default=-math.inf)
+    hi = min((s.hi for s in stack.sets if isinstance(s, Box)), default=math.inf)
+    balls = [s for s in stack.sets if not isinstance(s, Box)]
+    boxed = len(balls) < len(stack.sets)
+    kinds = [type(b) for b in balls]
+    solved, iters, gap = True, 1, None
+    if not balls or lo > hi:
+        out = np.clip(x, lo, hi)
+    elif kinds == [L1Ball] and boxed:
+        out = _box_l1_project_flat(x.ravel(), lo, hi, balls[0].radius).reshape(x.shape)
+    elif kinds == [L1Ball]:
+        out = project_l1_ball(x, balls[0].radius)
+    elif kinds == [L2Ball] and not boxed:
+        out = project_l2_ball(x, balls[0].radius)
+    else:
+        out, solved, gap, iters = _dual_solve(x, lo, hi, balls, stack.tv_tol,
+                                              stack.tv_max_iters)
+        if TVBall not in kinds:
+            gap = None
+    violations = np.array([constraint_violation(s, out) for s in stack.sets])
+    return IntersectionResult(out, solved and bool(violations.max() <= stack.dykstra_tol),
+                              iters, violations, gap)
 
 
 def is_feasible(x, stack: ConstraintStack, tol: float) -> FeasibilityReport:

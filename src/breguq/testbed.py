@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import InputFormatError
 from .linops import (ComposeOp, ConvKernel, ConvOp, RestrictionMask, RestrictOp,
                      dot_test)
 from .stats import read_portable_grid, write_portable_grid
@@ -298,19 +299,25 @@ def save_bank(dirpath, bank: ExperimentBank, manifest_extra: dict | None = None)
 
 
 def load_bank(dirpath):
-    """Rebuild a bank from its manifest and data files."""
-    with open(os.path.join(dirpath, "manifest.json")) as f:
-        manifest = json.load(f)
-    if manifest.get("format") != "breguq-bank":
-        raise ValueError(f"not a bank manifest: {dirpath}")
-    shape = (manifest["rows"], manifest["cols"])
-    kernel = ConvKernel(np.array(manifest["kernel_taps"]).reshape(
-        manifest["kernel_size"], manifest["kernel_size"]))
-    conv = ConvOp(kernel, shape)
+    """Rebuild a bank from its manifest and data files; a malformed manifest
+    raises `InputFormatError` naming the file."""
+    path = os.path.join(dirpath, "manifest.json")
+    with open(path) as f:
+        try:
+            manifest = json.load(f)
+            if not isinstance(manifest, dict) or manifest.get("format") != "breguq-bank":
+                raise ValueError("not a bank manifest")
+            shape = (manifest["rows"], manifest["cols"])
+            kernel = ConvKernel(np.array(manifest["kernel_taps"]).reshape(
+                manifest["kernel_size"], manifest["kernel_size"]))
+            conv = ConvOp(kernel, shape)
+            masks = [RestrictionMask(np.asarray(idx, dtype=np.int64))
+                     for idx in manifest["masks"]]
+            ops = [ComposeOp(RestrictOp(mask, shape), conv) for mask in masks]
+        except (ValueError, KeyError, TypeError) as exc:
+            raise InputFormatError(f"{path}: {type(exc).__name__}: {exc}") from exc
     experiments = []
-    for i, idx in enumerate(manifest["masks"]):
-        mask = RestrictionMask(np.asarray(idx, dtype=np.int64))
-        op = ComposeOp(RestrictOp(mask, shape), conv)
+    for i, (mask, op) in enumerate(zip(masks, ops)):
         y = read_portable_grid(os.path.join(dirpath, f"y_{i:04d}.pgrd")).ravel()
         experiments.append(LinearExperiment(op, y, mask))
     return ExperimentBank(tuple(experiments), shape), manifest

@@ -78,19 +78,24 @@ def test_record_carries_projection_health():
     arch = small_arch()
     w = net_init(arch, seed=3)
     exp = LinearExperiment(IdentityOp((4, 4)), np.full((4, 4), 3.0))
-    empty = ConstraintStack((Box(0.0, 0.0), Box(1.0, 1.0)), dykstra_max_iters=7)
+    empty = ConstraintStack((Box(0.0, 0.0), Box(1.0, 1.0)))
     for lam in (0.0, 0.5):
         _, rec = bregman_step(initial_state((4, 4)), exp, empty,
                               center=net_forward(arch, w, np.zeros(8)), lam=lam)
-        assert (rec.proj_sweeps, rec.proj_converged) == (7, False)
+        assert (rec.proj_sweeps, rec.proj_converged) == (1, False)
         _, rec = bregman_step(initial_state((4, 4)), exp, WIDE,
                               center=net_forward(arch, w, np.zeros(8)), lam=lam)
         assert (rec.proj_sweeps, rec.proj_converged) == (1, True)
+    # a dual solve stopped by its cap: the record carries its iteration count
+    capped = ConstraintStack((Box(-1.0, 1.0), TVBall(1e-3)), tv_max_iters=3)
+    ramp = LinearExperiment(IdentityOp((4, 4)), np.arange(16.0).reshape(4, 4))
+    _, rec = bregman_step(initial_state((4, 4)), ramp, capped)
+    assert (rec.proj_sweeps, rec.proj_converged) == (3, False)
 
 
 def test_record_and_trace_carry_tv_gap(tmp_path):
-    # Dykstra on (box, TV ball) with capped TV solves: the gap of the final
-    # sweep reaches the record and survives the CSV round trip
+    # the capped dual solve on (box, TV ball): its gap reaches the record
+    # and survives the CSV round trip
     x = np.random.default_rng(0).standard_normal((8, 8))
     capped = ConstraintStack((Box(-1.0, 1.0), TVBall(0.2 * total_variation(x))),
                              tv_max_iters=2)

@@ -14,7 +14,7 @@ def test_dot_test_family_passes():
 def test_projection_oracle_family_passes():
     results = run_projection_oracle_checks()
     assert all(r.passed for r in results), [r for r in results if not r.passed]
-    assert len(results) == 5
+    assert len(results) == 6
 
 
 def test_gradient_family_passes():

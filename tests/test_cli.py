@@ -162,6 +162,16 @@ def test_invert_missing_bank_exit_2(tmp_path):
                  "--out", str(tmp_path / "o")]) == 2
 
 
+@pytest.mark.parametrize("manifest", ['{"format": "x"}', '{"format": '],
+                         ids=["not_a_bank", "invalid_json"])
+def test_invert_malformed_bank_manifest_exit_2(gen_dir, tmp_path, capsys, manifest):
+    cfg_path, bank_dir = gen_dir
+    (bank_dir / "manifest.json").write_text(manifest)
+    assert main(["invert", "--config", cfg_path, "--bank", str(bank_dir),
+                 "--out", str(tmp_path / "inv")]) == 2
+    assert str(bank_dir / "manifest.json") in capsys.readouterr().err
+
+
 def test_train_zero_rounds_initial_checkpoint_only(gen_dir, tmp_path):
     _, bank_dir = gen_dir
     body = SMALL_TESTBED.replace("rounds = 2", "rounds = 0")
@@ -232,6 +242,22 @@ def test_resume_from_checkpoint_without_tv_gap_column_exit_2(gen_dir, tmp_path, 
                  "--out", str(tmp_path / "res"), "--resume",
                  str(out / "checkpoint")]) == 2
     assert "lacks the column 'proj_tv_gap'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["state.json", "latents.csv"])
+def test_resume_from_malformed_checkpoint_exit_2(gen_dir, tmp_path, capsys, name):
+    cfg_path, bank_dir = gen_dir
+    out = tmp_path / "tr"
+    assert main(["train", "--config", cfg_path, "--bank", str(bank_dir),
+                 "--out", str(out)]) == 0
+    path = out / "checkpoint" / name
+    text = path.read_text()
+    # invalid JSON, or a latents table cut off partway through
+    path.write_text(text[:len(text) // 2])
+    assert main(["train", "--config", cfg_path, "--bank", str(bank_dir),
+                 "--out", str(tmp_path / "res"), "--resume",
+                 str(out / "checkpoint")]) == 2
+    assert str(path) in capsys.readouterr().err
 
 
 def test_train_arch_grid_mismatch_exit_2(gen_dir, tmp_path):

@@ -7,9 +7,8 @@ from hypothesis.extra import numpy as hnp
 from breguq import oracles
 from breguq.projections import (Box, ConstraintStack, L1Ball, L2Ball, TVBall,
                                 constraint_violation, is_feasible, project_box,
-                                project_constraint, project_intersection,
-                                project_l1_ball, project_l2_ball, project_tv_ball,
-                                total_variation)
+                                project_intersection, project_l1_ball,
+                                project_l2_ball, project_tv_ball, total_variation)
 
 finite_vec = hnp.arrays(np.float64, 6,
                         elements=st.floats(-5, 5, allow_nan=False, width=64))
@@ -152,7 +151,7 @@ def test_intersection_matches_qp_oracle():
         assert np.max(np.abs(res.x - ref)) < 1e-6
 
 def test_intersection_empty_flags_nonconvergence():
-    stack = ConstraintStack((Box(0.0, 0.0), Box(1.0, 1.0)), dykstra_max_iters=25)
+    stack = ConstraintStack((Box(0.0, 0.0), Box(1.0, 1.0)))
     res = project_intersection(np.zeros((2, 2)), stack)
     assert not res.converged
     assert res.violations.max() > 0.1
@@ -164,15 +163,15 @@ def test_unconverged_tv_solve_flags_single_set_stack():
     assert not project_intersection(x, ConstraintStack((ball,), tv_max_iters=2)).converged
     assert project_intersection(x, ConstraintStack((ball,))).converged
 
-def test_unconverged_tv_solve_flags_dykstra():
-    # the capped TV solves meet Dykstra's stop rule, yet the point is far
-    # from the projection a converged TV solver reaches
+def test_unconverged_box_tv_solve_is_flagged():
+    # the capped solve returns a feasible point, yet one far from the
+    # projection a converged solve reaches
     x = np.random.default_rng(0).standard_normal((8, 8))
     sets = (Box(-1.0, 1.0), TVBall(0.2 * total_variation(x)))
     capped = project_intersection(x, ConstraintStack(sets, tv_max_iters=2))
     exact = project_intersection(
         x, ConstraintStack(sets, tv_max_iters=5000, tv_tol=1e-12))
-    assert capped.sweeps < 200 and not capped.converged
+    assert capped.sweeps == 2 and not capped.converged
     assert exact.converged
     assert np.max(np.abs(capped.x - exact.x)) > 0.1
 
@@ -189,7 +188,6 @@ def test_intersection_reports_final_sweep_tv_gap():
     assert 0.0 <= exact.tv_gap < res.tv_gap
     single = project_intersection(x, ConstraintStack((sets[1],), tv_max_iters=2))
     assert single.tv_gap == project_tv_ball(x, sets[1].radius, max_iters=2).gap
-    assert project_constraint(sets[0], x)[2] is None
     assert project_intersection(x, ConstraintStack((Box(-1.0, 1.0),))).tv_gap is None
     assert project_intersection(
         x, ConstraintStack((Box(-1.0, 1.0), L1Ball(5.0)))).tv_gap is None
@@ -214,25 +212,35 @@ def test_box_l1_closed_form_matches_qp_oracle(box, box_first):
             assert np.max(np.abs(res.x.ravel() - ref)) <= 1e-8
 
 
-def test_box_l1_closed_form_matches_converged_dykstra():
+def _box_l1_by_bisection(v, lo, hi, radius):
+    """clip(soft(v, theta), lo, hi) with the multiplier theta bisected until
+    the l1 norm meets the radius; the norm is non-increasing in theta."""
+    def at(theta):
+        return np.clip(np.sign(v) * np.maximum(np.abs(v) - theta, 0.0), lo, hi)
+
+    below, above = 0.0, float(np.abs(v).max())
+    while above - below > 1e-15 * max(1.0, above):
+        mid = 0.5 * (below + above)
+        below, above = (mid, above) if np.abs(at(mid)).sum() > radius else (below, mid)
+    return at(above)
+
+
+def test_box_l1_closed_form_matches_exact_bisection():
     rng = np.random.default_rng(31)
     box, ball = Box(-1.0, 1.0), L1Ball(2100.0)
-    # an inactive l2 ball sends the same intersection through Dykstra
-    dykstra = ConstraintStack((box, ball, L2Ball(1e9)), dykstra_max_iters=5000,
-                              dykstra_tol=1e-12)
     layered = np.linspace(-40.0, 60.0, 64)[:, None] + 10.0 * rng.standard_normal((64, 64))
     for x in (30.0 * rng.standard_normal((64, 64)), layered):
         exact = project_intersection(x, ConstraintStack((box, ball)))
-        ref = project_intersection(x, dykstra)
-        assert exact.converged and ref.converged and ref.sweeps > 200
-        assert np.max(np.abs(exact.x - ref.x)) <= 1e-9
+        ref = _box_l1_by_bisection(x, box.lo, box.hi, ball.radius)
+        assert exact.converged
+        assert np.max(np.abs(exact.x - ref)) <= 1e-9
         assert np.abs(exact.x).sum() == pytest.approx(ball.radius, abs=1e-8)
 
 
-def test_dykstra_three_set_stack_matches_qp_oracle():
+def test_three_set_stack_matches_qp_oracle():
     rng = np.random.default_rng(32)
     stack = ConstraintStack((Box(-0.6, 0.8), L1Ball(1.5), L2Ball(100.0)),
-                            dykstra_tol=1e-12, dykstra_max_iters=5000)
+                            tv_tol=1e-12)
     for _ in range(10):
         x = 2.0 * rng.standard_normal((2, 3))
         res = project_intersection(x, stack)
@@ -251,6 +259,33 @@ def test_box_missing_l1_ball_flags_nonconvergence(box_first):
     np.testing.assert_array_equal(res.x, np.full((2, 2), 0.5))
     assert res.violations[sets.index(ball)] == pytest.approx(1.0)
     assert res.violations[sets.index(box)] == 0.0
+
+
+@pytest.mark.parametrize("box_first", [True, False], ids=["box_l2", "l2_box"])
+def test_box_missing_l2_ball_flags_nonconvergence(box_first):
+    box, ball = Box(0.5, 1.0), L2Ball(0.9)
+    sets = (box, ball) if box_first else (ball, box)
+    res = project_intersection(np.full((2, 2), 3.0), ConstraintStack(sets))
+    assert not res.converged
+    # the box point of least l2 norm: inside the box, 0.1 over the radius
+    np.testing.assert_array_equal(res.x, np.full((2, 2), 0.5))
+    assert res.violations[sets.index(ball)] == pytest.approx(0.1)
+    assert res.violations[sets.index(box)] == 0.0
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_box_tv_matches_qp_oracle(seed):
+    rng = np.random.default_rng(40 + seed)
+    x = 2.0 * rng.standard_normal((3, 4))
+    lo, hi = -0.8, 0.6
+    radius = rng.uniform(0.2, 0.6) * total_variation(np.clip(x, lo, hi))
+    res = project_intersection(x, ConstraintStack((Box(lo, hi), TVBall(radius))))
+    assert res.converged and res.sweeps > 1 and res.tv_gap is not None
+    ref = oracles.qp_project_tv(x, radius, lo, hi)
+    obj_mine = 0.5 * np.sum((res.x - x) ** 2)
+    obj_ref = 0.5 * np.sum((ref - x) ** 2)
+    assert abs(obj_mine - obj_ref) / max(1.0, obj_ref) < 1e-4
+    assert np.max(np.abs(res.x - ref)) < 1e-4
 
 
 # --- feasibility ---
@@ -278,27 +313,32 @@ def test_dykstra_output_feasible_at_its_tol():
 
 SINGLE_SETS = [Box(-0.5, 0.75), L2Ball(1.2), L1Ball(1.5)]
 
+
+def project_one(spec, x):
+    return project_intersection(np.atleast_2d(x), ConstraintStack((spec,))).x
+
+
 @pytest.mark.parametrize("spec", SINGLE_SETS, ids=lambda s: type(s).__name__)
 @given(x=finite_vec)
 @settings(max_examples=40, deadline=None)
 def test_idempotence(spec, x):
-    once = project_constraint(spec, x)[0]
-    twice = project_constraint(spec, once)[0]
+    once = project_one(spec, x)
+    twice = project_one(spec, once)
     assert np.max(np.abs(twice - once)) <= 1e-10
 
 @given(x=finite_grid)
 @settings(max_examples=25, deadline=None)
 def test_idempotence_tv(x):
-    once = project_constraint(TVBall(2.0), x)[0]
-    twice = project_constraint(TVBall(2.0), once)[0]
+    once = project_one(TVBall(2.0), x)
+    twice = project_one(TVBall(2.0), once)
     assert np.max(np.abs(twice - once)) <= 1e-10
 
 @pytest.mark.parametrize("spec", SINGLE_SETS, ids=lambda s: type(s).__name__)
 @given(x=finite_vec, y=finite_vec)
 @settings(max_examples=40, deadline=None)
 def test_non_expansiveness(spec, x, y):
-    px = project_constraint(spec, x)[0]
-    py = project_constraint(spec, y)[0]
+    px = project_one(spec, x)
+    py = project_one(spec, y)
     assert np.linalg.norm(px - py) <= np.linalg.norm(x - y) + 1e-12
 
 BOX_L1 = ConstraintStack((Box(-0.5, 0.75), L1Ball(1.5)))
@@ -317,12 +357,44 @@ def test_non_expansiveness_box_l1(x, y):
     py = project_intersection(y[None, :], BOX_L1).x
     assert np.linalg.norm(px - py) <= np.linalg.norm(x - y) + 1e-12
 
+BOX_L2 = ConstraintStack((Box(-0.5, 0.75), L2Ball(1.2)))
+BOX_TV = ConstraintStack((Box(-0.5, 0.75), TVBall(2.0)))
+
+@given(x=finite_vec)
+@settings(max_examples=40, deadline=None)
+def test_idempotence_box_l2(x):
+    once = project_intersection(x[None, :], BOX_L2).x
+    twice = project_intersection(once, BOX_L2).x
+    assert np.max(np.abs(twice - once)) <= 1e-10
+
+@given(x=finite_vec, y=finite_vec)
+@settings(max_examples=40, deadline=None)
+def test_non_expansiveness_box_l2(x, y):
+    px = project_intersection(x[None, :], BOX_L2).x
+    py = project_intersection(y[None, :], BOX_L2).x
+    assert np.linalg.norm(px - py) <= np.linalg.norm(x - y) + 1e-12
+
+@given(x=finite_grid)
+@settings(max_examples=25, deadline=None)
+def test_idempotence_box_tv(x):
+    once = project_intersection(x, BOX_TV).x
+    twice = project_intersection(once, BOX_TV).x
+    assert np.max(np.abs(twice - once)) <= 1e-10
+
+@given(x=finite_grid, y=finite_grid)
+@settings(max_examples=25, deadline=None)
+def test_non_expansiveness_box_tv(x, y):
+    # inexact dual solves get a tolerance-scale allowance
+    px = project_intersection(x, BOX_TV).x
+    py = project_intersection(y, BOX_TV).x
+    assert np.linalg.norm(px - py) <= np.linalg.norm(x - y) + 1e-6
+
 @given(x=finite_grid, y=finite_grid)
 @settings(max_examples=25, deadline=None)
 def test_non_expansiveness_tv(x, y):
     # inexact dual solves get a tolerance-scale allowance
-    px = project_constraint(TVBall(1.0), x)[0]
-    py = project_constraint(TVBall(1.0), y)[0]
+    px = project_one(TVBall(1.0), x)
+    py = project_one(TVBall(1.0), y)
     assert np.linalg.norm(px - py) <= np.linalg.norm(x - y) + 1e-6
 
 @pytest.mark.parametrize("spec", SINGLE_SETS + [TVBall(1.0)],
@@ -331,5 +403,5 @@ def test_projection_lands_inside(spec):
     rng = np.random.default_rng(29)
     for _ in range(10):
         x = 3.0 * rng.standard_normal((3, 3))
-        out = project_constraint(spec, x)[0]
+        out = project_one(spec, x)
         assert constraint_violation(spec, out) <= 1e-8
