@@ -11,12 +11,12 @@ z and w do.
 
 A step never draws randomness itself: experiment selection happens in the
 driver loops, and bank objects are duck-typed (anything with an
-`experiments` sequence of (op, y) pairs works).
+`experiments` sequence of (op, y) pairs works). `breguq.stats` writes and
+reads trace records as CSV rows whose columns are `TraceRecord`'s fields.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,8 +31,6 @@ __all__ = [
     "TraceRecord",
     "bregman_step",
     "run_bregman",
-    "write_trace_csv",
-    "read_trace_csv",
     "initial_state",
 ]
 
@@ -145,37 +143,3 @@ def run_bregman(bank, stack: ConstraintStack, iters: int, seed: int,
             on_state(state)
     return state, trace
 
-
-def write_trace_csv(records, path) -> None:
-    """Trace export: iter, k, t_k, residual_norm, joint_objective, skipped,
-    proj_sweeps, proj_converged, proj_tv_gap (flags written as 0/1, absent
-    values as empty fields)."""
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(["iter", "k", "t_k", "residual_norm", "joint_objective",
-                         "skipped", "proj_sweeps", "proj_converged", "proj_tv_gap"])
-        for r in records:
-            writer.writerow([r.iter, r.k, repr(r.t_k), repr(r.residual_norm),
-                             _optional(r.joint_objective), int(r.skipped),
-                             r.proj_sweeps, int(r.proj_converged),
-                             _optional(r.proj_tv_gap)])
-
-
-def _optional(value) -> str:
-    return "" if value is None else repr(value)
-
-
-def _optional_float(field: str):
-    return None if field == "" else float(field)
-
-
-def read_trace_csv(path) -> list:
-    """Inverse of `write_trace_csv`; floats round-trip exactly through repr."""
-    with open(path, newline="") as f:
-        return [TraceRecord(int(row["iter"]), int(row["k"]), float(row["t_k"]),
-                            float(row["residual_norm"]),
-                            _optional_float(row["joint_objective"]),
-                            bool(int(row["skipped"])), int(row["proj_sweeps"]),
-                            bool(int(row["proj_converged"])),
-                            _optional_float(row["proj_tv_gap"]))
-                for row in csv.DictReader(f)]

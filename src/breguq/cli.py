@@ -21,16 +21,17 @@ import sys
 
 import numpy as np
 
-from .bregman import run_bregman, write_trace_csv
+from .bregman import TraceRecord, run_bregman
 from .config import (apply_seed_override, build_arch, build_noise_spec,
                      build_stack, build_stack_schedule, build_train_config,
                      load_config, parse_probes, write_resolved)
-from .em import train, write_rounds_csv
+from .em import RoundRecord, train
 from .errors import ConfigError, InputFormatError, NumericalAbortError
-from .net import load_weights, net_init, save_weights
-from .stats import (PixelHistogram, model_quality, read_portable_grid,
-                    sample_generator, summarize, write_histograms_csv,
-                    write_portable_grid, write_quality_csv)
+from .net import net_init
+from .stats import (load_weights, model_quality, read_portable_grid,
+                    sample_generator, save_weights, summarize,
+                    write_histograms_csv, write_portable_grid, write_records,
+                    write_table)
 from .testbed import (add_noise_to_snr, gaussian_kernel, load_bank, make_bank,
                       make_ground_truth, save_bank)
 
@@ -76,11 +77,11 @@ def cmd_invert(args, config) -> int:
                                t_max=config.get("bregman", "t_max"))
     write_portable_grid(state.x_primal, os.path.join(out, "x_primal.pgrd"))
     write_portable_grid(state.x_dual, os.path.join(out, "x_dual.pgrd"))
-    write_trace_csv(trace, os.path.join(out, "trace.csv"))
+    write_records(os.path.join(out, "trace.csv"), TraceRecord, trace)
     truth_path = os.path.join(args.bank, "truth_delta.pgrd")
     if os.path.exists(truth_path):
         quality = model_quality(state.x_primal, read_portable_grid(truth_path))
-        write_quality_csv(quality, os.path.join(out, "quality.csv"))
+        write_table(os.path.join(out, "quality.csv"), ["metric", "value"], quality.items())
     write_resolved(config, os.path.join(out, "resolved.cfg"))
     return 0
 
@@ -104,9 +105,9 @@ def cmd_train(args, config) -> int:
                    resume_from=args.resume)
     save_weights(os.path.join(out, "weights_init.dpnw"), arch, result.initial_weights)
     save_weights(os.path.join(out, "weights.dpnw"), arch, result.weights)
-    write_rounds_csv(result.rounds, os.path.join(out, "rounds.csv"))
+    write_records(os.path.join(out, "rounds.csv"), RoundRecord, result.rounds)
     for tid, rows in sorted(result.tuple_traces.items()):
-        write_trace_csv(rows, os.path.join(out, f"trace_tuple_{tid:03d}.csv"))
+        write_records(os.path.join(out, f"trace_tuple_{tid:03d}.csv"), TraceRecord, rows)
     write_resolved(config, os.path.join(out, "resolved.cfg"))
     return 0
 
@@ -167,15 +168,12 @@ def cmd_stats(args, config) -> int:
     write_portable_grid(pri.mean, os.path.join(out, "prior_mean.pgrd"))
     write_portable_grid(pri.std, os.path.join(out, "prior_std.pgrd"))
 
-    def hists(summary):
-        return [PixelHistogram.of(p, summary.probe_values[p], s("bins"))
-                for p in probes]
-
-    write_histograms_csv(hists(post), os.path.join(out, "hist_posterior.csv"))
-    write_histograms_csv(hists(pri), os.path.join(out, "hist_prior.csv"))
+    write_histograms_csv(post.probe_values, s("bins"),
+                         os.path.join(out, "hist_posterior.csv"))
+    write_histograms_csv(pri.probe_values, s("bins"), os.path.join(out, "hist_prior.csv"))
     if args.truth is not None:
         quality = model_quality(post.mean, read_portable_grid(args.truth))
-        write_quality_csv(quality, os.path.join(out, "quality.csv"))
+        write_table(os.path.join(out, "quality.csv"), ["metric", "value"], quality.items())
     write_resolved(config, os.path.join(out, "resolved.cfg"))
     return 0
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .em import TrainConfig
+from .em import TrainConfig, ramp_fraction
 from .errors import ConfigError
 from .net import NetArch, StageSpec
 from .projections import (Box, ConstraintStack, L1Ball, L2Ball, TVBall)
@@ -69,7 +69,7 @@ SCHEMA = {
         "l2_radius_final": Field("float_or_none", None),
         "tv_radius_final": Field("float_or_none", None),
         "dykstra_tol": Field("float", 1e-8),
-        "tv_max_iters": Field("int", 500),
+        "tv_max_iters": Field("int", 2000),
         "tv_tol": Field("float", 1e-6),
     },
     "net": {
@@ -99,7 +99,7 @@ SCHEMA = {
         "tuples": Field("int", 8),
         "rounds": Field("int", 50),
         "bregman_steps_per_round": Field("int", 8),
-        "eta": Field("float", 1e-3),
+        "eta": Field("float", 3e-5),
         "lam_init": Field("float", 0.0),
         "lam_final": Field("float", 1.0),
         "lam_ramp_rounds": Field("int_or_auto", None),
@@ -117,17 +117,8 @@ SCHEMA = {
     },
 }
 
-_SEED_KEYS = [
-    ("testbed", "truth_seed"),
-    ("testbed", "mask_seed"),
-    ("testbed", "noise_seed"),
-    ("net", "init_seed"),
-    ("bregman", "draw_seed"),
-    ("sgld", "noise_seed"),
-    ("em", "z_seed"),
-    ("em", "draw_seed"),
-    ("stats", "sample_seed"),
-]
+_SEED_KEYS = [(section, key) for section, keys in SCHEMA.items()
+              for key in keys if key.endswith("_seed")]
 
 
 class RunConfig:
@@ -270,22 +261,16 @@ def build_stack_schedule(config: RunConfig):
     """Per-round constraint relaxation: any `*_final` key interpolates from
     its initial value over the same ramp window as the trade-off parameter.
     Returns None when no final value is configured."""
-    finals = {}
-    for key in ("box_lo", "box_hi", "l1_radius", "l2_radius", "tv_radius"):
-        val = config.get("constraints", key + "_final")
-        if val is not None:
-            finals[key] = val
+    c = lambda key: config.get("constraints", key)
+    finals = {key.removesuffix("_final"): c(key) for key in SCHEMA["constraints"]
+              if key.endswith("_final") and c(key) is not None}
     if not finals:
         return None
-    rounds = config.get("em", "rounds")
-    ramp = config.get("em", "lam_ramp_rounds")
-    if ramp is None:
-        ramp = rounds // 2
 
     def schedule(round_idx: int) -> ConstraintStack:
-        frac = 1.0 if ramp <= 0 else min(1.0, round_idx / ramp)
-        overrides = {k: config.get("constraints", k) + frac * (v - config.get("constraints", k))
-                     for k, v in finals.items()}
+        frac = ramp_fraction(config.get("em", "rounds"),
+                             config.get("em", "lam_ramp_rounds"), round_idx)
+        overrides = {k: c(k) + frac * (v - c(k)) for k, v in finals.items()}
         return _stack_from_values(config, overrides)
 
     return schedule

@@ -17,26 +17,25 @@ from per-step streams (seed, tuple id, round, step). E-step results are
 therefore independent of tuple scheduling, and a run can resume from a
 checkpoint bit-exactly by fast-forwarding the draw streams; the
 checkpoint carries the round and trace logs so far, so a resumed run
-writes the same files as an uninterrupted one.
+writes the same files as an uninterrupted one. Checkpoint files use the
+formats of `breguq.stats`; a malformed one raises `CheckpointFormatError`.
 """
 
 from __future__ import annotations
 
-import csv
 import json
 import os
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bregman import (T_MAX_DEFAULT, BregmanState, bregman_step, read_trace_csv,
-                      write_trace_csv)
+from .bregman import T_MAX_DEFAULT, BregmanState, TraceRecord, bregman_step
 from .errors import CheckpointFormatError, NumericalAbortError
-from .net import (NetArch, load_weights, net_eval_and_backward, net_forward,
-                  net_init, save_weights)
+from .net import NetArch, net_eval_and_backward, net_forward, net_init
 from .projections import ConstraintStack
 from .sgld import SgldParams, sgld_run
-from .stats import read_portable_grid, write_portable_grid
+from .stats import (load_weights, read_portable_grid, read_records, read_table,
+                    save_weights, write_portable_grid, write_records, write_table)
 
 __all__ = [
     "TrainTuple",
@@ -44,11 +43,11 @@ __all__ = [
     "RoundRecord",
     "TrainResult",
     "init_tuples",
+    "ramp_fraction",
     "lam_schedule",
     "e_step",
     "m_step",
     "train",
-    "write_rounds_csv",
     "save_checkpoint",
     "load_checkpoint",
 ]
@@ -75,7 +74,7 @@ class TrainConfig:
     lam_init: float = 0.0
     lam_final: float = 1.0
     lam_ramp_rounds: int | None = None  # None -> rounds // 2
-    eta: float = 1e-3
+    eta: float = 3e-5
     m_steps_per_round: int = 1
     t_max: float = T_MAX_DEFAULT
     init_seed: int = 23
@@ -97,6 +96,8 @@ class TrainConfig:
 
 @dataclass(frozen=True)
 class RoundRecord:
+    """One line of `rounds.csv`; its fields, in order, are the columns."""
+
     round: int
     lam: float
     mean_data_misfit: float
@@ -112,15 +113,20 @@ class TrainResult:
     tuple_traces: dict
 
 
+def ramp_fraction(rounds: int, ramp_rounds, round_idx: int) -> float:
+    """round / window, capped at 1, for a ramp window of `ramp_rounds`
+    (None: rounds // 2) rounds; an empty window is complete at round 0."""
+    ramp = rounds // 2 if ramp_rounds is None else ramp_rounds
+    return 1.0 if ramp <= 0 else min(1.0, round_idx / ramp)
+
+
 def lam_schedule(config: TrainConfig, round_idx: int) -> float:
     """Linear ramp from lam_init to lam_final over the ramp window, then
     constant at lam_final."""
-    ramp = config.lam_ramp_rounds
-    if ramp is None:
-        ramp = config.rounds // 2
-    if ramp <= 0 or round_idx >= ramp:
+    frac = ramp_fraction(config.rounds, config.lam_ramp_rounds, round_idx)
+    if frac >= 1.0:
         return config.lam_final
-    return config.lam_init + (config.lam_final - config.lam_init) * (round_idx / ramp)
+    return config.lam_init + (config.lam_final - config.lam_init) * frac
 
 
 def init_tuples(bank, n: int, seed: int, latent_dim: int) -> list:
@@ -267,21 +273,7 @@ def train(bank, stack: ConstraintStack, arch: NetArch, config: TrainConfig,
     return TrainResult(w, w0, tuples, round_records, tuple_traces)
 
 
-def write_rounds_csv(records, path) -> None:
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(["round", "lam", "mean_data_misfit", "mean_prior_misfit"])
-        for r in records:
-            writer.writerow([r.round, repr(r.lam), repr(r.mean_data_misfit),
-                             repr(r.mean_prior_misfit)])
-
-
-def _read_rounds_csv(path) -> list:
-    with open(path, newline="") as f:
-        return [RoundRecord(int(row["round"]), float(row["lam"]),
-                            float(row["mean_data_misfit"]),
-                            float(row["mean_prior_misfit"]))
-                for row in csv.DictReader(f)]
+_LATENT_COLUMNS = {"tuple_id": int, "dim": int, "value": float}
 
 
 def save_checkpoint(dirpath, arch: NetArch, w, tuples, round_completed: int,
@@ -299,43 +291,40 @@ def save_checkpoint(dirpath, arch: NetArch, w, tuples, round_completed: int,
     with open(os.path.join(dirpath, "state.json"), "w", newline="") as f:
         json.dump(state, f, indent=2, sort_keys=True)
         f.write("\n")
-    with open(os.path.join(dirpath, "latents.csv"), "w", newline="") as f:
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(["tuple_id", "dim", "value"])
-        for t in tuples:
-            for d, v in enumerate(t.z):
-                writer.writerow([t.id, d, repr(float(v))])
+    write_table(os.path.join(dirpath, "latents.csv"), _LATENT_COLUMNS,
+                [(t.id, d, v) for t in tuples for d, v in enumerate(t.z.tolist())])
     for t in tuples:
         write_portable_grid(t.x_primal, os.path.join(dirpath, f"tuple_{t.id:03d}_x.pgrd"))
         write_portable_grid(t.x_dual, os.path.join(dirpath, f"tuple_{t.id:03d}_xdual.pgrd"))
-        write_trace_csv(traces[t.id], os.path.join(dirpath, f"trace_tuple_{t.id:03d}.csv"))
-    write_rounds_csv(rounds, os.path.join(dirpath, "rounds.csv"))
+        write_records(os.path.join(dirpath, f"trace_tuple_{t.id:03d}.csv"), TraceRecord,
+                      traces[t.id])
+    write_records(os.path.join(dirpath, "rounds.csv"), RoundRecord, rounds)
 
 
 def load_checkpoint(dirpath, arch: NetArch):
     """Returns (weights, tuples, next round index, round records, per-tuple
-    traces). Malformed content in `state.json` or `latents.csv` raises
+    traces). Malformed content in `state.json` or any CSV log raises
     `CheckpointFormatError` naming the file."""
 
-    def parse(name, read):
+    def parse(name, read, *args):
         path = os.path.join(dirpath, name)
-        with open(path, newline="") as f:
-            try:
-                return read(f)
-            except (ValueError, KeyError, TypeError) as exc:
-                raise CheckpointFormatError(
-                    f"{path}: {type(exc).__name__}: {exc}") from exc
+        try:
+            return read(path, *args)
+        except (ValueError, KeyError, TypeError) as exc:
+            raise CheckpointFormatError(
+                f"{path}: {type(exc).__name__}: {exc}") from exc
 
-    def read_state(f):
-        state = json.load(f)
+    def read_state(path):
+        with open(path) as f:
+            state = json.load(f)
         return (state["round_completed"] + 1,
                 [(rec["id"], np.asarray(rec["experiment_ids"], dtype=np.int64),
                   rec["step_count"]) for rec in state["tuples"]])
 
-    def read_latents(f):
+    def read_latents(path):
         latents = {}
-        for row in csv.DictReader(f):
-            latents.setdefault(int(row["tuple_id"]), {})[int(row["dim"])] = float(row["value"])
+        for tid, d, v in read_table(path, _LATENT_COLUMNS):
+            latents.setdefault(tid, {})[d] = v
         return {tid: np.array([latents[tid][d] for d in range(arch.latent_dim)])
                 for tid, _, _ in records}
 
@@ -350,10 +339,6 @@ def load_checkpoint(dirpath, arch: NetArch):
             read_portable_grid(os.path.join(dirpath, f"tuple_{tid:03d}_x.pgrd")),
             read_portable_grid(os.path.join(dirpath, f"tuple_{tid:03d}_xdual.pgrd")),
             latents[tid], step_count))
-        trace_path = os.path.join(dirpath, f"trace_tuple_{tid:03d}.csv")
-        try:
-            traces[tid] = read_trace_csv(trace_path)
-        except KeyError as exc:
-            raise CheckpointFormatError(f"{trace_path} lacks the column {exc}") from exc
-    return (w, tuples, next_round,
-            _read_rounds_csv(os.path.join(dirpath, "rounds.csv")), traces)
+        traces[tid] = parse(f"trace_tuple_{tid:03d}.csv", read_records, TraceRecord)
+    return (w, tuples, next_round, parse("rounds.csv", read_records, RoundRecord),
+            traces)

@@ -37,18 +37,16 @@ describes the per-layer offsets and shapes. Forward and backward are pure
 functions of (arch, weights, z), so shared read-only weights are safe to
 evaluate concurrently. `net_eval_and_backward(..., weights=False)` skips
 every weight gradient, for callers that need only the latent gradient.
+The weight checkpoint format lives in `breguq.stats` with the other formats.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import struct
 from dataclasses import dataclass
 
 import numpy as np
-
-from .errors import CheckpointFormatError
 
 __all__ = [
     "StageSpec",
@@ -57,14 +55,7 @@ __all__ = [
     "net_init",
     "net_forward",
     "net_eval_and_backward",
-    "save_weights",
-    "load_weights",
-    "CHECKPOINT_MAGIC",
 ]
-
-CHECKPOINT_MAGIC = b"DPNW"
-_CHECKPOINT_VERSION = 1
-_HEADER = struct.Struct("<4sIIIII")  # magic, version, latent, stages, rows, cols
 
 
 @dataclass(frozen=True)
@@ -372,46 +363,3 @@ def _backward_from_trace(arch: NetArch, tr, upstream, weights: bool = True):
     grads["dense.W"], grads["dense.b"] = np.outer(g0, tr["z"]), g0
     return grad_z, np.concatenate([grads[p.name].ravel() for p in arch.param_layout()])
 
-
-def save_weights(path, arch: NetArch, w) -> None:
-    """Write a weight checkpoint: 24-byte header + little-endian float64."""
-    w = np.asarray(w, dtype=np.float64).ravel()
-    if w.size != arch.n_params:
-        raise ValueError(f"weight vector length {w.size} != expected {arch.n_params}")
-    rows, cols = arch.out_shape
-    header = _HEADER.pack(CHECKPOINT_MAGIC, _CHECKPOINT_VERSION, arch.latent_dim,
-                          len(arch.stages), rows, cols)
-    with open(path, "wb") as f:
-        f.write(header)
-        f.write(w.astype("<f8").tobytes())
-
-
-def load_weights(path, arch: NetArch) -> np.ndarray:
-    """Read a checkpoint, validating the header against `arch`."""
-    with open(path, "rb") as f:
-        raw = f.read()
-    if len(raw) < _HEADER.size:
-        raise CheckpointFormatError(f"checkpoint truncated at byte {len(raw)}: "
-                                    f"header needs {_HEADER.size} bytes", offset=len(raw))
-    magic, version, latent, n_stages, rows, cols = _HEADER.unpack_from(raw, 0)
-    if magic != CHECKPOINT_MAGIC:
-        raise CheckpointFormatError(f"bad magic {magic!r} at byte 0", offset=0)
-    if version != _CHECKPOINT_VERSION:
-        raise CheckpointFormatError(f"unsupported version {version} at byte 4", offset=4)
-    out_rows, out_cols = arch.out_shape
-    if (latent, n_stages, rows, cols) != (arch.latent_dim, len(arch.stages),
-                                          out_rows, out_cols):
-        raise CheckpointFormatError(
-            f"checkpoint header (latent={latent}, stages={n_stages}, "
-            f"out={rows}x{cols}) does not match the configured architecture",
-            offset=8)
-    expected = _HEADER.size + 8 * arch.n_params
-    if len(raw) != expected:
-        raise CheckpointFormatError(
-            f"checkpoint payload truncated at byte {len(raw)}: expected {expected} bytes",
-            offset=len(raw))
-    w = np.frombuffer(raw, dtype="<f8", offset=_HEADER.size).astype(np.float64)
-    if not np.all(np.isfinite(w)):
-        raise CheckpointFormatError("checkpoint contains non-finite weights",
-                                    offset=_HEADER.size)
-    return w

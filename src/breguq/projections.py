@@ -54,7 +54,7 @@ __all__ = [
 ]
 
 TV_DEFAULT_TOL = 1e-6
-TV_DEFAULT_MAX_ITERS = 500
+TV_DEFAULT_MAX_ITERS = 2000
 
 
 @dataclass(frozen=True)

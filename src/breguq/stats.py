@@ -1,13 +1,12 @@
-"""Posterior sampling from the trained generator and summary statistics.
+"""Posterior sampling from the trained generator, summary statistics, and
+every binary and CSV file format of the package.
 
 Realizations g(z, w) with fresh standard-normal latents are regenerated on
 demand from counter-based streams keyed by (seed, index). `summarize` is
 the one pass over them: it streams the mean and pointwise-standard-
 deviation grids through a Welford accumulator and records the values of
 the probe pixels, so the full sample set never has to sit in memory.
-Pixel histograms of those probe values and model-quality metrics support
-the reporting CLI, and this module also owns the portable grid file
-format used everywhere for 2-D arrays.
+Model-quality metrics and probe-pixel histograms support the reporting CLI.
 """
 
 from __future__ import annotations
@@ -15,30 +14,31 @@ from __future__ import annotations
 import csv
 import math
 import struct
-from dataclasses import dataclass
+from collections import namedtuple
+from dataclasses import dataclass, fields
+from operator import attrgetter
 
 import numpy as np
 
-from .errors import GridFormatError
+from .errors import CheckpointFormatError, GridFormatError
 from .net import NetArch, net_forward
 
 __all__ = [
     "SampleSet",
-    "PixelHistogram",
     "sample_generator",
     "SampleSummary",
     "summarize",
     "model_quality",
     "write_portable_grid",
     "read_portable_grid",
+    "save_weights",
+    "load_weights",
+    "write_table",
+    "read_table",
+    "write_records",
+    "read_records",
     "write_histograms_csv",
-    "write_quality_csv",
-    "GRID_MAGIC",
 ]
-
-GRID_MAGIC = b"PGRD"
-_GRID_VERSION = 1
-_GRID_HEADER = struct.Struct("<4sHIIH")  # magic, version, rows, cols, pad
 
 
 @dataclass(frozen=True)
@@ -102,27 +102,6 @@ def _welford_update(state: _WelfordState | None, x: np.ndarray) -> _WelfordState
 
 
 @dataclass(frozen=True)
-class PixelHistogram:
-    pixel: tuple
-    edges: np.ndarray
-    counts: np.ndarray
-
-    def __post_init__(self):
-        if np.any(np.diff(self.edges) <= 0):
-            raise ValueError("histogram edges must be strictly increasing")
-        if np.any(self.counts < 0):
-            raise ValueError("histogram counts must be non-negative")
-
-    @classmethod
-    def of(cls, pixel, values, bins: int) -> "PixelHistogram":
-        """Equal-width histogram of one pixel's values across realizations
-        (a `SampleSummary.probe_values` entry); bins are right-open except
-        the last, which is closed."""
-        counts, edges = np.histogram(values, bins=bins)
-        return cls((int(pixel[0]), int(pixel[1])), edges, counts)
-
-
-@dataclass(frozen=True)
 class SampleSummary:
     mean: np.ndarray
     std: np.ndarray
@@ -164,6 +143,46 @@ def model_quality(x, truth) -> dict:
     return {"relative_l2": rel, "snr_db": snr}
 
 
+# Little-endian header: magic, version, then rows, cols, pad (grid) or latent
+# size, stages, rows, cols (weights). A float64 payload follows.
+_Binary = namedtuple("_Binary", "noun magic version layout error")
+_GRID = _Binary("grid", b"PGRD", 1, struct.Struct("<4sHIIH"), GridFormatError)
+_WEIGHTS = _Binary("checkpoint", b"DPNW", 1, struct.Struct("<4sIIIII"),
+                   CheckpointFormatError)
+
+
+def _write_f8(path, fmt: _Binary, header_fields, payload) -> None:
+    with open(path, "wb") as f:
+        f.write(fmt.layout.pack(fmt.magic, fmt.version, *header_fields))
+        f.write(np.asarray(payload, dtype="<f8").tobytes())
+
+
+def _read_f8(path, fmt: _Binary, payload_size):
+    """Validate magic, version, payload length and finiteness, raising
+    `fmt.error` with the offset of the first bad byte; returns the header
+    fields after the version and the payload. `payload_size(fields)` checks
+    those fields and returns the number of payload values they imply."""
+    with open(path, "rb") as f:
+        raw = f.read()
+    size = fmt.layout.size
+    if len(raw) < size:
+        raise fmt.error(f"{fmt.noun} truncated at byte {len(raw)}: header needs "
+                        f"{size} bytes", offset=len(raw))
+    magic, version, *header_fields = fmt.layout.unpack_from(raw, 0)
+    if magic != fmt.magic:
+        raise fmt.error(f"bad magic {magic!r} at byte 0", offset=0)
+    if version != fmt.version:
+        raise fmt.error(f"unsupported version {version} at byte 4", offset=4)
+    expected = size + 8 * payload_size(header_fields)
+    if len(raw) != expected:
+        raise fmt.error(f"{fmt.noun} payload truncated at byte {len(raw)}: "
+                        f"expected {expected} bytes", offset=min(len(raw), expected))
+    payload = np.frombuffer(raw, dtype="<f8", offset=size).astype(np.float64)
+    if not np.all(np.isfinite(payload)):
+        raise fmt.error(f"{fmt.noun} payload contains non-finite values", offset=size)
+    return header_fields, payload
+
+
 def write_portable_grid(grid, path) -> None:
     """16-byte header (magic, version, rows, cols, pad) + little-endian
     float64 row-major payload. Only finite grids are writable."""
@@ -172,54 +191,95 @@ def write_portable_grid(grid, path) -> None:
         raise ValueError(f"portable grids are 2-D and non-empty, got shape {grid.shape}")
     if not np.all(np.isfinite(grid)):
         raise ValueError("portable grids must be finite")
-    header = _GRID_HEADER.pack(GRID_MAGIC, _GRID_VERSION, grid.shape[0],
-                               grid.shape[1], 0)
-    with open(path, "wb") as f:
-        f.write(header)
-        f.write(np.ascontiguousarray(grid).astype("<f8").tobytes())
+    _write_f8(path, _GRID, (grid.shape[0], grid.shape[1], 0), grid)
 
 
 def read_portable_grid(path) -> np.ndarray:
-    with open(path, "rb") as f:
-        raw = f.read()
-    if len(raw) < _GRID_HEADER.size:
-        raise GridFormatError(
-            f"grid file truncated at byte {len(raw)}: header needs "
-            f"{_GRID_HEADER.size} bytes", offset=len(raw))
-    magic, version, rows, cols, _pad = _GRID_HEADER.unpack_from(raw, 0)
-    if magic != GRID_MAGIC:
-        raise GridFormatError(f"bad magic {magic!r} at byte 0", offset=0)
-    if version != _GRID_VERSION:
-        raise GridFormatError(f"unsupported version {version} at byte 4", offset=4)
-    if rows < 1 or cols < 1:
-        raise GridFormatError(f"invalid shape {rows}x{cols} at byte 6", offset=6)
-    expected = _GRID_HEADER.size + 8 * rows * cols
-    if len(raw) != expected:
-        raise GridFormatError(
-            f"grid payload truncated at byte {len(raw)}: expected {expected} bytes",
-            offset=min(len(raw), expected))
-    data = np.frombuffer(raw, dtype="<f8", offset=_GRID_HEADER.size)
-    grid = data.astype(np.float64).reshape(rows, cols)
-    if not np.all(np.isfinite(grid)):
-        raise GridFormatError("grid payload contains non-finite values",
-                              offset=_GRID_HEADER.size)
-    return grid
+    def payload_size(header_fields):
+        rows, cols, _pad = header_fields
+        if rows < 1 or cols < 1:
+            raise GridFormatError(f"invalid shape {rows}x{cols} at byte 6", offset=6)
+        return rows * cols
+
+    (rows, cols, _pad), grid = _read_f8(path, _GRID, payload_size)
+    return grid.reshape(rows, cols)
 
 
-def write_histograms_csv(histograms, path) -> None:
-    """Rows: pixel_row, pixel_col, bin_lo, bin_hi, count."""
+def _weights_header(arch: NetArch) -> tuple:
+    rows, cols = arch.out_shape
+    return (arch.latent_dim, len(arch.stages), rows, cols)
+
+
+def save_weights(path, arch: NetArch, w) -> None:
+    """Write a weight checkpoint: 24-byte header (magic, version, latent
+    size, stage count, output rows and cols) + little-endian float64."""
+    w = np.asarray(w, dtype=np.float64).ravel()
+    if w.size != arch.n_params:
+        raise ValueError(f"weight vector length {w.size} != expected {arch.n_params}")
+    _write_f8(path, _WEIGHTS, _weights_header(arch), w)
+
+
+def load_weights(path, arch: NetArch) -> np.ndarray:
+    """Read a checkpoint, validating the header against `arch`."""
+    def payload_size(header_fields):
+        if tuple(header_fields) != _weights_header(arch):
+            raise CheckpointFormatError(
+                f"checkpoint header (latent, stages, rows, cols) {tuple(header_fields)} "
+                f"does not match the configured {_weights_header(arch)}", offset=8)
+        return arch.n_params
+
+    return _read_f8(path, _WEIGHTS, payload_size)[1]
+
+
+# Cell rule: `csv` writes None as an empty cell and a float as its `repr`;
+# flags become 0/1 and numpy floats Python floats first (exact type match).
+_CELL = {bool: int, np.bool_: int, np.float64: float}
+
+# Column parsers, keyed by a record field's annotation as written.
+_PARSE = {"int": int, "float": float, "bool": lambda s: bool(int(s)),
+          "float | None": lambda s: None if s == "" else float(s)}
+
+
+def write_table(path, header, rows) -> None:
+    """One CSV table: the header line, then one line per row."""
     with open(path, "w", newline="") as f:
         writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(["pixel_row", "pixel_col", "bin_lo", "bin_hi", "count"])
-        for h in histograms:
-            for b in range(len(h.counts)):
-                writer.writerow([h.pixel[0], h.pixel[1], repr(float(h.edges[b])),
-                                 repr(float(h.edges[b + 1])), int(h.counts[b])])
+        writer.writerow(header)
+        writer.writerows([v if (fmt := _CELL.get(type(v))) is None else fmt(v) for v in row]
+                         for row in rows)
 
 
-def write_quality_csv(metrics: dict, path) -> None:
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(["metric", "value"])
-        for name, value in metrics.items():
-            writer.writerow([name, repr(float(value))])
+def read_table(path, columns: dict) -> list:
+    """Rows of a CSV table as tuples of the cells of `columns` (name ->
+    parser), in that order. A missing column raises ValueError; a rejected
+    cell raises its parser's error, TypeError for a cell a short row lacks."""
+    with open(path, newline="") as f:
+        reader = csv.DictReader(f)
+        missing = [name for name in columns if name not in (reader.fieldnames or ())]
+        if missing:
+            raise ValueError(f"lacks the column {missing[0]!r}")
+        return [tuple(parse(row[name]) for name, parse in columns.items()) for row in reader]
+
+
+def write_records(path, cls, records) -> None:
+    """A log of `cls` dataclass records, one column per field."""
+    names = [f.name for f in fields(cls)]
+    write_table(path, names, map(attrgetter(*names), records))
+
+
+def read_records(path, cls) -> list:
+    """Inverse of `write_records`; floats round-trip exactly through repr."""
+    columns = {f.name: _PARSE[f.type] for f in fields(cls)}
+    return [cls(*row) for row in read_table(path, columns)]
+
+
+def write_histograms_csv(probe_values: dict, bins: int, path) -> None:
+    """Equal-width histogram of each probe pixel's values (a
+    `SampleSummary.probe_values`); bins are right-open except the last,
+    which is closed. Rows: pixel_row, pixel_col, bin_lo, bin_hi, count."""
+    rows = []
+    for (r, c), values in probe_values.items():
+        counts, edges = np.histogram(values, bins=bins)
+        rows += [(r, c, lo, hi, n) for lo, hi, n in
+                 zip(edges[:-1].tolist(), edges[1:].tolist(), counts.tolist())]
+    write_table(path, ["pixel_row", "pixel_col", "bin_lo", "bin_hi", "count"], rows)

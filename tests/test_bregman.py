@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 
 from breguq.bregman import (BregmanState, bregman_step, initial_state,
-                            read_trace_csv, run_bregman, write_trace_csv,
-                            TraceRecord)
+                            run_bregman, TraceRecord)
 from breguq.errors import NumericalAbortError
 from breguq.linops import IdentityOp, ScaleOp
 from breguq.net import NetArch, net_forward, net_init
 from breguq.projections import (Box, ConstraintStack, L1Ball, TVBall, is_feasible,
                                 total_variation)
+from breguq.stats import read_records, write_records
 from breguq.testbed import ExperimentBank, LinearExperiment
 
 from conftest import (eval_lsq_objective, identity_bank, restriction_bank,
@@ -106,8 +106,8 @@ def test_record_and_trace_carry_tv_gap(tmp_path):
     _, plain = bregman_step(state, exp, WIDE)
     assert plain.proj_tv_gap is None
     path = tmp_path / "trace.csv"
-    write_trace_csv([rec, plain], path)
-    assert read_trace_csv(path) == [rec, plain]
+    write_records(path, TraceRecord, [rec, plain])
+    assert read_records(path, TraceRecord) == [rec, plain]
 
 
 def test_consistent_restriction_bank_converges():
@@ -298,10 +298,10 @@ def test_trace_csv_format(tmp_path):
     records = [TraceRecord(0, 3, 0.5, 1.25, None, False, 1, True),
                TraceRecord(1, 0, 0.0, 0.5, 0.875, True, 200, False, 0.0625)]
     path = tmp_path / "trace.csv"
-    write_trace_csv(records, path)
+    write_records(path, TraceRecord, records)
     lines = path.read_text().splitlines()
     assert lines[0] == ("iter,k,t_k,residual_norm,joint_objective,"
                         "skipped,proj_sweeps,proj_converged,proj_tv_gap")
     assert lines[1] == "0,3,0.5,1.25,,0,1,1,"
     assert lines[2] == "1,0,0.0,0.5,0.875,1,200,0,0.0625"
-    assert read_trace_csv(path) == records
+    assert read_records(path, TraceRecord) == records

@@ -9,10 +9,11 @@ import pytest
 import breguq
 from breguq import checks
 from breguq.cli import main
+from breguq.em import RoundRecord
 from breguq.errors import NumericalAbortError
 from breguq.linops import ScaleOp
-from breguq.net import load_weights, net_init
-from breguq.stats import read_portable_grid
+from breguq.net import net_init
+from breguq.stats import load_weights, read_portable_grid, read_records
 from breguq.testbed import load_bank
 
 from conftest import eval_lsq_objective
@@ -244,7 +245,8 @@ def test_resume_from_checkpoint_without_tv_gap_column_exit_2(gen_dir, tmp_path, 
     assert "lacks the column 'proj_tv_gap'" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("name", ["state.json", "latents.csv"])
+@pytest.mark.parametrize("name", ["state.json", "latents.csv", "rounds.csv",
+                                  "trace_tuple_000.csv"])
 def test_resume_from_malformed_checkpoint_exit_2(gen_dir, tmp_path, capsys, name):
     cfg_path, bank_dir = gen_dir
     out = tmp_path / "tr"
@@ -252,12 +254,25 @@ def test_resume_from_malformed_checkpoint_exit_2(gen_dir, tmp_path, capsys, name
                  "--out", str(out)]) == 0
     path = out / "checkpoint" / name
     text = path.read_text()
-    # invalid JSON, or a latents table cut off partway through
+    # invalid JSON, or a CSV table cut off partway through a row
     path.write_text(text[:len(text) // 2])
     assert main(["train", "--config", cfg_path, "--bank", str(bank_dir),
                  "--out", str(tmp_path / "res"), "--resume",
                  str(out / "checkpoint")]) == 2
     assert str(path) in capsys.readouterr().err
+
+
+def test_default_em_settings_train_the_default_bank(tmp_path):
+    # the shipped [em] defaults on the bank the shipped [testbed] defaults make
+    bank = tmp_path / "bank"
+    assert main(["gen", "--out", str(bank)]) == 0
+    cfg = write_cfg(tmp_path, "[em]\nrounds = 2\n")
+    out = tmp_path / "tr"
+    assert main(["train", "--config", cfg, "--bank", str(bank), "--out", str(out)]) == 0
+    rounds = read_records(out / "rounds.csv", RoundRecord)
+    assert [r.round for r in rounds] == [0, 1]
+    assert all(np.isfinite([r.mean_data_misfit, r.mean_prior_misfit]).all()
+               for r in rounds)
 
 
 def test_train_arch_grid_mismatch_exit_2(gen_dir, tmp_path):

@@ -6,8 +6,9 @@ import pytest
 from breguq.errors import CheckpointFormatError
 from breguq.net import (NetArch, StageSpec, _final_backward, _final_forward,
                         _fold, _plane_table, _stack_table, _stage_backward,
-                        _stage_forward, load_weights, net_eval_and_backward,
-                        net_forward, net_init, save_weights)
+                        _stage_forward, net_eval_and_backward, net_forward,
+                        net_init)
+from breguq.stats import load_weights, save_weights
 
 SMALL = NetArch(latent_dim=8, base_rows=2, base_cols=2, base_channels=4,
                 stages=(StageSpec(4),))
@@ -203,6 +204,13 @@ def test_checkpoint_header_errors(tmp_path):
 
     with pytest.raises(CheckpointFormatError):
         load_weights(path, DEFAULT16)  # architecture mismatch caught by header
+
+    # an over-long file fails at its first surplus byte, as a grid file does
+    long = tmp_path / "long.dpnw"
+    long.write_bytes(raw + bytes(16))
+    with pytest.raises(CheckpointFormatError) as exc:
+        load_weights(long, SMALL)
+    assert exc.value.offset == len(raw)
 
 
 def test_forward_rejects_bad_latent_and_upstream():

@@ -6,8 +6,9 @@ from hypothesis.extra import numpy as hnp
 
 from breguq.errors import GridFormatError
 from breguq.net import net_init
-from breguq.stats import (PixelHistogram, model_quality, read_portable_grid,
-                          sample_generator, summarize, write_portable_grid)
+from breguq.stats import (model_quality, read_portable_grid, read_table,
+                          sample_generator, summarize, write_histograms_csv,
+                          write_portable_grid)
 
 from conftest import small_arch
 
@@ -119,30 +120,41 @@ def test_summarize_matches_componentwise(rng):
 
 # --- histograms ---
 
-def probe_histogram(samples, pixel, bins):
-    """What `breguq stats` does per probe: summarize, then bin the trace."""
-    values = summarize(samples, [pixel]).probe_values[tuple(pixel)]
-    return PixelHistogram.of(pixel, values, bins)
+HIST_COLUMNS = {"pixel_row": int, "pixel_col": int, "bin_lo": float,
+                "bin_hi": float, "count": int}
 
 
-def test_histogram_constant_pixel_single_bin():
-    h = probe_histogram(ListSamples([np.full((2, 2), 0.3)] * 5), (0, 1), bins=4)
-    assert h.pixel == (0, 1)
-    assert h.counts.sum() == 5
-    assert np.count_nonzero(h.counts) == 1
+def probe_histogram(tmp_path, samples, pixel, bins):
+    """What `breguq stats` does: summarize, write the histogram CSV; read
+    back as (pixels, edges, counts)."""
+    path = tmp_path / "hist.csv"
+    write_histograms_csv(summarize(samples, [pixel]).probe_values, bins, path)
+    rows = read_table(path, HIST_COLUMNS)
+    assert len(rows) == bins
+    pixels, lo, hi, counts = zip(*[((r, c), lo, hi, n) for r, c, lo, hi, n in rows])
+    np.testing.assert_array_equal(lo[1:], hi[:-1])
+    return set(pixels), np.array(lo + hi[-1:]), np.array(counts)
 
 
-def test_histogram_conservation(rng):
+def test_histogram_constant_pixel_single_bin(tmp_path):
+    pixels, _, counts = probe_histogram(
+        tmp_path, ListSamples([np.full((2, 2), 0.3)] * 5), (0, 1), bins=4)
+    assert pixels == {(0, 1)}
+    assert counts.sum() == 5
+    assert np.count_nonzero(counts) == 1
+
+
+def test_histogram_conservation(tmp_path, rng):
     samples = ListSamples([rng.standard_normal((3, 3)) for _ in range(17)])
     for bins in (1, 2, 7):
-        assert probe_histogram(samples, (1, 2), bins).counts.sum() == 17
+        assert probe_histogram(tmp_path, samples, (1, 2), bins)[2].sum() == 17
 
 
-def test_histogram_edge_convention():
+def test_histogram_edge_convention(tmp_path):
     samples = ListSamples([np.full((1, 1), v) for v in [0.0, 1.0, 2.0, 3.0]])
-    h = probe_histogram(samples, (0, 0), bins=2)
-    np.testing.assert_array_equal(h.counts, [2, 2])
-    np.testing.assert_allclose(h.edges, [0.0, 1.5, 3.0])
+    _, edges, counts = probe_histogram(tmp_path, samples, (0, 0), bins=2)
+    np.testing.assert_array_equal(counts, [2, 2])
+    np.testing.assert_allclose(edges, [0.0, 1.5, 3.0])
 
 
 def test_histogram_rejects_bad_pixel_and_bins(rng):
