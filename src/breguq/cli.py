@@ -2,8 +2,9 @@
 
 Subcommands: gen | invert | train | sample | stats | check. Every command
 is a pure function of its config and input files: reruns with identical
-seeds produce byte-identical outputs, and each output directory receives
-the fully resolved config that produced it.
+seeds produce byte-identical outputs. `main` owns the run directory: it
+creates `--out` before the command runs and writes the fully resolved
+config that produced it, `resolved.cfg`, after the command succeeds.
 
 Exit codes: 0 success, 1 property-check failure, 2 usage/config error or
 malformed input file, 3 numerical abort. A numerical abort also writes
@@ -22,8 +23,8 @@ import sys
 import numpy as np
 
 from .bregman import TraceRecord, run_bregman
-from .config import (apply_seed_override, build_arch, build_noise_spec,
-                     build_stack, build_stack_schedule, build_train_config,
+from .config import (apply_seed_override, build_arch, build_stack,
+                     build_stack_schedule, build_train_config, in_section,
                      load_config, parse_probes, write_resolved)
 from .em import RoundRecord, train
 from .errors import ConfigError, InputFormatError, NumericalAbortError
@@ -32,29 +33,22 @@ from .stats import (load_weights, model_quality, read_portable_grid,
                     sample_generator, save_weights, summarize,
                     write_histograms_csv, write_portable_grid, write_records,
                     write_table)
-from .testbed import (add_noise_to_snr, gaussian_kernel, load_bank, make_bank,
-                      make_ground_truth, save_bank)
+from .testbed import (NoiseSpec, add_noise_to_snr, gaussian_kernel, load_bank,
+                      make_bank, make_ground_truth, save_bank)
 
 __all__ = ["main", "entry"]
 
 
-def _outdir(path):
-    os.makedirs(path, exist_ok=True)
-    return path
-
-
 def cmd_gen(args, config) -> int:
-    out = _outdir(args.out)
+    out = args.out
     t = lambda key: config.get("testbed", key)
-    try:
+    with in_section("testbed"):
         truth = make_ground_truth((t("rows"), t("cols")), t("truth_seed"))
         kernel = gaussian_kernel(t("kernel_size"), t("kernel_sigma"))
         clean = make_bank(truth, t("experiments"), kernel, t("sampling_fraction"),
                           t("mask_seed"))
-        noisy, report = add_noise_to_snr(clean, truth, build_noise_spec(config),
-                                         t("noise_seed"))
-    except ValueError as exc:
-        raise ConfigError(f"[testbed] {exc}") from exc
+        spec = NoiseSpec(t("target_snr_db"), t("gamma"), t("coherent_fraction"))
+        noisy, report = add_noise_to_snr(clean, truth, spec, t("noise_seed"))
     save_bank(out, noisy, manifest_extra={
         "seeds": {"truth": t("truth_seed"), "mask": t("mask_seed"),
                   "noise": t("noise_seed")},
@@ -63,13 +57,12 @@ def cmd_gen(args, config) -> int:
     })
     write_portable_grid(truth.delta_m, os.path.join(out, "truth_delta.pgrd"))
     write_portable_grid(truth.m_background, os.path.join(out, "truth_background.pgrd"))
-    write_resolved(config, os.path.join(out, "resolved.cfg"))
     print(f"measured snr_db: {report['measured_snr_db']}")
     return 0
 
 
 def cmd_invert(args, config) -> int:
-    out = _outdir(args.out)
+    out = args.out
     bank, _ = load_bank(args.bank)
     stack = build_stack(config)
     state, trace = run_bregman(bank, stack, config.get("bregman", "iterations"),
@@ -82,12 +75,11 @@ def cmd_invert(args, config) -> int:
     if os.path.exists(truth_path):
         quality = model_quality(state.x_primal, read_portable_grid(truth_path))
         write_table(os.path.join(out, "quality.csv"), ["metric", "value"], quality.items())
-    write_resolved(config, os.path.join(out, "resolved.cfg"))
     return 0
 
 
 def cmd_train(args, config) -> int:
-    out = _outdir(args.out)
+    out = args.out
     bank, _ = load_bank(args.bank)
     arch = build_arch(config)
     if arch.out_shape != tuple(bank.shape):
@@ -108,7 +100,6 @@ def cmd_train(args, config) -> int:
     write_records(os.path.join(out, "rounds.csv"), RoundRecord, result.rounds)
     for tid, rows in sorted(result.tuple_traces.items()):
         write_records(os.path.join(out, f"trace_tuple_{tid:03d}.csv"), TraceRecord, rows)
-    write_resolved(config, os.path.join(out, "resolved.cfg"))
     return 0
 
 
@@ -119,7 +110,6 @@ def _checkpoint_weights(path, arch):
 
 
 def cmd_sample(args, config) -> int:
-    out = _outdir(args.out)
     arch = build_arch(config)
     w = _checkpoint_weights(args.checkpoint, arch)
     count = args.count if args.count is not None else config.get("stats", "sample_count")
@@ -128,13 +118,12 @@ def cmd_sample(args, config) -> int:
     samples = sample_generator(arch, w, count, config.get("stats", "sample_seed"))
     for j in range(count):
         write_portable_grid(samples.realization(j),
-                            os.path.join(out, f"sample_{j:04d}.pgrd"))
-    write_resolved(config, os.path.join(out, "resolved.cfg"))
+                            os.path.join(args.out, f"sample_{j:04d}.pgrd"))
     return 0
 
 
 def cmd_stats(args, config) -> int:
-    out = _outdir(args.out)
+    out = args.out
     arch = build_arch(config)
     s = lambda key: config.get("stats", key)
     count = s("samples")
@@ -174,7 +163,6 @@ def cmd_stats(args, config) -> int:
     if args.truth is not None:
         quality = model_quality(post.mean, read_portable_grid(args.truth))
         write_table(os.path.join(out, "quality.csv"), ["metric", "value"], quality.items())
-    write_resolved(config, os.path.join(out, "resolved.cfg"))
     return 0
 
 
@@ -261,7 +249,7 @@ def _jsonable(value):
 
 def _write_abort(out, exc: NumericalAbortError) -> None:
     report = {"message": str(exc), "diagnostics": _jsonable(exc.diagnostics)}
-    with open(os.path.join(_outdir(out), "abort.json"), "w") as f:
+    with open(os.path.join(out, "abort.json"), "w") as f:
         json.dump(report, f, allow_nan=False, sort_keys=True)
         f.write("\n")
 
@@ -272,11 +260,17 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
+    out = getattr(args, "out", None)
     try:
         config = load_config(args.config)
         if args.seed is not None:
             config = apply_seed_override(config, args.seed)
-        return args.func(args, config)
+        if out is not None:
+            os.makedirs(out, exist_ok=True)
+        code = args.func(args, config)
+        if out is not None:
+            write_resolved(config, os.path.join(out, "resolved.cfg"))
+        return code
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -288,8 +282,8 @@ def main(argv=None) -> int:
         return 2
     except NumericalAbortError as exc:
         print(f"numerical abort: {exc}", file=sys.stderr)
-        if getattr(args, "out", None) is not None:
-            _write_abort(args.out, exc)
+        if out is not None:
+            _write_abort(out, exc)
         return 3
 
 

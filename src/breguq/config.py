@@ -1,14 +1,18 @@
 """Section-structured run configuration.
 
 Plain INI text with a fixed schema: unknown sections or keys are rejected
-with the offending name, every value is typed, and a fully resolved copy
-(every key explicit, defaults filled in) is written next to each run's
-outputs so any result can be regenerated from its directory alone.
+with the offending name. A schema `Field` is a Python type plus a default,
+read from the library type that declares it where one does; seeds,
+`[bregman] t_max` and `iterations` are bounded at load. The builders name
+the section of a rejected value through one boundary, `in_section`. The
+command line writes the fully resolved config (every key explicit) next to
+each run's outputs, so any result can be regenerated from its directory.
 """
 
 from __future__ import annotations
 
 import configparser
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,10 +30,10 @@ __all__ = [
     "load_config",
     "write_resolved",
     "apply_seed_override",
+    "in_section",
     "build_arch",
     "build_stack",
     "build_stack_schedule",
-    "build_noise_spec",
     "build_train_config",
     "parse_probes",
 ]
@@ -37,88 +41,114 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Field:
-    kind: str  # int | float | str | float_or_auto | float_or_none | int_or_auto | choice:a|b
+    """A key's type and default; `none` is the word that spells None."""
+
+    type: type
     default: object
+    none: str | None = None
+    choices: tuple = ()
+
+    def parse(self, section: str, key: str, raw: str):
+        raw = raw.strip()
+        if self.none is not None and raw.lower() == self.none:
+            return None
+        try:
+            value = self.type(raw)
+            if self.choices and value not in self.choices:
+                raise ValueError(f"must be one of {list(self.choices)}")
+        except ValueError as exc:
+            raise ConfigError(f"[{section}] {key}: {exc}", key=f"{section}.{key}") from exc
+        return value
+
+    def format(self, value) -> str:
+        if value is None:
+            return self.none
+        return repr(float(value)) if self.type is float else str(value)
 
 
 SCHEMA = {
     "testbed": {
-        "rows": Field("int", 64),
-        "cols": Field("int", 64),
-        "experiments": Field("int", 64),
-        "sampling_fraction": Field("float", 0.25),
-        "kernel_size": Field("int", 5),
-        "kernel_sigma": Field("float", 1.0),
-        "target_snr_db": Field("float", -11.37),
-        "gamma": Field("float_or_auto", None),
-        "coherent_fraction": Field("float", 0.3),
-        "truth_seed": Field("int", 11),
-        "mask_seed": Field("int", 13),
-        "noise_seed": Field("int", 17),
+        "rows": Field(int, 64),
+        "cols": Field(int, 64),
+        "experiments": Field(int, 64),
+        "sampling_fraction": Field(float, 0.25),
+        "kernel_size": Field(int, 5),
+        "kernel_sigma": Field(float, 1.0),
+        "target_snr_db": Field(float, -11.37),
+        "gamma": Field(float, NoiseSpec.gamma, none="auto"),
+        "coherent_fraction": Field(float, NoiseSpec.coherent_fraction),
+        "truth_seed": Field(int, 11),
+        "mask_seed": Field(int, 13),
+        "noise_seed": Field(int, 17),
     },
     "constraints": {
-        "sets": Field("str", "box,l1"),
-        "box_lo": Field("float", -1.0),
-        "box_hi": Field("float", 1.0),
-        "l1_radius": Field("float", 2100.0),
-        "l2_radius": Field("float", 40.0),
-        "tv_radius": Field("float", 400.0),
-        "box_lo_final": Field("float_or_none", None),
-        "box_hi_final": Field("float_or_none", None),
-        "l1_radius_final": Field("float_or_none", None),
-        "l2_radius_final": Field("float_or_none", None),
-        "tv_radius_final": Field("float_or_none", None),
-        "dykstra_tol": Field("float", 1e-8),
-        "tv_max_iters": Field("int", 2000),
-        "tv_tol": Field("float", 1e-6),
+        "sets": Field(str, "box,l1"),
+        "box_lo": Field(float, -1.0),
+        "box_hi": Field(float, 1.0),
+        "l1_radius": Field(float, 2100.0),
+        "l2_radius": Field(float, 40.0),
+        "tv_radius": Field(float, 400.0),
+        "box_lo_final": Field(float, None, none="none"),
+        "box_hi_final": Field(float, None, none="none"),
+        "l1_radius_final": Field(float, None, none="none"),
+        "l2_radius_final": Field(float, None, none="none"),
+        "tv_radius_final": Field(float, None, none="none"),
+        "dykstra_tol": Field(float, ConstraintStack.dykstra_tol),
+        "tv_max_iters": Field(int, ConstraintStack.tv_max_iters),
+        "tv_tol": Field(float, ConstraintStack.tv_tol),
     },
     "net": {
-        "latent_dim": Field("int", 64),
-        "base_rows": Field("int", 4),
-        "base_cols": Field("int", 4),
-        "base_channels": Field("int", 8),
-        "stages": Field("int", 4),
-        "stage_channels": Field("int", 8),
-        "kernel_size": Field("int", 3),
-        "leaky_slope": Field("float", 0.2),
-        "init_scale": Field("float", 1.0),
-        "init_seed": Field("int", 23),
+        "latent_dim": Field(int, 64),
+        "base_rows": Field(int, 4),
+        "base_cols": Field(int, 4),
+        "base_channels": Field(int, 8),
+        "stages": Field(int, 4),
+        "stage_channels": Field(int, 8),
+        "kernel_size": Field(int, StageSpec.kernel_size),
+        "leaky_slope": Field(float, NetArch.leaky_slope),
+        "init_scale": Field(float, TrainConfig.init_scale),
+        "init_seed": Field(int, TrainConfig.init_seed),
     },
     "bregman": {
-        "iterations": Field("int", 350),
-        "t_max": Field("float", 10.0),
-        "draw_seed": Field("int", 29),
+        "iterations": Field(int, 350),
+        "t_max": Field(float, TrainConfig.t_max),
+        "draw_seed": Field(int, 29),
     },
     "sgld": {
-        "epsilon": Field("float", 0.01),
-        "steps": Field("int", 20),
-        "z_prior_weight": Field("choice:1.0|0.5", "1.0"),
-        "noise_seed": Field("int", 31),
+        "epsilon": Field(float, SgldParams.epsilon),
+        "steps": Field(int, SgldParams.steps),
+        "z_prior_weight": Field(float, SgldParams.z_prior_weight),
+        "noise_seed": Field(int, TrainConfig.noise_seed),
     },
     "em": {
-        "tuples": Field("int", 8),
-        "rounds": Field("int", 50),
-        "bregman_steps_per_round": Field("int", 8),
-        "eta": Field("float", 3e-5),
-        "lam_init": Field("float", 0.0),
-        "lam_final": Field("float", 1.0),
-        "lam_ramp_rounds": Field("int_or_auto", None),
-        "m_steps_per_round": Field("int", 1),
-        "z_seed": Field("int", 37),
-        "draw_seed": Field("int", 41),
+        "tuples": Field(int, TrainConfig.n_tuples),
+        "rounds": Field(int, TrainConfig.rounds),
+        "bregman_steps_per_round": Field(int, TrainConfig.bregman_steps_per_round),
+        "eta": Field(float, TrainConfig.eta),
+        "lam_init": Field(float, TrainConfig.lam_init),
+        "lam_final": Field(float, TrainConfig.lam_final),
+        "lam_ramp_rounds": Field(int, TrainConfig.lam_ramp_rounds, none="auto"),
+        "m_steps_per_round": Field(int, TrainConfig.m_steps_per_round),
+        "z_seed": Field(int, TrainConfig.z_seed),
+        "draw_seed": Field(int, TrainConfig.draw_seed),
     },
     "stats": {
-        "samples": Field("int", 3200),
-        "sample_seed": Field("int", 43),
-        "bins": Field("int", 50),
-        "probes": Field("str", "auto"),
-        "std_mode": Field("choice:population|sample", "population"),
-        "sample_count": Field("int", 4),
+        "samples": Field(int, 3200),
+        "sample_seed": Field(int, 43),
+        "bins": Field(int, 50),
+        "probes": Field(str, "auto"),
+        "std_mode": Field(str, "population", choices=("population", "sample")),
+        "sample_count": Field(int, 4),
     },
 }
 
 _SEED_KEYS = [(section, key) for section, keys in SCHEMA.items()
               for key in keys if key.endswith("_seed")]
+
+# checked at load: numpy seeds reject negative entropy, and a steplength
+# cap t_max <= 0 never descends
+_BOUNDS = {**dict.fromkeys(_SEED_KEYS + [("bregman", "iterations")], "non-negative"),
+           ("bregman", "t_max"): "positive"}
 
 
 class RunConfig:
@@ -134,39 +164,6 @@ class RunConfig:
         values = {s: dict(kv) for s, kv in self._values.items()}
         values[section][key] = value
         return RunConfig(values)
-
-
-def _parse_value(section: str, key: str, kind: str, raw: str):
-    raw = raw.strip()
-    try:
-        if kind == "int":
-            return int(raw)
-        if kind == "float":
-            return float(raw)
-        if kind == "str":
-            return raw
-        if kind == "float_or_auto":
-            return None if raw.lower() == "auto" else float(raw)
-        if kind == "int_or_auto":
-            return None if raw.lower() == "auto" else int(raw)
-        if kind == "float_or_none":
-            return None if raw.lower() == "none" else float(raw)
-        if kind.startswith("choice:"):
-            allowed = kind.split(":", 1)[1].split("|")
-            if raw not in allowed:
-                raise ValueError(f"must be one of {allowed}")
-            return raw
-    except ValueError as exc:
-        raise ConfigError(f"[{section}] {key}: {exc}", key=f"{section}.{key}") from exc
-    raise ConfigError(f"[{section}] {key}: unhandled kind {kind}", key=f"{section}.{key}")
-
-
-def _format_value(kind: str, value) -> str:
-    if value is None:
-        return "auto" if kind in ("float_or_auto", "int_or_auto") else "none"
-    if kind == "float" or kind == "float_or_none" or kind == "float_or_auto":
-        return repr(float(value))
-    return str(value)
 
 
 def load_config(path=None) -> RunConfig:
@@ -188,8 +185,12 @@ def load_config(path=None) -> RunConfig:
                 if key not in SCHEMA[section]:
                     raise ConfigError(f"unknown key {key!r} in section [{section}]",
                                       key=f"{section}.{key}")
-                values[section][key] = _parse_value(section, key,
-                                                    SCHEMA[section][key].kind, raw)
+                values[section][key] = SCHEMA[section][key].parse(section, key, raw)
+    for (section, key), bound in _BOUNDS.items():
+        value = values[section][key]
+        if value < 0 or bound == "positive" and not value > 0:
+            raise ConfigError(f"[{section}] {key}: must be {bound}, got {value}",
+                              key=f"{section}.{key}")
     return RunConfig(values)
 
 
@@ -199,7 +200,7 @@ def write_resolved(config: RunConfig, path) -> None:
     for section, keys in SCHEMA.items():
         lines.append(f"[{section}]")
         for key, fld in keys.items():
-            lines.append(f"{key} = {_format_value(fld.kind, config.get(section, key))}")
+            lines.append(f"{key} = {fld.format(config.get(section, key))}")
         lines.append("")
     with open(path, "w", newline="") as f:
         f.write("\n".join(lines))
@@ -207,54 +208,58 @@ def write_resolved(config: RunConfig, path) -> None:
 
 def apply_seed_override(config: RunConfig, master: int) -> RunConfig:
     """Derive every seed key from one master seed (index-offset rule)."""
+    if master < 0:
+        raise ConfigError(f"--seed: must be non-negative, got {master}")
     for i, (section, key) in enumerate(_SEED_KEYS):
         config = config.replace(section, key, int(master) * 100 + i)
     return config
 
 
+@contextmanager
+def in_section(name: str):
+    """The builders' one error boundary: a `ValueError` raised inside it
+    becomes `ConfigError("[name] ...")`; a `ConfigError` passes unchanged."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(f"[{name}] {exc}") from exc
+
+
 def build_arch(config: RunConfig) -> NetArch:
     n = lambda key: config.get("net", key)
-    stages = tuple(StageSpec(channels=n("stage_channels"),
-                             kernel_size=n("kernel_size"))
-                   for _ in range(n("stages")))
-    try:
+    with in_section("net"):
+        if not n("init_scale") > 0:  # net_init's rule, checked before any output
+            raise ValueError(f"init scale must be positive, got {n('init_scale')}")
+        stage = StageSpec(channels=n("stage_channels"), kernel_size=n("kernel_size"))
         return NetArch(latent_dim=n("latent_dim"), base_rows=n("base_rows"),
                        base_cols=n("base_cols"), base_channels=n("base_channels"),
-                       stages=stages, final_kernel_size=n("kernel_size"),
+                       stages=(stage,) * n("stages"), final_kernel_size=n("kernel_size"),
                        leaky_slope=n("leaky_slope"))
-    except ValueError as exc:
-        raise ConfigError(f"[net] {exc}") from exc
 
 
-def _stack_from_values(config: RunConfig, overrides: dict) -> ConstraintStack:
-    c = lambda key: overrides.get(key, config.get("constraints", key))
-    sets = []
-    for name in [s.strip() for s in config.get("constraints", "sets").split(",") if s.strip()]:
-        if name == "box":
-            sets.append(Box(c("box_lo"), c("box_hi")))
-        elif name == "l1":
-            sets.append(L1Ball(c("l1_radius")))
-        elif name == "l2":
-            sets.append(L2Ball(c("l2_radius")))
-        elif name == "tv":
-            sets.append(TVBall(c("tv_radius")))
-        else:
-            raise ConfigError(f"unknown constraint set {name!r} in [constraints] sets",
+_SETS = {"box": lambda c: Box(c("box_lo"), c("box_hi")),
+         "l1": lambda c: L1Ball(c("l1_radius")),
+         "l2": lambda c: L2Ball(c("l2_radius")),
+         "tv": lambda c: TVBall(c("tv_radius"))}
+
+
+def build_stack(config: RunConfig, overrides: dict | None = None) -> ConstraintStack:
+    """`overrides` replaces some `[constraints]` values (a schedule's round)."""
+    c = lambda key: (overrides or {}).get(key, config.get("constraints", key))
+    with in_section("constraints"):
+        sets = []
+        for name in [s.strip() for s in c("sets").split(",") if s.strip()]:
+            if name not in _SETS:
+                raise ConfigError(f"unknown constraint set {name!r} in [constraints] sets",
+                                  key="constraints.sets")
+            sets.append(_SETS[name](c))
+        if not sets:
+            raise ConfigError("[constraints] sets must name at least one set",
                               key="constraints.sets")
-    if not sets:
-        raise ConfigError("[constraints] sets must name at least one set",
-                          key="constraints.sets")
-    try:
-        return ConstraintStack(tuple(sets),
-                               dykstra_tol=config.get("constraints", "dykstra_tol"),
-                               tv_max_iters=config.get("constraints", "tv_max_iters"),
-                               tv_tol=config.get("constraints", "tv_tol"))
-    except ValueError as exc:
-        raise ConfigError(f"[constraints] {exc}") from exc
-
-
-def build_stack(config: RunConfig) -> ConstraintStack:
-    return _stack_from_values(config, {})
+        return ConstraintStack(tuple(sets), dykstra_tol=c("dykstra_tol"),
+                               tv_max_iters=c("tv_max_iters"), tv_tol=c("tv_tol"))
 
 
 def build_stack_schedule(config: RunConfig):
@@ -270,30 +275,18 @@ def build_stack_schedule(config: RunConfig):
     def schedule(round_idx: int) -> ConstraintStack:
         frac = ramp_fraction(config.get("em", "rounds"),
                              config.get("em", "lam_ramp_rounds"), round_idx)
-        overrides = {k: c(k) + frac * (v - c(k)) for k, v in finals.items()}
-        return _stack_from_values(config, overrides)
+        return build_stack(config, {k: c(k) + frac * (v - c(k)) for k, v in finals.items()})
 
     return schedule
 
 
-def build_noise_spec(config: RunConfig) -> NoiseSpec:
-    try:
-        return NoiseSpec(target_snr_db=config.get("testbed", "target_snr_db"),
-                         gamma=config.get("testbed", "gamma"),
-                         coherent_fraction=config.get("testbed", "coherent_fraction"))
-    except ValueError as exc:
-        raise ConfigError(f"[testbed] {exc}") from exc
-
-
 def build_train_config(config: RunConfig) -> TrainConfig:
-    try:
+    with in_section("sgld"):
         sgld = SgldParams(epsilon=config.get("sgld", "epsilon"),
                           steps=config.get("sgld", "steps"),
-                          z_prior_weight=float(config.get("sgld", "z_prior_weight")))
-    except ValueError as exc:
-        raise ConfigError(f"[sgld] {exc}") from exc
+                          z_prior_weight=config.get("sgld", "z_prior_weight"))
     e = lambda key: config.get("em", key)
-    try:
+    with in_section("em"):
         return TrainConfig(
             n_tuples=e("tuples"), rounds=e("rounds"),
             bregman_steps_per_round=e("bregman_steps_per_round"), sgld=sgld,
@@ -305,8 +298,6 @@ def build_train_config(config: RunConfig) -> TrainConfig:
             init_scale=config.get("net", "init_scale"),
             z_seed=e("z_seed"), draw_seed=e("draw_seed"),
             noise_seed=config.get("sgld", "noise_seed"))
-    except ValueError as exc:
-        raise ConfigError(f"[em] {exc}") from exc
 
 
 def parse_probes(raw: str, std_grid: np.ndarray):

@@ -303,7 +303,8 @@ def save_checkpoint(dirpath, arch: NetArch, w, tuples, round_completed: int,
 
 def load_checkpoint(dirpath, arch: NetArch):
     """Returns (weights, tuples, next round index, round records, per-tuple
-    traces). Malformed content in `state.json` or any CSV log raises
+    traces). Malformed content in `state.json` or any CSV log, or a log
+    whose row count disagrees with `state.json`, raises
     `CheckpointFormatError` naming the file."""
 
     def parse(name, read, *args):
@@ -320,6 +321,12 @@ def load_checkpoint(dirpath, arch: NetArch):
         return (state["round_completed"] + 1,
                 [(rec["id"], np.asarray(rec["experiment_ids"], dtype=np.int64),
                   rec["step_count"]) for rec in state["tuples"]])
+
+    def read_log(path, cls, rows):  # one trace row per step, one round row per round
+        logged = read_records(path, cls)
+        if len(logged) != rows:
+            raise ValueError(f"holds {len(logged)} rows where state.json implies {rows}")
+        return logged
 
     def read_latents(path):
         latents = {}
@@ -339,6 +346,7 @@ def load_checkpoint(dirpath, arch: NetArch):
             read_portable_grid(os.path.join(dirpath, f"tuple_{tid:03d}_x.pgrd")),
             read_portable_grid(os.path.join(dirpath, f"tuple_{tid:03d}_xdual.pgrd")),
             latents[tid], step_count))
-        traces[tid] = parse(f"trace_tuple_{tid:03d}.csv", read_records, TraceRecord)
-    return (w, tuples, next_round, parse("rounds.csv", read_records, RoundRecord),
+        traces[tid] = parse(f"trace_tuple_{tid:03d}.csv", read_log, TraceRecord,
+                            step_count)
+    return (w, tuples, next_round, parse("rounds.csv", read_log, RoundRecord, next_round),
             traces)

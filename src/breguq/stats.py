@@ -241,7 +241,7 @@ _PARSE = {"int": int, "float": float, "bool": lambda s: bool(int(s)),
 
 
 def write_table(path, header, rows) -> None:
-    """One CSV table: the header line, then one line per row."""
+    """One CSV table: the header line, then one line per row, each ended by a newline."""
     with open(path, "w", newline="") as f:
         writer = csv.writer(f, lineterminator="\n")
         writer.writerow(header)
@@ -251,14 +251,18 @@ def write_table(path, header, rows) -> None:
 
 def read_table(path, columns: dict) -> list:
     """Rows of a CSV table as tuples of the cells of `columns` (name ->
-    parser), in that order. A missing column raises ValueError; a rejected
-    cell raises its parser's error, TypeError for a cell a short row lacks."""
+    parser), in that order. A missing column or a file cut short (no final
+    newline) raises ValueError; a rejected cell raises its parser's error,
+    TypeError for a cell a short row lacks."""
     with open(path, newline="") as f:
-        reader = csv.DictReader(f)
-        missing = [name for name in columns if name not in (reader.fieldnames or ())]
-        if missing:
-            raise ValueError(f"lacks the column {missing[0]!r}")
-        return [tuple(parse(row[name]) for name, parse in columns.items()) for row in reader]
+        text = f.read()
+    if not text.endswith("\n"):
+        raise ValueError("ends without a newline: the file was cut short")
+    reader = csv.DictReader(text.splitlines())
+    missing = [name for name in columns if name not in (reader.fieldnames or ())]
+    if missing:
+        raise ValueError(f"lacks the column {missing[0]!r}")
+    return [tuple(parse(row[name]) for name, parse in columns.items()) for row in reader]
 
 
 def write_records(path, cls, records) -> None:

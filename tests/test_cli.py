@@ -120,6 +120,49 @@ def test_gen_bad_config_exit_2(tmp_path, capsys):
     assert main(["gen", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
 
 
+def test_gen_rejected_noise_spec_names_its_section_once(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, SMALL_TESTBED.replace("target_snr_db = -5.0",
+                                                    "target_snr_db = -5.0\ngamma = -1"))
+    assert main(["gen", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+    assert ("config error: [testbed] gamma must be finite and non-negative"
+            in capsys.readouterr().err)
+
+
+def test_negative_seed_exit_2_naming_flag_or_key(gen_dir, tmp_path, capsys):
+    # numpy seeds reject negative entropy; the message names what set the seed
+    cfg_path, bank_dir = gen_dir
+    assert main(["invert", "--config", cfg_path, "--bank", str(bank_dir),
+                 "--out", str(tmp_path / "a"), "--seed", "-1"]) == 2
+    assert "--seed" in capsys.readouterr().err
+    assert main(["gen", "--config", cfg_path, "--out", str(tmp_path / "b"),
+                 "--seed", "-1"]) == 2
+    assert "--seed" in capsys.readouterr().err
+    cfg = write_cfg(tmp_path, SMALL_TESTBED.replace(
+        "iterations = 12", "iterations = 12\ndraw_seed = -4"), name="neg.cfg")
+    assert main(["invert", "--config", cfg, "--bank", str(bank_dir),
+                 "--out", str(tmp_path / "c")]) == 2
+    assert "[bregman] draw_seed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, setting, named", [
+    ("invert", "iterations = 12\nt_max = -1", "[bregman] t_max"),
+    ("invert", "iterations = 12\nt_max = 0", "[bregman] t_max"),
+    ("invert", "iterations = -3", "[bregman] iterations"),
+    ("train", "iterations = 12\nt_max = 0", "[bregman] t_max"),
+], ids=["invert-t_max-negative", "invert-t_max-zero", "invert-iterations-negative",
+        "train-t_max-zero"])
+def test_bregman_bounds_exit_2_before_any_grid(gen_dir, tmp_path, capsys, command,
+                                               setting, named):
+    _, bank_dir = gen_dir
+    cfg = write_cfg(tmp_path, SMALL_TESTBED.replace("iterations = 12", setting),
+                    name="b.cfg")
+    out = tmp_path / "o"
+    assert main([command, "--config", cfg, "--bank", str(bank_dir),
+                 "--out", str(out)]) == 2
+    assert f"config error: {named}" in capsys.readouterr().err
+    assert not list(out.glob("*.pgrd")) and not (out / "checkpoint").exists()
+
+
 def test_invert_writes_grids_trace_quality(gen_dir):
     cfg, bank_dir = gen_dir
     out = bank_dir.parent / "inv"
@@ -245,17 +288,26 @@ def test_resume_from_checkpoint_without_tv_gap_column_exit_2(gen_dir, tmp_path, 
     assert "lacks the column 'proj_tv_gap'" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("name", ["state.json", "latents.csv", "rounds.csv",
-                                  "trace_tuple_000.csv"])
-def test_resume_from_malformed_checkpoint_exit_2(gen_dir, tmp_path, capsys, name):
+def _cut_half(text):
+    # invalid JSON, or a CSV table cut off partway through a row
+    return text[:len(text) // 2]
+
+
+@pytest.mark.parametrize("name, cut", [
+    *[pytest.param(name, _cut_half, id=name)
+      for name in ["state.json", "latents.csv", "rounds.csv", "trace_tuple_000.csv"]],
+    # the last latent cut mid-number; the trace one step short of state.json
+    pytest.param("latents.csv", lambda text: text[:-7], id="latents.csv-mid-number"),
+    pytest.param("trace_tuple_000.csv", lambda text: "".join(text.splitlines(True)[:-1]),
+                 id="trace_tuple_000.csv-last-row"),
+])
+def test_resume_from_malformed_checkpoint_exit_2(gen_dir, tmp_path, capsys, name, cut):
     cfg_path, bank_dir = gen_dir
     out = tmp_path / "tr"
     assert main(["train", "--config", cfg_path, "--bank", str(bank_dir),
                  "--out", str(out)]) == 0
     path = out / "checkpoint" / name
-    text = path.read_text()
-    # invalid JSON, or a CSV table cut off partway through a row
-    path.write_text(text[:len(text) // 2])
+    path.write_text(cut(path.read_text()))
     assert main(["train", "--config", cfg_path, "--bank", str(bank_dir),
                  "--out", str(tmp_path / "res"), "--resume",
                  str(out / "checkpoint")]) == 2
@@ -291,6 +343,21 @@ def test_leaky_slope_outside_unit_interval_exit_2(tmp_path, capsys, slope):
     assert main(["sample", "--config", cfg, "--checkpoint", str(tmp_path / "absent"),
                  "--out", str(tmp_path / "s")]) == 2
     assert "leaky slope must lie in [0, 1]" in capsys.readouterr().err
+
+
+def test_nonpositive_init_scale_exit_2_in_train_and_stats(gen_dir, tmp_path, capsys):
+    cfg_path, bank_dir = gen_dir
+    train_out = tmp_path / "tr"
+    assert main(["train", "--config", cfg_path, "--bank", str(bank_dir),
+                 "--out", str(train_out)]) == 0
+    cfg = write_cfg(tmp_path, SMALL_TESTBED.replace(
+        "stage_channels = 4", "stage_channels = 4\ninit_scale = -1"), name="neg.cfg")
+    for argv in (["train", "--bank", str(bank_dir)],
+                 ["stats", "--checkpoint", str(train_out)]):
+        out = tmp_path / argv[0]
+        assert main([*argv, "--config", cfg, "--out", str(out)]) == 2
+        assert "config error: [net] init scale must be positive" in capsys.readouterr().err
+        assert not list(out.iterdir())
 
 
 def test_sample_writes_realizations(gen_dir, tmp_path):

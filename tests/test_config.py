@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from breguq.config import (SCHEMA, apply_seed_override, build_arch, build_stack,
-                           build_stack_schedule, build_train_config, load_config,
-                           parse_probes, write_resolved)
+                           build_stack_schedule, build_train_config, in_section,
+                           load_config, parse_probes, write_resolved)
 from breguq.errors import ConfigError
 from breguq.projections import Box, L1Ball
 
@@ -60,6 +60,26 @@ def test_choice_validated(tmp_path):
     path = write(tmp_path, "[stats]\nstd_mode = median\n")
     with pytest.raises(ConfigError):
         load_config(path)
+
+
+@pytest.mark.parametrize("text, key", [
+    ("[bregman]\ndraw_seed = -4\n", "bregman.draw_seed"),
+    ("[testbed]\ntruth_seed = -1\n", "testbed.truth_seed"),
+    ("[bregman]\nt_max = 0\n", "bregman.t_max"),
+    ("[bregman]\nt_max = nan\n", "bregman.t_max"),
+    ("[bregman]\niterations = -3\n", "bregman.iterations"),
+], ids=["draw_seed", "truth_seed", "t_max-zero", "t_max-nan", "iterations"])
+def test_lower_bounds_checked_at_load_with_key(tmp_path, text, key):
+    with pytest.raises(ConfigError) as err:
+        load_config(write(tmp_path, text))
+    assert err.value.key == key
+    section, name = key.split(".")
+    assert str(err.value).startswith(f"[{section}] {name}: must be ")
+
+
+def test_negative_master_seed_rejected():
+    with pytest.raises(ConfigError, match="--seed"):
+        apply_seed_override(load_config(None), -1)
 
 
 def test_missing_file_rejected(tmp_path):
@@ -132,6 +152,41 @@ def test_build_train_config_wires_sections(tmp_path):
     assert tc.n_tuples == 3 and tc.rounds == 9 and tc.eta == 0.01
     assert tc.sgld.epsilon == 0.2 and tc.sgld.steps == 4
     assert tc.t_max == 5.0
+
+
+def test_z_prior_weight_is_a_float_key_checked_by_sgld_params(tmp_path):
+    assert load_config(write(tmp_path, "[sgld]\nz_prior_weight = 0.5\n")).get(
+        "sgld", "z_prior_weight") == 0.5
+    cfg = load_config(write(tmp_path, "[sgld]\nz_prior_weight = 0.7\n"))
+    with pytest.raises(ConfigError, match=r"^\[sgld\] z prior weight must be"):
+        build_train_config(cfg)
+
+
+def test_section_boundary_wraps_once():
+    with pytest.raises(ConfigError, match=r"^\[net\] bad value$"):
+        with in_section("net"):
+            raise ValueError("bad value")
+    with pytest.raises(ConfigError, match=r"^\[sgld\] inner$"):
+        with in_section("em"):
+            raise ConfigError("[sgld] inner")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("[constraints]\nbox_lo = 2.0\n", "[constraints] box lower bound 2.0 exceeds"),
+    ("[constraints]\nsets = l1\nl1_radius = 0\n", "[constraints] l1 ball radius"),
+], ids=["box", "l1"])
+def test_build_stack_names_the_section_of_a_rejected_set(tmp_path, text, message):
+    with pytest.raises(ConfigError) as err:
+        build_stack(load_config(write(tmp_path, text)))
+    assert str(err.value).startswith(message)
+
+
+def test_build_arch_rejects_init_scale_and_stage_under_net(tmp_path):
+    for text, message in [("[net]\ninit_scale = -1\n", "[net] init scale must be positive"),
+                          ("[net]\nstage_channels = 0\n", "[net] stage channels")]:
+        with pytest.raises(ConfigError) as err:
+            build_arch(load_config(write(tmp_path, text)))
+        assert str(err.value).startswith(message)
 
 
 def test_build_train_config_names_the_sgld_section(tmp_path):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -339,11 +341,13 @@ def test_checkpoint_roundtrip(tmp_path, rng):
     bank = small_bank(rng)
     arch = small_arch()
     w = net_init(arch, seed=20)
-    tuples = init_tuples(bank, 2, seed=21, latent_dim=8)
     rounds = [RoundRecord(r, 0.1 * r, 1.0 / 3.0 + r, 2.0 / 7.0) for r in range(5)]
     traces = {0: [TraceRecord(0, 2, 0.1, 1.0 / 3.0, None, False, 1, True)],
               1: [TraceRecord(0, 1, 0.0, 0.5, 2.0 / 3.0, True, 7, False),
                   TraceRecord(1, 3, 10.0, 1e-17, 0.25, False, 1, True)]}
+    # a tuple's step count is the length of its trace; load_checkpoint checks it
+    tuples = [replace(t, step_count=len(traces[t.id]))
+              for t in init_tuples(bank, 2, seed=21, latent_dim=8)]
     save_checkpoint(tmp_path / "c", arch, w, tuples, 4, rounds, traces)
     w2, tuples2, nxt, rounds2, traces2 = load_checkpoint(tmp_path / "c", arch)
     assert nxt == 5
