@@ -18,7 +18,7 @@ from .linops import (ComposeOp, ConvKernel, ConvOp, IdentityOp, RestrictionMask,
 from .net import (NetArch, StageSpec, net_eval_and_backward, net_forward,
                   net_init)
 from .projections import (project_box, project_intersection, project_l1_ball,
-                          project_l2_ball, project_tv_ball, total_variation,
+                          project_l2_ball, total_variation,
                           Box, L1Ball, TVBall, ConstraintStack)
 from .sgld import SgldParams, sgld_step
 from .testbed import gaussian_kernel, make_bank, make_ground_truth
@@ -101,7 +101,7 @@ def run_projection_oracle_checks() -> list:
     for _ in range(3):
         x = rng.standard_normal((2, 3))
         radius = 0.5 * float(np.abs(np.diff(x)).sum() + 1.0) * rng.uniform(0.2, 0.8)
-        mine = project_tv_ball(x, radius)
+        mine = project_intersection(x, ConstraintStack((TVBall(radius),)))
         ref = oracles.qp_project_tv(x, radius)
         obj_mine = 0.5 * float(np.sum((mine.x - x) ** 2))
         obj_ref = 0.5 * float(np.sum((ref - x) ** 2))

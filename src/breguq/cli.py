@@ -2,9 +2,11 @@
 
 Subcommands: gen | invert | train | sample | stats | check. Every command
 is a pure function of its config and input files: reruns with identical
-seeds produce byte-identical outputs. `main` owns the run directory: it
-creates `--out` before the command runs and writes the fully resolved
-config that produced it, `resolved.cfg`, after the command succeeds.
+seeds produce byte-identical outputs. `main` loads and validates the whole
+config first (`load_config`), so a config error exits before `--out`
+exists. It then creates `--out`, runs the command on the built config
+objects, and writes the fully resolved config that produced the run,
+`resolved.cfg`, after the command succeeds.
 
 Exit codes: 0 success, 1 property-check failure, 2 usage/config error or
 malformed input file, 3 numerical abort. A numerical abort also writes
@@ -23,18 +25,16 @@ import sys
 import numpy as np
 
 from .bregman import TraceRecord, run_bregman
-from .config import (apply_seed_override, build_arch, build_stack,
-                     build_stack_schedule, build_train_config, in_section,
-                     load_config, parse_probes, write_resolved)
+from .config import in_section, load_config, write_resolved
 from .em import RoundRecord, train
 from .errors import ConfigError, InputFormatError, NumericalAbortError
 from .net import net_init
-from .stats import (load_weights, model_quality, read_portable_grid,
+from .stats import (auto_probes, load_weights, model_quality, read_portable_grid,
                     sample_generator, save_weights, summarize,
                     write_histograms_csv, write_portable_grid, write_records,
                     write_table)
-from .testbed import (NoiseSpec, add_noise_to_snr, gaussian_kernel, load_bank,
-                      make_bank, make_ground_truth, save_bank)
+from .testbed import (add_noise_to_snr, gaussian_kernel, load_bank, make_bank,
+                      make_ground_truth, save_bank)
 
 __all__ = ["main", "entry"]
 
@@ -47,8 +47,7 @@ def cmd_gen(args, config) -> int:
         kernel = gaussian_kernel(t("kernel_size"), t("kernel_sigma"))
         clean = make_bank(truth, t("experiments"), kernel, t("sampling_fraction"),
                           t("mask_seed"))
-        spec = NoiseSpec(t("target_snr_db"), t("gamma"), t("coherent_fraction"))
-        noisy, report = add_noise_to_snr(clean, truth, spec, t("noise_seed"))
+        noisy, report = add_noise_to_snr(clean, truth, config.noise, t("noise_seed"))
     save_bank(out, noisy, manifest_extra={
         "seeds": {"truth": t("truth_seed"), "mask": t("mask_seed"),
                   "noise": t("noise_seed")},
@@ -62,12 +61,10 @@ def cmd_gen(args, config) -> int:
 
 
 def cmd_invert(args, config) -> int:
-    out = args.out
+    out, b = args.out, lambda key: config.get("bregman", key)
     bank, _ = load_bank(args.bank)
-    stack = build_stack(config)
-    state, trace = run_bregman(bank, stack, config.get("bregman", "iterations"),
-                               config.get("bregman", "draw_seed"),
-                               t_max=config.get("bregman", "t_max"))
+    state, trace = run_bregman(bank, config.stack, b("iterations"), b("draw_seed"),
+                               t_max=b("t_max"))
     write_portable_grid(state.x_primal, os.path.join(out, "x_primal.pgrd"))
     write_portable_grid(state.x_dual, os.path.join(out, "x_dual.pgrd"))
     write_records(os.path.join(out, "trace.csv"), TraceRecord, trace)
@@ -79,20 +76,16 @@ def cmd_invert(args, config) -> int:
 
 
 def cmd_train(args, config) -> int:
-    out = args.out
+    out, arch, tc = args.out, config.arch, config.train
     bank, _ = load_bank(args.bank)
-    arch = build_arch(config)
     if arch.out_shape != tuple(bank.shape):
         raise ConfigError(
             f"[net] generator output {arch.out_shape} does not match the "
             f"bank grid {tuple(bank.shape)}; adjust base shape or stages")
-    stack = build_stack(config)
-    tc = build_train_config(config)
     if tc.n_tuples > bank.n:
         raise ConfigError(f"[em] tuples: cannot split {bank.n} experiments "
                           f"into {tc.n_tuples} tuples")
-    result = train(bank, stack, arch, tc,
-                   stack_schedule=build_stack_schedule(config),
+    result = train(bank, config.stack, arch, tc, stack_schedule=config.schedule,
                    checkpoint_dir=os.path.join(out, "checkpoint"),
                    resume_from=args.resume)
     save_weights(os.path.join(out, "weights_init.dpnw"), arch, result.initial_weights)
@@ -110,12 +103,11 @@ def _checkpoint_weights(path, arch):
 
 
 def cmd_sample(args, config) -> int:
-    arch = build_arch(config)
-    w = _checkpoint_weights(args.checkpoint, arch)
+    w = _checkpoint_weights(args.checkpoint, config.arch)
     count = args.count if args.count is not None else config.get("stats", "sample_count")
     if count < 1:
         raise ConfigError("[stats] sample_count must be at least 1")
-    samples = sample_generator(arch, w, count, config.get("stats", "sample_seed"))
+    samples = sample_generator(config.arch, w, count, config.get("stats", "sample_seed"))
     for j in range(count):
         write_portable_grid(samples.realization(j),
                             os.path.join(args.out, f"sample_{j:04d}.pgrd"))
@@ -123,32 +115,17 @@ def cmd_sample(args, config) -> int:
 
 
 def cmd_stats(args, config) -> int:
-    out = args.out
-    arch = build_arch(config)
+    out, arch, tc = args.out, config.arch, config.train
     s = lambda key: config.get("stats", key)
-    count = s("samples")
-    if count < 2:
-        raise ConfigError("[stats] samples: pointwise standard deviation needs "
-                          "at least 2 realizations")
-    if s("bins") < 1:
-        raise ConfigError(f"[stats] bins: need at least one bin, got {s('bins')}")
-    auto = s("probes").strip() == "auto"
-    if not auto:
-        probes = parse_probes(s("probes"), None)
-        rows, cols = arch.out_shape
-        for r, c in probes:
-            if not (0 <= r < rows and 0 <= c < cols):
-                raise ConfigError(f"[stats] probes: pixel ({r}, {c}) out of range "
-                                  f"for the {rows}x{cols} output grid", key="stats.probes")
     w_post = _checkpoint_weights(args.checkpoint, arch)
-    w_prior = net_init(arch, config.get("net", "init_seed"),
-                       config.get("net", "init_scale"))
-    posterior = sample_generator(arch, w_post, count, s("sample_seed"))
-    prior = sample_generator(arch, w_prior, count, s("sample_seed"))
+    w_prior = net_init(arch, tc.init_seed, tc.init_scale)
+    posterior = sample_generator(arch, w_post, s("samples"), s("sample_seed"))
+    prior = sample_generator(arch, w_prior, s("samples"), s("sample_seed"))
     mode = s("std_mode")
 
-    if auto:
-        probes = parse_probes("auto", summarize(posterior, (), mode).std)
+    probes = config.probes
+    if probes is None:
+        probes = auto_probes(summarize(posterior, (), mode).std)
     post = summarize(posterior, probes, mode)
     pri = summarize(prior, probes, mode)
 
@@ -262,9 +239,7 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code is not None else 0
     out = getattr(args, "out", None)
     try:
-        config = load_config(args.config)
-        if args.seed is not None:
-            config = apply_seed_override(config, args.seed)
+        config = load_config(args.config, args.seed)
         if out is not None:
             os.makedirs(out, exist_ok=True)
         code = args.func(args, config)

@@ -1,12 +1,15 @@
-"""Section-structured run configuration.
+"""Section-structured run configuration, validated whole at load.
 
 Plain INI text with a fixed schema: unknown sections or keys are rejected
 with the offending name. A schema `Field` is a Python type plus a default,
-read from the library type that declares it where one does; seeds,
-`[bregman] t_max` and `iterations` are bounded at load. The builders name
-the section of a rejected value through one boundary, `in_section`. The
-command line writes the fully resolved config (every key explicit) next to
-each run's outputs, so any result can be regenerated from its directory.
+read from the library type that declares it where one does. `load_config`
+does the whole job once, whatever the command: it parses the file, applies
+the master seed, bounds seeds, `[bregman] t_max` and `iterations`, and
+builds every section's library object inside one error boundary,
+`in_section`. So a config that one command rejects fails in every command,
+before any output exists. The command line writes the fully resolved
+config (every key explicit) next to each run's outputs, so any result can
+be regenerated from its directory.
 """
 
 from __future__ import annotations
@@ -14,8 +17,6 @@ from __future__ import annotations
 import configparser
 from contextlib import contextmanager
 from dataclasses import dataclass
-
-import numpy as np
 
 from .em import TrainConfig, ramp_fraction
 from .errors import ConfigError
@@ -29,13 +30,9 @@ __all__ = [
     "RunConfig",
     "load_config",
     "write_resolved",
-    "apply_seed_override",
     "in_section",
     "build_arch",
     "build_stack",
-    "build_stack_schedule",
-    "build_train_config",
-    "parse_probes",
 ]
 
 
@@ -152,22 +149,32 @@ _BOUNDS = {**dict.fromkeys(_SEED_KEYS + [("bregman", "iterations")], "non-negati
 
 
 class RunConfig:
-    """Typed section/key values; immutable by convention."""
+    """Typed section/key values and the library objects built from them:
+    `noise` ([testbed]), `stack` and `schedule` ([constraints]), `arch`
+    ([net]), `train` ([sgld], [em]) and `probes` ([stats]: the literal
+    pixels, None for "auto"). `schedule` is None when no `*_final` value
+    is set. Built by `load_config`; immutable by convention."""
 
     def __init__(self, values: dict):
         self._values = values
+        t = values["testbed"]
+        with in_section("testbed"):
+            self.noise = NoiseSpec(t["target_snr_db"], t["gamma"], t["coherent_fraction"])
+        self.stack = build_stack(self)
+        self.arch = build_arch(self)
+        self.train = _train_config(self)
+        self.schedule = _stack_schedule(self)
+        self.probes = _stats_probes(self)
 
     def get(self, section: str, key: str):
         return self._values[section][key]
 
-    def replace(self, section: str, key: str, value) -> "RunConfig":
-        values = {s: dict(kv) for s, kv in self._values.items()}
-        values[section][key] = value
-        return RunConfig(values)
 
-
-def load_config(path=None) -> RunConfig:
-    """Parse an INI file against the schema; `path=None` yields defaults."""
+def load_config(path=None, seed=None) -> RunConfig:
+    """Parse an INI file against the schema (`path=None` yields defaults),
+    check the load-time bounds, derive every seed key from the master
+    `seed` when one is given (index-offset rule), and build every
+    section's objects."""
     values = {s: {k: f.default for k, f in keys.items()} for s, keys in SCHEMA.items()}
     if path is not None:
         parser = configparser.ConfigParser(interpolation=None)
@@ -191,6 +198,11 @@ def load_config(path=None) -> RunConfig:
         if value < 0 or bound == "positive" and not value > 0:
             raise ConfigError(f"[{section}] {key}: must be {bound}, got {value}",
                               key=f"{section}.{key}")
+    if seed is not None:
+        if seed < 0:
+            raise ConfigError(f"--seed: must be non-negative, got {seed}")
+        for i, (section, key) in enumerate(_SEED_KEYS):
+            values[section][key] = int(seed) * 100 + i
     return RunConfig(values)
 
 
@@ -204,15 +216,6 @@ def write_resolved(config: RunConfig, path) -> None:
         lines.append("")
     with open(path, "w", newline="") as f:
         f.write("\n".join(lines))
-
-
-def apply_seed_override(config: RunConfig, master: int) -> RunConfig:
-    """Derive every seed key from one master seed (index-offset rule)."""
-    if master < 0:
-        raise ConfigError(f"--seed: must be non-negative, got {master}")
-    for i, (section, key) in enumerate(_SEED_KEYS):
-        config = config.replace(section, key, int(master) * 100 + i)
-    return config
 
 
 @contextmanager
@@ -262,25 +265,28 @@ def build_stack(config: RunConfig, overrides: dict | None = None) -> ConstraintS
                                tv_max_iters=c("tv_max_iters"), tv_tol=c("tv_tol"))
 
 
-def build_stack_schedule(config: RunConfig):
+def _stack_schedule(config: RunConfig):
     """Per-round constraint relaxation: any `*_final` key interpolates from
     its initial value over the same ramp window as the trade-off parameter.
-    Returns None when no final value is configured."""
+    The final stack is built here, so a rejected final value fails at load;
+    every stack between two valid ends is valid (boxes keep lo <= hi, radii
+    stay positive)."""
     c = lambda key: config.get("constraints", key)
     finals = {key.removesuffix("_final"): c(key) for key in SCHEMA["constraints"]
               if key.endswith("_final") and c(key) is not None}
     if not finals:
         return None
+    build_stack(config, finals)
+    tc = config.train
 
     def schedule(round_idx: int) -> ConstraintStack:
-        frac = ramp_fraction(config.get("em", "rounds"),
-                             config.get("em", "lam_ramp_rounds"), round_idx)
+        frac = ramp_fraction(tc.rounds, tc.lam_ramp_rounds, round_idx)
         return build_stack(config, {k: c(k) + frac * (v - c(k)) for k, v in finals.items()})
 
     return schedule
 
 
-def build_train_config(config: RunConfig) -> TrainConfig:
+def _train_config(config: RunConfig) -> TrainConfig:
     with in_section("sgld"):
         sgld = SgldParams(epsilon=config.get("sgld", "epsilon"),
                           steps=config.get("sgld", "steps"),
@@ -300,21 +306,28 @@ def build_train_config(config: RunConfig) -> TrainConfig:
             noise_seed=config.get("sgld", "noise_seed"))
 
 
-def parse_probes(raw: str, std_grid: np.ndarray):
-    """Probe pixels: "auto" picks the max-std and median-std pixels of the
-    posterior std grid; otherwise "r,c;r,c" literal coordinates."""
-    if raw.strip() == "auto":
-        order = np.argsort(std_grid.ravel(), kind="stable")
-        flat_max = int(order[-1])
-        flat_med = int(order[order.size // 2])
-        cols = std_grid.shape[1]
-        return [(flat_max // cols, flat_max % cols), (flat_med // cols, flat_med % cols)]
-    probes = []
+def _stats_probes(config: RunConfig):
+    """Checks `[stats]`; returns the literal probe pixels, None for "auto"."""
+    s = lambda key: config.get("stats", key)
+    with in_section("stats"):
+        if s("samples") < 2:
+            raise ValueError("samples: pointwise standard deviation needs "
+                             "at least 2 realizations")
+        if s("bins") < 1:
+            raise ValueError(f"bins: need at least one bin, got {s('bins')}")
+        if s("sample_count") < 1:
+            raise ValueError("sample_count must be at least 1")
+    if s("probes").strip() == "auto":
+        return None
     try:
-        for part in raw.split(";"):
-            r, c = part.split(",")
-            probes.append((int(r.strip()), int(c.strip())))
+        probes = [(int(r), int(c)) for r, c in (part.split(",")
+                                                 for part in s("probes").split(";"))]
     except ValueError as exc:
-        raise ConfigError(f"[stats] probes: expected 'auto' or 'r,c;r,c', got {raw!r}",
+        raise ConfigError(f"[stats] probes: expected 'auto' or 'r,c;r,c', got {s('probes')!r}",
                           key="stats.probes") from exc
+    rows, cols = config.arch.out_shape
+    for r, c in probes:
+        if not (0 <= r < rows and 0 <= c < cols):
+            raise ConfigError(f"[stats] probes: pixel ({r}, {c}) out of range "
+                              f"for the {rows}x{cols} output grid", key="stats.probes")
     return probes

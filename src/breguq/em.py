@@ -92,6 +92,8 @@ class TrainConfig:
             raise ValueError("steplengths and trade-off values must be non-negative")
         if self.m_steps_per_round < 1:
             raise ValueError("m_steps_per_round must be at least 1")
+        if self.lam_ramp_rounds is not None and self.lam_ramp_rounds < 0:
+            raise ValueError(f"lam_ramp_rounds must be non-negative, got {self.lam_ramp_rounds}")
 
 
 @dataclass(frozen=True)

@@ -39,22 +39,15 @@ __all__ = [
     "project_box",
     "project_l2_ball",
     "project_l1_ball",
-    "project_tv_ball",
     "project_intersection",
     "constraint_violation",
     "is_feasible",
     "total_variation",
     "tv_forward_diff",
     "tv_diff_adjoint",
-    "TvResult",
     "IntersectionResult",
     "FeasibilityReport",
-    "TV_DEFAULT_TOL",
-    "TV_DEFAULT_MAX_ITERS",
 ]
-
-TV_DEFAULT_TOL = 1e-6
-TV_DEFAULT_MAX_ITERS = 2000
 
 
 @dataclass(frozen=True)
@@ -111,8 +104,8 @@ class ConstraintStack:
 
     sets: tuple
     dykstra_tol: float = 1e-8
-    tv_max_iters: int = TV_DEFAULT_MAX_ITERS
-    tv_tol: float = TV_DEFAULT_TOL
+    tv_max_iters: int = 2000
+    tv_tol: float = 1e-6
 
     def __post_init__(self):
         object.__setattr__(self, "sets", tuple(self.sets))
@@ -122,13 +115,6 @@ class ConstraintStack:
             raise ValueError("tolerances must be positive")
         if self.tv_max_iters < 1:
             raise ValueError("tv_max_iters must be positive")
-
-
-@dataclass(frozen=True)
-class TvResult:
-    x: np.ndarray
-    converged: bool
-    gap: float
 
 
 @dataclass(frozen=True)
@@ -358,17 +344,6 @@ def _dual_solve(v, lo, hi, balls, tol, max_iters):
             t_mom = t_next
         ps, s, prev_obj = new, s_new, obj
     return best_x, False, best_gap, max_iters
-
-
-def project_tv_ball(x, radius: float, tol: float = TV_DEFAULT_TOL,
-                    max_iters: int = TV_DEFAULT_MAX_ITERS) -> TvResult:
-    """Project a grid onto {v : TV(v) <= radius}: the dual solve of
-    `project_intersection` with an unbounded box. The result is always
-    feasible; non-convergence within `max_iters` is reported, not raised,
-    with the attained gap and converged=False."""
-    out, converged, gap, _ = _dual_solve(as_grid(x), -math.inf, math.inf,
-                                         [TVBall(radius)], tol, max_iters)
-    return TvResult(out, converged, gap)
 
 
 def constraint_violation(spec: Constraint, x) -> float:

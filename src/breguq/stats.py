@@ -28,6 +28,7 @@ __all__ = [
     "sample_generator",
     "SampleSummary",
     "summarize",
+    "auto_probes",
     "model_quality",
     "write_portable_grid",
     "read_portable_grid",
@@ -127,6 +128,14 @@ def summarize(samples: SampleSet, probe_pixels=(), mode: str = "population") -> 
             traces[p][j] = x[p]
     denom = state.count if mode == "population" else state.count - 1
     return SampleSummary(state.mean, np.sqrt(state.m2 / denom), traces)
+
+
+def auto_probes(std_grid) -> list:
+    """The "auto" probe pixels: the max-std and the median-std pixel of a
+    posterior std grid."""
+    order = np.argsort(std_grid.ravel(), kind="stable")
+    cols = std_grid.shape[1]
+    return [divmod(int(order[-1]), cols), divmod(int(order[order.size // 2]), cols)]
 
 
 def model_quality(x, truth) -> dict:

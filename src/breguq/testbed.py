@@ -79,6 +79,8 @@ class NoiseSpec:
             raise ValueError(f"gamma must be finite and non-negative, got {self.gamma}")
         if not 0.0 <= self.coherent_fraction < 1.0:
             raise ValueError("coherent fraction must lie in [0, 1)")
+        if self.target_snr_db == math.inf and self.gamma not in (None, 0.0):
+            raise ValueError("noise-free target requires gamma of 0")
 
 
 @dataclass(frozen=True)
@@ -212,9 +214,7 @@ def add_noise_to_snr(bank: ExperimentBank, truth: GroundTruth, spec: NoiseSpec,
     if s_total <= 0.0:
         raise ValueError("zero-signal bank: SNR is undefined")
 
-    if math.isinf(spec.target_snr_db) and spec.target_snr_db > 0:
-        if spec.gamma not in (None, 0.0):
-            raise ValueError("noise-free target requires gamma of 0")
+    if spec.target_snr_db == math.inf:
         report = {"signal_energy": s_total, "perturbation_energy": 0.0,
                   "coherent_energy": 0.0, "noise_energy": 0.0, "gamma": 0.0,
                   "measured_snr_db": math.inf, "per_experiment_snr_db": []}

@@ -20,10 +20,9 @@ from breguq.linops import (ComposeOp, ConvKernel, ConvOp, IdentityOp,
                            RestrictionMask, RestrictOp, ScaleOp, dot_test)
 from breguq.net import (NetArch, StageSpec, net_eval_and_backward, net_forward,
                         net_init)
-from breguq.projections import (Box, ConstraintStack, L1Ball, is_feasible,
+from breguq.projections import (Box, ConstraintStack, L1Ball, TVBall, is_feasible,
                                 project_box, project_intersection,
-                                project_l1_ball, project_l2_ball,
-                                project_tv_ball, total_variation)
+                                project_l1_ball, project_l2_ball, total_variation)
 from breguq.sgld import SgldParams, sgld_step
 from breguq.stats import model_quality, sample_generator, summarize
 from breguq.testbed import load_bank, make_ground_truth
@@ -149,7 +148,7 @@ def test_criterion_2_projection_qp_agreement():
     for _ in range(100):
         x = rng.standard_normal((2, 4))
         radius = total_variation(x) * rng.uniform(0.15, 0.85)
-        res = project_tv_ball(x, radius)
+        res = project_intersection(x, ConstraintStack((TVBall(radius),)))
         ref = oracles.qp_project_tv(x, radius)
         obj = 0.5 * float(np.sum((res.x - x) ** 2))
         obj_ref = 0.5 * float(np.sum((ref - x) ** 2))

@@ -357,7 +357,44 @@ def test_nonpositive_init_scale_exit_2_in_train_and_stats(gen_dir, tmp_path, cap
         out = tmp_path / argv[0]
         assert main([*argv, "--config", cfg, "--out", str(out)]) == 2
         assert "config error: [net] init scale must be positive" in capsys.readouterr().err
-        assert not list(out.iterdir())
+        assert not out.exists()
+
+
+def test_final_constraint_rejected_before_round_0(gen_dir, tmp_path, capsys):
+    _, bank_dir = gen_dir
+    cfg = write_cfg(tmp_path, SMALL_TESTBED.replace(
+        "l1_radius = 160.0", "l1_radius = 160.0\nl1_radius_final = -100").replace(
+        "rounds = 2", "rounds = 2\nlam_ramp_rounds = 1"), name="final.cfg")
+    out = tmp_path / "tr"
+    assert main(["train", "--config", cfg, "--bank", str(bank_dir), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "config error: [constraints] l1 ball radius must be positive, got -100.0\n")
+    assert not (out / "checkpoint").exists()
+
+
+# a config that one command rejects fails in every command, with one message
+# and before --out exists; the inputs are absent, so the config error must
+# come before any input is read
+@pytest.mark.parametrize("anchor, setting, message", [
+    ("epsilon = 0.001", "epsilon = 0.001\nz_prior_weight = 0.7", "[sgld] z prior weight"),
+    ("epsilon = 0.001", "epsilon = 5", "[sgld] epsilon must lie in (0, 2)"),
+    ("samples = 8", "samples = 1", "[stats] samples: pointwise standard deviation"),
+    ("bins = 5", "bins = 0", "[stats] bins: need at least one bin"),
+    ("bins = 5", "bins = 5\nprobes = 99,99", "[stats] probes: pixel (99, 99) out of range"),
+    ("rounds = 2", "rounds = 2\nlam_ramp_rounds = -5", "[em] lam_ramp_rounds must be non-negative"),
+], ids=["z_prior_weight", "epsilon", "samples", "bins", "probes", "lam_ramp_rounds"])
+def test_config_rejected_by_one_command_fails_in_every_command(tmp_path, capsys, anchor,
+                                                               setting, message):
+    cfg = write_cfg(tmp_path, SMALL_TESTBED.replace(anchor, setting))
+    absent = str(tmp_path / "absent")
+    errors = set()
+    for argv in (["gen"], ["invert", "--bank", absent], ["train", "--bank", absent],
+                 ["sample", "--checkpoint", absent], ["stats", "--checkpoint", absent]):
+        out = tmp_path / argv[0]
+        assert main([*argv, "--config", cfg, "--out", str(out)]) == 2, argv[0]
+        errors.add(capsys.readouterr().err)
+        assert not out.exists(), argv[0]
+    assert len(errors) == 1 and errors.pop().startswith(f"config error: {message}")
 
 
 def test_sample_writes_realizations(gen_dir, tmp_path):
@@ -398,7 +435,7 @@ def test_stats_single_sample_rejected(gen_dir, tmp_path, capsys):
     body = SMALL_TESTBED.replace("samples = 8", "samples = 1")
     cfg = write_cfg(tmp_path, body, name="one.cfg")
     train_out = tmp_path / "tr"
-    assert main(["train", "--config", cfg, "--bank", str(bank_dir),
+    assert main(["train", "--config", cfg_path, "--bank", str(bank_dir),
                  "--out", str(train_out)]) == 0
     code = main(["stats", "--config", cfg, "--checkpoint", str(train_out),
                  "--out", str(tmp_path / "s")])

@@ -5,11 +5,11 @@ import re
 import numpy as np
 import pytest
 
-from breguq.config import (SCHEMA, apply_seed_override, build_arch, build_stack,
-                           build_stack_schedule, build_train_config, in_section,
-                           load_config, parse_probes, write_resolved)
+from breguq.config import (SCHEMA, build_arch, build_stack, in_section, load_config,
+                           write_resolved)
 from breguq.errors import ConfigError
 from breguq.projections import Box, L1Ball
+from breguq.stats import auto_probes
 
 
 def write(tmp_path, text, name="run.cfg"):
@@ -79,7 +79,7 @@ def test_lower_bounds_checked_at_load_with_key(tmp_path, text, key):
 
 def test_negative_master_seed_rejected():
     with pytest.raises(ConfigError, match="--seed"):
-        apply_seed_override(load_config(None), -1)
+        load_config(None, seed=-1)
 
 
 def test_missing_file_rejected(tmp_path):
@@ -101,7 +101,7 @@ def test_resolved_roundtrip_and_determinism(tmp_path):
 
 
 def test_seed_override_touches_every_seed_key():
-    cfg = apply_seed_override(load_config(None), 9)
+    cfg = load_config(None, seed=9)
     seeds = [cfg.get(s, k) for s, keys in SCHEMA.items() for k in keys
              if k.endswith("_seed")]
     assert seeds == [900 + i for i in range(len(seeds))]
@@ -122,9 +122,8 @@ def test_build_stack_order_and_sets(tmp_path):
 
 
 def test_build_stack_unknown_set(tmp_path):
-    cfg = load_config(write(tmp_path, "[constraints]\nsets = box,nuclear\n"))
-    with pytest.raises(ConfigError):
-        build_stack(cfg)
+    with pytest.raises(ConfigError, match="unknown constraint set 'nuclear'"):
+        load_config(write(tmp_path, "[constraints]\nsets = box,nuclear\n"))
 
 
 def test_stack_schedule_interpolates(tmp_path):
@@ -132,7 +131,7 @@ def test_stack_schedule_interpolates(tmp_path):
         tmp_path,
         "[constraints]\nsets = l1\nl1_radius = 10.0\nl1_radius_final = 30.0\n"
         "[em]\nrounds = 8\nlam_ramp_rounds = 4\n"))
-    schedule = build_stack_schedule(cfg)
+    schedule = cfg.schedule
     assert schedule(0).sets[0].radius == pytest.approx(10.0)
     assert schedule(2).sets[0].radius == pytest.approx(20.0)
     assert schedule(4).sets[0].radius == pytest.approx(30.0)
@@ -140,7 +139,7 @@ def test_stack_schedule_interpolates(tmp_path):
 
 
 def test_stack_schedule_none_when_no_finals():
-    assert build_stack_schedule(load_config(None)) is None
+    assert load_config(None).schedule is None
 
 
 def test_build_train_config_wires_sections(tmp_path):
@@ -148,7 +147,7 @@ def test_build_train_config_wires_sections(tmp_path):
         tmp_path,
         "[em]\ntuples = 3\nrounds = 9\neta = 0.01\n"
         "[sgld]\nepsilon = 0.2\nsteps = 4\n[bregman]\nt_max = 5.0\n"))
-    tc = build_train_config(cfg)
+    tc = cfg.train
     assert tc.n_tuples == 3 and tc.rounds == 9 and tc.eta == 0.01
     assert tc.sgld.epsilon == 0.2 and tc.sgld.steps == 4
     assert tc.t_max == 5.0
@@ -157,9 +156,8 @@ def test_build_train_config_wires_sections(tmp_path):
 def test_z_prior_weight_is_a_float_key_checked_by_sgld_params(tmp_path):
     assert load_config(write(tmp_path, "[sgld]\nz_prior_weight = 0.5\n")).get(
         "sgld", "z_prior_weight") == 0.5
-    cfg = load_config(write(tmp_path, "[sgld]\nz_prior_weight = 0.7\n"))
     with pytest.raises(ConfigError, match=r"^\[sgld\] z prior weight must be"):
-        build_train_config(cfg)
+        load_config(write(tmp_path, "[sgld]\nz_prior_weight = 0.7\n"))
 
 
 def test_section_boundary_wraps_once():
@@ -190,9 +188,8 @@ def test_build_arch_rejects_init_scale_and_stage_under_net(tmp_path):
 
 
 def test_build_train_config_names_the_sgld_section(tmp_path):
-    cfg = load_config(write(tmp_path, "[sgld]\nepsilon = 5.0\n"))
     with pytest.raises(ConfigError) as err:
-        build_train_config(cfg)
+        load_config(write(tmp_path, "[sgld]\nepsilon = 5.0\n"))
     assert str(err.value).startswith("[sgld] epsilon")
 
 
@@ -210,11 +207,15 @@ def test_readme_configuration_block_loads_as_the_defaults(tmp_path):
             assert cfg.get(section, key) == field.default, (section, key)
 
 
-def test_parse_probes_auto_and_literal():
+def test_parse_probes_auto_and_literal(tmp_path):
     std = np.array([[0.1, 0.9], [0.4, 0.2]])
-    probes = parse_probes("auto", std)
+    probes = auto_probes(std)
     assert probes[0] == (0, 1)  # max-std pixel
     assert len(probes) == 2
-    assert parse_probes("1,0;0,1", None) == [(1, 0), (0, 1)]
-    with pytest.raises(ConfigError):
-        parse_probes("1;2;3", None)
+    assert load_config(None).probes is None  # "auto"
+    assert load_config(write(tmp_path, "[stats]\nprobes = 1,0; 0 ,1\n")).probes == [
+        (1, 0), (0, 1)]
+    for raw in ["1;2;3", "1,2,3", "a,b"]:
+        with pytest.raises(ConfigError) as err:
+            load_config(write(tmp_path, f"[stats]\nprobes = {raw}\n"))
+        assert err.value.key == "stats.probes"

@@ -238,6 +238,12 @@ def test_lam_schedule_ramp():
     assert lam_schedule(cfg2, 0) == pytest.approx(0.2)
 
 
+def test_negative_lam_ramp_rounds_rejected():
+    with pytest.raises(ValueError, match="lam_ramp_rounds must be non-negative, got -5"):
+        TrainConfig(lam_ramp_rounds=-5)
+    assert lam_schedule(TrainConfig(rounds=4, lam_ramp_rounds=0), 0) == 1.0
+
+
 # --- full loop ---
 
 def test_train_zero_rounds_returns_initial(rng):

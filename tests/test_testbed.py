@@ -129,6 +129,8 @@ def test_add_noise_noise_free_sentinel():
     assert report["measured_snr_db"] == math.inf
     for a, b in zip(noisy.experiments, bank.experiments):
         np.testing.assert_array_equal(a.y, b.y)
+    with pytest.raises(ValueError, match="noise-free target requires gamma of 0"):
+        NoiseSpec(math.inf, gamma=0.5)
 
 
 def test_add_noise_rejects_zero_signal():
