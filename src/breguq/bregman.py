@@ -10,9 +10,10 @@ generator: the caller passes its output g(z, w), which stays fixed while
 z and w do.
 
 A step never draws randomness itself: experiment selection happens in the
-driver loops, and bank objects are duck-typed (anything with an
-`experiments` sequence of (op, y) pairs works). `breguq.stats` writes and
-reads trace records as CSV rows whose columns are `TraceRecord`'s fields.
+one driver loop, `run_bregman`, for inversion and training alike, and bank
+objects are duck-typed (anything with an `experiments` sequence of (op, y)
+pairs works). `breguq.stats` writes and reads trace records as CSV rows
+whose columns are `TraceRecord`'s fields.
 """
 
 from __future__ import annotations
@@ -121,25 +122,30 @@ def bregman_step(state: BregmanState, experiment, stack: ConstraintStack,
     return BregmanState(x_dual, proj.x, state.iter + 1), rec
 
 
-def run_bregman(bank, stack: ConstraintStack, iters: int, seed: int,
-                t_max: float = T_MAX_DEFAULT, on_state=None):
-    """Plain stochastic Bregman loop over a bank of experiments.
+def run_bregman(bank, stack: ConstraintStack, state: BregmanState, ids, steps: int,
+                seed: int, *, key: int = 0, skip: int = 0, t_max: float = T_MAX_DEFAULT,
+                center=None, lam: float = 0.0, on_state=None):
+    """The one stochastic Bregman loop: `steps` steps from `state`, each
+    against an experiment drawn uniformly with replacement from the bank
+    indices `ids`, at trade-off `lam` toward `center` (see `bregman_step`).
 
-    Experiments are drawn uniformly with replacement from a stream keyed
-    by (seed, 0); the whole run is a pure function of (bank, seed, iters).
-    `on_state` (if given) observes every post-step state.
+    Draws come from the stream keyed by (seed, key), advanced past `skip`
+    draws, so a later block of one chain continues its stream. `on_state`
+    (if given) observes every post-step state. Returns (state, trace).
     """
-    exps = list(bank.experiments)
-    if not exps:
-        raise ValueError("experiment bank is empty")
-    state = initial_state(exps[0].op.domain_shape)
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 0]))
+    ids = np.asarray(ids, dtype=np.int64)
+    exps = bank.experiments
+    rng = np.random.default_rng(np.random.SeedSequence([int(seed), int(key)]))
+    # replay (not jump) skipped draws: bounded-integer rejection sampling
+    # consumes a bound-dependent amount of the bitstream
+    for _ in range(skip):
+        rng.integers(0, ids.size)
     trace = []
-    for _ in range(iters):
-        k = int(rng.integers(0, len(exps)))
-        state, rec = bregman_step(state, exps[k], stack, t_max=t_max, k=k)
+    for _ in range(steps):
+        k = int(ids[rng.integers(0, ids.size)])
+        state, rec = bregman_step(state, exps[k], stack, t_max=t_max, k=k,
+                                  center=center, lam=lam)
         trace.append(rec)
         if on_state is not None:
             on_state(state)
     return state, trace
-

@@ -24,7 +24,7 @@ import sys
 
 import numpy as np
 
-from .bregman import TraceRecord, run_bregman
+from .bregman import TraceRecord, initial_state, run_bregman
 from .config import in_section, load_config, write_resolved
 from .em import RoundRecord, train
 from .errors import ConfigError, InputFormatError, NumericalAbortError
@@ -33,8 +33,8 @@ from .stats import (auto_probes, load_weights, model_quality, read_portable_grid
                     sample_generator, save_weights, summarize,
                     write_histograms_csv, write_portable_grid, write_records,
                     write_table)
-from .testbed import (add_noise_to_snr, gaussian_kernel, load_bank, make_bank,
-                      make_ground_truth, save_bank)
+from .testbed import (add_noise_to_snr, load_bank, make_bank, make_ground_truth,
+                      save_bank)
 
 __all__ = ["main", "entry"]
 
@@ -44,8 +44,7 @@ def cmd_gen(args, config) -> int:
     t = lambda key: config.get("testbed", key)
     with in_section("testbed"):
         truth = make_ground_truth((t("rows"), t("cols")), t("truth_seed"))
-        kernel = gaussian_kernel(t("kernel_size"), t("kernel_sigma"))
-        clean = make_bank(truth, t("experiments"), kernel, t("sampling_fraction"),
+        clean = make_bank(truth, t("experiments"), config.kernel, t("sampling_fraction"),
                           t("mask_seed"))
         noisy, report = add_noise_to_snr(clean, truth, config.noise, t("noise_seed"))
     save_bank(out, noisy, manifest_extra={
@@ -63,7 +62,8 @@ def cmd_gen(args, config) -> int:
 def cmd_invert(args, config) -> int:
     out, b = args.out, lambda key: config.get("bregman", key)
     bank, _ = load_bank(args.bank)
-    state, trace = run_bregman(bank, config.stack, b("iterations"), b("draw_seed"),
+    state, trace = run_bregman(bank, config.stack, initial_state(bank.shape),
+                               range(bank.n), b("iterations"), b("draw_seed"),
                                t_max=b("t_max"))
     write_portable_grid(state.x_primal, os.path.join(out, "x_primal.pgrd"))
     write_portable_grid(state.x_dual, os.path.join(out, "x_dual.pgrd"))

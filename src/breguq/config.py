@@ -23,7 +23,7 @@ from .errors import ConfigError
 from .net import NetArch, StageSpec
 from .projections import (Box, ConstraintStack, L1Ball, L2Ball, TVBall)
 from .sgld import SgldParams
-from .testbed import NoiseSpec
+from .testbed import NoiseSpec, _check_grid, _check_layout, gaussian_kernel
 
 __all__ = [
     "SCHEMA",
@@ -150,9 +150,9 @@ _BOUNDS = {**dict.fromkeys(_SEED_KEYS + [("bregman", "iterations")], "non-negati
 
 class RunConfig:
     """Typed section/key values and the library objects built from them:
-    `noise` ([testbed]), `stack` and `schedule` ([constraints]), `arch`
-    ([net]), `train` ([sgld], [em]) and `probes` ([stats]: the literal
-    pixels, None for "auto"). `schedule` is None when no `*_final` value
+    `noise` and `kernel` ([testbed], bank layout checked too), `stack` and
+    `schedule` ([constraints]), `arch` ([net]), `train` ([sgld], [em]) and
+    `probes` ([stats]: the literal pixels, None for "auto"). `schedule` is None when no `*_final` value
     is set. Built by `load_config`; immutable by convention."""
 
     def __init__(self, values: dict):
@@ -160,6 +160,9 @@ class RunConfig:
         t = values["testbed"]
         with in_section("testbed"):
             self.noise = NoiseSpec(t["target_snr_db"], t["gamma"], t["coherent_fraction"])
+            _check_grid(t["rows"], t["cols"])
+            self.kernel = gaussian_kernel(t["kernel_size"], t["kernel_sigma"])
+            _check_layout(t["experiments"], t["sampling_fraction"])
         self.stack = build_stack(self)
         self.arch = build_arch(self)
         self.train = _train_config(self)

@@ -2,12 +2,13 @@
 alternated with averaged generator-weight updates.
 
 Each training tuple owns a disjoint round-robin subset of the experiment
-bank, a primal/dual grid pair, and a latent vector. A round runs, per
-tuple, a block of Bregman steps with the generator penalty (drawing
-experiments inside the tuple's subset) followed by a warm-started
-Langevin chain over the latent, all with the weights read-only; the round
-ends with a synchronization barrier where per-tuple gradients are reduced
-in ascending id order and averaged, and the weights take
+bank, a `BregmanState` (its primal/dual grid pair and step count), and a
+latent vector. A round runs, per tuple, a block of Bregman steps with the
+generator penalty through the one Bregman driver, `run_bregman`, over the
+tuple's subset, followed by a warm-started Langevin chain over the latent,
+all with the weights read-only; the round ends with a synchronization
+barrier where the per-tuple gradients, each at the tuple's current latent,
+are reduced in ascending id order and averaged, and the weights take
 `m_steps_per_round` descent steps. The generator output acts as the
 shared center the per-tuple solutions are elastically pulled toward.
 
@@ -29,7 +30,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bregman import T_MAX_DEFAULT, BregmanState, TraceRecord, bregman_step
+from .bregman import (T_MAX_DEFAULT, BregmanState, TraceRecord, initial_state,
+                      run_bregman)
 from .errors import CheckpointFormatError, NumericalAbortError
 from .net import NetArch, net_eval_and_backward, net_forward, net_init
 from .projections import ConstraintStack
@@ -55,14 +57,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class TrainTuple:
-    """One latent triple: assigned experiments, primal/dual grids, latent."""
+    """One latent pair: assigned experiments, their Bregman state, latent."""
 
     id: int
     experiment_ids: np.ndarray
-    x_primal: np.ndarray
-    x_dual: np.ndarray
+    state: BregmanState
     z: np.ndarray
-    step_count: int = 0
 
 
 @dataclass(frozen=True)
@@ -133,63 +133,37 @@ def lam_schedule(config: TrainConfig, round_idx: int) -> float:
 
 def init_tuples(bank, n: int, seed: int, latent_dim: int) -> list:
     """Round-robin partition of the bank (experiment i -> tuple i mod n),
-    zero primal/dual grids, and latents drawn from one seeded stream."""
+    zero Bregman states, and latents drawn from one seeded stream."""
     n_exp = bank.n
     if n > n_exp:
         raise ValueError(f"cannot split {n_exp} experiments into {n} tuples")
     rng = np.random.default_rng(np.random.SeedSequence([int(seed)]))
-    shape = bank.shape
-    tuples = []
-    for t in range(n):
-        ids = np.arange(t, n_exp, n, dtype=np.int64)
-        z = rng.standard_normal(latent_dim)
-        tuples.append(TrainTuple(t, ids, np.zeros(shape), np.zeros(shape), z))
-    return tuples
-
-
-def _draw_stream(draw_seed: int, tuple_id: int, skip: int,
-                 bound: int) -> np.random.Generator:
-    # Replay (not jump) skipped draws: bounded-integer rejection sampling
-    # consumes a bound-dependent amount of the bitstream.
-    rng = np.random.default_rng(np.random.SeedSequence([int(draw_seed), int(tuple_id)]))
-    for _ in range(skip):
-        rng.integers(0, bound)
-    return rng
+    return [TrainTuple(t, np.arange(t, n_exp, n, dtype=np.int64), initial_state(bank.shape),
+                       rng.standard_normal(latent_dim)) for t in range(n)]
 
 
 def e_step(tuples, bank, arch: NetArch, w, lam: float, stack: ConstraintStack,
-           config: TrainConfig, round_idx: int, on_primal=None):
+           config: TrainConfig, round_idx: int, on_state=None):
     """Per tuple: a block of penalized Bregman steps drawing experiments
-    inside the tuple's subset, then a warm-started Langevin chain on the
-    latent. Weights are read-only and the latent is fixed during the block,
-    so its center g(z, w) is evaluated once per tuple (not at lam = 0).
-    Returns (new tuples, per-tuple trace).
+    inside the tuple's subset, continuing its draw stream (key: tuple id),
+    then a warm-started Langevin chain on the latent. Weights are
+    read-only and the latent is fixed during the block, so its center
+    g(z, w) is evaluated once per tuple (not at lam = 0). `on_state` sees
+    every post-step Bregman state. Returns (new tuples, per-tuple trace).
     """
-    exps = list(bank.experiments)
     steps = config.bregman_steps_per_round
-    new_tuples = []
-    traces = {}
+    new_tuples, traces = [], {}
     for t in tuples:
-        rng = _draw_stream(config.draw_seed, t.id, round_idx * steps,
-                           t.experiment_ids.size)
-        state = BregmanState(t.x_dual, t.x_primal, t.step_count)
         center = net_forward(arch, w, t.z) if lam > 0 else None
-        rows = []
-        for _ in range(steps):
-            j = int(rng.integers(0, t.experiment_ids.size))
-            k = int(t.experiment_ids[j])
-            state, rec = bregman_step(state, exps[k], stack, t_max=config.t_max,
-                                      k=k, center=center, lam=lam)
-            rows.append(rec)
-            if on_primal is not None:
-                on_primal(state.x_primal)
+        state, traces[t.id] = run_bregman(
+            bank, stack, t.state, t.experiment_ids, steps, config.draw_seed,
+            key=t.id, skip=round_idx * steps, t_max=config.t_max, center=center,
+            lam=lam, on_state=on_state)
         z_new = t.z
         if config.sgld.steps > 0:
             z_new, _ = sgld_run(t.z, state.x_primal, arch, w, lam, config.sgld,
                                 (config.noise_seed, t.id, round_idx))
-        new_tuples.append(replace(t, x_primal=state.x_primal, x_dual=state.x_dual,
-                                  z=z_new, step_count=state.iter))
-        traces[t.id] = rows
+        new_tuples.append(replace(t, state=state, z=z_new))
     return new_tuples, traces
 
 
@@ -200,9 +174,9 @@ def m_step(tuples, arch: NetArch, w, eta: float) -> np.ndarray:
     grad = np.zeros(arch.n_params)
     losses = {}
     for t in sorted(tuples, key=lambda u: u.id):
-        g, _, gw = net_eval_and_backward(arch, w, t.z,
-                                         lambda out: 2.0 * (out - t.x_primal))
-        diff = g - t.x_primal
+        x = t.state.x_primal
+        g, _, gw = net_eval_and_backward(arch, w, t.z, lambda out: 2.0 * (out - x))
+        diff = g - x
         losses[t.id] = float(np.dot(diff.ravel(), diff.ravel()))
         grad += gw
     grad /= len(tuples)
@@ -216,19 +190,20 @@ def _tuple_data_misfit(t: TrainTuple, bank) -> float:
     total = 0.0
     for k in t.experiment_ids:
         exp = bank.experiments[int(k)]
-        r = exp.op.apply(t.x_primal) - exp.y
+        r = exp.op.apply(t.state.x_primal) - exp.y
         total += float(np.dot(r.ravel(), r.ravel()))
     return total
 
 
 def train(bank, stack: ConstraintStack, arch: NetArch, config: TrainConfig,
-          stack_schedule=None, on_primal=None, checkpoint_dir=None,
+          stack_schedule=None, on_state=None, checkpoint_dir=None,
           resume_from=None) -> TrainResult:
     """Run the full loop: rounds of (e_step; m_step) with the trade-off
     parameter following its ramp.
 
     `stack_schedule(round) -> ConstraintStack` optionally relaxes the
-    handcrafted sets per round. `checkpoint_dir` receives a resumable
+    handcrafted sets per round. `on_state` sees every post-step Bregman
+    state of every tuple. `checkpoint_dir` receives a resumable
     checkpoint after every round; `resume_from` restarts from one and
     reproduces the uninterrupted run exactly (streams are counter-keyed).
     A round whose prior misfit is not finite raises `NumericalAbortError`
@@ -255,14 +230,14 @@ def train(bank, stack: ConstraintStack, arch: NetArch, config: TrainConfig,
         lam = lam_schedule(config, r)
         stack_r = stack if stack_schedule is None else stack_schedule(r)
         tuples, traces = e_step(tuples, bank, arch, w, lam, stack_r, config, r,
-                                on_primal=on_primal)
+                                on_state=on_state)
         for tid, rows in traces.items():
             tuple_traces[tid].extend(rows)
         for _ in range(config.m_steps_per_round):
             w = m_step(tuples, arch, w, config.eta)
         data = float(np.mean([_tuple_data_misfit(t, bank) for t in tuples]))
-        misfits = {t.id: float(np.linalg.norm((t.x_primal - net_forward(arch, w, t.z))
-                                              .ravel())) for t in tuples}
+        misfits = {t.id: float(np.linalg.norm(
+            (t.state.x_primal - net_forward(arch, w, t.z)).ravel())) for t in tuples}
         prior = float(np.mean(list(misfits.values())))
         if not np.isfinite(prior):
             raise NumericalAbortError("non-finite prior misfit", diagnostics={
@@ -288,7 +263,7 @@ def save_checkpoint(dirpath, arch: NetArch, w, tuples, round_completed: int,
         "round_completed": int(round_completed),
         "tuples": [{"id": int(t.id),
                     "experiment_ids": [int(k) for k in t.experiment_ids],
-                    "step_count": int(t.step_count)} for t in tuples],
+                    "step_count": int(t.state.iter)} for t in tuples],
     }
     with open(os.path.join(dirpath, "state.json"), "w", newline="") as f:
         json.dump(state, f, indent=2, sort_keys=True)
@@ -296,8 +271,10 @@ def save_checkpoint(dirpath, arch: NetArch, w, tuples, round_completed: int,
     write_table(os.path.join(dirpath, "latents.csv"), _LATENT_COLUMNS,
                 [(t.id, d, v) for t in tuples for d, v in enumerate(t.z.tolist())])
     for t in tuples:
-        write_portable_grid(t.x_primal, os.path.join(dirpath, f"tuple_{t.id:03d}_x.pgrd"))
-        write_portable_grid(t.x_dual, os.path.join(dirpath, f"tuple_{t.id:03d}_xdual.pgrd"))
+        write_portable_grid(t.state.x_primal,
+                            os.path.join(dirpath, f"tuple_{t.id:03d}_x.pgrd"))
+        write_portable_grid(t.state.x_dual,
+                            os.path.join(dirpath, f"tuple_{t.id:03d}_xdual.pgrd"))
         write_records(os.path.join(dirpath, f"trace_tuple_{t.id:03d}.csv"), TraceRecord,
                       traces[t.id])
     write_records(os.path.join(dirpath, "rounds.csv"), RoundRecord, rounds)
@@ -343,11 +320,11 @@ def load_checkpoint(dirpath, arch: NetArch):
     tuples = []
     traces = {}
     for tid, experiment_ids, step_count in records:
-        tuples.append(TrainTuple(
-            tid, experiment_ids,
-            read_portable_grid(os.path.join(dirpath, f"tuple_{tid:03d}_x.pgrd")),
-            read_portable_grid(os.path.join(dirpath, f"tuple_{tid:03d}_xdual.pgrd")),
-            latents[tid], step_count))
+        state = BregmanState(
+            x_primal=read_portable_grid(os.path.join(dirpath, f"tuple_{tid:03d}_x.pgrd")),
+            x_dual=read_portable_grid(os.path.join(dirpath, f"tuple_{tid:03d}_xdual.pgrd")),
+            iter=step_count)
+        tuples.append(TrainTuple(tid, experiment_ids, state, latents[tid]))
         traces[tid] = parse(f"trace_tuple_{tid:03d}.csv", read_log, TraceRecord,
                             step_count)
     return (w, tuples, next_round, parse("rounds.csv", read_log, RoundRecord, next_round),

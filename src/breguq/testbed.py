@@ -109,7 +109,9 @@ class ExperimentBank:
 
 
 def gaussian_kernel(size: int, sigma: float) -> ConvKernel:
-    """Normalized band-limited (low-pass) stencil."""
+    """Normalized band-limited (low-pass) stencil of side `size`."""
+    if size < 1 or size % 2 == 0:
+        raise ValueError(f"kernel size must be odd and positive, got {size}")
     if sigma <= 0:
         raise ValueError(f"kernel sigma must be positive, got {sigma}")
     h = size // 2
@@ -118,12 +120,23 @@ def gaussian_kernel(size: int, sigma: float) -> ConvKernel:
     return ConvKernel(g / g.sum())
 
 
+def _check_grid(rows: int, cols: int) -> None:
+    if rows < 16 or cols < 16:
+        raise ValueError(f"ground-truth grid must be at least 16x16, got {rows}x{cols}")
+
+
+def _check_layout(n_experiments: int, sampling_fraction: float) -> None:
+    if n_experiments < 1:
+        raise ValueError(f"need at least one experiment, got {n_experiments}")
+    if not 0.0 < sampling_fraction <= 1.0:
+        raise ValueError(f"sampling fraction must lie in (0, 1], got {sampling_fraction}")
+
+
 def make_ground_truth(shape, seed: int) -> GroundTruth:
     """3-6 horizontal layers with wiggly seeded interfaces and per-layer
     amplitudes in [-1, 1]; background is a smooth ramp."""
     rows, cols = int(shape[0]), int(shape[1])
-    if rows < 16 or cols < 16:
-        raise ValueError(f"ground-truth grid must be at least 16x16, got {rows}x{cols}")
+    _check_grid(rows, cols)
     rng = np.random.default_rng(np.random.SeedSequence([int(seed)]))
     n_layers = int(rng.integers(3, 7))
     n_if = n_layers - 1
@@ -161,10 +174,7 @@ def make_bank(truth: GroundTruth, n_experiments: int, kernel: ConvKernel,
               sampling_fraction: float, seed: int) -> ExperimentBank:
     """Noiseless bank: per-experiment seeded restriction masks over one
     shared convolution; every operator is adjoint-audited at generation."""
-    if n_experiments < 1:
-        raise ValueError(f"need at least one experiment, got {n_experiments}")
-    if not 0.0 < sampling_fraction <= 1.0:
-        raise ValueError(f"sampling fraction must lie in (0, 1], got {sampling_fraction}")
+    _check_layout(n_experiments, sampling_fraction)
     shape = truth.delta_m.shape
     size = shape[0] * shape[1]
     m_keep = max(1, int(round(sampling_fraction * size)))

@@ -85,7 +85,9 @@ def desk_bank(tmp_path_factory):
 @pytest.fixture(scope="session")
 def desk_inversion(desk_bank):
     audited = []
-    state, trace = run_bregman(desk_bank["bank"], DESK_STACK, iters=350, seed=29,
+    bank = desk_bank["bank"]
+    state, trace = run_bregman(bank, DESK_STACK, initial_state(bank.shape), range(bank.n),
+                               350, seed=29,
                                on_state=lambda s: audited.append(
                                    is_feasible(s.x_primal, DESK_STACK,
                                                DESK_STACK.dykstra_tol).feasible))
@@ -98,8 +100,9 @@ def desk_training(desk_bank):
     config = TrainConfig(**DESK_TRAIN)
     t0 = time.time()
     result = train(desk_bank["bank"], DESK_STACK, DESK_ARCH, config,
-                   on_primal=lambda x: flags.append(
-                       is_feasible(x, DESK_STACK, DESK_STACK.dykstra_tol).feasible))
+                   on_state=lambda s: flags.append(
+                       is_feasible(s.x_primal, DESK_STACK,
+                                   DESK_STACK.dykstra_tol).feasible))
     return {"result": result, "feasible_flags": flags,
             "train_seconds": time.time() - t0}
 
@@ -236,14 +239,14 @@ def test_criterion_5_reduction_chain(rng):
                     and rp == ra)
         s0 = plain
 
-    state, trace = run_bregman(bank, stack, iters=12, seed=55)
+    state, trace = run_bregman(bank, stack, initial_state((4, 4)), range(4), 12, seed=55)
     cfg = TrainConfig(n_tuples=1, rounds=3, bregman_steps_per_round=4,
                       sgld=SgldParams(epsilon=0.01, steps=0),
                       lam_init=0.0, lam_final=0.0, eta=0.0,
                       z_seed=1, draw_seed=55, noise_seed=2)
     res = train(bank, stack, arch, cfg)
     trace_match = (res.tuple_traces[0] == trace
-                   and res.tuples[0].x_primal.tobytes() == state.x_primal.tobytes())
+                   and res.tuples[0].state.x_primal.tobytes() == state.x_primal.tobytes())
     report(5, bitwise and trace_match,
            "step given prior arguments at zero trade-off is bit-identical to "
            "the plain step, and single-tuple training reproduces the plain "
@@ -290,7 +293,7 @@ def test_criterion_8_end_to_end_structure(desk_bank, desk_training):
     t0 = time.time()
     result = desk_training["result"]
     truth = desk_bank["truth"].delta_m
-    tuple_errors = [model_quality(t.x_primal, truth)["relative_l2"]
+    tuple_errors = [model_quality(t.state.x_primal, truth)["relative_l2"]
                     for t in result.tuples]
     best = min(tuple_errors)
     post = summarize(sample_generator(DESK_ARCH, result.weights, 3200, seed=43))

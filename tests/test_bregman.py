@@ -113,7 +113,8 @@ def test_record_and_trace_carry_tv_gap(tmp_path):
 def test_consistent_restriction_bank_converges():
     x_star = np.array([[0.3, -0.2], [0.5, 0.1]])
     bank = restriction_bank(x_star, [[0, 1], [2, 3]])
-    state, trace = run_bregman(bank, WIDE, iters=60, seed=5)
+    state, trace = run_bregman(bank, WIDE, initial_state(bank.shape), range(bank.n),
+                               60, seed=5)
     worst = max(float(np.linalg.norm(e.op.apply(state.x_primal) - e.y))
                 for e in bank.experiments)
     assert worst <= 1e-6
@@ -194,22 +195,24 @@ def test_augmented_scalar_fixed_point_clipped_box():
 
 def test_run_bregman_zero_iters():
     bank = identity_bank([np.ones((3, 3))])
-    state, trace = run_bregman(bank, WIDE, iters=0, seed=0)
+    state, trace = run_bregman(bank, WIDE, initial_state(bank.shape), range(bank.n),
+                               0, seed=0)
     np.testing.assert_array_equal(state.x_primal, np.zeros((3, 3)))
     assert trace == []
 
 
 def test_run_bregman_single_experiment_draws_constant():
     bank = identity_bank([np.ones((2, 2))])
-    _, trace = run_bregman(bank, WIDE, iters=7, seed=1)
+    _, trace = run_bregman(bank, WIDE, initial_state(bank.shape), range(bank.n),
+                           7, seed=1)
     assert [r.k for r in trace] == [0] * 7
     assert [r.iter for r in trace] == list(range(7))
 
 
 def test_run_bregman_deterministic(rng):
     bank = identity_bank([rng.standard_normal((3, 3)) for _ in range(4)])
-    s1, t1 = run_bregman(bank, WIDE, iters=25, seed=9)
-    s2, t2 = run_bregman(bank, WIDE, iters=25, seed=9)
+    s1, t1 = run_bregman(bank, WIDE, initial_state(bank.shape), range(bank.n), 25, seed=9)
+    s2, t2 = run_bregman(bank, WIDE, initial_state(bank.shape), range(bank.n), 25, seed=9)
     assert t1 == t2
     np.testing.assert_array_equal(s1.x_primal, s2.x_primal)
 
@@ -219,8 +222,8 @@ def test_feasibility_and_steplength_bounds_along_run(rng):
     bank = restriction_bank(x_star, [range(0, 8), range(8, 16)])
     stack = ConstraintStack((Box(-1.0, 1.0), L1Ball(6.0)))
     audited = []
-    state, trace = run_bregman(bank, stack, iters=30, seed=11,
-                               on_state=lambda s: audited.append(s.x_primal))
+    state, trace = run_bregman(bank, stack, initial_state(bank.shape), range(bank.n),
+                               30, seed=11, on_state=lambda s: audited.append(s.x_primal))
     assert len(audited) == 30
     for x in audited:
         assert is_feasible(x, stack, stack.dykstra_tol)

@@ -382,7 +382,14 @@ def test_final_constraint_rejected_before_round_0(gen_dir, tmp_path, capsys):
     ("bins = 5", "bins = 0", "[stats] bins: need at least one bin"),
     ("bins = 5", "bins = 5\nprobes = 99,99", "[stats] probes: pixel (99, 99) out of range"),
     ("rounds = 2", "rounds = 2\nlam_ramp_rounds = -5", "[em] lam_ramp_rounds must be non-negative"),
-], ids=["z_prior_weight", "epsilon", "samples", "bins", "probes", "lam_ramp_rounds"])
+    ("rows = 16", "rows = 8", "[testbed] ground-truth grid must be at least 16x16, got 8x16"),
+    ("kernel_size = 3", "kernel_size = 4", "[testbed] kernel size must be odd and positive, got 4"),
+    ("sampling_fraction = 0.5", "sampling_fraction = 0",
+     "[testbed] sampling fraction must lie in (0, 1], got 0.0"),
+    ("kernel_sigma = 0.8", "kernel_sigma = 0", "[testbed] kernel sigma must be positive, got 0.0"),
+    ("experiments = 4", "experiments = 0", "[testbed] need at least one experiment, got 0"),
+], ids=["z_prior_weight", "epsilon", "samples", "bins", "probes", "lam_ramp_rounds",
+        "rows", "kernel_size", "sampling_fraction", "kernel_sigma", "experiments"])
 def test_config_rejected_by_one_command_fails_in_every_command(tmp_path, capsys, anchor,
                                                                setting, message):
     cfg = write_cfg(tmp_path, SMALL_TESTBED.replace(anchor, setting))

@@ -3,7 +3,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from breguq.bregman import TraceRecord, bregman_step, run_bregman
+from breguq.bregman import (BregmanState, TraceRecord, bregman_step, initial_state,
+                            run_bregman)
 from breguq.em import (RoundRecord, TrainConfig, TrainTuple, e_step, init_tuples,
                        lam_schedule, load_checkpoint, m_step, save_checkpoint,
                        train)
@@ -48,7 +49,7 @@ def test_init_tuples_partition_covers_bank(rng):
     assert sorted(all_ids.tolist()) == [0, 1, 2, 3]
     assert [t.id for t in tuples] == [0, 1, 2]
     for t in tuples:
-        assert not t.x_primal.any() and not t.x_dual.any()
+        assert not t.state.x_primal.any() and not t.state.x_dual.any()
 
 
 def test_init_tuples_one_per_tuple(rng):
@@ -94,7 +95,7 @@ def test_e_step_noop_when_counts_zero(rng):
     tuples = init_tuples(bank, 2, seed=9, latent_dim=8)
     out, traces = e_step(tuples, bank, arch, w, 0.5, WIDE, _null_config(), 0)
     for a, b in zip(out, tuples):
-        np.testing.assert_array_equal(a.x_primal, b.x_primal)
+        np.testing.assert_array_equal(a.state.x_primal, b.state.x_primal)
         np.testing.assert_array_equal(a.z, b.z)
     assert all(rows == [] for rows in traces.values())
 
@@ -108,15 +109,13 @@ def test_e_step_lambda_zero_matches_manual_keyed_steps(rng):
     out, _ = e_step(tuples, bank, arch, w, 0.0, WIDE, cfg, 0)
     for t in tuples:
         stream = np.random.default_rng(np.random.SeedSequence([6, t.id]))
-        state = None
-        from breguq.bregman import BregmanState
-        state = BregmanState(t.x_dual, t.x_primal, 0)
+        state = t.state
         for _ in range(5):
             j = int(stream.integers(0, t.experiment_ids.size))
             k = int(t.experiment_ids[j])
             state, _ = bregman_step(state, bank.experiments[k], WIDE, k=k)
         got = next(o for o in out if o.id == t.id)
-        np.testing.assert_array_equal(got.x_primal, state.x_primal)
+        np.testing.assert_array_equal(got.state.x_primal, state.x_primal)
 
 
 def test_e_step_feasible_after_round(rng):
@@ -127,7 +126,7 @@ def test_e_step_feasible_after_round(rng):
                        sgld=SgldParams(epsilon=0.001, steps=3))
     out, _ = e_step(tuples, bank, arch, w, 0.2, stack, cfg, 0)
     for t in out:
-        assert is_feasible(t.x_primal, stack, stack.dykstra_tol)
+        assert is_feasible(t.state.x_primal, stack, stack.dykstra_tol)
 
 
 def test_e_step_schedule_independent(rng):
@@ -141,7 +140,7 @@ def test_e_step_schedule_independent(rng):
     rev, _ = e_step(list(reversed(tuples)), bank, arch, w, 0.3, WIDE, cfg, 2)
     by_id = {t.id: t for t in rev}
     for t in fwd:
-        np.testing.assert_array_equal(t.x_primal, by_id[t.id].x_primal)
+        np.testing.assert_array_equal(t.state.x_primal, by_id[t.id].state.x_primal)
         np.testing.assert_array_equal(t.z, by_id[t.id].z)
 
 
@@ -169,11 +168,17 @@ def test_e_step_evaluates_generator_once_per_tuple(rng, monkeypatch):
 
 # --- m-step ---
 
+def _tuple(tid, x_primal, z):
+    """A tuple at primal `x_primal` (zero dual): all the M-step reads."""
+    return TrainTuple(tid, np.array([tid]), BregmanState(np.zeros_like(x_primal), x_primal),
+                      z)
+
+
 def test_m_step_fixed_point(rng):
     arch = small_arch()
     w = net_init(arch, seed=16)
     z = rng.standard_normal(8)
-    t = TrainTuple(0, np.array([0]), net_forward(arch, w, z), np.zeros((4, 4)), z)
+    t = _tuple(0, net_forward(arch, w, z), z)
     np.testing.assert_array_equal(m_step([t], arch, w, eta=0.5), w)
 
 
@@ -181,8 +186,7 @@ def test_m_step_zero_eta(rng):
     arch = small_arch()
     w = net_init(arch, seed=17)
     z = rng.standard_normal(8)
-    t = TrainTuple(0, np.array([0]), rng.standard_normal((4, 4)),
-                   np.zeros((4, 4)), z)
+    t = _tuple(0, rng.standard_normal((4, 4)), z)
     np.testing.assert_array_equal(m_step([t], arch, w, eta=0.0), w)
 
 
@@ -193,8 +197,7 @@ def test_m_step_scalar_hand_case():
     arch = NetArch(latent_dim=1, base_rows=1, base_cols=1, base_channels=1,
                    stages=(), final_kernel_size=1)
     w = np.array([0.0, 0.0, 1.0, 0.0])
-    t = TrainTuple(0, np.array([0]), np.array([[1.0]]), np.zeros((1, 1)),
-                   np.array([1.0]))
+    t = _tuple(0, np.array([[1.0]]), np.array([1.0]))
     out = m_step([t], arch, w, eta=0.5)
     np.testing.assert_allclose(out, [1.0, 1.0, 1.0, 1.0], rtol=1e-15)
 
@@ -202,13 +205,12 @@ def test_m_step_scalar_hand_case():
 def test_m_step_sum_vs_mean_normalization(rng):
     arch = small_arch()
     w = net_init(arch, seed=18)
-    tuples = [TrainTuple(i, np.array([i]), rng.standard_normal((4, 4)),
-                         np.zeros((4, 4)), rng.standard_normal(8))
+    tuples = [_tuple(i, rng.standard_normal((4, 4)), rng.standard_normal(8))
               for i in range(4)]
     # the tuple-averaged step is a step on the summed loss with eta / tuples
     w_mean = m_step(tuples, arch, w, eta=1e-3)
     grad_sum = sum(net_eval_and_backward(arch, w, t.z,
-                                         lambda out, t=t: 2.0 * (out - t.x_primal))[2]
+                                         lambda out, t=t: 2.0 * (out - t.state.x_primal))[2]
                    for t in tuples)
     w_sum = w - (1e-3 / 4) * grad_sum
     np.testing.assert_allclose(w_mean, w_sum, rtol=1e-12, atol=1e-15)
@@ -218,8 +220,7 @@ def test_m_step_aborts_on_nonfinite(rng):
     arch = small_arch()
     w = net_init(arch, seed=19)
     w[0] = 1e200
-    t = TrainTuple(0, np.array([0]), np.full((4, 4), 1e200), np.zeros((4, 4)),
-                   np.full(8, 1e150))
+    t = _tuple(0, np.full((4, 4), 1e200), np.full(8, 1e150))
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NumericalAbortError) as err:
             m_step([t], arch, w, eta=1e-3)
@@ -256,7 +257,7 @@ def test_train_zero_rounds_returns_initial(rng):
                                                         cfg.init_scale))
     assert res.rounds == []
     for t in res.tuples:
-        assert not t.x_primal.any()
+        assert not t.state.x_primal.any()
 
 
 def test_train_reduces_to_plain_bregman(rng):
@@ -264,15 +265,40 @@ def test_train_reduces_to_plain_bregman(rng):
     stack = ConstraintStack((Box(-1.0, 1.0), L1Ball(8.0)))
     arch = small_arch()
     iters = 12
-    state, trace = run_bregman(bank, stack, iters=iters, seed=77)
+    state, trace = run_bregman(bank, stack, initial_state(bank.shape), range(bank.n),
+                               iters, seed=77)
     cfg = TrainConfig(n_tuples=1, rounds=3, bregman_steps_per_round=4,
                       sgld=SgldParams(epsilon=0.01, steps=0),
                       lam_init=0.0, lam_final=0.0, eta=0.0,
                       z_seed=1, draw_seed=77, noise_seed=2)
     res = train(bank, stack, arch, cfg)
     assert res.tuple_traces[0] == trace
-    np.testing.assert_array_equal(res.tuples[0].x_primal, state.x_primal)
-    np.testing.assert_array_equal(res.tuples[0].x_dual, state.x_dual)
+    assert res.tuples[0].state.iter == state.iter
+    np.testing.assert_array_equal(res.tuples[0].state.x_primal, state.x_primal)
+    np.testing.assert_array_equal(res.tuples[0].state.x_dual, state.x_dual)
+
+
+def test_train_sends_every_step_through_the_one_driver(rng, monkeypatch):
+    # run_bregman is the only loop over bregman_step: every E-step step goes
+    # through the module binding it calls, and on_state sees each new state
+    import breguq.bregman
+
+    bank = small_bank(rng, n_exp=4)
+    calls, states = [], []
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs["k"])
+        return bregman_step(*args, **kwargs)
+
+    monkeypatch.setattr(breguq.bregman, "bregman_step", counted)
+    cfg = TrainConfig(n_tuples=2, rounds=2, bregman_steps_per_round=3,
+                      sgld=SgldParams(epsilon=0.01, steps=1), lam_init=0.5,
+                      lam_final=0.5, eta=1e-4, z_seed=3, draw_seed=4, noise_seed=5)
+    res = train(bank, WIDE, small_arch(), cfg, on_state=states.append)
+    assert len(calls) == 12
+    assert len(states) == 12
+    assert sorted(s.iter for s in states) == [1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6, 6]
+    assert [t.state.iter for t in res.tuples] == [6, 6]
 
 
 def test_train_improves_prior_misfit():
@@ -296,7 +322,7 @@ def test_train_center_variable_slack_orders_with_lambda():
                           m_steps_per_round=10, init_seed=7, z_seed=8,
                           draw_seed=9, noise_seed=10)
         res = train(bank, stack, arch, cfg)
-        xs = [t.x_primal for t in res.tuples]
+        xs = [t.state.x_primal for t in res.tuples]
         return max(np.linalg.norm(a - b) for i, a in enumerate(xs)
                    for b in xs[i + 1:])
 
@@ -317,8 +343,8 @@ def test_train_honors_stack_schedule(rng):
     fixed = train(bank, tight, arch, cfg)
     relaxed = train(bank, tight, arch, cfg,
                     stack_schedule=lambda r: loose if r > 0 else tight)
-    assert np.max(np.abs(fixed.tuples[0].x_primal)) <= 0.05 + 1e-12
-    assert np.max(np.abs(relaxed.tuples[0].x_primal)) > 0.05
+    assert np.max(np.abs(fixed.tuples[0].state.x_primal)) <= 0.05 + 1e-12
+    assert np.max(np.abs(relaxed.tuples[0].state.x_primal)) > 0.05
 
 
 def test_train_checkpoint_resume_reproduces(tmp_path, rng):
@@ -339,7 +365,7 @@ def test_train_checkpoint_resume_reproduces(tmp_path, rng):
     assert resumed.rounds == full.rounds
     assert resumed.tuple_traces == full.tuple_traces
     for a, b in zip(resumed.tuples, full.tuples):
-        np.testing.assert_array_equal(a.x_primal, b.x_primal)
+        np.testing.assert_array_equal(a.state.x_primal, b.state.x_primal)
         np.testing.assert_array_equal(a.z, b.z)
 
 
@@ -352,7 +378,7 @@ def test_checkpoint_roundtrip(tmp_path, rng):
               1: [TraceRecord(0, 1, 0.0, 0.5, 2.0 / 3.0, True, 7, False),
                   TraceRecord(1, 3, 10.0, 1e-17, 0.25, False, 1, True)]}
     # a tuple's step count is the length of its trace; load_checkpoint checks it
-    tuples = [replace(t, step_count=len(traces[t.id]))
+    tuples = [replace(t, state=replace(t.state, iter=len(traces[t.id])))
               for t in init_tuples(bank, 2, seed=21, latent_dim=8)]
     save_checkpoint(tmp_path / "c", arch, w, tuples, 4, rounds, traces)
     w2, tuples2, nxt, rounds2, traces2 = load_checkpoint(tmp_path / "c", arch)
@@ -361,17 +387,16 @@ def test_checkpoint_roundtrip(tmp_path, rng):
     assert traces2 == traces
     np.testing.assert_array_equal(w2, w)
     for a, b in zip(tuples2, tuples):
-        assert a.id == b.id and a.step_count == b.step_count
+        assert a.id == b.id and a.state.iter == b.state.iter
         np.testing.assert_array_equal(a.experiment_ids, b.experiment_ids)
         np.testing.assert_array_equal(a.z, b.z)
-        np.testing.assert_array_equal(a.x_primal, b.x_primal)
+        np.testing.assert_array_equal(a.state.x_primal, b.state.x_primal)
 
 
 def test_m_step_bit_reproducible(rng):
     arch = small_arch()
     w = net_init(arch, seed=22)
-    tuples = [TrainTuple(i, np.array([i]), rng.standard_normal((4, 4)),
-                         np.zeros((4, 4)), rng.standard_normal(8))
+    tuples = [_tuple(i, rng.standard_normal((4, 4)), rng.standard_normal(8))
               for i in range(3)]
     a = m_step(tuples, arch, w, eta=1e-3)
     b = m_step(tuples, arch, w, eta=1e-3)

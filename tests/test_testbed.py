@@ -39,6 +39,13 @@ def test_gaussian_kernel_normalized():
     np.testing.assert_allclose(k.taps, k.taps[::-1, ::-1])
 
 
+@pytest.mark.parametrize("size", [4, 0, -3])
+def test_gaussian_kernel_rejects_even_or_nonpositive_size(size):
+    # an even size used to build the next odd stencil without saying so
+    with pytest.raises(ValueError, match=f"kernel size must be odd and positive, got {size}"):
+        gaussian_kernel(size, 1.0)
+
+
 def test_full_sampling_identity_kernel_observes_truth():
     truth = make_ground_truth((16, 16), seed=1)
     bank = make_bank(truth, 2, ConvKernel.identity(), 1.0, seed=2)
