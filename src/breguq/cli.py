@@ -3,14 +3,14 @@
 Subcommands: gen | invert | train | sample | stats | check. Every command
 is a pure function of its config and input files: reruns with identical
 seeds produce byte-identical outputs. `main` loads and validates the whole
-config first (`load_config`), so a config error exits before `--out`
-exists. It then creates `--out`, runs the command on the built config
-objects, and writes the fully resolved config that produced the run,
-`resolved.cfg`, after the command succeeds.
+config first (`load_config`), then creates `--out`, runs the command on
+the built config objects, and writes the fully resolved config that
+produced the run, `resolved.cfg`, after the command succeeds.
 
 Exit codes: 0 success, 1 property-check failure, 2 usage/config error or
-malformed input file, 3 numerical abort. A numerical abort also writes
-`<out>/abort.json` with the message and the solver's diagnostics.
+malformed input file, which leaves no `--out` that the run created, 3
+numerical abort. A numerical abort also writes `<out>/abort.json` with the
+message and the solver's diagnostics.
 """
 
 from __future__ import annotations
@@ -20,19 +20,19 @@ import dataclasses
 import json
 import math
 import os
+import shutil
 import sys
 
 import numpy as np
 
 from .bregman import TraceRecord, initial_state, run_bregman
 from .config import in_section, load_config, write_resolved
-from .em import RoundRecord, train
+from .em import train
 from .errors import ConfigError, InputFormatError, NumericalAbortError
 from .net import net_init
 from .stats import (auto_probes, load_weights, model_quality, read_portable_grid,
-                    sample_generator, save_weights, summarize,
-                    write_histograms_csv, write_portable_grid, write_records,
-                    write_table)
+                    sample_generator, summarize, write_histograms_csv,
+                    write_portable_grid, write_records, write_table)
 from .testbed import (add_noise_to_snr, load_bank, make_bank, make_ground_truth,
                       save_bank)
 
@@ -76,23 +76,9 @@ def cmd_invert(args, config) -> int:
 
 
 def cmd_train(args, config) -> int:
-    out, arch, tc = args.out, config.arch, config.train
     bank, _ = load_bank(args.bank)
-    if arch.out_shape != tuple(bank.shape):
-        raise ConfigError(
-            f"[net] generator output {arch.out_shape} does not match the "
-            f"bank grid {tuple(bank.shape)}; adjust base shape or stages")
-    if tc.n_tuples > bank.n:
-        raise ConfigError(f"[em] tuples: cannot split {bank.n} experiments "
-                          f"into {tc.n_tuples} tuples")
-    result = train(bank, config.stack, arch, tc, stack_schedule=config.schedule,
-                   checkpoint_dir=os.path.join(out, "checkpoint"),
-                   resume_from=args.resume)
-    save_weights(os.path.join(out, "weights_init.dpnw"), arch, result.initial_weights)
-    save_weights(os.path.join(out, "weights.dpnw"), arch, result.weights)
-    write_records(os.path.join(out, "rounds.csv"), RoundRecord, result.rounds)
-    for tid, rows in sorted(result.tuple_traces.items()):
-        write_records(os.path.join(out, f"trace_tuple_{tid:03d}.csv"), TraceRecord, rows)
+    train(bank, config.stack, config.arch, config.train, stack_schedule=config.schedule,
+          run_dir=args.out, resume_from=args.resume)
     return 0
 
 
@@ -103,10 +89,10 @@ def _checkpoint_weights(path, arch):
 
 
 def cmd_sample(args, config) -> int:
-    w = _checkpoint_weights(args.checkpoint, config.arch)
     count = args.count if args.count is not None else config.get("stats", "sample_count")
     if count < 1:
-        raise ConfigError("[stats] sample_count must be at least 1")
+        raise ConfigError(f"--count must be at least 1, got {count}")
+    w = _checkpoint_weights(args.checkpoint, config.arch)
     samples = sample_generator(config.arch, w, count, config.get("stats", "sample_seed"))
     for j in range(count):
         write_portable_grid(samples.realization(j),
@@ -118,6 +104,10 @@ def cmd_stats(args, config) -> int:
     out, arch, tc = args.out, config.arch, config.train
     s = lambda key: config.get("stats", key)
     w_post = _checkpoint_weights(args.checkpoint, arch)
+    truth = None if args.truth is None else read_portable_grid(args.truth)
+    if truth is not None and (truth.shape != arch.out_shape or not truth.any()):
+        raise InputFormatError(f"{args.truth}: the truth grid must be non-zero and of the "
+                               f"generator's shape {arch.out_shape}, got {truth.shape}")
     w_prior = net_init(arch, tc.init_seed, tc.init_scale)
     posterior = sample_generator(arch, w_post, s("samples"), s("sample_seed"))
     prior = sample_generator(arch, w_prior, s("samples"), s("sample_seed"))
@@ -137,8 +127,8 @@ def cmd_stats(args, config) -> int:
     write_histograms_csv(post.probe_values, s("bins"),
                          os.path.join(out, "hist_posterior.csv"))
     write_histograms_csv(pri.probe_values, s("bins"), os.path.join(out, "hist_prior.csv"))
-    if args.truth is not None:
-        quality = model_quality(post.mean, read_portable_grid(args.truth))
+    if truth is not None:
+        quality = model_quality(post.mean, truth)
         write_table(os.path.join(out, "quality.csv"), ["metric", "value"], quality.items())
     return 0
 
@@ -182,20 +172,21 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="run the full training loop")
     common(p)
     p.add_argument("--bank", required=True, help="directory produced by gen")
-    p.add_argument("--resume", default=None, help="checkpoint directory to resume from")
+    p.add_argument("--resume", default=None,
+                   help="train output directory to resume from (may equal --out)")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("sample", help="write generator realizations")
     common(p)
     p.add_argument("--checkpoint", required=True,
-                   help="weights file or train output/checkpoint directory")
+                   help="weights file or train output directory")
     p.add_argument("--count", type=int, default=None)
     p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("stats", help="posterior mean/std grids and pixel histograms")
     common(p)
     p.add_argument("--checkpoint", required=True,
-                   help="weights file or train output/checkpoint directory")
+                   help="weights file or train output directory")
     p.add_argument("--truth", default=None, help="truth grid for quality metrics")
     p.set_defaults(func=cmd_stats)
 
@@ -238,6 +229,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     out = getattr(args, "out", None)
+    created = out is not None and not os.path.isdir(out)
     try:
         config = load_config(args.config, args.seed)
         if out is not None:
@@ -246,14 +238,12 @@ def main(argv=None) -> int:
         if out is not None:
             write_resolved(config, os.path.join(out, "resolved.cfg"))
         return code
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except InputFormatError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
-        print(f"missing input: {exc}", file=sys.stderr)
+    except (ConfigError, InputFormatError, FileNotFoundError) as exc:
+        kind = ("config error" if isinstance(exc, ConfigError) else
+                "input error" if isinstance(exc, InputFormatError) else "missing input")
+        print(f"{kind}: {exc}", file=sys.stderr)
+        if created and os.path.isdir(out):
+            shutil.rmtree(out)
         return 2
     except NumericalAbortError as exc:
         print(f"numerical abort: {exc}", file=sys.stderr)

@@ -15,10 +15,11 @@ shared center the per-tuple solutions are elastically pulled toward.
 Randomness is counter-keyed: experiment draws come from per-tuple streams
 (seed, tuple id) consumed sequentially across rounds, and Langevin noise
 from per-step streams (seed, tuple id, round, step). E-step results are
-therefore independent of tuple scheduling, and a run can resume from a
-checkpoint bit-exactly by fast-forwarding the draw streams; the
-checkpoint carries the round and trace logs so far, so a resumed run
-writes the same files as an uninterrupted one. Checkpoint files use the
+therefore independent of tuple scheduling, and a resumed run fast-forwards
+the draw streams. `train` alone writes a run directory, one copy per file:
+the weights and the logs, which each round appends to, at its root; the
+per-tuple state in `checkpoint/`. A resume reads the logs back, so it
+writes every file as an uninterrupted run does. Checkpoint files use the
 formats of `breguq.stats`; a malformed one raises `CheckpointFormatError`.
 """
 
@@ -32,7 +33,7 @@ import numpy as np
 
 from .bregman import (T_MAX_DEFAULT, BregmanState, TraceRecord, initial_state,
                       run_bregman)
-from .errors import CheckpointFormatError, NumericalAbortError
+from .errors import CheckpointFormatError, ConfigError, NumericalAbortError
 from .net import NetArch, net_eval_and_backward, net_forward, net_init
 from .projections import ConstraintStack
 from .sgld import SgldParams, sgld_run
@@ -136,7 +137,8 @@ def init_tuples(bank, n: int, seed: int, latent_dim: int) -> list:
     zero Bregman states, and latents drawn from one seeded stream."""
     n_exp = bank.n
     if n > n_exp:
-        raise ValueError(f"cannot split {n_exp} experiments into {n} tuples")
+        raise ConfigError(f"[em] tuples: cannot split {n_exp} experiments into {n} tuples",
+                          key="em.tuples")
     rng = np.random.default_rng(np.random.SeedSequence([int(seed)]))
     return [TrainTuple(t, np.arange(t, n_exp, n, dtype=np.int64), initial_state(bank.shape),
                        rng.standard_normal(latent_dim)) for t in range(n)]
@@ -196,35 +198,42 @@ def _tuple_data_misfit(t: TrainTuple, bank) -> float:
 
 
 def train(bank, stack: ConstraintStack, arch: NetArch, config: TrainConfig,
-          stack_schedule=None, on_state=None, checkpoint_dir=None,
+          stack_schedule=None, on_state=None, run_dir=None,
           resume_from=None) -> TrainResult:
     """Run the full loop: rounds of (e_step; m_step) with the trade-off
     parameter following its ramp.
 
     `stack_schedule(round) -> ConstraintStack` optionally relaxes the
     handcrafted sets per round. `on_state` sees every post-step Bregman
-    state of every tuple. `checkpoint_dir` receives a resumable
-    checkpoint after every round; `resume_from` restarts from one and
-    reproduces the uninterrupted run exactly (streams are counter-keyed).
-    A round whose prior misfit is not finite raises `NumericalAbortError`
-    before its checkpoint is written.
+    state of every tuple. `run_dir` receives the run directory (see
+    `save_checkpoint`), written whole first and extended after every
+    round. `resume_from` is such a directory: the run restarts from it and
+    reproduces the uninterrupted run exactly (streams are counter-keyed);
+    a tuple split or step count that `config` would not give raises
+    `ConfigError` before any write. A round whose prior misfit is not
+    finite raises `NumericalAbortError` before its checkpoint is written.
     """
     if arch.out_shape != tuple(bank.shape):
-        raise ValueError(f"generator output {arch.out_shape} does not match "
-                         f"bank grid {tuple(bank.shape)}")
+        raise ConfigError(f"[net] generator output {arch.out_shape} does not match the bank "
+                          f"grid {tuple(bank.shape)}; adjust base shape or stages")
     w0 = net_init(arch, config.init_seed, config.init_scale)
+    w, start_round = w0.copy(), 0
+    tuples = init_tuples(bank, config.n_tuples, config.z_seed, arch.latent_dim)
+    round_records, tuple_traces = [], {t.id: [] for t in tuples}
     if resume_from is not None:
+        partition = [(t.id, t.experiment_ids.tolist()) for t in tuples]
         w, tuples, start_round, round_records, tuple_traces = load_checkpoint(
             resume_from, arch)
-    else:
-        w = w0.copy()
-        tuples = init_tuples(bank, config.n_tuples, config.z_seed, arch.latent_dim)
-        start_round = 0
-        round_records = []
-        tuple_traces = {t.id: [] for t in tuples}
-        if checkpoint_dir is not None:
-            save_checkpoint(checkpoint_dir, arch, w, tuples, -1, round_records,
-                            tuple_traces)
+        if [(t.id, t.experiment_ids.tolist()) for t in tuples] != partition:
+            raise ConfigError(f"[em] tuples: {resume_from} splits the bank into "
+                              f"{len(tuples)} tuples, not as configured", key="em.tuples")
+        if any(t.state.iter != start_round * config.bregman_steps_per_round for t in tuples):
+            raise ConfigError(f"[em] bregman_steps_per_round: {resume_from} ran another "
+                              f"number of steps per round", key="em.bregman_steps_per_round")
+    if run_dir is not None:
+        save_checkpoint(run_dir, arch, w, tuples, start_round - 1, round_records,
+                        tuple_traces)
+        save_weights(os.path.join(run_dir, "weights_init.dpnw"), arch, w0)
 
     for r in range(start_round, config.rounds):
         lam = lam_schedule(config, r)
@@ -244,9 +253,9 @@ def train(bank, stack: ConstraintStack, arch: NetArch, config: TrainConfig,
                 "round": r, "lam": lam, "eta": config.eta,
                 "per_tuple_misfit": misfits})
         round_records.append(RoundRecord(r, lam, data, prior))
-        if checkpoint_dir is not None:
-            save_checkpoint(checkpoint_dir, arch, w, tuples, r, round_records,
-                            tuple_traces)
+        if run_dir is not None:
+            save_checkpoint(run_dir, arch, w, tuples, r, round_records[-1:], traces,
+                            append=True)
     return TrainResult(w, w0, tuples, round_records, tuple_traces)
 
 
@@ -254,40 +263,40 @@ _LATENT_COLUMNS = {"tuple_id": int, "dim": int, "value": float}
 
 
 def save_checkpoint(dirpath, arch: NetArch, w, tuples, round_completed: int,
-                    rounds, traces) -> None:
-    """Everything a resume needs: weights, tuple state, and the round and
-    per-tuple trace logs so far, which the resumed run extends."""
-    os.makedirs(dirpath, exist_ok=True)
+                    rounds, traces, append: bool = False) -> None:
+    """The run directory `dirpath` as of `round_completed`: the weights and
+    logs at its root, the tuple state in `checkpoint/`. `rounds` and
+    `traces` (tuple id -> rows) are the whole logs, or with `append` the
+    rows the logs on disk gain. `state.json`, whose counts say how many
+    log rows a resume reads, goes last."""
+    state_dir = os.path.join(dirpath, "checkpoint")
+    os.makedirs(state_dir, exist_ok=True)
+    write_records(os.path.join(dirpath, "rounds.csv"), RoundRecord, rounds, append)
+    for t in tuples:
+        write_records(os.path.join(dirpath, f"trace_tuple_{t.id:03d}.csv"), TraceRecord,
+                      traces[t.id], append)
     save_weights(os.path.join(dirpath, "weights.dpnw"), arch, w)
-    state = {
-        "round_completed": int(round_completed),
-        "tuples": [{"id": int(t.id),
-                    "experiment_ids": [int(k) for k in t.experiment_ids],
-                    "step_count": int(t.state.iter)} for t in tuples],
-    }
-    with open(os.path.join(dirpath, "state.json"), "w", newline="") as f:
-        json.dump(state, f, indent=2, sort_keys=True)
-        f.write("\n")
-    write_table(os.path.join(dirpath, "latents.csv"), _LATENT_COLUMNS,
+    write_table(os.path.join(state_dir, "latents.csv"), _LATENT_COLUMNS,
                 [(t.id, d, v) for t in tuples for d, v in enumerate(t.z.tolist())])
     for t in tuples:
-        write_portable_grid(t.state.x_primal,
-                            os.path.join(dirpath, f"tuple_{t.id:03d}_x.pgrd"))
-        write_portable_grid(t.state.x_dual,
-                            os.path.join(dirpath, f"tuple_{t.id:03d}_xdual.pgrd"))
-        write_records(os.path.join(dirpath, f"trace_tuple_{t.id:03d}.csv"), TraceRecord,
-                      traces[t.id])
-    write_records(os.path.join(dirpath, "rounds.csv"), RoundRecord, rounds)
+        for name, grid in (("x", t.state.x_primal), ("xdual", t.state.x_dual)):
+            write_portable_grid(grid, os.path.join(state_dir, f"tuple_{t.id:03d}_{name}.pgrd"))
+    state = {"round_completed": int(round_completed),
+             "tuples": [{"id": int(t.id), "experiment_ids": t.experiment_ids.tolist(),
+                         "step_count": int(t.state.iter)} for t in tuples]}
+    with open(os.path.join(state_dir, "state.json"), "w", newline="") as f:
+        json.dump(state, f, indent=2, sort_keys=True)
+        f.write("\n")
 
 
 def load_checkpoint(dirpath, arch: NetArch):
-    """Returns (weights, tuples, next round index, round records, per-tuple
-    traces). Malformed content in `state.json` or any CSV log, or a log
-    whose row count disagrees with `state.json`, raises
-    `CheckpointFormatError` naming the file."""
+    """Reads the run directory `dirpath`; returns (weights, tuples, next
+    round index, round records, per-tuple traces). Malformed content in
+    `state.json` or any CSV log, or a log whose row count disagrees with
+    `state.json`, raises `CheckpointFormatError` naming the file."""
+    state_dir = os.path.join(dirpath, "checkpoint")
 
-    def parse(name, read, *args):
-        path = os.path.join(dirpath, name)
+    def parse(path, read, *args):
         try:
             return read(path, *args)
         except (ValueError, KeyError, TypeError) as exc:
@@ -314,18 +323,17 @@ def load_checkpoint(dirpath, arch: NetArch):
         return {tid: np.array([latents[tid][d] for d in range(arch.latent_dim)])
                 for tid, _, _ in records}
 
-    next_round, records = parse("state.json", read_state)
+    next_round, records = parse(os.path.join(state_dir, "state.json"), read_state)
     w = load_weights(os.path.join(dirpath, "weights.dpnw"), arch)
-    latents = parse("latents.csv", read_latents)
-    tuples = []
-    traces = {}
+    latents = parse(os.path.join(state_dir, "latents.csv"), read_latents)
+    tuples, traces = [], {}
     for tid, experiment_ids, step_count in records:
-        state = BregmanState(
-            x_primal=read_portable_grid(os.path.join(dirpath, f"tuple_{tid:03d}_x.pgrd")),
-            x_dual=read_portable_grid(os.path.join(dirpath, f"tuple_{tid:03d}_xdual.pgrd")),
-            iter=step_count)
-        tuples.append(TrainTuple(tid, experiment_ids, state, latents[tid]))
-        traces[tid] = parse(f"trace_tuple_{tid:03d}.csv", read_log, TraceRecord,
-                            step_count)
-    return (w, tuples, next_round, parse("rounds.csv", read_log, RoundRecord, next_round),
+        x_dual, x = (read_portable_grid(os.path.join(state_dir, f"tuple_{tid:03d}_{n}.pgrd"))
+                     for n in ("xdual", "x"))
+        tuples.append(TrainTuple(tid, experiment_ids, BregmanState(x_dual, x, step_count),
+                                 latents[tid]))
+        traces[tid] = parse(os.path.join(dirpath, f"trace_tuple_{tid:03d}.csv"), read_log,
+                            TraceRecord, step_count)
+    return (w, tuples, next_round,
+            parse(os.path.join(dirpath, "rounds.csv"), read_log, RoundRecord, next_round),
             traces)

@@ -249,11 +249,13 @@ _PARSE = {"int": int, "float": float, "bool": lambda s: bool(int(s)),
           "float | None": lambda s: None if s == "" else float(s)}
 
 
-def write_table(path, header, rows) -> None:
-    """One CSV table: the header line, then one line per row, each ended by a newline."""
-    with open(path, "w", newline="") as f:
+def write_table(path, header, rows, append: bool = False) -> None:
+    """One CSV table: the header line, then one line per row, each ended by
+    a newline; `append` adds only the rows to an existing table."""
+    with open(path, "a" if append else "w", newline="") as f:
         writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(header)
+        if not append:
+            writer.writerow(header)
         writer.writerows([v if (fmt := _CELL.get(type(v))) is None else fmt(v) for v in row]
                          for row in rows)
 
@@ -274,10 +276,10 @@ def read_table(path, columns: dict) -> list:
     return [tuple(parse(row[name]) for name, parse in columns.items()) for row in reader]
 
 
-def write_records(path, cls, records) -> None:
+def write_records(path, cls, records, append: bool = False) -> None:
     """A log of `cls` dataclass records, one column per field."""
     names = [f.name for f in fields(cls)]
-    write_table(path, names, map(attrgetter(*names), records))
+    write_table(path, names, map(attrgetter(*names), records), append)
 
 
 def read_records(path, cls) -> list:

@@ -7,6 +7,12 @@ from breguq.net import NetArch, StageSpec
 from breguq.testbed import ExperimentBank, LinearExperiment, _coherent_basis
 
 
+def run_files(run_dir):
+    """Every file under a run directory, by path relative to it -> bytes."""
+    return {str(p.relative_to(run_dir)): p.read_bytes()
+            for p in sorted(run_dir.rglob("*")) if p.is_file()}
+
+
 def small_arch():
     return NetArch(latent_dim=8, base_rows=2, base_cols=2, base_channels=4,
                    stages=(StageSpec(4),))

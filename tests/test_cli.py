@@ -13,10 +13,10 @@ from breguq.em import RoundRecord
 from breguq.errors import NumericalAbortError
 from breguq.linops import ScaleOp
 from breguq.net import net_init
-from breguq.stats import load_weights, read_portable_grid, read_records
+from breguq.stats import load_weights, read_portable_grid, read_records, write_portable_grid
 from breguq.testbed import load_bank
 
-from conftest import eval_lsq_objective
+from conftest import eval_lsq_objective, run_files
 
 SMALL_TESTBED = """\
 [testbed]
@@ -247,30 +247,73 @@ def test_train_reduction_matches_invert_trace(gen_dir, tmp_path):
             == (tr / "trace_tuple_000.csv").read_bytes())
 
 
+def half_and_full_runs(bank_dir, tmp_path):
+    """A 4-round run, and the first 2 rounds of it as a run directory;
+    returns the full run's config and both directories."""
+    # ramp pinned so both schedules agree despite different round counts
+    cfg_full, out_full = write_cfg(tmp_path, SMALL_TESTBED.replace(
+        "rounds = 2", "rounds = 4\nlam_ramp_rounds = 2"), name="full.cfg"), tmp_path / "full"
+    cfg_half, out_half = write_cfg(tmp_path, SMALL_TESTBED.replace(
+        "rounds = 2", "rounds = 2\nlam_ramp_rounds = 2"), name="half.cfg"), tmp_path / "half"
+    for cfg, out in ((cfg_full, out_full), (cfg_half, out_half)):
+        assert main(["train", "--config", cfg, "--bank", str(bank_dir),
+                     "--out", str(out)]) == 0
+    return cfg_full, out_full, out_half
+
+
 def test_train_resume_reproduces(gen_dir, tmp_path):
     _, bank_dir = gen_dir
-    # ramp pinned so both schedules agree despite different round counts
-    base = SMALL_TESTBED.replace("rounds = 2",
-                                 "rounds = 4\nlam_ramp_rounds = 2")
-    half = SMALL_TESTBED.replace("rounds = 2",
-                                 "rounds = 2\nlam_ramp_rounds = 2")
-    cfg_full = write_cfg(tmp_path, base, name="full.cfg")
-    cfg_half = write_cfg(tmp_path, half, name="half.cfg")
-    out_full = tmp_path / "full"
-    out_half = tmp_path / "half"
+    cfg_full, out_full, out_half = half_and_full_runs(bank_dir, tmp_path)
     out_res = tmp_path / "resumed"
     assert main(["train", "--config", cfg_full, "--bank", str(bank_dir),
-                 "--out", str(out_full)]) == 0
-    assert main(["train", "--config", cfg_half, "--bank", str(bank_dir),
-                 "--out", str(out_half)]) == 0
+                 "--out", str(out_res), "--resume", str(out_half)]) == 0
+    assert run_files(out_res) == run_files(out_full)
+
+
+def test_train_resume_in_place_reproduces(gen_dir, tmp_path):
+    # the resumed run rewrites its logs whole before appending to them
+    _, bank_dir = gen_dir
+    cfg_full, out_full, out_half = half_and_full_runs(bank_dir, tmp_path)
     assert main(["train", "--config", cfg_full, "--bank", str(bank_dir),
-                 "--out", str(out_res), "--resume",
-                 str(out_half / "checkpoint")]) == 0
-    names = ["weights.dpnw", "rounds.csv"] + sorted(
-        p.name for p in out_full.glob("trace_tuple_*.csv"))
-    assert len(names) == 4
-    for name in names:
-        assert (out_res / name).read_bytes() == (out_full / name).read_bytes(), name
+                 "--out", str(out_half), "--resume", str(out_half)]) == 0
+    assert run_files(out_half) == run_files(out_full)
+
+
+def test_train_run_directory_holds_one_copy_of_each_file(gen_dir, tmp_path):
+    cfg_path, bank_dir = gen_dir
+    out = tmp_path / "tr"
+    assert main(["train", "--config", cfg_path, "--bank", str(bank_dir),
+                 "--out", str(out)]) == 0
+    root = {p.name for p in out.iterdir() if p.is_file()}
+    state = {p.name for p in (out / "checkpoint").iterdir()}
+    assert root == {"resolved.cfg", "weights.dpnw", "weights_init.dpnw", "rounds.csv",
+                    "trace_tuple_000.csv", "trace_tuple_001.csv"}
+    assert state == {"state.json", "latents.csv", "tuple_000_x.pgrd", "tuple_000_xdual.pgrd",
+                     "tuple_001_x.pgrd", "tuple_001_xdual.pgrd"}
+
+
+@pytest.mark.parametrize("key, anchor, trained, resumed", [
+    ("tuples", "tuples = 2", "4", "2"),
+    ("bregman_steps_per_round", "bregman_steps_per_round = 3", "3", "5"),
+], ids=["tuples", "steps"])
+def test_resume_disagreeing_with_config_exit_2(gen_dir, tmp_path, capsys, key, anchor,
+                                               trained, resumed):
+    # a 1-round checkpoint resumed for round 2 with another tuple split or
+    # another step count per round, into a new directory and in place
+    _, bank_dir = gen_dir
+    cfg = write_cfg(tmp_path, SMALL_TESTBED.replace("rounds = 2", "rounds = 1").replace(
+        anchor, f"{key} = {trained}"), name="a.cfg")
+    cfg_other = write_cfg(tmp_path, SMALL_TESTBED.replace(anchor, f"{key} = {resumed}"),
+                          name="b.cfg")
+    out = tmp_path / "tr"
+    assert main(["train", "--config", cfg, "--bank", str(bank_dir), "--out", str(out)]) == 0
+    before = run_files(out)
+    for res in (tmp_path / "res", out):
+        assert main(["train", "--config", cfg_other, "--bank", str(bank_dir),
+                     "--out", str(res), "--resume", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: [em] {key}: {out}")
+    assert not (tmp_path / "res").exists()
+    assert run_files(out) == before
 
 
 def test_resume_from_checkpoint_without_tv_gap_column_exit_2(gen_dir, tmp_path, capsys):
@@ -279,12 +322,11 @@ def test_resume_from_checkpoint_without_tv_gap_column_exit_2(gen_dir, tmp_path, 
     out = tmp_path / "tr"
     assert main(["train", "--config", cfg_path, "--bank", str(bank_dir),
                  "--out", str(out)]) == 0
-    trace = out / "checkpoint" / "trace_tuple_000.csv"
+    trace = out / "trace_tuple_000.csv"
     trace.write_text("".join(line.rsplit(",", 1)[0] + "\n"
                              for line in trace.read_text().splitlines()))
     assert main(["train", "--config", cfg_path, "--bank", str(bank_dir),
-                 "--out", str(tmp_path / "res"), "--resume",
-                 str(out / "checkpoint")]) == 2
+                 "--out", str(tmp_path / "res"), "--resume", str(out)]) == 2
     assert "lacks the column 'proj_tv_gap'" in capsys.readouterr().err
 
 
@@ -294,10 +336,12 @@ def _cut_half(text):
 
 
 @pytest.mark.parametrize("name, cut", [
-    *[pytest.param(name, _cut_half, id=name)
-      for name in ["state.json", "latents.csv", "rounds.csv", "trace_tuple_000.csv"]],
+    *[pytest.param(name, _cut_half, id=os.path.basename(name))
+      for name in ["checkpoint/state.json", "checkpoint/latents.csv", "rounds.csv",
+                   "trace_tuple_000.csv"]],
     # the last latent cut mid-number; the trace one step short of state.json
-    pytest.param("latents.csv", lambda text: text[:-7], id="latents.csv-mid-number"),
+    pytest.param("checkpoint/latents.csv", lambda text: text[:-7],
+                 id="latents.csv-mid-number"),
     pytest.param("trace_tuple_000.csv", lambda text: "".join(text.splitlines(True)[:-1]),
                  id="trace_tuple_000.csv-last-row"),
 ])
@@ -306,11 +350,10 @@ def test_resume_from_malformed_checkpoint_exit_2(gen_dir, tmp_path, capsys, name
     out = tmp_path / "tr"
     assert main(["train", "--config", cfg_path, "--bank", str(bank_dir),
                  "--out", str(out)]) == 0
-    path = out / "checkpoint" / name
+    path = out / name
     path.write_text(cut(path.read_text()))
     assert main(["train", "--config", cfg_path, "--bank", str(bank_dir),
-                 "--out", str(tmp_path / "res"), "--resume",
-                 str(out / "checkpoint")]) == 2
+                 "--out", str(tmp_path / "res"), "--resume", str(out)]) == 2
     assert str(path) in capsys.readouterr().err
 
 
@@ -327,12 +370,19 @@ def test_default_em_settings_train_the_default_bank(tmp_path):
                for r in rounds)
 
 
-def test_train_arch_grid_mismatch_exit_2(gen_dir, tmp_path):
+def test_train_arch_grid_mismatch_exit_2(gen_dir, tmp_path, capsys):
+    # checks that need the bank run with the command, after --out exists;
+    # an exit 2 removes the directory again
     _, bank_dir = gen_dir
-    body = SMALL_TESTBED.replace("stages = 2", "stages = 3")
-    cfg = write_cfg(tmp_path, body, name="bad.cfg")
-    assert main(["train", "--config", cfg, "--bank", str(bank_dir),
-                 "--out", str(tmp_path / "t")]) == 2
+    for setting, named in (("stages = 3", "[net] generator output"),
+                           ("tuples = 100", "[em] tuples")):
+        body = SMALL_TESTBED.replace(setting.split(" =")[0] + " = 2", setting)
+        cfg = write_cfg(tmp_path, body, name="bad.cfg")
+        out = tmp_path / "t"
+        assert main(["train", "--config", cfg, "--bank", str(bank_dir),
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {named}")
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("slope", ["-0.1", "1.5"])
@@ -416,6 +466,18 @@ def test_sample_writes_realizations(gen_dir, tmp_path):
         assert read_portable_grid(out / f"sample_{j:04d}.pgrd").shape == (16, 16)
 
 
+def test_sample_count_zero_exit_2_names_flag(gen_dir, tmp_path, capsys):
+    cfg, bank_dir = gen_dir
+    train_out = tmp_path / "tr"
+    assert main(["train", "--config", cfg, "--bank", str(bank_dir),
+                 "--out", str(train_out)]) == 0
+    out = tmp_path / "samples"
+    assert main(["sample", "--config", cfg, "--checkpoint", str(train_out),
+                 "--out", str(out), "--count", "0"]) == 2
+    assert capsys.readouterr().err == "config error: --count must be at least 1, got 0\n"
+    assert not out.exists()
+
+
 def test_stats_outputs_and_determinism(gen_dir, tmp_path):
     cfg, bank_dir = gen_dir
     train_out = tmp_path / "tr"
@@ -435,6 +497,24 @@ def test_stats_outputs_and_determinism(gen_dir, tmp_path):
     assert hist[0] == "pixel_row,pixel_col,bin_lo,bin_hi,count"
     counts = sum(int(line.split(",")[-1]) for line in hist[1:])
     assert counts == 2 * 8  # two probes, eight samples each
+
+
+@pytest.mark.parametrize("truth, message", [
+    ("y_0000.pgrd", "input error: {path}: the truth grid must be non-zero"),
+    ("zero.pgrd", "input error: {path}: the truth grid must be non-zero"),
+    ("absent.pgrd", "missing input: "),
+], ids=["wrong-shape", "zero", "absent"])
+def test_stats_truth_checked_before_any_grid(gen_dir, tmp_path, capsys, truth, message):
+    cfg, bank_dir = gen_dir
+    write_portable_grid(np.zeros((16, 16)), bank_dir / "zero.pgrd")
+    train_out = tmp_path / "tr"
+    assert main(["train", "--config", cfg, "--bank", str(bank_dir),
+                 "--out", str(train_out)]) == 0
+    out, path = tmp_path / "s", bank_dir / truth
+    assert main(["stats", "--config", cfg, "--checkpoint", str(train_out),
+                 "--out", str(out), "--truth", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(message.format(path=path))
+    assert not out.exists()
 
 
 def test_stats_single_sample_rejected(gen_dir, tmp_path, capsys):

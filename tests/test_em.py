@@ -16,7 +16,7 @@ from breguq.sgld import SgldParams
 from breguq.testbed import (NoiseSpec, add_noise_to_snr, gaussian_kernel,
                             make_bank, make_ground_truth)
 
-from conftest import restriction_bank, small_arch
+from conftest import restriction_bank, run_files, small_arch
 
 WIDE = ConstraintStack((Box(-1e9, 1e9),))
 
@@ -355,18 +355,21 @@ def test_train_checkpoint_resume_reproduces(tmp_path, rng):
                       sgld=SgldParams(epsilon=0.001, steps=3),
                       lam_init=0.0, lam_final=0.5, lam_ramp_rounds=3, eta=1e-4,
                       init_seed=7, z_seed=8, draw_seed=9, noise_seed=10)
-    full = train(bank, stack, arch, cfg)
+    full = train(bank, stack, arch, cfg, run_dir=tmp_path / "full")
 
     cfg_half = TrainConfig(**{**cfg.__dict__, "rounds": 3})
-    ckpt = tmp_path / "ckpt"
-    train(bank, stack, arch, cfg_half, checkpoint_dir=ckpt)
-    resumed = train(bank, stack, arch, cfg, resume_from=ckpt)
+    run = tmp_path / "run"
+    train(bank, stack, arch, cfg_half, run_dir=run)
+    resumed = train(bank, stack, arch, cfg, resume_from=run)
     np.testing.assert_array_equal(resumed.weights, full.weights)
     assert resumed.rounds == full.rounds
     assert resumed.tuple_traces == full.tuple_traces
     for a, b in zip(resumed.tuples, full.tuples):
         np.testing.assert_array_equal(a.state.x_primal, b.state.x_primal)
         np.testing.assert_array_equal(a.z, b.z)
+    # resumed in place, the run directory becomes the uninterrupted one
+    train(bank, stack, arch, cfg, run_dir=run, resume_from=run)
+    assert run_files(run) == run_files(tmp_path / "full")
 
 
 def test_checkpoint_roundtrip(tmp_path, rng):
@@ -391,6 +394,27 @@ def test_checkpoint_roundtrip(tmp_path, rng):
         np.testing.assert_array_equal(a.experiment_ids, b.experiment_ids)
         np.testing.assert_array_equal(a.z, b.z)
         np.testing.assert_array_equal(a.state.x_primal, b.state.x_primal)
+        np.testing.assert_array_equal(a.state.x_dual, b.state.x_dual)
+
+
+def test_checkpoint_append_writes_the_whole_save(tmp_path, rng):
+    # a save of rounds 0-2 and one that appends rounds 3-4 (and the later
+    # trace rows) leave the files of one save of rounds 0-4
+    bank = small_bank(rng)
+    arch = small_arch()
+    w = net_init(arch, seed=20)
+    rounds = [RoundRecord(r, 0.1 * r, 1.0 / 3.0 + r, 2.0 / 7.0) for r in range(5)]
+    row = TraceRecord(0, 1, 0.0, 0.5, 2.0 / 3.0, True, 7, False, None)
+    traces = {0: [replace(row, iter=i) for i in range(3)], 1: [row]}
+    tuples = [replace(t, state=replace(t.state, iter=len(traces[t.id])))
+              for t in init_tuples(bank, 2, seed=21, latent_dim=8)]
+    save_checkpoint(tmp_path / "whole", arch, w, tuples, 4, rounds, traces)
+    save_checkpoint(tmp_path / "grown", arch, w, tuples, 2, rounds[:3],
+                    {0: traces[0][:1], 1: []})
+    save_checkpoint(tmp_path / "grown", arch, w, tuples, 4, rounds[3:],
+                    {0: traces[0][1:], 1: traces[1]}, append=True)
+    assert run_files(tmp_path / "grown") == run_files(tmp_path / "whole")
+    assert load_checkpoint(tmp_path / "grown", arch)[3] == rounds
 
 
 def test_m_step_bit_reproducible(rng):
