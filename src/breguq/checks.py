@@ -1,9 +1,10 @@
 """Self-check property suite behind the `check` CLI subcommand.
 
 Four families: adjoint dot tests over every operator kind (plus a freshly
-generated mini bank), projection-versus-reference-QP agreement, generator
-gradient checks against central finite differences, and the closed-form
-stationary variance of the drift-only Langevin recursion.
+generated mini bank); `project_intersection` against the one reference QP,
+`oracles.qp_project`, on every kind of stack it runs (one table row per
+stack); generator gradient checks against central finite differences; and
+the closed-form stationary variance of the drift-only Langevin recursion.
 """
 
 from __future__ import annotations
@@ -17,9 +18,8 @@ from .linops import (ComposeOp, ConvKernel, ConvOp, IdentityOp, RestrictionMask,
                      RestrictOp, ScaleOp, dot_test)
 from .net import (NetArch, StageSpec, net_eval_and_backward, net_forward,
                   net_init)
-from .projections import (project_box, project_intersection, project_l1_ball,
-                          project_l2_ball, total_variation,
-                          Box, L1Ball, TVBall, ConstraintStack)
+from .projections import (Box, ConstraintStack, L1Ball, L2Ball, TVBall,
+                          project_intersection, total_variation)
 from .sgld import SgldParams, sgld_step
 from .testbed import gaussian_kernel, make_bank, make_ground_truth
 
@@ -68,65 +68,67 @@ def run_dot_test_checks(extra_ops=()) -> list:
     return results
 
 
+def _pointwise(mine, ref, x) -> float:
+    return float(np.max(np.abs(mine - ref)))
+
+
+def _objective(mine, ref, x) -> float:
+    obj, obj_ref = (0.5 * float(np.sum((p - x) ** 2)) for p in (mine, ref))
+    return abs(obj - obj_ref) / max(1.0, abs(obj_ref))
+
+
+def _draw(scale, shape, sets):
+    """Input draw: x = scale * N(0, I) of `shape`, then the sets `sets(x, rng)`."""
+    def draw(rng):
+        x = scale * rng.standard_normal(shape)
+        return x, sets(x, rng)
+    return draw
+
+
+def _clip(x):
+    return np.clip(x, -0.8, 0.6)
+
+
+# (name, trials, input draw, measure, bound): pointwise for the stacks with
+# a closed form, relative objective for those the dual solve runs
+_ORACLE_ROWS = (
+    ("box", 5, _draw(3.0, (1, 6), lambda x, rng: (Box(-1.0, 1.0),)), _pointwise, 1e-6),
+    ("l2_ball", 5, _draw(2.0, (1, 7), lambda x, rng: (L2Ball(1.5),)), _pointwise, 1e-6),
+    ("l1_ball", 5, _draw(2.0, (1, 8), lambda x, rng: (L1Ball(2.0),)), _pointwise, 1e-6),
+    ("tv_ball", 3, _draw(1.0, (2, 3), lambda x, rng: (
+        TVBall(0.5 * float(np.abs(np.diff(x)).sum() + 1.0) * rng.uniform(0.2, 0.8)),)),
+     _objective, 1e-4),
+    ("box_l1_intersection", 3, _draw(2.0, (2, 3), lambda x, rng: (
+        Box(-0.6, 0.8), L1Ball(1.5))), _pointwise, 1e-6),
+    ("box_tv_intersection", 3, _draw(2.0, (3, 4), lambda x, rng: (
+        Box(-0.8, 0.6), TVBall(rng.uniform(0.2, 0.6) * total_variation(_clip(x))))),
+     _objective, 1e-4),
+    ("box_l2_intersection", 3, _draw(2.0, (3, 4), lambda x, rng: (
+        Box(-0.8, 0.6), L2Ball(rng.uniform(0.3, 0.7) * float(np.linalg.norm(_clip(x)))))),
+     _objective, 1e-4),
+    # 2.0 / sqrt(6) < 1.2 < 2.0, so neither ball holds the other
+    ("l1_l2_intersection", 3, _draw(2.0, (2, 3), lambda x, rng: (
+        L1Ball(2.0), L2Ball(1.2))), _objective, 1e-4),
+    ("box_l1_tv_intersection", 3, _draw(2.0, (3, 4), lambda x, rng: (
+        Box(-0.8, 0.6), L1Ball(rng.uniform(0.3, 0.7) * float(np.abs(_clip(x)).sum())),
+        TVBall(rng.uniform(0.2, 0.6) * total_variation(_clip(x))))), _objective, 1e-4),
+)
+
+
 def run_projection_oracle_checks() -> list:
+    """Every row's inputs, projected by `project_intersection` at the
+    shipped solver knobs, against `oracles.qp_project` on the same stack."""
     rng = np.random.default_rng(424242)
     results = []
-
-    def record(name, worst, tol):
+    for name, trials, draw, measure, tol in _ORACLE_ROWS:
+        worst = 0.0
+        for _ in range(trials):
+            x, sets = draw(rng)
+            stack = ConstraintStack(sets)
+            worst = max(worst, measure(project_intersection(x, stack).x,
+                                       oracles.qp_project(x, stack), x))
         results.append(CheckResult(f"projection_oracle:{name}", worst <= tol,
                                    f"worst deviation {worst:.3e} (tol {tol:.0e})"))
-
-    worst = 0.0
-    for _ in range(5):
-        x = 3.0 * rng.standard_normal(6)
-        worst = max(worst, float(np.max(np.abs(
-            project_box(x, -1.0, 1.0) - oracles.qp_project_box(x, -1.0, 1.0)))))
-    record("box", worst, 1e-6)
-
-    worst = 0.0
-    for _ in range(5):
-        x = 2.0 * rng.standard_normal(7)
-        worst = max(worst, float(np.max(np.abs(
-            project_l2_ball(x, 1.5) - oracles.qp_project_l2(x, 1.5)))))
-    record("l2_ball", worst, 1e-6)
-
-    worst = 0.0
-    for _ in range(5):
-        x = 2.0 * rng.standard_normal(8)
-        worst = max(worst, float(np.max(np.abs(
-            project_l1_ball(x, 2.0) - oracles.qp_project_l1(x, 2.0)))))
-    record("l1_ball", worst, 1e-6)
-
-    worst = 0.0
-    for _ in range(3):
-        x = rng.standard_normal((2, 3))
-        radius = 0.5 * float(np.abs(np.diff(x)).sum() + 1.0) * rng.uniform(0.2, 0.8)
-        mine = project_intersection(x, ConstraintStack((TVBall(radius),)))
-        ref = oracles.qp_project_tv(x, radius)
-        obj_mine = 0.5 * float(np.sum((mine.x - x) ** 2))
-        obj_ref = 0.5 * float(np.sum((ref - x) ** 2))
-        worst = max(worst, abs(obj_mine - obj_ref) / max(1.0, abs(obj_ref)))
-    record("tv_ball", worst, 1e-4)
-
-    worst = 0.0
-    stack = ConstraintStack((Box(-0.6, 0.8), L1Ball(1.5)))
-    for _ in range(3):
-        x = 2.0 * rng.standard_normal((2, 3))
-        mine = project_intersection(x, stack).x
-        ref = oracles.qp_project_box_l1(x.ravel(), -0.6, 0.8, 1.5).reshape(x.shape)
-        worst = max(worst, float(np.max(np.abs(mine - ref))))
-    record("box_l1_intersection", worst, 1e-6)
-
-    worst = 0.0
-    for _ in range(3):
-        x = 2.0 * rng.standard_normal((3, 4))
-        radius = rng.uniform(0.2, 0.6) * total_variation(np.clip(x, -0.8, 0.6))
-        mine = project_intersection(x, ConstraintStack((Box(-0.8, 0.6), TVBall(radius))))
-        ref = oracles.qp_project_tv(x, radius, -0.8, 0.6)
-        obj_mine = 0.5 * float(np.sum((mine.x - x) ** 2))
-        obj_ref = 0.5 * float(np.sum((ref - x) ** 2))
-        worst = max(worst, abs(obj_mine - obj_ref) / max(1.0, abs(obj_ref)))
-    record("box_tv_intersection", worst, 1e-4)
     return results
 
 

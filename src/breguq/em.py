@@ -209,8 +209,8 @@ def train(bank, stack: ConstraintStack, arch: NetArch, config: TrainConfig,
     `save_checkpoint`), written whole first and extended after every
     round. `resume_from` is such a directory: the run restarts from it and
     reproduces the uninterrupted run exactly (streams are counter-keyed);
-    a tuple split or step count that `config` would not give raises
-    `ConfigError` before any write. A round whose prior misfit is not
+    a tuple split, step count or logged lam that `config` would not give
+    raises `ConfigError` before any write. A round whose prior misfit is not
     finite raises `NumericalAbortError` before its checkpoint is written.
     """
     if arch.out_shape != tuple(bank.shape):
@@ -230,6 +230,11 @@ def train(bank, stack: ConstraintStack, arch: NetArch, config: TrainConfig,
         if any(t.state.iter != start_round * config.bregman_steps_per_round for t in tuples):
             raise ConfigError(f"[em] bregman_steps_per_round: {resume_from} ran another "
                               f"number of steps per round", key="em.bregman_steps_per_round")
+        for rec in round_records:  # a logged lam round-trips through repr exactly
+            if rec.lam != (lam := lam_schedule(config, rec.round)):
+                raise ConfigError(f"[em] lam_ramp_rounds: {resume_from} ran round {rec.round} "
+                                  f"at lam {rec.lam!r}, not the configured {lam!r}",
+                                  key="em.lam_ramp_rounds")
     if run_dir is not None:
         save_checkpoint(run_dir, arch, w, tuples, start_round - 1, round_records,
                         tuple_traces)

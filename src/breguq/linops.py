@@ -69,10 +69,6 @@ class ConvKernel:
     def size(self) -> int:
         return self.taps.shape[0]
 
-    @classmethod
-    def identity(cls) -> "ConvKernel":
-        return cls(np.array([[1.0]]))
-
 
 @dataclass(frozen=True)
 class RestrictionMask:

@@ -1,103 +1,24 @@
-"""Reference solvers used to audit the fast projections.
+"""Reference projection used to audit the fast projections.
 
-Each projection problem is posed as a small dense quadratic program and
-handed to SciPy's SLSQP solver, which shares no code path with the
-sort/threshold/dual-iteration implementations it audits. Only intended for
-low dimensions (<= a few dozen variables).
+`qp_project` poses the projection onto any constraint stack as one small
+dense quadratic program and hands it to SciPy's SLSQP solver, which shares
+no code path with the sort/threshold/dual-iteration implementations it
+audits: it reads only the set types and the TV difference operator. Only
+intended for low dimensions (<= a few dozen variables).
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from scipy.optimize import minimize
 
-from .projections import tv_forward_diff
+from .projections import Box, L1Ball, L2Ball, TVBall, tv_forward_diff
 
-__all__ = [
-    "qp_project_box",
-    "qp_project_l2",
-    "qp_project_l1",
-    "qp_project_tv",
-    "qp_project_box_l1",
-]
+__all__ = ["qp_project"]
 
 _OPTS = {"maxiter": 800, "ftol": 1e-14}
-
-
-def qp_project_box(x, lo: float, hi: float) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64).ravel()
-    res = minimize(lambda z: 0.5 * np.sum((z - x) ** 2), np.clip(x, lo, hi),
-                   jac=lambda z: z - x, bounds=[(lo, hi)] * x.size,
-                   method="SLSQP", options=_OPTS)
-    return res.x
-
-
-def qp_project_l2(x, radius: float) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64).ravel()
-    nx = np.linalg.norm(x)
-    z0 = x if nx <= radius else x * (radius / nx) * 0.999999
-    cons = [{"type": "ineq",
-             "fun": lambda z: radius ** 2 - float(z @ z),
-             "jac": lambda z: -2.0 * z}]
-    res = minimize(lambda z: 0.5 * np.sum((z - x) ** 2), z0,
-                   jac=lambda z: z - x, constraints=cons,
-                   method="SLSQP", options=_OPTS)
-    return res.x
-
-
-def _split_objective(x):
-    n = x.size
-
-    def f(s):
-        d = s[:n] - s[n:] - x
-        return 0.5 * float(d @ d)
-
-    def jac(s):
-        d = s[:n] - s[n:] - x
-        return np.concatenate([d, -d])
-
-    return f, jac
-
-
-def qp_project_l1(x, radius: float) -> np.ndarray:
-    """Split formulation z = u - v with u, v >= 0 and sum(u + v) <= radius."""
-    x = np.asarray(x, dtype=np.float64).ravel()
-    n = x.size
-    a1 = np.abs(x).sum()
-    scale = 1.0 if a1 <= radius else (radius / a1) * 0.999
-    s0 = np.concatenate([np.maximum(x, 0.0), np.maximum(-x, 0.0)]) * scale
-    f, jac = _split_objective(x)
-    cons = [{"type": "ineq",
-             "fun": lambda s: radius - s.sum(),
-             "jac": lambda s: -np.ones_like(s)}]
-    res = minimize(f, s0, jac=jac, bounds=[(0.0, None)] * (2 * n),
-                   constraints=cons, method="SLSQP", options=_OPTS)
-    return res.x[:n] - res.x[n:]
-
-
-def qp_project_box_l1(x, lo: float, hi: float, radius: float) -> np.ndarray:
-    """Nearest point in Box(lo, hi) intersected with the l1 ball."""
-    x = np.asarray(x, dtype=np.float64).ravel()
-    n = x.size
-    z0 = np.clip(x, lo, hi)
-    a1 = np.abs(z0).sum()
-    if a1 > radius:
-        z0 = z0 * (radius / a1) * 0.999
-    s0 = np.concatenate([np.maximum(z0, 0.0), np.maximum(-z0, 0.0)])
-    f, jac = _split_objective(x)
-    eye = np.eye(n)
-    box_jac = np.hstack([eye, -eye])
-    cons = [
-        {"type": "ineq", "fun": lambda s: radius - s.sum(),
-         "jac": lambda s: -np.ones_like(s)},
-        {"type": "ineq", "fun": lambda s: (s[:n] - s[n:]) - lo,
-         "jac": lambda s: box_jac},
-        {"type": "ineq", "fun": lambda s: hi - (s[:n] - s[n:]),
-         "jac": lambda s: -box_jac},
-    ]
-    res = minimize(f, s0, jac=jac, bounds=[(0.0, None)] * (2 * n),
-                   constraints=cons, method="SLSQP", options=_OPTS)
-    return res.x[:n] - res.x[n:]
 
 
 def _dense_diff_matrix(shape) -> np.ndarray:
@@ -113,37 +34,54 @@ def _dense_diff_matrix(shape) -> np.ndarray:
     return d
 
 
-def qp_project_tv(x, radius: float, lo: float | None = None,
-                  hi: float | None = None) -> np.ndarray:
-    """Auxiliary-variable formulation: minimize over (z, s) with
-    s >= |Dz| elementwise and sum(s) <= radius, and lo <= z <= hi when
-    bounds are given (None leaves that side open)."""
-    x = np.asarray(x, dtype=np.float64)
-    rows, cols = x.shape
-    n = rows * cols
-    d = _dense_diff_matrix((rows, cols))
-    m = d.shape[0]
-    xf = x.ravel()
+def qp_project(x, stack) -> np.ndarray:
+    """Nearest point to `x` in the intersection of `stack`'s sets, an array
+    of `x`'s shape (a stack with a TV ball needs a 2-D `x`).
 
-    def f(p):
-        r = p[:n] - xf
-        return 0.5 * float(r @ r)
+    Minimizes 0.5*||z - x||^2 over p = (z, s_1, ..., s_k). The stack's
+    boxes merge into bounds on z. Each l1 or TV ball {||K_i z||_1 <= r_i}
+    adds an auxiliary block with s_i >= |K_i z| elementwise and
+    sum(s_i) <= r_i, where K_i is I or the dense circular difference
+    matrix; each l2 ball adds r^2 - ||z||^2 >= 0. The start is the box
+    clamp of x with every s_i = |K_i z|.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    v = x.ravel()
+    n = v.size
+    lo = max((s.lo for s in stack.sets if isinstance(s, Box)), default=-math.inf)
+    hi = min((s.hi for s in stack.sets if isinstance(s, Box)), default=math.inf)
+    blocks = [(np.eye(n) if isinstance(s, L1Ball) else _dense_diff_matrix(x.shape),
+               s.radius) for s in stack.sets if isinstance(s, (L1Ball, TVBall))]
+    l2_radii = [s.radius for s in stack.sets if isinstance(s, L2Ball)]
+
+    z0 = np.clip(v, lo, hi)
+    size = n + sum(k.shape[0] for k, _ in blocks)
+    rows, consts, start, at = [], [], [z0], n
+    for k, radius in blocks:
+        m = k.shape[0]
+        aux = np.zeros((m, size))
+        aux[:, at:at + m] = np.eye(m)
+        lin = np.zeros((m, size))
+        lin[:, :n] = k
+        total = np.zeros((1, size))
+        total[0, at:at + m] = -1.0
+        rows += [aux - lin, aux + lin, total]  # s_i - K_i z, s_i + K_i z, r_i - sum(s_i)
+        consts += [np.zeros(2 * m), [radius]]
+        start.append(np.abs(k @ z0))
+        at += m
+    cons = [{"type": "ineq", "fun": lambda p, r=r: r * r - p[:n] @ p[:n],
+             "jac": lambda p: np.concatenate([-2.0 * p[:n], np.zeros(size - n)])}
+            for r in l2_radii]
+    if rows:
+        a, b = np.vstack(rows), np.concatenate(consts)
+        cons.append({"type": "ineq", "fun": lambda p: a @ p + b, "jac": lambda p: a})
 
     def jac(p):
-        g = np.zeros(n + m)
-        g[:n] = p[:n] - xf
+        g = np.zeros(size)
+        g[:n] = p[:n] - v
         return g
 
-    jac_pos = np.hstack([-d, np.eye(m)])
-    jac_neg = np.hstack([d, np.eye(m)])
-    sum_jac = np.concatenate([np.zeros(n), -np.ones(m)])
-    cons = [
-        {"type": "ineq", "fun": lambda p: p[n:] - d @ p[:n], "jac": lambda p: jac_pos},
-        {"type": "ineq", "fun": lambda p: p[n:] + d @ p[:n], "jac": lambda p: jac_neg},
-        {"type": "ineq", "fun": lambda p: radius - p[n:].sum(), "jac": lambda p: sum_jac},
-    ]
-    p0 = np.concatenate([np.full(n, np.clip(xf.mean(), lo, hi)), np.zeros(m)])
-    bounds = [(lo, hi)] * n + [(0.0, None)] * m
-    res = minimize(f, p0, jac=jac, bounds=bounds, constraints=cons,
-                   method="SLSQP", options=_OPTS)
-    return res.x[:n].reshape(rows, cols)
+    res = minimize(lambda p: 0.5 * float((p[:n] - v) @ (p[:n] - v)), np.concatenate(start),
+                   jac=jac, bounds=[(lo, hi)] * n + [(0.0, None)] * (size - n),
+                   constraints=cons, method="SLSQP", options=_OPTS)
+    return res.x[:n].reshape(x.shape)

@@ -309,8 +309,9 @@ def save_bank(dirpath, bank: ExperimentBank, manifest_extra: dict | None = None)
 
 
 def load_bank(dirpath):
-    """Rebuild a bank from its manifest and data files; a malformed manifest
-    raises `InputFormatError` naming the file."""
+    """Rebuild a bank from its manifest and data files; a malformed manifest,
+    or a data file whose length is not its mask's kept count, raises
+    `InputFormatError` naming the file."""
     path = os.path.join(dirpath, "manifest.json")
     with open(path) as f:
         try:
@@ -328,6 +329,10 @@ def load_bank(dirpath):
             raise InputFormatError(f"{path}: {type(exc).__name__}: {exc}") from exc
     experiments = []
     for i, (mask, op) in enumerate(zip(masks, ops)):
-        y = read_portable_grid(os.path.join(dirpath, f"y_{i:04d}.pgrd")).ravel()
+        path = os.path.join(dirpath, f"y_{i:04d}.pgrd")
+        y = read_portable_grid(path).ravel()
+        if y.size != mask.n:
+            raise InputFormatError(f"{path}: holds {y.size} values where its mask keeps "
+                                   f"{mask.n}")
         experiments.append(LinearExperiment(op, y, mask))
     return ExperimentBank(tuple(experiments), shape), manifest

@@ -14,7 +14,10 @@ def test_dot_test_family_passes():
 def test_projection_oracle_family_passes():
     results = run_projection_oracle_checks()
     assert all(r.passed for r in results), [r for r in results if not r.passed]
-    assert len(results) == 6
+    assert [r.name.split(":")[1] for r in results] == [
+        "box", "l2_ball", "l1_ball", "tv_ball", "box_l1_intersection",
+        "box_tv_intersection", "box_l2_intersection", "l1_l2_intersection",
+        "box_l1_tv_intersection"]
 
 
 def test_gradient_family_passes():

@@ -206,14 +206,29 @@ def test_invert_missing_bank_exit_2(tmp_path):
                  "--out", str(tmp_path / "o")]) == 2
 
 
-@pytest.mark.parametrize("manifest", ['{"format": "x"}', '{"format": '],
-                         ids=["not_a_bank", "invalid_json"])
-def test_invert_malformed_bank_manifest_exit_2(gen_dir, tmp_path, capsys, manifest):
+def _bad_manifest(text):
+    def corrupt(bank_dir):
+        (bank_dir / "manifest.json").write_text(text)
+        return bank_dir / "manifest.json"
+    return corrupt
+
+
+def _bad_length_data(bank_dir):
+    # the 256-value truth grid where the mask keeps 128
+    (bank_dir / "y_0001.pgrd").write_bytes((bank_dir / "truth_delta.pgrd").read_bytes())
+    return bank_dir / "y_0001.pgrd"
+
+
+@pytest.mark.parametrize("corrupt", [
+    _bad_manifest('{"format": "x"}'), _bad_manifest('{"format": '), _bad_length_data,
+], ids=["not_a_bank", "invalid_json", "data_length"])
+def test_invert_malformed_bank_manifest_exit_2(gen_dir, tmp_path, capsys, corrupt):
     cfg_path, bank_dir = gen_dir
-    (bank_dir / "manifest.json").write_text(manifest)
+    bad = corrupt(bank_dir)
     assert main(["invert", "--config", cfg_path, "--bank", str(bank_dir),
                  "--out", str(tmp_path / "inv")]) == 2
-    assert str(bank_dir / "manifest.json") in capsys.readouterr().err
+    assert str(bad) in capsys.readouterr().err
+    assert not (tmp_path / "inv").exists()
 
 
 def test_train_zero_rounds_initial_checkpoint_only(gen_dir, tmp_path):
@@ -293,18 +308,23 @@ def test_train_run_directory_holds_one_copy_of_each_file(gen_dir, tmp_path):
 
 
 @pytest.mark.parametrize("key, anchor, trained, resumed", [
-    ("tuples", "tuples = 2", "4", "2"),
-    ("bregman_steps_per_round", "bregman_steps_per_round = 3", "3", "5"),
-], ids=["tuples", "steps"])
+    ("tuples", "tuples = 2", "tuples = 4", "tuples = 2"),
+    ("bregman_steps_per_round", "bregman_steps_per_round = 3",
+     "bregman_steps_per_round = 3", "bregman_steps_per_round = 5"),
+    # the auto ramp window is rounds // 2: lam_final in round 0 of a 1-round
+    # run, lam_init in round 0 of a 2-round one
+    ("lam_ramp_rounds", "eta = 0.0001", "eta = 0.0001\nlam_ramp_rounds = auto",
+     "eta = 0.0001\nlam_ramp_rounds = auto"),
+], ids=["tuples", "steps", "lam"])
 def test_resume_disagreeing_with_config_exit_2(gen_dir, tmp_path, capsys, key, anchor,
                                                trained, resumed):
-    # a 1-round checkpoint resumed for round 2 with another tuple split or
-    # another step count per round, into a new directory and in place
+    # a 1-round checkpoint resumed for round 2 with another tuple split,
+    # another step count per round or another lam schedule, into a new
+    # directory and in place
     _, bank_dir = gen_dir
     cfg = write_cfg(tmp_path, SMALL_TESTBED.replace("rounds = 2", "rounds = 1").replace(
-        anchor, f"{key} = {trained}"), name="a.cfg")
-    cfg_other = write_cfg(tmp_path, SMALL_TESTBED.replace(anchor, f"{key} = {resumed}"),
-                          name="b.cfg")
+        anchor, trained), name="a.cfg")
+    cfg_other = write_cfg(tmp_path, SMALL_TESTBED.replace(anchor, resumed), name="b.cfg")
     out = tmp_path / "tr"
     assert main(["train", "--config", cfg, "--bank", str(bank_dir), "--out", str(out)]) == 0
     before = run_files(out)
@@ -383,6 +403,11 @@ def test_train_arch_grid_mismatch_exit_2(gen_dir, tmp_path, capsys):
                      "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith(f"config error: {named}")
         assert not out.exists()
+    bad = _bad_length_data(bank_dir)
+    assert main(["train", "--config", write_cfg(tmp_path, SMALL_TESTBED), "--bank",
+                 str(bank_dir), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"input error: {bad}: holds 256 values")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("slope", ["-0.1", "1.5"])

@@ -4,6 +4,8 @@ import pytest
 from breguq.linops import (ComposeOp, ConvKernel, ConvOp, IdentityOp,
                            RestrictionMask, RestrictOp, ScaleOp, dot_test)
 
+ONE_TAP = ConvKernel(np.array([[1.0]]))  # the identity stencil
+
 
 def conv_reference(taps, x):
     """Direct quadruple-loop circular convolution; the independent oracle."""
@@ -71,7 +73,7 @@ def test_symmetric_kernel_self_adjoint():
 
 def test_identity_kernel_adjoint_is_identity():
     y = np.random.default_rng(4).standard_normal((4, 5))
-    np.testing.assert_array_equal(ConvOp(ConvKernel.identity(), y.shape).adjoint(y), y)
+    np.testing.assert_array_equal(ConvOp(ONE_TAP, y.shape).adjoint(y), y)
 
 
 def test_conv_adjoint_dot_identity():
@@ -197,8 +199,8 @@ def test_rejections():
     with pytest.raises(ValueError):
         RestrictOp(RestrictionMask(np.array([99])), (3, 3))  # out of range
     with pytest.raises(ValueError):
-        ConvOp(ConvKernel.identity(), (3, 3)).apply(np.ones(5))  # not 2-D
-    op = ConvOp(ConvKernel.identity(), (3, 3))
+        ConvOp(ONE_TAP, (3, 3)).apply(np.ones(5))  # not 2-D
+    op = ConvOp(ONE_TAP, (3, 3))
     with pytest.raises(ValueError):
         op.apply(np.ones((4, 4)))
     with pytest.raises(ValueError):

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from breguq import oracles
+from breguq.oracles import qp_project
 from breguq.projections import (Box, ConstraintStack, L1Ball, L2Ball, TVBall,
                                 constraint_violation, is_feasible, project_box,
                                 project_intersection, project_l1_ball,
@@ -51,7 +51,7 @@ def test_l2_matches_qp_oracle():
     rng = np.random.default_rng(21)
     for _ in range(10):
         x = 2.0 * rng.standard_normal(7)
-        ref = oracles.qp_project_l2(x, 1.5)
+        ref = qp_project(x, ConstraintStack((L2Ball(1.5),)))
         assert np.max(np.abs(project_l2_ball(x, 1.5) - ref)) < 1e-8
 
 
@@ -73,7 +73,7 @@ def test_l1_matches_qp_oracle():
     rng = np.random.default_rng(22)
     for _ in range(10):
         x = 2.0 * rng.standard_normal(8)
-        ref = oracles.qp_project_l1(x, 2.0)
+        ref = qp_project(x, ConstraintStack((L1Ball(2.0),)))
         got = project_l1_ball(x, 2.0)
         assert np.max(np.abs(got - ref)) < 1e-8
         assert np.abs(got).sum() <= 2.0 + 1e-12
@@ -107,7 +107,7 @@ def test_tv_two_level_grid_matches_qp_oracle():
     radius = 0.25 * total_variation(x)
     res = project_tv(x, radius)
     assert res.converged
-    ref = oracles.qp_project_tv(x, radius)
+    ref = qp_project(x, ConstraintStack((TVBall(radius),)))
     obj_mine = 0.5 * np.sum((res.x - x) ** 2)
     obj_ref = 0.5 * np.sum((ref - x) ** 2)
     assert abs(obj_mine - obj_ref) / max(1.0, obj_ref) < 1e-4
@@ -151,8 +151,7 @@ def test_intersection_matches_qp_oracle():
         x = 2.0 * rng.standard_normal((2, 3))
         res = project_intersection(x, stack)
         assert res.converged
-        ref = oracles.qp_project_box_l1(x.ravel(), -0.6, 0.8, 1.5).reshape(2, 3)
-        assert np.max(np.abs(res.x - ref)) < 1e-6
+        assert np.max(np.abs(res.x - qp_project(x, stack))) < 1e-6
 
 def test_intersection_empty_flags_nonconvergence():
     stack = ConstraintStack((Box(0.0, 0.0), Box(1.0, 1.0)))
@@ -213,8 +212,7 @@ def test_box_l1_closed_form_matches_qp_oracle(box, box_first):
             sets = (box, L1Ball(radius)) if box_first else (L1Ball(radius), box)
             res = project_intersection(x, ConstraintStack(sets))
             assert res.converged and res.sweeps == 1
-            ref = oracles.qp_project_box_l1(x.ravel(), box.lo, box.hi, radius)
-            assert np.max(np.abs(res.x.ravel() - ref)) <= 1e-8
+            assert np.max(np.abs(res.x - qp_project(x, ConstraintStack(sets)))) <= 1e-8
 
 
 def _box_l1_by_bisection(v, lo, hi, radius):
@@ -250,8 +248,7 @@ def test_three_set_stack_matches_qp_oracle():
         x = 2.0 * rng.standard_normal((2, 3))
         res = project_intersection(x, stack)
         assert res.converged and res.sweeps > 1
-        ref = oracles.qp_project_box_l1(x.ravel(), -0.6, 0.8, 1.5).reshape(2, 3)
-        assert np.max(np.abs(res.x - ref)) < 1e-8
+        assert np.max(np.abs(res.x - qp_project(x, stack))) < 1e-8
 
 
 @pytest.mark.parametrize("box_first", [True, False], ids=["box_l1", "l1_box"])
@@ -284,13 +281,40 @@ def test_box_tv_matches_qp_oracle(seed):
     x = 2.0 * rng.standard_normal((3, 4))
     lo, hi = -0.8, 0.6
     radius = rng.uniform(0.2, 0.6) * total_variation(np.clip(x, lo, hi))
-    res = project_intersection(x, ConstraintStack((Box(lo, hi), TVBall(radius))))
+    stack = ConstraintStack((Box(lo, hi), TVBall(radius)))
+    res = project_intersection(x, stack)
     assert res.converged and res.sweeps > 1 and res.tv_gap is not None
-    ref = oracles.qp_project_tv(x, radius, lo, hi)
+    ref = qp_project(x, stack)
     obj_mine = 0.5 * np.sum((res.x - x) ** 2)
     obj_ref = 0.5 * np.sum((ref - x) ** 2)
     assert abs(obj_mine - obj_ref) / max(1.0, obj_ref) < 1e-4
     assert np.max(np.abs(res.x - ref)) < 1e-4
+
+
+def _clip(x):
+    return np.clip(x, -0.8, 0.6)
+
+
+# stacks only the dual solve runs; box_tv_far puts v far outside the sets
+FIXED_POINT_STACKS = {
+    "box_l2": (2.0, lambda x: (Box(-0.8, 0.6), L2Ball(0.5 * np.linalg.norm(_clip(x))))),
+    "l1_l2": (2.0, lambda x: (L1Ball(2.0), L2Ball(1.2))),
+    "box_l1_tv": (2.0, lambda x: (Box(-0.8, 0.6), L1Ball(0.5 * np.abs(_clip(x)).sum()),
+                                  TVBall(0.4 * total_variation(_clip(x))))),
+    "box_tv_far": (30.0, lambda x: (Box(-0.8, 0.6), TVBall(0.4 * total_variation(_clip(x))))),
+}
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("name", FIXED_POINT_STACKS)
+def test_dual_solve_fixed_point_matches_qp_oracle(name, seed):
+    # what the solve converges to, at a tolerance far below the shipped one
+    scale, sets = FIXED_POINT_STACKS[name]
+    x = scale * np.random.default_rng(50 + seed).standard_normal((3, 4))
+    stack = ConstraintStack(sets(x), tv_tol=1e-13, tv_max_iters=200_000)
+    res = project_intersection(x, stack)
+    assert res.converged
+    assert np.max(np.abs(res.x - qp_project(x, stack))) <= 1e-6
 
 
 # --- feasibility ---

@@ -11,6 +11,8 @@ from breguq.testbed import (ExperimentBank, GroundTruth, NoiseSpec,
 from conftest import (eval_lsq_objective, identity_bank, linearization_error,
                       linearization_error_direct)
 
+ONE_TAP = ConvKernel(np.array([[1.0]]))  # the identity stencil
+
 
 def test_truth_deterministic_and_bounded():
     a = make_ground_truth((24, 24), seed=3)
@@ -48,7 +50,7 @@ def test_gaussian_kernel_rejects_even_or_nonpositive_size(size):
 
 def test_full_sampling_identity_kernel_observes_truth():
     truth = make_ground_truth((16, 16), seed=1)
-    bank = make_bank(truth, 2, ConvKernel.identity(), 1.0, seed=2)
+    bank = make_bank(truth, 2, ONE_TAP, 1.0, seed=2)
     for exp in bank.experiments:
         np.testing.assert_array_equal(exp.y, truth.delta_m.ravel())
 
@@ -63,9 +65,9 @@ def test_noiseless_bank_consistent_and_adjoint_clean():
 def test_bank_rejects_bad_inputs():
     truth = make_ground_truth((16, 16), seed=6)
     with pytest.raises(ValueError):
-        make_bank(truth, 0, ConvKernel.identity(), 0.5, seed=0)
+        make_bank(truth, 0, ONE_TAP, 0.5, seed=0)
     with pytest.raises(ValueError):
-        make_bank(truth, 2, ConvKernel.identity(), 0.0, seed=0)
+        make_bank(truth, 2, ONE_TAP, 0.0, seed=0)
 
 
 def test_linearization_error_zero_cases():
