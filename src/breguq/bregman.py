@@ -56,7 +56,7 @@ class TraceRecord:
     `proj_sweeps` and `proj_converged` report the projection onto the
     constraint stack that produced the new primal iterate (its dual-solve
     iteration count, 1 for a closed form), and `proj_tv_gap` that solve's
-    duality gap (None when the stack has no TV set)."""
+    duality gap (None for a closed form)."""
 
     iter: int
     k: int

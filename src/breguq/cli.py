@@ -59,25 +59,35 @@ def cmd_gen(args, config) -> int:
     return 0
 
 
+def _read_truth(path, shape):
+    """The truth grid at `path`, which must be non-zero and of `shape`."""
+    truth = read_portable_grid(path)
+    if truth.shape != tuple(shape) or not truth.any():
+        raise InputFormatError(f"{path}: the truth grid must be non-zero and of the "
+                               f"shape {tuple(shape)}, got {truth.shape}")
+    return truth
+
+
 def cmd_invert(args, config) -> int:
     out, b = args.out, lambda key: config.get("bregman", key)
     bank, _ = load_bank(args.bank)
+    truth_path = os.path.join(args.bank, "truth_delta.pgrd")
+    truth = _read_truth(truth_path, bank.shape) if os.path.exists(truth_path) else None
     state, trace = run_bregman(bank, config.stack, initial_state(bank.shape),
                                range(bank.n), b("iterations"), b("draw_seed"),
                                t_max=b("t_max"))
     write_portable_grid(state.x_primal, os.path.join(out, "x_primal.pgrd"))
     write_portable_grid(state.x_dual, os.path.join(out, "x_dual.pgrd"))
     write_records(os.path.join(out, "trace.csv"), TraceRecord, trace)
-    truth_path = os.path.join(args.bank, "truth_delta.pgrd")
-    if os.path.exists(truth_path):
-        quality = model_quality(state.x_primal, read_portable_grid(truth_path))
+    if truth is not None:
+        quality = model_quality(state.x_primal, truth)
         write_table(os.path.join(out, "quality.csv"), ["metric", "value"], quality.items())
     return 0
 
 
 def cmd_train(args, config) -> int:
     bank, _ = load_bank(args.bank)
-    train(bank, config.stack, config.arch, config.train, stack_schedule=config.schedule,
+    train(bank, config.stack, config.arch, config.train, stack_final=config.stack_final,
           run_dir=args.out, resume_from=args.resume)
     return 0
 
@@ -104,10 +114,7 @@ def cmd_stats(args, config) -> int:
     out, arch, tc = args.out, config.arch, config.train
     s = lambda key: config.get("stats", key)
     w_post = _checkpoint_weights(args.checkpoint, arch)
-    truth = None if args.truth is None else read_portable_grid(args.truth)
-    if truth is not None and (truth.shape != arch.out_shape or not truth.any()):
-        raise InputFormatError(f"{args.truth}: the truth grid must be non-zero and of the "
-                               f"generator's shape {arch.out_shape}, got {truth.shape}")
+    truth = None if args.truth is None else _read_truth(args.truth, arch.out_shape)
     w_prior = net_init(arch, tc.init_seed, tc.init_scale)
     posterior = sample_generator(arch, w_post, s("samples"), s("sample_seed"))
     prior = sample_generator(arch, w_prior, s("samples"), s("sample_seed"))

@@ -18,7 +18,7 @@ import configparser
 from contextlib import contextmanager
 from dataclasses import dataclass
 
-from .em import TrainConfig, ramp_fraction
+from .em import TrainConfig
 from .errors import ConfigError
 from .net import NetArch, StageSpec
 from .projections import (Box, ConstraintStack, L1Ball, L2Ball, TVBall)
@@ -151,9 +151,10 @@ _BOUNDS = {**dict.fromkeys(_SEED_KEYS + [("bregman", "iterations")], "non-negati
 class RunConfig:
     """Typed section/key values and the library objects built from them:
     `noise` and `kernel` ([testbed], bank layout checked too), `stack` and
-    `schedule` ([constraints]), `arch` ([net]), `train` ([sgld], [em]) and
-    `probes` ([stats]: the literal pixels, None for "auto"). `schedule` is None when no `*_final` value
-    is set. Built by `load_config`; immutable by convention."""
+    `stack_final` ([constraints]: the stack the `*_final` keys relax
+    `stack` to, `stack` itself when none is set), `arch` ([net]), `train`
+    ([sgld], [em]) and `probes` ([stats]: the literal pixels, None for
+    "auto"). Built by `load_config`; immutable by convention."""
 
     def __init__(self, values: dict):
         self._values = values
@@ -163,10 +164,10 @@ class RunConfig:
             _check_grid(t["rows"], t["cols"])
             self.kernel = gaussian_kernel(t["kernel_size"], t["kernel_sigma"])
             _check_layout(t["experiments"], t["sampling_fraction"])
-        self.stack = build_stack(self)
+        self.stack, final = build_stack(self), build_stack(self, final=True)
+        self.stack_final = self.stack if final == self.stack else final
         self.arch = build_arch(self)
         self.train = _train_config(self)
-        self.schedule = _stack_schedule(self)
         self.probes = _stats_probes(self)
 
     def get(self, section: str, key: str):
@@ -251,9 +252,15 @@ _SETS = {"box": lambda c: Box(c("box_lo"), c("box_hi")),
          "tv": lambda c: TVBall(c("tv_radius"))}
 
 
-def build_stack(config: RunConfig, overrides: dict | None = None) -> ConstraintStack:
-    """`overrides` replaces some `[constraints]` values (a schedule's round)."""
-    c = lambda key: (overrides or {}).get(key, config.get("constraints", key))
+def build_stack(config: RunConfig, final: bool = False) -> ConstraintStack:
+    """The `[constraints]` stack; with `final`, each `*_final` value that is
+    set stands in for its initial one. Every stack between two valid ends
+    is valid (boxes keep lo <= hi, radii stay positive)."""
+    values = {key: config.get("constraints", key) for key in SCHEMA["constraints"]}
+    if final:
+        values.update({key.removesuffix("_final"): v for key, v in values.items()
+                       if key.endswith("_final") and v is not None})
+    c = values.get
     with in_section("constraints"):
         sets = []
         for name in [s.strip() for s in c("sets").split(",") if s.strip()]:
@@ -266,27 +273,6 @@ def build_stack(config: RunConfig, overrides: dict | None = None) -> ConstraintS
                               key="constraints.sets")
         return ConstraintStack(tuple(sets), dykstra_tol=c("dykstra_tol"),
                                tv_max_iters=c("tv_max_iters"), tv_tol=c("tv_tol"))
-
-
-def _stack_schedule(config: RunConfig):
-    """Per-round constraint relaxation: any `*_final` key interpolates from
-    its initial value over the same ramp window as the trade-off parameter.
-    The final stack is built here, so a rejected final value fails at load;
-    every stack between two valid ends is valid (boxes keep lo <= hi, radii
-    stay positive)."""
-    c = lambda key: config.get("constraints", key)
-    finals = {key.removesuffix("_final"): c(key) for key in SCHEMA["constraints"]
-              if key.endswith("_final") and c(key) is not None}
-    if not finals:
-        return None
-    build_stack(config, finals)
-    tc = config.train
-
-    def schedule(round_idx: int) -> ConstraintStack:
-        frac = ramp_fraction(tc.rounds, tc.lam_ramp_rounds, round_idx)
-        return build_stack(config, {k: c(k) + frac * (v - c(k)) for k, v in finals.items()})
-
-    return schedule
 
 
 def _train_config(config: RunConfig) -> TrainConfig:

@@ -11,6 +11,7 @@ barrier where the per-tuple gradients, each at the tuple's current latent,
 are reduced in ascending id order and averaged, and the weights take
 `m_steps_per_round` descent steps. The generator output acts as the
 shared center the per-tuple solutions are elastically pulled toward.
+`round_schedule` gives each round's trade-off parameter and stack.
 
 Randomness is counter-keyed: experiment draws come from per-tuple streams
 (seed, tuple id) consumed sequentially across rounds, and Langevin noise
@@ -18,16 +19,16 @@ from per-step streams (seed, tuple id, round, step). E-step results are
 therefore independent of tuple scheduling, and a resumed run fast-forwards
 the draw streams. `train` alone writes a run directory, one copy per file:
 the weights and the logs, which each round appends to, at its root; the
-per-tuple state in `checkpoint/`. A resume reads the logs back, so it
-writes every file as an uninterrupted run does. Checkpoint files use the
-formats of `breguq.stats`; a malformed one raises `CheckpointFormatError`.
+per-tuple state and ramp window in `checkpoint/`. A resume reads the logs
+back, so it writes every file as an uninterrupted run does. Checkpoint
+files use `breguq.stats` formats; a malformed one raises `CheckpointFormatError`.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -46,8 +47,7 @@ __all__ = [
     "RoundRecord",
     "TrainResult",
     "init_tuples",
-    "ramp_fraction",
-    "lam_schedule",
+    "round_schedule",
     "e_step",
     "m_step",
     "train",
@@ -116,20 +116,27 @@ class TrainResult:
     tuple_traces: dict
 
 
-def ramp_fraction(rounds: int, ramp_rounds, round_idx: int) -> float:
-    """round / window, capped at 1, for a ramp window of `ramp_rounds`
-    (None: rounds // 2) rounds; an empty window is complete at round 0."""
-    ramp = rounds // 2 if ramp_rounds is None else ramp_rounds
-    return 1.0 if ramp <= 0 else min(1.0, round_idx / ramp)
+def _ramp_window(config: TrainConfig) -> int:
+    return config.rounds // 2 if config.lam_ramp_rounds is None else config.lam_ramp_rounds
 
 
-def lam_schedule(config: TrainConfig, round_idx: int) -> float:
-    """Linear ramp from lam_init to lam_final over the ramp window, then
-    constant at lam_final."""
-    frac = ramp_fraction(config.rounds, config.lam_ramp_rounds, round_idx)
-    if frac >= 1.0:
-        return config.lam_final
-    return config.lam_init + (config.lam_final - config.lam_init) * frac
+def round_schedule(config: TrainConfig, stack: ConstraintStack,
+                   stack_final: ConstraintStack, round_idx: int):
+    """Round `round_idx`'s (lam, stack) from one ramp fraction: round /
+    window, capped at 1 (window `lam_ramp_rounds`, None: rounds // 2; an
+    empty window is complete at round 0). lam ramps from lam_init to
+    lam_final; a set field c that `stack_final` sets to v != c is
+    c + frac * (v - c)."""
+    window = _ramp_window(config)
+    frac = 1.0 if window <= 0 else min(1.0, round_idx / window)
+    lam = (config.lam_final if frac >= 1.0
+           else config.lam_init + (config.lam_final - config.lam_init) * frac)
+    if stack_final == stack:
+        return lam, stack
+    lerp = lambda c, v: c if c == v else c + frac * (v - c)
+    return lam, replace(stack, sets=tuple(
+        replace(s, **{f.name: lerp(getattr(s, f.name), getattr(e, f.name)) for f in fields(s)})
+        for s, e in zip(stack.sets, stack_final.sets)))
 
 
 def init_tuples(bank, n: int, seed: int, latent_dim: int) -> list:
@@ -198,31 +205,31 @@ def _tuple_data_misfit(t: TrainTuple, bank) -> float:
 
 
 def train(bank, stack: ConstraintStack, arch: NetArch, config: TrainConfig,
-          stack_schedule=None, on_state=None, run_dir=None,
+          stack_final: ConstraintStack | None = None, on_state=None, run_dir=None,
           resume_from=None) -> TrainResult:
-    """Run the full loop: rounds of (e_step; m_step) with the trade-off
-    parameter following its ramp.
-
-    `stack_schedule(round) -> ConstraintStack` optionally relaxes the
-    handcrafted sets per round. `on_state` sees every post-step Bregman
-    state of every tuple. `run_dir` receives the run directory (see
+    """Run the full loop: rounds of (e_step; m_step) with lam and the stack
+    following `round_schedule` from `stack` to `stack_final` (default
+    `stack`; the same sets, in order). `on_state` sees every post-step
+    Bregman state of every tuple. `run_dir` receives the run directory (see
     `save_checkpoint`), written whole first and extended after every
     round. `resume_from` is such a directory: the run restarts from it and
     reproduces the uninterrupted run exactly (streams are counter-keyed);
-    a tuple split, step count or logged lam that `config` would not give
-    raises `ConfigError` before any write. A round whose prior misfit is not
-    finite raises `NumericalAbortError` before its checkpoint is written.
+    a tuple split, step count, or completed round's lam or stack that
+    `config` would not give raises `ConfigError` before any write. A round
+    whose prior misfit is not finite raises `NumericalAbortError` before
+    its checkpoint is written.
     """
     if arch.out_shape != tuple(bank.shape):
         raise ConfigError(f"[net] generator output {arch.out_shape} does not match the bank "
                           f"grid {tuple(bank.shape)}; adjust base shape or stages")
+    stack_final = stack if stack_final is None else stack_final
     w0 = net_init(arch, config.init_seed, config.init_scale)
-    w, start_round = w0.copy(), 0
+    w, start_round, window = w0.copy(), 0, _ramp_window(config)
     tuples = init_tuples(bank, config.n_tuples, config.z_seed, arch.latent_dim)
     round_records, tuple_traces = [], {t.id: [] for t in tuples}
     if resume_from is not None:
         partition = [(t.id, t.experiment_ids.tolist()) for t in tuples]
-        w, tuples, start_round, round_records, tuple_traces = load_checkpoint(
+        w, tuples, start_round, round_records, tuple_traces, ran_window = load_checkpoint(
             resume_from, arch)
         if [(t.id, t.experiment_ids.tolist()) for t in tuples] != partition:
             raise ConfigError(f"[em] tuples: {resume_from} splits the bank into "
@@ -230,19 +237,21 @@ def train(bank, stack: ConstraintStack, arch: NetArch, config: TrainConfig,
         if any(t.state.iter != start_round * config.bregman_steps_per_round for t in tuples):
             raise ConfigError(f"[em] bregman_steps_per_round: {resume_from} ran another "
                               f"number of steps per round", key="em.bregman_steps_per_round")
+        ran = replace(config, lam_ramp_rounds=ran_window)
         for rec in round_records:  # a logged lam round-trips through repr exactly
-            if rec.lam != (lam := lam_schedule(config, rec.round)):
+            lam, stack_r = round_schedule(config, stack, stack_final, rec.round)
+            if (rec.lam, round_schedule(ran, stack, stack_final, rec.round)[1]) != (lam, stack_r):
                 raise ConfigError(f"[em] lam_ramp_rounds: {resume_from} ran round {rec.round} "
-                                  f"at lam {rec.lam!r}, not the configured {lam!r}",
-                                  key="em.lam_ramp_rounds")
+                                  f"at lam {rec.lam!r} with the stack of a {ran_window}-round "
+                                  f"ramp window, not at lam {lam!r} with the stack of the "
+                                  f"configured {window}-round window", key="em.lam_ramp_rounds")
     if run_dir is not None:
-        save_checkpoint(run_dir, arch, w, tuples, start_round - 1, round_records,
+        save_checkpoint(run_dir, arch, w, tuples, start_round - 1, window, round_records,
                         tuple_traces)
         save_weights(os.path.join(run_dir, "weights_init.dpnw"), arch, w0)
 
     for r in range(start_round, config.rounds):
-        lam = lam_schedule(config, r)
-        stack_r = stack if stack_schedule is None else stack_schedule(r)
+        lam, stack_r = round_schedule(config, stack, stack_final, r)
         tuples, traces = e_step(tuples, bank, arch, w, lam, stack_r, config, r,
                                 on_state=on_state)
         for tid, rows in traces.items():
@@ -259,7 +268,7 @@ def train(bank, stack: ConstraintStack, arch: NetArch, config: TrainConfig,
                 "per_tuple_misfit": misfits})
         round_records.append(RoundRecord(r, lam, data, prior))
         if run_dir is not None:
-            save_checkpoint(run_dir, arch, w, tuples, r, round_records[-1:], traces,
+            save_checkpoint(run_dir, arch, w, tuples, r, window, round_records[-1:], traces,
                             append=True)
     return TrainResult(w, w0, tuples, round_records, tuple_traces)
 
@@ -268,12 +277,12 @@ _LATENT_COLUMNS = {"tuple_id": int, "dim": int, "value": float}
 
 
 def save_checkpoint(dirpath, arch: NetArch, w, tuples, round_completed: int,
-                    rounds, traces, append: bool = False) -> None:
+                    ramp_rounds: int, rounds, traces, append: bool = False) -> None:
     """The run directory `dirpath` as of `round_completed`: the weights and
     logs at its root, the tuple state in `checkpoint/`. `rounds` and
     `traces` (tuple id -> rows) are the whole logs, or with `append` the
     rows the logs on disk gain. `state.json`, whose counts say how many
-    log rows a resume reads, goes last."""
+    log rows a resume reads and the rounds' ramp window, goes last."""
     state_dir = os.path.join(dirpath, "checkpoint")
     os.makedirs(state_dir, exist_ok=True)
     write_records(os.path.join(dirpath, "rounds.csv"), RoundRecord, rounds, append)
@@ -286,7 +295,7 @@ def save_checkpoint(dirpath, arch: NetArch, w, tuples, round_completed: int,
     for t in tuples:
         for name, grid in (("x", t.state.x_primal), ("xdual", t.state.x_dual)):
             write_portable_grid(grid, os.path.join(state_dir, f"tuple_{t.id:03d}_{name}.pgrd"))
-    state = {"round_completed": int(round_completed),
+    state = {"round_completed": int(round_completed), "lam_ramp_rounds": int(ramp_rounds),
              "tuples": [{"id": int(t.id), "experiment_ids": t.experiment_ids.tolist(),
                          "step_count": int(t.state.iter)} for t in tuples]}
     with open(os.path.join(state_dir, "state.json"), "w", newline="") as f:
@@ -295,8 +304,8 @@ def save_checkpoint(dirpath, arch: NetArch, w, tuples, round_completed: int,
 
 
 def load_checkpoint(dirpath, arch: NetArch):
-    """Reads the run directory `dirpath`; returns (weights, tuples, next
-    round index, round records, per-tuple traces). Malformed content in
+    """Reads the run directory `dirpath`: (weights, tuples, next round index,
+    round records, per-tuple traces, ramp window). Malformed content in
     `state.json` or any CSV log, or a log whose row count disagrees with
     `state.json`, raises `CheckpointFormatError` naming the file."""
     state_dir = os.path.join(dirpath, "checkpoint")
@@ -311,7 +320,9 @@ def load_checkpoint(dirpath, arch: NetArch):
     def read_state(path):
         with open(path) as f:
             state = json.load(f)
-        return (state["round_completed"] + 1,
+        if type(window := state["lam_ramp_rounds"]) is not int or window < 0:
+            raise ValueError(f"lam_ramp_rounds must be a non-negative integer, got {window!r}")
+        return (state["round_completed"] + 1, window,
                 [(rec["id"], np.asarray(rec["experiment_ids"], dtype=np.int64),
                   rec["step_count"]) for rec in state["tuples"]])
 
@@ -328,7 +339,7 @@ def load_checkpoint(dirpath, arch: NetArch):
         return {tid: np.array([latents[tid][d] for d in range(arch.latent_dim)])
                 for tid, _, _ in records}
 
-    next_round, records = parse(os.path.join(state_dir, "state.json"), read_state)
+    next_round, window, records = parse(os.path.join(state_dir, "state.json"), read_state)
     w = load_weights(os.path.join(dirpath, "weights.dpnw"), arch)
     latents = parse(os.path.join(state_dir, "latents.csv"), read_latents)
     tuples, traces = [], {}
@@ -341,4 +352,4 @@ def load_checkpoint(dirpath, arch: NetArch):
                             TraceRecord, step_count)
     return (w, tuples, next_round,
             parse(os.path.join(dirpath, "rounds.csv"), read_log, RoundRecord, next_round),
-            traces)
+            traces, window)

@@ -120,7 +120,7 @@ class ConstraintStack:
 @dataclass(frozen=True)
 class IntersectionResult:
     """`sweeps` is the dual solve's iteration count (1 for a closed form);
-    `tv_gap` is its duality gap when the stack holds a TV ball, else None."""
+    `tv_gap` is its duality gap, None for a closed form."""
 
     x: np.ndarray
     converged: bool
@@ -366,7 +366,7 @@ def project_intersection(x, stack: ConstraintStack) -> IntersectionResult:
     The stack's boxes merge into one. Boxes alone, a lone l2 or l1 ball,
     and boxes with one l1 ball are projected in closed form; every other
     stack runs the dual solve, capped by `tv_max_iters` and stopped by
-    `tv_tol`. A result is converged when its solve converged and every
+    `tv_tol`, and reports its duality gap. A result is converged when its solve converged and every
     per-set violation is within `dykstra_tol`: sets that do not meet and
     a capped solve are flagged.
     """
@@ -388,8 +388,6 @@ def project_intersection(x, stack: ConstraintStack) -> IntersectionResult:
     else:
         out, solved, gap, iters = _dual_solve(x, lo, hi, balls, stack.tv_tol,
                                               stack.tv_max_iters)
-        if TVBall not in kinds:
-            gap = None
     violations = np.array([constraint_violation(s, out) for s in stack.sets])
     return IntersectionResult(out, solved and bool(violations.max() <= stack.dykstra_tol),
                               iters, violations, gap)

@@ -231,6 +231,21 @@ def test_invert_malformed_bank_manifest_exit_2(gen_dir, tmp_path, capsys, corrup
     assert not (tmp_path / "inv").exists()
 
 
+@pytest.mark.parametrize("name, grid", [
+    ("wrong-shape", lambda bank_dir: read_portable_grid(bank_dir / "y_0000.pgrd")),
+    ("zero", lambda bank_dir: np.zeros((16, 16))),
+], ids=["wrong-shape", "zero"])
+def test_invert_truth_checked_before_it_runs(gen_dir, tmp_path, capsys, name, grid):
+    cfg, bank_dir = gen_dir
+    path = bank_dir / "truth_delta.pgrd"
+    write_portable_grid(grid(bank_dir), path)
+    out = tmp_path / "inv"
+    assert main(["invert", "--config", cfg, "--bank", str(bank_dir), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"input error: {path}: the truth grid must be non-zero")
+    assert not out.exists()
+
+
 def test_train_zero_rounds_initial_checkpoint_only(gen_dir, tmp_path):
     _, bank_dir = gen_dir
     body = SMALL_TESTBED.replace("rounds = 2", "rounds = 0")
@@ -334,6 +349,67 @@ def test_resume_disagreeing_with_config_exit_2(gen_dir, tmp_path, capsys, key, a
         assert capsys.readouterr().err.startswith(f"config error: [em] {key}: {out}")
     assert not (tmp_path / "res").exists()
     assert run_files(out) == before
+
+
+def test_resume_that_moves_a_completed_rounds_stack_exit_2(gen_dir, tmp_path, capsys):
+    # constant lam, l1 radius 160 -> 100 over the auto window: 2 rounds ran
+    # round 1 at radius 100 (window 1), where 4 rounds give 130 (window 2)
+    _, bank_dir = gen_dir
+    relaxed = SMALL_TESTBED.replace("l1_radius = 160.0", "l1_radius = 160.0\n"
+                                    "l1_radius_final = 100.0").replace(
+        "eta = 0.0001", "eta = 0.0001\nlam_init = 0.5\nlam_final = 0.5")
+    cfg2 = write_cfg(tmp_path, relaxed, name="r2.cfg")
+    cfg4 = write_cfg(tmp_path, relaxed.replace("rounds = 2", "rounds = 4"), name="r4.cfg")
+    out = tmp_path / "tr"
+    assert main(["train", "--config", cfg2, "--bank", str(bank_dir), "--out", str(out)]) == 0
+    before = run_files(out)
+    for res in (tmp_path / "res", out):
+        assert main(["train", "--config", cfg4, "--bank", str(bank_dir),
+                     "--out", str(res), "--resume", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: [em] lam_ramp_rounds: {out} ran round 1 at lam 0.5 with the "
+            f"stack of a 1-round ramp window, not at lam 0.5 with the stack of the "
+            f"configured 2-round window\n")
+    assert not (tmp_path / "res").exists()
+    assert run_files(out) == before
+
+
+def test_resume_that_keeps_every_completed_round_reproduces(gen_dir, tmp_path):
+    # constant lam and no *_final value: the auto window moves from 1 to 2
+    # rounds, yet no completed round's lam or stack changes
+    _, bank_dir = gen_dir
+    steady = SMALL_TESTBED.replace("eta = 0.0001", "eta = 0.0001\nlam_init = 0.5\n"
+                                   "lam_final = 0.5")
+    cfg2 = write_cfg(tmp_path, steady, name="s2.cfg")
+    cfg4 = write_cfg(tmp_path, steady.replace("rounds = 2", "rounds = 4"), name="s4.cfg")
+    half, full = tmp_path / "half", tmp_path / "full"
+    assert main(["train", "--config", cfg2, "--bank", str(bank_dir), "--out", str(half)]) == 0
+    assert main(["train", "--config", cfg4, "--bank", str(bank_dir), "--out", str(full)]) == 0
+    assert main(["train", "--config", cfg4, "--bank", str(bank_dir), "--out", str(half),
+                 "--resume", str(half)]) == 0
+    assert run_files(half) == run_files(full)
+
+
+@pytest.mark.parametrize("window, message", [
+    # checkpoints written before state.json recorded the ramp window
+    (None, "KeyError: 'lam_ramp_rounds'"),
+    ("2", "ValueError: lam_ramp_rounds must be a non-negative integer, got '2'"),
+    (-1, "ValueError: lam_ramp_rounds must be a non-negative integer, got -1"),
+], ids=["absent", "string", "negative"])
+def test_resume_from_checkpoint_without_ramp_window_exit_2(gen_dir, tmp_path, capsys,
+                                                           window, message):
+    cfg_path, bank_dir = gen_dir
+    out = tmp_path / "tr"
+    assert main(["train", "--config", cfg_path, "--bank", str(bank_dir),
+                 "--out", str(out)]) == 0
+    path = out / "checkpoint" / "state.json"
+    state = json.loads(path.read_text())
+    assert state.pop("lam_ramp_rounds") == 1
+    path.write_text(json.dumps(state if window is None else {**state, "lam_ramp_rounds": window}))
+    assert main(["train", "--config", cfg_path, "--bank", str(bank_dir),
+                 "--out", str(tmp_path / "res"), "--resume", str(out)]) == 2
+    assert capsys.readouterr().err == f"input error: {path}: {message}\n"
+    assert not (tmp_path / "res").exists()
 
 
 def test_resume_from_checkpoint_without_tv_gap_column_exit_2(gen_dir, tmp_path, capsys):

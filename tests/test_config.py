@@ -7,6 +7,7 @@ import pytest
 
 from breguq.config import (SCHEMA, build_arch, build_stack, in_section, load_config,
                            write_resolved)
+from breguq.em import round_schedule
 from breguq.errors import ConfigError
 from breguq.projections import Box, L1Ball
 from breguq.stats import auto_probes
@@ -127,19 +128,25 @@ def test_build_stack_unknown_set(tmp_path):
 
 
 def test_stack_schedule_interpolates(tmp_path):
+    # the final stack is data; em's ramp moves each relaxed value by
+    # c + frac * (v - c), bit for bit
     cfg = load_config(write(
         tmp_path,
-        "[constraints]\nsets = l1\nl1_radius = 10.0\nl1_radius_final = 30.0\n"
-        "[em]\nrounds = 8\nlam_ramp_rounds = 4\n"))
-    schedule = cfg.schedule
-    assert schedule(0).sets[0].radius == pytest.approx(10.0)
-    assert schedule(2).sets[0].radius == pytest.approx(20.0)
-    assert schedule(4).sets[0].radius == pytest.approx(30.0)
-    assert schedule(7).sets[0].radius == pytest.approx(30.0)
+        "[constraints]\nsets = box,l1\nl1_radius = 160.0\nl1_radius_final = 100.0\n"
+        "box_hi_final = 1.5\n[em]\nrounds = 8\nlam_ramp_rounds = 3\n"))
+    assert cfg.stack_final.sets == (Box(-1.0, 1.5), L1Ball(100.0))
+    radius = lambda r: round_schedule(cfg.train, cfg.stack, cfg.stack_final, r)[1].sets[1].radius
+    assert [radius(r) for r in range(5)] == [160.0 + f * (100.0 - 160.0)
+                                             for f in (0.0, 1 / 3, 2 / 3, 1.0, 1.0)]
 
 
-def test_stack_schedule_none_when_no_finals():
-    assert load_config(None).schedule is None
+def test_stack_schedule_none_when_no_finals(tmp_path):
+    # no relaxation: the final stack is the stack itself, also when the
+    # only final key names a set the stack does not hold
+    cfg = load_config(None)
+    assert cfg.stack_final is cfg.stack
+    other = load_config(write(tmp_path, "[constraints]\ntv_radius_final = 5.0\n"))
+    assert other.stack_final == other.stack
 
 
 def test_build_train_config_wires_sections(tmp_path):

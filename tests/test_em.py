@@ -6,7 +6,7 @@ import pytest
 from breguq.bregman import (BregmanState, TraceRecord, bregman_step, initial_state,
                             run_bregman)
 from breguq.em import (RoundRecord, TrainConfig, TrainTuple, e_step, init_tuples,
-                       lam_schedule, load_checkpoint, m_step, save_checkpoint,
+                       load_checkpoint, m_step, round_schedule, save_checkpoint,
                        train)
 from breguq.errors import NumericalAbortError
 from breguq.net import (NetArch, StageSpec, net_eval_and_backward, net_forward,
@@ -229,20 +229,40 @@ def test_m_step_aborts_on_nonfinite(rng):
 
 # --- schedule ---
 
+def lam_at(cfg, r):
+    return round_schedule(cfg, WIDE, WIDE, r)[0]
+
+
 def test_lam_schedule_ramp():
     cfg = TrainConfig(rounds=10, lam_init=0.0, lam_final=1.0, lam_ramp_rounds=None)
-    vals = [lam_schedule(cfg, r) for r in range(10)]
+    vals = [lam_at(cfg, r) for r in range(10)]
     assert vals[0] == 0.0
     assert vals[5] == 1.0 and vals[9] == 1.0  # ramp over rounds // 2
     assert all(b >= a for a, b in zip(vals, vals[1:]))
     cfg2 = TrainConfig(rounds=10, lam_init=0.2, lam_final=0.2, lam_ramp_rounds=4)
-    assert lam_schedule(cfg2, 0) == pytest.approx(0.2)
+    assert lam_at(cfg2, 0) == pytest.approx(0.2)
 
 
 def test_negative_lam_ramp_rounds_rejected():
     with pytest.raises(ValueError, match="lam_ramp_rounds must be non-negative, got -5"):
         TrainConfig(lam_ramp_rounds=-5)
-    assert lam_schedule(TrainConfig(rounds=4, lam_ramp_rounds=0), 0) == 1.0
+    assert lam_at(TrainConfig(rounds=4, lam_ramp_rounds=0), 0) == 1.0
+
+
+def test_round_schedule_moves_lam_and_stack_on_one_fraction():
+    cfg = TrainConfig(rounds=8, lam_init=0.0, lam_final=2.0, lam_ramp_rounds=4)
+    start = ConstraintStack((Box(-0.0, 0.25), L1Ball(10.0)), dykstra_tol=1e-7)
+    final = ConstraintStack((Box(-0.0, 1.0), L1Ball(30.0)))
+    for r, lam, hi, radius in [(0, 0.0, 0.25, 10.0), (1, 0.5, 0.4375, 15.0),
+                               (2, 1.0, 0.625, 20.0), (4, 2.0, 1.0, 30.0),
+                               (7, 2.0, 1.0, 30.0)]:
+        got_lam, stack = round_schedule(cfg, start, final, r)
+        assert got_lam == lam
+        assert stack == ConstraintStack((Box(-0.0, hi), L1Ball(radius)), dykstra_tol=1e-7)
+        # a field the two ends share keeps its bits: the lower bound stays -0.0
+        assert np.signbit(stack.sets[0].lo)
+    # equal ends: the start stack itself, every round
+    assert round_schedule(cfg, start, start, 2)[1] is start
 
 
 # --- full loop ---
@@ -332,6 +352,7 @@ def test_train_center_variable_slack_orders_with_lambda():
 
 
 def test_train_honors_stack_schedule(rng):
+    # a 1-round ramp window: round 0 runs the tight box, round 1 the loose one
     bank = small_bank(rng, n_exp=4)
     arch = small_arch()
     cfg = TrainConfig(n_tuples=2, rounds=2, bregman_steps_per_round=4,
@@ -341,10 +362,30 @@ def test_train_honors_stack_schedule(rng):
     tight = ConstraintStack((Box(-0.05, 0.05),))
     loose = ConstraintStack((Box(-1.0, 1.0),))
     fixed = train(bank, tight, arch, cfg)
-    relaxed = train(bank, tight, arch, cfg,
-                    stack_schedule=lambda r: loose if r > 0 else tight)
+    relaxed = train(bank, tight, arch, cfg, stack_final=loose)
     assert np.max(np.abs(fixed.tuples[0].state.x_primal)) <= 0.05 + 1e-12
     assert np.max(np.abs(relaxed.tuples[0].state.x_primal)) > 0.05
+
+
+def test_train_relaxes_l1_radius_over_the_ramp():
+    # l1 radius 0.5 -> 0.25 of the truth's l1 norm over a 2-round window:
+    # the first round's iterates reach beyond the final radius, and every
+    # iterate of the last round is within it
+    truth, bank, stack, arch = training_instance()
+    l1 = float(np.abs(truth.delta_m).sum())
+    start = ConstraintStack((Box(-1.0, 1.0), L1Ball(0.5 * l1)))
+    final = ConstraintStack((Box(-1.0, 1.0), L1Ball(0.25 * l1)))
+    cfg = TrainConfig(n_tuples=2, rounds=3, bregman_steps_per_round=6,
+                      sgld=SgldParams(epsilon=0.001, steps=2), lam_init=0.5,
+                      lam_final=0.5, lam_ramp_rounds=2, eta=1e-4, init_seed=7,
+                      z_seed=8, draw_seed=9, noise_seed=10)
+    norms = {}
+    train(bank, start, arch, cfg, stack_final=final, on_state=lambda s: norms.setdefault(
+        (s.iter - 1) // cfg.bregman_steps_per_round, []).append(
+            float(np.abs(s.x_primal).sum())))
+    assert sorted(norms) == [0, 1, 2] and len(norms[2]) == 12
+    assert max(norms[0]) > 0.25 * l1
+    assert max(norms[2]) <= 0.25 * l1 + final.dykstra_tol
 
 
 def test_train_checkpoint_resume_reproduces(tmp_path, rng):
@@ -383,9 +424,9 @@ def test_checkpoint_roundtrip(tmp_path, rng):
     # a tuple's step count is the length of its trace; load_checkpoint checks it
     tuples = [replace(t, state=replace(t.state, iter=len(traces[t.id])))
               for t in init_tuples(bank, 2, seed=21, latent_dim=8)]
-    save_checkpoint(tmp_path / "c", arch, w, tuples, 4, rounds, traces)
-    w2, tuples2, nxt, rounds2, traces2 = load_checkpoint(tmp_path / "c", arch)
-    assert nxt == 5
+    save_checkpoint(tmp_path / "c", arch, w, tuples, 4, 3, rounds, traces)
+    w2, tuples2, nxt, rounds2, traces2, window = load_checkpoint(tmp_path / "c", arch)
+    assert nxt == 5 and window == 3
     assert rounds2 == rounds
     assert traces2 == traces
     np.testing.assert_array_equal(w2, w)
@@ -408,10 +449,10 @@ def test_checkpoint_append_writes_the_whole_save(tmp_path, rng):
     traces = {0: [replace(row, iter=i) for i in range(3)], 1: [row]}
     tuples = [replace(t, state=replace(t.state, iter=len(traces[t.id])))
               for t in init_tuples(bank, 2, seed=21, latent_dim=8)]
-    save_checkpoint(tmp_path / "whole", arch, w, tuples, 4, rounds, traces)
-    save_checkpoint(tmp_path / "grown", arch, w, tuples, 2, rounds[:3],
+    save_checkpoint(tmp_path / "whole", arch, w, tuples, 4, 2, rounds, traces)
+    save_checkpoint(tmp_path / "grown", arch, w, tuples, 2, 2, rounds[:3],
                     {0: traces[0][:1], 1: []})
-    save_checkpoint(tmp_path / "grown", arch, w, tuples, 4, rounds[3:],
+    save_checkpoint(tmp_path / "grown", arch, w, tuples, 4, 2, rounds[3:],
                     {0: traces[0][1:], 1: traces[1]}, append=True)
     assert run_files(tmp_path / "grown") == run_files(tmp_path / "whole")
     assert load_checkpoint(tmp_path / "grown", arch)[3] == rounds

@@ -317,6 +317,20 @@ def test_dual_solve_fixed_point_matches_qp_oracle(name, seed):
     assert np.max(np.abs(res.x - qp_project(x, stack))) <= 1e-6
 
 
+@pytest.mark.parametrize("name", ["box_l2", "l1_l2"])
+def test_dual_solve_without_tv_ball_reports_its_gap(name):
+    # the gap is the solve's, whatever its balls: within the stop rule when
+    # the solve converges, far above it when the cap stops it
+    scale, sets = FIXED_POINT_STACKS[name]
+    x = scale * np.random.default_rng(51).standard_normal((3, 4))
+    stack = ConstraintStack(sets(x))
+    res = project_intersection(x, stack)
+    assert res.converged and res.sweeps > 1
+    assert 0.0 <= res.tv_gap <= stack.tv_tol * 0.5 * np.sum((res.x - x) ** 2)
+    capped = project_intersection(x, ConstraintStack(sets(x), tv_max_iters=2))
+    assert not capped.converged and capped.tv_gap > 1e3 * stack.tv_tol
+
+
 # --- feasibility ---
 
 def test_feasibility_after_projection():
