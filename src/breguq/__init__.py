@@ -14,8 +14,7 @@ from .linops import (ComposeOp, ConvKernel, ConvOp, LinearOp, RestrictionMask,
                      RestrictOp, dot_test)
 from .net import NetArch, StageSpec, net_eval_and_backward, net_forward, net_init
 from .projections import (Box, ConstraintStack, L1Ball, L2Ball, TVBall,
-                          is_feasible, project_box, project_intersection,
-                          project_l1_ball, project_l2_ball)
+                          is_feasible, project_intersection, project_l1_ball)
 from .sgld import SgldParams, sgld_run, sgld_step
 from .stats import (model_quality, read_portable_grid, sample_generator,
                     summarize, write_portable_grid)

@@ -54,9 +54,9 @@ class TraceRecord:
     prior is inactive. `skipped` marks a zero step forced by a vanishing
     gradient (residual in the operator's null-space direction).
     `proj_sweeps` and `proj_converged` report the projection onto the
-    constraint stack that produced the new primal iterate (its dual-solve
-    iteration count, 1 for a closed form), and `proj_tv_gap` that solve's
-    duality gap (None for a closed form)."""
+    constraint stack that produced the new primal iterate (its TV
+    dual-solve iteration count, 1 for a stack without a TV ball), and
+    `proj_tv_gap` that solve's duality gap (None without a TV ball)."""
 
     iter: int
     k: int

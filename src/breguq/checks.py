@@ -90,7 +90,8 @@ def _clip(x):
 
 
 # (name, trials, input draw, measure, bound): pointwise for the stacks with
-# a closed form, relative objective for those the dual solve runs
+# a closed form (every stack without a TV ball), relative objective for
+# those the dual solve runs
 _ORACLE_ROWS = (
     ("box", 5, _draw(3.0, (1, 6), lambda x, rng: (Box(-1.0, 1.0),)), _pointwise, 1e-6),
     ("l2_ball", 5, _draw(2.0, (1, 7), lambda x, rng: (L2Ball(1.5),)), _pointwise, 1e-6),
@@ -105,10 +106,10 @@ _ORACLE_ROWS = (
      _objective, 1e-4),
     ("box_l2_intersection", 3, _draw(2.0, (3, 4), lambda x, rng: (
         Box(-0.8, 0.6), L2Ball(rng.uniform(0.3, 0.7) * float(np.linalg.norm(_clip(x)))))),
-     _objective, 1e-4),
+     _pointwise, 1e-6),
     # 2.0 / sqrt(6) < 1.2 < 2.0, so neither ball holds the other
     ("l1_l2_intersection", 3, _draw(2.0, (2, 3), lambda x, rng: (
-        L1Ball(2.0), L2Ball(1.2))), _objective, 1e-4),
+        L1Ball(2.0), L2Ball(1.2))), _pointwise, 1e-6),
     ("box_l1_tv_intersection", 3, _draw(2.0, (3, 4), lambda x, rng: (
         Box(-0.8, 0.6), L1Ball(rng.uniform(0.3, 0.7) * float(np.abs(_clip(x)).sum())),
         TVBall(rng.uniform(0.2, 0.6) * total_variation(_clip(x))))), _objective, 1e-4),

@@ -19,16 +19,17 @@ from per-step streams (seed, tuple id, round, step). E-step results are
 therefore independent of tuple scheduling, and a resumed run fast-forwards
 the draw streams. `train` alone writes a run directory, one copy per file:
 the weights and the logs, which each round appends to, at its root; the
-per-tuple state and ramp window in `checkpoint/`. A resume reads the logs
-back, so it writes every file as an uninterrupted run does. Checkpoint
-files use `breguq.stats` formats; a malformed one raises `CheckpointFormatError`.
+per-tuple state, the ramp window and the stacks in `checkpoint/`. A resume
+reads the logs back, so it writes every file as an uninterrupted run does.
+Checkpoint files use `breguq.stats` formats; a malformed one raises
+`CheckpointFormatError`.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -36,7 +37,7 @@ from .bregman import (T_MAX_DEFAULT, BregmanState, TraceRecord, initial_state,
                       run_bregman)
 from .errors import CheckpointFormatError, ConfigError, NumericalAbortError
 from .net import NetArch, net_eval_and_backward, net_forward, net_init
-from .projections import ConstraintStack
+from .projections import Box, ConstraintStack, L1Ball, L2Ball, TVBall
 from .sgld import SgldParams, sgld_run
 from .stats import (load_weights, read_portable_grid, read_records, read_table,
                     save_weights, write_portable_grid, write_records, write_table)
@@ -214,10 +215,10 @@ def train(bank, stack: ConstraintStack, arch: NetArch, config: TrainConfig,
     `save_checkpoint`), written whole first and extended after every
     round. `resume_from` is such a directory: the run restarts from it and
     reproduces the uninterrupted run exactly (streams are counter-keyed);
-    a tuple split, step count, or completed round's lam or stack that
-    `config` would not give raises `ConfigError` before any write. A round
-    whose prior misfit is not finite raises `NumericalAbortError` before
-    its checkpoint is written.
+    a tuple split, step count, start or final stack, or completed round's
+    lam or stack that the arguments would not give raises `ConfigError`
+    before any write. A round whose prior misfit is not finite raises
+    `NumericalAbortError` before its checkpoint is written.
     """
     if arch.out_shape != tuple(bank.shape):
         raise ConfigError(f"[net] generator output {arch.out_shape} does not match the bank "
@@ -229,14 +230,20 @@ def train(bank, stack: ConstraintStack, arch: NetArch, config: TrainConfig,
     round_records, tuple_traces = [], {t.id: [] for t in tuples}
     if resume_from is not None:
         partition = [(t.id, t.experiment_ids.tolist()) for t in tuples]
-        w, tuples, start_round, round_records, tuple_traces, ran_window = load_checkpoint(
-            resume_from, arch)
+        (w, tuples, start_round, round_records, tuple_traces, ran_window,
+         ran_stacks) = load_checkpoint(resume_from, arch)
         if [(t.id, t.experiment_ids.tolist()) for t in tuples] != partition:
             raise ConfigError(f"[em] tuples: {resume_from} splits the bank into "
                               f"{len(tuples)} tuples, not as configured", key="em.tuples")
         if any(t.state.iter != start_round * config.bregman_steps_per_round for t in tuples):
             raise ConfigError(f"[em] bregman_steps_per_round: {resume_from} ran another "
                               f"number of steps per round", key="em.bregman_steps_per_round")
+        for end, ran_stack, configured in zip(("start", "final"), ran_stacks,
+                                              (stack, stack_final)):
+            if ran_stack != configured:
+                raise ConfigError(f"[constraints]: {resume_from} ran on the {end} stack "
+                                  f"{ran_stack}, not the configured {configured}",
+                                  key="constraints")
         ran = replace(config, lam_ramp_rounds=ran_window)
         for rec in round_records:  # a logged lam round-trips through repr exactly
             lam, stack_r = round_schedule(config, stack, stack_final, rec.round)
@@ -246,8 +253,8 @@ def train(bank, stack: ConstraintStack, arch: NetArch, config: TrainConfig,
                                   f"ramp window, not at lam {lam!r} with the stack of the "
                                   f"configured {window}-round window", key="em.lam_ramp_rounds")
     if run_dir is not None:
-        save_checkpoint(run_dir, arch, w, tuples, start_round - 1, window, round_records,
-                        tuple_traces)
+        save_checkpoint(run_dir, arch, w, tuples, start_round - 1, window,
+                        (stack, stack_final), round_records, tuple_traces)
         save_weights(os.path.join(run_dir, "weights_init.dpnw"), arch, w0)
 
     for r in range(start_round, config.rounds):
@@ -268,21 +275,36 @@ def train(bank, stack: ConstraintStack, arch: NetArch, config: TrainConfig,
                 "per_tuple_misfit": misfits})
         round_records.append(RoundRecord(r, lam, data, prior))
         if run_dir is not None:
-            save_checkpoint(run_dir, arch, w, tuples, r, window, round_records[-1:], traces,
-                            append=True)
+            save_checkpoint(run_dir, arch, w, tuples, r, window, (stack, stack_final),
+                            round_records[-1:], traces, append=True)
     return TrainResult(w, w0, tuples, round_records, tuple_traces)
 
 
 _LATENT_COLUMNS = {"tuple_id": int, "dim": int, "value": float}
+_SET_KINDS = {kind.__name__: kind for kind in (Box, L1Ball, L2Ball, TVBall)}
+
+
+def _stack_to_json(stack: ConstraintStack) -> dict:
+    """The stack's knobs, and per set its kind and fields."""
+    return {**asdict(stack), "sets": [{"kind": type(s).__name__, **asdict(s)}
+                                      for s in stack.sets]}
+
+
+def _stack_from_json(record: dict) -> ConstraintStack:
+    sets = [_SET_KINDS[s["kind"]](**{k: v for k, v in s.items() if k != "kind"})
+            for s in record["sets"]]
+    return ConstraintStack(**{**record, "sets": sets})
 
 
 def save_checkpoint(dirpath, arch: NetArch, w, tuples, round_completed: int,
-                    ramp_rounds: int, rounds, traces, append: bool = False) -> None:
+                    ramp_rounds: int, stacks, rounds, traces, append: bool = False) -> None:
     """The run directory `dirpath` as of `round_completed`: the weights and
-    logs at its root, the tuple state in `checkpoint/`. `rounds` and
-    `traces` (tuple id -> rows) are the whole logs, or with `append` the
-    rows the logs on disk gain. `state.json`, whose counts say how many
-    log rows a resume reads and the rounds' ramp window, goes last."""
+    logs at its root, the tuple state in `checkpoint/`. `stacks` is the
+    run's (start, final) constraint stack pair. `rounds` and `traces`
+    (tuple id -> rows) are the whole logs, or with `append` the rows the
+    logs on disk gain. `state.json`, whose counts say how many log rows a
+    resume reads, and which records the rounds' ramp window and stacks,
+    goes last."""
     state_dir = os.path.join(dirpath, "checkpoint")
     os.makedirs(state_dir, exist_ok=True)
     write_records(os.path.join(dirpath, "rounds.csv"), RoundRecord, rounds, append)
@@ -296,6 +318,7 @@ def save_checkpoint(dirpath, arch: NetArch, w, tuples, round_completed: int,
         for name, grid in (("x", t.state.x_primal), ("xdual", t.state.x_dual)):
             write_portable_grid(grid, os.path.join(state_dir, f"tuple_{t.id:03d}_{name}.pgrd"))
     state = {"round_completed": int(round_completed), "lam_ramp_rounds": int(ramp_rounds),
+             "stacks": [_stack_to_json(stack) for stack in stacks],
              "tuples": [{"id": int(t.id), "experiment_ids": t.experiment_ids.tolist(),
                          "step_count": int(t.state.iter)} for t in tuples]}
     with open(os.path.join(state_dir, "state.json"), "w", newline="") as f:
@@ -305,7 +328,8 @@ def save_checkpoint(dirpath, arch: NetArch, w, tuples, round_completed: int,
 
 def load_checkpoint(dirpath, arch: NetArch):
     """Reads the run directory `dirpath`: (weights, tuples, next round index,
-    round records, per-tuple traces, ramp window). Malformed content in
+    round records, per-tuple traces, ramp window, (start, final) stacks).
+    Malformed content in
     `state.json` or any CSV log, or a log whose row count disagrees with
     `state.json`, raises `CheckpointFormatError` naming the file."""
     state_dir = os.path.join(dirpath, "checkpoint")
@@ -322,7 +346,8 @@ def load_checkpoint(dirpath, arch: NetArch):
             state = json.load(f)
         if type(window := state["lam_ramp_rounds"]) is not int or window < 0:
             raise ValueError(f"lam_ramp_rounds must be a non-negative integer, got {window!r}")
-        return (state["round_completed"] + 1, window,
+        start, final = (_stack_from_json(record) for record in state["stacks"])
+        return (state["round_completed"] + 1, window, (start, final),
                 [(rec["id"], np.asarray(rec["experiment_ids"], dtype=np.int64),
                   rec["step_count"]) for rec in state["tuples"]])
 
@@ -339,7 +364,8 @@ def load_checkpoint(dirpath, arch: NetArch):
         return {tid: np.array([latents[tid][d] for d in range(arch.latent_dim)])
                 for tid, _, _ in records}
 
-    next_round, window, records = parse(os.path.join(state_dir, "state.json"), read_state)
+    next_round, window, stacks, records = parse(os.path.join(state_dir, "state.json"),
+                                                read_state)
     w = load_weights(os.path.join(dirpath, "weights.dpnw"), arch)
     latents = parse(os.path.join(state_dir, "latents.csv"), read_latents)
     tuples, traces = [], {}
@@ -352,4 +378,4 @@ def load_checkpoint(dirpath, arch: NetArch):
                             TraceRecord, step_count)
     return (w, tuples, next_round,
             parse(os.path.join(dirpath, "rounds.csv"), read_log, RoundRecord, next_round),
-            traces, window)
+            traces, window, stacks)

@@ -1,21 +1,24 @@
 """Euclidean projections onto handcrafted convex sets and their intersections.
 
-Supported sets: boxes, l2 balls, l1 balls (sort-and-threshold) and
-anisotropic total-variation balls with circular boundary. A stack's boxes
-merge into one box [lo, hi]. Three kinds of stack are projected exactly, in
-closed form: boxes only (the clamp), a lone l2 or l1 ball, and boxes with
-one l1 ball (a soft threshold followed by the clamp, with the threshold
-found by a sorted-breakpoint search). Every other stack is projected by one
-iterative solve: FISTA (Beck & Teboulle, SIAM J. Imaging Sci. 2009) on the
-dual of
+Supported sets: boxes, l2 balls, l1 balls and anisotropic total-variation
+balls with circular boundary. A stack merges by kind: its boxes become one
+box [lo, hi], and of several balls of one kind only the smallest counts,
+because it lies inside the others. Every stack without a TV ball is
+projected exactly, in closed form, by one separable map: dualizing the l2
+ball scales v by s = 1/(1 + mu), so the projection is P_box∩l1(s*v) (a soft
+threshold followed by the clamp, with the threshold found by a
+sorted-breakpoint search), with s in (0, 1] found by bisection. A stack with
+a TV ball is projected by one iterative solve: FISTA (Beck & Teboulle, SIAM
+J. Imaging Sci. 2009) on the dual of
 
-    min_x 0.5*||x - v||^2  s.t.  lo <= x <= hi,  ||K_i x|| <= r_i,
+    min_x 0.5*||x - v||^2  s.t.  x in C,  ||D x||_1 <= r,
 
-with one dual block per ball (K_i = I for an l1 or l2 ball, circular
-forward differences D for a TV ball) and the box as a clip, the route
-Peters & Herrmann (Geophysics 2019) take for intersections of constraints.
-Its primal iterates are always feasible, its stopping rule is a relative
-duality gap, and it reports when its iteration cap stops it first.
+with one dual block, the TV ball (D the circular forward differences), and
+the separable projection onto C, the stack's other sets, as its primal map;
+Peters & Herrmann (Geophysics 2019) take this dual route for intersections
+of constraints. Its primal iterates are always feasible, its stopping rule
+is a relative duality gap, and it reports when its iteration cap stops it
+first.
 
 All functions are pure and safe for concurrent use.
 """
@@ -36,8 +39,6 @@ __all__ = [
     "L1Ball",
     "TVBall",
     "ConstraintStack",
-    "project_box",
-    "project_l2_ball",
     "project_l1_ball",
     "project_intersection",
     "constraint_violation",
@@ -98,9 +99,9 @@ Constraint = Box | L2Ball | L1Ball | TVBall
 class ConstraintStack:
     """Ordered constraint sets plus solver knobs for their intersection.
 
-    `tv_max_iters` and `tv_tol` cap and stop the dual solve of any stack
-    without a closed form; `dykstra_tol` is the feasibility bar every
-    result must meet to count as converged."""
+    `tv_max_iters` and `tv_tol` cap and stop the dual solve of a stack with
+    a TV ball; every other stack is projected in closed form. `dykstra_tol`
+    is the feasibility bar every result must meet to count as converged."""
 
     sets: tuple
     dykstra_tol: float = 1e-8
@@ -119,8 +120,9 @@ class ConstraintStack:
 
 @dataclass(frozen=True)
 class IntersectionResult:
-    """`sweeps` is the dual solve's iteration count (1 for a closed form);
-    `tv_gap` is its duality gap, None for a closed form."""
+    """`sweeps` is the TV dual solve's iteration count and `tv_gap` its
+    duality gap; a stack without a TV ball has `sweeps` 1 and `tv_gap`
+    None."""
 
     x: np.ndarray
     converged: bool
@@ -136,23 +138,6 @@ class FeasibilityReport:
 
     def __bool__(self):
         return self.feasible
-
-
-def project_box(x, lo: float, hi: float) -> np.ndarray:
-    """Elementwise clamp; the unique Euclidean projection onto a box."""
-    if lo > hi:
-        raise ValueError(f"box lower bound {lo} exceeds upper bound {hi}")
-    return np.clip(np.asarray(x, dtype=np.float64), lo, hi)
-
-
-def project_l2_ball(x, radius: float) -> np.ndarray:
-    if not radius > 0:
-        raise ValueError(f"l2 ball radius must be positive, got {radius}")
-    x = np.asarray(x, dtype=np.float64)
-    n = float(np.linalg.norm(x.ravel()))
-    if n <= radius:
-        return x.copy()
-    return x * (radius / n)
 
 
 def project_l1_ball(x, radius: float) -> np.ndarray:
@@ -188,21 +173,23 @@ def _box_l1_project_flat(v: np.ndarray, lo: float, hi: float,
     box, including one that does not contain 0. In terms of a_i = |v_i|,
     |x_i(theta)| = clip(a_i - theta, p, q_i), where p is the distance from 0
     to the box and q_i the largest |x| on the side of the box that v_i's
-    sign selects. The norm is therefore continuous, non-increasing and
-    piecewise linear in theta, with kinks at a_i - q_i and a_i - p. Prefix
-    sums over the two sorted kink sets give the norm at any kink in
-    O(log n), so bisection over each set finds the last kink whose norm is
-    still >= radius (a breakpoint search in the style of Condat, "Fast
-    projection onto the simplex and the l1 ball", Math. Prog. 2016). The
-    root lies on the linear piece right of that kink and is solved there
-    from a direct evaluation of the norm. When the box misses the ball
+    sign selects; with no box (lo = -inf, hi = inf), p = 0 and q_i = a_i,
+    since |x_i(theta)| never exceeds a_i for theta >= 0. The norm is
+    therefore continuous, non-increasing and piecewise linear in theta,
+    with kinks at a_i - q_i and a_i - p. Prefix sums over the two sorted
+    kink sets give the norm at any kink in O(log n), so bisection over each
+    set finds the last kink whose norm is still >= radius (a breakpoint
+    search in the style of Condat, "Fast projection onto the simplex and
+    the l1 ball", Math. Prog. 2016). The root lies on the linear piece
+    right of that kink and is solved there from a direct evaluation of the
+    norm. When the box misses the ball
     (n * p > radius) the norm never falls to the radius, theta stops at the
     last kink, and the result is clip(0, lo, hi), the box point of least
     l1 norm.
     """
     a = np.abs(v)
     p = max(lo, -hi, 0.0)
-    q = np.where(v >= 0.0, max(hi, p), max(-lo, p))
+    q = a if lo == -math.inf else np.where(v >= 0.0, max(hi, p), max(-lo, p))
 
     def norm_at(theta: float) -> float:
         return float(np.clip(a - theta, p, q).sum())
@@ -258,75 +245,81 @@ def _l2_norm(a) -> float:
     return float(np.linalg.norm(a.ravel()))
 
 
-def _linf_norm(a) -> float:
-    return float(np.abs(a).max())
+def _separable_project(v: np.ndarray, lo: float, hi: float, r1: float,
+                       r2: float) -> np.ndarray:
+    """Exact projection of `v` onto {lo <= x <= hi, ||x||_1 <= r1,
+    ||x||_2 <= r2}; an infinite bound or radius drops its set.
+
+    Dualizing the l2 ball with multiplier mu >= 0 turns the objective into
+    (1 + mu)/2 * ||x - s*v||^2 with s = 1/(1 + mu), so the projection is
+    x(s) = P_box∩l1(s*v) (the clamp when r1 is infinite). ||x(s)||_2 is
+    non-decreasing in s (it is minus the derivative of the concave dual in
+    mu), so the projection is x(s) at the largest s in [0, 1] with
+    ||x(s)||_2 <= r2: s = 1 when the ball is absent or inactive, else a
+    bisection of [0, 1] that stops when its midpoint rounds onto an end,
+    keeping the feasible end. x(0) = clip(0, lo, hi) is the point of least
+    norm in the box; when even it lies outside a ball, the sets do not meet
+    and it is returned.
+    """
+    flat = v.ravel()
+    if r1 == math.inf:
+        inner = lambda u: np.clip(u, lo, hi)
+    else:
+        inner = lambda u: _box_l1_project_flat(u, lo, hi, r1)
+    x = inner(flat)
+    if r2 != math.inf and _l2_norm(x) > r2:
+        below, above, x = 0.0, 1.0, inner(np.zeros_like(flat))
+        while below < (mid := 0.5 * (below + above)) < above:
+            x_mid = inner(mid * flat)
+            if _l2_norm(x_mid) <= r2:
+                below, x = mid, x_mid
+            else:
+                above = mid
+    return x.reshape(v.shape)
 
 
-def _ball_terms(spec):
-    """(K is D, norm, dual norm, ball projection) of one ball {||K x|| <= r}."""
-    if isinstance(spec, L2Ball):
-        return False, _l2_norm, _l2_norm, project_l2_ball
-    if isinstance(spec, L1Ball):
-        return False, _l1_norm, _linf_norm, project_l1_ball
-    if isinstance(spec, TVBall):
-        return True, _l1_norm, _linf_norm, project_l1_ball
-    raise TypeError(f"unknown constraint spec {spec!r}")
-
-
-def _dual_solve(v, lo, hi, balls, tol, max_iters):
-    """Project `v` onto {lo <= x <= hi} intersected with `balls`.
+def _dual_solve(v, lo, hi, r1, r2, radius, tol, max_iters):
+    """Project `v` onto C = {lo <= x <= hi, ||x||_1 <= r1, ||x||_2 <= r2}
+    intersected with the TV ball {||D x||_1 <= radius}.
 
     Accelerated proximal gradient on the dual
-        min_y  -h(sum_i K_i^T y_i) + sum_i r_i*||y_i||_*,
-        h(s) = min_{lo <= x <= hi} 0.5*||x - v||^2 + <x, s>,
-    whose gradient is -K_i x(s) with x(s) = clip(v - s, lo, hi). The step is
-    1 / sum_i ||K_i||^2 (||D||^2 = 8); each dual prox is the Moreau
-    complement of a ball projection. Each x(s) is pulled toward a constant
-    anchor in every set, by the one scalar that satisfies every ball
-    (enough by convexity): clip(mean(v), lo, hi) when every ball is a TV
-    ball, else clip(0, lo, hi), the box point of least l1 and l2 norm. An
-    anchor outside a ball means the sets do not meet; it is returned
-    unconverged with an infinite gap. Momentum restarts whenever the dual
-    objective backtracks. Returns (x, converged, duality gap, iterations);
-    a loop capped before its relative gap falls to `tol` returns its
-    least-gap iterate.
+        min_y  -h(D^T y) + radius*||y||_inf,
+        h(s) = min_{x in C} 0.5*||x - v||^2 + <x, s>,
+    whose gradient is -D x(s) with x(s) the separable projection of v - s
+    onto C. The step is 1/||D||^2 = 1/8; the dual prox is the Moreau
+    complement of an l1 ball projection. Each x(s) is pulled toward a
+    constant anchor in C, which has TV 0, just far enough to enter the TV
+    ball: clip(mean(v), lo, hi) when C is the box alone, else clip(0, lo,
+    hi), the box point of least l1 and l2 norm. An anchor outside C means
+    the sets do not meet; it is returned unconverged with an infinite gap.
+    Momentum restarts whenever the dual objective backtracks. Returns (x,
+    converged, duality gap, iterations); a loop capped before its relative
+    gap falls to `tol` returns its least-gap iterate.
     """
-    terms = [(b.radius,) + _ball_terms(b) for b in balls]
-    fwd = lambda diff, u: tv_forward_diff(u) if diff else u
-    adj = lambda diff, p: tv_diff_adjoint(p) if diff else p
-
-    u = np.clip(v, lo, hi)
-    if all(norm(fwd(diff, u)) <= r for r, diff, norm, _, _ in terms):
+    project = lambda u: _separable_project(u, lo, hi, r1, r2)
+    anchor = float(np.clip(v.mean() if r1 == r2 == math.inf else 0.0, lo, hi))
+    anchor_grid = np.full_like(v, anchor)
+    if _l1_norm(anchor_grid) > r1 or _l2_norm(anchor_grid) > r2:
+        return anchor_grid, False, math.inf, 1
+    u = project(v)
+    if _l1_norm(tv_forward_diff(u)) <= radius:
         return u, True, 0.0, 1
-    tv_only = all(diff for _, diff, _, _, _ in terms)
-    anchor = float(np.clip(v.mean() if tv_only else 0.0, lo, hi))
-    anchor_norms = [norm(fwd(diff, np.full_like(v, anchor)))
-                    for _, diff, norm, _, _ in terms]
-    if any(na > r for (r, *_), na in zip(terms, anchor_norms)):
-        return np.full_like(v, anchor), False, math.inf, 1
 
-    step = 1.0 / sum(8.0 if diff else 1.0 for _, diff, _, _, _ in terms)
-    ps = [np.zeros_like(fwd(diff, v)) for _, diff, _, _, _ in terms]
-    ws, s, s_w = ps, np.zeros_like(v), np.zeros_like(v)
+    step = 1.0 / 8.0
+    p = w = np.zeros((2,) + v.shape)
+    s, s_w = np.zeros_like(v), np.zeros_like(v)
     t_mom, prev_obj = 1.0, math.inf
     best_gap, best_x = math.inf, None
     for it in range(1, max_iters + 1):
-        u_w = np.clip(v - s_w, lo, hi)
-        new = []
-        for (r, diff, _, _, project), w in zip(terms, ws):
-            q = w + step * fwd(diff, u_w)
-            new.append(q - project(q, step * r) if r > 0 else q)
-        s_new = sum(adj(diff, p) for (_, diff, _, _, _), p in zip(terms, new))
-        u = np.clip(v - s_new, lo, hi)
-        obj = (sum(r * dual(p) for (r, _, _, dual, _), p in zip(terms, new))
+        q = w + step * tv_forward_diff(project(v - s_w))
+        p_new = q - project_l1_ball(q, step * radius) if radius > 0 else q
+        s_new = tv_diff_adjoint(p_new)
+        u = project(v - s_new)
+        obj = (radius * float(np.abs(p_new).max())
                - 0.5 * float(np.vdot(u - v, u - v)) - float(np.vdot(u, s_new)))
 
-        theta = 1.0
-        for (r, diff, norm, _, _), na in zip(terms, anchor_norms):
-            nu = norm(fwd(diff, u))
-            if nu > r:
-                theta = min(theta, (r - na) / (nu - na))
-        x_feas = u if theta >= 1.0 else anchor + theta * (u - anchor)
+        tv = _l1_norm(tv_forward_diff(u))
+        x_feas = u if tv <= radius else anchor + (radius / tv) * (u - anchor)
         primal = 0.5 * float(np.vdot(x_feas - v, x_feas - v))
         gap = primal + obj
         if best_x is None or gap < best_gap:
@@ -335,15 +328,18 @@ def _dual_solve(v, lo, hi, balls, tol, max_iters):
             return x_feas, True, gap, it
 
         if obj > prev_obj:
-            t_mom, ws, s_w = 1.0, new, s_new
+            t_mom, w, s_w = 1.0, p_new, s_new
         else:
             t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_mom * t_mom))
             beta = (t_mom - 1.0) / t_next
-            ws = [p + beta * (p - p_old) for p, p_old in zip(new, ps)]
+            w = p_new + beta * (p_new - p)
             s_w = s_new + beta * (s_new - s)
             t_mom = t_next
-        ps, s, prev_obj = new, s_new, obj
+        p, s, prev_obj = p_new, s_new, obj
     return best_x, False, best_gap, max_iters
+
+
+_NORMS = {L1Ball: _l1_norm, L2Ball: _l2_norm, TVBall: total_variation}
 
 
 def constraint_violation(spec: Constraint, x) -> float:
@@ -356,37 +352,33 @@ def constraint_violation(spec: Constraint, x) -> float:
     if isinstance(spec, Box):
         return float(max(np.max(x - spec.hi, initial=0.0),
                          np.max(spec.lo - x, initial=0.0)))
-    diff, norm, _, _ = _ball_terms(spec)
-    return max(0.0, norm(tv_forward_diff(as_grid(x)) if diff else x) - spec.radius)
+    if type(spec) not in _NORMS:
+        raise TypeError(f"unknown constraint spec {spec!r}")
+    return max(0.0, _NORMS[type(spec)](x) - spec.radius)
 
 
 def project_intersection(x, stack: ConstraintStack) -> IntersectionResult:
     """Euclidean projection onto the intersection of the stack's sets.
 
-    The stack's boxes merge into one. Boxes alone, a lone l2 or l1 ball,
-    and boxes with one l1 ball are projected in closed form; every other
-    stack runs the dual solve, capped by `tv_max_iters` and stopped by
-    `tv_tol`, and reports its duality gap. A result is converged when its solve converged and every
-    per-set violation is within `dykstra_tol`: sets that do not meet and
-    a capped solve are flagged.
+    The stack's boxes merge into one, and each ball kind keeps its smallest
+    radius. A stack without a TV ball is projected in closed form; one with
+    a TV ball runs the dual solve, capped by `tv_max_iters` and stopped by
+    `tv_tol`, and reports its duality gap. A result is converged when its
+    solve converged and every per-set violation is within `dykstra_tol`:
+    sets that do not meet and a capped solve are flagged.
     """
     x = as_grid(x)
     lo = max((s.lo for s in stack.sets if isinstance(s, Box)), default=-math.inf)
     hi = min((s.hi for s in stack.sets if isinstance(s, Box)), default=math.inf)
-    balls = [s for s in stack.sets if not isinstance(s, Box)]
-    boxed = len(balls) < len(stack.sets)
-    kinds = [type(b) for b in balls]
+    r1, r2, r_tv = (min((s.radius for s in stack.sets if isinstance(s, kind)),
+                        default=math.inf) for kind in (L1Ball, L2Ball, TVBall))
     solved, iters, gap = True, 1, None
-    if not balls or lo > hi:
+    if lo > hi:  # boxes that do not meet; their violations flag it
         out = np.clip(x, lo, hi)
-    elif kinds == [L1Ball] and boxed:
-        out = _box_l1_project_flat(x.ravel(), lo, hi, balls[0].radius).reshape(x.shape)
-    elif kinds == [L1Ball]:
-        out = project_l1_ball(x, balls[0].radius)
-    elif kinds == [L2Ball] and not boxed:
-        out = project_l2_ball(x, balls[0].radius)
+    elif r_tv == math.inf:
+        out = _separable_project(x, lo, hi, r1, r2)
     else:
-        out, solved, gap, iters = _dual_solve(x, lo, hi, balls, stack.tv_tol,
+        out, solved, gap, iters = _dual_solve(x, lo, hi, r1, r2, r_tv, stack.tv_tol,
                                               stack.tv_max_iters)
     violations = np.array([constraint_violation(s, out) for s in stack.sets])
     return IntersectionResult(out, solved and bool(violations.max() <= stack.dykstra_tol),

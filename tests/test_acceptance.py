@@ -21,8 +21,7 @@ from breguq.net import (NetArch, StageSpec, net_eval_and_backward, net_forward,
                         net_init)
 from breguq.oracles import qp_project
 from breguq.projections import (Box, ConstraintStack, L1Ball, L2Ball, TVBall,
-                                is_feasible, project_box, project_intersection,
-                                project_l1_ball, project_l2_ball, total_variation)
+                                is_feasible, project_intersection, total_variation)
 from breguq.sgld import SgldParams, sgld_step
 from breguq.stats import model_quality, sample_generator, summarize
 from breguq.testbed import load_bank, make_ground_truth
@@ -129,18 +128,12 @@ def test_criterion_2_projection_qp_agreement():
     t0 = time.time()
     rng = np.random.default_rng(777)
     worst_pt = 0.0
-    for _ in range(100):
-        x = 3.0 * rng.standard_normal(rng.integers(2, 9))
-        worst_pt = max(worst_pt, float(np.max(np.abs(
-            project_box(x, -0.8, 0.9) - qp_project(x, ConstraintStack((Box(-0.8, 0.9),)))))))
-    for _ in range(100):
-        x = 2.0 * rng.standard_normal(rng.integers(2, 9))
-        worst_pt = max(worst_pt, float(np.max(np.abs(
-            project_l2_ball(x, 1.4) - qp_project(x, ConstraintStack((L2Ball(1.4),)))))))
-    for _ in range(100):
-        x = 2.0 * rng.standard_normal(rng.integers(2, 9))
-        worst_pt = max(worst_pt, float(np.max(np.abs(
-            project_l1_ball(x, 1.8) - qp_project(x, ConstraintStack((L1Ball(1.8),)))))))
+    for scale, one_set in ((3.0, Box(-0.8, 0.9)), (2.0, L2Ball(1.4)), (2.0, L1Ball(1.8))):
+        stack = ConstraintStack((one_set,))
+        for _ in range(100):
+            x = scale * rng.standard_normal(rng.integers(2, 9))
+            worst_pt = max(worst_pt, float(np.max(np.abs(
+                project_intersection(np.atleast_2d(x), stack).x - qp_project(x, stack)))))
     stack = ConstraintStack((Box(-0.7, 0.8), L1Ball(1.6)))
     for _ in range(100):
         x = 2.0 * rng.standard_normal((2, 4))

@@ -374,6 +374,30 @@ def test_resume_that_moves_a_completed_rounds_stack_exit_2(gen_dir, tmp_path, ca
     assert run_files(out) == before
 
 
+@pytest.mark.parametrize("end, anchor, changed", [
+    ("start", "l1_radius = 160.0", "l1_radius = 130.0"),
+    ("final", "l1_radius = 160.0", "l1_radius = 160.0\nl1_radius_final = 130.0"),
+    ("start", "l1_radius = 160.0", "l1_radius = 160.0\ntv_max_iters = 50"),
+], ids=["start", "final", "knob"])
+def test_resume_with_other_constraint_values_exit_2(gen_dir, tmp_path, capsys, end, anchor,
+                                                    changed):
+    # a 2-round run resumed for a third round with another [constraints]
+    # value, into a new directory and in place
+    cfg_path, bank_dir = gen_dir
+    cfg_other = write_cfg(tmp_path, SMALL_TESTBED.replace("rounds = 2", "rounds = 3").replace(
+        anchor, changed), name="b.cfg")
+    out = tmp_path / "tr"
+    assert main(["train", "--config", cfg_path, "--bank", str(bank_dir), "--out", str(out)]) == 0
+    before = run_files(out)
+    for res in (tmp_path / "res", out):
+        assert main(["train", "--config", cfg_other, "--bank", str(bank_dir),
+                     "--out", str(res), "--resume", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"config error: [constraints]: {out} ran on the {end} stack ConstraintStack(")
+    assert not (tmp_path / "res").exists()
+    assert run_files(out) == before
+
+
 def test_resume_that_keeps_every_completed_round_reproduces(gen_dir, tmp_path):
     # constant lam and no *_final value: the auto window moves from 1 to 2
     # rounds, yet no completed round's lam or stack changes
@@ -409,6 +433,22 @@ def test_resume_from_checkpoint_without_ramp_window_exit_2(gen_dir, tmp_path, ca
     assert main(["train", "--config", cfg_path, "--bank", str(bank_dir),
                  "--out", str(tmp_path / "res"), "--resume", str(out)]) == 2
     assert capsys.readouterr().err == f"input error: {path}: {message}\n"
+    assert not (tmp_path / "res").exists()
+
+
+def test_resume_from_checkpoint_without_stacks_exit_2(gen_dir, tmp_path, capsys):
+    # checkpoints written before state.json recorded the run's stacks
+    cfg_path, bank_dir = gen_dir
+    out = tmp_path / "tr"
+    assert main(["train", "--config", cfg_path, "--bank", str(bank_dir),
+                 "--out", str(out)]) == 0
+    path = out / "checkpoint" / "state.json"
+    state = json.loads(path.read_text())
+    del state["stacks"]
+    path.write_text(json.dumps(state))
+    assert main(["train", "--config", cfg_path, "--bank", str(bank_dir),
+                 "--out", str(tmp_path / "res"), "--resume", str(out)]) == 2
+    assert capsys.readouterr().err == f"input error: {path}: KeyError: 'stacks'\n"
     assert not (tmp_path / "res").exists()
 
 

@@ -11,7 +11,8 @@ from breguq.em import (RoundRecord, TrainConfig, TrainTuple, e_step, init_tuples
 from breguq.errors import NumericalAbortError
 from breguq.net import (NetArch, StageSpec, net_eval_and_backward, net_forward,
                         net_init)
-from breguq.projections import Box, ConstraintStack, L1Ball, is_feasible
+from breguq.projections import (Box, ConstraintStack, L1Ball, L2Ball, TVBall,
+                                is_feasible)
 from breguq.sgld import SgldParams
 from breguq.testbed import (NoiseSpec, add_noise_to_snr, gaussian_kernel,
                             make_bank, make_ground_truth)
@@ -424,9 +425,14 @@ def test_checkpoint_roundtrip(tmp_path, rng):
     # a tuple's step count is the length of its trace; load_checkpoint checks it
     tuples = [replace(t, state=replace(t.state, iter=len(traces[t.id])))
               for t in init_tuples(bank, 2, seed=21, latent_dim=8)]
-    save_checkpoint(tmp_path / "c", arch, w, tuples, 4, 3, rounds, traces)
-    w2, tuples2, nxt, rounds2, traces2, window = load_checkpoint(tmp_path / "c", arch)
-    assert nxt == 5 and window == 3
+    # every set kind and every knob, off their defaults
+    stacks = (ConstraintStack((Box(-1.0, 0.5), L1Ball(1.0 / 3.0), L2Ball(2.0), TVBall(0.0)),
+                              dykstra_tol=1e-9, tv_max_iters=7, tv_tol=1.0 / 3.0),
+              ConstraintStack((Box(-0.75, 0.5), L1Ball(0.25), L2Ball(2.0), TVBall(1e-17)),
+                              dykstra_tol=1e-9, tv_max_iters=7, tv_tol=1.0 / 3.0))
+    save_checkpoint(tmp_path / "c", arch, w, tuples, 4, 3, stacks, rounds, traces)
+    w2, tuples2, nxt, rounds2, traces2, window, stacks2 = load_checkpoint(tmp_path / "c", arch)
+    assert nxt == 5 and window == 3 and stacks2 == stacks
     assert rounds2 == rounds
     assert traces2 == traces
     np.testing.assert_array_equal(w2, w)
@@ -449,10 +455,11 @@ def test_checkpoint_append_writes_the_whole_save(tmp_path, rng):
     traces = {0: [replace(row, iter=i) for i in range(3)], 1: [row]}
     tuples = [replace(t, state=replace(t.state, iter=len(traces[t.id])))
               for t in init_tuples(bank, 2, seed=21, latent_dim=8)]
-    save_checkpoint(tmp_path / "whole", arch, w, tuples, 4, 2, rounds, traces)
-    save_checkpoint(tmp_path / "grown", arch, w, tuples, 2, 2, rounds[:3],
+    stacks = (ConstraintStack((Box(-1.0, 1.0), L1Ball(2.0))),) * 2
+    save_checkpoint(tmp_path / "whole", arch, w, tuples, 4, 2, stacks, rounds, traces)
+    save_checkpoint(tmp_path / "grown", arch, w, tuples, 2, 2, stacks, rounds[:3],
                     {0: traces[0][:1], 1: []})
-    save_checkpoint(tmp_path / "grown", arch, w, tuples, 4, 2, rounds[3:],
+    save_checkpoint(tmp_path / "grown", arch, w, tuples, 4, 2, stacks, rounds[3:],
                     {0: traces[0][1:], 1: traces[1]}, append=True)
     assert run_files(tmp_path / "grown") == run_files(tmp_path / "whole")
     assert load_checkpoint(tmp_path / "grown", arch)[3] == rounds

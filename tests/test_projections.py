@@ -6,9 +6,9 @@ from hypothesis.extra import numpy as hnp
 
 from breguq.oracles import qp_project
 from breguq.projections import (Box, ConstraintStack, L1Ball, L2Ball, TVBall,
-                                constraint_violation, is_feasible, project_box,
+                                constraint_violation, is_feasible,
                                 project_intersection, project_l1_ball,
-                                project_l2_ball, total_variation)
+                                total_variation)
 
 finite_vec = hnp.arrays(np.float64, 6,
                         elements=st.floats(-5, 5, allow_nan=False, width=64))
@@ -16,23 +16,27 @@ finite_grid = hnp.arrays(np.float64, (3, 4),
                          elements=st.floats(-3, 3, allow_nan=False, width=64))
 
 
+def project_one(spec, x):
+    """`x` projected onto the one-set stack of `spec`, in `x`'s shape."""
+    return project_intersection(np.atleast_2d(x), ConstraintStack((spec,))).x.reshape(
+        np.shape(x))
+
+
 # --- box ---
 
 def test_box_inside_unchanged():
     x = np.array([0.1, 0.5, -0.2])
-    np.testing.assert_array_equal(project_box(x, -1, 1), x)
+    np.testing.assert_array_equal(project_one(Box(-1, 1), x), x)
 
 def test_box_clamps():
-    np.testing.assert_array_equal(project_box(np.array([-3.0, 0.2, 9.0]), 0.0, 1.0),
+    np.testing.assert_array_equal(project_one(Box(0.0, 1.0), np.array([-3.0, 0.2, 9.0])),
                                   [0.0, 0.2, 1.0])
 
 def test_box_degenerate():
-    np.testing.assert_array_equal(project_box(np.array([-3.0, 9.0]), 0.5, 0.5),
+    np.testing.assert_array_equal(project_one(Box(0.5, 0.5), np.array([-3.0, 9.0])),
                                   [0.5, 0.5])
 
 def test_box_rejects_inverted_bounds():
-    with pytest.raises(ValueError):
-        project_box(np.zeros(2), 1.0, 0.0)
     with pytest.raises(ValueError):
         Box(1.0, 0.0)
 
@@ -41,10 +45,10 @@ def test_box_rejects_inverted_bounds():
 
 def test_l2_inside_unchanged():
     x = np.array([0.3, 0.4])
-    np.testing.assert_array_equal(project_l2_ball(x, 1.0), x)
+    np.testing.assert_array_equal(project_one(L2Ball(1.0), x), x)
 
 def test_l2_radial_scaling():
-    np.testing.assert_allclose(project_l2_ball(np.array([3.0, 4.0]), 1.0),
+    np.testing.assert_allclose(project_one(L2Ball(1.0), np.array([3.0, 4.0])),
                                [0.6, 0.8], rtol=1e-15)
 
 def test_l2_matches_qp_oracle():
@@ -52,7 +56,7 @@ def test_l2_matches_qp_oracle():
     for _ in range(10):
         x = 2.0 * rng.standard_normal(7)
         ref = qp_project(x, ConstraintStack((L2Ball(1.5),)))
-        assert np.max(np.abs(project_l2_ball(x, 1.5) - ref)) < 1e-8
+        assert np.max(np.abs(project_one(L2Ball(1.5), x) - ref)) < 1e-8
 
 
 # --- l1 ball ---
@@ -135,14 +139,14 @@ def test_intersection_single_set_reduces_to_box():
     stack = ConstraintStack((Box(0.0, 1.0),))
     x = np.array([[-3.0, 0.2], [9.0, 0.5]])
     res = project_intersection(x, stack)
-    np.testing.assert_array_equal(res.x, project_box(x, 0.0, 1.0))
+    np.testing.assert_array_equal(res.x, np.clip(x, 0.0, 1.0))
     assert res.converged and res.sweeps == 1
 
 def test_intersection_inactive_ball():
     stack = ConstraintStack((Box(0.0, 1.0), L2Ball(10.0)))
     x = np.array([[-3.0, 0.2], [9.0, 0.5]])
     res = project_intersection(x, stack)
-    np.testing.assert_allclose(res.x, project_box(x, 0.0, 1.0), atol=1e-12)
+    np.testing.assert_allclose(res.x, np.clip(x, 0.0, 1.0), atol=1e-12)
 
 def test_intersection_matches_qp_oracle():
     rng = np.random.default_rng(26)
@@ -247,7 +251,7 @@ def test_three_set_stack_matches_qp_oracle():
     for _ in range(10):
         x = 2.0 * rng.standard_normal((2, 3))
         res = project_intersection(x, stack)
-        assert res.converged and res.sweeps > 1
+        assert res.converged and res.sweeps == 1
         assert np.max(np.abs(res.x - qp_project(x, stack))) < 1e-8
 
 
@@ -295,10 +299,20 @@ def _clip(x):
     return np.clip(x, -0.8, 0.6)
 
 
-# stacks only the dual solve runs; box_tv_far puts v far outside the sets
+# stacks without a TV ball, on the fixed-point inputs; the box_l1_l2 radii
+# keep both balls active
+CLOSED_FORM_STACKS = {
+    "box_l2": lambda x: (Box(-0.8, 0.6), L2Ball(0.5 * np.linalg.norm(_clip(x)))),
+    "l1_l2": lambda x: (L1Ball(2.0), L2Ball(1.2)),
+    "box_l1_l2": lambda x: (Box(-0.8, 0.6), L1Ball(0.5 * np.abs(_clip(x)).sum()),
+                            L2Ball(0.6 * np.linalg.norm(_clip(x)))),
+}
+
+# box_l2 and l1_l2 skip the dual solve, so its knobs must leave them exact;
+# box_tv_far puts v far outside the sets
 FIXED_POINT_STACKS = {
-    "box_l2": (2.0, lambda x: (Box(-0.8, 0.6), L2Ball(0.5 * np.linalg.norm(_clip(x))))),
-    "l1_l2": (2.0, lambda x: (L1Ball(2.0), L2Ball(1.2))),
+    "box_l2": (2.0, CLOSED_FORM_STACKS["box_l2"]),
+    "l1_l2": (2.0, CLOSED_FORM_STACKS["l1_l2"]),
     "box_l1_tv": (2.0, lambda x: (Box(-0.8, 0.6), L1Ball(0.5 * np.abs(_clip(x)).sum()),
                                   TVBall(0.4 * total_variation(_clip(x))))),
     "box_tv_far": (30.0, lambda x: (Box(-0.8, 0.6), TVBall(0.4 * total_variation(_clip(x))))),
@@ -319,16 +333,36 @@ def test_dual_solve_fixed_point_matches_qp_oracle(name, seed):
 
 @pytest.mark.parametrize("name", ["box_l2", "l1_l2"])
 def test_dual_solve_without_tv_ball_reports_its_gap(name):
-    # the gap is the solve's, whatever its balls: within the stop rule when
-    # the solve converges, far above it when the cap stops it
-    scale, sets = FIXED_POINT_STACKS[name]
-    x = scale * np.random.default_rng(51).standard_normal((3, 4))
-    stack = ConstraintStack(sets(x))
-    res = project_intersection(x, stack)
-    assert res.converged and res.sweeps > 1
-    assert 0.0 <= res.tv_gap <= stack.tv_tol * 0.5 * np.sum((res.x - x) ** 2)
-    capped = project_intersection(x, ConstraintStack(sets(x), tv_max_iters=2))
-    assert not capped.converged and capped.tv_gap > 1e3 * stack.tv_tol
+    # no dual solve runs, so there is no gap to report, and a cap on the
+    # solve's iterations cannot stop the projection short
+    x = 2.0 * np.random.default_rng(51).standard_normal((3, 4))
+    for knobs in ({}, {"tv_max_iters": 2}):
+        res = project_intersection(x, ConstraintStack(CLOSED_FORM_STACKS[name](x), **knobs))
+        assert res.converged and res.sweeps == 1 and res.tv_gap is None
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("name", CLOSED_FORM_STACKS)
+def test_stack_without_tv_ball_is_projected_in_closed_form(name, seed):
+    # exact whatever the dual solve's knobs, which govern TV stacks only
+    x = 2.0 * np.random.default_rng(50 + seed).standard_normal((3, 4))
+    sets = CLOSED_FORM_STACKS[name](x)
+    ref = qp_project(x, ConstraintStack(sets))
+    for knobs in ({}, {"tv_max_iters": 1}):
+        res = project_intersection(x, ConstraintStack(sets, **knobs))
+        assert res.converged and res.sweeps == 1 and res.tv_gap is None
+        assert np.max(np.abs(res.x - ref)) <= 1e-8
+
+
+def test_tv_stack_whose_box_misses_l1_ball_flags_nonconvergence():
+    sets = (Box(0.5, 1.0), L1Ball(1.0), TVBall(0.5))
+    x = 3.0 + np.random.default_rng(52).standard_normal((2, 2))
+    res = project_intersection(x, ConstraintStack(sets))
+    assert not res.converged
+    # the box point of least l1 norm: inside the box and the TV ball, 1.0
+    # over the l1 radius
+    np.testing.assert_array_equal(res.x, np.full((2, 2), 0.5))
+    np.testing.assert_allclose(res.violations, [0.0, 1.0, 0.0])
 
 
 # --- feasibility ---
@@ -336,7 +370,7 @@ def test_dual_solve_without_tv_ball_reports_its_gap(name):
 def test_feasibility_after_projection():
     stack = ConstraintStack((Box(-0.5, 0.5),))
     x = np.random.default_rng(27).standard_normal((3, 3))
-    report = is_feasible(project_box(x, -0.5, 0.5), stack, 1e-8)
+    report = is_feasible(project_intersection(x, stack).x, stack, 1e-8)
     assert report and report.violations.max() == 0.0
 
 def test_feasibility_violation_magnitude():
@@ -355,18 +389,23 @@ def test_dykstra_output_feasible_at_its_tol():
 # --- invariant properties ---
 
 SINGLE_SETS = [Box(-0.5, 0.75), L2Ball(1.2), L1Ball(1.5)]
+BOX, L2, L1 = SINGLE_SETS
+PROPERTY_STACKS = {
+    **{type(spec).__name__: (spec,) for spec in SINGLE_SETS},
+    "box_l1": (BOX, L1), "box_l2": (BOX, L2), "l1_l2": (L1, L2), "box_l1_l2": (BOX, L1, L2),
+}
 
 
-def project_one(spec, x):
-    return project_intersection(np.atleast_2d(x), ConstraintStack((spec,))).x
+def project_stack(name, x):
+    return project_intersection(np.atleast_2d(x), ConstraintStack(PROPERTY_STACKS[name])).x
 
 
-@pytest.mark.parametrize("spec", SINGLE_SETS, ids=lambda s: type(s).__name__)
+@pytest.mark.parametrize("name", PROPERTY_STACKS)
 @given(x=finite_vec)
 @settings(max_examples=40, deadline=None)
-def test_idempotence(spec, x):
-    once = project_one(spec, x)
-    twice = project_one(spec, once)
+def test_idempotence(name, x):
+    once = project_stack(name, x)
+    twice = project_stack(name, once)
     assert np.max(np.abs(twice - once)) <= 1e-10
 
 @given(x=finite_grid)
@@ -376,46 +415,15 @@ def test_idempotence_tv(x):
     twice = project_one(TVBall(2.0), once)
     assert np.max(np.abs(twice - once)) <= 1e-10
 
-@pytest.mark.parametrize("spec", SINGLE_SETS, ids=lambda s: type(s).__name__)
+@pytest.mark.parametrize("name", PROPERTY_STACKS)
 @given(x=finite_vec, y=finite_vec)
 @settings(max_examples=40, deadline=None)
-def test_non_expansiveness(spec, x, y):
-    px = project_one(spec, x)
-    py = project_one(spec, y)
+def test_non_expansiveness(name, x, y):
+    px = project_stack(name, x)
+    py = project_stack(name, y)
     assert np.linalg.norm(px - py) <= np.linalg.norm(x - y) + 1e-12
 
-BOX_L1 = ConstraintStack((Box(-0.5, 0.75), L1Ball(1.5)))
-
-@given(x=finite_vec)
-@settings(max_examples=40, deadline=None)
-def test_idempotence_box_l1(x):
-    once = project_intersection(x[None, :], BOX_L1).x
-    twice = project_intersection(once, BOX_L1).x
-    assert np.max(np.abs(twice - once)) <= 1e-10
-
-@given(x=finite_vec, y=finite_vec)
-@settings(max_examples=40, deadline=None)
-def test_non_expansiveness_box_l1(x, y):
-    px = project_intersection(x[None, :], BOX_L1).x
-    py = project_intersection(y[None, :], BOX_L1).x
-    assert np.linalg.norm(px - py) <= np.linalg.norm(x - y) + 1e-12
-
-BOX_L2 = ConstraintStack((Box(-0.5, 0.75), L2Ball(1.2)))
 BOX_TV = ConstraintStack((Box(-0.5, 0.75), TVBall(2.0)))
-
-@given(x=finite_vec)
-@settings(max_examples=40, deadline=None)
-def test_idempotence_box_l2(x):
-    once = project_intersection(x[None, :], BOX_L2).x
-    twice = project_intersection(once, BOX_L2).x
-    assert np.max(np.abs(twice - once)) <= 1e-10
-
-@given(x=finite_vec, y=finite_vec)
-@settings(max_examples=40, deadline=None)
-def test_non_expansiveness_box_l2(x, y):
-    px = project_intersection(x[None, :], BOX_L2).x
-    py = project_intersection(y[None, :], BOX_L2).x
-    assert np.linalg.norm(px - py) <= np.linalg.norm(x - y) + 1e-12
 
 @given(x=finite_grid)
 @settings(max_examples=25, deadline=None)
