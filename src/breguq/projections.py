@@ -6,8 +6,10 @@ box [lo, hi], and of several balls of one kind only the smallest counts,
 because it lies inside the others. Every stack without a TV ball is
 projected exactly, in closed form, by one separable map: dualizing the l2
 ball scales v by s = 1/(1 + mu), so the projection is P_box∩l1(s*v) (a soft
-threshold followed by the clamp, with the threshold found by a
-sorted-breakpoint search), with s in (0, 1] found by bisection. A stack with
+threshold followed by the clamp, with the threshold found by a vectorized
+sorted-breakpoint search: a sort, two prefix sums and two batched
+evaluations of the norm, with no Python loop over kinks), with s in (0, 1]
+found by bisection. A stack with
 a TV ball is projected by one iterative solve: FISTA (Beck & Teboulle, SIAM
 J. Imaging Sci. 2009) on the dual of
 
@@ -25,7 +27,6 @@ All functions are pure and safe for concurrent use.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 
@@ -173,51 +174,73 @@ def _box_l1_project_flat(v: np.ndarray, lo: float, hi: float,
     box, including one that does not contain 0. In terms of a_i = |v_i|,
     |x_i(theta)| = clip(a_i - theta, p, q_i), where p is the distance from 0
     to the box and q_i the largest |x| on the side of the box that v_i's
-    sign selects; with no box (lo = -inf, hi = inf), p = 0 and q_i = a_i,
-    since |x_i(theta)| never exceeds a_i for theta >= 0. The norm is
-    therefore continuous, non-increasing and piecewise linear in theta,
-    with kinks at a_i - q_i and a_i - p. Prefix sums over the two sorted
-    kink sets give the norm at any kink in O(log n), so bisection over each
-    set finds the last kink whose norm is still >= radius (a breakpoint
-    search in the style of Condat, "Fast projection onto the simplex and
-    the l1 ball", Math. Prog. 2016). The root lies on the linear piece
-    right of that kink and is solved there from a direct evaluation of the
-    norm. When the box misses the ball
+    sign selects (one q for a box symmetric about 0); with no box
+    (lo = -inf, hi = inf), p = 0 and q_i = a_i, since |x_i(theta)| never
+    exceeds a_i for theta >= 0. The norm is therefore continuous,
+    non-increasing and piecewise linear in theta, with kinks at a_i - q_i
+    and a_i - p. Prefix sums over the two sorted kink sets give the norm at
+    a whole batch of kinks in one vectorized evaluation, and two such
+    evaluations find the last kink whose norm is still >= radius (a
+    breakpoint search in the style of Condat, "Fast projection onto the
+    simplex and the l1 ball", Math. Prog. 2016): one at every
+    ceil(sqrt(n))-th kink of each set finds the last sampled kink that
+    qualifies, and one at the ceil(sqrt(n)) kinks of each set from there
+    finds the kink itself. The root lies on the linear piece right of that
+    kink, or of 0 if it is larger, and is solved there from a direct
+    evaluation of the norm. The cost is one sort when q is one number
+    (sort(a) - c equals sort(a - c) bit for bit) and two otherwise, two
+    prefix sums, O(sqrt(n) log n) lookups and a few passes over the
+    vector, with no Python loop over kinks. When the box misses the ball
     (n * p > radius) the norm never falls to the radius, theta stops at the
     last kink, and the result is clip(0, lo, hi), the box point of least
     l1 norm.
     """
     a = np.abs(v)
     p = max(lo, -hi, 0.0)
-    q = a if lo == -math.inf else np.where(v >= 0.0, max(hi, p), max(-lo, p))
+    if lo == -math.inf:
+        q = a
+    else:
+        q_pos, q_neg = max(hi, p), max(-lo, p)
+        q = q_pos if q_pos == q_neg else np.where(v >= 0.0, q_pos, q_neg)
 
     def norm_at(theta: float) -> float:
-        return float(np.clip(a - theta, p, q).sum())
+        x = a - theta
+        return float(np.clip(x, p, q, out=x).sum())
 
     theta = 0.0
     if norm_at(0.0) > radius:
-        starts = a - q
-        starts.sort()
-        ends = a - p
-        ends.sort()
-        cum_starts = np.concatenate(([0.0], np.cumsum(starts)))
-        cum_ends = np.concatenate(([0.0], np.cumsum(ends)))
-        q_sum = float(q.sum())
+        ends = np.sort(a)
+        starts = ends - q if np.ndim(q) == 0 else np.sort(a - q)
+        ends -= p
+        cum_starts, cum_ends = np.zeros((2, a.size + 1))
+        starts.cumsum(out=cum_starts[1:])
+        ends.cumsum(out=cum_ends[1:])
+        q_sum = float(np.full_like(a, q).sum())  # pairwise, unlike q * n
 
-        def piece_at(t: float):
-            """Slope count just right of `t` and the norm at `t`."""
-            ks = int(np.searchsorted(starts, t, "right"))
-            ke = int(np.searchsorted(ends, t, "right"))
-            return ks - ke, q_sum - (ks * t - cum_starts[ks]) + (ke * t - cum_ends[ke])
+        def at_or_above(t: np.ndarray) -> np.ndarray:
+            """Whether the norm at each kink in `t` is still >= radius."""
+            ks = starts.searchsorted(t, "right")
+            ke = ends.searchsorted(t, "right")
+            return q_sum - (ks * t - cum_starts[ks]) + (ke * t - cum_ends[ke]) >= radius
 
-        for kinks in (starts, ends):
-            j = bisect.bisect_left(kinks, True, key=lambda t: piece_at(t)[1] < radius)
-            if j:
-                theta = max(theta, float(kinks[j - 1]))
-        slope, _ = piece_at(theta)
+        stride = math.isqrt(a.size - 1) + 1
+        sampled = np.concatenate((starts[::stride], ends[::stride]))
+        last = sampled[at_or_above(sampled)].max(initial=-math.inf)
+
+        def block(kinks: np.ndarray) -> np.ndarray:
+            """The stride of kinks from the last one <= `last`; the next
+            sampled kink of the set is past `last`, so it and every kink
+            after it are below the radius."""
+            i = max(int(kinks.searchsorted(last, "right")) - 1, 0)
+            return kinks[i:i + stride]
+
+        near = np.concatenate((block(starts), block(ends)))
+        theta = max(theta, float(near[at_or_above(near)].max(initial=-math.inf)))
+        slope = int(starts.searchsorted(theta, "right") - ends.searchsorted(theta, "right"))
         if slope:
             theta += (norm_at(theta) - radius) / slope
-    x = np.maximum(a - theta, 0.0)
+    x = a - theta
+    np.maximum(x, 0.0, out=x)
     np.copysign(x, v, out=x)
     return np.clip(x, lo, hi, out=x)
 
@@ -350,8 +373,8 @@ def constraint_violation(spec: Constraint, x) -> float:
     """
     x = np.asarray(x, dtype=np.float64)
     if isinstance(spec, Box):
-        return float(max(np.max(x - spec.hi, initial=0.0),
-                         np.max(spec.lo - x, initial=0.0)))
+        return max(float(x.max(initial=-math.inf)) - spec.hi,
+                   spec.lo - float(x.min(initial=math.inf)), 0.0)
     if type(spec) not in _NORMS:
         raise TypeError(f"unknown constraint spec {spec!r}")
     return max(0.0, _NORMS[type(spec)](x) - spec.radius)

@@ -236,12 +236,41 @@ def test_box_l1_closed_form_matches_exact_bisection():
     rng = np.random.default_rng(31)
     box, ball = Box(-1.0, 1.0), L1Ball(2100.0)
     layered = np.linspace(-40.0, 60.0, 64)[:, None] + 10.0 * rng.standard_normal((64, 64))
-    for x in (30.0 * rng.standard_normal((64, 64)), layered):
-        exact = project_intersection(x, ConstraintStack((box, ball)))
-        ref = _box_l1_by_bisection(x, box.lo, box.hi, ball.radius)
+    noise = 30.0 * rng.standard_normal((64, 64))
+    cases = [
+        (box, ball, noise),
+        (box, ball, layered),
+        (box, ball, np.round(noise, 1)),  # tied magnitudes, so repeated kinks
+        (Box(-0.4, 1.0), ball, noise),  # asymmetric: one upper bound per sign
+        (Box(0.1, 0.9), L1Ball(1000.0), noise),  # excludes 0: p > 0
+        (None, ball, noise),  # l1 alone: q_i = |v_i|
+        (box, L1Ball(0.5), np.array([[-5.0]])),  # n = 1
+    ]
+    for box_i, ball_i, x in cases:
+        sets = (ball_i,) if box_i is None else (box_i, ball_i)
+        lo, hi = (-np.inf, np.inf) if box_i is None else (box_i.lo, box_i.hi)
+        exact = project_intersection(x, ConstraintStack(sets))
+        ref = _box_l1_by_bisection(x, lo, hi, ball_i.radius)
         assert exact.converged
         assert np.max(np.abs(exact.x - ref)) <= 1e-9
-        assert np.abs(exact.x).sum() == pytest.approx(ball.radius, abs=1e-8)
+        assert np.abs(exact.x).sum() == pytest.approx(ball_i.radius, abs=1e-8)
+
+
+def _separable_by_bisection(v, sets):
+    """Projection onto a stack without a TV ball: _box_l1_by_bisection(s*v)
+    with the l2 scale s in [0, 1] bisected until the l2 norm meets the
+    radius (s = 1 when it is inside); the norm is non-decreasing in s."""
+    lo, hi = next(((b.lo, b.hi) for b in sets if isinstance(b, Box)), (-np.inf, np.inf))
+    r1, r2 = (next((b.radius for b in sets if isinstance(b, kind)), np.inf)
+              for kind in (L1Ball, L2Ball))
+    inner = lambda s: _box_l1_by_bisection(s * v, lo, hi, r1)
+    if np.linalg.norm(inner(1.0)) <= r2:
+        return inner(1.0)
+    below, above = 0.0, 1.0
+    for _ in range(60):  # down to an interval of 2**-60
+        mid = 0.5 * (below + above)
+        below, above = (mid, above) if np.linalg.norm(inner(mid)) <= r2 else (below, mid)
+    return inner(below)
 
 
 def test_three_set_stack_matches_qp_oracle():
@@ -253,6 +282,7 @@ def test_three_set_stack_matches_qp_oracle():
         res = project_intersection(x, stack)
         assert res.converged and res.sweeps == 1
         assert np.max(np.abs(res.x - qp_project(x, stack))) < 1e-8
+        assert np.max(np.abs(res.x - _separable_by_bisection(x, stack.sets))) <= 1e-10
 
 
 @pytest.mark.parametrize("box_first", [True, False], ids=["box_l1", "l1_box"])
@@ -348,10 +378,12 @@ def test_stack_without_tv_ball_is_projected_in_closed_form(name, seed):
     x = 2.0 * np.random.default_rng(50 + seed).standard_normal((3, 4))
     sets = CLOSED_FORM_STACKS[name](x)
     ref = qp_project(x, ConstraintStack(sets))
+    exact = _separable_by_bisection(x, sets)
     for knobs in ({}, {"tv_max_iters": 1}):
         res = project_intersection(x, ConstraintStack(sets, **knobs))
         assert res.converged and res.sweeps == 1 and res.tv_gap is None
         assert np.max(np.abs(res.x - ref)) <= 1e-8
+        assert np.max(np.abs(res.x - exact)) <= 1e-10
 
 
 def test_tv_stack_whose_box_misses_l1_ball_flags_nonconvergence():
