@@ -5,24 +5,21 @@ report. The desk-scale fixtures (generated survey, 350-step inversion,
 full training run) are session-scoped and shared across criteria.
 """
 
-import json
 import time
 
 import numpy as np
 import pytest
 
 from breguq.bregman import bregman_step, initial_state, run_bregman
+from breguq.checks import (gradient_worst, objective_gap, operator_kinds, oracle_worst,
+                           pointwise_gap, sgld_moments)
 from breguq.cli import main
-from breguq.config import load_config
 from breguq.em import TrainConfig, train
-from breguq.linops import (ComposeOp, ConvKernel, ConvOp, IdentityOp,
-                           RestrictionMask, RestrictOp, ScaleOp, dot_test)
-from breguq.net import (NetArch, StageSpec, net_eval_and_backward, net_forward,
-                        net_init)
-from breguq.oracles import qp_project
+from breguq.linops import dot_test
+from breguq.net import NetArch, StageSpec, net_forward, net_init
 from breguq.projections import (Box, ConstraintStack, L1Ball, L2Ball, TVBall,
-                                is_feasible, project_intersection, total_variation)
-from breguq.sgld import SgldParams, sgld_step
+                                is_feasible, total_variation)
+from breguq.sgld import SgldParams
 from breguq.stats import model_quality, sample_generator, summarize
 from breguq.testbed import load_bank, make_ground_truth
 
@@ -108,14 +105,8 @@ def desk_training(desk_bank):
 
 def test_criterion_1_operator_dot_tests(desk_bank):
     t0 = time.time()
-    rng = np.random.default_rng(424)
-    shape = (16, 16)
-    kernel = ConvKernel(rng.standard_normal((5, 5)))
-    mask = RestrictionMask(np.sort(rng.choice(256, 100, replace=False)))
-    kinds = [IdentityOp(shape), ScaleOp(shape, -3.3), ConvOp(kernel, shape),
-             RestrictOp(mask, shape),
-             ComposeOp(RestrictOp(mask, shape), ConvOp(kernel, shape))]
-    worst = max(dot_test(op, seed=1, trials=20) for op in kinds)
+    kinds = operator_kinds((16, 16), 424, (5,), 100, -3.3)
+    worst = max(dot_test(op, seed=1, trials=20) for _, op in kinds)
     for exp in desk_bank["bank"].experiments:
         worst = max(worst, dot_test(exp.op, seed=2, trials=20))
     elapsed = time.time() - t0
@@ -124,66 +115,46 @@ def test_criterion_1_operator_dot_tests(desk_bank):
            f"{desk_bank['bank'].n} bank operators in {elapsed:.1f}s")
 
 
+def _vector_draw(scale, one_set):
+    def draw(rng):
+        return np.atleast_2d(scale * rng.standard_normal(rng.integers(2, 9))), (one_set,)
+    return draw
+
+
+def _tv_draw(rng):
+    x = rng.standard_normal((2, 4))
+    return x, (TVBall(total_variation(x) * rng.uniform(0.15, 0.85)),)
+
+
+def _tv_excess(mine, ref, x, stack):
+    (ball,) = stack.sets
+    return total_variation(mine) - ball.radius * (1 + 1e-6)
+
+
 def test_criterion_2_projection_qp_agreement():
     t0 = time.time()
-    rng = np.random.default_rng(777)
-    worst_pt = 0.0
-    for scale, one_set in ((3.0, Box(-0.8, 0.9)), (2.0, L2Ball(1.4)), (2.0, L1Ball(1.8))):
-        stack = ConstraintStack((one_set,))
-        for _ in range(100):
-            x = scale * rng.standard_normal(rng.integers(2, 9))
-            worst_pt = max(worst_pt, float(np.max(np.abs(
-                project_intersection(np.atleast_2d(x), stack).x - qp_project(x, stack)))))
-    stack = ConstraintStack((Box(-0.7, 0.8), L1Ball(1.6)))
-    for _ in range(100):
-        x = 2.0 * rng.standard_normal((2, 4))
-        mine = project_intersection(x, stack).x
-        ref = qp_project(x, stack)
-        worst_pt = max(worst_pt, float(np.max(np.abs(mine - ref))))
-    worst_tv = 0.0
-    for _ in range(100):
-        x = rng.standard_normal((2, 4))
-        radius = total_variation(x) * rng.uniform(0.15, 0.85)
-        tv_stack = ConstraintStack((TVBall(radius),))
-        res = project_intersection(x, tv_stack)
-        ref = qp_project(x, tv_stack)
-        obj = 0.5 * float(np.sum((res.x - x) ** 2))
-        obj_ref = 0.5 * float(np.sum((ref - x) ** 2))
-        worst_tv = max(worst_tv, abs(obj - obj_ref) / max(1.0, abs(obj_ref)))
-        assert total_variation(res.x) <= radius * (1 + 1e-6)
+    point = (pointwise_gap,)
+    *points, (worst_tv, tv_excess) = oracle_worst(777, [
+        (100, _vector_draw(3.0, Box(-0.8, 0.9)), point),
+        (100, _vector_draw(2.0, L2Ball(1.4)), point),
+        (100, _vector_draw(2.0, L1Ball(1.8)), point),
+        (100, lambda rng: (2.0 * rng.standard_normal((2, 4)),
+                           (Box(-0.7, 0.8), L1Ball(1.6))), point),
+        (100, _tv_draw, (objective_gap, _tv_excess))])
+    worst_pt = max(gap for (gap,) in points)
     elapsed = time.time() - t0
-    report(2, worst_pt <= 1e-6 and worst_tv <= 1e-4 and elapsed < 60.0,
+    report(2, worst_pt <= 1e-6 and worst_tv <= 1e-4 and tv_excess <= 0
+           and elapsed < 60.0,
            f"worst point deviation {worst_pt:.2e}, worst tv objective gap "
-           f"{worst_tv:.2e}, {elapsed:.1f}s")
+           f"{worst_tv:.2e}, {elapsed:.1f}s"
+           + (f"; a result outside its TV ball by {tv_excess:.2e}" if tv_excess > 0 else ""))
 
 
 def test_criterion_3_gradient_exactness():
     t0 = time.time()
     arch = NetArch(latent_dim=64, base_rows=4, base_cols=4, base_channels=8,
                    stages=(StageSpec(8), StageSpec(8)))
-    rng = np.random.default_rng(12)
-    w = net_init(arch, seed=13)
-    z = rng.standard_normal(arch.latent_dim)
-    upstream = rng.standard_normal(arch.out_shape)
-    _, gz, gw = net_eval_and_backward(arch, w, z, lambda _: upstream)
-
-    def f(w_, z_):
-        return float(np.sum(upstream * net_forward(arch, w_, z_)))
-
-    h = 1e-5
-    worst = 0.0
-    for i in range(arch.latent_dim):
-        zp, zm = z.copy(), z.copy()
-        zp[i] += h
-        zm[i] -= h
-        fd = (f(w, zp) - f(w, zm)) / (2 * h)
-        worst = max(worst, abs(fd - gz[i]) / max(abs(fd), abs(gz[i]), 1e-8))
-    for i in rng.choice(arch.n_params, size=50, replace=False):
-        wp, wm = w.copy(), w.copy()
-        wp[i] += h
-        wm[i] -= h
-        fd = (f(wp, z) - f(wm, z)) / (2 * h)
-        worst = max(worst, abs(fd - gw[i]) / max(abs(fd), abs(gw[i]), 1e-8))
+    worst = gradient_worst(arch, weight_seed=13, seed=12, weight_coords=50)
     elapsed = time.time() - t0
     report(3, worst <= 1e-5 and elapsed < 30.0,
            f"worst finite-difference relative error {worst:.2e} over all "
@@ -193,20 +164,9 @@ def test_criterion_3_gradient_exactness():
 def test_criterion_4_sgld_stationary_variance():
     t0 = time.time()
     eps = 0.1
-    params = SgldParams(epsilon=eps, steps=1)
-    rng = np.random.default_rng(2718)
-    dim = 8
-    z = np.zeros(dim)
-    for _ in range(2000):
-        z, _ = sgld_step(z, None, None, None, 0.0, params, rng)
     n = 100000
-    acc = np.zeros(dim)
-    acc2 = np.zeros(dim)
-    for _ in range(n):
-        z, _ = sgld_step(z, None, None, None, 0.0, params, rng)
-        acc += z
-        acc2 += z * z
-    var = acc2 / n - (acc / n) ** 2
+    mean, second = sgld_moments(seed=2718, dim=8, epsilon=eps, warmup=2000, steps=n)
+    var = second - mean ** 2
     target = 1.0 / (2.0 - eps)
     dev = float(np.max(np.abs(var - target)) / target)
     elapsed = time.time() - t0

@@ -8,6 +8,7 @@ import pytest
 
 import breguq
 from breguq import checks
+from breguq.bregman import TraceRecord
 from breguq.cli import main
 from breguq.em import RoundRecord
 from breguq.errors import NumericalAbortError
@@ -178,6 +179,18 @@ def test_invert_writes_grids_trace_quality(gen_dir):
     quality = (out / "quality.csv").read_text()
     assert quality.startswith("metric,value")
     assert "relative_l2" in quality
+
+
+def test_invert_with_tv_ball_reports_its_gap_every_step(tmp_path):
+    # every other setting at its default: the box,l1,tv stack runs the dual solve
+    cfg = write_cfg(tmp_path, "[testbed]\nrows = 16\ncols = 16\nexperiments = 8\n\n"
+                              "[constraints]\nsets = box,l1,tv\nl1_radius = 60\n"
+                              "tv_radius = 20\n\n[bregman]\niterations = 20\n")
+    bank, out = tmp_path / "bank", tmp_path / "inv"
+    assert main(["gen", "--config", cfg, "--out", str(bank)]) == 0
+    assert main(["invert", "--config", cfg, "--bank", str(bank), "--out", str(out)]) == 0
+    gaps = [r.proj_tv_gap for r in read_records(out / "trace.csv", TraceRecord)]
+    assert len(gaps) == 20 and None not in gaps
 
 
 def test_invert_zero_iterations_zero_grids(gen_dir, tmp_path):
@@ -716,7 +729,7 @@ def test_check_fault_injection_names_dot_test():
             return -super().adjoint(y)
 
     results = checks.run_dot_test_checks(
-        extra_ops=[("sabotaged", BrokenAdjoint((6, 6), 2.0))])
+        [("scale", ScaleOp((6, 6), 2.0)), ("sabotaged", BrokenAdjoint((6, 6), 2.0))])
     failing = [r for r in results if not r.passed]
     assert len(failing) == 1
     assert failing[0].name == "dot_test:sabotaged"
