@@ -30,8 +30,8 @@ from .config import in_section, load_config, write_resolved
 from .em import train
 from .errors import ConfigError, InputFormatError, NumericalAbortError
 from .net import net_init
-from .stats import (auto_probes, load_weights, model_quality, read_portable_grid,
-                    sample_generator, summarize, write_histograms_csv,
+from .stats import (SampleSet, auto_probes, load_weights, model_quality,
+                    read_portable_grid, summarize, write_histograms_csv,
                     write_portable_grid, write_records, write_table)
 from .testbed import (add_noise_to_snr, load_bank, make_bank, make_ground_truth,
                       save_bank)
@@ -103,7 +103,7 @@ def cmd_sample(args, config) -> int:
     if count < 1:
         raise ConfigError(f"--count must be at least 1, got {count}")
     w = _checkpoint_weights(args.checkpoint, config.arch)
-    samples = sample_generator(config.arch, w, count, config.get("stats", "sample_seed"))
+    samples = SampleSet(config.arch, w, count, config.get("stats", "sample_seed"))
     for j in range(count):
         write_portable_grid(samples.realization(j),
                             os.path.join(args.out, f"sample_{j:04d}.pgrd"))
@@ -116,8 +116,8 @@ def cmd_stats(args, config) -> int:
     w_post = _checkpoint_weights(args.checkpoint, arch)
     truth = None if args.truth is None else _read_truth(args.truth, arch.out_shape)
     w_prior = net_init(arch, tc.init_seed, tc.init_scale)
-    posterior = sample_generator(arch, w_post, s("samples"), s("sample_seed"))
-    prior = sample_generator(arch, w_prior, s("samples"), s("sample_seed"))
+    posterior = SampleSet(arch, w_post, s("samples"), s("sample_seed"))
+    prior = SampleSet(arch, w_prior, s("samples"), s("sample_seed"))
     mode = s("std_mode")
 
     probes = config.probes

@@ -15,6 +15,7 @@ be regenerated from its directory.
 from __future__ import annotations
 
 import configparser
+import math
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -237,8 +238,8 @@ def in_section(name: str):
 def build_arch(config: RunConfig) -> NetArch:
     n = lambda key: config.get("net", key)
     with in_section("net"):
-        if not n("init_scale") > 0:  # net_init's rule, checked before any output
-            raise ValueError(f"init scale must be positive, got {n('init_scale')}")
+        if not 0 < n("init_scale") < math.inf:  # net_init's rule, checked before any output
+            raise ValueError(f"init scale must be positive and finite, got {n('init_scale')}")
         stage = StageSpec(channels=n("stage_channels"), kernel_size=n("kernel_size"))
         return NetArch(latent_dim=n("latent_dim"), base_rows=n("base_rows"),
                        base_cols=n("base_cols"), base_channels=n("base_channels"),

@@ -39,8 +39,8 @@ from .errors import CheckpointFormatError, ConfigError, NumericalAbortError
 from .net import NetArch, net_eval_and_backward, net_forward, net_init
 from .projections import Box, ConstraintStack, L1Ball, L2Ball, TVBall
 from .sgld import SgldParams, sgld_run
-from .stats import (load_weights, read_portable_grid, read_records, read_table,
-                    save_weights, write_portable_grid, write_records, write_table)
+from .stats import (load_weights, read_portable_grid, read_records, save_weights,
+                    write_portable_grid, write_records)
 
 __all__ = [
     "TrainTuple",
@@ -90,8 +90,9 @@ class TrainConfig:
             raise ValueError("need at least one tuple")
         if self.rounds < 0 or self.bregman_steps_per_round < 0:
             raise ValueError("round counts must be non-negative")
-        if self.eta < 0 or self.lam_init < 0 or self.lam_final < 0:
-            raise ValueError("steplengths and trade-off values must be non-negative")
+        if not all(0 <= v < np.inf for v in (self.eta, self.lam_init, self.lam_final)):
+            raise ValueError("steplengths and trade-off values must be finite and "
+                             "non-negative")
         if self.m_steps_per_round < 1:
             raise ValueError("m_steps_per_round must be at least 1")
         if self.lam_ramp_rounds is not None and self.lam_ramp_rounds < 0:
@@ -215,10 +216,11 @@ def train(bank, stack: ConstraintStack, arch: NetArch, config: TrainConfig,
     `save_checkpoint`), written whole first and extended after every
     round. `resume_from` is such a directory: the run restarts from it and
     reproduces the uninterrupted run exactly (streams are counter-keyed);
-    a tuple split, step count, start or final stack, or completed round's
-    lam or stack that the arguments would not give raises `ConfigError`
-    before any write. A round whose prior misfit is not finite raises
-    `NumericalAbortError` before its checkpoint is written.
+    more completed rounds than `config.rounds`, or a tuple split, step
+    count, start or final stack, or completed round's lam or stack that the
+    arguments would not give raises `ConfigError` before any write. A round
+    whose prior misfit is not finite raises `NumericalAbortError` before its
+    checkpoint is written.
     """
     if arch.out_shape != tuple(bank.shape):
         raise ConfigError(f"[net] generator output {arch.out_shape} does not match the bank "
@@ -232,6 +234,9 @@ def train(bank, stack: ConstraintStack, arch: NetArch, config: TrainConfig,
         partition = [(t.id, t.experiment_ids.tolist()) for t in tuples]
         (w, tuples, start_round, round_records, tuple_traces, ran_window,
          ran_stacks) = load_checkpoint(resume_from, arch)
+        if start_round > config.rounds:
+            raise ConfigError(f"[em] rounds: {resume_from} completed {start_round} rounds, "
+                              f"more than the configured {config.rounds}", key="em.rounds")
         if [(t.id, t.experiment_ids.tolist()) for t in tuples] != partition:
             raise ConfigError(f"[em] tuples: {resume_from} splits the bank into "
                               f"{len(tuples)} tuples, not as configured", key="em.tuples")
@@ -280,7 +285,6 @@ def train(bank, stack: ConstraintStack, arch: NetArch, config: TrainConfig,
     return TrainResult(w, w0, tuples, round_records, tuple_traces)
 
 
-_LATENT_COLUMNS = {"tuple_id": int, "dim": int, "value": float}
 _SET_KINDS = {kind.__name__: kind for kind in (Box, L1Ball, L2Ball, TVBall)}
 
 
@@ -299,12 +303,12 @@ def _stack_from_json(record: dict) -> ConstraintStack:
 def save_checkpoint(dirpath, arch: NetArch, w, tuples, round_completed: int,
                     ramp_rounds: int, stacks, rounds, traces, append: bool = False) -> None:
     """The run directory `dirpath` as of `round_completed`: the weights and
-    logs at its root, the tuple state in `checkpoint/`. `stacks` is the
-    run's (start, final) constraint stack pair. `rounds` and `traces`
-    (tuple id -> rows) are the whole logs, or with `append` the rows the
-    logs on disk gain. `state.json`, whose counts say how many log rows a
-    resume reads, and which records the rounds' ramp window and stacks,
-    goes last."""
+    logs at its root, the tuple state in `checkpoint/` (the latents as one
+    grid, a row per tuple in `tuples` order). `stacks` is the run's (start,
+    final) constraint stack pair. `rounds` and `traces` (tuple id -> rows)
+    are the whole logs, or with `append` the rows the logs on disk gain.
+    `state.json`, whose counts say how many log rows a resume reads, and
+    which records the rounds' ramp window and stacks, goes last."""
     state_dir = os.path.join(dirpath, "checkpoint")
     os.makedirs(state_dir, exist_ok=True)
     write_records(os.path.join(dirpath, "rounds.csv"), RoundRecord, rounds, append)
@@ -312,8 +316,7 @@ def save_checkpoint(dirpath, arch: NetArch, w, tuples, round_completed: int,
         write_records(os.path.join(dirpath, f"trace_tuple_{t.id:03d}.csv"), TraceRecord,
                       traces[t.id], append)
     save_weights(os.path.join(dirpath, "weights.dpnw"), arch, w)
-    write_table(os.path.join(state_dir, "latents.csv"), _LATENT_COLUMNS,
-                [(t.id, d, v) for t in tuples for d, v in enumerate(t.z.tolist())])
+    write_portable_grid([t.z for t in tuples], os.path.join(state_dir, "latents.pgrd"))
     for t in tuples:
         for name, grid in (("x", t.state.x_primal), ("xdual", t.state.x_dual)):
             write_portable_grid(grid, os.path.join(state_dir, f"tuple_{t.id:03d}_{name}.pgrd"))
@@ -329,8 +332,8 @@ def save_checkpoint(dirpath, arch: NetArch, w, tuples, round_completed: int,
 def load_checkpoint(dirpath, arch: NetArch):
     """Reads the run directory `dirpath`: (weights, tuples, next round index,
     round records, per-tuple traces, ramp window, (start, final) stacks).
-    Malformed content in
-    `state.json` or any CSV log, or a log whose row count disagrees with
+    Malformed content in any file, a log whose row count disagrees with
+    `state.json`, or a latent grid that is not one row per tuple of
     `state.json`, raises `CheckpointFormatError` naming the file."""
     state_dir = os.path.join(dirpath, "checkpoint")
 
@@ -357,23 +360,18 @@ def load_checkpoint(dirpath, arch: NetArch):
             raise ValueError(f"holds {len(logged)} rows where state.json implies {rows}")
         return logged
 
-    def read_latents(path):
-        latents = {}
-        for tid, d, v in read_table(path, _LATENT_COLUMNS):
-            latents.setdefault(tid, {})[d] = v
-        return {tid: np.array([latents[tid][d] for d in range(arch.latent_dim)])
-                for tid, _, _ in records}
-
     next_round, window, stacks, records = parse(os.path.join(state_dir, "state.json"),
                                                 read_state)
     w = load_weights(os.path.join(dirpath, "weights.dpnw"), arch)
-    latents = parse(os.path.join(state_dir, "latents.csv"), read_latents)
+    latents = read_portable_grid(path := os.path.join(state_dir, "latents.pgrd"))
+    if latents.shape != (len(records), arch.latent_dim):
+        raise CheckpointFormatError(f"{path}: holds a {latents.shape} grid, not one latent "
+                                    f"of size {arch.latent_dim} per tuple of state.json")
     tuples, traces = [], {}
-    for tid, experiment_ids, step_count in records:
+    for (tid, experiment_ids, step_count), z in zip(records, latents):
         x_dual, x = (read_portable_grid(os.path.join(state_dir, f"tuple_{tid:03d}_{n}.pgrd"))
                      for n in ("xdual", "x"))
-        tuples.append(TrainTuple(tid, experiment_ids, BregmanState(x_dual, x, step_count),
-                                 latents[tid]))
+        tuples.append(TrainTuple(tid, experiment_ids, BregmanState(x_dual, x, step_count), z))
         traces[tid] = parse(os.path.join(dirpath, f"trace_tuple_{tid:03d}.csv"), read_log,
                             TraceRecord, step_count)
     return (w, tuples, next_round,

@@ -290,8 +290,8 @@ def _final_backward(W: np.ndarray, h: np.ndarray, g: np.ndarray,
 
 def net_init(arch: NetArch, seed: int, scale: float = 1.0) -> np.ndarray:
     """White-noise weights: per layer i.i.d. N(0, (scale/sqrt(fan_in))^2)."""
-    if not scale > 0:
-        raise ValueError(f"init scale must be positive, got {scale}")
+    if not 0 < scale < math.inf:
+        raise ValueError(f"init scale must be positive and finite, got {scale}")
     rng = np.random.default_rng(seed)
     w = np.empty(arch.n_params)
     for p in arch.param_layout():

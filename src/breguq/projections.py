@@ -113,8 +113,8 @@ class ConstraintStack:
         object.__setattr__(self, "sets", tuple(self.sets))
         if not self.sets:
             raise ValueError("constraint stack must contain at least one set")
-        if self.dykstra_tol <= 0 or self.tv_tol <= 0:
-            raise ValueError("tolerances must be positive")
+        if not (0 < self.dykstra_tol < math.inf and 0 < self.tv_tol < math.inf):
+            raise ValueError("tolerances must be positive and finite")
         if self.tv_max_iters < 1:
             raise ValueError("tv_max_iters must be positive")
 

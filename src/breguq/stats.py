@@ -25,7 +25,6 @@ from .net import NetArch, net_forward
 
 __all__ = [
     "SampleSet",
-    "sample_generator",
     "SampleSummary",
     "summarize",
     "auto_probes",
@@ -58,6 +57,7 @@ class SampleSet:
     seed: int
 
     def __post_init__(self):
+        object.__setattr__(self, "weights", np.asarray(self.weights, dtype=np.float64))
         if self.count < 1:
             raise ValueError(f"sample count must be at least 1, got {self.count}")
 
@@ -77,31 +77,6 @@ class SampleSet:
             yield self.realization(j)
 
 
-def sample_generator(arch: NetArch, w, count: int, seed: int) -> SampleSet:
-    """M independent draws z ~ N(0, I) pushed through the generator."""
-    return SampleSet(arch, np.asarray(w, dtype=np.float64), count, seed)
-
-
-@dataclass
-class _WelfordState:
-    """Streaming first/second moments."""
-
-    count: int
-    mean: np.ndarray
-    m2: np.ndarray
-
-
-def _welford_update(state: _WelfordState | None, x: np.ndarray) -> _WelfordState:
-    x = np.asarray(x, dtype=np.float64)
-    if state is None:
-        return _WelfordState(1, x.copy(), np.zeros_like(x))
-    n = state.count + 1
-    delta = x - state.mean
-    mean = state.mean + delta / n
-    m2 = state.m2 + delta * (x - mean)
-    return _WelfordState(n, mean, m2)
-
-
 @dataclass(frozen=True)
 class SampleSummary:
     mean: np.ndarray
@@ -110,7 +85,9 @@ class SampleSummary:
 
 
 def summarize(samples: SampleSet, probe_pixels=(), mode: str = "population") -> SampleSummary:
-    """Mean, pointwise std, and selected pixel traces in a single pass."""
+    """Mean, pointwise std, and selected pixel traces in a single pass over
+    `samples`: a `SampleSet` or any object with its `count`, `shape` and
+    `realizations()`."""
     if samples.count < 2:
         raise ValueError("summaries need at least 2 realizations")
     if mode not in ("population", "sample"):
@@ -121,13 +98,18 @@ def summarize(samples: SampleSet, probe_pixels=(), mode: str = "population") -> 
         if not (0 <= r < rows and 0 <= c < cols):
             raise ValueError(f"pixel ({r}, {c}) out of range for {rows}x{cols} grid")
     traces = {p: np.empty(samples.count) for p in probes}
-    state = None
     for j, x in enumerate(samples.realizations()):
-        state = _welford_update(state, x)
+        if j == 0:  # a copy: a duck-typed sample set may yield its stored grids
+            mean = np.array(x, dtype=np.float64)
+            m2 = np.zeros_like(mean)
+        else:  # Welford
+            delta = x - mean
+            mean += delta / (j + 1)
+            m2 += delta * (x - mean)
         for p in probes:
             traces[p][j] = x[p]
-    denom = state.count if mode == "population" else state.count - 1
-    return SampleSummary(state.mean, np.sqrt(state.m2 / denom), traces)
+    denom = samples.count if mode == "population" else samples.count - 1
+    return SampleSummary(mean, np.sqrt(m2 / denom), traces)
 
 
 def auto_probes(std_grid) -> list:
@@ -168,27 +150,32 @@ def _write_f8(path, fmt: _Binary, header_fields, payload) -> None:
 
 def _read_f8(path, fmt: _Binary, payload_size):
     """Validate magic, version, payload length and finiteness, raising
-    `fmt.error` with the offset of the first bad byte; returns the header
-    fields after the version and the payload. `payload_size(fields)` checks
-    those fields and returns the number of payload values they imply."""
+    `fmt.error` that names `path` and carries the offset of the first bad
+    byte; returns the header fields after the version and the payload.
+    `payload_size(fields, fail)` checks those fields, raising
+    `fail(message, offset)` if they are bad, and returns the number of
+    payload values they imply."""
+    def fail(message, offset):
+        return fmt.error(f"{path}: {message}", offset=offset)
+
     with open(path, "rb") as f:
         raw = f.read()
     size = fmt.layout.size
     if len(raw) < size:
-        raise fmt.error(f"{fmt.noun} truncated at byte {len(raw)}: header needs "
-                        f"{size} bytes", offset=len(raw))
+        raise fail(f"{fmt.noun} truncated at byte {len(raw)}: header needs {size} bytes",
+                   len(raw))
     magic, version, *header_fields = fmt.layout.unpack_from(raw, 0)
     if magic != fmt.magic:
-        raise fmt.error(f"bad magic {magic!r} at byte 0", offset=0)
+        raise fail(f"bad magic {magic!r} at byte 0", 0)
     if version != fmt.version:
-        raise fmt.error(f"unsupported version {version} at byte 4", offset=4)
-    expected = size + 8 * payload_size(header_fields)
+        raise fail(f"unsupported version {version} at byte 4", 4)
+    expected = size + 8 * payload_size(header_fields, fail)
     if len(raw) != expected:
-        raise fmt.error(f"{fmt.noun} payload truncated at byte {len(raw)}: "
-                        f"expected {expected} bytes", offset=min(len(raw), expected))
+        raise fail(f"{fmt.noun} payload truncated at byte {len(raw)}: expected {expected} "
+                   f"bytes", min(len(raw), expected))
     payload = np.frombuffer(raw, dtype="<f8", offset=size).astype(np.float64)
     if not np.all(np.isfinite(payload)):
-        raise fmt.error(f"{fmt.noun} payload contains non-finite values", offset=size)
+        raise fail(f"{fmt.noun} payload contains non-finite values", size)
     return header_fields, payload
 
 
@@ -204,10 +191,10 @@ def write_portable_grid(grid, path) -> None:
 
 
 def read_portable_grid(path) -> np.ndarray:
-    def payload_size(header_fields):
+    def payload_size(header_fields, fail):
         rows, cols, _pad = header_fields
         if rows < 1 or cols < 1:
-            raise GridFormatError(f"invalid shape {rows}x{cols} at byte 6", offset=6)
+            raise fail(f"invalid shape {rows}x{cols} at byte 6", 6)
         return rows * cols
 
     (rows, cols, _pad), grid = _read_f8(path, _GRID, payload_size)
@@ -230,11 +217,11 @@ def save_weights(path, arch: NetArch, w) -> None:
 
 def load_weights(path, arch: NetArch) -> np.ndarray:
     """Read a checkpoint, validating the header against `arch`."""
-    def payload_size(header_fields):
+    def payload_size(header_fields, fail):
         if tuple(header_fields) != _weights_header(arch):
-            raise CheckpointFormatError(
-                f"checkpoint header (latent, stages, rows, cols) {tuple(header_fields)} "
-                f"does not match the configured {_weights_header(arch)}", offset=8)
+            raise fail(f"checkpoint header (latent, stages, rows, cols) "
+                       f"{tuple(header_fields)} does not match the configured "
+                       f"{_weights_header(arch)}", 8)
         return arch.n_params
 
     return _read_f8(path, _WEIGHTS, payload_size)[1]

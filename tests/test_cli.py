@@ -1,5 +1,6 @@
 import json
 import os
+import struct
 import subprocess
 import sys
 
@@ -232,15 +233,23 @@ def _bad_length_data(bank_dir):
     return bank_dir / "y_0001.pgrd"
 
 
+def _cut_data(bank_dir):
+    path = bank_dir / "y_0003.pgrd"
+    path.write_bytes(path.read_bytes()[:-100])
+    return path
+
+
 @pytest.mark.parametrize("corrupt", [
     _bad_manifest('{"format": "x"}'), _bad_manifest('{"format": '), _bad_length_data,
-], ids=["not_a_bank", "invalid_json", "data_length"])
+    _cut_data,
+], ids=["not_a_bank", "invalid_json", "data_length", "data_cut"])
 def test_invert_malformed_bank_manifest_exit_2(gen_dir, tmp_path, capsys, corrupt):
+    # the message names the bad file, once
     cfg_path, bank_dir = gen_dir
     bad = corrupt(bank_dir)
     assert main(["invert", "--config", cfg_path, "--bank", str(bank_dir),
                  "--out", str(tmp_path / "inv")]) == 2
-    assert str(bad) in capsys.readouterr().err
+    assert capsys.readouterr().err.count(str(bad)) == 1
     assert not (tmp_path / "inv").exists()
 
 
@@ -331,7 +340,7 @@ def test_train_run_directory_holds_one_copy_of_each_file(gen_dir, tmp_path):
     state = {p.name for p in (out / "checkpoint").iterdir()}
     assert root == {"resolved.cfg", "weights.dpnw", "weights_init.dpnw", "rounds.csv",
                     "trace_tuple_000.csv", "trace_tuple_001.csv"}
-    assert state == {"state.json", "latents.csv", "tuple_000_x.pgrd", "tuple_000_xdual.pgrd",
+    assert state == {"state.json", "latents.pgrd", "tuple_000_x.pgrd", "tuple_000_xdual.pgrd",
                      "tuple_001_x.pgrd", "tuple_001_xdual.pgrd"}
 
 
@@ -361,6 +370,27 @@ def test_resume_disagreeing_with_config_exit_2(gen_dir, tmp_path, capsys, key, a
                      "--out", str(res), "--resume", str(out)]) == 2
         assert capsys.readouterr().err.startswith(f"config error: [em] {key}: {out}")
     assert not (tmp_path / "res").exists()
+    assert run_files(out) == before
+
+
+def test_resume_into_fewer_rounds_than_ran_exit_2(gen_dir, tmp_path, capsys):
+    # a 2-round run resumed with rounds = 1, into a new directory and in
+    # place; resumed with its own round count, it is finished and unchanged
+    cfg_path, bank_dir = gen_dir
+    cfg_fewer = write_cfg(tmp_path, SMALL_TESTBED.replace("rounds = 2", "rounds = 1"),
+                          name="r1.cfg")
+    out = tmp_path / "tr"
+    assert main(["train", "--config", cfg_path, "--bank", str(bank_dir), "--out", str(out)]) == 0
+    before = run_files(out)
+    for res in (tmp_path / "res", out):
+        assert main(["train", "--config", cfg_fewer, "--bank", str(bank_dir),
+                     "--out", str(res), "--resume", str(out)]) == 2
+        assert capsys.readouterr().err == (f"config error: [em] rounds: {out} completed 2 "
+                                           f"rounds, more than the configured 1\n")
+    assert not (tmp_path / "res").exists()
+    assert run_files(out) == before
+    assert main(["train", "--config", cfg_path, "--bank", str(bank_dir), "--out", str(out),
+                 "--resume", str(out)]) == 0
     assert run_files(out) == before
 
 
@@ -479,31 +509,53 @@ def test_resume_from_checkpoint_without_tv_gap_column_exit_2(gen_dir, tmp_path, 
     assert "lacks the column 'proj_tv_gap'" in capsys.readouterr().err
 
 
-def _cut_half(text):
-    # invalid JSON, or a CSV table cut off partway through a row
-    return text[:len(text) // 2]
+def test_resume_from_checkpoint_without_latent_grid_exit_2(gen_dir, tmp_path, capsys):
+    # run directories written before the latents became one grid hold
+    # checkpoint/latents.csv instead, which no reader reads
+    cfg_path, bank_dir = gen_dir
+    out = tmp_path / "tr"
+    assert main(["train", "--config", cfg_path, "--bank", str(bank_dir),
+                 "--out", str(out)]) == 0
+    (out / "checkpoint" / "latents.pgrd").unlink()
+    assert main(["train", "--config", cfg_path, "--bank", str(bank_dir),
+                 "--out", str(tmp_path / "res"), "--resume", str(out)]) == 2
+    assert str(out / "checkpoint" / "latents.pgrd") in capsys.readouterr().err
+    assert not (tmp_path / "res").exists()
+
+
+def _cut_half(data):
+    # invalid JSON, a CSV table cut off partway through a row, or a binary
+    # file cut off partway through its payload
+    return data[:len(data) // 2]
 
 
 @pytest.mark.parametrize("name, cut", [
     *[pytest.param(name, _cut_half, id=os.path.basename(name))
-      for name in ["checkpoint/state.json", "checkpoint/latents.csv", "rounds.csv",
+      for name in ["checkpoint/state.json", "checkpoint/latents.pgrd",
+                   "checkpoint/tuple_000_x.pgrd", "weights.dpnw", "rounds.csv",
                    "trace_tuple_000.csv"]],
-    # the last latent cut mid-number; the trace one step short of state.json
-    pytest.param("checkpoint/latents.csv", lambda text: text[:-7],
-                 id="latents.csv-mid-number"),
-    pytest.param("trace_tuple_000.csv", lambda text: "".join(text.splitlines(True)[:-1]),
+    # the last latent cut mid-value; the 2x16 latent grid read as 1x32; the
+    # trace one step short of state.json
+    pytest.param("checkpoint/latents.pgrd", lambda data: data[:-3],
+                 id="latents.pgrd-mid-value"),
+    pytest.param("checkpoint/latents.pgrd",
+                 lambda data: data[:6] + struct.pack("<II", 1, 32) + data[14:],
+                 id="latents.pgrd-reshaped"),
+    pytest.param("trace_tuple_000.csv", lambda data: b"".join(data.splitlines(True)[:-1]),
                  id="trace_tuple_000.csv-last-row"),
 ])
 def test_resume_from_malformed_checkpoint_exit_2(gen_dir, tmp_path, capsys, name, cut):
+    # the message names the bad file, once
     cfg_path, bank_dir = gen_dir
     out = tmp_path / "tr"
     assert main(["train", "--config", cfg_path, "--bank", str(bank_dir),
                  "--out", str(out)]) == 0
     path = out / name
-    path.write_text(cut(path.read_text()))
+    path.write_bytes(cut(path.read_bytes()))
     assert main(["train", "--config", cfg_path, "--bank", str(bank_dir),
                  "--out", str(tmp_path / "res"), "--resume", str(out)]) == 2
-    assert str(path) in capsys.readouterr().err
+    assert capsys.readouterr().err.count(str(path)) == 1
+    assert not (tmp_path / "res").exists()
 
 
 def test_default_em_settings_train_the_default_bank(tmp_path):
@@ -592,8 +644,43 @@ def test_final_constraint_rejected_before_round_0(gen_dir, tmp_path, capsys):
      "[testbed] sampling fraction must lie in (0, 1], got 0.0"),
     ("kernel_sigma = 0.8", "kernel_sigma = 0", "[testbed] kernel sigma must be positive, got 0.0"),
     ("experiments = 4", "experiments = 0", "[testbed] need at least one experiment, got 0"),
+    ("target_snr_db = -5.0", "target_snr_db = -5.0\ncoherent_fraction = 1",
+     "[testbed] coherent fraction must lie in [0, 1)"),
+    ("[testbed]", "stray = 1\n[testbed]", "malformed config"),
+    ("tuples = 2", "tuples = 0", "[em] need at least one tuple"),
+    ("rounds = 2", "rounds = -1", "[em] round counts must be non-negative"),
+    ("eta = 0.0001", "eta = 0.0001\nm_steps_per_round = 0",
+     "[em] m_steps_per_round must be at least 1"),
+    *[("eta = 0.0001", setting, "[em] steplengths and trade-off values must be finite and "
+       "non-negative") for setting in ("eta = -1", "eta = nan", "eta = inf",
+                                       "eta = 0.0001\nlam_init = nan",
+                                       "eta = 0.0001\nlam_final = inf")],
+    ("stage_channels = 4", "stage_channels = 4\nkernel_size = 2",
+     "[net] stage kernel size must be odd and positive"),
+    ("latent_dim = 16", "latent_dim = 0", "[net] latent dimension and base shape must be "
+     "positive"),
+    ("base_channels = 4", "base_channels = 0", "[net] base channels must be positive"),
+    ("stage_channels = 4", "stage_channels = 4\ninit_scale = inf",
+     "[net] init scale must be positive and finite, got inf"),
+    ("box_lo = -1.0", "box_lo = inf", "[constraints] box bounds must be finite"),
+    ("sets = box,l1", "sets = l2\nl2_radius = 0",
+     "[constraints] l2 ball radius must be positive, got 0.0"),
+    ("sets = box,l1", "sets = tv\ntv_radius = -1",
+     "[constraints] tv ball radius must be non-negative, got -1.0"),
+    *[("l1_radius = 160.0", f"l1_radius = 160.0\n{setting}",
+       "[constraints] tolerances must be positive and finite")
+      for setting in ("dykstra_tol = 0", "dykstra_tol = nan", "tv_tol = nan")],
+    ("l1_radius = 160.0", "l1_radius = 160.0\ntv_max_iters = 0",
+     "[constraints] tv_max_iters must be positive"),
+    ("sets = box,l1", "sets = ,", "[constraints] sets must name at least one set"),
+    ("bins = 5", "bins = 5\nsample_count = 0", "[stats] sample_count must be at least 1"),
 ], ids=["z_prior_weight", "epsilon", "samples", "bins", "probes", "lam_ramp_rounds",
-        "rows", "kernel_size", "sampling_fraction", "kernel_sigma", "experiments"])
+        "rows", "kernel_size", "sampling_fraction", "kernel_sigma", "experiments",
+        "coherent_fraction", "line_before_section", "tuples", "rounds", "m_steps_per_round",
+        "eta_negative", "eta_nan", "eta_inf", "lam_init_nan", "lam_final_inf",
+        "net_kernel_size", "latent_dim", "base_channels", "init_scale_inf", "box_lo_inf",
+        "l2_radius", "tv_radius", "dykstra_tol_zero", "dykstra_tol_nan", "tv_tol_nan",
+        "tv_max_iters", "sets_empty", "sample_count"])
 def test_config_rejected_by_one_command_fails_in_every_command(tmp_path, capsys, anchor,
                                                                setting, message):
     cfg = write_cfg(tmp_path, SMALL_TESTBED.replace(anchor, setting))

@@ -6,9 +6,8 @@ from hypothesis.extra import numpy as hnp
 
 from breguq.errors import GridFormatError
 from breguq.net import net_init
-from breguq.stats import (model_quality, read_portable_grid, read_table,
-                          sample_generator, summarize, write_histograms_csv,
-                          write_portable_grid)
+from breguq.stats import (SampleSet, model_quality, read_portable_grid, read_table,
+                          summarize, write_histograms_csv, write_portable_grid)
 
 from conftest import small_arch
 
@@ -27,10 +26,11 @@ class ListSamples:
 
 # --- generator sampling ---
 
-def test_sample_generator_single_realization():
+def test_sample_set_single_realization():
     arch = small_arch()
     w = net_init(arch, seed=1)
-    s = sample_generator(arch, w, 1, seed=5)
+    s = SampleSet(arch, w.tolist(), 1, seed=5)
+    assert s.weights.dtype == np.float64
     assert s.realization(0).shape == arch.out_shape
     (only,) = list(s.realizations())
     np.testing.assert_array_equal(only, s.realization(0))
@@ -38,15 +38,15 @@ def test_sample_generator_single_realization():
 
 def test_zero_weights_give_zero_realizations():
     arch = small_arch()
-    s = sample_generator(arch, np.zeros(arch.n_params), 3, seed=6)
+    s = SampleSet(arch, np.zeros(arch.n_params), 3, seed=6)
     for x in s.realizations():
         np.testing.assert_array_equal(x, np.zeros(arch.out_shape))
 
 
 def test_latents_depend_only_on_seed_and_index():
     arch = small_arch()
-    a = sample_generator(arch, net_init(arch, seed=2), 4, seed=7)
-    b = sample_generator(arch, net_init(arch, seed=3), 4, seed=7)
+    a = SampleSet(arch, net_init(arch, seed=2), 4, seed=7)
+    b = SampleSet(arch, net_init(arch, seed=3), 4, seed=7)
     for j in range(4):
         np.testing.assert_array_equal(a.latent(j), b.latent(j))
     assert not np.array_equal(a.realization(0), b.realization(0))
@@ -55,8 +55,8 @@ def test_latents_depend_only_on_seed_and_index():
 def test_sampling_deterministic():
     arch = small_arch()
     w = net_init(arch, seed=4)
-    a = sample_generator(arch, w, 5, seed=8)
-    b = sample_generator(arch, w, 5, seed=8)
+    a = SampleSet(arch, w, 5, seed=8)
+    b = SampleSet(arch, w, 5, seed=8)
     for x, y in zip(a.realizations(), b.realizations()):
         np.testing.assert_array_equal(x, y)
 
@@ -64,7 +64,7 @@ def test_sampling_deterministic():
 def test_sample_count_validation():
     arch = small_arch()
     with pytest.raises(ValueError):
-        sample_generator(arch, np.zeros(arch.n_params), 0, seed=0)
+        SampleSet(arch, np.zeros(arch.n_params), 0, seed=0)
 
 
 # --- moments ---
@@ -109,7 +109,7 @@ def test_moments_match_two_pass_oracle(rng):
 def test_summarize_matches_componentwise(rng):
     arch = small_arch()
     w = net_init(arch, seed=9)
-    samples = sample_generator(arch, w, 40, seed=10)
+    samples = SampleSet(arch, w, 40, seed=10)
     summary = summarize(samples, probe_pixels=[(0, 0), (2, 3)])
     stacked = np.stack([samples.realization(j) for j in range(40)])
     np.testing.assert_allclose(summary.mean, stacked.mean(axis=0), rtol=0, atol=1e-12)
