@@ -11,26 +11,36 @@ against central finite differences in the test suite.
 Layout. A map of c channels on an R x C grid is held as an array (P, c, n).
 The dense layer's output is natural: P = 1 and n = R*C in raster order.
 Every stage output is phase-major, the sub-pixel ("pixel-shuffle") layout of
-Shi et al. (CVPR 2016): P = 4, n = R*C/4, and entry (2p + q, channel,
-y*C/2 + x) holds pixel (2y + p, 2x + q). Maps stay in that layout from
-stage to stage; only the final layer writes a natural grid.
+Shi et al. (CVPR 2016), with a phase offset r in {0, 1}: P = 4,
+n = R*C/4, and entry (2p + q, channel, y*C/2 + x) holds pixel
+(2(y + r(1 - p)) + p, 2(x + r(1 - q)) + q), indices taken modulo (R, C).
+So the rows and columns of phase 0 sit r coarse pixels ahead of phase 1's.
+Maps stay in that layout from stage to stage; only the final layer writes
+a natural grid.
 
 Kernels. A stage runs polyphase: a k x k convolution of the x2 upsampled
 map is four convolutions of the coarse map, one per output phase, whose
-kernels are folded from the stage kernel by a fixed 0/1 matrix. All four
-run as one GEMM against the coarse shift-stack, and the GEMM's output
-(4*c_out, n) already is the fine map in phase-major layout. The final layer
-runs kn2row: one GEMM per input phase gives an output plane per tap, and
-the planes are summed, shifted, onto the natural output grid.
+kernels are folded from the stage kernel by a fixed 0/1 matrix. Each
+phase reads only its own w x w coarse window, w = k//2 + 1, and when k//2
+is odd phase 0's window is phase 1's moved by one coarse pixel. The
+stage's output offset r = (k//2) % 2 takes up that move: in the offset
+layout all four phases read the same window, so one w x w shift-stack of
+the coarse map serves them all, with no structural zeros. All four phases
+run as one GEMM against that stack, and the GEMM's output (4*c_out, n)
+already is the fine map in phase-major layout with offset r. The final
+layer runs kn2row: one GEMM per input phase gives an output plane per tap,
+and the planes are summed, shifted, onto the natural output grid.
 
 Tables. Every neighbor access goes through one cached, read-only flat-index
-table per (kernel, channels, grid, layout). A stage's shift-stack is
-`h.take(table)`, read straight out of the map in its own layout, and its
-adjoint is `np.bincount(table, weights=...)`. The final layer scatters its
-planes onto the output grid by `np.bincount` through its table, and its
-backward gathers the upstream gradient by `take` through the same table.
-The tables are int32: that halves the memory they hold for the life of the
-process, and `take` and `bincount` run no slower on them.
+table per (kernel, channels, grid, layout and phase offset). A stage's
+shift-stack is `h.take(table)`, read straight out of the map in its own
+layout, and its adjoint is `np.bincount(table, weights=...)`. The final
+layer scatters its planes onto the output grid by `np.bincount` through
+its table, and its backward gathers the upstream gradient by `take`
+through the same table. A map's phase offset lives only in the tables that
+read it, built once when cached, so no map is ever rolled or copied to
+undo it. The tables are int32: that halves the memory they hold for the
+life of the process, and `take` and `bincount` run no slower on them.
 
 Weights live in a single flat float64 vector; `NetArch.param_layout`
 describes the per-layer offsets and shapes. Forward and backward are pure
@@ -162,28 +172,34 @@ def _shifts(a: np.ndarray, k: int) -> np.ndarray:
                      for u in range(k) for v in range(k)])
 
 
-def _to_layout(a: np.ndarray, phased: bool) -> np.ndarray:
+def _to_layout(a: np.ndarray, phased: bool, offset: int) -> np.ndarray:
     """Reorder the trailing grid axes (..., R, C) of `a` into the map layout
-    (P, ..., n): natural (P = 1) or phase-major (P = 4)."""
+    (P, ..., n): natural (P = 1), or phase-major (P = 4) with phase offset
+    `offset`, so that entry (2p + q, ..., y*C/2 + x) holds pixel
+    (2(y + offset*(1 - p)) + p, 2(x + offset*(1 - q)) + q)."""
     *lead, rows, cols = a.shape
     if not phased:
         return a.reshape(1, *lead, rows * cols)
-    d = len(lead)
-    a = a.reshape(*lead, rows // 2, 2, cols // 2, 2)
-    return a.transpose(d + 1, d + 3, *range(d), d, d + 2).reshape(4, *lead, -1)
+
+    def phase_index(size):
+        p = np.arange(2)[:, None]
+        return 2 * ((np.arange(size // 2) + offset * (1 - p)) % (size // 2)) + p
+
+    a = a[..., phase_index(rows)[:, None, :, None], phase_index(cols)[None, :, None, :]]
+    return np.moveaxis(a, (-4, -3), (0, 1)).reshape(4, *lead, -1)
 
 
 @functools.lru_cache(maxsize=None)
 def _stack_table(m: int, channels: int, rows: int, cols: int,
-                 phased: bool) -> np.ndarray:
+                 phased: bool, offset: int) -> np.ndarray:
     """Flat indices (m*m*channels, rows*cols) into a (channels, rows, cols) map
-    held natural or phase-major: `h.take(table)` is the `_shifts` stack of
-    the map, one column per pixel in raster order, and
-    `np.bincount(table.ravel(), weights=stack.ravel())` is its adjoint."""
+    held natural or phase-major with phase offset `offset`: `h.take(table)`
+    is the `_shifts` stack of the map, one column per pixel in raster order,
+    and `np.bincount(table.ravel(), weights=stack.ravel())` is its adjoint."""
     n = channels * rows * cols
     position = np.empty(n, dtype=np.int32)
-    position[_to_layout(np.arange(n).reshape(channels, rows, cols), phased).ravel()] = \
-        np.arange(n)
+    grid = np.arange(n).reshape(channels, rows, cols)
+    position[_to_layout(grid, phased, offset).ravel()] = np.arange(n)
     table = _shifts(position.reshape(channels, rows, cols), m)
     table = table.reshape(m * m * channels, rows * cols)
     table.flags.writeable = False
@@ -192,14 +208,15 @@ def _stack_table(m: int, channels: int, rows: int, cols: int,
 
 @functools.lru_cache(maxsize=None)
 def _plane_table(k: int, channels: int, rows: int, cols: int,
-                 phased: bool) -> np.ndarray:
+                 phased: bool, offset: int) -> np.ndarray:
     """Flat indices (P, k*k*channels, n) into the natural (channels, rows, cols)
-    grid, for kn2row planes whose pixels are held natural or phase-major:
-    plane t of pixel (y, x) lands on pixel (y - u + k//2, x - v + k//2), so
-    `np.bincount` through the table shifts and sums the planes, and
-    `g.take(table)` is the `_shifts` stack of g in the planes' layout."""
+    grid, for kn2row planes whose pixels are held natural or phase-major with
+    phase offset `offset`: plane t of pixel (y, x) lands on pixel
+    (y - u + k//2, x - v + k//2), so `np.bincount` through the table shifts
+    and sums the planes, and `g.take(table)` is the `_shifts` stack of g in
+    the planes' layout."""
     grid = np.arange(channels * rows * cols, dtype=np.int32).reshape(channels, rows, cols)
-    table = _to_layout(_shifts(grid, k), phased)
+    table = _to_layout(_shifts(grid, k), phased, offset)
     table = table.reshape(len(table), k * k * channels, -1)
     table.flags.writeable = False
     return table
@@ -211,75 +228,87 @@ def _fold(k: int) -> tuple:
 
     Output pixel (2y + p, 2x + q) reads coarse pixel
     (y + (p - u + k//2) // 2, x + (q - v + k//2) // 2) through tap (u, v),
-    so each of the four phases is a convolution of the coarse map over
-    m x m shifts, m = 2 * ((k//2 + 1) // 2) + 1. Returns (M, m): column
-    (2p + q)*m*m + u'*m + v' of the 0/1 matrix M (k*k, 4*m*m) gathers the
-    taps of phase (p, q) that read shift u'*m + v' of the coarse stack.
+    so each phase reads a w x w coarse window, w = k//2 + 1. Phase 1's
+    window starts at offset (1 - k//2) // 2 and phase 0's r = (k//2) % 2
+    pixels before it, so in the output layout with phase offset r, where
+    phase 0's pixel (y, x) is fine pixel (2(y + r), 2(x + r)), every phase
+    reads the same window of the `_shifts` stack of width w: shift i reads
+    coarse row y - i + w//2. Returns (M, w, r): column
+    (2p + q)*w*w + i*w + j of the 0/1 matrix M (k*k, 4*w*w) gathers the
+    taps of phase (p, q) that read shift i*w + j.
     """
-    hm = (k // 2 + 1) // 2
-    F = np.zeros((2, k, 2 * hm + 1))
+    h = k // 2
+    w, r = h + 1, h % 2
+    F = np.zeros((2, k, w))
     p, u = np.ogrid[:2, :k]
-    F[p, u, hm - (p - u + k // 2) // 2] = 1.0
+    F[p, u, w // 2 - r * (1 - p) - (p - u + h) // 2] = 1.0
     M = np.einsum("pau,qbv->abpquv", F, F).reshape(k * k, -1)
     M.flags.writeable = False
-    return M, 2 * hm + 1
+    return M, w, r
 
 
-def _stage_forward(W: np.ndarray, b: np.ndarray, h: np.ndarray, grid: tuple):
+def _stage_forward(W: np.ndarray, b: np.ndarray, h: np.ndarray, grid: tuple,
+                   offset: int):
     """Nearest-x2 upsampling then circular convolution of the map h (P, ci, n)
-    on the coarse grid `grid`: one GEMM of the four phase kernels against the
-    coarse shift-stack. Returns (output (4, co, rows*cols), phase-major;
-    stack; phase kernels)."""
+    with phase offset `offset` on the coarse grid `grid`: one GEMM of the four
+    phase kernels against the coarse window stack. Returns (output
+    (4, co, rows*cols), phase-major with the offset of `_fold(k)`; stack;
+    phase kernels)."""
     co, ci, k, _ = W.shape
-    M, m = _fold(k)
-    stack = h.take(_stack_table(m, ci, *grid, len(h) == 4))
-    weff = ((W.reshape(co * ci, k * k) @ M).reshape(co, ci, 4, m * m)
-            .transpose(2, 0, 3, 1).reshape(4 * co, m * m * ci))
+    M, w, _ = _fold(k)
+    stack = h.take(_stack_table(w, ci, *grid, len(h) == 4, offset))
+    weff = ((W.reshape(co * ci, k * k) @ M).reshape(co, ci, 4, w * w)
+            .transpose(2, 0, 3, 1).reshape(4 * co, w * w * ci))
     out = (weff @ stack).reshape(4, co, -1)
     out += b[:, None]
     return out, stack, weff
 
 
 def _stage_backward(W: np.ndarray, stack: np.ndarray, weff: np.ndarray,
-                    g: np.ndarray, grid: tuple, phased: bool, weights: bool = True):
-    """Gradients of `_stage_forward` for the upstream g (4, co, n), given the
-    coarse grid and layout of its input: (grad W, grad b, grad input in the
-    input's layout). Without `weights`, grad W and grad b are None."""
+                    g: np.ndarray, grid: tuple, phased: bool, offset: int,
+                    weights: bool = True):
+    """Gradients of `_stage_forward` for the upstream g (4, co, n) in the
+    output's layout, given the coarse grid, layout and phase offset of its
+    input: (grad W, grad b, grad input in the input's layout). Without
+    `weights`, grad W and grad b are None."""
     co, ci, k, _ = W.shape
-    M, m = _fold(k)
+    M, w, _ = _fold(k)
     g2 = g.reshape(4 * co, -1)
     gS = weff.T @ g2
-    gh = np.bincount(_stack_table(m, ci, *grid, phased).ravel(), weights=gS.ravel())
+    gh = np.bincount(_stack_table(w, ci, *grid, phased, offset).ravel(),
+                     weights=gS.ravel())
     gh = gh.reshape(4 if phased else 1, ci, -1)
     if not weights:
         return None, None, gh
-    gW = ((g2 @ stack.T).reshape(4, co, m * m, ci).transpose(1, 3, 0, 2)
-          .reshape(co * ci, 4 * m * m) @ M.T).reshape(co, ci, k, k)
+    gW = ((g2 @ stack.T).reshape(4, co, w * w, ci).transpose(1, 3, 0, 2)
+          .reshape(co * ci, 4 * w * w) @ M.T).reshape(co, ci, k, k)
     return gW, g.sum(axis=(0, 2)), gh
 
 
 def _final_forward(W: np.ndarray, b: np.ndarray, h: np.ndarray,
-                   grid: tuple) -> np.ndarray:
-    """Circular convolution of the map h (P, ci, n) onto the natural output
-    grid (co, *grid) by kn2row: one (k*k*co, ci) GEMM per phase gives an
-    output plane per tap, which the plane table shifts and sums. It shifts
-    plane t opposite to tap t, so the kernel enters turned by 180 degrees."""
+                   grid: tuple, offset: int) -> np.ndarray:
+    """Circular convolution of the map h (P, ci, n), with phase offset
+    `offset`, onto the natural output grid (co, *grid) by kn2row: one
+    (k*k*co, ci) GEMM per phase gives an output plane per tap, which the
+    plane table shifts and sums. It shifts plane t opposite to tap t, so the
+    kernel enters turned by 180 degrees."""
     co, ci, k, _ = W.shape
     flipped = W[:, :, ::-1, ::-1].transpose(2, 3, 0, 1).reshape(k * k * co, ci)
     planes = flipped @ h
-    table = _plane_table(k, co, *grid, len(h) == 4)
+    table = _plane_table(k, co, *grid, len(h) == 4, offset)
     out = np.bincount(table.ravel(), weights=planes.ravel()).reshape(co, *grid)
     out += b[:, None, None]
     return out
 
 
-def _final_backward(W: np.ndarray, h: np.ndarray, g: np.ndarray,
+def _final_backward(W: np.ndarray, h: np.ndarray, g: np.ndarray, offset: int,
                     weights: bool = True):
     """Gradients of `_final_forward` for the natural upstream g (co, R, C),
-    both from the shift-stack of g gathered in the layout of h: (grad W,
-    grad b, grad input). Without `weights`, grad W and grad b are None."""
+    both from the shift-stack of g gathered in the layout and phase offset
+    of h: (grad W, grad b, grad input). Without `weights`, grad W and grad b
+    are None."""
     co, ci, k, _ = W.shape
-    gstack = g.take(_plane_table(k, co, *g.shape[1:], len(h) == 4))
+    gstack = g.take(_plane_table(k, co, *g.shape[1:], len(h) == 4, offset))
     flipped = W[:, :, ::-1, ::-1].transpose(2, 3, 0, 1).reshape(k * k * co, ci)
     gh = flipped.T @ gstack
     if not weights:
@@ -305,6 +334,12 @@ def _grid(arch: NetArch, i: int) -> tuple:
     return (arch.base_rows << i, arch.base_cols << i)
 
 
+def _offset(arch: NetArch, i: int) -> int:
+    """Phase offset of stage i's input, the output of stage i - 1; i equal
+    to the number of stages gives the final layer's input."""
+    return _fold(arch.stages[i - 1].kernel_size)[2] if i else 0
+
+
 def _forward_trace(arch: NetArch, w, z, keep: bool = True):
     """Forward pass; with `keep` the trace holds what the backward reads."""
     P = _params(arch, w)
@@ -315,13 +350,14 @@ def _forward_trace(arch: NetArch, w, z, keep: bool = True):
     trace = {"z": z, "P": P, "stages": []}
     for i in range(len(arch.stages)):
         pre, stack, weff = _stage_forward(P[f"stage{i}.W"], P[f"stage{i}.b"], h,
-                                          _grid(arch, i))
+                                          _grid(arch, i), _offset(arch, i))
         if keep:
             trace["stages"].append((stack, weff, pre))
         h = arch.leaky_slope * pre
         np.maximum(pre, h, out=h)
     trace["final_in"] = h
-    out = _final_forward(P["final.W"], P["final.b"], h, arch.out_shape)
+    out = _final_forward(P["final.W"], P["final.b"], h, arch.out_shape,
+                         _offset(arch, len(arch.stages)))
     return out[0], trace
 
 
@@ -350,12 +386,14 @@ def _backward_from_trace(arch: NetArch, tr, upstream, weights: bool = True):
             f"upstream shape {upstream.shape} != output shape {arch.out_shape}")
     P, grads = tr["P"], {}
     grads["final.W"], grads["final.b"], g = _final_backward(
-        P["final.W"], tr["final_in"], upstream[None, :, :], weights)
+        P["final.W"], tr["final_in"], upstream[None, :, :],
+        _offset(arch, len(arch.stages)), weights)
     for i in range(len(arch.stages) - 1, -1, -1):
         stack, weff, pre = tr["stages"][i]
         g *= np.maximum(pre >= 0.0, arch.leaky_slope)
         grads[f"stage{i}.W"], grads[f"stage{i}.b"], g = _stage_backward(
-            P[f"stage{i}.W"], stack, weff, g, _grid(arch, i), i > 0, weights)
+            P[f"stage{i}.W"], stack, weff, g, _grid(arch, i), i > 0,
+            _offset(arch, i), weights)
     g0 = g.ravel()
     grad_z = P["dense.W"].T @ g0
     if not weights:

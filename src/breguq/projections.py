@@ -165,7 +165,7 @@ def project_l1_ball(x, radius: float) -> np.ndarray:
 
 
 def _box_l1_project_flat(v: np.ndarray, lo: float, hi: float,
-                         radius: float) -> np.ndarray:
+                         radius: float, order: np.ndarray | None = None) -> np.ndarray:
     """Exact projection of a flat vector onto {lo <= x <= hi, ||x||_1 <= radius}.
 
     Dualizing the l1 constraint separates the problem: the projection is
@@ -190,7 +190,8 @@ def _box_l1_project_flat(v: np.ndarray, lo: float, hi: float,
     evaluation of the norm. The cost is one sort when q is one number
     (sort(a) - c equals sort(a - c) bit for bit) and two otherwise, two
     prefix sums, O(sqrt(n) log n) lookups and a few passes over the
-    vector, with no Python loop over kinks. When the box misses the ball
+    vector, with no Python loop over kinks. An `order` that sorts |v| turns
+    the sort of a into a gather. When the box misses the ball
     (n * p > radius) the norm never falls to the radius, theta stops at the
     last kink, and the result is clip(0, lo, hi), the box point of least
     l1 norm.
@@ -209,7 +210,7 @@ def _box_l1_project_flat(v: np.ndarray, lo: float, hi: float,
 
     theta = 0.0
     if norm_at(0.0) > radius:
-        ends = np.sort(a)
+        ends = np.sort(a) if order is None else a[order]
         starts = ends - q if np.ndim(q) == 0 else np.sort(a - q)
         ends -= p
         cum_starts, cum_ends = np.zeros((2, a.size + 1))
@@ -282,18 +283,20 @@ def _separable_project(v: np.ndarray, lo: float, hi: float, r1: float,
     bisection of [0, 1] that stops when its midpoint rounds onto an end,
     keeping the feasible end. x(0) = clip(0, lo, hi) is the point of least
     norm in the box; when even it lies outside a ball, the sets do not meet
-    and it is returned.
+    and it is returned. fl(s*|v_i|) keeps the order of |v_i| for every
+    s >= 0, so one argsort of |v| sorts the kinks of every x(s).
     """
     flat = v.ravel()
     if r1 == math.inf:
-        inner = lambda u: np.clip(u, lo, hi)
+        inner = lambda u, order=None: np.clip(u, lo, hi)
     else:
-        inner = lambda u: _box_l1_project_flat(u, lo, hi, r1)
+        inner = lambda u, order=None: _box_l1_project_flat(u, lo, hi, r1, order)
     x = inner(flat)
     if r2 != math.inf and _l2_norm(x) > r2:
-        below, above, x = 0.0, 1.0, inner(np.zeros_like(flat))
+        order = None if r1 == math.inf else np.argsort(np.abs(flat))
+        below, above, x = 0.0, 1.0, inner(np.zeros_like(flat), order)
         while below < (mid := 0.5 * (below + above)) < above:
-            x_mid = inner(mid * flat)
+            x_mid = inner(mid * flat, order)
             if _l2_norm(x_mid) <= r2:
                 below, x = mid, x_mid
             else:

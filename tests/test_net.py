@@ -261,33 +261,36 @@ def reference_weight_grad(x, g, k):
 
 
 GRIDS = [(1, 1), (2, 2), (3, 5)]
+KERNELS = [1, 3, 5, 7, 9]
 
 
-def layout_perm(rows, cols, phased):
+def layout_perm(rows, cols, phased, offset=0):
     """Raster index of the pixel at each position (P, n) of the generator's map
-    layout: natural, or phase-major with position (2p + q, y*cols/2 + x)
-    holding pixel (2y + p, 2x + q)."""
+    layout: natural, or phase-major with phase offset r, position
+    (2p + q, y*cols/2 + x) holding pixel (2(y + r(1 - p)) + p,
+    2(x + r(1 - q)) + q) modulo (rows, cols)."""
     if not phased:
         return np.arange(rows * cols)[None]
-    return np.array([[(2 * y + p) * cols + 2 * x + q
+    return np.array([[(2 * ((y + offset * (1 - p)) % (rows // 2)) + p) * cols
+                      + 2 * ((x + offset * (1 - q)) % (cols // 2)) + q
                       for y in range(rows // 2) for x in range(cols // 2)]
                      for p in range(2) for q in range(2)])
 
 
-def to_layout(x, phased):
+def to_layout(x, phased, offset=0):
     """Natural (c, rows, cols) map -> (P, c, n) in the given layout."""
-    perm = layout_perm(*x.shape[1:], phased)
+    perm = layout_perm(*x.shape[1:], phased, offset)
     return np.ascontiguousarray(x.reshape(len(x), -1)[:, perm].transpose(1, 0, 2))
 
 
-def to_natural(h, rows, cols):
+def to_natural(h, rows, cols, offset=0):
     """(P, c, n) map in its layout -> natural (c, rows, cols)."""
     out = np.empty((h.shape[1], rows * cols))
-    out[:, layout_perm(rows, cols, len(h) == 4)] = h.transpose(1, 0, 2)
+    out[:, layout_perm(rows, cols, len(h) == 4, offset)] = h.transpose(1, 0, 2)
     return out.reshape(-1, rows, cols)
 
 
-def check_stage_kernel(k, rows, cols, phased, seed):
+def check_stage_kernel(k, rows, cols, phased, seed, offset=0):
     rng = np.random.default_rng(seed)
     co, ci = 3, 2
     W = rng.standard_normal((co, ci, k, k))
@@ -295,74 +298,100 @@ def check_stage_kernel(k, rows, cols, phased, seed):
     x = rng.standard_normal((ci, rows, cols))
     U = upsample_matrix(ci, rows, cols)
     A = circular_conv_matrix(W, 2 * rows, 2 * cols) @ U
-    out, stack, weff = _stage_forward(W, b, to_layout(x, phased), (rows, cols))
+    out, stack, weff = _stage_forward(W, b, to_layout(x, phased, offset), (rows, cols),
+                                      offset)
     assert out.shape == (4, co, rows * cols)
+    out_offset = (k // 2) % 2
     ref = (A @ x.ravel()).reshape(co, 2 * rows, 2 * cols) + b[:, None, None]
-    np.testing.assert_allclose(to_natural(out, 2 * rows, 2 * cols), ref,
+    np.testing.assert_allclose(to_natural(out, 2 * rows, 2 * cols, out_offset), ref,
                                rtol=0, atol=1e-13)
 
     g = rng.standard_normal((co, 2 * rows, 2 * cols))
-    gW, gb, gx = _stage_backward(W, stack, weff, to_layout(g, True), (rows, cols), phased)
-    np.testing.assert_allclose(to_natural(gx, rows, cols).ravel(), A.T @ g.ravel(),
-                               rtol=0, atol=1e-13)
+    gW, gb, gx = _stage_backward(W, stack, weff, to_layout(g, True, out_offset),
+                                 (rows, cols), phased, offset)
+    np.testing.assert_allclose(to_natural(gx, rows, cols, offset).ravel(),
+                               A.T @ g.ravel(), rtol=0, atol=1e-13)
     up = (U @ x.ravel()).reshape(ci, 2 * rows, 2 * cols)
     np.testing.assert_allclose(gW, reference_weight_grad(up, g, k), rtol=0, atol=1e-13)
     np.testing.assert_allclose(gb, g.sum(axis=(1, 2)), rtol=0, atol=1e-13)
 
 
-def check_final_kernel(k, rows, cols, phased, seed):
+def check_final_kernel(k, rows, cols, phased, seed, offset=0):
     rng = np.random.default_rng(seed)
     ci = 3
     W = rng.standard_normal((1, ci, k, k))
     b = rng.standard_normal(1)
     x = rng.standard_normal((ci, rows, cols))
     A = circular_conv_matrix(W, rows, cols)
-    h = to_layout(x, phased)
-    out = _final_forward(W, b, h, (rows, cols))
+    h = to_layout(x, phased, offset)
+    out = _final_forward(W, b, h, (rows, cols), offset)
     assert out.shape == (1, rows, cols)
     np.testing.assert_allclose(out.ravel(), A @ x.ravel() + b[0], rtol=0, atol=1e-13)
 
     g = rng.standard_normal((1, rows, cols))
-    gW, gb, gx = _final_backward(W, h, g)
-    np.testing.assert_allclose(to_natural(gx, rows, cols).ravel(), A.T @ g.ravel(),
-                               rtol=0, atol=1e-13)
+    gW, gb, gx = _final_backward(W, h, g, offset)
+    np.testing.assert_allclose(to_natural(gx, rows, cols, offset).ravel(),
+                               A.T @ g.ravel(), rtol=0, atol=1e-13)
     np.testing.assert_allclose(gW, reference_weight_grad(x, g, k), rtol=0, atol=1e-13)
     np.testing.assert_allclose(gb, g.sum(axis=(1, 2)), rtol=0, atol=1e-13)
 
 
 # The first stage reads the dense layer's natural map; every later stage, and
 # the final layer of a net with stages, reads a phase-major map, whose grid
-# is even.
-@pytest.mark.parametrize("k", [1, 3, 5, 7])
+# is even, with the phase offset (k//2) % 2 of the stage that wrote it.
+@pytest.mark.parametrize("k", KERNELS)
 @pytest.mark.parametrize("rows,cols", GRIDS)
 def test_stage_kernel_matches_dense_upsample_conv(k, rows, cols):
     check_stage_kernel(k, rows, cols, False, 100 + 10 * k + rows)
 
 
-@pytest.mark.parametrize("k", [1, 3, 5, 7])
+@pytest.mark.parametrize("k", KERNELS)
 @pytest.mark.parametrize("rows,cols", GRIDS)
 def test_stage_kernel_reads_phase_major_map(k, rows, cols):
     check_stage_kernel(k, 2 * rows, 2 * cols, True, 300 + 10 * k + rows)
 
 
-@pytest.mark.parametrize("k", [1, 3, 5, 7])
+@pytest.mark.parametrize("k", KERNELS)
+@pytest.mark.parametrize("rows,cols", GRIDS)
+def test_stage_kernel_reads_offset_phase_major_map(k, rows, cols):
+    check_stage_kernel(k, 2 * rows, 2 * cols, True, 500 + 10 * k + rows, offset=1)
+
+
+@pytest.mark.parametrize("k", KERNELS)
 @pytest.mark.parametrize("rows,cols", GRIDS)
 def test_final_kernel_matches_dense_conv(k, rows, cols):
     check_final_kernel(k, rows, cols, False, 200 + 10 * k + rows)
 
 
-@pytest.mark.parametrize("k", [1, 3, 5, 7])
+@pytest.mark.parametrize("k", KERNELS)
 @pytest.mark.parametrize("rows,cols", GRIDS)
 def test_final_kernel_reads_phase_major_map(k, rows, cols):
     check_final_kernel(k, 2 * rows, 2 * cols, True, 400 + 10 * k + rows)
 
 
+@pytest.mark.parametrize("k", KERNELS)
+@pytest.mark.parametrize("rows,cols", GRIDS)
+def test_final_kernel_reads_offset_phase_major_map(k, rows, cols):
+    check_final_kernel(k, 2 * rows, 2 * cols, True, 600 + 10 * k + rows, offset=1)
+
+
+@pytest.mark.parametrize("k", KERNELS)
+def test_fold_reads_only_its_window(k):
+    M, w, r = _fold(k)
+    assert (w, r) == (k // 2 + 1, (k // 2) % 2)
+    assert M.shape == (k * k, 4 * w * w)
+    # no structural zeros: every column is read by some tap
+    assert (M.sum(axis=0) >= 1).all()
+    # each tap lands in exactly one column of each phase
+    np.testing.assert_array_equal(M.reshape(k * k, 4, w * w).sum(axis=2), 1.0)
+
+
 def test_index_tables_are_cached_and_read_only():
-    tables = [_stack_table(3, 2, 4, 6, False), _stack_table(3, 2, 4, 6, True),
-              _plane_table(3, 1, 4, 6, False), _plane_table(3, 1, 4, 6, True),
+    tables = [_stack_table(2, 2, 4, 6, False, 0), _stack_table(2, 2, 4, 6, True, 1),
+              _plane_table(3, 1, 4, 6, False, 0), _plane_table(3, 1, 4, 6, True, 1),
               _fold(3)[0]]
-    assert _stack_table(3, 2, 4, 6, True) is tables[1]
-    assert _plane_table(3, 1, 4, 6, True) is tables[3]
+    assert _stack_table(2, 2, 4, 6, True, 1) is tables[1]
+    assert _plane_table(3, 1, 4, 6, True, 1) is tables[3]
     for table in tables:
         assert not table.flags.writeable
         with pytest.raises(ValueError):
@@ -395,6 +424,48 @@ def test_backward_matches_finite_differences_k5_on_1x1_base():
     fd_z = finite_diff(lambda zz: float(np.sum(upstream * net_forward(arch, w, zz))), z)
     for i in range(arch.latent_dim):
         assert rel_err(fd_z[i], gz[i]) <= 1e-5
+    fd_w = finite_diff(lambda ww: float(np.sum(upstream * net_forward(arch, ww, z))), w)
+    for i in range(arch.n_params):
+        assert rel_err(fd_w[i], gw[i]) <= 1e-5, i
+
+
+def dense_reference(arch, w, z):
+    """Forward output and latent Jacobian of the generator from dense
+    natural-layout matrices: upsampling, circular convolutions and the
+    leaky-ReLU slopes."""
+    P = {p.name: w[p.offset:p.offset + p.size].reshape(p.shape)
+         for p in arch.param_layout()}
+    h = (P["dense.W"] @ z + P["dense.b"]).reshape(
+        arch.base_channels, arch.base_rows, arch.base_cols)
+    J = P["dense.W"]
+    for i in range(len(arch.stages)):
+        ci, rows, cols = h.shape
+        A = circular_conv_matrix(P[f"stage{i}.W"], 2 * rows, 2 * cols) \
+            @ upsample_matrix(ci, rows, cols)
+        pre = (A @ h.ravel()).reshape(-1, 2 * rows, 2 * cols) \
+            + P[f"stage{i}.b"][:, None, None]
+        slope = np.where(pre >= 0.0, 1.0, arch.leaky_slope)
+        h = slope * pre
+        J = slope.reshape(-1, 1) * (A @ J)
+    A = circular_conv_matrix(P["final.W"], *arch.out_shape)
+    return (A @ h.ravel()).reshape(arch.out_shape) + P["final.b"][0], A @ J
+
+
+def test_mixed_kernel_net_matches_dense_reference():
+    # stage kernels 3, 5, 7 leave phase offsets 1, 0, 1: the second stage,
+    # the third and the final layer each read a map of another offset
+    arch = NetArch(latent_dim=5, base_rows=1, base_cols=2, base_channels=2,
+                   stages=(StageSpec(3, kernel_size=3), StageSpec(2, kernel_size=5),
+                           StageSpec(2, kernel_size=7)))
+    rng = np.random.default_rng(34)
+    w = net_init(arch, seed=35)
+    z = rng.standard_normal(arch.latent_dim)
+    upstream = rng.standard_normal(arch.out_shape)
+    out, gz, gw = net_eval_and_backward(arch, w, z, lambda _: upstream)
+    ref, J = dense_reference(arch, w, z)
+    np.testing.assert_allclose(out, ref, rtol=0, atol=1e-13)
+    np.testing.assert_allclose(gz, J.T @ upstream.ravel(), rtol=0, atol=1e-13)
+
     fd_w = finite_diff(lambda ww: float(np.sum(upstream * net_forward(arch, ww, z))), w)
     for i in range(arch.n_params):
         assert rel_err(fd_w[i], gw[i]) <= 1e-5, i

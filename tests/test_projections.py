@@ -6,7 +6,7 @@ from hypothesis.extra import numpy as hnp
 
 from breguq.oracles import qp_project
 from breguq.projections import (Box, ConstraintStack, L1Ball, L2Ball, TVBall,
-                                constraint_violation, is_feasible,
+                                _box_l1_project_flat, constraint_violation, is_feasible,
                                 project_intersection, project_l1_ball,
                                 total_variation)
 
@@ -254,6 +254,20 @@ def test_box_l1_closed_form_matches_exact_bisection():
         assert exact.converged
         assert np.max(np.abs(exact.x - ref)) <= 1e-9
         assert np.abs(exact.x).sum() == pytest.approx(ball_i.radius, abs=1e-8)
+
+
+@pytest.mark.parametrize("lo,hi", [(-1.0, 1.0), (-0.4, 1.0), (0.1, 0.9), (-np.inf, np.inf)])
+def test_box_l1_sorted_by_one_order_at_every_scale(lo, hi):
+    # fl(s*|v_i|) keeps the order of |v_i|: one argsort of |v| gives the
+    # projection of every s*v bit for bit, ties included
+    rng = np.random.default_rng(32)
+    for v in (30.0 * rng.standard_normal(4096), np.round(rng.standard_normal(4096), 1)):
+        order = np.argsort(np.abs(v))
+        for s in (1.0, 0.75, 0.3, 1e-3, 0.0):
+            for radius in (0.5, 300.0, 2100.0):
+                np.testing.assert_array_equal(
+                    _box_l1_project_flat(s * v, lo, hi, radius, order),
+                    _box_l1_project_flat(s * v, lo, hi, radius))
 
 
 def _separable_by_bisection(v, sets):
