@@ -101,13 +101,16 @@ class ConstraintStack:
     """Ordered constraint sets plus solver knobs for their intersection.
 
     `tv_max_iters` and `tv_tol` cap and stop the dual solve of a stack with
-    a TV ball; every other stack is projected in closed form. `dykstra_tol`
-    is the feasibility bar every result must meet to count as converged."""
+    a TV ball; every other stack is projected in closed form. The solve
+    stops at a duality gap of `tv_tol * max(1, 0.5*||x - v||^2)`, which puts
+    the result within sqrt(tv_tol) * max(sqrt(2), ||x - v||) of the projection.
+    `dykstra_tol` is the feasibility bar every result must meet to count as
+    converged."""
 
     sets: tuple
     dykstra_tol: float = 1e-8
     tv_max_iters: int = 2000
-    tv_tol: float = 1e-6
+    tv_tol: float = 1e-12
 
     def __post_init__(self):
         object.__setattr__(self, "sets", tuple(self.sets))
@@ -318,9 +321,11 @@ def _dual_solve(v, lo, hi, r1, r2, radius, tol, max_iters):
     ball: clip(mean(v), lo, hi) when C is the box alone, else clip(0, lo,
     hi), the box point of least l1 and l2 norm. An anchor outside C means
     the sets do not meet; it is returned unconverged with an infinite gap.
-    Momentum restarts whenever the dual objective backtracks. Returns (x,
-    converged, duality gap, iterations); a loop capped before its relative
-    gap falls to `tol` returns its least-gap iterate.
+    Momentum restarts whenever the dual objective backtracks. The primal
+    objective is 1-strongly convex, so a feasible x with gap g lies within
+    sqrt(2g) of the projection. Returns (x, converged, duality gap,
+    iterations); a loop capped before its relative gap falls to `tol`
+    returns its least-gap iterate.
     """
     project = lambda u: _separable_project(u, lo, hi, r1, r2)
     anchor = float(np.clip(v.mean() if r1 == r2 == math.inf else 0.0, lo, hi))

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -478,7 +478,15 @@ def test_idempotence_box_tv(x):
     twice = project_intersection(once, BOX_TV).x
     assert np.max(np.abs(twice - once)) <= 1e-10
 
+# a pair one entry apart by 1.04e-5 that a relative gap of 1e-6 let
+# through: both solves stopped about 3e-4 from their projections
+_NEAR_GRID = np.array([[-1.0, -2.0, 0.90625, -2.0], [0.4921875, 0.0, -2.0, 0.0],
+                       [-2.0, 0.0, -2.0, -2.0]])
+_NEAR_GRID_MOVED = _NEAR_GRID.copy()
+_NEAR_GRID_MOVED[2, 1] = float.fromhex("0x1.5c5a4467aa836p-17")
+
 @given(x=finite_grid, y=finite_grid)
+@example(x=_NEAR_GRID, y=_NEAR_GRID_MOVED)
 @settings(max_examples=25, deadline=None)
 def test_non_expansiveness_box_tv(x, y):
     # inexact dual solves get a tolerance-scale allowance
