@@ -101,16 +101,13 @@ class ConstraintStack:
     """Ordered constraint sets plus solver knobs for their intersection.
 
     `tv_max_iters` and `tv_tol` cap and stop the dual solve of a stack with
-    a TV ball; every other stack is projected in closed form. The solve
-    stops at a duality gap of `tv_tol * max(1, 0.5*||x - v||^2)`, which puts
-    the result within sqrt(tv_tol) * max(sqrt(2), ||x - v||) of the projection.
-    `dykstra_tol` is the feasibility bar every result must meet to count as
-    converged."""
+    a TV ball; every other stack is projected in closed form. `dykstra_tol`
+    is the feasibility bar every result must meet to count as converged."""
 
     sets: tuple
     dykstra_tol: float = 1e-8
     tv_max_iters: int = 2000
-    tv_tol: float = 1e-12
+    tv_tol: float = 1e-6
 
     def __post_init__(self):
         object.__setattr__(self, "sets", tuple(self.sets))
@@ -168,7 +165,7 @@ def project_l1_ball(x, radius: float) -> np.ndarray:
 
 
 def _box_l1_project_flat(v: np.ndarray, lo: float, hi: float,
-                         radius: float, order: np.ndarray | None = None) -> np.ndarray:
+                         radius: float) -> np.ndarray:
     """Exact projection of a flat vector onto {lo <= x <= hi, ||x||_1 <= radius}.
 
     Dualizing the l1 constraint separates the problem: the projection is
@@ -193,8 +190,7 @@ def _box_l1_project_flat(v: np.ndarray, lo: float, hi: float,
     evaluation of the norm. The cost is one sort when q is one number
     (sort(a) - c equals sort(a - c) bit for bit) and two otherwise, two
     prefix sums, O(sqrt(n) log n) lookups and a few passes over the
-    vector, with no Python loop over kinks. An `order` that sorts |v| turns
-    the sort of a into a gather. When the box misses the ball
+    vector, with no Python loop over kinks. When the box misses the ball
     (n * p > radius) the norm never falls to the radius, theta stops at the
     last kink, and the result is clip(0, lo, hi), the box point of least
     l1 norm.
@@ -213,7 +209,7 @@ def _box_l1_project_flat(v: np.ndarray, lo: float, hi: float,
 
     theta = 0.0
     if norm_at(0.0) > radius:
-        ends = np.sort(a) if order is None else a[order]
+        ends = np.sort(a)
         starts = ends - q if np.ndim(q) == 0 else np.sort(a - q)
         ends -= p
         cum_starts, cum_ends = np.zeros((2, a.size + 1))
@@ -286,20 +282,18 @@ def _separable_project(v: np.ndarray, lo: float, hi: float, r1: float,
     bisection of [0, 1] that stops when its midpoint rounds onto an end,
     keeping the feasible end. x(0) = clip(0, lo, hi) is the point of least
     norm in the box; when even it lies outside a ball, the sets do not meet
-    and it is returned. fl(s*|v_i|) keeps the order of |v_i| for every
-    s >= 0, so one argsort of |v| sorts the kinks of every x(s).
+    and it is returned.
     """
     flat = v.ravel()
     if r1 == math.inf:
-        inner = lambda u, order=None: np.clip(u, lo, hi)
+        inner = lambda u: np.clip(u, lo, hi)
     else:
-        inner = lambda u, order=None: _box_l1_project_flat(u, lo, hi, r1, order)
+        inner = lambda u: _box_l1_project_flat(u, lo, hi, r1)
     x = inner(flat)
     if r2 != math.inf and _l2_norm(x) > r2:
-        order = None if r1 == math.inf else np.argsort(np.abs(flat))
-        below, above, x = 0.0, 1.0, inner(np.zeros_like(flat), order)
+        below, above, x = 0.0, 1.0, inner(np.zeros_like(flat))
         while below < (mid := 0.5 * (below + above)) < above:
-            x_mid = inner(mid * flat, order)
+            x_mid = inner(mid * flat)
             if _l2_norm(x_mid) <= r2:
                 below, x = mid, x_mid
             else:
@@ -321,11 +315,9 @@ def _dual_solve(v, lo, hi, r1, r2, radius, tol, max_iters):
     ball: clip(mean(v), lo, hi) when C is the box alone, else clip(0, lo,
     hi), the box point of least l1 and l2 norm. An anchor outside C means
     the sets do not meet; it is returned unconverged with an infinite gap.
-    Momentum restarts whenever the dual objective backtracks. The primal
-    objective is 1-strongly convex, so a feasible x with gap g lies within
-    sqrt(2g) of the projection. Returns (x, converged, duality gap,
-    iterations); a loop capped before its relative gap falls to `tol`
-    returns its least-gap iterate.
+    Momentum restarts whenever the dual objective backtracks. Returns (x,
+    converged, duality gap, iterations); a loop capped before its relative
+    gap falls to `tol` returns its least-gap iterate.
     """
     project = lambda u: _separable_project(u, lo, hi, r1, r2)
     anchor = float(np.clip(v.mean() if r1 == r2 == math.inf else 0.0, lo, hi))

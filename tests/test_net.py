@@ -348,13 +348,9 @@ def test_stage_kernel_matches_dense_upsample_conv(k, rows, cols):
 @pytest.mark.parametrize("k", KERNELS)
 @pytest.mark.parametrize("rows,cols", GRIDS)
 def test_stage_kernel_reads_phase_major_map(k, rows, cols):
-    check_stage_kernel(k, 2 * rows, 2 * cols, True, 300 + 10 * k + rows)
-
-
-@pytest.mark.parametrize("k", KERNELS)
-@pytest.mark.parametrize("rows,cols", GRIDS)
-def test_stage_kernel_reads_offset_phase_major_map(k, rows, cols):
-    check_stage_kernel(k, 2 * rows, 2 * cols, True, 500 + 10 * k + rows, offset=1)
+    for offset in (0, 1):
+        check_stage_kernel(k, 2 * rows, 2 * cols, True, 300 + 200 * offset + 10 * k + rows,
+                           offset)
 
 
 @pytest.mark.parametrize("k", KERNELS)
@@ -366,13 +362,9 @@ def test_final_kernel_matches_dense_conv(k, rows, cols):
 @pytest.mark.parametrize("k", KERNELS)
 @pytest.mark.parametrize("rows,cols", GRIDS)
 def test_final_kernel_reads_phase_major_map(k, rows, cols):
-    check_final_kernel(k, 2 * rows, 2 * cols, True, 400 + 10 * k + rows)
-
-
-@pytest.mark.parametrize("k", KERNELS)
-@pytest.mark.parametrize("rows,cols", GRIDS)
-def test_final_kernel_reads_offset_phase_major_map(k, rows, cols):
-    check_final_kernel(k, 2 * rows, 2 * cols, True, 600 + 10 * k + rows, offset=1)
+    for offset in (0, 1):
+        check_final_kernel(k, 2 * rows, 2 * cols, True, 400 + 200 * offset + 10 * k + rows,
+                           offset)
 
 
 @pytest.mark.parametrize("k", KERNELS)
