@@ -16,8 +16,8 @@ from .net import NetArch, StageSpec, net_eval_and_backward, net_forward, net_ini
 from .projections import (Box, ConstraintStack, L1Ball, L2Ball, TVBall,
                           is_feasible, project_intersection, project_l1_ball)
 from .sgld import SgldParams, sgld_run, sgld_step
-from .stats import (SampleSet, model_quality, read_portable_grid, summarize,
-                    write_portable_grid)
+from .stats import (SampleSet, draw_latents, model_quality, read_portable_grid,
+                    summarize, write_portable_grid)
 from .testbed import (ExperimentBank, GroundTruth, LinearExperiment, NoiseSpec,
                       add_noise_to_snr, make_bank, make_ground_truth, snr_db)
 

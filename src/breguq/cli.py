@@ -30,7 +30,7 @@ from .config import in_section, load_config, write_resolved
 from .em import train
 from .errors import ConfigError, InputFormatError, NumericalAbortError
 from .net import net_init
-from .stats import (SampleSet, auto_probes, load_weights, model_quality,
+from .stats import (SampleSet, auto_probes, draw_latents, load_weights, model_quality,
                     read_portable_grid, summarize, write_histograms_csv,
                     write_portable_grid, write_records, write_table)
 from .testbed import (add_noise_to_snr, load_bank, make_bank, make_ground_truth,
@@ -98,16 +98,35 @@ def _checkpoint_weights(path, arch):
     return load_weights(path, arch)
 
 
+def _latents(config, count):
+    """The latents of the configured sample stream: row j is the same in
+    every command and pass that reads it."""
+    return draw_latents(config.arch.latent_dim, count, config.get("stats", "sample_seed"))
+
+
 def cmd_sample(args, config) -> int:
     count = args.count if args.count is not None else config.get("stats", "sample_count")
     if count < 1:
         raise ConfigError(f"--count must be at least 1, got {count}")
     w = _checkpoint_weights(args.checkpoint, config.arch)
-    samples = SampleSet(config.arch, w, count, config.get("stats", "sample_seed"))
+    samples = SampleSet(config.arch, w, _latents(config, count))
     for j in range(count):
-        write_portable_grid(samples.realization(j),
-                            os.path.join(args.out, f"sample_{j:04d}.pgrd"))
+        x = samples.realization(j)
+        bad = np.flatnonzero(~np.isfinite(x))
+        if bad.size:
+            raise NumericalAbortError("non-finite realization", diagnostics={
+                "sample": j, "pixel": divmod(int(bad[0]), x.shape[1])})
+        write_portable_grid(x, os.path.join(args.out, f"sample_{j:04d}.pgrd"))
     return 0
+
+
+def _summarize(name, samples, probes, mode):
+    """`summarize` for the pass `name` of `stats`; an abort names the pass."""
+    try:
+        return summarize(samples, probes, mode)
+    except NumericalAbortError as exc:
+        raise NumericalAbortError(f"{exc} in the {name} pass",
+                                  diagnostics={"pass": name, **exc.diagnostics}) from None
 
 
 def cmd_stats(args, config) -> int:
@@ -116,15 +135,16 @@ def cmd_stats(args, config) -> int:
     w_post = _checkpoint_weights(args.checkpoint, arch)
     truth = None if args.truth is None else _read_truth(args.truth, arch.out_shape)
     w_prior = net_init(arch, tc.init_seed, tc.init_scale)
-    posterior = SampleSet(arch, w_post, s("samples"), s("sample_seed"))
-    prior = SampleSet(arch, w_prior, s("samples"), s("sample_seed"))
+    latents = _latents(config, s("samples"))
+    posterior = SampleSet(arch, w_post, latents)
+    prior = SampleSet(arch, w_prior, latents)
     mode = s("std_mode")
 
     probes = config.probes
     if probes is None:
-        probes = auto_probes(summarize(posterior, (), mode).std)
-    post = summarize(posterior, probes, mode)
-    pri = summarize(prior, probes, mode)
+        probes = auto_probes(_summarize("probe selection", posterior, (), mode).std)
+    post = _summarize("posterior", posterior, probes, mode)
+    pri = _summarize("prior", prior, probes, mode)
 
     write_portable_grid(post.mean, os.path.join(out, "mean.pgrd"))
     write_portable_grid(post.std, os.path.join(out, "std.pgrd"))

@@ -27,20 +27,35 @@ stage's output offset r = (k//2) % 2 takes up that move: in the offset
 layout all four phases read the same window, so one w x w shift-stack of
 the coarse map serves them all, with no structural zeros. All four phases
 run as one GEMM against that stack, and the GEMM's output (4*c_out, n)
-already is the fine map in phase-major layout with offset r. The final
-layer runs kn2row: one GEMM per input phase gives an output plane per tap,
-and the planes are summed, shifted, onto the natural output grid.
+already is the fine map in phase-major layout with offset r.
 
-Tables. Every neighbor access goes through one cached, read-only flat-index
-table per (kernel, channels, grid, layout and phase offset). A stage's
-shift-stack is `h.take(table)`, read straight out of the map in its own
-layout, and its adjoint is `np.bincount(table, weights=...)`. The final
-layer scatters its planes onto the output grid by `np.bincount` through
-its table, and its backward gathers the upstream gradient by `take`
-through the same table. A map's phase offset lives only in the tables that
-read it, built once when cached, so no map is ever rolled or copied to
-undo it. The tables are int32: that halves the memory they hold for the
-life of the process, and `take` and `bincount` run no slower on them.
+The final layer runs polyphase too. Output pixel (2y + s, 2x + t) reads,
+through each tap, one input phase at one coarse shift of (y, x); the taps
+of an output phase fall into (k//2 + 1)**2 groups of equal shift, each
+group reading every input phase. A fixed 0/1 matrix folds the kernel onto
+one (c_out, P*c_in) kernel per (output phase, group), and one GEMM of all
+of them against the input map, reshaped to (P*c_in, n), writes one plane
+per (output phase, group): 16 planes at k = 3, against 36 for one plane
+per (input phase, tap). Each output pixel then gathers and sums the
+(k//2 + 1)**2 planes it reads. A net without stages has a natural input
+(P = 1): there every tap is its own group, and the same code runs.
+
+Tables. Every neighbor access goes through cached, read-only flat-index
+tables keyed by value: (kernel, channels, grid, layout and phase offset).
+A stage's shift-stack is `h.take(table)`, read straight out of the map in
+its own layout, and its adjoint is `np.bincount(table, weights=...)`, the
+one scatter-add left. The final layer has two tables that invert each
+other: `inv` names the G plane entries each output pixel sums (forward),
+and `table` the output pixel each plane entry feeds, through which the
+backward gathers the upstream gradient onto the planes. Its input and
+weight gradients are then one GEMM each, the weight gradient folded back
+onto the taps by the same 0/1 matrix. A map's phase offset lives only in
+the tables that read it, so no map is ever rolled or copied to undo it.
+The stage tables are int32: that halves the memory they hold for the life
+of the process, and `take` and `bincount` run no slower on them. The
+final layer's are small and intp. `NetArch` resolves every table and fold
+of its layers once, on first use, so a forward or backward looks nothing
+up and equal archs share the same arrays.
 
 Weights live in a single flat float64 vector; `NetArch.param_layout`
 describes the per-layer offsets and shapes. Forward and backward are pure
@@ -55,6 +70,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -155,6 +171,31 @@ class NetArch:
         add("final.b", (1,), fan)
         return tuple(layout)
 
+    @functools.cached_property
+    def _plan(self) -> tuple:
+        """(stage plans, final plan): every fold and index table a forward or
+        backward reads, resolved once per instance from caches keyed by
+        value, so equal archs share the same read-only arrays."""
+        stages, ci, phased, offset = [], self.base_channels, False, 0
+        for i, st in enumerate(self.stages):
+            grid = (self.base_rows << i, self.base_cols << i)
+            stages.append(_stage_plan(st.kernel_size, ci, grid, phased, offset))
+            ci, phased, offset = st.channels, True, _fold(st.kernel_size)[2]
+        return tuple(stages), _final_plan(self.final_kernel_size, 1, *self.out_shape,
+                                          phased, offset)
+
+
+class _StagePlan(NamedTuple):
+    M: np.ndarray      # fold of the stage kernel onto its phase kernels
+    table: np.ndarray  # window-stack table into the input map
+    phases: int        # P of the input map
+
+
+class _FinalPlan(NamedTuple):
+    M: np.ndarray      # fold of the final kernel onto its group kernels
+    table: np.ndarray  # output pixel fed by each plane entry
+    inv: np.ndarray    # plane entries read by each output pixel, one row per group
+
 
 def _params(arch: NetArch, w: np.ndarray) -> dict:
     w = np.asarray(w, dtype=np.float64).ravel()
@@ -207,22 +248,6 @@ def _stack_table(m: int, channels: int, rows: int, cols: int,
 
 
 @functools.lru_cache(maxsize=None)
-def _plane_table(k: int, channels: int, rows: int, cols: int,
-                 phased: bool, offset: int) -> np.ndarray:
-    """Flat indices (P, k*k*channels, n) into the natural (channels, rows, cols)
-    grid, for kn2row planes whose pixels are held natural or phase-major with
-    phase offset `offset`: plane t of pixel (y, x) lands on pixel
-    (y - u + k//2, x - v + k//2), so `np.bincount` through the table shifts
-    and sums the planes, and `g.take(table)` is the `_shifts` stack of g in
-    the planes' layout."""
-    grid = np.arange(channels * rows * cols, dtype=np.int32).reshape(channels, rows, cols)
-    table = _to_layout(_shifts(grid, k), phased, offset)
-    table = table.reshape(len(table), k * k * channels, -1)
-    table.flags.writeable = False
-    return table
-
-
-@functools.lru_cache(maxsize=None)
 def _fold(k: int) -> tuple:
     """Polyphase fold of a k x k kernel run on a nearest-x2 upsampled map.
 
@@ -247,74 +272,130 @@ def _fold(k: int) -> tuple:
     return M, w, r
 
 
-def _stage_forward(W: np.ndarray, b: np.ndarray, h: np.ndarray, grid: tuple,
-                   offset: int):
-    """Nearest-x2 upsampling then circular convolution of the map h (P, ci, n)
-    with phase offset `offset` on the coarse grid `grid`: one GEMM of the four
-    phase kernels against the coarse window stack. Returns (output
-    (4, co, rows*cols), phase-major with the offset of `_fold(k)`; stack;
-    phase kernels)."""
-    co, ci, k, _ = W.shape
+@functools.lru_cache(maxsize=None)
+def _final_plan(k: int, channels: int, rows: int, cols: int, phased: bool,
+                offset: int) -> _FinalPlan:
+    """Polyphase fold and index tables of a k x k circular convolution of a
+    map held natural or phase-major with phase offset `offset` onto the
+    natural (channels, rows, cols) grid.
+
+    Output pixel Y = Q*y + s (Q = 2 phase-major, 1 natural) reads fine pixel
+    Y - u + k//2 through tap u, which an input map holds at phase p and
+    coarse row y + shift. For each output phase the taps' shifts fill a
+    window of G1 consecutive values, G1 = k//2 + 1 phase-major (k natural),
+    so the taps fall into G = G1*G1 groups per output phase, each reading
+    every input phase at one coarse shift. With P = Q*Q phases in and out,
+    returns M, the 0/1 matrix (k*k, P*G*P) whose column (q*G + g)*P + p
+    gathers the tap that output phase q reads from input phase p through
+    group g (each tap falls in exactly one group per output phase; the
+    kernel enters turned by 180 degrees); `inv` (G, channels, rows, cols),
+    the flat index into the planes (P, G, channels, n) that each output
+    pixel reads through group g; and `table`, its inverse
+    (P*G*channels, n), the output pixel each plane entry feeds.
+    """
+    h, Q = k // 2, 2 if phased else 1
+    s, u = np.ogrid[:Q, :k]
+    d = s - u + h
+    if phased:
+        p, shift = d % 2, d // 2 - offset * (1 - d % 2)
+    else:
+        p, shift = 0 * d, d
+    lo = shift.min(axis=1)
+    G1 = int(np.ptp(shift, axis=1).max()) + 1
+    F = np.zeros((Q, k, G1, Q))
+    F[s, u, shift - lo[:, None], p] = 1.0
+    M = np.einsum("aucp,bvdq->uvabcdpq", F, F).reshape(k * k, -1)
+
+    G, rc, cc = G1 * G1, rows // Q, cols // Q
+    gy, gx = np.ogrid[:G1, :G1]
+    y, x = np.arange(rows), np.arange(cols)
+    ry = (y // Q + lo[y % Q] + gy) % rc  # coarse row read through row group gy
+    rx = (x // Q + lo[x % Q] + gx.T) % cc
+    phase = (y % Q)[:, None] * Q + x % Q
+    plane = (phase * G + (gy * G1 + gx)[..., None, None])[:, :, None]
+    pos = (ry[:, None, :, None] * cc + rx[None, :, None, :])[:, :, None]
+    inv = (plane * channels + np.arange(channels)[:, None, None]) * rc * cc + pos
+    inv = inv.reshape(G, channels, rows, cols)
+    table = np.empty(inv.size, dtype=np.intp)
+    table[inv.reshape(G, -1)] = np.arange(channels * rows * cols)
+    plan = _FinalPlan(M, table.reshape(-1, rc * cc), inv)
+    for a in plan:
+        a.flags.writeable = False
+    return plan
+
+
+def _stage_plan(k: int, channels: int, grid: tuple, phased: bool,
+                offset: int) -> _StagePlan:
+    """Fold and window-stack table of a stage with k x k kernels reading a
+    map of `channels` on the coarse `grid`, natural or phase-major with
+    phase offset `offset`."""
     M, w, _ = _fold(k)
-    stack = h.take(_stack_table(w, ci, *grid, len(h) == 4, offset))
-    weff = ((W.reshape(co * ci, k * k) @ M).reshape(co, ci, 4, w * w)
-            .transpose(2, 0, 3, 1).reshape(4 * co, w * w * ci))
+    return _StagePlan(M, _stack_table(w, channels, *grid, phased, offset),
+                      4 if phased else 1)
+
+
+def _stage_forward(W: np.ndarray, b: np.ndarray, h: np.ndarray, plan: _StagePlan):
+    """Nearest-x2 upsampling then circular convolution of the map h (P, ci, n)
+    read through `plan`: one GEMM of the four phase kernels against the
+    coarse window stack. Returns (output (4, co, rows*cols), phase-major with
+    the offset of `_fold(k)`; stack; phase kernels)."""
+    co, ci, k, _ = W.shape
+    ww = plan.M.shape[1] // 4
+    stack = h.take(plan.table)
+    weff = ((W.reshape(co * ci, k * k) @ plan.M).reshape(co, ci, 4, ww)
+            .transpose(2, 0, 3, 1).reshape(4 * co, ww * ci))
     out = (weff @ stack).reshape(4, co, -1)
     out += b[:, None]
     return out, stack, weff
 
 
 def _stage_backward(W: np.ndarray, stack: np.ndarray, weff: np.ndarray,
-                    g: np.ndarray, grid: tuple, phased: bool, offset: int,
-                    weights: bool = True):
+                    g: np.ndarray, plan: _StagePlan, weights: bool = True):
     """Gradients of `_stage_forward` for the upstream g (4, co, n) in the
-    output's layout, given the coarse grid, layout and phase offset of its
-    input: (grad W, grad b, grad input in the input's layout). Without
-    `weights`, grad W and grad b are None."""
+    output's layout: (grad W, grad b, grad input in the input's layout).
+    Without `weights`, grad W and grad b are None."""
     co, ci, k, _ = W.shape
-    M, w, _ = _fold(k)
     g2 = g.reshape(4 * co, -1)
     gS = weff.T @ g2
-    gh = np.bincount(_stack_table(w, ci, *grid, phased, offset).ravel(),
-                     weights=gS.ravel())
-    gh = gh.reshape(4 if phased else 1, ci, -1)
+    gh = np.bincount(plan.table.ravel(), weights=gS.ravel())
+    gh = gh.reshape(plan.phases, ci, -1)
     if not weights:
         return None, None, gh
-    gW = ((g2 @ stack.T).reshape(4, co, w * w, ci).transpose(1, 3, 0, 2)
-          .reshape(co * ci, 4 * w * w) @ M.T).reshape(co, ci, k, k)
+    gW = ((g2 @ stack.T).reshape(4, co, -1, ci).transpose(1, 3, 0, 2)
+          .reshape(co * ci, -1) @ plan.M.T).reshape(co, ci, k, k)
     return gW, g.sum(axis=(0, 2)), gh
 
 
-def _final_forward(W: np.ndarray, b: np.ndarray, h: np.ndarray,
-                   grid: tuple, offset: int) -> np.ndarray:
-    """Circular convolution of the map h (P, ci, n), with phase offset
-    `offset`, onto the natural output grid (co, *grid) by kn2row: one
-    (k*k*co, ci) GEMM per phase gives an output plane per tap, which the
-    plane table shifts and sums. It shifts plane t opposite to tap t, so the
-    kernel enters turned by 180 degrees."""
+def _final_forward(W: np.ndarray, b: np.ndarray, h: np.ndarray, plan: _FinalPlan):
+    """Circular convolution of the map h (P, ci, n) onto the natural output
+    grid (co, rows, cols) of `plan`: one GEMM of the group kernels against
+    all input phases writes a plane per (output phase, group), and each
+    output pixel gathers and sums its G planes. Returns (output, group
+    kernels)."""
     co, ci, k, _ = W.shape
-    flipped = W[:, :, ::-1, ::-1].transpose(2, 3, 0, 1).reshape(k * k * co, ci)
-    planes = flipped @ h
-    table = _plane_table(k, co, *grid, len(h) == 4, offset)
-    out = np.bincount(table.ravel(), weights=planes.ravel()).reshape(co, *grid)
+    weff = ((W.reshape(co * ci, k * k) @ plan.M).reshape(co, ci, -1, len(h))
+            .transpose(2, 0, 3, 1).reshape(-1, len(h) * ci))
+    planes = weff @ h.reshape(len(h) * ci, -1)
+    out = planes.ravel().take(plan.inv).sum(axis=0)
     out += b[:, None, None]
-    return out
+    return out, weff
 
 
-def _final_backward(W: np.ndarray, h: np.ndarray, g: np.ndarray, offset: int,
-                    weights: bool = True):
-    """Gradients of `_final_forward` for the natural upstream g (co, R, C),
-    both from the shift-stack of g gathered in the layout and phase offset
-    of h: (grad W, grad b, grad input). Without `weights`, grad W and grad b
-    are None."""
+def _final_backward(W: np.ndarray, weff: np.ndarray, h: np.ndarray, g: np.ndarray,
+                    plan: _FinalPlan, weights: bool = True):
+    """Gradients of `_final_forward` for the natural upstream g (co, rows,
+    cols), gathered onto the planes through the plan's table: (grad W,
+    grad b, grad input in the layout of h). Without `weights`, grad W and
+    grad b are None."""
     co, ci, k, _ = W.shape
-    gstack = g.take(_plane_table(k, co, *g.shape[1:], len(h) == 4, offset))
-    flipped = W[:, :, ::-1, ::-1].transpose(2, 3, 0, 1).reshape(k * k * co, ci)
-    gh = flipped.T @ gstack
+    gplanes = g.ravel().take(plan.table)
+    gh = (weff.T @ gplanes).reshape(h.shape)
     if not weights:
         return None, None, gh
-    gW = (gstack @ h.transpose(0, 2, 1)).sum(axis=0).reshape(k * k, co, ci)[::-1]
-    return gW.transpose(1, 2, 0).reshape(co, ci, k, k), g.sum(axis=(1, 2)), gh
+    gW = ((gplanes @ h.reshape(len(h) * ci, -1).T).reshape(-1, co, len(h), ci)
+          .transpose(1, 3, 0, 2)
+          .reshape(co * ci, -1) @ plan.M.T).reshape(co, ci, k, k)
+    return gW, g.sum(axis=(1, 2)), gh
 
 
 def net_init(arch: NetArch, seed: int, scale: float = 1.0) -> np.ndarray:
@@ -329,35 +410,23 @@ def net_init(arch: NetArch, seed: int, scale: float = 1.0) -> np.ndarray:
     return w
 
 
-def _grid(arch: NetArch, i: int) -> tuple:
-    """Coarse grid of stage i's input."""
-    return (arch.base_rows << i, arch.base_cols << i)
-
-
-def _offset(arch: NetArch, i: int) -> int:
-    """Phase offset of stage i's input, the output of stage i - 1; i equal
-    to the number of stages gives the final layer's input."""
-    return _fold(arch.stages[i - 1].kernel_size)[2] if i else 0
-
-
 def _forward_trace(arch: NetArch, w, z, keep: bool = True):
     """Forward pass; with `keep` the trace holds what the backward reads."""
     P = _params(arch, w)
     z = np.asarray(z, dtype=np.float64).ravel()
     if z.size != arch.latent_dim:
         raise ValueError(f"latent length {z.size} != latent_dim {arch.latent_dim}")
+    stage_plans, final_plan = arch._plan
     h = (P["dense.W"] @ z + P["dense.b"]).reshape(1, arch.base_channels, -1)
     trace = {"z": z, "P": P, "stages": []}
-    for i in range(len(arch.stages)):
-        pre, stack, weff = _stage_forward(P[f"stage{i}.W"], P[f"stage{i}.b"], h,
-                                          _grid(arch, i), _offset(arch, i))
+    for i, plan in enumerate(stage_plans):
+        pre, stack, weff = _stage_forward(P[f"stage{i}.W"], P[f"stage{i}.b"], h, plan)
         if keep:
             trace["stages"].append((stack, weff, pre))
         h = arch.leaky_slope * pre
         np.maximum(pre, h, out=h)
-    trace["final_in"] = h
-    out = _final_forward(P["final.W"], P["final.b"], h, arch.out_shape,
-                         _offset(arch, len(arch.stages)))
+    out, weff = _final_forward(P["final.W"], P["final.b"], h, final_plan)
+    trace["final"] = (h, weff)
     return out[0], trace
 
 
@@ -385,19 +454,18 @@ def _backward_from_trace(arch: NetArch, tr, upstream, weights: bool = True):
         raise ValueError(
             f"upstream shape {upstream.shape} != output shape {arch.out_shape}")
     P, grads = tr["P"], {}
+    stage_plans, final_plan = arch._plan
     grads["final.W"], grads["final.b"], g = _final_backward(
-        P["final.W"], tr["final_in"], upstream[None, :, :],
-        _offset(arch, len(arch.stages)), weights)
+        P["final.W"], tr["final"][1], tr["final"][0], upstream[None, :, :], final_plan,
+        weights)
     for i in range(len(arch.stages) - 1, -1, -1):
         stack, weff, pre = tr["stages"][i]
         g *= np.maximum(pre >= 0.0, arch.leaky_slope)
         grads[f"stage{i}.W"], grads[f"stage{i}.b"], g = _stage_backward(
-            P[f"stage{i}.W"], stack, weff, g, _grid(arch, i), i > 0,
-            _offset(arch, i), weights)
+            P[f"stage{i}.W"], stack, weff, g, stage_plans[i], weights)
     g0 = g.ravel()
     grad_z = P["dense.W"].T @ g0
     if not weights:
         return grad_z, None
     grads["dense.W"], grads["dense.b"] = np.outer(g0, tr["z"]), g0
     return grad_z, np.concatenate([grads[p.name].ravel() for p in arch.param_layout()])
-

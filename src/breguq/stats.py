@@ -1,11 +1,13 @@
 """Posterior sampling from the trained generator, summary statistics, and
 every binary and CSV file format of the package.
 
-Realizations g(z, w) with fresh standard-normal latents are regenerated on
-demand from counter-based streams keyed by (seed, index). `summarize` is
-the one pass over them: it streams the mean and pointwise-standard-
-deviation grids through a Welford accumulator and records the values of
-the probe pixels, so the full sample set never has to sit in memory.
+Realizations g(z, w) are regenerated on demand from an array of latents,
+drawn once from counter-based standard-normal streams keyed by (seed,
+index) and shared by every pass and weight vector that reads them.
+`summarize` is the one pass over realizations: it streams the mean and
+pointwise-standard-deviation grids through a Welford accumulator and
+records the values of the probe pixels, so the full sample set never has to
+sit in memory; a pass whose sums are not finite is a numerical abort.
 Model-quality metrics and probe-pixel histograms support the reporting CLI.
 """
 
@@ -20,10 +22,11 @@ from operator import attrgetter
 
 import numpy as np
 
-from .errors import CheckpointFormatError, GridFormatError
+from .errors import CheckpointFormatError, GridFormatError, NumericalAbortError
 from .net import NetArch, net_forward
 
 __all__ = [
+    "draw_latents",
     "SampleSet",
     "SampleSummary",
     "summarize",
@@ -41,36 +44,50 @@ __all__ = [
 ]
 
 
+def draw_latents(latent_dim: int, count: int, seed: int) -> np.ndarray:
+    """(count, latent_dim) standard-normal latents; row j is drawn from the
+    stream keyed (seed, j), so it does not depend on `count`."""
+    return np.array([np.random.default_rng(np.random.SeedSequence([int(seed), j]))
+                     .standard_normal(latent_dim) for j in range(count)]
+                    ).reshape(count, latent_dim)
+
+
 @dataclass(frozen=True)
 class SampleSet:
-    """Lazy view of M generator realizations with fresh seeded latents.
+    """Lazy view of the generator realizations g(z_j, w) of given latents.
 
-    Realization j uses the latent drawn from the stream keyed (seed, j);
-    two sample sets with the same seed see the same latents regardless of
-    the weights, which is what isolates training effects in before/after
-    comparisons.
+    `latents` is a (count, latent_dim) array, usually from `draw_latents`:
+    two sample sets over the same latents differ only by their weights,
+    which is what isolates training effects in before/after comparisons.
     """
 
     arch: NetArch
     weights: np.ndarray
-    count: int
-    seed: int
+    latents: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "weights", np.asarray(self.weights, dtype=np.float64))
-        if self.count < 1:
-            raise ValueError(f"sample count must be at least 1, got {self.count}")
+        latents = np.asarray(self.latents, dtype=np.float64)
+        if latents.ndim != 2 or latents.shape[1] != self.arch.latent_dim:
+            raise ValueError(f"latents must be a (count, {self.arch.latent_dim}) array, "
+                             f"got shape {latents.shape}")
+        if len(latents) < 1:
+            raise ValueError(f"sample count must be at least 1, got {len(latents)}")
+        object.__setattr__(self, "latents", latents)
+
+    @property
+    def count(self) -> int:
+        return len(self.latents)
 
     @property
     def shape(self) -> tuple:
         return self.arch.out_shape
 
     def latent(self, j: int) -> np.ndarray:
-        rng = np.random.default_rng(np.random.SeedSequence([int(self.seed), int(j)]))
-        return rng.standard_normal(self.arch.latent_dim)
+        return self.latents[j]
 
     def realization(self, j: int) -> np.ndarray:
-        return net_forward(self.arch, self.weights, self.latent(j))
+        return net_forward(self.arch, self.weights, self.latents[j])
 
     def realizations(self):
         for j in range(self.count):
@@ -87,7 +104,9 @@ class SampleSummary:
 def summarize(samples: SampleSet, probe_pixels=(), mode: str = "population") -> SampleSummary:
     """Mean, pointwise std, and selected pixel traces in a single pass over
     `samples`: a `SampleSet` or any object with its `count`, `shape` and
-    `realizations()`."""
+    `realizations()`. Sums that end non-finite (a realization that is, or
+    one that overflows the squares) raise `NumericalAbortError` naming the
+    first such pixel; they are checked once, after the pass."""
     if samples.count < 2:
         raise ValueError("summaries need at least 2 realizations")
     if mode not in ("population", "sample"):
@@ -108,6 +127,10 @@ def summarize(samples: SampleSet, probe_pixels=(), mode: str = "population") -> 
             m2 += delta * (x - mean)
         for p in probes:
             traces[p][j] = x[p]
+    bad = np.flatnonzero(~(np.isfinite(mean) & np.isfinite(m2)))
+    if bad.size:
+        raise NumericalAbortError("non-finite realization sums", diagnostics={
+            "pixel": divmod(int(bad[0]), cols), "non_finite_pixels": int(bad.size)})
     denom = samples.count if mode == "population" else samples.count - 1
     return SampleSummary(mean, np.sqrt(m2 / denom), traces)
 

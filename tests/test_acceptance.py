@@ -20,7 +20,7 @@ from breguq.net import NetArch, StageSpec, net_forward, net_init
 from breguq.projections import (Box, ConstraintStack, L1Ball, L2Ball, TVBall,
                                 is_feasible, total_variation)
 from breguq.sgld import SgldParams
-from breguq.stats import SampleSet, model_quality, summarize
+from breguq.stats import SampleSet, draw_latents, model_quality, summarize
 from breguq.testbed import load_bank, make_ground_truth
 
 from conftest import (eval_lsq_objective, identity_bank, linearization_error,
@@ -250,8 +250,9 @@ def test_criterion_8_end_to_end_structure(desk_bank, desk_training):
     tuple_errors = [model_quality(t.state.x_primal, truth)["relative_l2"]
                     for t in result.tuples]
     best = min(tuple_errors)
-    post = summarize(SampleSet(DESK_ARCH, result.weights, 3200, seed=43))
-    prior = summarize(SampleSet(DESK_ARCH, result.initial_weights, 3200, seed=43))
+    latents = draw_latents(DESK_ARCH.latent_dim, 3200, 43)
+    post = summarize(SampleSet(DESK_ARCH, result.weights, latents))
+    prior = summarize(SampleSet(DESK_ARCH, result.initial_weights, latents))
     mean_err = model_quality(post.mean, truth)["relative_l2"]
     elapsed = desk_training["train_seconds"] + (time.time() - t0)
     ok_a = mean_err <= 1.05 * best

@@ -11,11 +11,13 @@ import breguq
 from breguq import checks
 from breguq.bregman import TraceRecord
 from breguq.cli import main
+from breguq.config import load_config
 from breguq.em import RoundRecord
 from breguq.errors import NumericalAbortError
 from breguq.linops import ScaleOp
 from breguq.net import net_init
-from breguq.stats import load_weights, read_portable_grid, read_records, write_portable_grid
+from breguq.stats import (load_weights, read_portable_grid, read_records, save_weights,
+                          write_portable_grid)
 from breguq.testbed import load_bank
 
 from conftest import eval_lsq_objective, run_files
@@ -738,6 +740,75 @@ def test_stats_outputs_and_determinism(gen_dir, tmp_path):
     assert hist[0] == "pixel_row,pixel_col,bin_lo,bin_hi,count"
     counts = sum(int(line.split(",")[-1]) for line in hist[1:])
     assert counts == 2 * 8  # two probes, eight samples each
+
+
+def test_stats_draws_each_latent_once_and_sample_writes_its_realizations(
+        gen_dir, tmp_path, monkeypatch):
+    import breguq.cli as cli_mod
+
+    cfg, bank_dir = gen_dir
+    train_out = tmp_path / "tr"
+    assert main(["train", "--config", cfg, "--bank", str(bank_dir),
+                 "--out", str(train_out)]) == 0
+    streams, passes = [], []
+
+    class CountedSeedSequence(np.random.SeedSequence):
+        def __init__(self, entropy=None, **kwargs):
+            streams.append(entropy)
+            super().__init__(entropy, **kwargs)
+
+    def recorded_summarize(samples, *args):
+        passes.append([])
+
+        class Recorded:
+            count, shape = samples.count, samples.shape
+
+            def realizations(self):
+                for x in samples.realizations():
+                    passes[-1].append(x.copy())
+                    yield x
+
+        return original(Recorded(), *args)
+
+    original = cli_mod.summarize
+    monkeypatch.setattr(np.random, "SeedSequence", CountedSeedSequence)
+    monkeypatch.setattr(cli_mod, "summarize", recorded_summarize)
+    assert main(["stats", "--config", cfg, "--checkpoint", str(train_out),
+                 "--out", str(tmp_path / "s")]) == 0
+    # three passes over eight realizations, one draw per sample index
+    assert [len(p) for p in passes] == [8, 8, 8]
+    assert streams == [[43, j] for j in range(8)]  # the default sample_seed
+    out = tmp_path / "samples"
+    assert main(["sample", "--config", cfg, "--checkpoint", str(train_out),
+                 "--out", str(out), "--count", "2"]) == 0
+    for j in range(2):
+        np.testing.assert_array_equal(read_portable_grid(out / f"sample_{j:04d}.pgrd"),
+                                      passes[1][j])
+
+
+@pytest.mark.parametrize("command, scale, diagnostics", [
+    ("stats", 1e60, {"pass": "probe selection", "pixel": [0, 0]}),
+    ("sample", 1e100, {"sample": 0, "pixel": [0, 0]}),
+])
+def test_overflowing_realizations_abort_with_exit_3(gen_dir, tmp_path, capsys, command,
+                                                    scale, diagnostics):
+    # finite weights whose realizations overflow: stats' squared deviations
+    # (1e60 per layer) or sample's grids themselves (1e100)
+    cfg, bank_dir = gen_dir
+    train_out = tmp_path / "tr"
+    assert main(["train", "--config", cfg, "--bank", str(bank_dir),
+                 "--out", str(train_out)]) == 0
+    arch = load_config(cfg).arch
+    huge = tmp_path / "huge.dpnw"
+    save_weights(huge, arch, scale * load_weights(train_out / "weights.dpnw", arch))
+    out = tmp_path / command
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main([command, "--config", cfg, "--checkpoint", str(huge),
+                     "--out", str(out)]) == 3
+    assert capsys.readouterr().err.startswith("numerical abort: non-finite realization")
+    report = strict_json(out / "abort.json")
+    assert {k: report["diagnostics"][k] for k in diagnostics} == diagnostics
+    assert not list(out.glob("*.pgrd"))
 
 
 @pytest.mark.parametrize("truth, message", [

@@ -5,9 +5,9 @@ import pytest
 
 from breguq.errors import CheckpointFormatError
 from breguq.net import (NetArch, StageSpec, _final_backward, _final_forward,
-                        _fold, _plane_table, _stack_table, _stage_backward,
-                        _stage_forward, net_eval_and_backward, net_forward,
-                        net_init)
+                        _final_plan, _fold, _stack_table, _stage_backward,
+                        _stage_forward, _stage_plan, net_eval_and_backward,
+                        net_forward, net_init)
 from breguq.stats import load_weights, save_weights
 
 SMALL = NetArch(latent_dim=8, base_rows=2, base_cols=2, base_channels=4,
@@ -298,8 +298,8 @@ def check_stage_kernel(k, rows, cols, phased, seed, offset=0):
     x = rng.standard_normal((ci, rows, cols))
     U = upsample_matrix(ci, rows, cols)
     A = circular_conv_matrix(W, 2 * rows, 2 * cols) @ U
-    out, stack, weff = _stage_forward(W, b, to_layout(x, phased, offset), (rows, cols),
-                                      offset)
+    plan = _stage_plan(k, ci, (rows, cols), phased, offset)
+    out, stack, weff = _stage_forward(W, b, to_layout(x, phased, offset), plan)
     assert out.shape == (4, co, rows * cols)
     out_offset = (k // 2) % 2
     ref = (A @ x.ravel()).reshape(co, 2 * rows, 2 * cols) + b[:, None, None]
@@ -307,8 +307,7 @@ def check_stage_kernel(k, rows, cols, phased, seed, offset=0):
                                rtol=0, atol=1e-13)
 
     g = rng.standard_normal((co, 2 * rows, 2 * cols))
-    gW, gb, gx = _stage_backward(W, stack, weff, to_layout(g, True, out_offset),
-                                 (rows, cols), phased, offset)
+    gW, gb, gx = _stage_backward(W, stack, weff, to_layout(g, True, out_offset), plan)
     np.testing.assert_allclose(to_natural(gx, rows, cols, offset).ravel(),
                                A.T @ g.ravel(), rtol=0, atol=1e-13)
     up = (U @ x.ravel()).reshape(ci, 2 * rows, 2 * cols)
@@ -324,12 +323,13 @@ def check_final_kernel(k, rows, cols, phased, seed, offset=0):
     x = rng.standard_normal((ci, rows, cols))
     A = circular_conv_matrix(W, rows, cols)
     h = to_layout(x, phased, offset)
-    out = _final_forward(W, b, h, (rows, cols), offset)
+    plan = _final_plan(k, 1, rows, cols, phased, offset)
+    out, weff = _final_forward(W, b, h, plan)
     assert out.shape == (1, rows, cols)
     np.testing.assert_allclose(out.ravel(), A @ x.ravel() + b[0], rtol=0, atol=1e-13)
 
     g = rng.standard_normal((1, rows, cols))
-    gW, gb, gx = _final_backward(W, h, g, offset)
+    gW, gb, gx = _final_backward(W, weff, h, g, plan)
     np.testing.assert_allclose(to_natural(gx, rows, cols, offset).ravel(),
                                A.T @ g.ravel(), rtol=0, atol=1e-13)
     np.testing.assert_allclose(gW, reference_weight_grad(x, g, k), rtol=0, atol=1e-13)
@@ -378,16 +378,49 @@ def test_fold_reads_only_its_window(k):
     np.testing.assert_array_equal(M.reshape(k * k, 4, w * w).sum(axis=2), 1.0)
 
 
+@pytest.mark.parametrize("k", KERNELS)
+def test_final_fold_puts_each_tap_in_one_group(k):
+    for phased, offset in [(False, 0), (True, 0), (True, 1)]:
+        plan = _final_plan(k, 1, 4, 6, phased, offset)
+        Q = 4 if phased else 1
+        G = (k // 2 + 1) ** 2 if phased else k * k
+        M = plan.M.reshape(k * k, Q, G, Q)  # (tap, output phase, group, input phase)
+        # every tap falls in exactly one (group, input phase) slot of each output phase
+        np.testing.assert_array_equal(M.sum(axis=(2, 3)), 1.0)
+        # no slot gathers two taps, and no group is empty
+        assert M.sum(axis=0).max() == 1.0
+        assert (M.sum(axis=(0, 3)) >= 1).all()
+        if not phased:  # natural input: one group per tap
+            np.testing.assert_array_equal(M.sum(axis=(0, 1, 3)), 1.0)
+        # each output pixel reads G plane entries, and each entry feeds one pixel
+        assert plan.inv.shape == (G, 1, 4, 6)
+        np.testing.assert_array_equal(np.sort(plan.inv.ravel()), np.arange(plan.inv.size))
+        np.testing.assert_array_equal(plan.table.ravel()[plan.inv.reshape(G, -1)],
+                                      np.broadcast_to(np.arange(24), (G, 24)))
+
+
 def test_index_tables_are_cached_and_read_only():
     tables = [_stack_table(2, 2, 4, 6, False, 0), _stack_table(2, 2, 4, 6, True, 1),
-              _plane_table(3, 1, 4, 6, False, 0), _plane_table(3, 1, 4, 6, True, 1),
+              *_final_plan(3, 1, 4, 6, False, 0), *_final_plan(3, 1, 4, 6, True, 1),
               _fold(3)[0]]
     assert _stack_table(2, 2, 4, 6, True, 1) is tables[1]
-    assert _plane_table(3, 1, 4, 6, True, 1) is tables[3]
+    assert _final_plan(3, 1, 4, 6, True, 1).inv is tables[7]
     for table in tables:
         assert not table.flags.writeable
         with pytest.raises(ValueError):
             table[(0,) * table.ndim] = 0
+
+
+def test_arch_plans_are_shared_by_equal_archs():
+    a, b = (NetArch(latent_dim=64, base_rows=4, base_cols=4, base_channels=8,
+                    stages=tuple(StageSpec(8) for _ in range(4))) for _ in range(2))
+    assert a is not b and a == b
+    (stages_a, final_a), (stages_b, final_b) = a._plan, b._plan
+    assert final_a.inv is final_b.inv and final_a.table is final_b.table
+    assert all(p.table is q.table and p.M is q.M for p, q in zip(stages_a, stages_b))
+    for table in (final_a.inv, final_a.table, final_a.M, *(p.table for p in stages_a)):
+        assert not table.flags.writeable
+    assert a._plan is a._plan  # resolved once per instance
 
 
 def test_latent_only_backward_gives_identical_grad_z():

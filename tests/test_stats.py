@@ -4,10 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from breguq.errors import GridFormatError
-from breguq.net import net_init
-from breguq.stats import (SampleSet, model_quality, read_portable_grid, read_table,
-                          summarize, write_histograms_csv, write_portable_grid)
+from breguq.errors import GridFormatError, NumericalAbortError
+from breguq.net import net_forward, net_init
+from breguq.stats import (SampleSet, draw_latents, model_quality, read_portable_grid,
+                          read_table, summarize, write_histograms_csv,
+                          write_portable_grid)
 
 from conftest import small_arch
 
@@ -29,7 +30,7 @@ class ListSamples:
 def test_sample_set_single_realization():
     arch = small_arch()
     w = net_init(arch, seed=1)
-    s = SampleSet(arch, w.tolist(), 1, seed=5)
+    s = SampleSet(arch, w.tolist(), draw_latents(arch.latent_dim, 1, 5))
     assert s.weights.dtype == np.float64
     assert s.realization(0).shape == arch.out_shape
     (only,) = list(s.realizations())
@@ -38,15 +39,15 @@ def test_sample_set_single_realization():
 
 def test_zero_weights_give_zero_realizations():
     arch = small_arch()
-    s = SampleSet(arch, np.zeros(arch.n_params), 3, seed=6)
+    s = SampleSet(arch, np.zeros(arch.n_params), draw_latents(arch.latent_dim, 3, 6))
     for x in s.realizations():
         np.testing.assert_array_equal(x, np.zeros(arch.out_shape))
 
 
 def test_latents_depend_only_on_seed_and_index():
     arch = small_arch()
-    a = SampleSet(arch, net_init(arch, seed=2), 4, seed=7)
-    b = SampleSet(arch, net_init(arch, seed=3), 4, seed=7)
+    a = SampleSet(arch, net_init(arch, seed=2), draw_latents(arch.latent_dim, 4, 7))
+    b = SampleSet(arch, net_init(arch, seed=3), draw_latents(arch.latent_dim, 4, 7))
     for j in range(4):
         np.testing.assert_array_equal(a.latent(j), b.latent(j))
     assert not np.array_equal(a.realization(0), b.realization(0))
@@ -55,16 +56,37 @@ def test_latents_depend_only_on_seed_and_index():
 def test_sampling_deterministic():
     arch = small_arch()
     w = net_init(arch, seed=4)
-    a = SampleSet(arch, w, 5, seed=8)
-    b = SampleSet(arch, w, 5, seed=8)
+    a = SampleSet(arch, w, draw_latents(arch.latent_dim, 5, 8))
+    b = SampleSet(arch, w, draw_latents(arch.latent_dim, 5, 8))
     for x, y in zip(a.realizations(), b.realizations()):
         np.testing.assert_array_equal(x, y)
+
+
+def test_drawn_latents_are_the_per_index_streams():
+    arch = small_arch()
+    w = net_init(arch, seed=11)
+    latents = draw_latents(arch.latent_dim, 5, 12)
+    assert latents.shape == (5, arch.latent_dim)
+    np.testing.assert_array_equal(draw_latents(arch.latent_dim, 3, 12), latents[:3])
+    s = SampleSet(arch, w, latents)
+    for j in range(5):
+        z = np.random.default_rng(np.random.SeedSequence([12, j])).standard_normal(
+            arch.latent_dim)
+        np.testing.assert_array_equal(s.latent(j), z)
+        np.testing.assert_array_equal(s.realization(j), net_forward(arch, w, z))
+
+
+def test_sample_set_rejects_latents_of_another_shape():
+    arch = small_arch()
+    for bad in (np.zeros(arch.latent_dim), np.zeros((2, arch.latent_dim + 1))):
+        with pytest.raises(ValueError, match="latents must be"):
+            SampleSet(arch, np.zeros(arch.n_params), bad)
 
 
 def test_sample_count_validation():
     arch = small_arch()
     with pytest.raises(ValueError):
-        SampleSet(arch, np.zeros(arch.n_params), 0, seed=0)
+        SampleSet(arch, np.zeros(arch.n_params), draw_latents(arch.latent_dim, 0, 0))
 
 
 # --- moments ---
@@ -93,6 +115,20 @@ def test_std_requires_two(rng):
         summarize(ListSamples([rng.standard_normal((2, 2))]))
 
 
+@pytest.mark.parametrize("value, pixel", [(np.inf, (1, 2)), (np.nan, (0, 1)),
+                                          (1e200, (0, 0))], ids=["inf", "nan", "overflow"])
+def test_non_finite_sums_abort_naming_the_first_pixel(value, pixel):
+    # 1e200 is finite, but the squares of its deviations overflow
+    a, b = np.zeros((2, 3)), np.zeros((2, 3))
+    b[pixel] = value
+    if value == 1e200:
+        a[:] = -1e200
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(NumericalAbortError, match="non-finite realization sums") as info:
+        summarize(ListSamples([a, b, a]))
+    assert info.value.diagnostics["pixel"] == pixel
+
+
 def test_moments_match_two_pass_oracle(rng):
     grids = [rng.standard_normal((4, 5)) for _ in range(25)]
     stacked = np.stack(grids)
@@ -109,7 +145,7 @@ def test_moments_match_two_pass_oracle(rng):
 def test_summarize_matches_componentwise(rng):
     arch = small_arch()
     w = net_init(arch, seed=9)
-    samples = SampleSet(arch, w, 40, seed=10)
+    samples = SampleSet(arch, w, draw_latents(arch.latent_dim, 40, 10))
     summary = summarize(samples, probe_pixels=[(0, 0), (2, 3)])
     stacked = np.stack([samples.realization(j) for j in range(40)])
     np.testing.assert_allclose(summary.mean, stacked.mean(axis=0), rtol=0, atol=1e-12)
