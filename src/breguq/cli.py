@@ -30,8 +30,8 @@ from .config import in_section, load_config, write_resolved
 from .em import train
 from .errors import ConfigError, InputFormatError, NumericalAbortError
 from .net import net_init
-from .stats import (SampleSet, auto_probes, draw_latents, load_weights, model_quality,
-                    read_portable_grid, summarize, write_histograms_csv,
+from .stats import (SampleSet, auto_probes, calibration, draw_latents, load_weights,
+                    model_quality, read_portable_grid, summarize, write_histograms_csv,
                     write_portable_grid, write_records, write_table)
 from .testbed import (add_noise_to_snr, load_bank, make_bank, make_ground_truth,
                       save_bank)
@@ -120,10 +120,10 @@ def cmd_sample(args, config) -> int:
     return 0
 
 
-def _summarize(name, samples, probes, mode):
+def _summarize(name, samples, mode):
     """`summarize` for the pass `name` of `stats`; an abort names the pass."""
     try:
-        return summarize(samples, probes, mode)
+        return summarize(samples, mode)
     except NumericalAbortError as exc:
         raise NumericalAbortError(f"{exc} in the {name} pass",
                                   diagnostics={"pass": name, **exc.diagnostics}) from None
@@ -138,24 +138,20 @@ def cmd_stats(args, config) -> int:
     latents = _latents(config, s("samples"))
     posterior = SampleSet(arch, w_post, latents)
     prior = SampleSet(arch, w_prior, latents)
-    mode = s("std_mode")
-
-    probes = config.probes
-    if probes is None:
-        probes = auto_probes(_summarize("probe selection", posterior, (), mode).std)
-    post = _summarize("posterior", posterior, probes, mode)
-    pri = _summarize("prior", prior, probes, mode)
+    post = _summarize("posterior", posterior, s("std_mode"))
+    pri = _summarize("prior", prior, s("std_mode"))
+    probes = auto_probes(post.std) if config.probes is None else config.probes
 
     write_portable_grid(post.mean, os.path.join(out, "mean.pgrd"))
     write_portable_grid(post.std, os.path.join(out, "std.pgrd"))
     write_portable_grid(pri.mean, os.path.join(out, "prior_mean.pgrd"))
     write_portable_grid(pri.std, os.path.join(out, "prior_std.pgrd"))
 
-    write_histograms_csv(post.probe_values, s("bins"),
-                         os.path.join(out, "hist_posterior.csv"))
-    write_histograms_csv(pri.probe_values, s("bins"), os.path.join(out, "hist_prior.csv"))
+    for name, samples in (("posterior", posterior), ("prior", prior)):
+        values = dict(zip(probes, samples.probe_values(probes).T))
+        write_histograms_csv(values, s("bins"), os.path.join(out, f"hist_{name}.csv"))
     if truth is not None:
-        quality = model_quality(post.mean, truth)
+        quality = {**model_quality(post.mean, truth), **calibration(post.mean, post.std, truth)}
         write_table(os.path.join(out, "quality.csv"), ["metric", "value"], quality.items())
     return 0
 

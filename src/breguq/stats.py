@@ -5,10 +5,13 @@ Realizations g(z, w) are regenerated on demand from an array of latents,
 drawn once from counter-based standard-normal streams keyed by (seed,
 index) and shared by every pass and weight vector that reads them.
 `summarize` is the one pass over realizations: it streams the mean and
-pointwise-standard-deviation grids through a Welford accumulator and
-records the values of the probe pixels, so the full sample set never has to
-sit in memory; a pass whose sums are not finite is a numerical abort.
-Model-quality metrics and probe-pixel histograms support the reporting CLI.
+pointwise-standard-deviation grids through a Welford accumulator, so the
+full sample set never has to sit in memory; a pass whose sums are not
+finite is a numerical abort. The values of a few probe pixels across all
+realizations come from `SampleSet.probe_values`, which evaluates only the
+probes' receptive cone, a batch of latents at a time (`net.net_pixels`),
+so probes chosen from a finished pass need no second pass. Model-quality and
+calibration metrics and probe-pixel histograms support the reporting CLI.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from operator import attrgetter
 import numpy as np
 
 from .errors import CheckpointFormatError, GridFormatError, NumericalAbortError
-from .net import NetArch, net_forward
+from .net import NetArch, net_forward, net_pixels
 
 __all__ = [
     "draw_latents",
@@ -32,6 +35,7 @@ __all__ = [
     "summarize",
     "auto_probes",
     "model_quality",
+    "calibration",
     "write_portable_grid",
     "read_portable_grid",
     "save_weights",
@@ -93,30 +97,29 @@ class SampleSet:
         for j in range(self.count):
             yield self.realization(j)
 
+    def probe_values(self, pixels) -> np.ndarray:
+        """(count, len(pixels)): the value of each (row, col) of `pixels` in
+        each realization, from batched evaluations of their receptive cone;
+        equal to the realizations' pixels up to rounding."""
+        return net_pixels(self.arch, self.weights, self.latents, pixels)
+
 
 @dataclass(frozen=True)
 class SampleSummary:
     mean: np.ndarray
     std: np.ndarray
-    probe_values: dict
 
 
-def summarize(samples: SampleSet, probe_pixels=(), mode: str = "population") -> SampleSummary:
-    """Mean, pointwise std, and selected pixel traces in a single pass over
-    `samples`: a `SampleSet` or any object with its `count`, `shape` and
-    `realizations()`. Sums that end non-finite (a realization that is, or
-    one that overflows the squares) raise `NumericalAbortError` naming the
-    first such pixel; they are checked once, after the pass."""
+def summarize(samples: SampleSet, mode: str = "population") -> SampleSummary:
+    """Mean and pointwise std in a single pass over `samples`: a `SampleSet`
+    or any object with its `count`, `shape` and `realizations()`. Sums that
+    end non-finite (a realization that is, or one that overflows the
+    squares) raise `NumericalAbortError` naming the first such pixel; they
+    are checked once, after the pass."""
     if samples.count < 2:
         raise ValueError("summaries need at least 2 realizations")
     if mode not in ("population", "sample"):
         raise ValueError(f"unknown std mode {mode!r}")
-    probes = [(int(r), int(c)) for r, c in probe_pixels]
-    rows, cols = samples.shape
-    for r, c in probes:
-        if not (0 <= r < rows and 0 <= c < cols):
-            raise ValueError(f"pixel ({r}, {c}) out of range for {rows}x{cols} grid")
-    traces = {p: np.empty(samples.count) for p in probes}
     for j, x in enumerate(samples.realizations()):
         if j == 0:  # a copy: a duck-typed sample set may yield its stored grids
             mean = np.array(x, dtype=np.float64)
@@ -125,14 +128,13 @@ def summarize(samples: SampleSet, probe_pixels=(), mode: str = "population") -> 
             delta = x - mean
             mean += delta / (j + 1)
             m2 += delta * (x - mean)
-        for p in probes:
-            traces[p][j] = x[p]
     bad = np.flatnonzero(~(np.isfinite(mean) & np.isfinite(m2)))
     if bad.size:
         raise NumericalAbortError("non-finite realization sums", diagnostics={
-            "pixel": divmod(int(bad[0]), cols), "non_finite_pixels": int(bad.size)})
+            "pixel": divmod(int(bad[0]), mean.shape[1]),
+            "non_finite_pixels": int(bad.size)})
     denom = samples.count if mode == "population" else samples.count - 1
-    return SampleSummary(mean, np.sqrt(m2 / denom), traces)
+    return SampleSummary(mean, np.sqrt(m2 / denom))
 
 
 def auto_probes(std_grid) -> list:
@@ -155,6 +157,20 @@ def model_quality(x, truth) -> dict:
     rel = float(np.linalg.norm((x - truth).ravel())) / tn
     snr = math.inf if rel == 0.0 else -20.0 * math.log10(rel)
     return {"relative_l2": rel, "snr_db": snr}
+
+
+def calibration(mean, std, truth) -> dict:
+    """How well a posterior std grid accounts for the error of its mean:
+    `coverage_95`, the share of pixels with |truth - mean| <= 1.96 std,
+    and `error_std_corr`, the Pearson correlation over pixels of
+    |truth - mean| and std, None where either is constant."""
+    err = np.abs(np.asarray(truth, dtype=np.float64) - mean).ravel()
+    std = np.asarray(std, dtype=np.float64).ravel()
+    corr = None
+    if np.ptp(err) > 0 and np.ptp(std) > 0:
+        de, ds = err - err.mean(), std - std.mean()
+        corr = float(de @ ds) / math.sqrt(float(de @ de) * float(ds @ ds))
+    return {"coverage_95": float(np.mean(err <= 1.96 * std)), "error_std_corr": corr}
 
 
 # Little-endian header: magic, version, then rows, cols, pad (grid) or latent
@@ -299,8 +315,8 @@ def read_records(path, cls) -> list:
 
 
 def write_histograms_csv(probe_values: dict, bins: int, path) -> None:
-    """Equal-width histogram of each probe pixel's values (a
-    `SampleSummary.probe_values`); bins are right-open except the last,
+    """Equal-width histogram of each probe pixel's values (a dict from
+    (row, col) to the pixel's values); bins are right-open except the last,
     which is closed. Rows: pixel_row, pixel_col, bin_lo, bin_hi, count."""
     rows = []
     for (r, c), values in probe_values.items():

@@ -16,8 +16,8 @@ from breguq.em import RoundRecord
 from breguq.errors import NumericalAbortError
 from breguq.linops import ScaleOp
 from breguq.net import net_init
-from breguq.stats import (load_weights, read_portable_grid, read_records, save_weights,
-                          write_portable_grid)
+from breguq.stats import (auto_probes, load_weights, read_portable_grid, read_records,
+                          read_table, save_weights, write_portable_grid)
 from breguq.testbed import load_bank
 
 from conftest import eval_lsq_objective, run_files
@@ -740,6 +740,33 @@ def test_stats_outputs_and_determinism(gen_dir, tmp_path):
     assert hist[0] == "pixel_row,pixel_col,bin_lo,bin_hi,count"
     counts = sum(int(line.split(",")[-1]) for line in hist[1:])
     assert counts == 2 * 8  # two probes, eight samples each
+    # auto probes: the max- and median-std pixels of the posterior, in both files
+    probes = auto_probes(read_portable_grid(a / "std.pgrd"))
+    for name in ["hist_posterior.csv", "hist_prior.csv"]:
+        rows = read_table(a / name, {"pixel_row": int, "pixel_col": int})
+        assert list(dict.fromkeys(rows)) == probes, name
+    quality = read_table(a / "quality.csv", {"metric": str, "value": str})
+    assert [m for m, _ in quality] == ["relative_l2", "snr_db", "coverage_95",
+                                       "error_std_corr"]
+    assert 0.0 <= float(quality[2][1]) <= 1.0 and -1.0 <= float(quality[3][1]) <= 1.0
+
+
+def test_stats_runs_two_full_forwards_per_sample(gen_dir, tmp_path, monkeypatch):
+    # the posterior pass and the prior pass; the probe traces come from
+    # the probes' receptive cones, not from further full forwards
+    import breguq.stats as stats_mod
+
+    cfg, _ = gen_dir
+    config = load_config(cfg)
+    weights = tmp_path / "w.dpnw"
+    save_weights(weights, config.arch, net_init(config.arch, 5))
+    calls = []
+    original = stats_mod.net_forward
+    monkeypatch.setattr(stats_mod, "net_forward",
+                        lambda *args: calls.append(args) or original(*args))
+    assert main(["stats", "--config", cfg, "--checkpoint", str(weights),
+                 "--out", str(tmp_path / "s")]) == 0
+    assert len(calls) == 2 * config.get("stats", "samples") == 16
 
 
 def test_stats_draws_each_latent_once_and_sample_writes_its_realizations(
@@ -775,19 +802,29 @@ def test_stats_draws_each_latent_once_and_sample_writes_its_realizations(
     monkeypatch.setattr(cli_mod, "summarize", recorded_summarize)
     assert main(["stats", "--config", cfg, "--checkpoint", str(train_out),
                  "--out", str(tmp_path / "s")]) == 0
-    # three passes over eight realizations, one draw per sample index
-    assert [len(p) for p in passes] == [8, 8, 8]
+    # the posterior and the prior pass over eight realizations, one draw
+    # per sample index
+    assert [len(p) for p in passes] == [8, 8]
     assert streams == [[43, j] for j in range(8)]  # the default sample_seed
+    # each histogram spans its own pass's values of each probe pixel
+    columns = {"pixel_row": int, "pixel_col": int, "bin_lo": float, "bin_hi": float}
+    for name, grids in zip(["posterior", "prior"], passes):
+        rows = read_table(tmp_path / "s" / f"hist_{name}.csv", columns)
+        for r, c in dict.fromkeys((r, c) for r, c, _, _ in rows):
+            edges = [e for rr, cc, lo, hi in rows if (rr, cc) == (r, c) for e in (lo, hi)]
+            values = [x[r, c] for x in grids]
+            np.testing.assert_allclose([min(edges), max(edges)], [min(values), max(values)],
+                                       rtol=0, atol=1e-14 * np.abs(grids).max())
     out = tmp_path / "samples"
     assert main(["sample", "--config", cfg, "--checkpoint", str(train_out),
                  "--out", str(out), "--count", "2"]) == 0
     for j in range(2):
         np.testing.assert_array_equal(read_portable_grid(out / f"sample_{j:04d}.pgrd"),
-                                      passes[1][j])
+                                      passes[0][j])
 
 
 @pytest.mark.parametrize("command, scale, diagnostics", [
-    ("stats", 1e60, {"pass": "probe selection", "pixel": [0, 0]}),
+    ("stats", 1e60, {"pass": "posterior", "pixel": [0, 0]}),
     ("sample", 1e100, {"sample": 0, "pixel": [0, 0]}),
 ])
 def test_overflowing_realizations_abort_with_exit_3(gen_dir, tmp_path, capsys, command,

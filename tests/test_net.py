@@ -5,9 +5,9 @@ import pytest
 
 from breguq.errors import CheckpointFormatError
 from breguq.net import (NetArch, StageSpec, _final_backward, _final_forward,
-                        _final_plan, _fold, _stack_table, _stage_backward,
-                        _stage_forward, _stage_plan, net_eval_and_backward,
-                        net_forward, net_init)
+                        _final_plan, _fold, _stack_inverse, _stack_table,
+                        _stage_backward, _stage_forward, _stage_plan,
+                        net_eval_and_backward, net_forward, net_init, net_pixels)
 from breguq.stats import load_weights, save_weights
 
 SMALL = NetArch(latent_dim=8, base_rows=2, base_cols=2, base_channels=4,
@@ -310,6 +310,10 @@ def check_stage_kernel(k, rows, cols, phased, seed, offset=0):
     gW, gb, gx = _stage_backward(W, stack, weff, to_layout(g, True, out_offset), plan)
     np.testing.assert_allclose(to_natural(gx, rows, cols, offset).ravel(),
                                A.T @ g.ravel(), rtol=0, atol=1e-13)
+    # the gather-sum adds each map entry's reads in a scatter-add's order
+    gS = weff.T @ to_layout(g, True, out_offset).reshape(4 * co, -1)
+    np.testing.assert_array_equal(gx.ravel(),
+                                  np.bincount(plan.table.ravel(), weights=gS.ravel()))
     up = (U @ x.ravel()).reshape(ci, 2 * rows, 2 * cols)
     np.testing.assert_allclose(gW, reference_weight_grad(up, g, k), rtol=0, atol=1e-13)
     np.testing.assert_allclose(gb, g.sum(axis=(1, 2)), rtol=0, atol=1e-13)
@@ -401,8 +405,8 @@ def test_final_fold_puts_each_tap_in_one_group(k):
 
 def test_index_tables_are_cached_and_read_only():
     tables = [_stack_table(2, 2, 4, 6, False, 0), _stack_table(2, 2, 4, 6, True, 1),
-              *_final_plan(3, 1, 4, 6, False, 0), *_final_plan(3, 1, 4, 6, True, 1),
-              _fold(3)[0]]
+              *_final_plan(3, 1, 4, 6, False, 0)[:3], *_final_plan(3, 1, 4, 6, True, 1)[:3],
+              _fold(3)[0], _stack_inverse(2, 2, 4, 6, True, 1)]
     assert _stack_table(2, 2, 4, 6, True, 1) is tables[1]
     assert _final_plan(3, 1, 4, 6, True, 1).inv is tables[7]
     for table in tables:
@@ -415,10 +419,12 @@ def test_arch_plans_are_shared_by_equal_archs():
     a, b = (NetArch(latent_dim=64, base_rows=4, base_cols=4, base_channels=8,
                     stages=tuple(StageSpec(8) for _ in range(4))) for _ in range(2))
     assert a is not b and a == b
-    (stages_a, final_a), (stages_b, final_b) = a._plan, b._plan
+    (_, stages_a, final_a), (_, stages_b, final_b) = a._plan, b._plan
     assert final_a.inv is final_b.inv and final_a.table is final_b.table
-    assert all(p.table is q.table and p.M is q.M for p, q in zip(stages_a, stages_b))
-    for table in (final_a.inv, final_a.table, final_a.M, *(p.table for p in stages_a)):
+    assert all(p.table is q.table and p.inv is q.inv and p.M is q.M
+               for p, q in zip(stages_a, stages_b))
+    for table in (a._plan.base, final_a.inv, final_a.table, final_a.M,
+                  *(p.table for p in stages_a), *(p.inv for p in stages_a)):
         assert not table.flags.writeable
     assert a._plan is a._plan  # resolved once per instance
 
@@ -516,3 +522,51 @@ def test_desk_forward_and_backward_memory_peaks():
     assert traced_peak_bytes(lambda: net_forward(arch, w, z)) <= 2.0e6
     assert traced_peak_bytes(
         lambda: net_eval_and_backward(arch, w, z, lambda out: upstream)) <= 4.0e6
+    # pixel cones run in batches: one batch of 2000 latents peaked at 12 MB
+    latents = np.random.default_rng(31).standard_normal((2000, arch.latent_dim))
+    assert traced_peak_bytes(lambda: net_pixels(arch, w, latents, [(5, 7), (40, 22)])) <= 2.0e6
+
+
+# Pixel plans: the desk generator, stage kernels 3/5/7 (phase offsets 1, 0,
+# 1), a net without stages (natural final input) and odd base shapes with
+# kernels 5/1 and a final 9 (cones that wrap around the grid).
+PIXEL_ARCHS = {
+    "desk": DESK_SHAPED,
+    "mixed": NetArch(latent_dim=5, base_rows=1, base_cols=2, base_channels=2,
+                     stages=(StageSpec(3, kernel_size=3), StageSpec(2, kernel_size=5),
+                             StageSpec(2, kernel_size=7))),
+    "stage-free": NetArch(latent_dim=6, base_rows=5, base_cols=7, base_channels=3,
+                          stages=(), final_kernel_size=5),
+    "odd-base": NetArch(latent_dim=6, base_rows=3, base_cols=5, base_channels=3,
+                        stages=(StageSpec(4, kernel_size=5), StageSpec(3, kernel_size=1)),
+                        final_kernel_size=9),
+}
+
+
+@pytest.mark.parametrize("name", PIXEL_ARCHS)
+def test_every_pixel_of_one_latent_is_the_forward_bit_for_bit(name):
+    arch = PIXEL_ARCHS[name]
+    w = net_init(arch, seed=41, scale=1.3)
+    rows, cols = arch.out_shape
+    every = [(r, c) for r in range(rows) for c in range(cols)]
+    for z in np.random.default_rng(42).standard_normal((3, arch.latent_dim)):
+        values = net_pixels(arch, w, z[None], every)
+        assert values.shape == (1, rows * cols)
+        np.testing.assert_array_equal(values[0], net_forward(arch, w, z).ravel())
+
+
+@pytest.mark.parametrize("count", [1, 7, 200])
+@pytest.mark.parametrize("name", PIXEL_ARCHS)
+def test_pixel_cones_agree_with_the_forward(name, count):
+    arch = PIXEL_ARCHS[name]
+    rng = np.random.default_rng(43 + count)
+    w = net_init(arch, seed=44, scale=1.3)
+    latents = rng.standard_normal((count, arch.latent_dim))
+    full = np.stack([net_forward(arch, w, z) for z in latents])
+    rows, cols = arch.out_shape
+    corners = [(0, 0), (0, cols - 1), (rows - 1, 0), (rows - 1, cols - 1)]
+    pairs = [[tuple(p) for p in rng.integers(0, (rows, cols), (2, 2))] for _ in range(3)]
+    for pixels in [*pairs, corners, [corners[3], (1, 1), corners[3], (1, 1)]]:
+        r, c = np.array(pixels).T
+        np.testing.assert_allclose(net_pixels(arch, w, latents, pixels), full[:, r, c],
+                                   rtol=0, atol=1e-14 * np.abs(full).max())

@@ -6,9 +6,9 @@ from hypothesis.extra import numpy as hnp
 
 from breguq.errors import GridFormatError, NumericalAbortError
 from breguq.net import net_forward, net_init
-from breguq.stats import (SampleSet, draw_latents, model_quality, read_portable_grid,
-                          read_table, summarize, write_histograms_csv,
-                          write_portable_grid)
+from breguq.stats import (SampleSet, calibration, draw_latents, model_quality,
+                          read_portable_grid, read_table, summarize, write_histograms_csv,
+                          write_portable_grid, write_table)
 
 from conftest import small_arch
 
@@ -23,6 +23,10 @@ class ListSamples:
 
     def realizations(self):
         yield from self.grids
+
+    def probe_values(self, pixels):
+        rows, cols = np.asarray(pixels).T
+        return np.stack(self.grids)[:, rows, cols]
 
 
 # --- generator sampling ---
@@ -146,12 +150,14 @@ def test_summarize_matches_componentwise(rng):
     arch = small_arch()
     w = net_init(arch, seed=9)
     samples = SampleSet(arch, w, draw_latents(arch.latent_dim, 40, 10))
-    summary = summarize(samples, probe_pixels=[(0, 0), (2, 3)])
+    summary = summarize(samples)
     stacked = np.stack([samples.realization(j) for j in range(40)])
     np.testing.assert_allclose(summary.mean, stacked.mean(axis=0), rtol=0, atol=1e-12)
     np.testing.assert_allclose(summary.std, stacked.std(axis=0), rtol=0, atol=1e-12)
-    np.testing.assert_array_equal(summary.probe_values[(2, 3)], stacked[:, 2, 3])
-    np.testing.assert_array_equal(summary.probe_values[(0, 0)], stacked[:, 0, 0])
+    values = samples.probe_values([(2, 3), (0, 0), (2, 3)])
+    assert values.shape == (40, 3)
+    np.testing.assert_allclose(values, stacked[:, [2, 0, 2], [3, 0, 3]], rtol=0,
+                               atol=1e-14 * np.abs(stacked).max())
 
 
 # --- histograms ---
@@ -161,10 +167,10 @@ HIST_COLUMNS = {"pixel_row": int, "pixel_col": int, "bin_lo": float,
 
 
 def probe_histogram(tmp_path, samples, pixel, bins):
-    """What `breguq stats` does: summarize, write the histogram CSV; read
-    back as (pixels, edges, counts)."""
+    """What `breguq stats` does: read the probe values, write the histogram
+    CSV; read back as (pixels, edges, counts)."""
     path = tmp_path / "hist.csv"
-    write_histograms_csv(summarize(samples, [pixel]).probe_values, bins, path)
+    write_histograms_csv({pixel: samples.probe_values([pixel])[:, 0]}, bins, path)
     rows = read_table(path, HIST_COLUMNS)
     assert len(rows) == bins
     pixels, lo, hi, counts = zip(*[((r, c), lo, hi, n) for r, c, lo, hi, n in rows])
@@ -195,9 +201,11 @@ def test_histogram_edge_convention(tmp_path):
 
 def test_histogram_rejects_bad_pixel_and_bins(rng):
     # bins < 1 is a config error in `breguq stats` (tests/test_cli.py)
-    samples = ListSamples([rng.standard_normal((2, 2))] * 3)
-    with pytest.raises(ValueError):
-        summarize(samples, [(5, 0)])
+    arch = small_arch()
+    samples = SampleSet(arch, net_init(arch, seed=1), draw_latents(arch.latent_dim, 3, 2))
+    for pixel in [(4, 0), (0, -1)]:
+        with pytest.raises(ValueError, match="out of range for 4x4 grid"):
+            samples.probe_values([(0, 0), pixel])
 
 
 # --- quality metrics ---
@@ -225,6 +233,33 @@ def test_quality_ten_percent_off():
 def test_quality_rejects_zero_truth():
     with pytest.raises(ValueError):
         model_quality(np.ones((2, 2)), np.zeros((2, 2)))
+
+
+def test_calibration_coverage_and_error_std_correlation(rng):
+    truth = rng.standard_normal((6, 7))
+    mean = truth + rng.standard_normal((6, 7))
+    std = rng.uniform(0.1, 2.0, (6, 7))
+    c = calibration(mean, std, truth)
+    err = np.abs(truth - mean)
+    assert c["coverage_95"] == np.count_nonzero(err <= 1.96 * std) / 42
+    assert c["error_std_corr"] == pytest.approx(np.corrcoef(err.ravel(), std.ravel())[0, 1],
+                                                abs=1e-14)
+    # a pixel exactly on the band counts as covered
+    edge = calibration(np.array([[0.0, 0.0]]), np.array([[1.0, 2.0]]),
+                       np.array([[1.96, 5.0]]))
+    assert edge["coverage_95"] == 0.5 and edge["error_std_corr"] == pytest.approx(1.0)
+
+
+def test_calibration_correlation_undefined_for_a_constant_grid(tmp_path, rng):
+    truth, mean = rng.standard_normal((3, 3)), rng.standard_normal((3, 3))
+    # a constant std, then a constant error (a mean equal to the truth)
+    for m, std in [(mean, np.full((3, 3), 0.1)), (truth, rng.uniform(1, 2, (3, 3)))]:
+        c = calibration(m, std, truth)
+        assert c["error_std_corr"] is None
+    # written as an empty cell, as `breguq stats` writes quality.csv
+    path = tmp_path / "q.csv"
+    write_table(path, ["metric", "value"], c.items())
+    assert path.read_text().splitlines()[2] == "error_std_corr,"
 
 
 # --- portable grid files ---
