@@ -14,7 +14,7 @@ from .linops import (ComposeOp, ConvKernel, ConvOp, LinearOp, RestrictionMask,
                      RestrictOp, dot_test)
 from .net import NetArch, StageSpec, net_eval_and_backward, net_forward, net_init
 from .projections import (Box, ConstraintStack, L1Ball, L2Ball, TVBall,
-                          is_feasible, project_intersection, project_l1_ball)
+                          is_feasible, project_intersection)
 from .sgld import SgldParams, sgld_run, sgld_step
 from .stats import (SampleSet, draw_latents, model_quality, read_portable_grid,
                     summarize, write_portable_grid)

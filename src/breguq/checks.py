@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import oracles
-from .linops import (ComposeOp, ConvKernel, ConvOp, IdentityOp, RestrictionMask,
-                     RestrictOp, ScaleOp, dot_test)
+from .linops import (ComposeOp, ConvKernel, ConvOp, RestrictionMask, RestrictOp,
+                     dot_test)
 from .net import (NetArch, StageSpec, net_eval_and_backward, net_forward,
                   net_init)
 from .projections import (Box, ConstraintStack, L1Ball, L2Ball, TVBall,
@@ -40,16 +40,15 @@ class CheckResult:
     detail: str
 
 
-def operator_kinds(shape, seed, kernel_sizes, kept, scale) -> list:
-    """(name, operator) for every operator kind on `shape`: identity, scale
-    by `scale`, one convolution per size in `kernel_sizes`, restriction to
-    `kept` random pixels, and that restriction after the first convolution.
-    One rng at `seed` draws the kernels, then the mask."""
+def operator_kinds(shape, seed, kernel_sizes, kept) -> list:
+    """(name, operator) for every operator kind on `shape`: one convolution
+    per size in `kernel_sizes`, restriction to `kept` random pixels, and
+    that restriction after the first convolution. One rng at `seed` draws
+    the kernels, then the mask."""
     rng = np.random.default_rng(seed)
     kernels = [ConvKernel(rng.standard_normal((k, k))) for k in kernel_sizes]
     mask = RestrictionMask(np.sort(rng.choice(shape[0] * shape[1], kept, replace=False)))
-    return ([("identity", IdentityOp(shape)), ("scale", ScaleOp(shape, scale))]
-            + [(f"conv{k}", ConvOp(c, shape)) for k, c in zip(kernel_sizes, kernels)]
+    return ([(f"conv{k}", ConvOp(c, shape)) for k, c in zip(kernel_sizes, kernels)]
             + [("restrict", RestrictOp(mask, shape)),
                ("restrict_conv", ComposeOp(RestrictOp(mask, shape),
                                            ConvOp(kernels[0], shape)))])
@@ -185,7 +184,7 @@ def sgld_moments(seed, dim, epsilon, warmup, steps):
 
 
 def run_property_suite() -> list:
-    results = run_dot_test_checks(operator_kinds((12, 12), 90210, (3, 5), 60, -2.5))
+    results = run_dot_test_checks(operator_kinds((12, 12), 90210, (3, 5), 60))
     bank = make_bank(make_ground_truth((16, 16), seed=5), 6, gaussian_kernel(3, 0.8),
                      0.3, seed=6)
     results.append(_dot_row("generated_bank", [e.op for e in bank.experiments], 8))

@@ -1,7 +1,7 @@
 """Matrix-free linear operators on 2D grids.
 
 Building blocks for the synthetic survey operators: circular (periodic)
-convolution, index restriction (subsampling), scaling, and composition.
+convolution, index restriction (subsampling), and composition.
 The convolution is a direct per-tap summation on the torus, evaluated in C
 by `scipy.ndimage`; its adjoint is the circular correlation with the same
 taps.
@@ -26,8 +26,6 @@ __all__ = [
     "ConvKernel",
     "RestrictionMask",
     "LinearOp",
-    "IdentityOp",
-    "ScaleOp",
     "ConvOp",
     "RestrictOp",
     "ComposeOp",
@@ -119,33 +117,6 @@ class LinearOp:
 
     def __repr__(self):
         return f"<{type(self).__name__} {self.domain_shape}->{self.range_shape}>"
-
-
-class IdentityOp(LinearOp):
-    def __init__(self, shape):
-        self.domain_shape = tuple(shape)
-        self.range_shape = tuple(shape)
-
-    def apply(self, x):
-        return self._check_domain(x).copy()
-
-    def adjoint(self, y):
-        return self._check_range(y).copy()
-
-
-class ScaleOp(LinearOp):
-    def __init__(self, shape, factor: float):
-        if not np.isfinite(factor):
-            raise ValueError("scale factor must be finite")
-        self.domain_shape = tuple(shape)
-        self.range_shape = tuple(shape)
-        self.factor = float(factor)
-
-    def apply(self, x):
-        return self.factor * self._check_domain(x)
-
-    def adjoint(self, y):
-        return self.factor * self._check_range(y)
 
 
 class ConvOp(LinearOp):

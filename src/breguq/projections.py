@@ -7,9 +7,10 @@ because it lies inside the others. Every stack without a TV ball is
 projected exactly, in closed form, by one separable map: dualizing the l2
 ball scales v by s = 1/(1 + mu), so the projection is P_box∩l1(s*v) (a soft
 threshold followed by the clamp, with the threshold found by a vectorized
-sorted-breakpoint search: a sort, two prefix sums and two batched
+sorted-breakpoint search: a sort, a prefix sum per kink set and two batched
 evaluations of the norm, with no Python loop over kinks), with s in (0, 1]
-found by bisection. A stack with
+found by bisection. That search is the one l1-ball projection: without a
+box it has no start kinks, and the TV dual prox runs it too. A stack with
 a TV ball is projected by one iterative solve: FISTA (Beck & Teboulle, SIAM
 J. Imaging Sci. 2009) on the dual of
 
@@ -40,7 +41,6 @@ __all__ = [
     "L1Ball",
     "TVBall",
     "ConstraintStack",
-    "project_l1_ball",
     "project_intersection",
     "constraint_violation",
     "is_feasible",
@@ -141,29 +141,6 @@ class FeasibilityReport:
         return self.feasible
 
 
-def project_l1_ball(x, radius: float) -> np.ndarray:
-    """Sort-and-threshold projection onto the l1 ball."""
-    if not radius > 0:
-        raise ValueError(f"l1 ball radius must be positive, got {radius}")
-    x = np.asarray(x, dtype=np.float64)
-    v = x.ravel()
-    a = np.abs(v)
-    if a.sum() <= radius:
-        return x.copy()
-    u = np.sort(a)[::-1]
-    css = np.cumsum(u)
-    j = np.arange(1, u.size + 1)
-    rho = int(np.nonzero(u * j > css - radius)[0][-1]) + 1
-    theta = (css[rho - 1] - radius) / rho
-    out = np.sign(v) * np.maximum(a - theta, 0.0)
-    # summation rounding can leave the norm a hair over the radius at high
-    # dimension; pull exactly onto the boundary so feasibility is unconditional
-    norm = np.abs(out).sum()
-    if norm > radius:
-        out *= radius / norm
-    return out.reshape(x.shape)
-
-
 def _box_l1_project_flat(v: np.ndarray, lo: float, hi: float,
                          radius: float) -> np.ndarray:
     """Exact projection of a flat vector onto {lo <= x <= hi, ||x||_1 <= radius}.
@@ -175,11 +152,11 @@ def _box_l1_project_flat(v: np.ndarray, lo: float, hi: float,
     |x_i(theta)| = clip(a_i - theta, p, q_i), where p is the distance from 0
     to the box and q_i the largest |x| on the side of the box that v_i's
     sign selects (one q for a box symmetric about 0); with no box
-    (lo = -inf, hi = inf), p = 0 and q_i = a_i, since |x_i(theta)| never
-    exceeds a_i for theta >= 0. The norm is therefore continuous,
-    non-increasing and piecewise linear in theta, with kinks at a_i - q_i
-    and a_i - p. Prefix sums over the two sorted kink sets give the norm at
-    a whole batch of kinks in one vectorized evaluation, and two such
+    (lo = -inf, hi = inf), p = 0 and q = inf. The norm is therefore
+    continuous, non-increasing and piecewise linear in theta, with kinks at
+    a_i - q_i (none when q = inf: every |x_i| starts on its linear piece)
+    and a_i - p. Prefix sums over the sorted kink sets give the norm at a
+    whole batch of kinks in one vectorized evaluation, and two such
     evaluations find the last kink whose norm is still >= radius (a
     breakpoint search in the style of Condat, "Fast projection onto the
     simplex and the l1 ball", Math. Prog. 2016): one at every
@@ -188,20 +165,18 @@ def _box_l1_project_flat(v: np.ndarray, lo: float, hi: float,
     finds the kink itself. The root lies on the linear piece right of that
     kink, or of 0 if it is larger, and is solved there from a direct
     evaluation of the norm. The cost is one sort when q is one number
-    (sort(a) - c equals sort(a - c) bit for bit) and two otherwise, two
-    prefix sums, O(sqrt(n) log n) lookups and a few passes over the
-    vector, with no Python loop over kinks. When the box misses the ball
-    (n * p > radius) the norm never falls to the radius, theta stops at the
-    last kink, and the result is clip(0, lo, hi), the box point of least
-    l1 norm.
+    (sort(a) - c equals sort(a - c) bit for bit, and q = inf leaves no
+    start kinks to sort) and two otherwise, a prefix sum per kink set,
+    O(sqrt(n) log n) lookups and a few passes over the vector, with no
+    Python loop over kinks. The TV dual prox runs the no-box search too.
+    When the box misses the ball (n * p > radius) the norm never falls to
+    the radius, theta stops at the last kink, and the result is
+    clip(0, lo, hi), the box point of least l1 norm.
     """
     a = np.abs(v)
     p = max(lo, -hi, 0.0)
-    if lo == -math.inf:
-        q = a
-    else:
-        q_pos, q_neg = max(hi, p), max(-lo, p)
-        q = q_pos if q_pos == q_neg else np.where(v >= 0.0, q_pos, q_neg)
+    q_pos, q_neg = max(hi, p), max(-lo, p)
+    q = q_pos if q_pos == q_neg else np.where(v >= 0.0, q_pos, q_neg)
 
     def norm_at(theta: float) -> float:
         x = a - theta
@@ -210,18 +185,29 @@ def _box_l1_project_flat(v: np.ndarray, lo: float, hi: float,
     theta = 0.0
     if norm_at(0.0) > radius:
         ends = np.sort(a)
-        starts = ends - q if np.ndim(q) == 0 else np.sort(a - q)
+        if np.ndim(q):
+            starts = np.sort(a - q)
+        else:
+            starts = ends - q if q < math.inf else ends[:0]
         ends -= p
-        cum_starts, cum_ends = np.zeros((2, a.size + 1))
+        cum_starts, cum_ends = np.zeros(starts.size + 1), np.zeros(a.size + 1)
         starts.cumsum(out=cum_starts[1:])
         ends.cumsum(out=cum_ends[1:])
-        q_sum = float(np.full_like(a, q).sum())  # pairwise, unlike q * n
+        if starts.size:
+            q_sum = float(np.full_like(a, q).sum())  # pairwise, unlike q * n
+
+            def started(t):
+                """(start kinks <= t, the norm at t were no end kink passed)"""
+                ks = starts.searchsorted(t, "right")
+                return ks, q_sum - (ks * t - cum_starts[ks])
+        else:  # no box: every |x_i| is a_i - t until its end kink
+            def started(t):
+                return a.size, cum_ends[-1] - a.size * t
 
         def at_or_above(t: np.ndarray) -> np.ndarray:
             """Whether the norm at each kink in `t` is still >= radius."""
-            ks = starts.searchsorted(t, "right")
             ke = ends.searchsorted(t, "right")
-            return q_sum - (ks * t - cum_starts[ks]) + (ke * t - cum_ends[ke]) >= radius
+            return started(t)[1] + (ke * t - cum_ends[ke]) >= radius
 
         stride = math.isqrt(a.size - 1) + 1
         sampled = np.concatenate((starts[::stride], ends[::stride]))
@@ -236,7 +222,7 @@ def _box_l1_project_flat(v: np.ndarray, lo: float, hi: float,
 
         near = np.concatenate((block(starts), block(ends)))
         theta = max(theta, float(near[at_or_above(near)].max(initial=-math.inf)))
-        slope = int(starts.searchsorted(theta, "right") - ends.searchsorted(theta, "right"))
+        slope = int(started(theta)[0] - ends.searchsorted(theta, "right"))
         if slope:
             theta += (norm_at(theta) - radius) / slope
     x = a - theta
@@ -247,12 +233,23 @@ def _box_l1_project_flat(v: np.ndarray, lo: float, hi: float,
 
 def tv_forward_diff(x: np.ndarray) -> np.ndarray:
     """Circular forward differences, stacked (2, rows, cols): down then right."""
-    return np.stack((np.roll(x, -1, axis=0) - x, np.roll(x, -1, axis=1) - x))
+    out = np.empty((2,) + x.shape)
+    np.subtract(x[1:], x[:-1], out=out[0, :-1])
+    np.subtract(x[0], x[-1], out=out[0, -1])
+    np.subtract(x[:, 1:], x[:, :-1], out=out[1, :, :-1])
+    np.subtract(x[:, 0], x[:, -1], out=out[1, :, -1])
+    return out
 
 
 def tv_diff_adjoint(p: np.ndarray) -> np.ndarray:
     """Adjoint of `tv_forward_diff` (negative circular divergence)."""
-    return (np.roll(p[0], 1, axis=0) - p[0]) + (np.roll(p[1], 1, axis=1) - p[1])
+    out, right = np.empty(p.shape[1:]), np.empty(p.shape[1:])
+    np.subtract(p[0, :-1], p[0, 1:], out=out[1:])
+    np.subtract(p[0, -1], p[0, 0], out=out[0])
+    np.subtract(p[1, :, :-1], p[1, :, 1:], out=right[:, 1:])
+    np.subtract(p[1, :, -1], p[1, :, 0], out=right[:, 0])
+    out += right
+    return out
 
 
 def total_variation(x) -> float:
@@ -310,14 +307,15 @@ def _dual_solve(v, lo, hi, r1, r2, radius, tol, max_iters):
         h(s) = min_{x in C} 0.5*||x - v||^2 + <x, s>,
     whose gradient is -D x(s) with x(s) the separable projection of v - s
     onto C. The step is 1/||D||^2 = 1/8; the dual prox is the Moreau
-    complement of an l1 ball projection. Each x(s) is pulled toward a
-    constant anchor in C, which has TV 0, just far enough to enter the TV
-    ball: clip(mean(v), lo, hi) when C is the box alone, else clip(0, lo,
-    hi), the box point of least l1 and l2 norm. An anchor outside C means
-    the sets do not meet; it is returned unconverged with an infinite gap.
-    Momentum restarts whenever the dual objective backtracks. Returns (x,
-    converged, duality gap, iterations); a loop capped before its relative
-    gap falls to `tol` returns its least-gap iterate.
+    complement of the l1 ball projection, the breakpoint search with no
+    box. Each x(s) is pulled toward a constant anchor in C, which has TV 0,
+    just far enough to enter the TV ball: clip(mean(v), lo, hi) when C is
+    the box alone, else clip(0, lo, hi), the box point of least l1 and l2
+    norm. An anchor outside C means the sets do not meet; it is returned
+    unconverged with an infinite gap. Momentum restarts whenever the dual
+    objective backtracks. Returns (x, converged, duality gap, iterations);
+    a loop capped before its relative gap falls to `tol` returns its
+    least-gap iterate.
     """
     project = lambda u: _separable_project(u, lo, hi, r1, r2)
     anchor = float(np.clip(v.mean() if r1 == r2 == math.inf else 0.0, lo, hi))
@@ -335,7 +333,8 @@ def _dual_solve(v, lo, hi, r1, r2, radius, tol, max_iters):
     best_gap, best_x = math.inf, None
     for it in range(1, max_iters + 1):
         q = w + step * tv_forward_diff(project(v - s_w))
-        p_new = q - project_l1_ball(q, step * radius) if radius > 0 else q
+        p_new = (q - _separable_project(q, -math.inf, math.inf, step * radius, math.inf)
+                 if radius > 0 else q)
         s_new = tv_diff_adjoint(p_new)
         u = project(v - s_new)
         obj = (radius * float(np.abs(p_new).max())

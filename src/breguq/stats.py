@@ -83,13 +83,6 @@ class SampleSet:
     def count(self) -> int:
         return len(self.latents)
 
-    @property
-    def shape(self) -> tuple:
-        return self.arch.out_shape
-
-    def latent(self, j: int) -> np.ndarray:
-        return self.latents[j]
-
     def realization(self, j: int) -> np.ndarray:
         return net_forward(self.arch, self.weights, self.latents[j])
 
@@ -112,7 +105,7 @@ class SampleSummary:
 
 def summarize(samples: SampleSet, mode: str = "population") -> SampleSummary:
     """Mean and pointwise std in a single pass over `samples`: a `SampleSet`
-    or any object with its `count`, `shape` and `realizations()`. Sums that
+    or any object with its `count` and `realizations()`. Sums that
     end non-finite (a realization that is, or one that overflows the
     squares) raise `NumericalAbortError` naming the first such pixel; they
     are checked once, after the pass."""

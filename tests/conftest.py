@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from breguq.linops import (ComposeOp, ConvKernel, ConvOp, IdentityOp,
+from breguq.linops import (ComposeOp, ConvKernel, ConvOp, LinearOp,
                            RestrictionMask, RestrictOp)
 from breguq.net import NetArch, StageSpec
 from breguq.testbed import ExperimentBank, LinearExperiment, _coherent_basis
@@ -18,10 +18,24 @@ def small_arch():
                    stages=(StageSpec(4),))
 
 
+class ScaledIdentity(LinearOp):
+    """x -> factor * x on grids of `shape`; self-adjoint."""
+
+    def __init__(self, shape, factor=1.0):
+        self.domain_shape = self.range_shape = tuple(shape)
+        self.factor = float(factor)
+
+    def apply(self, x):
+        return self.factor * self._check_domain(x)
+
+    def adjoint(self, y):
+        return self.factor * self._check_range(y)
+
+
 def identity_bank(y_grids):
     """Bank of identity experiments over the given observation grids."""
     shape = y_grids[0].shape
-    exps = [LinearExperiment(IdentityOp(shape), np.asarray(y, dtype=np.float64))
+    exps = [LinearExperiment(ScaledIdentity(shape), np.asarray(y, dtype=np.float64))
             for y in y_grids]
     return ExperimentBank(tuple(exps), shape)
 

@@ -105,7 +105,7 @@ def desk_training(desk_bank):
 
 def test_criterion_1_operator_dot_tests(desk_bank):
     t0 = time.time()
-    kinds = operator_kinds((16, 16), 424, (5,), 100, -3.3)
+    kinds = operator_kinds((16, 16), 424, (5,), 100)
     worst = max(dot_test(op, seed=1, trials=20) for _, op in kinds)
     for exp in desk_bank["bank"].experiments:
         worst = max(worst, dot_test(exp.op, seed=2, trials=20))

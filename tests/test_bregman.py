@@ -4,15 +4,14 @@ import pytest
 from breguq.bregman import (BregmanState, bregman_step, initial_state,
                             run_bregman, TraceRecord)
 from breguq.errors import NumericalAbortError
-from breguq.linops import IdentityOp, ScaleOp
 from breguq.net import NetArch, net_forward, net_init
 from breguq.projections import (Box, ConstraintStack, L1Ball, TVBall, is_feasible,
                                 total_variation)
 from breguq.stats import read_records, write_records
 from breguq.testbed import ExperimentBank, LinearExperiment
 
-from conftest import (eval_lsq_objective, identity_bank, restriction_bank,
-                      small_arch)
+from conftest import (ScaledIdentity, eval_lsq_objective, identity_bank,
+                      restriction_bank, small_arch)
 
 WIDE = ConstraintStack((Box(-1e9, 1e9),))
 
@@ -26,30 +25,30 @@ def _step_from_zero(op, y, t_max=10.0):
 
 def test_steplength_identity():
     # gradient equals residual: ||r||^2 / ||g||^2 = 1
-    _, rec = _step_from_zero(IdentityOp((1, 3)), [[1.0, -2.0, 0.5]])
+    _, rec = _step_from_zero(ScaledIdentity((1, 3)), [[1.0, -2.0, 0.5]])
     assert rec.t_k == pytest.approx(1.0)
     assert not rec.skipped
 
 
 def test_steplength_doubled_gradient():
-    _, rec = _step_from_zero(ScaleOp((1, 3), 2.0), [[1.0, -2.0, 0.5]])
+    _, rec = _step_from_zero(ScaledIdentity((1, 3), 2.0), [[1.0, -2.0, 0.5]])
     assert rec.t_k == pytest.approx(0.25)
 
 
 def test_steplength_zero_residual():
-    _, rec = _step_from_zero(IdentityOp((1, 3)), np.zeros((1, 3)))
+    _, rec = _step_from_zero(ScaledIdentity((1, 3)), np.zeros((1, 3)))
     assert rec.t_k == 0.0
     assert not rec.skipped
 
 
 def test_steplength_cap():
-    _, rec = _step_from_zero(ScaleOp((1, 4), 1e-3), np.ones((1, 4)), t_max=10.0)
+    _, rec = _step_from_zero(ScaledIdentity((1, 4), 1e-3), np.ones((1, 4)), t_max=10.0)
     assert rec.t_k == 10.0
 
 
 def test_steplength_null_space_residual_skips():
     # non-zero residual, vanishing gradient: the step is dropped
-    state, rec = _step_from_zero(ScaleOp((1, 3), 1e-200), np.ones((1, 3)))
+    state, rec = _step_from_zero(ScaledIdentity((1, 3), 1e-200), np.ones((1, 3)))
     assert rec.t_k == 0.0
     assert rec.skipped
     np.testing.assert_array_equal(state.x_dual, np.zeros((1, 3)))
@@ -57,7 +56,7 @@ def test_steplength_null_space_residual_skips():
 
 def test_one_step_exact_solve():
     y = np.ones((2, 2))
-    exp = LinearExperiment(IdentityOp((2, 2)), y)
+    exp = LinearExperiment(ScaledIdentity((2, 2)), y)
     state, rec = bregman_step(initial_state((2, 2)), exp, WIDE, k=0)
     np.testing.assert_array_equal(state.x_dual, y)
     np.testing.assert_array_equal(state.x_primal, y)
@@ -67,7 +66,7 @@ def test_one_step_exact_solve():
 
 def test_projection_clips_primal_only():
     y = np.ones((2, 2))
-    exp = LinearExperiment(IdentityOp((2, 2)), y)
+    exp = LinearExperiment(ScaledIdentity((2, 2)), y)
     stack = ConstraintStack((Box(0.0, 0.5),))
     state, _ = bregman_step(initial_state((2, 2)), exp, stack)
     np.testing.assert_array_equal(state.x_dual, np.ones((2, 2)))
@@ -77,7 +76,7 @@ def test_projection_clips_primal_only():
 def test_record_carries_projection_health():
     arch = small_arch()
     w = net_init(arch, seed=3)
-    exp = LinearExperiment(IdentityOp((4, 4)), np.full((4, 4), 3.0))
+    exp = LinearExperiment(ScaledIdentity((4, 4)), np.full((4, 4), 3.0))
     empty = ConstraintStack((Box(0.0, 0.0), Box(1.0, 1.0)))
     for lam in (0.0, 0.5):
         _, rec = bregman_step(initial_state((4, 4)), exp, empty,
@@ -88,7 +87,7 @@ def test_record_carries_projection_health():
         assert (rec.proj_sweeps, rec.proj_converged) == (1, True)
     # a dual solve stopped by its cap: the record carries its iteration count
     capped = ConstraintStack((Box(-1.0, 1.0), TVBall(1e-3)), tv_max_iters=3)
-    ramp = LinearExperiment(IdentityOp((4, 4)), np.arange(16.0).reshape(4, 4))
+    ramp = LinearExperiment(ScaledIdentity((4, 4)), np.arange(16.0).reshape(4, 4))
     _, rec = bregman_step(initial_state((4, 4)), ramp, capped)
     assert (rec.proj_sweeps, rec.proj_converged) == (3, False)
 
@@ -99,7 +98,7 @@ def test_record_and_trace_carry_tv_gap(tmp_path):
     x = np.random.default_rng(0).standard_normal((8, 8))
     capped = ConstraintStack((Box(-1.0, 1.0), TVBall(0.2 * total_variation(x))),
                              tv_max_iters=2)
-    exp = LinearExperiment(IdentityOp(x.shape), x)
+    exp = LinearExperiment(ScaledIdentity(x.shape), x)
     state = BregmanState(x.copy(), np.zeros_like(x), 0)
     _, rec = bregman_step(state, exp, capped)
     assert not rec.proj_converged and rec.proj_tv_gap > 1e3 * capped.tv_tol
@@ -134,7 +133,7 @@ def test_augmented_lambda_zero_bit_identical(rng):
     arch = small_arch()
     w = net_init(arch, seed=1)
     y = rng.standard_normal((4, 4))
-    exp = LinearExperiment(IdentityOp((4, 4)), y)
+    exp = LinearExperiment(ScaledIdentity((4, 4)), y)
     stack = ConstraintStack((Box(-2.0, 2.0), L1Ball(10.0)))
     s0 = initial_state((4, 4))
     plain, rec_p = bregman_step(s0, exp, stack, k=3)
@@ -151,7 +150,7 @@ def test_augmented_joint_fixed_point_is_noop(rng):
     w = net_init(arch, seed=2)
     z = rng.standard_normal(8)
     g = net_forward(arch, w, z)
-    exp = LinearExperiment(IdentityOp((4, 4)), g.copy())  # zero data residual at x=g
+    exp = LinearExperiment(ScaledIdentity((4, 4)), g.copy())  # zero data residual at x=g
     state = BregmanState(g.copy(), g.copy(), 0)
     new, rec = bregman_step(state, exp, WIDE, center=net_forward(arch, w, z), lam=1.0)
     np.testing.assert_array_equal(new.x_dual, state.x_dual)
@@ -171,7 +170,7 @@ def _const_generator_setup(g_value):
 def test_augmented_scalar_fixed_point_unconstrained():
     arch, w = _const_generator_setup(0.2)
     y = np.array([[1.0]])
-    exp = LinearExperiment(IdentityOp((1, 1)), y)
+    exp = LinearExperiment(ScaledIdentity((1, 1)), y)
     x_fix = (y + 0.2) / 2.0
     state = BregmanState(x_fix.copy(), x_fix.copy(), 0)
     new, rec = bregman_step(state, exp, WIDE,
@@ -183,7 +182,7 @@ def test_augmented_scalar_fixed_point_unconstrained():
 def test_augmented_scalar_fixed_point_clipped_box():
     arch, w = _const_generator_setup(0.2)
     y = np.array([[1.0]])
-    exp = LinearExperiment(IdentityOp((1, 1)), y)
+    exp = LinearExperiment(ScaledIdentity((1, 1)), y)
     stack = ConstraintStack((Box(0.0, 0.4),))
     state = BregmanState(np.array([[0.4]]), np.array([[0.4]]), 0)
     for _ in range(25):
@@ -279,7 +278,7 @@ def test_eval_joint_reduction_and_additivity(rng):
 
 
 def test_positive_lambda_requires_prior_and_negative_rejected():
-    exp = LinearExperiment(IdentityOp((4, 4)), np.ones((4, 4)))
+    exp = LinearExperiment(ScaledIdentity((4, 4)), np.ones((4, 4)))
     arch = small_arch()
     w = net_init(arch, seed=3)
     with pytest.raises(ValueError):
@@ -291,7 +290,7 @@ def test_positive_lambda_requires_prior_and_negative_rejected():
 
 def test_nonfinite_aborts_with_snapshot():
     y = np.full((2, 2), 1e200)
-    exp = LinearExperiment(IdentityOp((2, 2)), y)
+    exp = LinearExperiment(ScaledIdentity((2, 2)), y)
     with pytest.raises(NumericalAbortError) as err:
         bregman_step(initial_state((2, 2)), exp, WIDE)
     assert "state" in err.value.diagnostics

@@ -14,13 +14,12 @@ from breguq.cli import main
 from breguq.config import load_config
 from breguq.em import RoundRecord
 from breguq.errors import NumericalAbortError
-from breguq.linops import ScaleOp
 from breguq.net import net_init
 from breguq.stats import (auto_probes, load_weights, read_portable_grid, read_records,
                           read_table, save_weights, write_portable_grid)
 from breguq.testbed import load_bank
 
-from conftest import eval_lsq_objective, run_files
+from conftest import ScaledIdentity, eval_lsq_objective, run_files
 
 SMALL_TESTBED = """\
 [testbed]
@@ -788,7 +787,7 @@ def test_stats_draws_each_latent_once_and_sample_writes_its_realizations(
         passes.append([])
 
         class Recorded:
-            count, shape = samples.count, samples.shape
+            count = samples.count
 
             def realizations(self):
                 for x in samples.realizations():
@@ -919,12 +918,12 @@ def test_check_passes_and_prints_table(capsys):
 
 
 def test_check_fault_injection_names_dot_test():
-    class BrokenAdjoint(ScaleOp):
+    class BrokenAdjoint(ScaledIdentity):
         def adjoint(self, y):
             return -super().adjoint(y)
 
     results = checks.run_dot_test_checks(
-        [("scale", ScaleOp((6, 6), 2.0)), ("sabotaged", BrokenAdjoint((6, 6), 2.0))])
+        [("scale", ScaledIdentity((6, 6), 2.0)), ("sabotaged", BrokenAdjoint((6, 6), 2.0))])
     failing = [r for r in results if not r.passed]
     assert len(failing) == 1
     assert failing[0].name == "dot_test:sabotaged"

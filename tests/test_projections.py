@@ -1,14 +1,14 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from breguq.oracles import qp_project
 from breguq.projections import (Box, ConstraintStack, L1Ball, L2Ball, TVBall,
                                 constraint_violation, is_feasible,
-                                project_intersection, project_l1_ball,
-                                total_variation)
+                                project_intersection, total_variation,
+                                tv_diff_adjoint, tv_forward_diff)
 
 finite_vec = hnp.arrays(np.float64, 6,
                         elements=st.floats(-5, 5, allow_nan=False, width=64))
@@ -63,14 +63,14 @@ def test_l2_matches_qp_oracle():
 
 def test_l1_inside_unchanged():
     x = np.array([0.2, -0.3, 0.1])
-    np.testing.assert_array_equal(project_l1_ball(x, 1.0), x)
+    np.testing.assert_array_equal(project_one(L1Ball(1.0), x), x)
 
 def test_l1_axis_point():
-    np.testing.assert_allclose(project_l1_ball(np.array([3.0, 0.0]), 1.0),
+    np.testing.assert_allclose(project_one(L1Ball(1.0), np.array([3.0, 0.0])),
                                [1.0, 0.0], atol=1e-15)
 
 def test_l1_symmetric_split():
-    np.testing.assert_allclose(project_l1_ball(np.array([2.0, 2.0]), 2.0),
+    np.testing.assert_allclose(project_one(L1Ball(2.0), np.array([2.0, 2.0])),
                                [1.0, 1.0], atol=1e-15)
 
 def test_l1_matches_qp_oracle():
@@ -78,9 +78,66 @@ def test_l1_matches_qp_oracle():
     for _ in range(10):
         x = 2.0 * rng.standard_normal(8)
         ref = qp_project(x, ConstraintStack((L1Ball(2.0),)))
-        got = project_l1_ball(x, 2.0)
+        got = project_one(L1Ball(2.0), x)
         assert np.max(np.abs(got - ref)) < 1e-8
         assert np.abs(got).sum() <= 2.0 + 1e-12
+
+
+def l1_ball_reference(v, radius):
+    """Sort-and-threshold projection onto the l1 ball (Duchi et al., ICML 2008)."""
+    a = np.abs(v)
+    if a.sum() <= radius:
+        return v.copy()
+    u = np.sort(a)[::-1]
+    css = np.cumsum(u)
+    rho = np.nonzero(u * np.arange(1, u.size + 1) > css - radius)[0][-1] + 1
+    return np.sign(v) * np.maximum(a - (css[rho - 1] - radius) / rho, 0.0)
+
+
+# few distinct values, so draws repeat magnitudes (ties) and hold zeros
+tie_prone = st.one_of(st.sampled_from([0.0, 0.5, -0.5, 1.0, -1.0, 2.0, -3.0]),
+                      st.floats(-5, 5, allow_nan=False, width=64))
+
+
+@given(v=hnp.arrays(np.float64, st.integers(1, 32), elements=tie_prone),
+       fraction=st.floats(0.0, 1.5))
+@example(v=np.array([0.7]), fraction=0.5)
+@example(v=np.array([1.0, -1.0, 1.0, 0.0]), fraction=0.5)
+@example(v=np.array([2.0, -1.0, 0.0]), fraction=1.0)
+@example(v=np.zeros(3), fraction=0.5)
+@settings(max_examples=200, deadline=None)
+def test_l1_search_matches_sort_and_threshold(v, fraction):
+    # the no-box breakpoint search, as the l1 stack and the TV dual prox run it
+    radius = max(fraction * float(np.abs(v).sum()), 1e-3)
+    got = project_one(L1Ball(radius), v)
+    ref = l1_ball_reference(v, radius)
+    assert np.max(np.abs(got - ref)) <= 1e-14 * max(1.0, float(np.max(np.abs(v))))
+
+
+# --- tv differences ---
+
+TV_SHAPES = [(1, 5), (5, 1), (2, 3), (3, 4), (64, 64)]
+
+
+@pytest.mark.parametrize("shape", TV_SHAPES, ids=str)
+def test_tv_differences_equal_the_rolled_formulas(shape):
+    rng = np.random.default_rng(31)
+    x, p = rng.standard_normal(shape), rng.standard_normal((2,) + shape)
+    np.testing.assert_array_equal(tv_forward_diff(x), np.stack(
+        (np.roll(x, -1, axis=0) - x, np.roll(x, -1, axis=1) - x)))
+    np.testing.assert_array_equal(
+        tv_diff_adjoint(p),
+        (np.roll(p[0], 1, axis=0) - p[0]) + (np.roll(p[1], 1, axis=1) - p[1]))
+
+
+@pytest.mark.parametrize("shape", TV_SHAPES, ids=str)
+def test_tv_difference_adjoint_identity(shape):
+    rng = np.random.default_rng(32)
+    for _ in range(5):
+        x, p = rng.standard_normal(shape), rng.standard_normal((2,) + shape)
+        lhs = float(np.vdot(tv_forward_diff(x), p))
+        rhs = float(np.vdot(x, tv_diff_adjoint(p)))
+        assert abs(lhs - rhs) <= 1e-13 * max(abs(lhs), abs(rhs))
 
 
 # --- tv ball ---

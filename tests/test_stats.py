@@ -19,7 +19,6 @@ class ListSamples:
     def __init__(self, grids):
         self.grids = [np.asarray(g, dtype=np.float64) for g in grids]
         self.count = len(grids)
-        self.shape = self.grids[0].shape
 
     def realizations(self):
         yield from self.grids
@@ -53,7 +52,7 @@ def test_latents_depend_only_on_seed_and_index():
     a = SampleSet(arch, net_init(arch, seed=2), draw_latents(arch.latent_dim, 4, 7))
     b = SampleSet(arch, net_init(arch, seed=3), draw_latents(arch.latent_dim, 4, 7))
     for j in range(4):
-        np.testing.assert_array_equal(a.latent(j), b.latent(j))
+        np.testing.assert_array_equal(a.latents[j], b.latents[j])
     assert not np.array_equal(a.realization(0), b.realization(0))
 
 
@@ -76,7 +75,7 @@ def test_drawn_latents_are_the_per_index_streams():
     for j in range(5):
         z = np.random.default_rng(np.random.SeedSequence([12, j])).standard_normal(
             arch.latent_dim)
-        np.testing.assert_array_equal(s.latent(j), z)
+        np.testing.assert_array_equal(s.latents[j], z)
         np.testing.assert_array_equal(s.realization(j), net_forward(arch, w, z))
 
 
