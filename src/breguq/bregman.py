@@ -124,14 +124,14 @@ def bregman_step(state: BregmanState, experiment, stack: ConstraintStack,
 
 def run_bregman(bank, stack: ConstraintStack, state: BregmanState, ids, steps: int,
                 seed: int, *, key: int = 0, skip: int = 0, t_max: float = T_MAX_DEFAULT,
-                center=None, lam: float = 0.0, on_state=None):
+                center=None, lam: float = 0.0):
     """The one stochastic Bregman loop: `steps` steps from `state`, each
     against an experiment drawn uniformly with replacement from the bank
     indices `ids`, at trade-off `lam` toward `center` (see `bregman_step`).
 
     Draws come from the stream keyed by (seed, key), advanced past `skip`
-    draws, so a later block of one chain continues its stream. `on_state`
-    (if given) observes every post-step state. Returns (state, trace).
+    draws, so a later block of one chain continues its stream. Each step
+    calls the module binding `bregman_step`. Returns (state, trace).
     """
     ids = np.asarray(ids, dtype=np.int64)
     exps = bank.experiments
@@ -146,6 +146,4 @@ def run_bregman(bank, stack: ConstraintStack, state: BregmanState, ids, steps: i
         state, rec = bregman_step(state, exps[k], stack, t_max=t_max, k=k,
                                   center=center, lam=lam)
         trace.append(rec)
-        if on_state is not None:
-            on_state(state)
     return state, trace

@@ -105,9 +105,7 @@ def _latents(config, count):
 
 
 def cmd_sample(args, config) -> int:
-    count = args.count if args.count is not None else config.get("stats", "sample_count")
-    if count < 1:
-        raise ConfigError(f"--count must be at least 1, got {count}")
+    count = config.get("stats", "sample_count")
     w = _checkpoint_weights(args.checkpoint, config.arch)
     samples = SampleSet(config.arch, w, _latents(config, count))
     for j in range(count):
@@ -203,7 +201,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--checkpoint", required=True,
                    help="weights file or train output directory")
-    p.add_argument("--count", type=int, default=None)
+    p.add_argument("--count", type=int, default=None,
+                   help="realizations to write, overriding [stats] sample_count")
     p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("stats", help="posterior mean/std grids and pixel histograms")
@@ -254,7 +253,7 @@ def main(argv=None) -> int:
     out = getattr(args, "out", None)
     created = out is not None and not os.path.isdir(out)
     try:
-        config = load_config(args.config, args.seed)
+        config = load_config(args.config, args.seed, getattr(args, "count", None))
         if out is not None:
             os.makedirs(out, exist_ok=True)
         code = args.func(args, config)

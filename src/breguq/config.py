@@ -55,7 +55,7 @@ class Field:
             if self.choices and value not in self.choices:
                 raise ValueError(f"must be one of {list(self.choices)}")
         except ValueError as exc:
-            raise ConfigError(f"[{section}] {key}: {exc}", key=f"{section}.{key}") from exc
+            raise ConfigError(f"[{section}] {key}: {exc}") from exc
         return value
 
     def format(self, value) -> str:
@@ -175,11 +175,12 @@ class RunConfig:
         return self._values[section][key]
 
 
-def load_config(path=None, seed=None) -> RunConfig:
+def load_config(path=None, seed=None, count=None) -> RunConfig:
     """Parse an INI file against the schema (`path=None` yields defaults),
     check the load-time bounds, derive every seed key from the master
-    `seed` when one is given (index-offset rule), and build every
-    section's objects."""
+    `seed` when one is given (index-offset rule), let `count` (the `sample`
+    command's `--count`) stand in for `[stats] sample_count` when given, and
+    build every section's objects."""
     values = {s: {k: f.default for k, f in keys.items()} for s, keys in SCHEMA.items()}
     if path is not None:
         parser = configparser.ConfigParser(interpolation=None)
@@ -192,23 +193,26 @@ def load_config(path=None, seed=None) -> RunConfig:
             raise ConfigError(f"malformed config {path}: {exc}") from exc
         for section in parser.sections():
             if section not in SCHEMA:
-                raise ConfigError(f"unknown config section [{section}]", key=section)
+                raise ConfigError(f"unknown config section [{section}]")
             for key, raw in parser.items(section):
                 if key not in SCHEMA[section]:
-                    raise ConfigError(f"unknown key {key!r} in section [{section}]",
-                                      key=f"{section}.{key}")
+                    raise ConfigError(f"unknown key {key!r} in section [{section}]")
                 values[section][key] = SCHEMA[section][key].parse(section, key, raw)
     for (section, key), bound in _BOUNDS.items():
         value = values[section][key]
         if value < 0 or bound == "positive" and not value > 0:
-            raise ConfigError(f"[{section}] {key}: must be {bound}, got {value}",
-                              key=f"{section}.{key}")
+            raise ConfigError(f"[{section}] {key}: must be {bound}, got {value}")
     if seed is not None:
         if seed < 0:
             raise ConfigError(f"--seed: must be non-negative, got {seed}")
         for i, (section, key) in enumerate(_SEED_KEYS):
             values[section][key] = int(seed) * 100 + i
-    return RunConfig(values)
+    config = RunConfig(values)
+    if count is not None:  # after the build, which checks the file's own value
+        if count < 1:
+            raise ConfigError(f"--count must be at least 1, got {count}")
+        values["stats"]["sample_count"] = count
+    return config
 
 
 def write_resolved(config: RunConfig, path) -> None:
@@ -266,12 +270,10 @@ def build_stack(config: RunConfig, final: bool = False) -> ConstraintStack:
         sets = []
         for name in [s.strip() for s in c("sets").split(",") if s.strip()]:
             if name not in _SETS:
-                raise ConfigError(f"unknown constraint set {name!r} in [constraints] sets",
-                                  key="constraints.sets")
+                raise ConfigError(f"unknown constraint set {name!r} in [constraints] sets")
             sets.append(_SETS[name](c))
         if not sets:
-            raise ConfigError("[constraints] sets must name at least one set",
-                              key="constraints.sets")
+            raise ConfigError("[constraints] sets must name at least one set")
         return ConstraintStack(tuple(sets), dykstra_tol=c("dykstra_tol"),
                                tv_max_iters=c("tv_max_iters"), tv_tol=c("tv_tol"))
 
@@ -313,11 +315,11 @@ def _stats_probes(config: RunConfig):
         probes = [(int(r), int(c)) for r, c in (part.split(",")
                                                  for part in s("probes").split(";"))]
     except ValueError as exc:
-        raise ConfigError(f"[stats] probes: expected 'auto' or 'r,c;r,c', got {s('probes')!r}",
-                          key="stats.probes") from exc
+        raise ConfigError(f"[stats] probes: expected 'auto' or 'r,c;r,c', "
+                          f"got {s('probes')!r}") from exc
     rows, cols = config.arch.out_shape
     for r, c in probes:
         if not (0 <= r < rows and 0 <= c < cols):
             raise ConfigError(f"[stats] probes: pixel ({r}, {c}) out of range "
-                              f"for the {rows}x{cols} output grid", key="stats.probes")
+                              f"for the {rows}x{cols} output grid")
     return probes

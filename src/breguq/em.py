@@ -146,21 +146,20 @@ def init_tuples(bank, n: int, seed: int, latent_dim: int) -> list:
     zero Bregman states, and latents drawn from one seeded stream."""
     n_exp = bank.n
     if n > n_exp:
-        raise ConfigError(f"[em] tuples: cannot split {n_exp} experiments into {n} tuples",
-                          key="em.tuples")
+        raise ConfigError(f"[em] tuples: cannot split {n_exp} experiments into {n} tuples")
     rng = np.random.default_rng(np.random.SeedSequence([int(seed)]))
     return [TrainTuple(t, np.arange(t, n_exp, n, dtype=np.int64), initial_state(bank.shape),
                        rng.standard_normal(latent_dim)) for t in range(n)]
 
 
 def e_step(tuples, bank, arch: NetArch, w, lam: float, stack: ConstraintStack,
-           config: TrainConfig, round_idx: int, on_state=None):
+           config: TrainConfig, round_idx: int):
     """Per tuple: a block of penalized Bregman steps drawing experiments
     inside the tuple's subset, continuing its draw stream (key: tuple id),
     then a warm-started Langevin chain on the latent. Weights are
     read-only and the latent is fixed during the block, so its center
-    g(z, w) is evaluated once per tuple (not at lam = 0). `on_state` sees
-    every post-step Bregman state. Returns (new tuples, per-tuple trace).
+    g(z, w) is evaluated once per tuple (not at lam = 0). Returns (new
+    tuples, per-tuple trace).
     """
     steps = config.bregman_steps_per_round
     new_tuples, traces = [], {}
@@ -169,7 +168,7 @@ def e_step(tuples, bank, arch: NetArch, w, lam: float, stack: ConstraintStack,
         state, traces[t.id] = run_bregman(
             bank, stack, t.state, t.experiment_ids, steps, config.draw_seed,
             key=t.id, skip=round_idx * steps, t_max=config.t_max, center=center,
-            lam=lam, on_state=on_state)
+            lam=lam)
         z_new = t.z
         if config.sgld.steps > 0:
             z_new, _ = sgld_run(t.z, state.x_primal, arch, w, lam, config.sgld,
@@ -207,12 +206,12 @@ def _tuple_data_misfit(t: TrainTuple, bank) -> float:
 
 
 def train(bank, stack: ConstraintStack, arch: NetArch, config: TrainConfig,
-          stack_final: ConstraintStack | None = None, on_state=None, run_dir=None,
+          stack_final: ConstraintStack | None = None, run_dir=None,
           resume_from=None) -> TrainResult:
     """Run the full loop: rounds of (e_step; m_step) with lam and the stack
     following `round_schedule` from `stack` to `stack_final` (default
-    `stack`; the same sets, in order). `on_state` sees every post-step
-    Bregman state of every tuple. `run_dir` receives the run directory (see
+    `stack`; the same sets, in order); every Bregman step of every tuple
+    goes through `run_bregman`. `run_dir` receives the run directory (see
     `save_checkpoint`), written whole first and extended after every
     round. `resume_from` is such a directory: the run restarts from it and
     reproduces the uninterrupted run exactly (streams are counter-keyed);
@@ -236,19 +235,18 @@ def train(bank, stack: ConstraintStack, arch: NetArch, config: TrainConfig,
          ran_stacks) = load_checkpoint(resume_from, arch)
         if start_round > config.rounds:
             raise ConfigError(f"[em] rounds: {resume_from} completed {start_round} rounds, "
-                              f"more than the configured {config.rounds}", key="em.rounds")
+                              f"more than the configured {config.rounds}")
         if [(t.id, t.experiment_ids.tolist()) for t in tuples] != partition:
             raise ConfigError(f"[em] tuples: {resume_from} splits the bank into "
-                              f"{len(tuples)} tuples, not as configured", key="em.tuples")
+                              f"{len(tuples)} tuples, not as configured")
         if any(t.state.iter != start_round * config.bregman_steps_per_round for t in tuples):
             raise ConfigError(f"[em] bregman_steps_per_round: {resume_from} ran another "
-                              f"number of steps per round", key="em.bregman_steps_per_round")
+                              f"number of steps per round")
         for end, ran_stack, configured in zip(("start", "final"), ran_stacks,
                                               (stack, stack_final)):
             if ran_stack != configured:
                 raise ConfigError(f"[constraints]: {resume_from} ran on the {end} stack "
-                                  f"{ran_stack}, not the configured {configured}",
-                                  key="constraints")
+                                  f"{ran_stack}, not the configured {configured}")
         ran = replace(config, lam_ramp_rounds=ran_window)
         for rec in round_records:  # a logged lam round-trips through repr exactly
             lam, stack_r = round_schedule(config, stack, stack_final, rec.round)
@@ -256,7 +254,7 @@ def train(bank, stack: ConstraintStack, arch: NetArch, config: TrainConfig,
                 raise ConfigError(f"[em] lam_ramp_rounds: {resume_from} ran round {rec.round} "
                                   f"at lam {rec.lam!r} with the stack of a {ran_window}-round "
                                   f"ramp window, not at lam {lam!r} with the stack of the "
-                                  f"configured {window}-round window", key="em.lam_ramp_rounds")
+                                  f"configured {window}-round window")
     if run_dir is not None:
         save_checkpoint(run_dir, arch, w, tuples, start_round - 1, window,
                         (stack, stack_final), round_records, tuple_traces)
@@ -264,8 +262,7 @@ def train(bank, stack: ConstraintStack, arch: NetArch, config: TrainConfig,
 
     for r in range(start_round, config.rounds):
         lam, stack_r = round_schedule(config, stack, stack_final, r)
-        tuples, traces = e_step(tuples, bank, arch, w, lam, stack_r, config, r,
-                                on_state=on_state)
+        tuples, traces = e_step(tuples, bank, arch, w, lam, stack_r, config, r)
         for tid, rows in traces.items():
             tuple_traces[tid].extend(rows)
         for _ in range(config.m_steps_per_round):

@@ -12,19 +12,13 @@ __all__ = [
 
 
 class ConfigError(ValueError):
-    """Invalid or unknown configuration; carries the offending key if known."""
-
-    def __init__(self, message: str, key: str | None = None):
-        super().__init__(message)
-        self.key = key
+    """Invalid or unknown configuration; the message names the offending
+    section and key, or the command-line flag."""
 
 
 class InputFormatError(ValueError):
-    """Malformed input file; `offset` is the failing byte offset when known."""
-
-    def __init__(self, message: str, offset: int = 0):
-        super().__init__(message)
-        self.offset = offset
+    """Malformed input file; the message names the file and, for a binary
+    file, the byte offset where it departs from the format."""
 
 
 class GridFormatError(InputFormatError):

@@ -67,9 +67,10 @@ a layer runs one GEMM for the whole batch. `net_forward` runs B = 1. An
 output pixel reads a small receptive cone of each layer's map:
 `net_pixels` walks back from the final layer's `inv` through each stage's
 table, keeps at every layer only the map columns that the layer above
-reads, and re-indexes the tables into those compact maps. The same layer
-loop and the same kernels then evaluate the requested pixels of a batch of
-latents at once, in batches of at most `_PIXEL_BATCH`, so that memory does
+reads, and re-indexes the tables into those compact maps. No table depends
+on B, so one pixel plan serves every batch of a call: the same layer loop
+and the same kernels evaluate the requested pixels of a batch of latents at
+once, in batches of at most `_PIXEL_BATCH`, so that memory does
 not grow with the number of latents. The dense layer stays one `W @ z`
 per latent. With every pixel and B = 1 the plan is the net's own, and the
 output is bit for bit `net_forward`'s; a smaller cone differs from it only
@@ -211,7 +212,6 @@ class _StagePlan(NamedTuple):
     table: np.ndarray  # window-stack table into the input map
     key: tuple         # the table's `_stack_table` arguments (None: no backward)
     phases: int        # P of the input map
-    count: int = 1     # B, the latents in a map entry
 
     @property
     def inv(self) -> np.ndarray:
@@ -224,7 +224,6 @@ class _FinalPlan(NamedTuple):
     M: np.ndarray      # fold of the final kernel onto its group kernels
     table: np.ndarray  # output pixel fed by each plane entry
     inv: np.ndarray    # plane entries read by each output pixel, one row per group
-    count: int = 1     # B, the latents in a map entry
 
 
 class _Plan(NamedTuple):
@@ -396,11 +395,11 @@ def _compact(entries: np.ndarray, n: int) -> tuple:
     return J, entries // n * len(J) + position[column]
 
 
-def _pixel_plan(arch: NetArch, rows: np.ndarray, cols: np.ndarray, count: int) -> _Plan:
+def _pixel_plan(arch: NetArch, rows: np.ndarray, cols: np.ndarray) -> _Plan:
     """The plan of `arch` restricted to the receptive cone of the output
-    pixels (rows[i], cols[i]), for batches of `count` latents: every map
-    keeps only the columns the layer above reads. The final output is
-    (1, 1, pixels*count), pixel i of latent b at i*count + b."""
+    pixels (rows[i], cols[i]), for a batch of any size B: every map keeps
+    only the columns the layer above reads. The final output is
+    (1, 1, pixels*B), pixel i of latent b at i*B + b."""
     plan = arch._plan
     # columns of the map each stage reads; the last entry, the final layer's
     widths = [arch.base_rows * arch.base_cols] + [s.table.shape[1] for s in plan.stages]
@@ -408,19 +407,21 @@ def _pixel_plan(arch: NetArch, rows: np.ndarray, cols: np.ndarray, count: int) -
     stages = []
     for stage, n in zip(plan.stages[::-1], widths[-2::-1]):
         J, table = _compact(stage.table[:, J], n)
-        stages.append(_StagePlan(stage.M, table, None, stage.phases, count))
+        stages.append(_StagePlan(stage.M, table, None, stage.phases))
     base = np.arange(arch.base_channels)[:, None] * widths[0] + J
-    return _Plan(base, tuple(stages[::-1]), _FinalPlan(plan.final.M, None, inv, count))
+    return _Plan(base, tuple(stages[::-1]), _FinalPlan(plan.final.M, None, inv))
 
 
-def _stage_forward(W: np.ndarray, b: np.ndarray, h: np.ndarray, plan: _StagePlan):
-    """Nearest-x2 upsampling then circular convolution of the map h (P, ci, n)
-    read through `plan`: one GEMM of the four phase kernels against the
-    coarse window stack. Returns (output (4, co, rows*cols), phase-major with
-    the offset of `_fold(k)`; stack; phase kernels)."""
+def _stage_forward(W: np.ndarray, b: np.ndarray, h: np.ndarray, plan: _StagePlan,
+                   B: int):
+    """Nearest-x2 upsampling then circular convolution of the map h (P, ci,
+    n*B) of B latents (column j*B + b holds entry j of latent b) read
+    through `plan`: one GEMM of the four phase kernels against the coarse
+    window stack. Returns (output (4, co, rows*cols*B), phase-major with the
+    offset of `_fold(k)`; stack; phase kernels)."""
     co, ci, k, _ = W.shape
     ww = plan.M.shape[1] // 4
-    stack = h.reshape(-1, plan.count).take(plan.table, axis=0).reshape(len(plan.table), -1)
+    stack = h.reshape(-1, B).take(plan.table, axis=0).reshape(len(plan.table), -1)
     weff = ((W.reshape(co * ci, k * k) @ plan.M).reshape(co, ci, 4, ww)
             .transpose(2, 0, 3, 1).reshape(4 * co, ww * ci))
     out = (weff @ stack).reshape(4, co, -1)
@@ -448,17 +449,18 @@ def _stage_backward(W: np.ndarray, stack: np.ndarray, weff: np.ndarray,
     return gW, g.sum(axis=(0, 2)), gh
 
 
-def _final_forward(W: np.ndarray, b: np.ndarray, h: np.ndarray, plan: _FinalPlan):
-    """Circular convolution of the map h (P, ci, n) onto the natural output
-    grid (co, rows, cols) of `plan`: one GEMM of the group kernels against
-    all input phases writes a plane per (output phase, group), and each
-    output pixel gathers and sums its G planes. Returns (output, group
-    kernels); a pixel plan's output is (co, 1, pixels*B)."""
+def _final_forward(W: np.ndarray, b: np.ndarray, h: np.ndarray, plan: _FinalPlan,
+                   B: int):
+    """Circular convolution of the map h (P, ci, n*B) of B latents onto the
+    natural output grid (co, rows, cols) of `plan`: one GEMM of the group
+    kernels against all input phases writes a plane per (output phase,
+    group), and each output pixel gathers and sums its G planes. Returns
+    (output, group kernels); a pixel plan's output is (co, 1, pixels*B)."""
     co, ci, k, _ = W.shape
     weff = ((W.reshape(co * ci, k * k) @ plan.M).reshape(co, ci, -1, len(h))
             .transpose(2, 0, 3, 1).reshape(-1, len(h) * ci))
     planes = weff @ h.reshape(len(h) * ci, -1)
-    out = (planes.reshape(-1, plan.count).take(plan.inv, axis=0).sum(axis=0)
+    out = (planes.reshape(-1, B).take(plan.inv, axis=0).sum(axis=0)
            .reshape(*plan.inv.shape[1:-1], -1))
     out += b[:, None, None]
     return out, weff
@@ -494,22 +496,23 @@ def net_init(arch: NetArch, seed: int, scale: float = 1.0) -> np.ndarray:
 
 
 def _forward_trace(arch: NetArch, w, zs: np.ndarray, plan: _Plan, keep: bool = True):
-    """Forward pass of the latents zs (B, latent_dim) through `plan`, built
-    for batches of B; with `keep` the trace holds what the backward reads.
-    Returns the first output channel and the trace."""
+    """Forward pass of the latents zs (B, latent_dim) through `plan`; with
+    `keep` the trace holds what the backward reads. Returns the first output
+    channel and the trace."""
     P = _params(arch, w)
     h = (np.array([P["dense.W"] @ z + P["dense.b"] for z in zs]).T
          .take(plan.base, axis=0).reshape(1, arch.base_channels, -1))
     trace = {"z": zs, "P": P, "stages": []}
     for i, stage in enumerate(plan.stages):
-        pre, stack, weff = _stage_forward(P[f"stage{i}.W"], P[f"stage{i}.b"], h, stage)
+        pre, stack, weff = _stage_forward(P[f"stage{i}.W"], P[f"stage{i}.b"], h, stage,
+                                          len(zs))
         if keep:
             trace["stages"].append((stack, weff, pre))
         del h, stack  # free what the trace does not hold before the next map
         h = arch.leaky_slope * pre
         np.maximum(pre, h, out=h)
         del pre
-    out, weff = _final_forward(P["final.W"], P["final.b"], h, plan.final)
+    out, weff = _final_forward(P["final.W"], P["final.b"], h, plan.final, len(zs))
     trace["final"] = (h, weff)
     return out[0], trace
 
@@ -549,10 +552,9 @@ def net_pixels(arch: NetArch, w, latents, pixels) -> np.ndarray:
     for r, c in zip(rows, cols):
         if not (0 <= r < R and 0 <= c < C):
             raise ValueError(f"pixel ({r}, {c}) out of range for {R}x{C} grid")
-    values = []
+    plan, values = _pixel_plan(arch, rows, cols), []
     for start in range(0, len(latents), _PIXEL_BATCH):
         batch = latents[start:start + _PIXEL_BATCH]
-        plan = _pixel_plan(arch, rows, cols, len(batch))
         out, _ = _forward_trace(arch, w, batch, plan, keep=False)
         values.append(out.reshape(len(rows), -1).T)
     return np.concatenate(values)

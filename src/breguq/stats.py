@@ -182,32 +182,34 @@ def _write_f8(path, fmt: _Binary, header_fields, payload) -> None:
 
 def _read_f8(path, fmt: _Binary, payload_size):
     """Validate magic, version, payload length and finiteness, raising
-    `fmt.error` that names `path` and carries the offset of the first bad
-    byte; returns the header fields after the version and the payload.
-    `payload_size(fields, fail)` checks those fields, raising
-    `fail(message, offset)` if they are bad, and returns the number of
-    payload values they imply."""
-    def fail(message, offset):
-        return fmt.error(f"{path}: {message}", offset=offset)
+    `fmt.error` with a message that names `path` and the byte offset where
+    the file departs from the format; returns the header fields after the
+    version and the payload. `payload_size(fields, fail)` checks those
+    fields, raising `fail(message)` if they are bad, and returns the number
+    of payload values they imply."""
+    def fail(message):
+        return fmt.error(f"{path}: {message}")
 
     with open(path, "rb") as f:
         raw = f.read()
     size = fmt.layout.size
     if len(raw) < size:
-        raise fail(f"{fmt.noun} truncated at byte {len(raw)}: header needs {size} bytes",
-                   len(raw))
+        raise fail(f"{fmt.noun} truncated at byte {len(raw)}: header needs {size} bytes")
     magic, version, *header_fields = fmt.layout.unpack_from(raw, 0)
     if magic != fmt.magic:
-        raise fail(f"bad magic {magic!r} at byte 0", 0)
+        raise fail(f"bad magic {magic!r} at byte 0")
     if version != fmt.version:
-        raise fail(f"unsupported version {version} at byte 4", 4)
+        raise fail(f"unsupported version {version} at byte 4")
     expected = size + 8 * payload_size(header_fields, fail)
     if len(raw) != expected:
-        raise fail(f"{fmt.noun} payload truncated at byte {len(raw)}: expected {expected} "
-                   f"bytes", min(len(raw), expected))
+        raise fail(f"{fmt.noun} payload {'truncated' if len(raw) < expected else 'overlong'} "
+                   f"at byte {min(len(raw), expected)}: expected {expected} bytes, got "
+                   f"{len(raw)}")
     payload = np.frombuffer(raw, dtype="<f8", offset=size).astype(np.float64)
-    if not np.all(np.isfinite(payload)):
-        raise fail(f"{fmt.noun} payload contains non-finite values", size)
+    bad = np.flatnonzero(~np.isfinite(payload))
+    if bad.size:
+        raise fail(f"{fmt.noun} payload holds a non-finite value at byte "
+                   f"{size + 8 * int(bad[0])}")
     return header_fields, payload
 
 
@@ -226,7 +228,7 @@ def read_portable_grid(path) -> np.ndarray:
     def payload_size(header_fields, fail):
         rows, cols, _pad = header_fields
         if rows < 1 or cols < 1:
-            raise fail(f"invalid shape {rows}x{cols} at byte 6", 6)
+            raise fail(f"invalid shape {rows}x{cols} at byte 6")
         return rows * cols
 
     (rows, cols, _pad), grid = _read_f8(path, _GRID, payload_size)
@@ -252,8 +254,8 @@ def load_weights(path, arch: NetArch) -> np.ndarray:
     def payload_size(header_fields, fail):
         if tuple(header_fields) != _weights_header(arch):
             raise fail(f"checkpoint header (latent, stages, rows, cols) "
-                       f"{tuple(header_fields)} does not match the configured "
-                       f"{_weights_header(arch)}", 8)
+                       f"{tuple(header_fields)} at byte 8 does not match the "
+                       f"configured {_weights_header(arch)}")
         return arch.n_params
 
     return _read_f8(path, _WEIGHTS, payload_size)[1]

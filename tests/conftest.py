@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from breguq.linops import (ComposeOp, ConvKernel, ConvOp, LinearOp,
-                           RestrictionMask, RestrictOp)
+from breguq.linops import LinearOp, RestrictionMask, RestrictOp
 from breguq.net import NetArch, StageSpec
 from breguq.testbed import ExperimentBank, LinearExperiment, _coherent_basis
 
@@ -45,20 +44,8 @@ def restriction_bank(x_star, index_groups):
     shape = x_star.shape
     exps = []
     for idx in index_groups:
-        mask = RestrictionMask(np.asarray(sorted(idx), dtype=np.int64))
-        op = RestrictOp(mask, shape)
-        exps.append(LinearExperiment(op, op.apply(x_star), mask))
-    return ExperimentBank(tuple(exps), shape)
-
-
-def conv_restrict_bank(x_star, kernel_taps, masks):
-    shape = x_star.shape
-    conv = ConvOp(ConvKernel(np.asarray(kernel_taps, dtype=np.float64)), shape)
-    exps = []
-    for idx in masks:
-        mask = RestrictionMask(np.asarray(sorted(idx), dtype=np.int64))
-        op = ComposeOp(RestrictOp(mask, shape), conv)
-        exps.append(LinearExperiment(op, op.apply(x_star), mask))
+        op = RestrictOp(RestrictionMask(np.asarray(sorted(idx), dtype=np.int64)), shape)
+        exps.append(LinearExperiment(op, op.apply(x_star)))
     return ExperimentBank(tuple(exps), shape)
 
 
@@ -85,7 +72,7 @@ def linearization_error_direct(truth, C, gamma, bank):
     dm = truth.delta_m
 
     def restrict(exp, grid):
-        return grid.ravel()[exp.mask.indices].copy()
+        return grid.ravel()[exp.op.outer.mask.indices].copy()
 
     out = []
     for exp in bank.experiments:

@@ -6,10 +6,12 @@ full training run) are session-scoped and shared across criteria.
 """
 
 import time
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
 
+import breguq.bregman
 from breguq.bregman import bregman_step, initial_state, run_bregman
 from breguq.checks import (gradient_worst, objective_gap, operator_kinds, oracle_worst,
                            pointwise_gap, sgld_moments)
@@ -78,15 +80,28 @@ def desk_bank(tmp_path_factory):
             "truth": truth}
 
 
+@contextmanager
+def feasibility_recorded(flags):
+    """Within it, every `bregman_step` appends to `flags` whether its new
+    primal iterate is feasible for the desk stack."""
+    def recorded(*args, **kwargs):
+        state, rec = bregman_step(*args, **kwargs)
+        flags.append(is_feasible(state.x_primal, DESK_STACK,
+                                 DESK_STACK.dykstra_tol).feasible)
+        return state, rec
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(breguq.bregman, "bregman_step", recorded)
+        yield
+
+
 @pytest.fixture(scope="session")
 def desk_inversion(desk_bank):
     audited = []
     bank = desk_bank["bank"]
-    state, trace = run_bregman(bank, DESK_STACK, initial_state(bank.shape), range(bank.n),
-                               350, seed=29,
-                               on_state=lambda s: audited.append(
-                                   is_feasible(s.x_primal, DESK_STACK,
-                                               DESK_STACK.dykstra_tol).feasible))
+    with feasibility_recorded(audited):
+        state, trace = run_bregman(bank, DESK_STACK, initial_state(bank.shape),
+                                   range(bank.n), 350, seed=29)
     return {"state": state, "trace": trace, "feasible_flags": audited}
 
 
@@ -95,10 +110,8 @@ def desk_training(desk_bank):
     flags = []
     config = TrainConfig(**DESK_TRAIN)
     t0 = time.time()
-    result = train(desk_bank["bank"], DESK_STACK, DESK_ARCH, config,
-                   on_state=lambda s: flags.append(
-                       is_feasible(s.x_primal, DESK_STACK,
-                                   DESK_STACK.dykstra_tol).feasible))
+    with feasibility_recorded(flags):
+        result = train(desk_bank["bank"], DESK_STACK, DESK_ARCH, config)
     return {"result": result, "feasible_flags": flags,
             "train_seconds": time.time() - t0}
 

@@ -216,13 +216,22 @@ def test_run_bregman_deterministic(rng):
     np.testing.assert_array_equal(s1.x_primal, s2.x_primal)
 
 
-def test_feasibility_and_steplength_bounds_along_run(rng):
+def test_feasibility_and_steplength_bounds_along_run(rng, monkeypatch):
+    import breguq.bregman
+
     x_star = rng.uniform(-1, 1, (4, 4))
     bank = restriction_bank(x_star, [range(0, 8), range(8, 16)])
     stack = ConstraintStack((Box(-1.0, 1.0), L1Ball(6.0)))
     audited = []
+
+    def recorded(*args, **kwargs):
+        state, rec = bregman_step(*args, **kwargs)
+        audited.append(state.x_primal)
+        return state, rec
+
+    monkeypatch.setattr(breguq.bregman, "bregman_step", recorded)
     state, trace = run_bregman(bank, stack, initial_state(bank.shape), range(bank.n),
-                               30, seed=11, on_state=lambda s: audited.append(s.x_primal))
+                               30, seed=11)
     assert len(audited) == 30
     for x in audited:
         assert is_feasible(x, stack, stack.dykstra_tol)

@@ -720,6 +720,34 @@ def test_sample_count_zero_exit_2_names_flag(gen_dir, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_sample_count_is_recorded_and_regenerates(gen_dir, tmp_path):
+    # --count stands in for [stats] sample_count, so resolved.cfg records it
+    # and a rerun from it alone writes the same files
+    cfg, bank_dir = gen_dir
+    train_out = tmp_path / "tr"
+    assert main(["train", "--config", cfg, "--bank", str(bank_dir),
+                 "--out", str(train_out)]) == 0
+    first, again = tmp_path / "s1", tmp_path / "s2"
+    assert main(["sample", "--config", cfg, "--checkpoint", str(train_out),
+                 "--out", str(first), "--count", "2"]) == 0
+    assert main(["sample", "--config", str(first / "resolved.cfg"), "--checkpoint",
+                 str(train_out), "--out", str(again)]) == 0
+    assert run_files(first) == run_files(again)
+    assert sorted(run_files(first)) == ["resolved.cfg", "sample_0000.pgrd",
+                                        "sample_0001.pgrd"]
+
+
+def test_count_still_rejects_a_bad_sample_count_in_the_file(tmp_path, capsys):
+    # the file's own value is checked before --count replaces it, so this
+    # config fails in `sample --count` as in every other command
+    cfg = write_cfg(tmp_path, "[stats]\nsample_count = 0\n")
+    out = tmp_path / "samples"
+    assert main(["sample", "--config", cfg, "--checkpoint", str(tmp_path / "absent"),
+                 "--out", str(out), "--count", "3"]) == 2
+    assert capsys.readouterr().err == "config error: [stats] sample_count must be at least 1\n"
+    assert not out.exists()
+
+
 def test_stats_outputs_and_determinism(gen_dir, tmp_path):
     cfg, bank_dir = gen_dir
     train_out = tmp_path / "tr"

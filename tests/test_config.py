@@ -54,7 +54,7 @@ def test_bad_value_rejected_with_key(tmp_path):
     path = write(tmp_path, "[testbed]\nrows = many\n")
     with pytest.raises(ConfigError) as err:
         load_config(path)
-    assert err.value.key == "testbed.rows"
+    assert str(err.value).startswith("[testbed] rows: ")
 
 
 def test_choice_validated(tmp_path):
@@ -73,7 +73,6 @@ def test_choice_validated(tmp_path):
 def test_lower_bounds_checked_at_load_with_key(tmp_path, text, key):
     with pytest.raises(ConfigError) as err:
         load_config(write(tmp_path, text))
-    assert err.value.key == key
     section, name = key.split(".")
     assert str(err.value).startswith(f"[{section}] {name}: must be ")
 
@@ -225,4 +224,4 @@ def test_parse_probes_auto_and_literal(tmp_path):
     for raw in ["1;2;3", "1,2,3", "a,b"]:
         with pytest.raises(ConfigError) as err:
             load_config(write(tmp_path, f"[stats]\nprobes = {raw}\n"))
-        assert err.value.key == "stats.probes"
+        assert str(err.value).startswith("[stats] probes: ")

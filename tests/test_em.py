@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import breguq.bregman
 from breguq.bregman import (BregmanState, TraceRecord, bregman_step, initial_state,
                             run_bregman)
 from breguq.em import (RoundRecord, TrainConfig, TrainTuple, e_step, init_tuples,
@@ -301,21 +302,21 @@ def test_train_reduces_to_plain_bregman(rng):
 
 def test_train_sends_every_step_through_the_one_driver(rng, monkeypatch):
     # run_bregman is the only loop over bregman_step: every E-step step goes
-    # through the module binding it calls, and on_state sees each new state
-    import breguq.bregman
-
+    # through the module binding it calls, which sees each new state
     bank = small_bank(rng, n_exp=4)
     calls, states = [], []
 
     def counted(*args, **kwargs):
         calls.append(kwargs["k"])
-        return bregman_step(*args, **kwargs)
+        state, rec = bregman_step(*args, **kwargs)
+        states.append(state)
+        return state, rec
 
     monkeypatch.setattr(breguq.bregman, "bregman_step", counted)
     cfg = TrainConfig(n_tuples=2, rounds=2, bregman_steps_per_round=3,
                       sgld=SgldParams(epsilon=0.01, steps=1), lam_init=0.5,
                       lam_final=0.5, eta=1e-4, z_seed=3, draw_seed=4, noise_seed=5)
-    res = train(bank, WIDE, small_arch(), cfg, on_state=states.append)
+    res = train(bank, WIDE, small_arch(), cfg)
     assert len(calls) == 12
     assert len(states) == 12
     assert sorted(s.iter for s in states) == [1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6, 6]
@@ -368,7 +369,7 @@ def test_train_honors_stack_schedule(rng):
     assert np.max(np.abs(relaxed.tuples[0].state.x_primal)) > 0.05
 
 
-def test_train_relaxes_l1_radius_over_the_ramp():
+def test_train_relaxes_l1_radius_over_the_ramp(monkeypatch):
     # l1 radius 0.5 -> 0.25 of the truth's l1 norm over a 2-round window:
     # the first round's iterates reach beyond the final radius, and every
     # iterate of the last round is within it
@@ -381,9 +382,15 @@ def test_train_relaxes_l1_radius_over_the_ramp():
                       lam_final=0.5, lam_ramp_rounds=2, eta=1e-4, init_seed=7,
                       z_seed=8, draw_seed=9, noise_seed=10)
     norms = {}
-    train(bank, start, arch, cfg, stack_final=final, on_state=lambda s: norms.setdefault(
-        (s.iter - 1) // cfg.bregman_steps_per_round, []).append(
-            float(np.abs(s.x_primal).sum())))
+
+    def recorded(*args, **kwargs):
+        s, rec = bregman_step(*args, **kwargs)
+        norms.setdefault((s.iter - 1) // cfg.bregman_steps_per_round, []).append(
+            float(np.abs(s.x_primal).sum()))
+        return s, rec
+
+    monkeypatch.setattr(breguq.bregman, "bregman_step", recorded)
+    train(bank, start, arch, cfg, stack_final=final)
     assert sorted(norms) == [0, 1, 2] and len(norms[2]) == 12
     assert max(norms[0]) > 0.25 * l1
     assert max(norms[2]) <= 0.25 * l1 + final.dykstra_tol
