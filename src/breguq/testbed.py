@@ -167,19 +167,23 @@ def make_ground_truth(shape, seed: int) -> GroundTruth:
 def make_bank(truth: GroundTruth, n_experiments: int, kernel: ConvKernel,
               sampling_fraction: float, seed: int) -> ExperimentBank:
     """Noiseless bank: per-experiment seeded restriction masks over one
-    shared convolution. A restriction's adjoint is exact by construction;
-    `breguq check` audits a bank built here (`dot_test:generated_bank`)."""
+    shared convolution. The truth is blurred once and each experiment's
+    data restricts that grid, which is `op.apply(truth.delta_m)` bit for
+    bit. A restriction's adjoint is exact by construction; `breguq check`
+    audits a bank built here (`dot_test:generated_bank`)."""
     _check_layout(n_experiments, sampling_fraction)
     shape = truth.delta_m.shape
     size = shape[0] * shape[1]
     m_keep = max(1, int(round(sampling_fraction * size)))
     conv = ConvOp(kernel, shape)
+    blurred = conv.apply(truth.delta_m)
     rng = np.random.default_rng(np.random.SeedSequence([int(seed)]))
     experiments = []
     for _ in range(n_experiments):
         idx = np.sort(rng.choice(size, size=m_keep, replace=False))
-        op = ComposeOp(RestrictOp(RestrictionMask(idx), shape), conv)
-        experiments.append(LinearExperiment(op, op.apply(truth.delta_m)))
+        restrict = RestrictOp(RestrictionMask(idx), shape)
+        experiments.append(LinearExperiment(ComposeOp(restrict, conv),
+                                            restrict.apply(blurred)))
     return ExperimentBank(tuple(experiments), shape)
 
 
@@ -270,8 +274,12 @@ def add_noise_to_snr(bank: ExperimentBank, truth: GroundTruth, spec: NoiseSpec,
 
 
 def save_bank(dirpath, bank: ExperimentBank, manifest_extra: dict | None = None) -> None:
-    """Write the bank as a text manifest (kernel taps, masks, metadata)
-    plus one portable grid per observed-data vector."""
+    """Write the bank as a single-line JSON manifest (kernel taps, masks,
+    metadata; keys sorted) plus one portable grid per observed-data vector.
+
+    The manifest goes out in one write through the C JSON encoder, which
+    `json.dump` to a file or any `indent` would bypass. `load_bank` reads
+    any layout of the same keys, indented manifests included."""
     os.makedirs(dirpath, exist_ok=True)
     kernel = bank.experiments[0].op.inner.kernel
     manifest = {
@@ -281,14 +289,13 @@ def save_bank(dirpath, bank: ExperimentBank, manifest_extra: dict | None = None)
         "cols": bank.shape[1],
         "n_experiments": bank.n,
         "kernel_size": kernel.size,
-        "kernel_taps": [float(v) for v in kernel.taps.ravel()],
-        "masks": [[int(i) for i in e.op.outer.mask.indices] for e in bank.experiments],
+        "kernel_taps": kernel.taps.ravel().tolist(),
+        "masks": [e.op.outer.mask.indices.tolist() for e in bank.experiments],
     }
     if manifest_extra:
         manifest.update(manifest_extra)
     with open(os.path.join(dirpath, "manifest.json"), "w", newline="") as f:
-        json.dump(manifest, f, indent=2, sort_keys=True)
-        f.write("\n")
+        f.write(json.dumps(manifest, sort_keys=True) + "\n")
     for i, exp in enumerate(bank.experiments):
         write_portable_grid(exp.y.reshape(1, -1),
                             os.path.join(dirpath, f"y_{i:04d}.pgrd"))
@@ -296,8 +303,9 @@ def save_bank(dirpath, bank: ExperimentBank, manifest_extra: dict | None = None)
 
 def load_bank(dirpath):
     """Rebuild a bank from its manifest and data files; a malformed manifest,
-    or a data file whose length is not its mask's kept count, raises
-    `InputFormatError` naming the file."""
+    one whose `n_experiments` is not its number of masks included, or a data
+    file whose length is not its mask's kept count, raises `InputFormatError`
+    naming the file."""
     path = os.path.join(dirpath, "manifest.json")
     with open(path) as f:
         try:
@@ -308,6 +316,9 @@ def load_bank(dirpath):
             kernel = ConvKernel(np.array(manifest["kernel_taps"]).reshape(
                 manifest["kernel_size"], manifest["kernel_size"]))
             conv = ConvOp(kernel, shape)
+            if manifest["n_experiments"] != len(manifest["masks"]):
+                raise ValueError(f"n_experiments is {manifest['n_experiments']} but "
+                                 f"{len(manifest['masks'])} masks are listed")
             masks = [RestrictionMask(np.asarray(idx, dtype=np.int64))
                      for idx in manifest["masks"]]
             ops = [ComposeOp(RestrictOp(mask, shape), conv) for mask in masks]

@@ -228,6 +228,15 @@ def _bad_manifest(text):
     return corrupt
 
 
+def _mask_count_short(bank_dir):
+    # n_experiments stays 4 where only 3 masks are listed
+    path = bank_dir / "manifest.json"
+    manifest = json.loads(path.read_text())
+    manifest["masks"] = manifest["masks"][:-1]
+    path.write_text(json.dumps(manifest))
+    return path
+
+
 def _bad_length_data(bank_dir):
     # the 256-value truth grid where the mask keeps 128
     (bank_dir / "y_0001.pgrd").write_bytes((bank_dir / "truth_delta.pgrd").read_bytes())
@@ -241,9 +250,9 @@ def _cut_data(bank_dir):
 
 
 @pytest.mark.parametrize("corrupt", [
-    _bad_manifest('{"format": "x"}'), _bad_manifest('{"format": '), _bad_length_data,
-    _cut_data,
-], ids=["not_a_bank", "invalid_json", "data_length", "data_cut"])
+    _bad_manifest('{"format": "x"}'), _bad_manifest('{"format": '), _mask_count_short,
+    _bad_length_data, _cut_data,
+], ids=["not_a_bank", "invalid_json", "mask_count", "data_length", "data_cut"])
 def test_invert_malformed_bank_manifest_exit_2(gen_dir, tmp_path, capsys, corrupt):
     # the message names the bad file, once
     cfg_path, bank_dir = gen_dir

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -60,6 +61,14 @@ def test_noiseless_bank_consistent_and_adjoint_clean():
     bank = make_bank(truth, 5, gaussian_kernel(3, 0.7), 0.4, seed=5)
     assert eval_lsq_objective(bank, truth.delta_m) == 0.0
     assert max(dot_test(e.op, seed=9, trials=20) for e in bank.experiments) <= 1e-10
+
+
+def test_bank_data_is_each_operator_applied_to_truth():
+    # the truth is blurred once and restricted per experiment
+    truth = make_ground_truth((20, 24), seed=30)
+    bank = make_bank(truth, 6, gaussian_kernel(5, 1.3), 0.35, seed=31)
+    for exp in bank.experiments:
+        assert exp.y.tobytes() == exp.op.apply(truth.delta_m).tobytes()
 
 
 def test_bank_rejects_bad_inputs():
@@ -176,3 +185,23 @@ def test_bank_save_deterministic_bytes(tmp_path):
     save_bank(tmp_path / "b", bank)
     for name in ["manifest.json", "y_0000.pgrd", "y_0001.pgrd"]:
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+def test_bank_indented_manifest_loads_the_same(tmp_path):
+    # banks written before the manifest went to one line are indented
+    truth = make_ground_truth((16, 16), seed=25)
+    bank = make_bank(truth, 3, gaussian_kernel(3, 0.9), 0.4, seed=26)
+    noisy, report = add_noise_to_snr(bank, truth, NoiseSpec(-3.0), seed=27)
+    save_bank(tmp_path / "bank", noisy, manifest_extra={"snr_report": report})
+    path = tmp_path / "bank" / "manifest.json"
+    assert path.read_text().count("\n") == 1
+    compact, compact_manifest = load_bank(tmp_path / "bank")
+    with open(path, "w") as f:
+        json.dump(compact_manifest, f, indent=2, sort_keys=True)
+    indented, indented_manifest = load_bank(tmp_path / "bank")
+    assert indented_manifest == compact_manifest
+    assert indented.n == compact.n and indented.shape == compact.shape
+    for a, b in zip(indented.experiments, compact.experiments):
+        np.testing.assert_array_equal(a.op.outer.mask.indices, b.op.outer.mask.indices)
+        np.testing.assert_array_equal(a.op.inner.kernel.taps, b.op.inner.kernel.taps)
+        assert a.y.tobytes() == b.y.tobytes()
