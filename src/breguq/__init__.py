@@ -18,7 +18,7 @@ from .projections import (Box, ConstraintStack, L1Ball, L2Ball, TVBall,
 from .sgld import SgldParams, sgld_run, sgld_step
 from .stats import (SampleSet, draw_latents, model_quality, read_portable_grid,
                     summarize, write_portable_grid)
-from .testbed import (ExperimentBank, GroundTruth, LinearExperiment, NoiseSpec,
-                      add_noise_to_snr, make_bank, make_ground_truth, snr_db)
+from .testbed import (ExperimentBank, LinearExperiment, NoiseSpec, add_noise_to_snr,
+                      make_bank, make_ground_truth, snr_db)
 
 __version__ = "0.1.0"

@@ -11,9 +11,9 @@ z and w do.
 
 A step never draws randomness itself: experiment selection happens in the
 one driver loop, `run_bregman`, for inversion and training alike, and bank
-objects are duck-typed (anything with an `experiments` sequence of (op, y)
-pairs works). `breguq.stats` writes and reads trace records as CSV rows
-whose columns are `TraceRecord`'s fields.
+objects are duck-typed (anything with an `experiments` sequence of items
+with `.op` and `.y` attributes works). `breguq.stats` writes and reads
+trace records as CSV rows whose columns are `TraceRecord`'s fields.
 """
 
 from __future__ import annotations

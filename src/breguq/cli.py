@@ -7,10 +7,11 @@ config first (`load_config`), then creates `--out`, runs the command on
 the built config objects, and writes the fully resolved config that
 produced the run, `resolved.cfg`, after the command succeeds.
 
-Exit codes: 0 success, 1 property-check failure, 2 usage/config error or
-malformed input file, which leaves no `--out` that the run created, 3
-numerical abort. A numerical abort also writes `<out>/abort.json` with the
-message and the solver's diagnostics.
+Exit codes: 0 success, 1 property-check failure, 2 usage/config error,
+malformed or missing input file, or a path of the wrong kind (a directory
+where a file belongs, or a file where a directory does), which leaves no
+`--out` that the run created, 3 numerical abort. A numerical abort also
+writes `<out>/abort.json` with the message and the solver's diagnostics.
 """
 
 from __future__ import annotations
@@ -53,8 +54,7 @@ def cmd_gen(args, config) -> int:
         "sampling_fraction": t("sampling_fraction"),
         "snr_report": report,
     })
-    write_portable_grid(truth.delta_m, os.path.join(out, "truth_delta.pgrd"))
-    write_portable_grid(truth.m_background, os.path.join(out, "truth_background.pgrd"))
+    write_portable_grid(truth, os.path.join(out, "truth_delta.pgrd"))
     print(f"measured snr_db: {report['measured_snr_db']}")
     return 0
 
@@ -118,10 +118,10 @@ def cmd_sample(args, config) -> int:
     return 0
 
 
-def _summarize(name, samples, mode):
+def _summarize(name, samples):
     """`summarize` for the pass `name` of `stats`; an abort names the pass."""
     try:
-        return summarize(samples, mode)
+        return summarize(samples)
     except NumericalAbortError as exc:
         raise NumericalAbortError(f"{exc} in the {name} pass",
                                   diagnostics={"pass": name, **exc.diagnostics}) from None
@@ -136,8 +136,8 @@ def cmd_stats(args, config) -> int:
     latents = _latents(config, s("samples"))
     posterior = SampleSet(arch, w_post, latents)
     prior = SampleSet(arch, w_prior, latents)
-    post = _summarize("posterior", posterior, s("std_mode"))
-    pri = _summarize("prior", prior, s("std_mode"))
+    post = _summarize("posterior", posterior)
+    pri = _summarize("prior", prior)
     probes = auto_probes(post.std) if config.probes is None else config.probes
 
     write_portable_grid(post.mean, os.path.join(out, "mean.pgrd"))
@@ -260,9 +260,11 @@ def main(argv=None) -> int:
         if out is not None:
             write_resolved(config, os.path.join(out, "resolved.cfg"))
         return code
-    except (ConfigError, InputFormatError, FileNotFoundError) as exc:
+    except (ConfigError, InputFormatError, FileNotFoundError, NotADirectoryError,
+            IsADirectoryError, FileExistsError) as exc:
         kind = ("config error" if isinstance(exc, ConfigError) else
-                "input error" if isinstance(exc, InputFormatError) else "missing input")
+                "input error" if isinstance(exc, InputFormatError) else
+                "missing input" if isinstance(exc, FileNotFoundError) else "bad path")
         print(f"{kind}: {exc}", file=sys.stderr)
         if created and os.path.isdir(out):
             shutil.rmtree(out)

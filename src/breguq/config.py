@@ -44,19 +44,15 @@ class Field:
     type: type
     default: object
     none: str | None = None
-    choices: tuple = ()
 
     def parse(self, section: str, key: str, raw: str):
         raw = raw.strip()
         if self.none is not None and raw.lower() == self.none:
             return None
         try:
-            value = self.type(raw)
-            if self.choices and value not in self.choices:
-                raise ValueError(f"must be one of {list(self.choices)}")
+            return self.type(raw)
         except ValueError as exc:
             raise ConfigError(f"[{section}] {key}: {exc}") from exc
-        return value
 
     def format(self, value) -> str:
         if value is None:
@@ -73,7 +69,6 @@ SCHEMA = {
         "kernel_size": Field(int, 5),
         "kernel_sigma": Field(float, 1.0),
         "target_snr_db": Field(float, -11.37),
-        "gamma": Field(float, NoiseSpec.gamma, none="auto"),
         "coherent_fraction": Field(float, NoiseSpec.coherent_fraction),
         "truth_seed": Field(int, 11),
         "mask_seed": Field(int, 13),
@@ -135,7 +130,6 @@ SCHEMA = {
         "sample_seed": Field(int, 43),
         "bins": Field(int, 50),
         "probes": Field(str, "auto"),
-        "std_mode": Field(str, "population", choices=("population", "sample")),
         "sample_count": Field(int, 4),
     },
 }
@@ -161,7 +155,7 @@ class RunConfig:
         self._values = values
         t = values["testbed"]
         with in_section("testbed"):
-            self.noise = NoiseSpec(t["target_snr_db"], t["gamma"], t["coherent_fraction"])
+            self.noise = NoiseSpec(t["target_snr_db"], t["coherent_fraction"])
             _check_grid(t["rows"], t["cols"])
             self.kernel = gaussian_kernel(t["kernel_size"], t["kernel_sigma"])
             _check_layout(t["experiments"], t["sampling_fraction"])
@@ -185,10 +179,12 @@ def load_config(path=None, seed=None, count=None) -> RunConfig:
     if path is not None:
         parser = configparser.ConfigParser(interpolation=None)
         try:
-            with open(path) as f:
+            with open(path, encoding="utf-8") as f:
                 parser.read_file(f)
         except FileNotFoundError as exc:
             raise ConfigError(f"config file not found: {path}") from exc
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"unreadable config {path}: {exc}") from exc
         except configparser.Error as exc:
             raise ConfigError(f"malformed config {path}: {exc}") from exc
         for section in parser.sections():

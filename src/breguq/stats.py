@@ -103,16 +103,14 @@ class SampleSummary:
     std: np.ndarray
 
 
-def summarize(samples: SampleSet, mode: str = "population") -> SampleSummary:
-    """Mean and pointwise std in a single pass over `samples`: a `SampleSet`
-    or any object with its `count` and `realizations()`. Sums that
-    end non-finite (a realization that is, or one that overflows the
-    squares) raise `NumericalAbortError` naming the first such pixel; they
-    are checked once, after the pass."""
+def summarize(samples: SampleSet) -> SampleSummary:
+    """Mean and pointwise population std (divided by the count) in a single
+    pass over `samples`: a `SampleSet` or any object with its `count` and
+    `realizations()`. Sums that end non-finite (a realization that is, or
+    one that overflows the squares) raise `NumericalAbortError` naming the
+    first such pixel; they are checked once, after the pass."""
     if samples.count < 2:
         raise ValueError("summaries need at least 2 realizations")
-    if mode not in ("population", "sample"):
-        raise ValueError(f"unknown std mode {mode!r}")
     for j, x in enumerate(samples.realizations()):
         if j == 0:  # a copy: a duck-typed sample set may yield its stored grids
             mean = np.array(x, dtype=np.float64)
@@ -126,8 +124,7 @@ def summarize(samples: SampleSet, mode: str = "population") -> SampleSummary:
         raise NumericalAbortError("non-finite realization sums", diagnostics={
             "pixel": divmod(int(bad[0]), mean.shape[1]),
             "non_finite_pixels": int(bad.size)})
-    denom = samples.count if mode == "population" else samples.count - 1
-    return SampleSummary(mean, np.sqrt(m2 / denom))
+    return SampleSummary(mean, np.sqrt(m2 / samples.count))
 
 
 def auto_probes(std_grid) -> list:

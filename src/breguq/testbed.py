@@ -28,7 +28,6 @@ from .linops import ComposeOp, ConvKernel, ConvOp, RestrictionMask, RestrictOp
 from .stats import read_portable_grid, write_portable_grid
 
 __all__ = [
-    "GroundTruth",
     "NoiseSpec",
     "LinearExperiment",
     "ExperimentBank",
@@ -42,40 +41,20 @@ __all__ = [
 ]
 
 @dataclass(frozen=True)
-class GroundTruth:
-    """Unknown perturbation (piecewise-constant layers) and the smooth
-    background it sits on."""
-
-    delta_m: np.ndarray
-    m_background: np.ndarray
-
-    def __post_init__(self):
-        if self.delta_m.shape != self.m_background.shape:
-            raise ValueError("perturbation and background shapes differ")
-
-
-@dataclass(frozen=True)
 class NoiseSpec:
-    """Target SNR in dB and surrogate nonlinearity strength.
-
-    gamma=None calibrates the quadratic term so the coherent error carries
-    `coherent_fraction` of the total perturbation energy; an explicit
-    gamma is used as-is. target_snr_db=inf means noise-free.
+    """Target SNR in dB and the share of the perturbation energy that the
+    coherent error carries; the surrogate's gamma is calibrated to that
+    share. target_snr_db=inf means noise-free.
     """
 
     target_snr_db: float
-    gamma: float | None = None
     coherent_fraction: float = 0.3
 
     def __post_init__(self):
         if math.isnan(self.target_snr_db):
             raise ValueError("target SNR must not be NaN")
-        if self.gamma is not None and not (self.gamma >= 0 and np.isfinite(self.gamma)):
-            raise ValueError(f"gamma must be finite and non-negative, got {self.gamma}")
         if not 0.0 <= self.coherent_fraction < 1.0:
             raise ValueError("coherent fraction must lie in [0, 1)")
-        if self.target_snr_db == math.inf and self.gamma not in (None, 0.0):
-            raise ValueError("noise-free target requires gamma of 0")
 
 
 @dataclass(frozen=True)
@@ -126,9 +105,9 @@ def _check_layout(n_experiments: int, sampling_fraction: float) -> None:
         raise ValueError(f"sampling fraction must lie in (0, 1], got {sampling_fraction}")
 
 
-def make_ground_truth(shape, seed: int) -> GroundTruth:
-    """3-6 horizontal layers with wiggly seeded interfaces and per-layer
-    amplitudes in [-1, 1]; background is a smooth ramp."""
+def make_ground_truth(shape, seed: int) -> np.ndarray:
+    """The perturbation grid: 3-6 horizontal layers with wiggly seeded
+    interfaces and per-layer amplitudes in [-1, 1]."""
     rows, cols = int(shape[0]), int(shape[1])
     _check_grid(rows, cols)
     rng = np.random.default_rng(np.random.SeedSequence([int(seed)]))
@@ -157,26 +136,22 @@ def make_ground_truth(shape, seed: int) -> GroundTruth:
     r_idx = np.arange(rows)[:, None]
     for j in range(n_if):
         layer_idx += (r_idx >= depth[j][None, :])
-    delta_m = values[layer_idx]
-
-    ramp = (0.25 + 0.5 * np.arange(rows)[:, None] / max(rows - 1, 1)
-            + 0.25 * np.arange(cols)[None, :] / max(cols - 1, 1))
-    return GroundTruth(delta_m, np.ascontiguousarray(ramp))
+    return values[layer_idx]
 
 
-def make_bank(truth: GroundTruth, n_experiments: int, kernel: ConvKernel,
+def make_bank(truth: np.ndarray, n_experiments: int, kernel: ConvKernel,
               sampling_fraction: float, seed: int) -> ExperimentBank:
     """Noiseless bank: per-experiment seeded restriction masks over one
     shared convolution. The truth is blurred once and each experiment's
-    data restricts that grid, which is `op.apply(truth.delta_m)` bit for
+    data restricts that grid, which is `op.apply(truth)` bit for
     bit. A restriction's adjoint is exact by construction; `breguq check`
     audits a bank built here (`dot_test:generated_bank`)."""
     _check_layout(n_experiments, sampling_fraction)
-    shape = truth.delta_m.shape
+    shape = truth.shape
     size = shape[0] * shape[1]
     m_keep = max(1, int(round(sampling_fraction * size)))
     conv = ConvOp(kernel, shape)
-    blurred = conv.apply(truth.delta_m)
+    blurred = conv.apply(truth)
     rng = np.random.default_rng(np.random.SeedSequence([int(seed)]))
     experiments = []
     for _ in range(n_experiments):
@@ -187,9 +162,10 @@ def make_bank(truth: GroundTruth, n_experiments: int, kernel: ConvKernel,
     return ExperimentBank(tuple(experiments), shape)
 
 
-def _coherent_basis(truth: GroundTruth, C, bank: ExperimentBank):
-    """R_i((C dm)^2) for each experiment: the gamma=1 coherent error."""
-    cdm = C.apply(truth.delta_m)
+def _coherent_basis(truth: np.ndarray, C, bank: ExperimentBank):
+    """R_i((C dm)^2) for each experiment, dm the truth grid: the gamma=1
+    coherent error."""
+    cdm = C.apply(truth)
     full = cdm * cdm
     return [exp.op.outer.apply(full) for exp in bank.experiments]
 
@@ -201,7 +177,7 @@ def snr_db(signal_energy: float, perturbation_energy: float) -> float:
     return 10.0 * math.log10(signal_energy / perturbation_energy)
 
 
-def add_noise_to_snr(bank: ExperimentBank, truth: GroundTruth, spec: NoiseSpec,
+def add_noise_to_snr(bank: ExperimentBank, truth: np.ndarray, spec: NoiseSpec,
                      seed: int):
     """Add coherent plus white error so the survey-wide SNR hits the target.
 
@@ -221,18 +197,13 @@ def add_noise_to_snr(bank: ExperimentBank, truth: GroundTruth, spec: NoiseSpec,
         return bank, report
 
     p_total = s_total * 10.0 ** (-spec.target_snr_db / 10.0)
-    want_coherent = ((spec.gamma is None and spec.coherent_fraction > 0)
-                     or (spec.gamma is not None and spec.gamma > 0))
-    if want_coherent:
+    if spec.coherent_fraction > 0:
         basis = _coherent_basis(truth, bank.experiments[0].op.inner, bank)
         b_total = float(sum(np.dot(b.ravel(), b.ravel()) for b in basis))
-        if spec.gamma is None:
-            target_coherent = spec.coherent_fraction * p_total
-            if target_coherent > 0 and b_total <= 0:
-                raise ValueError("coherent error basis is zero; cannot calibrate gamma")
-            gamma = math.sqrt(target_coherent / b_total) if b_total > 0 else 0.0
-        else:
-            gamma = float(spec.gamma)
+        target_coherent = spec.coherent_fraction * p_total
+        if target_coherent > 0 and b_total <= 0:
+            raise ValueError("coherent error basis is zero; cannot calibrate gamma")
+        gamma = math.sqrt(target_coherent / b_total) if b_total > 0 else 0.0
         coherent = [gamma * b for b in basis]
     else:
         gamma = 0.0
@@ -303,9 +274,9 @@ def save_bank(dirpath, bank: ExperimentBank, manifest_extra: dict | None = None)
 
 def load_bank(dirpath):
     """Rebuild a bank from its manifest and data files; a malformed manifest,
-    one whose `n_experiments` is not its number of masks included, or a data
-    file whose length is not its mask's kept count, raises `InputFormatError`
-    naming the file."""
+    one that lists no experiments or whose `n_experiments` is not its number
+    of masks included, or a data file whose length is not its mask's kept
+    count, raises `InputFormatError` naming the file."""
     path = os.path.join(dirpath, "manifest.json")
     with open(path) as f:
         try:
@@ -319,6 +290,8 @@ def load_bank(dirpath):
             if manifest["n_experiments"] != len(manifest["masks"]):
                 raise ValueError(f"n_experiments is {manifest['n_experiments']} but "
                                  f"{len(manifest['masks'])} masks are listed")
+            if not manifest["masks"]:
+                raise ValueError("the bank lists no experiments")
             masks = [RestrictionMask(np.asarray(idx, dtype=np.int64))
                      for idx in manifest["masks"]]
             ops = [ComposeOp(RestrictOp(mask, shape), conv) for mask in masks]

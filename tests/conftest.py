@@ -58,18 +58,16 @@ def eval_lsq_objective(bank, x) -> float:
     return 0.5 * total
 
 
-def linearization_error(truth, C, gamma, bank):
+def linearization_error(dm, C, gamma, bank):
     """Closed-form coherent error gamma * R_i((C dm)^2), per experiment, as
     `add_noise_to_snr` computes it."""
-    return [gamma * b for b in _coherent_basis(truth, C, bank)]
+    return [gamma * b for b in _coherent_basis(dm, C, bank)]
 
 
-def linearization_error_direct(truth, C, gamma, bank):
+def linearization_error_direct(dm, m, C, gamma, bank):
     """Three-term linearization error of the quadratic surrogate forward
-    F_i(v) = A_i v + gamma * R_i((C v)^2), evaluated literally around the
-    background model."""
-    m = truth.m_background
-    dm = truth.delta_m
+    F_i(v) = A_i v + gamma * R_i((C v)^2) for the perturbation `dm`,
+    evaluated literally around the background model `m`."""
 
     def restrict(exp, grid):
         return grid.ravel()[exp.op.outer.mask.indices].copy()

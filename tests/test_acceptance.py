@@ -226,8 +226,12 @@ def test_criterion_6_noise_calibration(desk_bank):
     bank = desk_bank["bank"]
     truth = desk_bank["truth"]
     C = bank.experiments[0].op.inner
+    # expanded around a smooth ramp background
+    rows, cols = DESK_SHAPE
+    ramp = (0.25 + 0.5 * np.arange(rows)[:, None] / (rows - 1)
+            + 0.25 * np.arange(cols)[None, :] / (cols - 1))
     closed = linearization_error(truth, C, gamma, bank)
-    direct = linearization_error_direct(truth, C, gamma, bank)
+    direct = linearization_error_direct(truth, ramp, C, gamma, bank)
     scale = max(1.0, max(float(np.max(np.abs(d))) for d in direct))
     worst = max(float(np.max(np.abs(c - d))) / scale
                 for c, d in zip(closed, direct))
@@ -259,7 +263,7 @@ def test_criterion_7_feasibility_invariant(desk_inversion, desk_training):
 def test_criterion_8_end_to_end_structure(desk_bank, desk_training):
     t0 = time.time()
     result = desk_training["result"]
-    truth = desk_bank["truth"].delta_m
+    truth = desk_bank["truth"]
     tuple_errors = [model_quality(t.state.x_primal, truth)["relative_l2"]
                     for t in result.tuples]
     best = min(tuple_errors)

@@ -93,9 +93,9 @@ def test_gen_outputs_and_snr_print(tmp_path, capsys):
     out = tmp_path / "bank"
     assert main(["gen", "--config", cfg, "--out", str(out)]) == 0
     assert "measured snr_db: -5.0" in capsys.readouterr().out
-    for name in ["manifest.json", "truth_delta.pgrd", "truth_background.pgrd",
-                 "resolved.cfg", "y_0000.pgrd", "y_0003.pgrd"]:
-        assert (out / name).exists(), name
+    assert sorted(os.listdir(out)) == ["manifest.json", "resolved.cfg", "truth_delta.pgrd",
+                                       "y_0000.pgrd", "y_0001.pgrd", "y_0002.pgrd",
+                                       "y_0003.pgrd"]
 
 
 def test_gen_deterministic_bytes(tmp_path):
@@ -109,7 +109,7 @@ def test_gen_deterministic_bytes(tmp_path):
 
 def test_gen_noise_free_bank_is_consistent(tmp_path):
     body = SMALL_TESTBED.replace("target_snr_db = -5.0",
-                                 "target_snr_db = inf\ngamma = 0.0")
+                                 "target_snr_db = inf")
     cfg = write_cfg(tmp_path, body)
     out = tmp_path / "clean"
     assert main(["gen", "--config", cfg, "--out", str(out)]) == 0
@@ -121,14 +121,6 @@ def test_gen_noise_free_bank_is_consistent(tmp_path):
 def test_gen_bad_config_exit_2(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "[testbed]\nrows = -3\n")
     assert main(["gen", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
-
-
-def test_gen_rejected_noise_spec_names_its_section_once(tmp_path, capsys):
-    cfg = write_cfg(tmp_path, SMALL_TESTBED.replace("target_snr_db = -5.0",
-                                                    "target_snr_db = -5.0\ngamma = -1"))
-    assert main(["gen", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
-    assert ("config error: [testbed] gamma must be finite and non-negative"
-            in capsys.readouterr().err)
 
 
 def test_negative_seed_exit_2_naming_flag_or_key(gen_dir, tmp_path, capsys):
@@ -237,6 +229,15 @@ def _mask_count_short(bank_dir):
     return path
 
 
+def _zero_experiments(bank_dir):
+    # consistent, but a bank without experiments
+    path = bank_dir / "manifest.json"
+    manifest = json.loads(path.read_text())
+    manifest.update(n_experiments=0, masks=[])
+    path.write_text(json.dumps(manifest))
+    return path
+
+
 def _bad_length_data(bank_dir):
     # the 256-value truth grid where the mask keeps 128
     (bank_dir / "y_0001.pgrd").write_bytes((bank_dir / "truth_delta.pgrd").read_bytes())
@@ -251,8 +252,9 @@ def _cut_data(bank_dir):
 
 @pytest.mark.parametrize("corrupt", [
     _bad_manifest('{"format": "x"}'), _bad_manifest('{"format": '), _mask_count_short,
-    _bad_length_data, _cut_data,
-], ids=["not_a_bank", "invalid_json", "mask_count", "data_length", "data_cut"])
+    _zero_experiments, _bad_length_data, _cut_data,
+], ids=["not_a_bank", "invalid_json", "mask_count", "zero_experiments", "data_length",
+        "data_cut"])
 def test_invert_malformed_bank_manifest_exit_2(gen_dir, tmp_path, capsys, corrupt):
     # the message names the bad file, once
     cfg_path, bank_dir = gen_dir
@@ -261,6 +263,42 @@ def test_invert_malformed_bank_manifest_exit_2(gen_dir, tmp_path, capsys, corrup
                  "--out", str(tmp_path / "inv")]) == 2
     assert capsys.readouterr().err.count(str(bad)) == 1
     assert not (tmp_path / "inv").exists()
+
+
+def _user_file(tmp_path, bank_dir):
+    path = tmp_path / "notes.txt"
+    path.write_text("not a run directory\n")
+    return path
+
+
+def _latin1_config(tmp_path, bank_dir):
+    path = tmp_path / "latin1.cfg"
+    path.write_bytes(SMALL_TESTBED.replace("[testbed]", "[testbed]\n; d\xe9j\xe0 vu")
+                     .encode("latin-1"))
+    return path
+
+
+@pytest.mark.parametrize("flag, make_path, message", [
+    ("--config", lambda tmp_path, bank_dir: tmp_path, "config error: unreadable config"),
+    ("--config", _latin1_config, "config error: unreadable config"),
+    ("--bank", lambda tmp_path, bank_dir: bank_dir / "manifest.json", "bad path: "),
+    ("--out", _user_file, "bad path: "),
+], ids=["config-directory", "config-not-utf8", "bank-file", "out-file"])
+def test_path_of_the_wrong_kind_exit_2(gen_dir, tmp_path, capsys, flag, make_path,
+                                       message):
+    # one message line, no traceback; a run-created --out goes again and a
+    # user's file given as --out stays as it was
+    cfg, bank_dir = gen_dir
+    args = {"--config": cfg, "--bank": str(bank_dir), "--out": str(tmp_path / "inv")}
+    path = make_path(tmp_path, bank_dir)
+    before = path.read_bytes() if path.is_file() else None
+    args[flag] = str(path)
+    assert main(["invert", *(item for pair in args.items() for item in pair)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(message) and err.count("\n") == 1
+    assert not (tmp_path / "inv").exists()
+    if before is not None:
+        assert path.read_bytes() == before
 
 
 @pytest.mark.parametrize("name, grid", [

@@ -35,7 +35,7 @@ def training_instance():
     truth = make_ground_truth((16, 16), seed=101)
     bank0 = make_bank(truth, 8, gaussian_kernel(3, 0.8), 0.5, seed=102)
     bank, _ = add_noise_to_snr(bank0, truth, NoiseSpec(-5.0), seed=103)
-    l1 = 1.2 * float(np.abs(truth.delta_m).sum())
+    l1 = 1.2 * float(np.abs(truth).sum())
     stack = ConstraintStack((Box(-1.0, 1.0), L1Ball(l1)))
     arch = NetArch(latent_dim=16, base_rows=4, base_cols=4, base_channels=4,
                    stages=(StageSpec(4), StageSpec(4)))
@@ -374,7 +374,7 @@ def test_train_relaxes_l1_radius_over_the_ramp(monkeypatch):
     # the first round's iterates reach beyond the final radius, and every
     # iterate of the last round is within it
     truth, bank, stack, arch = training_instance()
-    l1 = float(np.abs(truth.delta_m).sum())
+    l1 = float(np.abs(truth).sum())
     start = ConstraintStack((Box(-1.0, 1.0), L1Ball(0.5 * l1)))
     final = ConstraintStack((Box(-1.0, 1.0), L1Ball(0.25 * l1)))
     cfg = TrainConfig(n_tuples=2, rounds=3, bregman_steps_per_round=6,

@@ -143,8 +143,6 @@ def test_moments_match_two_pass_oracle(rng):
                                rtol=0, atol=1e-12)
     np.testing.assert_allclose(summary.std, stacked.std(axis=0, ddof=0),
                                rtol=0, atol=1e-12)
-    np.testing.assert_allclose(summarize(samples, mode="sample").std,
-                               stacked.std(axis=0, ddof=1), rtol=0, atol=1e-12)
 
 
 def test_summarize_matches_componentwise(rng):

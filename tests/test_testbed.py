@@ -5,9 +5,8 @@ import numpy as np
 import pytest
 
 from breguq.linops import ConvKernel, ConvOp, dot_test
-from breguq.testbed import (ExperimentBank, GroundTruth, NoiseSpec,
-                            add_noise_to_snr, gaussian_kernel, load_bank,
-                            make_bank, make_ground_truth, save_bank, snr_db)
+from breguq.testbed import (ExperimentBank, NoiseSpec, add_noise_to_snr, gaussian_kernel,
+                            load_bank, make_bank, make_ground_truth, save_bank, snr_db)
 
 from conftest import (eval_lsq_objective, identity_bank, linearization_error,
                       linearization_error_direct)
@@ -18,16 +17,15 @@ ONE_TAP = ConvKernel(np.array([[1.0]]))  # the identity stencil
 def test_truth_deterministic_and_bounded():
     a = make_ground_truth((24, 24), seed=3)
     b = make_ground_truth((24, 24), seed=3)
-    np.testing.assert_array_equal(a.delta_m, b.delta_m)
-    np.testing.assert_array_equal(a.m_background, b.m_background)
-    assert np.max(np.abs(a.delta_m)) <= 1.0
-    assert a.delta_m.shape == (24, 24)
+    np.testing.assert_array_equal(a, b)
+    assert np.max(np.abs(a)) <= 1.0
+    assert a.shape == (24, 24)
 
 
 def test_truth_layer_count_audit():
     for seed in range(100):
         truth = make_ground_truth((16, 16), seed=seed)
-        n_layers = np.unique(truth.delta_m).size
+        n_layers = np.unique(truth).size
         assert 3 <= n_layers <= 6, seed
 
 
@@ -53,13 +51,13 @@ def test_full_sampling_identity_kernel_observes_truth():
     truth = make_ground_truth((16, 16), seed=1)
     bank = make_bank(truth, 2, ONE_TAP, 1.0, seed=2)
     for exp in bank.experiments:
-        np.testing.assert_array_equal(exp.y, truth.delta_m.ravel())
+        np.testing.assert_array_equal(exp.y, truth.ravel())
 
 
 def test_noiseless_bank_consistent_and_adjoint_clean():
     truth = make_ground_truth((16, 16), seed=4)
     bank = make_bank(truth, 5, gaussian_kernel(3, 0.7), 0.4, seed=5)
-    assert eval_lsq_objective(bank, truth.delta_m) == 0.0
+    assert eval_lsq_objective(bank, truth) == 0.0
     assert max(dot_test(e.op, seed=9, trials=20) for e in bank.experiments) <= 1e-10
 
 
@@ -68,7 +66,7 @@ def test_bank_data_is_each_operator_applied_to_truth():
     truth = make_ground_truth((20, 24), seed=30)
     bank = make_bank(truth, 6, gaussian_kernel(5, 1.3), 0.35, seed=31)
     for exp in bank.experiments:
-        assert exp.y.tobytes() == exp.op.apply(truth.delta_m).tobytes()
+        assert exp.y.tobytes() == exp.op.apply(truth).tobytes()
 
 
 def test_bank_rejects_bad_inputs():
@@ -82,21 +80,22 @@ def test_bank_rejects_bad_inputs():
 def test_linearization_error_zero_cases():
     truth = make_ground_truth((16, 16), seed=7)
     bank = make_bank(truth, 3, gaussian_kernel(3, 0.8), 0.5, seed=8)
-    C = ConvOp(gaussian_kernel(3, 0.8), truth.delta_m.shape)
+    C = ConvOp(gaussian_kernel(3, 0.8), truth.shape)
     for e in linearization_error(truth, C, 0.0, bank):
         assert not e.any()
-    flat = GroundTruth(np.zeros_like(truth.delta_m), truth.m_background)
-    for e in linearization_error(flat, C, 2.5, bank):
+    for e in linearization_error(np.zeros_like(truth), C, 2.5, bank):
         assert not e.any()
 
 
 def test_linearization_closed_form_matches_three_term_definition():
     truth = make_ground_truth((20, 20), seed=9)
     bank = make_bank(truth, 4, gaussian_kernel(5, 1.2), 0.3, seed=10)
-    C = ConvOp(gaussian_kernel(5, 1.2), truth.delta_m.shape)
+    C = ConvOp(gaussian_kernel(5, 1.2), truth.shape)
     gamma = 0.37
+    # the error does not depend on the background the forward is expanded around
+    background = np.random.default_rng(90).uniform(-2.0, 2.0, truth.shape)
     closed = linearization_error(truth, C, gamma, bank)
-    direct = linearization_error_direct(truth, C, gamma, bank)
+    direct = linearization_error_direct(truth, background, C, gamma, bank)
     scale = max(1.0, max(float(np.max(np.abs(d))) for d in direct))
     for c, d in zip(closed, direct):
         assert np.max(np.abs(c - d)) / scale <= 1e-12
@@ -122,7 +121,8 @@ def test_add_noise_hits_target_energy_exactly(rng):
     y = rng.standard_normal((4, 4))
     y *= 10.0 / np.linalg.norm(y)  # signal energy exactly 100
     bank = identity_bank([y])
-    noisy, report = add_noise_to_snr(bank, None, NoiseSpec(20.0, gamma=0.0), seed=3)
+    noisy, report = add_noise_to_snr(bank, None, NoiseSpec(20.0, coherent_fraction=0.0),
+                                     seed=3)
     pert = noisy.experiments[0].y - y
     assert float(np.sum(pert * pert)) == pytest.approx(1.0, abs=1e-9)
     assert report["measured_snr_db"] == pytest.approx(20.0, abs=1e-9)
@@ -131,7 +131,7 @@ def test_add_noise_hits_target_energy_exactly(rng):
 def test_add_noise_calibrates_gamma_for_coherent_share():
     truth = make_ground_truth((16, 16), seed=11)
     bank = make_bank(truth, 4, gaussian_kernel(3, 0.9), 0.5, seed=12)
-    spec = NoiseSpec(-11.37, gamma=None, coherent_fraction=0.3)
+    spec = NoiseSpec(-11.37, coherent_fraction=0.3)
     noisy, report = add_noise_to_snr(bank, truth, spec, seed=13)
     assert report["measured_snr_db"] == pytest.approx(-11.37, abs=1e-9)
     assert report["coherent_energy"] == pytest.approx(
@@ -142,26 +142,25 @@ def test_add_noise_calibrates_gamma_for_coherent_share():
 def test_add_noise_noise_free_sentinel():
     truth = make_ground_truth((16, 16), seed=14)
     bank = make_bank(truth, 2, gaussian_kernel(3, 0.9), 0.5, seed=15)
-    noisy, report = add_noise_to_snr(bank, truth, NoiseSpec(math.inf, gamma=0.0),
-                                     seed=16)
+    noisy, report = add_noise_to_snr(bank, truth, NoiseSpec(math.inf), seed=16)
     assert report["measured_snr_db"] == math.inf
     for a, b in zip(noisy.experiments, bank.experiments):
         np.testing.assert_array_equal(a.y, b.y)
-    with pytest.raises(ValueError, match="noise-free target requires gamma of 0"):
-        NoiseSpec(math.inf, gamma=0.5)
 
 
 def test_add_noise_rejects_zero_signal():
     bank = identity_bank([np.zeros((3, 3))])
     with pytest.raises(ValueError):
-        add_noise_to_snr(bank, None, NoiseSpec(0.0, gamma=0.0), seed=0)
+        add_noise_to_snr(bank, None, NoiseSpec(0.0, coherent_fraction=0.0), seed=0)
 
 
 def test_add_noise_rejects_oversized_coherent_error():
-    truth = make_ground_truth((16, 16), seed=17)
-    bank = make_bank(truth, 2, gaussian_kernel(3, 0.9), 0.5, seed=18)
-    with pytest.raises(ValueError):
-        add_noise_to_snr(bank, truth, NoiseSpec(40.0, gamma=100.0), seed=19)
+    # a coherent share just below 1 that rounding carries past the budget
+    truth = make_ground_truth((16, 16), seed=14)
+    bank = make_bank(truth, 4, gaussian_kernel(3, 1.0), 0.5, seed=114)
+    spec = NoiseSpec(4.0, coherent_fraction=np.nextafter(1.0, 0.0))
+    with pytest.raises(ValueError, match="exceeds the perturbation budget"):
+        add_noise_to_snr(bank, truth, spec, seed=14)
 
 
 def test_bank_save_load_roundtrip(tmp_path, rng):
