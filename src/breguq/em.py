@@ -19,17 +19,18 @@ from per-step streams (seed, tuple id, round, step). E-step results are
 therefore independent of tuple scheduling, and a resumed run fast-forwards
 the draw streams. `train` alone writes a run directory, one copy per file:
 the weights and the logs, which each round appends to, at its root; the
-per-tuple state, the ramp window and the stacks in `checkpoint/`. A resume
-reads the logs back, so it writes every file as an uninterrupted run does.
-Checkpoint files use `breguq.stats` formats; a malformed one raises
-`CheckpointFormatError`.
+per-tuple state, the ramp window and the fingerprint of what a resume must
+share with the run in `checkpoint/`. A resume reads the logs back, so it
+writes every file as an uninterrupted run does. Checkpoint files use
+`breguq.stats` formats; a malformed one raises `CheckpointFormatError`.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -37,7 +38,7 @@ from .bregman import (T_MAX_DEFAULT, BregmanState, TraceRecord, initial_state,
                       run_bregman)
 from .errors import CheckpointFormatError, ConfigError, NumericalAbortError
 from .net import NetArch, net_eval_and_backward, net_forward, net_init
-from .projections import Box, ConstraintStack, L1Ball, L2Ball, TVBall
+from .projections import ConstraintStack
 from .sgld import SgldParams, sgld_run
 from .stats import (load_weights, read_portable_grid, read_records, save_weights,
                     write_portable_grid, write_records)
@@ -205,6 +206,20 @@ def _tuple_data_misfit(t: TrainTuple, bank) -> float:
     return total
 
 
+def _fingerprint(bank, arch, config, stack, stack_final) -> dict:
+    """What a resume must run on, as strings: `config` but for `rounds` and
+    `lam_ramp_rounds` (see `train`), `arch`, both stacks, and a sha256 of
+    the bank's grid shape, kernel taps, masks and data."""
+    digest = hashlib.sha256(repr(tuple(bank.shape)).encode())
+    for e in bank.experiments:
+        for a in (e.op.inner.kernel.taps, e.op.outer.mask.indices, e.y):
+            digest.update(repr(a.shape).encode() + a.tobytes())
+    return {**{f.name: repr(getattr(config, f.name)) for f in fields(config)
+               if f.name not in ("rounds", "lam_ramp_rounds")},
+            "net": repr(arch), "stack": repr(stack), "stack_final": repr(stack_final),
+            "bank_sha256": digest.hexdigest()}
+
+
 def train(bank, stack: ConstraintStack, arch: NetArch, config: TrainConfig,
           stack_final: ConstraintStack | None = None, run_dir=None,
           resume_from=None) -> TrainResult:
@@ -214,12 +229,13 @@ def train(bank, stack: ConstraintStack, arch: NetArch, config: TrainConfig,
     goes through `run_bregman`. `run_dir` receives the run directory (see
     `save_checkpoint`), written whole first and extended after every
     round. `resume_from` is such a directory: the run restarts from it and
-    reproduces the uninterrupted run exactly (streams are counter-keyed);
-    more completed rounds than `config.rounds`, or a tuple split, step
-    count, start or final stack, or completed round's lam or stack that the
-    arguments would not give raises `ConfigError` before any write. A round
-    whose prior misfit is not finite raises `NumericalAbortError` before its
-    checkpoint is written.
+    reproduces the uninterrupted run exactly (streams are counter-keyed).
+    A fingerprint (`_fingerprint`) other than this call's, more completed
+    rounds than `config.rounds`, or a completed round's lam or stack that
+    the ramp window may no longer give raises `ConfigError` before any
+    write; `rounds` may grow, and the window may move where it moves no
+    completed round. A round whose prior misfit is not finite raises
+    `NumericalAbortError` before its checkpoint is written.
     """
     if arch.out_shape != tuple(bank.shape):
         raise ConfigError(f"[net] generator output {arch.out_shape} does not match the bank "
@@ -229,24 +245,14 @@ def train(bank, stack: ConstraintStack, arch: NetArch, config: TrainConfig,
     w, start_round, window = w0.copy(), 0, _ramp_window(config)
     tuples = init_tuples(bank, config.n_tuples, config.z_seed, arch.latent_dim)
     round_records, tuple_traces = [], {t.id: [] for t in tuples}
+    fingerprint = (None if run_dir is None and resume_from is None
+                   else _fingerprint(bank, arch, config, stack, stack_final))
     if resume_from is not None:
-        partition = [(t.id, t.experiment_ids.tolist()) for t in tuples]
-        (w, tuples, start_round, round_records, tuple_traces, ran_window,
-         ran_stacks) = load_checkpoint(resume_from, arch)
+        w, tuples, start_round, round_records, tuple_traces, ran_window = load_checkpoint(
+            resume_from, arch, fingerprint, tuples, config.bregman_steps_per_round)
         if start_round > config.rounds:
             raise ConfigError(f"[em] rounds: {resume_from} completed {start_round} rounds, "
                               f"more than the configured {config.rounds}")
-        if [(t.id, t.experiment_ids.tolist()) for t in tuples] != partition:
-            raise ConfigError(f"[em] tuples: {resume_from} splits the bank into "
-                              f"{len(tuples)} tuples, not as configured")
-        if any(t.state.iter != start_round * config.bregman_steps_per_round for t in tuples):
-            raise ConfigError(f"[em] bregman_steps_per_round: {resume_from} ran another "
-                              f"number of steps per round")
-        for end, ran_stack, configured in zip(("start", "final"), ran_stacks,
-                                              (stack, stack_final)):
-            if ran_stack != configured:
-                raise ConfigError(f"[constraints]: {resume_from} ran on the {end} stack "
-                                  f"{ran_stack}, not the configured {configured}")
         ran = replace(config, lam_ramp_rounds=ran_window)
         for rec in round_records:  # a logged lam round-trips through repr exactly
             lam, stack_r = round_schedule(config, stack, stack_final, rec.round)
@@ -256,9 +262,8 @@ def train(bank, stack: ConstraintStack, arch: NetArch, config: TrainConfig,
                                   f"ramp window, not at lam {lam!r} with the stack of the "
                                   f"configured {window}-round window")
     if run_dir is not None:
-        save_checkpoint(run_dir, arch, w, tuples, start_round - 1, window,
-                        (stack, stack_final), round_records, tuple_traces)
-        save_weights(os.path.join(run_dir, "weights_init.dpnw"), arch, w0)
+        save_checkpoint(run_dir, arch, w, tuples, start_round - 1, window, fingerprint,
+                        round_records, tuple_traces)
 
     for r in range(start_round, config.rounds):
         lam, stack_r = round_schedule(config, stack, stack_final, r)
@@ -277,35 +282,21 @@ def train(bank, stack: ConstraintStack, arch: NetArch, config: TrainConfig,
                 "per_tuple_misfit": misfits})
         round_records.append(RoundRecord(r, lam, data, prior))
         if run_dir is not None:
-            save_checkpoint(run_dir, arch, w, tuples, r, window, (stack, stack_final),
+            save_checkpoint(run_dir, arch, w, tuples, r, window, fingerprint,
                             round_records[-1:], traces, append=True)
     return TrainResult(w, w0, tuples, round_records, tuple_traces)
 
 
-_SET_KINDS = {kind.__name__: kind for kind in (Box, L1Ball, L2Ball, TVBall)}
-
-
-def _stack_to_json(stack: ConstraintStack) -> dict:
-    """The stack's knobs, and per set its kind and fields."""
-    return {**asdict(stack), "sets": [{"kind": type(s).__name__, **asdict(s)}
-                                      for s in stack.sets]}
-
-
-def _stack_from_json(record: dict) -> ConstraintStack:
-    sets = [_SET_KINDS[s["kind"]](**{k: v for k, v in s.items() if k != "kind"})
-            for s in record["sets"]]
-    return ConstraintStack(**{**record, "sets": sets})
-
-
 def save_checkpoint(dirpath, arch: NetArch, w, tuples, round_completed: int,
-                    ramp_rounds: int, stacks, rounds, traces, append: bool = False) -> None:
+                    ramp_rounds: int, fingerprint: dict, rounds, traces,
+                    append: bool = False) -> None:
     """The run directory `dirpath` as of `round_completed`: the weights and
     logs at its root, the tuple state in `checkpoint/` (the latents as one
-    grid, a row per tuple in `tuples` order). `stacks` is the run's (start,
-    final) constraint stack pair. `rounds` and `traces` (tuple id -> rows)
-    are the whole logs, or with `append` the rows the logs on disk gain.
-    `state.json`, whose counts say how many log rows a resume reads, and
-    which records the rounds' ramp window and stacks, goes last."""
+    grid, a row per tuple in `tuples` order). `rounds` and `traces` (tuple
+    id -> rows) are the whole logs, or with `append` the rows the logs on
+    disk gain. `state.json` goes last: the completed round, the ramp
+    window, the resume `fingerprint`, and each tuple's id and experiments
+    (for readers outside; `load_checkpoint` rebuilds them)."""
     state_dir = os.path.join(dirpath, "checkpoint")
     os.makedirs(state_dir, exist_ok=True)
     write_records(os.path.join(dirpath, "rounds.csv"), RoundRecord, rounds, append)
@@ -318,20 +309,23 @@ def save_checkpoint(dirpath, arch: NetArch, w, tuples, round_completed: int,
         for name, grid in (("x", t.state.x_primal), ("xdual", t.state.x_dual)):
             write_portable_grid(grid, os.path.join(state_dir, f"tuple_{t.id:03d}_{name}.pgrd"))
     state = {"round_completed": int(round_completed), "lam_ramp_rounds": int(ramp_rounds),
-             "stacks": [_stack_to_json(stack) for stack in stacks],
-             "tuples": [{"id": int(t.id), "experiment_ids": t.experiment_ids.tolist(),
-                         "step_count": int(t.state.iter)} for t in tuples]}
+             "fingerprint": fingerprint,
+             "tuples": [{"id": int(t.id), "experiment_ids": t.experiment_ids.tolist()}
+                        for t in tuples]}
     with open(os.path.join(state_dir, "state.json"), "w", newline="") as f:
         json.dump(state, f, indent=2, sort_keys=True)
         f.write("\n")
 
 
-def load_checkpoint(dirpath, arch: NetArch):
-    """Reads the run directory `dirpath`: (weights, tuples, next round index,
-    round records, per-tuple traces, ramp window, (start, final) stacks).
-    Malformed content in any file, a log whose row count disagrees with
-    `state.json`, or a latent grid that is not one row per tuple of
-    `state.json`, raises `CheckpointFormatError` naming the file."""
+def load_checkpoint(dirpath, arch: NetArch, fingerprint: dict, tuples, steps_per_round: int):
+    """Reads the run directory `dirpath` into `tuples` as `init_tuples`
+    makes them: (weights, tuples, next round index, round records,
+    per-tuple traces, ramp window). A recorded fingerprint other than
+    `fingerprint` raises `ConfigError` naming the part that differs, before
+    any other file is read. Malformed content in any file, a log whose row
+    count is not `steps_per_round` per completed round (one per round in
+    `rounds.csv`), or a grid of another shape than the run's, raises
+    `CheckpointFormatError` naming the file."""
     state_dir = os.path.join(dirpath, "checkpoint")
 
     def parse(path, read, *args):
@@ -344,12 +338,11 @@ def load_checkpoint(dirpath, arch: NetArch):
     def read_state(path):
         with open(path) as f:
             state = json.load(f)
+        if type(done := state["round_completed"]) is not int or done < -1:
+            raise ValueError(f"round_completed must be an integer of at least -1, got {done!r}")
         if type(window := state["lam_ramp_rounds"]) is not int or window < 0:
             raise ValueError(f"lam_ramp_rounds must be a non-negative integer, got {window!r}")
-        start, final = (_stack_from_json(record) for record in state["stacks"])
-        return (state["round_completed"] + 1, window, (start, final),
-                [(rec["id"], np.asarray(rec["experiment_ids"], dtype=np.int64),
-                  rec["step_count"]) for rec in state["tuples"]])
+        return done + 1, window, dict(state["fingerprint"])
 
     def read_log(path, cls, rows):  # one trace row per step, one round row per round
         logged = read_records(path, cls)
@@ -357,20 +350,26 @@ def load_checkpoint(dirpath, arch: NetArch):
             raise ValueError(f"holds {len(logged)} rows where state.json implies {rows}")
         return logged
 
-    next_round, window, stacks, records = parse(os.path.join(state_dir, "state.json"),
-                                                read_state)
+    def read_grid(name, shape):
+        if (grid := read_portable_grid(path := os.path.join(state_dir, name))).shape != shape:
+            raise CheckpointFormatError(f"{path}: holds a {grid.shape} grid, not {shape}")
+        return grid
+
+    next_round, window, ran = parse(os.path.join(state_dir, "state.json"), read_state)
+    for key in {**fingerprint, **ran}:
+        if ran.get(key) != fingerprint.get(key):
+            raise ConfigError(f"--resume: {dirpath} ran with {key} = {ran.get(key)}, "
+                              f"not {fingerprint.get(key)}")
+    steps = next_round * steps_per_round
     w = load_weights(os.path.join(dirpath, "weights.dpnw"), arch)
-    latents = read_portable_grid(path := os.path.join(state_dir, "latents.pgrd"))
-    if latents.shape != (len(records), arch.latent_dim):
-        raise CheckpointFormatError(f"{path}: holds a {latents.shape} grid, not one latent "
-                                    f"of size {arch.latent_dim} per tuple of state.json")
-    tuples, traces = [], {}
-    for (tid, experiment_ids, step_count), z in zip(records, latents):
-        x_dual, x = (read_portable_grid(os.path.join(state_dir, f"tuple_{tid:03d}_{n}.pgrd"))
+    latents = read_grid("latents.pgrd", (len(tuples), arch.latent_dim))
+    loaded, traces = [], {}
+    for t, z in zip(tuples, latents):
+        x_dual, x = (read_grid(f"tuple_{t.id:03d}_{n}.pgrd", t.state.x_primal.shape)
                      for n in ("xdual", "x"))
-        tuples.append(TrainTuple(tid, experiment_ids, BregmanState(x_dual, x, step_count), z))
-        traces[tid] = parse(os.path.join(dirpath, f"trace_tuple_{tid:03d}.csv"), read_log,
-                            TraceRecord, step_count)
-    return (w, tuples, next_round,
+        loaded.append(replace(t, state=BregmanState(x_dual, x, steps), z=z))
+        traces[t.id] = parse(os.path.join(dirpath, f"trace_tuple_{t.id:03d}.csv"), read_log,
+                             TraceRecord, steps)
+    return (w, loaded, next_round,
             parse(os.path.join(dirpath, "rounds.csv"), read_log, RoundRecord, next_round),
-            traces, window, stacks)
+            traces, window)

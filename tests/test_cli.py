@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 import struct
 import subprocess
 import sys
@@ -347,17 +348,19 @@ def test_train_reduction_matches_invert_trace(gen_dir, tmp_path):
             == (tr / "trace_tuple_000.csv").read_bytes())
 
 
-def half_and_full_runs(bank_dir, tmp_path):
+def half_and_full_runs(bank_dir, tmp_path, edit=str, full_bank=None):
     """A 4-round run, and the first 2 rounds of it as a run directory;
-    returns the full run's config and both directories."""
+    `edit` changes the 4-round run's config text, and `full_bank` (default
+    `bank_dir`) is its bank. Returns the full run's config and both
+    directories."""
     # ramp pinned so both schedules agree despite different round counts
-    cfg_full, out_full = write_cfg(tmp_path, SMALL_TESTBED.replace(
-        "rounds = 2", "rounds = 4\nlam_ramp_rounds = 2"), name="full.cfg"), tmp_path / "full"
+    cfg_full, out_full = write_cfg(tmp_path, edit(SMALL_TESTBED.replace(
+        "rounds = 2", "rounds = 4\nlam_ramp_rounds = 2")), name="full.cfg"), tmp_path / "full"
     cfg_half, out_half = write_cfg(tmp_path, SMALL_TESTBED.replace(
         "rounds = 2", "rounds = 2\nlam_ramp_rounds = 2"), name="half.cfg"), tmp_path / "half"
-    for cfg, out in ((cfg_full, out_full), (cfg_half, out_half)):
-        assert main(["train", "--config", cfg, "--bank", str(bank_dir),
-                     "--out", str(out)]) == 0
+    for cfg, bank, out in ((cfg_full, full_bank or bank_dir, out_full),
+                           (cfg_half, bank_dir, out_half)):
+        assert main(["train", "--config", cfg, "--bank", str(bank), "--out", str(out)]) == 0
     return cfg_full, out_full, out_half
 
 
@@ -386,39 +389,80 @@ def test_train_run_directory_holds_one_copy_of_each_file(gen_dir, tmp_path):
                  "--out", str(out)]) == 0
     root = {p.name for p in out.iterdir() if p.is_file()}
     state = {p.name for p in (out / "checkpoint").iterdir()}
-    assert root == {"resolved.cfg", "weights.dpnw", "weights_init.dpnw", "rounds.csv",
-                    "trace_tuple_000.csv", "trace_tuple_001.csv"}
+    assert root == {"resolved.cfg", "weights.dpnw", "rounds.csv", "trace_tuple_000.csv",
+                    "trace_tuple_001.csv"}
     assert state == {"state.json", "latents.pgrd", "tuple_000_x.pgrd", "tuple_000_xdual.pgrd",
                      "tuple_001_x.pgrd", "tuple_001_xdual.pgrd"}
 
 
-@pytest.mark.parametrize("key, anchor, trained, resumed", [
-    ("tuples", "tuples = 2", "tuples = 4", "tuples = 2"),
-    ("bregman_steps_per_round", "bregman_steps_per_round = 3",
-     "bregman_steps_per_round = 3", "bregman_steps_per_round = 5"),
+@pytest.mark.parametrize("anchor, trained, resumed, flags, message", [
+    ("tuples = 2", "tuples = 4", "tuples = 2", [], "--resume: {out} ran with n_tuples = 4, not 2"),
+    ("bregman_steps_per_round = 3", "bregman_steps_per_round = 3", "bregman_steps_per_round = 5",
+     [], "--resume: {out} ran with bregman_steps_per_round = 3, not 5"),
     # the auto ramp window is rounds // 2: lam_final in round 0 of a 1-round
     # run, lam_init in round 0 of a 2-round one
-    ("lam_ramp_rounds", "eta = 0.0001", "eta = 0.0001\nlam_ramp_rounds = auto",
-     "eta = 0.0001\nlam_ramp_rounds = auto"),
-], ids=["tuples", "steps", "lam"])
-def test_resume_disagreeing_with_config_exit_2(gen_dir, tmp_path, capsys, key, anchor,
-                                               trained, resumed):
-    # a 1-round checkpoint resumed for round 2 with another tuple split,
-    # another step count per round or another lam schedule, into a new
-    # directory and in place
+    ("lam_ramp_rounds = 1", "lam_ramp_rounds = auto", "lam_ramp_rounds = auto", [],
+     "[em] lam_ramp_rounds: {out} ran round 0"),
+    ("eta = 0.0001", "eta = 0.0001", "eta = 0.0005", [],
+     "--resume: {out} ran with eta = 0.0001, not 0.0005"),
+    ("epsilon = 0.001", "epsilon = 0.001", "epsilon = 0.01", [],
+     "--resume: {out} ran with sgld = SgldParams(epsilon=0.001, steps=2, z_prior_weight=1.0), "
+     "not SgldParams(epsilon=0.01, steps=2, z_prior_weight=1.0)"),
+    ("eta = 0.0001", "eta = 0.0001", "eta = 0.0001", ["--seed", "5"],
+     "--resume: {out} ran with init_seed = 23, not 5"),
+    ("stage_channels = 4", "stage_channels = 4", "stage_channels = 4\nleaky_slope = 0.5", [],
+     "--resume: {out} ran with net = NetArch(latent_dim=16, base_rows=4, base_cols=4, "
+     "base_channels=4, stages=(StageSpec(channels=4, kernel_size=3), StageSpec(channels=4, "
+     "kernel_size=3)), final_kernel_size=3, leaky_slope=0.2), not NetArch("),
+    # a bank at another SNR; every other case resumes on a regenerated copy
+    # of the bank it trained on
+    ("target_snr_db = -5.0", "target_snr_db = -5.0", "target_snr_db = -3.0", [],
+     "--resume: {out} ran with bank_sha256 = "),
+], ids=["tuples", "steps", "lam", "eta", "sgld-epsilon", "seed", "leaky-slope", "bank"])
+def test_resume_disagreeing_with_config_exit_2(gen_dir, tmp_path, capsys, anchor, trained,
+                                               resumed, flags, message):
+    # a 1-round checkpoint resumed for round 2 with another setting, lam
+    # schedule, generator or bank, into a new directory and in place; the
+    # pinned ramp window gives both runs the same round 0
     _, bank_dir = gen_dir
-    cfg = write_cfg(tmp_path, SMALL_TESTBED.replace("rounds = 2", "rounds = 1").replace(
+    body = SMALL_TESTBED.replace("eta = 0.0001", "eta = 0.0001\nlam_ramp_rounds = 1")
+    cfg = write_cfg(tmp_path, body.replace("rounds = 2", "rounds = 1").replace(
         anchor, trained), name="a.cfg")
-    cfg_other = write_cfg(tmp_path, SMALL_TESTBED.replace(anchor, resumed), name="b.cfg")
+    cfg_other = write_cfg(tmp_path, body.replace(anchor, resumed), name="b.cfg")
+    bank_other = tmp_path / "bank_b"
+    assert main(["gen", "--config", cfg_other, "--out", str(bank_other)]) == 0
     out = tmp_path / "tr"
     assert main(["train", "--config", cfg, "--bank", str(bank_dir), "--out", str(out)]) == 0
     before = run_files(out)
+    capsys.readouterr()
     for res in (tmp_path / "res", out):
-        assert main(["train", "--config", cfg_other, "--bank", str(bank_dir),
-                     "--out", str(res), "--resume", str(out)]) == 2
-        assert capsys.readouterr().err.startswith(f"config error: [em] {key}: {out}")
+        assert main(["train", "--config", cfg_other, "--bank", str(bank_other),
+                     "--out", str(res), "--resume", str(out), *flags]) == 2
+        assert capsys.readouterr().err.startswith("config error: " + message.format(out=out))
     assert not (tmp_path / "res").exists()
     assert run_files(out) == before
+
+
+@pytest.mark.parametrize("edit, indent", [
+    (lambda body: body.replace("samples = 8", "samples = 9"), False),
+    (lambda body: body.replace("iterations = 12", "iterations = 5"), False),
+    (lambda body: body, True),
+], ids=["stats-samples", "bregman-iterations", "indented-manifest"])
+def test_resume_outside_the_fingerprint_reproduces(gen_dir, tmp_path, edit, indent):
+    # a key that train does not read, or a bank whose manifest is laid out
+    # another way, changed for the resume and the uninterrupted run alike
+    _, bank_dir = gen_dir
+    full_bank = bank_dir
+    if indent:
+        full_bank = tmp_path / "indented"
+        shutil.copytree(bank_dir, full_bank)
+        manifest = full_bank / "manifest.json"
+        manifest.write_text(json.dumps(json.loads(manifest.read_text()), indent=2))
+    cfg_full, out_full, out_half = half_and_full_runs(bank_dir, tmp_path, edit, full_bank)
+    out_res = tmp_path / "resumed"
+    assert main(["train", "--config", cfg_full, "--bank", str(full_bank),
+                 "--out", str(out_res), "--resume", str(out_half)]) == 0
+    assert run_files(out_res) == run_files(out_full)
 
 
 def test_resume_into_fewer_rounds_than_ran_exit_2(gen_dir, tmp_path, capsys):
@@ -465,12 +509,12 @@ def test_resume_that_moves_a_completed_rounds_stack_exit_2(gen_dir, tmp_path, ca
     assert run_files(out) == before
 
 
-@pytest.mark.parametrize("end, anchor, changed", [
-    ("start", "l1_radius = 160.0", "l1_radius = 130.0"),
-    ("final", "l1_radius = 160.0", "l1_radius = 160.0\nl1_radius_final = 130.0"),
-    ("start", "l1_radius = 160.0", "l1_radius = 160.0\ntv_max_iters = 50"),
+@pytest.mark.parametrize("key, anchor, changed", [
+    ("stack", "l1_radius = 160.0", "l1_radius = 130.0"),
+    ("stack_final", "l1_radius = 160.0", "l1_radius = 160.0\nl1_radius_final = 130.0"),
+    ("stack", "l1_radius = 160.0", "l1_radius = 160.0\ntv_max_iters = 50"),
 ], ids=["start", "final", "knob"])
-def test_resume_with_other_constraint_values_exit_2(gen_dir, tmp_path, capsys, end, anchor,
+def test_resume_with_other_constraint_values_exit_2(gen_dir, tmp_path, capsys, key, anchor,
                                                     changed):
     # a 2-round run resumed for a third round with another [constraints]
     # value, into a new directory and in place
@@ -484,7 +528,7 @@ def test_resume_with_other_constraint_values_exit_2(gen_dir, tmp_path, capsys, e
         assert main(["train", "--config", cfg_other, "--bank", str(bank_dir),
                      "--out", str(res), "--resume", str(out)]) == 2
         assert capsys.readouterr().err.startswith(
-            f"config error: [constraints]: {out} ran on the {end} stack ConstraintStack(")
+            f"config error: --resume: {out} ran with {key} = ConstraintStack(")
     assert not (tmp_path / "res").exists()
     assert run_files(out) == before
 
@@ -527,19 +571,19 @@ def test_resume_from_checkpoint_without_ramp_window_exit_2(gen_dir, tmp_path, ca
     assert not (tmp_path / "res").exists()
 
 
-def test_resume_from_checkpoint_without_stacks_exit_2(gen_dir, tmp_path, capsys):
-    # checkpoints written before state.json recorded the run's stacks
+def test_resume_from_checkpoint_without_fingerprint_exit_2(gen_dir, tmp_path, capsys):
+    # checkpoints written before state.json recorded the resume fingerprint
     cfg_path, bank_dir = gen_dir
     out = tmp_path / "tr"
     assert main(["train", "--config", cfg_path, "--bank", str(bank_dir),
                  "--out", str(out)]) == 0
     path = out / "checkpoint" / "state.json"
     state = json.loads(path.read_text())
-    del state["stacks"]
+    del state["fingerprint"]
     path.write_text(json.dumps(state))
     assert main(["train", "--config", cfg_path, "--bank", str(bank_dir),
                  "--out", str(tmp_path / "res"), "--resume", str(out)]) == 2
-    assert capsys.readouterr().err == f"input error: {path}: KeyError: 'stacks'\n"
+    assert capsys.readouterr().err == f"input error: {path}: KeyError: 'fingerprint'\n"
     assert not (tmp_path / "res").exists()
 
 
@@ -582,13 +626,20 @@ def _cut_half(data):
       for name in ["checkpoint/state.json", "checkpoint/latents.pgrd",
                    "checkpoint/tuple_000_x.pgrd", "weights.dpnw", "rounds.csv",
                    "trace_tuple_000.csv"]],
-    # the last latent cut mid-value; the 2x16 latent grid read as 1x32; the
-    # trace one step short of state.json
+    # the last latent cut mid-value; the 2x16 latent grid read as 1x32; a
+    # 16x16 tuple grid read as 8x32; the trace one step short of state.json
     pytest.param("checkpoint/latents.pgrd", lambda data: data[:-3],
                  id="latents.pgrd-mid-value"),
     pytest.param("checkpoint/latents.pgrd",
                  lambda data: data[:6] + struct.pack("<II", 1, 32) + data[14:],
                  id="latents.pgrd-reshaped"),
+    pytest.param("checkpoint/tuple_000_x.pgrd",
+                 lambda data: data[:6] + struct.pack("<II", 8, 32) + data[14:],
+                 id="tuple_000_x.pgrd-reshaped"),
+    # a completed round that is not an integer
+    pytest.param("checkpoint/state.json",
+                 lambda data: data.replace(b'"round_completed": 1', b'"round_completed": 1.0'),
+                 id="state.json-float-round"),
     pytest.param("trace_tuple_000.csv", lambda data: b"".join(data.splitlines(True)[:-1]),
                  id="trace_tuple_000.csv-last-row"),
 ])

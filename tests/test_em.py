@@ -9,7 +9,7 @@ from breguq.bregman import (BregmanState, TraceRecord, bregman_step, initial_sta
 from breguq.em import (RoundRecord, TrainConfig, TrainTuple, e_step, init_tuples,
                        load_checkpoint, m_step, round_schedule, save_checkpoint,
                        train)
-from breguq.errors import NumericalAbortError
+from breguq.errors import ConfigError, NumericalAbortError
 from breguq.net import (NetArch, StageSpec, net_eval_and_backward, net_forward,
                         net_init)
 from breguq.projections import (Box, ConstraintStack, L1Ball, L2Ball, TVBall,
@@ -426,20 +426,21 @@ def test_checkpoint_roundtrip(tmp_path, rng):
     arch = small_arch()
     w = net_init(arch, seed=20)
     rounds = [RoundRecord(r, 0.1 * r, 1.0 / 3.0 + r, 2.0 / 7.0) for r in range(5)]
-    traces = {0: [TraceRecord(0, 2, 0.1, 1.0 / 3.0, None, False, 1, True)],
-              1: [TraceRecord(0, 1, 0.0, 0.5, 2.0 / 3.0, True, 7, False),
-                  TraceRecord(1, 3, 10.0, 1e-17, 0.25, False, 1, True)]}
-    # a tuple's step count is the length of its trace; load_checkpoint checks it
-    tuples = [replace(t, state=replace(t.state, iter=len(traces[t.id])))
-              for t in init_tuples(bank, 2, seed=21, latent_dim=8)]
-    # every set kind and every knob, off their defaults
-    stacks = (ConstraintStack((Box(-1.0, 0.5), L1Ball(1.0 / 3.0), L2Ball(2.0), TVBall(0.0)),
-                              dykstra_tol=1e-9, tv_max_iters=7, tv_tol=1.0 / 3.0),
-              ConstraintStack((Box(-0.75, 0.5), L1Ball(0.25), L2Ball(2.0), TVBall(1e-17)),
-                              dykstra_tol=1e-9, tv_max_iters=7, tv_tol=1.0 / 3.0))
-    save_checkpoint(tmp_path / "c", arch, w, tuples, 4, 3, stacks, rounds, traces)
-    w2, tuples2, nxt, rounds2, traces2, window, stacks2 = load_checkpoint(tmp_path / "c", arch)
-    assert nxt == 5 and window == 3 and stacks2 == stacks
+    row = TraceRecord(0, 2, 0.1, 1.0 / 3.0, None, False, 1, True)
+    # 2 steps per round over 5 rounds: the loader takes each tuple's step
+    # count, and its trace length, from the completed rounds
+    traces = {0: [replace(row, iter=i) for i in range(10)],
+              1: [replace(row, iter=i, joint_objective=2.0 / 3.0, proj_tv_gap=1e-17)
+                  for i in range(10)]}
+    fresh = init_tuples(bank, 2, seed=21, latent_dim=8)
+    tuples = [replace(t, state=BregmanState(rng.standard_normal((4, 4)),
+                                            rng.standard_normal((4, 4)), 10),
+                      z=rng.standard_normal(8)) for t in fresh]
+    fingerprint = {"eta": "0.001", "bank_sha256": "0" * 64}
+    save_checkpoint(tmp_path / "c", arch, w, tuples, 4, 3, fingerprint, rounds, traces)
+    w2, tuples2, nxt, rounds2, traces2, window = load_checkpoint(tmp_path / "c", arch,
+                                                                 fingerprint, fresh, 2)
+    assert nxt == 5 and window == 3
     assert rounds2 == rounds
     assert traces2 == traces
     np.testing.assert_array_equal(w2, w)
@@ -451,6 +452,25 @@ def test_checkpoint_roundtrip(tmp_path, rng):
         np.testing.assert_array_equal(a.state.x_dual, b.state.x_dual)
 
 
+@pytest.mark.parametrize("fingerprint, message", [
+    ({"eta": "0.002", "bank_sha256": "0" * 64}, "ran with eta = 0.001, not 0.002"),
+    ({"eta": "0.001"}, f"ran with bank_sha256 = {'0' * 64}, not None"),
+    ({"eta": "0.001", "bank_sha256": "0" * 64, "net": "NetArch()"},
+     "ran with net = None, not NetArch()"),
+], ids=["value", "part-dropped", "part-added"])
+def test_checkpoint_fingerprint_is_checked_before_any_other_file(tmp_path, rng, fingerprint,
+                                                                 message):
+    bank = small_bank(rng)
+    arch = small_arch()
+    tuples = init_tuples(bank, 2, seed=21, latent_dim=8)
+    save_checkpoint(tmp_path, arch, net_init(arch, seed=20), tuples, -1, 0,
+                    {"eta": "0.001", "bank_sha256": "0" * 64}, [], {0: [], 1: []})
+    (tmp_path / "weights.dpnw").unlink()
+    with pytest.raises(ConfigError) as err:
+        load_checkpoint(tmp_path, arch, fingerprint, tuples, 2)
+    assert str(err.value) == f"--resume: {tmp_path} {message}"
+
+
 def test_checkpoint_append_writes_the_whole_save(tmp_path, rng):
     # a save of rounds 0-2 and one that appends rounds 3-4 (and the later
     # trace rows) leave the files of one save of rounds 0-4
@@ -459,17 +479,17 @@ def test_checkpoint_append_writes_the_whole_save(tmp_path, rng):
     w = net_init(arch, seed=20)
     rounds = [RoundRecord(r, 0.1 * r, 1.0 / 3.0 + r, 2.0 / 7.0) for r in range(5)]
     row = TraceRecord(0, 1, 0.0, 0.5, 2.0 / 3.0, True, 7, False, None)
-    traces = {0: [replace(row, iter=i) for i in range(3)], 1: [row]}
-    tuples = [replace(t, state=replace(t.state, iter=len(traces[t.id])))
-              for t in init_tuples(bank, 2, seed=21, latent_dim=8)]
-    stacks = (ConstraintStack((Box(-1.0, 1.0), L1Ball(2.0))),) * 2
-    save_checkpoint(tmp_path / "whole", arch, w, tuples, 4, 2, stacks, rounds, traces)
-    save_checkpoint(tmp_path / "grown", arch, w, tuples, 2, 2, stacks, rounds[:3],
-                    {0: traces[0][:1], 1: []})
-    save_checkpoint(tmp_path / "grown", arch, w, tuples, 4, 2, stacks, rounds[3:],
-                    {0: traces[0][1:], 1: traces[1]}, append=True)
+    traces = {t: [replace(row, iter=i) for i in range(5)] for t in (0, 1)}
+    fresh = init_tuples(bank, 2, seed=21, latent_dim=8)
+    tuples = [replace(t, state=replace(t.state, iter=5)) for t in fresh]
+    fingerprint = {"eta": "0.001"}
+    save_checkpoint(tmp_path / "whole", arch, w, tuples, 4, 2, fingerprint, rounds, traces)
+    save_checkpoint(tmp_path / "grown", arch, w, tuples, 2, 2, fingerprint, rounds[:3],
+                    {t: rows[:3] for t, rows in traces.items()})
+    save_checkpoint(tmp_path / "grown", arch, w, tuples, 4, 2, fingerprint, rounds[3:],
+                    {t: rows[3:] for t, rows in traces.items()}, append=True)
     assert run_files(tmp_path / "grown") == run_files(tmp_path / "whole")
-    assert load_checkpoint(tmp_path / "grown", arch)[3] == rounds
+    assert load_checkpoint(tmp_path / "grown", arch, fingerprint, fresh, 1)[3] == rounds
 
 
 def test_m_step_bit_reproducible(rng):
