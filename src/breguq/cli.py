@@ -28,7 +28,7 @@ import numpy as np
 
 from .bregman import TraceRecord, initial_state, run_bregman
 from .config import in_section, load_config, write_resolved
-from .em import train
+from .em import check_prior, train
 from .errors import ConfigError, InputFormatError, NumericalAbortError
 from .net import net_init
 from .stats import (SampleSet, auto_probes, calibration, draw_latents, load_weights,
@@ -130,6 +130,8 @@ def _summarize(name, samples):
 def cmd_stats(args, config) -> int:
     out, arch, tc = args.out, config.arch, config.train
     s = lambda key: config.get("stats", key)
+    if os.path.isdir(args.checkpoint):  # a bare .dpnw records no prior to check
+        check_prior(args.checkpoint, arch, tc)
     w_post = _checkpoint_weights(args.checkpoint, arch)
     truth = None if args.truth is None else _read_truth(args.truth, arch.out_shape)
     w_prior = net_init(arch, tc.init_seed, tc.init_scale)

@@ -55,6 +55,7 @@ __all__ = [
     "train",
     "save_checkpoint",
     "load_checkpoint",
+    "check_prior",
 ]
 
 
@@ -317,6 +318,40 @@ def save_checkpoint(dirpath, arch: NetArch, w, tuples, round_completed: int,
         f.write("\n")
 
 
+def _parse(path, read, *args):
+    try:
+        return read(path, *args)
+    except (ValueError, KeyError, TypeError) as exc:
+        raise CheckpointFormatError(f"{path}: {type(exc).__name__}: {exc}") from exc
+
+
+def _read_state(path):
+    with open(path) as f:
+        state = json.load(f)
+    if type(done := state["round_completed"]) is not int or done < -1:
+        raise ValueError(f"round_completed must be an integer of at least -1, got {done!r}")
+    if type(window := state["lam_ramp_rounds"]) is not int or window < 0:
+        raise ValueError(f"lam_ramp_rounds must be a non-negative integer, got {window!r}")
+    return done + 1, window, dict(state["fingerprint"])
+
+
+def _check_fingerprint(flag, dirpath, ran: dict, fingerprint: dict, keys) -> None:
+    for key in keys:
+        if ran.get(key) != fingerprint.get(key):
+            raise ConfigError(f"{flag}: {dirpath} ran with {key} = {ran.get(key)}, "
+                              f"not {fingerprint.get(key)}")
+
+
+def check_prior(dirpath, arch: NetArch, config: TrainConfig) -> None:
+    """Raise `ConfigError` unless the run directory `dirpath` ran with the
+    generator `arch` and `config`'s init_seed and init_scale, which fix the
+    untrained weights (`net_init`); checked against its fingerprint."""
+    _, _, ran = _parse(os.path.join(dirpath, "checkpoint", "state.json"), _read_state)
+    prior = {"init_seed": repr(config.init_seed), "init_scale": repr(config.init_scale),
+             "net": repr(arch)}
+    _check_fingerprint("--checkpoint", dirpath, ran, prior, prior)
+
+
 def load_checkpoint(dirpath, arch: NetArch, fingerprint: dict, tuples, steps_per_round: int):
     """Reads the run directory `dirpath` into `tuples` as `init_tuples`
     makes them: (weights, tuples, next round index, round records,
@@ -327,22 +362,6 @@ def load_checkpoint(dirpath, arch: NetArch, fingerprint: dict, tuples, steps_per
     `rounds.csv`), or a grid of another shape than the run's, raises
     `CheckpointFormatError` naming the file."""
     state_dir = os.path.join(dirpath, "checkpoint")
-
-    def parse(path, read, *args):
-        try:
-            return read(path, *args)
-        except (ValueError, KeyError, TypeError) as exc:
-            raise CheckpointFormatError(
-                f"{path}: {type(exc).__name__}: {exc}") from exc
-
-    def read_state(path):
-        with open(path) as f:
-            state = json.load(f)
-        if type(done := state["round_completed"]) is not int or done < -1:
-            raise ValueError(f"round_completed must be an integer of at least -1, got {done!r}")
-        if type(window := state["lam_ramp_rounds"]) is not int or window < 0:
-            raise ValueError(f"lam_ramp_rounds must be a non-negative integer, got {window!r}")
-        return done + 1, window, dict(state["fingerprint"])
 
     def read_log(path, cls, rows):  # one trace row per step, one round row per round
         logged = read_records(path, cls)
@@ -355,11 +374,8 @@ def load_checkpoint(dirpath, arch: NetArch, fingerprint: dict, tuples, steps_per
             raise CheckpointFormatError(f"{path}: holds a {grid.shape} grid, not {shape}")
         return grid
 
-    next_round, window, ran = parse(os.path.join(state_dir, "state.json"), read_state)
-    for key in {**fingerprint, **ran}:
-        if ran.get(key) != fingerprint.get(key):
-            raise ConfigError(f"--resume: {dirpath} ran with {key} = {ran.get(key)}, "
-                              f"not {fingerprint.get(key)}")
+    next_round, window, ran = _parse(os.path.join(state_dir, "state.json"), _read_state)
+    _check_fingerprint("--resume", dirpath, ran, fingerprint, {**fingerprint, **ran})
     steps = next_round * steps_per_round
     w = load_weights(os.path.join(dirpath, "weights.dpnw"), arch)
     latents = read_grid("latents.pgrd", (len(tuples), arch.latent_dim))
@@ -368,8 +384,8 @@ def load_checkpoint(dirpath, arch: NetArch, fingerprint: dict, tuples, steps_per
         x_dual, x = (read_grid(f"tuple_{t.id:03d}_{n}.pgrd", t.state.x_primal.shape)
                      for n in ("xdual", "x"))
         loaded.append(replace(t, state=BregmanState(x_dual, x, steps), z=z))
-        traces[t.id] = parse(os.path.join(dirpath, f"trace_tuple_{t.id:03d}.csv"), read_log,
+        traces[t.id] = _parse(os.path.join(dirpath, f"trace_tuple_{t.id:03d}.csv"), read_log,
                              TraceRecord, steps)
     return (w, loaded, next_round,
-            parse(os.path.join(dirpath, "rounds.csv"), read_log, RoundRecord, next_round),
+            _parse(os.path.join(dirpath, "rounds.csv"), read_log, RoundRecord, next_round),
             traces, window)

@@ -11,7 +11,9 @@ whose linearization error around any background is exactly
 gamma * R_i((C dm)^2), the coherent error added to the data.
 
 Generation is deterministic given (shape, counts, seeds) and outputs are
-treated as immutable afterwards.
+treated as immutable afterwards. On disk a bank is a JSON manifest of
+scalars and the kernel taps, and two portable grids, masks and data, with a
+row per experiment (format version 2; `save_bank`, `load_bank`).
 """
 
 from __future__ import annotations
@@ -245,8 +247,12 @@ def add_noise_to_snr(bank: ExperimentBank, truth: np.ndarray, spec: NoiseSpec,
 
 
 def save_bank(dirpath, bank: ExperimentBank, manifest_extra: dict | None = None) -> None:
-    """Write the bank as a single-line JSON manifest (kernel taps, masks,
-    metadata; keys sorted) plus one portable grid per observed-data vector.
+    """Write the bank as `manifest.json` (version 2: grid shape, kernel taps
+    and `manifest_extra`; single-line JSON, keys sorted) and two portable
+    grids with a row per experiment: `masks.pgrd`, its sorted kept indices
+    (exact in float64), and `data.pgrd`, its data. So every experiment must
+    keep the same count, as `make_bank` makes them. The manifest's `masks`
+    lists experiment 0's alone, which `perfbench/run.py` reads for the count.
 
     The manifest goes out in one write through the C JSON encoder, which
     `json.dump` to a file or any `indent` would bypass. `load_bank` reads
@@ -255,54 +261,55 @@ def save_bank(dirpath, bank: ExperimentBank, manifest_extra: dict | None = None)
     kernel = bank.experiments[0].op.inner.kernel
     manifest = {
         "format": "breguq-bank",
-        "version": 1,
+        "version": 2,
         "rows": bank.shape[0],
         "cols": bank.shape[1],
-        "n_experiments": bank.n,
         "kernel_size": kernel.size,
         "kernel_taps": kernel.taps.ravel().tolist(),
-        "masks": [e.op.outer.mask.indices.tolist() for e in bank.experiments],
+        "masks": [bank.experiments[0].op.outer.mask.indices.tolist()],
     }
     if manifest_extra:
         manifest.update(manifest_extra)
     with open(os.path.join(dirpath, "manifest.json"), "w", newline="") as f:
         f.write(json.dumps(manifest, sort_keys=True) + "\n")
-    for i, exp in enumerate(bank.experiments):
-        write_portable_grid(exp.y.reshape(1, -1),
-                            os.path.join(dirpath, f"y_{i:04d}.pgrd"))
+    write_portable_grid([e.op.outer.mask.indices for e in bank.experiments],
+                        os.path.join(dirpath, "masks.pgrd"))
+    write_portable_grid([e.y for e in bank.experiments], os.path.join(dirpath, "data.pgrd"))
 
 
 def load_bank(dirpath):
-    """Rebuild a bank from its manifest and data files; a malformed manifest,
-    one that lists no experiments or whose `n_experiments` is not its number
-    of masks included, or a data file whose length is not its mask's kept
-    count, raises `InputFormatError` naming the file."""
+    """Rebuild a bank from its manifest and grids; returns (bank, manifest).
+    A malformed manifest or one of another version (the message names the
+    `gen` that rebuilds a version-1 bank), data of another shape than the
+    masks, or a mask entry that is not an integer grid index above the one
+    before it, raises `InputFormatError` naming the file."""
     path = os.path.join(dirpath, "manifest.json")
     with open(path) as f:
         try:
             manifest = json.load(f)
             if not isinstance(manifest, dict) or manifest.get("format") != "breguq-bank":
                 raise ValueError("not a bank manifest")
+            if manifest.get("version") != 2:
+                raise ValueError(f"a version-{manifest.get('version')} bank, not version 2; "
+                                 f"regenerate it with `breguq gen --config "
+                                 f"{os.path.join(dirpath, 'resolved.cfg')} --out <new bank>`")
             shape = (manifest["rows"], manifest["cols"])
             kernel = ConvKernel(np.array(manifest["kernel_taps"]).reshape(
                 manifest["kernel_size"], manifest["kernel_size"]))
             conv = ConvOp(kernel, shape)
-            if manifest["n_experiments"] != len(manifest["masks"]):
-                raise ValueError(f"n_experiments is {manifest['n_experiments']} but "
-                                 f"{len(manifest['masks'])} masks are listed")
-            if not manifest["masks"]:
-                raise ValueError("the bank lists no experiments")
-            masks = [RestrictionMask(np.asarray(idx, dtype=np.int64))
-                     for idx in manifest["masks"]]
-            ops = [ComposeOp(RestrictOp(mask, shape), conv) for mask in masks]
         except (ValueError, KeyError, TypeError) as exc:
             raise InputFormatError(f"{path}: {type(exc).__name__}: {exc}") from exc
-    experiments = []
-    for i, (mask, op) in enumerate(zip(masks, ops)):
-        path = os.path.join(dirpath, f"y_{i:04d}.pgrd")
-        y = read_portable_grid(path).ravel()
-        if y.size != mask.n:
-            raise InputFormatError(f"{path}: holds {y.size} values where its mask keeps "
-                                   f"{mask.n}")
-        experiments.append(LinearExperiment(op, y))
-    return ExperimentBank(tuple(experiments), shape), manifest
+    masks_path, data_path = (os.path.join(dirpath, name) for name in ("masks.pgrd", "data.pgrd"))
+    masks, data = read_portable_grid(masks_path), read_portable_grid(data_path)
+    if data.shape != masks.shape:
+        raise InputFormatError(f"{data_path}: holds a {data.shape} grid where {masks_path} "
+                               f"holds {masks.shape}")
+    with np.errstate(invalid="ignore"):  # entries beyond int64 cast to garbage, caught below
+        indices = masks.astype(np.int64)
+    try:
+        if (indices != masks).any():
+            raise ValueError("mask entries must be integer grid indices")
+        ops = [ComposeOp(RestrictOp(RestrictionMask(idx), shape), conv) for idx in indices]
+    except (ValueError, TypeError) as exc:
+        raise InputFormatError(f"{masks_path}: {type(exc).__name__}: {exc}") from exc
+    return ExperimentBank(tuple(map(LinearExperiment, ops, data)), shape), manifest

@@ -337,7 +337,7 @@ bins = 4
         assert main(["stats", "--config", str(cfg), "--checkpoint", str(tr),
                      "--out", str(st),
                      "--truth", str(bank / "truth_delta.pgrd")]) == 0
-        pairs[tag] = [bank / "manifest.json", bank / "y_0001.pgrd",
+        pairs[tag] = [bank / "manifest.json", bank / "masks.pgrd", bank / "data.pgrd",
                       inv / "trace.csv", inv / "x_primal.pgrd",
                       tr / "weights.dpnw", tr / "rounds.csv",
                       tr / "trace_tuple_001.csv", sm / "sample_0001.pgrd",

@@ -94,16 +94,16 @@ def test_gen_outputs_and_snr_print(tmp_path, capsys):
     out = tmp_path / "bank"
     assert main(["gen", "--config", cfg, "--out", str(out)]) == 0
     assert "measured snr_db: -5.0" in capsys.readouterr().out
-    assert sorted(os.listdir(out)) == ["manifest.json", "resolved.cfg", "truth_delta.pgrd",
-                                       "y_0000.pgrd", "y_0001.pgrd", "y_0002.pgrd",
-                                       "y_0003.pgrd"]
+    assert sorted(os.listdir(out)) == ["data.pgrd", "manifest.json", "masks.pgrd",
+                                       "resolved.cfg", "truth_delta.pgrd"]
 
 
 def test_gen_deterministic_bytes(tmp_path):
     cfg = write_cfg(tmp_path, SMALL_TESTBED)
     assert main(["gen", "--config", cfg, "--out", str(tmp_path / "a")]) == 0
     assert main(["gen", "--config", cfg, "--out", str(tmp_path / "b")]) == 0
-    for name in ["manifest.json", "truth_delta.pgrd", "y_0002.pgrd", "resolved.cfg"]:
+    for name in ["manifest.json", "truth_delta.pgrd", "masks.pgrd", "data.pgrd",
+                 "resolved.cfg"]:
         assert ((tmp_path / "a" / name).read_bytes()
                 == (tmp_path / "b" / name).read_bytes()), name
 
@@ -221,41 +221,56 @@ def _bad_manifest(text):
     return corrupt
 
 
-def _mask_count_short(bank_dir):
-    # n_experiments stays 4 where only 3 masks are listed
+def _version_1(bank_dir):
     path = bank_dir / "manifest.json"
-    manifest = json.loads(path.read_text())
-    manifest["masks"] = manifest["masks"][:-1]
-    path.write_text(json.dumps(manifest))
+    path.write_text(json.dumps({**json.loads(path.read_text()), "version": 1}))
     return path
 
 
+def _edit_masks(edit):
+    def corrupt(bank_dir):
+        path = bank_dir / "masks.pgrd"
+        write_portable_grid(edit(read_portable_grid(path)), path)
+        return path
+    return corrupt
+
+
 def _zero_experiments(bank_dir):
-    # consistent, but a bank without experiments
-    path = bank_dir / "manifest.json"
-    manifest = json.loads(path.read_text())
-    manifest.update(n_experiments=0, masks=[])
-    path.write_text(json.dumps(manifest))
+    # a data grid of no rows where the masks hold 4
+    path = bank_dir / "data.pgrd"
+    path.write_bytes(struct.pack("<4sHIIH", b"PGRD", 1, 0, 128, 0))
     return path
 
 
 def _bad_length_data(bank_dir):
-    # the 256-value truth grid where the mask keeps 128
-    (bank_dir / "y_0001.pgrd").write_bytes((bank_dir / "truth_delta.pgrd").read_bytes())
-    return bank_dir / "y_0001.pgrd"
+    # the 16x16 truth grid where the masks are 4 x 128
+    (bank_dir / "data.pgrd").write_bytes((bank_dir / "truth_delta.pgrd").read_bytes())
+    return bank_dir / "data.pgrd"
 
 
 def _cut_data(bank_dir):
-    path = bank_dir / "y_0003.pgrd"
+    path = bank_dir / "data.pgrd"
     path.write_bytes(path.read_bytes()[:-100])
     return path
 
 
+def _set_entry(row, col, value):
+    # the masks with entry (row, col) set to value(masks), its only fault
+    def edit(masks):
+        masks[row, col] = value(masks)
+        return masks
+    return edit
+
+
 @pytest.mark.parametrize("corrupt", [
-    _bad_manifest('{"format": "x"}'), _bad_manifest('{"format": '), _mask_count_short,
-    _zero_experiments, _bad_length_data, _cut_data,
+    _bad_manifest('{"format": "x"}'), _bad_manifest('{"format": '),
+    _edit_masks(lambda masks: masks[:-1]), _zero_experiments, _bad_length_data, _cut_data,
+    _version_1, _edit_masks(_set_entry(1, 5, lambda m: m[1, 5] + 0.5)),
+    _edit_masks(_set_entry(2, -1, lambda m: 16.0 * 16)),
+    _edit_masks(_set_entry(3, 5, lambda m: m[3, 4])),
 ], ids=["not_a_bank", "invalid_json", "mask_count", "zero_experiments", "data_length",
-        "data_cut"])
+        "data_cut", "version_1", "mask_not_integer", "mask_out_of_range",
+        "mask_not_increasing"])
 def test_invert_malformed_bank_manifest_exit_2(gen_dir, tmp_path, capsys, corrupt):
     # the message names the bad file, once
     cfg_path, bank_dir = gen_dir
@@ -264,6 +279,20 @@ def test_invert_malformed_bank_manifest_exit_2(gen_dir, tmp_path, capsys, corrup
                  "--out", str(tmp_path / "inv")]) == 2
     assert capsys.readouterr().err.count(str(bad)) == 1
     assert not (tmp_path / "inv").exists()
+
+
+def test_version_1_bank_names_the_gen_that_rebuilds_it(gen_dir, tmp_path, capsys):
+    # gen is deterministic, so the command in the message rebuilds the bank
+    cfg, bank_dir = gen_dir
+    before = {p.name: p.read_bytes() for p in bank_dir.iterdir()}
+    _version_1(bank_dir)
+    assert main(["invert", "--config", cfg, "--bank", str(bank_dir),
+                 "--out", str(tmp_path / "inv")]) == 2
+    resolved = bank_dir / "resolved.cfg"
+    assert f"`breguq gen --config {resolved} --out <new bank>`" in capsys.readouterr().err
+    rebuilt = tmp_path / "rebuilt"
+    assert main(["gen", "--config", str(resolved), "--out", str(rebuilt)]) == 0
+    assert {p.name: p.read_bytes() for p in rebuilt.iterdir()} == before
 
 
 def _user_file(tmp_path, bank_dir):
@@ -303,7 +332,7 @@ def test_path_of_the_wrong_kind_exit_2(gen_dir, tmp_path, capsys, flag, make_pat
 
 
 @pytest.mark.parametrize("name, grid", [
-    ("wrong-shape", lambda bank_dir: read_portable_grid(bank_dir / "y_0000.pgrd")),
+    ("wrong-shape", lambda bank_dir: read_portable_grid(bank_dir / "data.pgrd")),
     ("zero", lambda bank_dir: np.zeros((16, 16))),
 ], ids=["wrong-shape", "zero"])
 def test_invert_truth_checked_before_it_runs(gen_dir, tmp_path, capsys, name, grid):
@@ -686,7 +715,7 @@ def test_train_arch_grid_mismatch_exit_2(gen_dir, tmp_path, capsys):
     bad = _bad_length_data(bank_dir)
     assert main(["train", "--config", write_cfg(tmp_path, SMALL_TESTBED), "--bank",
                  str(bank_dir), "--out", str(out)]) == 2
-    assert capsys.readouterr().err.startswith(f"input error: {bad}: holds 256 values")
+    assert capsys.readouterr().err.startswith(f"input error: {bad}: holds a (16, 16) grid")
     assert not out.exists()
 
 
@@ -974,7 +1003,7 @@ def test_overflowing_realizations_abort_with_exit_3(gen_dir, tmp_path, capsys, c
 
 
 @pytest.mark.parametrize("truth, message", [
-    ("y_0000.pgrd", "input error: {path}: the truth grid must be non-zero"),
+    ("data.pgrd", "input error: {path}: the truth grid must be non-zero"),
     ("zero.pgrd", "input error: {path}: the truth grid must be non-zero"),
     ("absent.pgrd", "missing input: "),
 ], ids=["wrong-shape", "zero", "absent"])
@@ -989,6 +1018,37 @@ def test_stats_truth_checked_before_any_grid(gen_dir, tmp_path, capsys, truth, m
                  "--out", str(out), "--truth", str(path)]) == 2
     assert capsys.readouterr().err.startswith(message.format(path=path))
     assert not out.exists()
+
+
+@pytest.mark.parametrize("key, message", [
+    ("init_seed = 99", "config error: --checkpoint: {tr} ran with init_seed = 23, not 99"),
+    ("init_scale = 0.5", "config error: --checkpoint: {tr} ran with init_scale = 1.0, not 0.5"),
+    ("leaky_slope = 0.5", "config error: --checkpoint: {tr} ran with net = NetArch("),
+    (None, "input error: {state}: KeyError: 'fingerprint'"),
+], ids=["init_seed", "init_scale", "net", "no_fingerprint"])
+def test_stats_checkpoint_of_another_prior_exit_2(gen_dir, tmp_path, capsys, key, message):
+    # stats rebuilds the prior weights from --config, so a run directory must
+    # have started from them, as its fingerprint records; one written before
+    # the fingerprint cannot be checked. A bare .dpnw records no prior and is
+    # read as is
+    cfg, bank_dir = gen_dir
+    train_out = tmp_path / "tr"
+    assert main(["train", "--config", cfg, "--bank", str(bank_dir),
+                 "--out", str(train_out)]) == 0
+    state = train_out / "checkpoint" / "state.json"
+    if key is None:
+        state.write_text(json.dumps({k: v for k, v in json.loads(state.read_text()).items()
+                                     if k != "fingerprint"}))
+    other = write_cfg(tmp_path, SMALL_TESTBED.replace("[net]\n", f"[net]\n{key or ''}\n"),
+                      name="other.cfg")
+    out = tmp_path / "s"
+    assert main(["stats", "--config", other, "--checkpoint", str(train_out),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(message.format(tr=train_out, state=state))
+    assert err.count("\n") == 1 and not out.exists()
+    assert main(["stats", "--config", other, "--checkpoint", str(train_out / "weights.dpnw"),
+                 "--out", str(out)]) == 0
 
 
 def test_stats_single_sample_rejected(gen_dir, tmp_path, capsys):

@@ -182,12 +182,12 @@ def test_bank_save_deterministic_bytes(tmp_path):
     bank = make_bank(truth, 2, gaussian_kernel(3, 1.0), 0.3, seed=24)
     save_bank(tmp_path / "a", bank)
     save_bank(tmp_path / "b", bank)
-    for name in ["manifest.json", "y_0000.pgrd", "y_0001.pgrd"]:
+    for name in ["manifest.json", "masks.pgrd", "data.pgrd"]:
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
 def test_bank_indented_manifest_loads_the_same(tmp_path):
-    # banks written before the manifest went to one line are indented
+    # a manifest re-dumped by hand with an indent reads as the one-line one
     truth = make_ground_truth((16, 16), seed=25)
     bank = make_bank(truth, 3, gaussian_kernel(3, 0.9), 0.4, seed=26)
     noisy, report = add_noise_to_snr(bank, truth, NoiseSpec(-3.0), seed=27)
