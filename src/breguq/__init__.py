@@ -10,8 +10,7 @@ from .bregman import BregmanState, TraceRecord, bregman_step, run_bregman
 from .em import TrainConfig, TrainTuple, e_step, init_tuples, m_step, train
 from .errors import (CheckpointFormatError, ConfigError, GridFormatError,
                      NumericalAbortError)
-from .linops import (ComposeOp, ConvKernel, ConvOp, LinearOp, RestrictionMask,
-                     RestrictOp, dot_test)
+from .linops import ComposeOp, ConvOp, LinearOp, RestrictOp, dot_test
 from .net import NetArch, StageSpec, net_eval_and_backward, net_forward, net_init
 from .projections import (Box, ConstraintStack, L1Ball, L2Ball, TVBall,
                           is_feasible, project_intersection)

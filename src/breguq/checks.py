@@ -17,8 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import oracles
-from .linops import (ComposeOp, ConvKernel, ConvOp, RestrictionMask, RestrictOp,
-                     dot_test)
+from .linops import ComposeOp, ConvOp, RestrictOp, dot_test
 from .net import (NetArch, StageSpec, net_eval_and_backward, net_forward,
                   net_init)
 from .projections import (Box, ConstraintStack, L1Ball, L2Ball, TVBall,
@@ -46,12 +45,10 @@ def operator_kinds(shape, seed, kernel_sizes, kept) -> list:
     that restriction after the first convolution. One rng at `seed` draws
     the kernels, then the mask."""
     rng = np.random.default_rng(seed)
-    kernels = [ConvKernel(rng.standard_normal((k, k))) for k in kernel_sizes]
-    mask = RestrictionMask(np.sort(rng.choice(shape[0] * shape[1], kept, replace=False)))
-    return ([(f"conv{k}", ConvOp(c, shape)) for k, c in zip(kernel_sizes, kernels)]
-            + [("restrict", RestrictOp(mask, shape)),
-               ("restrict_conv", ComposeOp(RestrictOp(mask, shape),
-                                           ConvOp(kernels[0], shape)))])
+    convs = [ConvOp(rng.standard_normal((k, k)), shape) for k in kernel_sizes]
+    restrict = RestrictOp(np.sort(rng.choice(shape[0] * shape[1], kept, replace=False)), shape)
+    return ([(f"conv{k}", c) for k, c in zip(kernel_sizes, convs)]
+            + [("restrict", restrict), ("restrict_conv", ComposeOp(restrict, convs[0]))])
 
 
 def _dot_row(name, ops, seed) -> CheckResult:

@@ -47,7 +47,7 @@ def cmd_gen(args, config) -> int:
         truth = make_ground_truth((t("rows"), t("cols")), t("truth_seed"))
         clean = make_bank(truth, t("experiments"), config.kernel, t("sampling_fraction"),
                           t("mask_seed"))
-        noisy, report = add_noise_to_snr(clean, truth, config.noise, t("noise_seed"))
+        noisy, report = add_noise_to_snr(clean, config.noise, t("noise_seed"))
     save_bank(out, noisy, manifest_extra={
         "seeds": {"truth": t("truth_seed"), "mask": t("mask_seed"),
                   "noise": t("noise_seed")},
@@ -92,8 +92,11 @@ def cmd_train(args, config) -> int:
     return 0
 
 
-def _checkpoint_weights(path, arch):
+def _checkpoint_weights(path, arch, prior=None):
+    """The weights of a `.dpnw` file, or of a run directory that passes
+    `check_prior(path, arch, prior)`."""
     if os.path.isdir(path):
+        check_prior(path, arch, prior)
         path = os.path.join(path, "weights.dpnw")
     return load_weights(path, arch)
 
@@ -130,9 +133,7 @@ def _summarize(name, samples):
 def cmd_stats(args, config) -> int:
     out, arch, tc = args.out, config.arch, config.train
     s = lambda key: config.get("stats", key)
-    if os.path.isdir(args.checkpoint):  # a bare .dpnw records no prior to check
-        check_prior(args.checkpoint, arch, tc)
-    w_post = _checkpoint_weights(args.checkpoint, arch)
+    w_post = _checkpoint_weights(args.checkpoint, arch, tc)
     truth = None if args.truth is None else _read_truth(args.truth, arch.out_shape)
     w_prior = net_init(arch, tc.init_seed, tc.init_scale)
     latents = _latents(config, s("samples"))

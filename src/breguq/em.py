@@ -213,7 +213,7 @@ def _fingerprint(bank, arch, config, stack, stack_final) -> dict:
     the bank's grid shape, kernel taps, masks and data."""
     digest = hashlib.sha256(repr(tuple(bank.shape)).encode())
     for e in bank.experiments:
-        for a in (e.op.inner.kernel.taps, e.op.outer.mask.indices, e.y):
+        for a in (e.op.inner.taps, e.op.outer.indices, e.y):
             digest.update(repr(a.shape).encode() + a.tobytes())
     return {**{f.name: repr(getattr(config, f.name)) for f in fields(config)
                if f.name not in ("rounds", "lam_ramp_rounds")},
@@ -342,13 +342,14 @@ def _check_fingerprint(flag, dirpath, ran: dict, fingerprint: dict, keys) -> Non
                               f"not {fingerprint.get(key)}")
 
 
-def check_prior(dirpath, arch: NetArch, config: TrainConfig) -> None:
+def check_prior(dirpath, arch: NetArch, config: TrainConfig | None = None) -> None:
     """Raise `ConfigError` unless the run directory `dirpath` ran with the
-    generator `arch` and `config`'s init_seed and init_scale, which fix the
-    untrained weights (`net_init`); checked against its fingerprint."""
+    generator `arch` and, given `config`, its init_seed and init_scale, which
+    fix the untrained weights (`net_init`); checked against its fingerprint."""
     _, _, ran = _parse(os.path.join(dirpath, "checkpoint", "state.json"), _read_state)
-    prior = {"init_seed": repr(config.init_seed), "init_scale": repr(config.init_scale),
-             "net": repr(arch)}
+    prior = {} if config is None else {"init_seed": repr(config.init_seed),
+                                       "init_scale": repr(config.init_scale)}
+    prior["net"] = repr(arch)
     _check_fingerprint("--checkpoint", dirpath, ran, prior, prior)
 
 

@@ -1,7 +1,9 @@
 """Matrix-free linear operators on 2D grids.
 
 Building blocks for the synthetic survey operators: circular (periodic)
-convolution, index restriction (subsampling), and composition.
+convolution, index restriction (subsampling), and composition. Each
+operator validates the arrays it is built from and keeps read-only copies
+of them: a convolution its taps, a restriction its indices.
 The convolution is a direct per-tap summation on the torus, evaluated in C
 by `scipy.ndimage`; its adjoint is the circular correlation with the same
 taps.
@@ -16,15 +18,11 @@ array, so shared operators are safe to use from concurrent evaluations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy import ndimage
 
 __all__ = [
     "as_grid",
-    "ConvKernel",
-    "RestrictionMask",
     "LinearOp",
     "ConvOp",
     "RestrictOp",
@@ -39,52 +37,6 @@ def as_grid(x) -> np.ndarray:
     if a.ndim != 2:
         raise ValueError(f"expected a 2-D grid, got ndim={a.ndim}")
     return a
-
-
-@dataclass(frozen=True)
-class ConvKernel:
-    """Square convolution stencil with odd side length.
-
-    `taps[u, v]` weights the displacement (u - k//2, v - k//2); the centered
-    tap is `taps[k//2, k//2]`.
-    """
-
-    taps: np.ndarray
-
-    def __post_init__(self):
-        t = np.asarray(self.taps, dtype=np.float64)
-        if t.ndim != 2 or t.shape[0] != t.shape[1]:
-            raise ValueError(f"kernel taps must be square, got shape {t.shape}")
-        if t.shape[0] % 2 == 0 or t.shape[0] < 1:
-            raise ValueError(f"kernel side must be odd and positive, got {t.shape[0]}")
-        if not np.all(np.isfinite(t)):
-            raise ValueError("kernel taps must be finite")
-        t = t.copy()
-        t.flags.writeable = False
-        object.__setattr__(self, "taps", t)
-
-    @property
-    def size(self) -> int:
-        return self.taps.shape[0]
-
-
-@dataclass(frozen=True)
-class RestrictionMask:
-    """Strictly increasing linear grid indices to keep when subsampling."""
-
-    indices: np.ndarray
-
-    def __post_init__(self):
-        idx = np.asarray(self.indices, dtype=np.int64).ravel()
-        if idx.size and (np.any(np.diff(idx) <= 0) or idx[0] < 0):
-            raise ValueError("mask indices must be strictly increasing and non-negative")
-        idx = idx.copy()
-        idx.flags.writeable = False
-        object.__setattr__(self, "indices", idx)
-
-    @property
-    def n(self) -> int:
-        return int(self.indices.size)
 
 
 class LinearOp:
@@ -122,44 +74,52 @@ class LinearOp:
 class ConvOp(LinearOp):
     """Circular 2-D convolution by direct per-tap summation,
 
-    out[r, c] = sum_{u,v} taps[u, v] * x[(r - u + k//2) % rows, (c - v + k//2) % cols];
+    out[r, c] = sum_{u,v} taps[u, v] * x[(r - u + k//2) % rows, (c - v + k//2) % cols],
 
-    the adjoint is the circular correlation with the same taps. Kernels
+    with square, odd-sided, finite taps, kept as a read-only float64 copy.
+    The adjoint is the circular correlation with the same taps. Kernels
     wider than the grid wrap around it more than once.
     """
 
-    def __init__(self, kernel: ConvKernel, shape):
-        self.kernel = kernel
-        self.domain_shape = tuple(shape)
-        self.range_shape = tuple(shape)
+    def __init__(self, taps, shape):
+        t = np.array(taps, dtype=np.float64)
+        if t.ndim != 2 or t.shape[0] != t.shape[1] or t.shape[0] % 2 == 0:
+            raise ValueError(f"kernel taps must be square with an odd side, got shape {t.shape}")
+        if not np.all(np.isfinite(t)):
+            raise ValueError("kernel taps must be finite")
+        t.flags.writeable = False
+        self.taps = t
+        self.domain_shape = self.range_shape = tuple(shape)
 
     def apply(self, x):
-        return ndimage.convolve(self._check_domain(x), self.kernel.taps, mode="wrap")
+        return ndimage.convolve(self._check_domain(x), self.taps, mode="wrap")
 
     def adjoint(self, y):
-        return ndimage.correlate(self._check_range(y), self.kernel.taps, mode="wrap")
+        return ndimage.correlate(self._check_range(y), self.taps, mode="wrap")
 
 
 class RestrictOp(LinearOp):
-    """Gather of the masked grid entries into a vector; the adjoint
-    scatters a vector back onto a zero grid."""
+    """Gather of the grid entries at strictly increasing linear `indices`
+    (kept as a read-only int64 copy) into a vector; the adjoint scatters a
+    vector back onto a zero grid."""
 
-    def __init__(self, mask: RestrictionMask, shape):
-        rows, cols = shape
-        if mask.n and int(mask.indices[-1]) >= rows * cols:
-            raise ValueError(
-                f"mask index {int(mask.indices[-1])} out of range for {rows}x{cols} grid"
-            )
-        self.mask = mask
-        self.domain_shape = (int(rows), int(cols))
-        self.range_shape = (mask.n,)
+    def __init__(self, indices, shape):
+        rows, cols = int(shape[0]), int(shape[1])
+        idx = np.array(indices, dtype=np.int64).ravel()
+        if idx.size and (np.any(np.diff(idx) <= 0) or idx[0] < 0 or idx[-1] >= rows * cols):
+            raise ValueError(f"mask indices must be strictly increasing and lie in "
+                             f"[0, {rows * cols}) for a {rows}x{cols} grid")
+        idx.flags.writeable = False
+        self.indices = idx
+        self.domain_shape = (rows, cols)
+        self.range_shape = (idx.size,)
 
     def apply(self, x):
-        return self._check_domain(x).ravel()[self.mask.indices]
+        return self._check_domain(x).ravel()[self.indices]
 
     def adjoint(self, y):
         out = np.zeros(self.domain_shape[0] * self.domain_shape[1])
-        out[self.mask.indices] = self._check_range(y)
+        out[self.indices] = self._check_range(y)
         return out.reshape(self.domain_shape)
 
 

@@ -5,10 +5,10 @@ piecewise-constant layered ground truth, then pollutes the clean data with
 coherent error from a quadratic surrogate forward plus white noise scaled
 to hit a target signal-to-noise ratio exactly.
 
-The surrogate forward for experiment i is
-    F_i(v) = A_i v + gamma * R_i((C v) * (C v))
-whose linearization error around any background is exactly
-gamma * R_i((C dm)^2), the coherent error added to the data.
+The surrogate forward for experiment i is F_i(v) = A_i v + gamma (A_i v)^2,
+which is A_i v + gamma R_i((C v)^2) for A_i = R_i C. Its linearization error
+around any background is exactly gamma (A_i dm)^2, gamma times the clean
+data squared: the coherent error added to the data.
 
 Generation is deterministic given (shape, counts, seeds) and outputs are
 treated as immutable afterwards. On disk a bank is a JSON manifest of
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputFormatError
-from .linops import ComposeOp, ConvKernel, ConvOp, RestrictionMask, RestrictOp
+from .linops import ComposeOp, ConvOp, RestrictOp
 from .stats import read_portable_grid, write_portable_grid
 
 __all__ = [
@@ -83,8 +83,8 @@ class ExperimentBank:
         return len(self.experiments)
 
 
-def gaussian_kernel(size: int, sigma: float) -> ConvKernel:
-    """Normalized band-limited (low-pass) stencil of side `size`."""
+def gaussian_kernel(size: int, sigma: float) -> np.ndarray:
+    """Normalized band-limited (low-pass) taps of side `size`."""
     if size < 1 or size % 2 == 0:
         raise ValueError(f"kernel size must be odd and positive, got {size}")
     if sigma <= 0:
@@ -92,7 +92,10 @@ def gaussian_kernel(size: int, sigma: float) -> ConvKernel:
     h = size // 2
     d = np.arange(-h, h + 1)
     g = np.exp(-(d[:, None] ** 2 + d[None, :] ** 2) / (2.0 * sigma * sigma))
-    return ConvKernel(g / g.sum())
+    taps = g / g.sum()
+    if not np.all(np.isfinite(taps)):  # a NaN sigma, or one whose square underflows
+        raise ValueError("kernel taps must be finite")
+    return taps
 
 
 def _check_grid(rows: int, cols: int) -> None:
@@ -141,35 +144,27 @@ def make_ground_truth(shape, seed: int) -> np.ndarray:
     return values[layer_idx]
 
 
-def make_bank(truth: np.ndarray, n_experiments: int, kernel: ConvKernel,
+def make_bank(truth: np.ndarray, n_experiments: int, taps: np.ndarray,
               sampling_fraction: float, seed: int) -> ExperimentBank:
     """Noiseless bank: per-experiment seeded restriction masks over one
-    shared convolution. The truth is blurred once and each experiment's
-    data restricts that grid, which is `op.apply(truth)` bit for
-    bit. A restriction's adjoint is exact by construction; `breguq check`
+    shared convolution by `taps`. The truth is blurred once and each
+    experiment's data restricts that grid, which is `op.apply(truth)` bit
+    for bit. A restriction's adjoint is exact by construction; `breguq check`
     audits a bank built here (`dot_test:generated_bank`)."""
     _check_layout(n_experiments, sampling_fraction)
     shape = truth.shape
     size = shape[0] * shape[1]
     m_keep = max(1, int(round(sampling_fraction * size)))
-    conv = ConvOp(kernel, shape)
+    conv = ConvOp(taps, shape)
     blurred = conv.apply(truth)
     rng = np.random.default_rng(np.random.SeedSequence([int(seed)]))
     experiments = []
     for _ in range(n_experiments):
         idx = np.sort(rng.choice(size, size=m_keep, replace=False))
-        restrict = RestrictOp(RestrictionMask(idx), shape)
+        restrict = RestrictOp(idx, shape)
         experiments.append(LinearExperiment(ComposeOp(restrict, conv),
                                             restrict.apply(blurred)))
     return ExperimentBank(tuple(experiments), shape)
-
-
-def _coherent_basis(truth: np.ndarray, C, bank: ExperimentBank):
-    """R_i((C dm)^2) for each experiment, dm the truth grid: the gamma=1
-    coherent error."""
-    cdm = C.apply(truth)
-    full = cdm * cdm
-    return [exp.op.outer.apply(full) for exp in bank.experiments]
 
 
 def snr_db(signal_energy: float, perturbation_energy: float) -> float:
@@ -179,9 +174,10 @@ def snr_db(signal_energy: float, perturbation_energy: float) -> float:
     return 10.0 * math.log10(signal_energy / perturbation_energy)
 
 
-def add_noise_to_snr(bank: ExperimentBank, truth: np.ndarray, spec: NoiseSpec,
-                     seed: int):
-    """Add coherent plus white error so the survey-wide SNR hits the target.
+def add_noise_to_snr(bank: ExperimentBank, spec: NoiseSpec, seed: int):
+    """Add coherent error gamma * y_i^2 (the surrogate's, with gamma set by
+    `spec.coherent_fraction`) plus white noise to the noiseless `bank` so
+    the survey-wide SNR hits the target.
 
     The white-noise amplitude solves the exact quadratic for the total
     perturbation energy, so the measured SNR matches the target to machine
@@ -199,17 +195,13 @@ def add_noise_to_snr(bank: ExperimentBank, truth: np.ndarray, spec: NoiseSpec,
         return bank, report
 
     p_total = s_total * 10.0 ** (-spec.target_snr_db / 10.0)
-    if spec.coherent_fraction > 0:
-        basis = _coherent_basis(truth, bank.experiments[0].op.inner, bank)
-        b_total = float(sum(np.dot(b.ravel(), b.ravel()) for b in basis))
-        target_coherent = spec.coherent_fraction * p_total
-        if target_coherent > 0 and b_total <= 0:
-            raise ValueError("coherent error basis is zero; cannot calibrate gamma")
-        gamma = math.sqrt(target_coherent / b_total) if b_total > 0 else 0.0
-        coherent = [gamma * b for b in basis]
-    else:
-        gamma = 0.0
-        coherent = [np.zeros_like(e.y) for e in bank.experiments]
+    basis = [e.y * e.y for e in bank.experiments]
+    b_total = float(sum(np.dot(b.ravel(), b.ravel()) for b in basis))
+    target_coherent = spec.coherent_fraction * p_total
+    if target_coherent > 0 and b_total <= 0:
+        raise ValueError("coherent error basis is zero; cannot calibrate gamma")
+    gamma = math.sqrt(target_coherent / b_total) if b_total > 0 else 0.0
+    coherent = [gamma * b for b in basis]
     e_total = float(sum(np.dot(e.ravel(), e.ravel()) for e in coherent))
     if e_total > p_total:
         raise ValueError(
@@ -258,21 +250,21 @@ def save_bank(dirpath, bank: ExperimentBank, manifest_extra: dict | None = None)
     `json.dump` to a file or any `indent` would bypass. `load_bank` reads
     any layout of the same keys, indented manifests included."""
     os.makedirs(dirpath, exist_ok=True)
-    kernel = bank.experiments[0].op.inner.kernel
+    taps = bank.experiments[0].op.inner.taps
     manifest = {
         "format": "breguq-bank",
         "version": 2,
         "rows": bank.shape[0],
         "cols": bank.shape[1],
-        "kernel_size": kernel.size,
-        "kernel_taps": kernel.taps.ravel().tolist(),
-        "masks": [bank.experiments[0].op.outer.mask.indices.tolist()],
+        "kernel_size": taps.shape[0],
+        "kernel_taps": taps.ravel().tolist(),
+        "masks": [bank.experiments[0].op.outer.indices.tolist()],
     }
     if manifest_extra:
         manifest.update(manifest_extra)
     with open(os.path.join(dirpath, "manifest.json"), "w", newline="") as f:
         f.write(json.dumps(manifest, sort_keys=True) + "\n")
-    write_portable_grid([e.op.outer.mask.indices for e in bank.experiments],
+    write_portable_grid([e.op.outer.indices for e in bank.experiments],
                         os.path.join(dirpath, "masks.pgrd"))
     write_portable_grid([e.y for e in bank.experiments], os.path.join(dirpath, "data.pgrd"))
 
@@ -294,9 +286,8 @@ def load_bank(dirpath):
                                  f"regenerate it with `breguq gen --config "
                                  f"{os.path.join(dirpath, 'resolved.cfg')} --out <new bank>`")
             shape = (manifest["rows"], manifest["cols"])
-            kernel = ConvKernel(np.array(manifest["kernel_taps"]).reshape(
-                manifest["kernel_size"], manifest["kernel_size"]))
-            conv = ConvOp(kernel, shape)
+            conv = ConvOp(np.array(manifest["kernel_taps"]).reshape(
+                manifest["kernel_size"], manifest["kernel_size"]), shape)
         except (ValueError, KeyError, TypeError) as exc:
             raise InputFormatError(f"{path}: {type(exc).__name__}: {exc}") from exc
     masks_path, data_path = (os.path.join(dirpath, name) for name in ("masks.pgrd", "data.pgrd"))
@@ -309,7 +300,7 @@ def load_bank(dirpath):
     try:
         if (indices != masks).any():
             raise ValueError("mask entries must be integer grid indices")
-        ops = [ComposeOp(RestrictOp(RestrictionMask(idx), shape), conv) for idx in indices]
+        ops = [ComposeOp(RestrictOp(idx, shape), conv) for idx in indices]
     except (ValueError, TypeError) as exc:
         raise InputFormatError(f"{masks_path}: {type(exc).__name__}: {exc}") from exc
     return ExperimentBank(tuple(map(LinearExperiment, ops, data)), shape), manifest

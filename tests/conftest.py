@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from breguq.linops import LinearOp, RestrictionMask, RestrictOp
+from breguq.linops import LinearOp, RestrictOp
 from breguq.net import NetArch, StageSpec
-from breguq.testbed import ExperimentBank, LinearExperiment, _coherent_basis
+from breguq.testbed import ExperimentBank, LinearExperiment
 
 
 def run_files(run_dir):
@@ -44,7 +44,7 @@ def restriction_bank(x_star, index_groups):
     shape = x_star.shape
     exps = []
     for idx in index_groups:
-        op = RestrictOp(RestrictionMask(np.asarray(sorted(idx), dtype=np.int64)), shape)
+        op = RestrictOp(sorted(idx), shape)
         exps.append(LinearExperiment(op, op.apply(x_star)))
     return ExperimentBank(tuple(exps), shape)
 
@@ -58,19 +58,20 @@ def eval_lsq_objective(bank, x) -> float:
     return 0.5 * total
 
 
-def linearization_error(dm, C, gamma, bank):
-    """Closed-form coherent error gamma * R_i((C dm)^2), per experiment, as
-    `add_noise_to_snr` computes it."""
-    return [gamma * b for b in _coherent_basis(dm, C, bank)]
+def linearization_error(dm, gamma, bank):
+    """Closed-form coherent error gamma * (A_i dm)^2, per experiment, as
+    `add_noise_to_snr` computes it from the clean data A_i dm."""
+    return [gamma * (a * a) for a in (e.op.apply(dm) for e in bank.experiments)]
 
 
 def linearization_error_direct(dm, m, C, gamma, bank):
     """Three-term linearization error of the quadratic surrogate forward
     F_i(v) = A_i v + gamma * R_i((C v)^2) for the perturbation `dm`,
-    evaluated literally around the background model `m`."""
+    evaluated literally around the background model `m`, with `C` the
+    bank's convolution and R_i each experiment's restriction."""
 
     def restrict(exp, grid):
-        return grid.ravel()[exp.op.outer.mask.indices].copy()
+        return grid.ravel()[exp.op.outer.indices].copy()
 
     out = []
     for exp in bank.experiments:

@@ -230,7 +230,7 @@ def test_criterion_6_noise_calibration(desk_bank):
     rows, cols = DESK_SHAPE
     ramp = (0.25 + 0.5 * np.arange(rows)[:, None] / (rows - 1)
             + 0.25 * np.arange(cols)[None, :] / (cols - 1))
-    closed = linearization_error(truth, C, gamma, bank)
+    closed = linearization_error(truth, gamma, bank)
     direct = linearization_error_direct(truth, ramp, C, gamma, bank)
     scale = max(1.0, max(float(np.max(np.abs(d))) for d in direct))
     worst = max(float(np.max(np.abs(c - d))) / scale

@@ -835,6 +835,24 @@ def test_sample_writes_realizations(gen_dir, tmp_path):
         assert read_portable_grid(out / f"sample_{j:04d}.pgrd").shape == (16, 16)
 
 
+def test_sample_checks_the_generator_alone(gen_dir, tmp_path):
+    # sample never builds the untrained weights, so a run directory must
+    # have trained the --config generator, whatever init_seed and
+    # init_scale say
+    cfg, bank_dir = gen_dir
+    train_out = tmp_path / "tr"
+    assert main(["train", "--config", cfg, "--bank", str(bank_dir),
+                 "--out", str(train_out)]) == 0
+    other = write_cfg(tmp_path, SMALL_TESTBED.replace("[net]\n", "[net]\ninit_seed = 99\n"
+                                                      "init_scale = 0.5\n"), name="other.cfg")
+    first, again = tmp_path / "s1", tmp_path / "s2"
+    for config, out in ((cfg, first), (other, again)):
+        assert main(["sample", "--config", config, "--checkpoint", str(train_out),
+                     "--out", str(out), "--count", "2"]) == 0
+    assert {n: b for n, b in run_files(first).items() if n != "resolved.cfg"} == \
+        {n: b for n, b in run_files(again).items() if n != "resolved.cfg"}
+
+
 def test_sample_count_zero_exit_2_names_flag(gen_dir, tmp_path, capsys):
     cfg, bank_dir = gen_dir
     train_out = tmp_path / "tr"
@@ -1020,17 +1038,23 @@ def test_stats_truth_checked_before_any_grid(gen_dir, tmp_path, capsys, truth, m
     assert not out.exists()
 
 
-@pytest.mark.parametrize("key, message", [
-    ("init_seed = 99", "config error: --checkpoint: {tr} ran with init_seed = 23, not 99"),
-    ("init_scale = 0.5", "config error: --checkpoint: {tr} ran with init_scale = 1.0, not 0.5"),
-    ("leaky_slope = 0.5", "config error: --checkpoint: {tr} ran with net = NetArch("),
-    (None, "input error: {state}: KeyError: 'fingerprint'"),
-], ids=["init_seed", "init_scale", "net", "no_fingerprint"])
-def test_stats_checkpoint_of_another_prior_exit_2(gen_dir, tmp_path, capsys, key, message):
+@pytest.mark.parametrize("command, key, message", [
+    ("stats", "init_seed = 99", "config error: --checkpoint: {tr} ran with init_seed = 23, not 99"),
+    ("stats", "init_scale = 0.5",
+     "config error: --checkpoint: {tr} ran with init_scale = 1.0, not 0.5"),
+    ("stats", "leaky_slope = 0.5", "config error: --checkpoint: {tr} ran with net = NetArch("),
+    ("stats", None, "input error: {state}: KeyError: 'fingerprint'"),
+    ("sample", "leaky_slope = 0.5", "config error: --checkpoint: {tr} ran with net = NetArch("),
+    ("sample", None, "input error: {state}: KeyError: 'fingerprint'"),
+], ids=["init_seed", "init_scale", "net", "no_fingerprint", "sample_net",
+        "sample_no_fingerprint"])
+def test_stats_checkpoint_of_another_prior_exit_2(gen_dir, tmp_path, capsys, command, key,
+                                                  message):
     # stats rebuilds the prior weights from --config, so a run directory must
-    # have started from them, as its fingerprint records; one written before
-    # the fingerprint cannot be checked. A bare .dpnw records no prior and is
-    # read as is
+    # have started from them, as its fingerprint records; sample draws from
+    # the --config generator, so a run directory must have trained it. One
+    # written before the fingerprint cannot be checked. A bare .dpnw records
+    # no prior and is read as is
     cfg, bank_dir = gen_dir
     train_out = tmp_path / "tr"
     assert main(["train", "--config", cfg, "--bank", str(bank_dir),
@@ -1042,12 +1066,12 @@ def test_stats_checkpoint_of_another_prior_exit_2(gen_dir, tmp_path, capsys, key
     other = write_cfg(tmp_path, SMALL_TESTBED.replace("[net]\n", f"[net]\n{key or ''}\n"),
                       name="other.cfg")
     out = tmp_path / "s"
-    assert main(["stats", "--config", other, "--checkpoint", str(train_out),
+    assert main([command, "--config", other, "--checkpoint", str(train_out),
                  "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(message.format(tr=train_out, state=state))
     assert err.count("\n") == 1 and not out.exists()
-    assert main(["stats", "--config", other, "--checkpoint", str(train_out / "weights.dpnw"),
+    assert main([command, "--config", other, "--checkpoint", str(train_out / "weights.dpnw"),
                  "--out", str(out)]) == 0
 
 

@@ -34,7 +34,7 @@ def training_instance():
     """16x16 bank with mixed noise plus a stable training config."""
     truth = make_ground_truth((16, 16), seed=101)
     bank0 = make_bank(truth, 8, gaussian_kernel(3, 0.8), 0.5, seed=102)
-    bank, _ = add_noise_to_snr(bank0, truth, NoiseSpec(-5.0), seed=103)
+    bank, _ = add_noise_to_snr(bank0, NoiseSpec(-5.0), seed=103)
     l1 = 1.2 * float(np.abs(truth).sum())
     stack = ConstraintStack((Box(-1.0, 1.0), L1Ball(l1)))
     arch = NetArch(latent_dim=16, base_rows=4, base_cols=4, base_channels=4,
