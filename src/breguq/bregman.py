@@ -123,22 +123,22 @@ def bregman_step(state: BregmanState, experiment, stack: ConstraintStack,
 
 
 def run_bregman(bank, stack: ConstraintStack, state: BregmanState, ids, steps: int,
-                seed: int, *, key: int = 0, skip: int = 0, t_max: float = T_MAX_DEFAULT,
+                seed: int, *, key: int = 0, t_max: float = T_MAX_DEFAULT,
                 center=None, lam: float = 0.0):
     """The one stochastic Bregman loop: `steps` steps from `state`, each
     against an experiment drawn uniformly with replacement from the bank
     indices `ids`, at trade-off `lam` toward `center` (see `bregman_step`).
 
-    Draws come from the stream keyed by (seed, key), advanced past `skip`
-    draws, so a later block of one chain continues its stream. Each step
-    calls the module binding `bregman_step`. Returns (state, trace).
+    Draws come from the stream keyed by (seed, key) past the `state.iter`
+    draws the chain has taken, so a continued chain continues its stream.
+    Each step calls the module binding `bregman_step`. Returns (state, trace).
     """
     ids = np.asarray(ids, dtype=np.int64)
     exps = bank.experiments
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), int(key)]))
-    # replay (not jump) skipped draws: bounded-integer rejection sampling
-    # consumes a bound-dependent amount of the bitstream
-    for _ in range(skip):
+    # replay (not jump) the chain's past draws: bounded-integer rejection
+    # sampling consumes a bound-dependent amount of the bitstream
+    for _ in range(state.iter):
         rng.integers(0, ids.size)
     trace = []
     for _ in range(steps):

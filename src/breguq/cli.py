@@ -48,12 +48,7 @@ def cmd_gen(args, config) -> int:
         clean = make_bank(truth, t("experiments"), config.kernel, t("sampling_fraction"),
                           t("mask_seed"))
         noisy, report = add_noise_to_snr(clean, config.noise, t("noise_seed"))
-    save_bank(out, noisy, manifest_extra={
-        "seeds": {"truth": t("truth_seed"), "mask": t("mask_seed"),
-                  "noise": t("noise_seed")},
-        "sampling_fraction": t("sampling_fraction"),
-        "snr_report": report,
-    })
+    save_bank(out, noisy, manifest_extra={"snr_report": report})
     write_portable_grid(truth, os.path.join(out, "truth_delta.pgrd"))
     print(f"measured snr_db: {report['measured_snr_db']}")
     return 0

@@ -14,15 +14,16 @@ shared center the per-tuple solutions are elastically pulled toward.
 `round_schedule` gives each round's trade-off parameter and stack.
 
 Randomness is counter-keyed: experiment draws come from per-tuple streams
-(seed, tuple id) consumed sequentially across rounds, and Langevin noise
-from per-step streams (seed, tuple id, round, step). E-step results are
-therefore independent of tuple scheduling, and a resumed run fast-forwards
-the draw streams. `train` alone writes a run directory, one copy per file:
-the weights and the logs, which each round appends to, at its root; the
-per-tuple state, the ramp window and the fingerprint of what a resume must
-share with the run in `checkpoint/`. A resume reads the logs back, so it
-writes every file as an uninterrupted run does. Checkpoint files use
-`breguq.stats` formats; a malformed one raises `CheckpointFormatError`.
+(seed, tuple id), continued from the tuple's Bregman step count, and
+Langevin noise from per-step streams (seed, tuple id, round, step). E-step
+results are therefore independent of tuple scheduling, and a resume, which
+restores the step counts, draws as the uninterrupted run does. `train`
+alone writes a run directory, one copy per file: the weights and the logs,
+which each round appends to, at its root; the per-tuple state, the ramp
+window and the fingerprint of what a resume must share with the run in
+`checkpoint/`. A resume reads the logs back, so it writes every file as an
+uninterrupted run does. Checkpoint files use `breguq.stats` formats; a
+malformed one raises `CheckpointFormatError`.
 """
 
 from __future__ import annotations
@@ -114,7 +115,6 @@ class RoundRecord:
 @dataclass(frozen=True)
 class TrainResult:
     weights: np.ndarray
-    initial_weights: np.ndarray
     tuples: list
     rounds: list
     tuple_traces: dict
@@ -163,18 +163,14 @@ def e_step(tuples, bank, arch: NetArch, w, lam: float, stack: ConstraintStack,
     g(z, w) is evaluated once per tuple (not at lam = 0). Returns (new
     tuples, per-tuple trace).
     """
-    steps = config.bregman_steps_per_round
     new_tuples, traces = [], {}
     for t in tuples:
         center = net_forward(arch, w, t.z) if lam > 0 else None
         state, traces[t.id] = run_bregman(
-            bank, stack, t.state, t.experiment_ids, steps, config.draw_seed,
-            key=t.id, skip=round_idx * steps, t_max=config.t_max, center=center,
-            lam=lam)
-        z_new = t.z
-        if config.sgld.steps > 0:
-            z_new, _ = sgld_run(t.z, state.x_primal, arch, w, lam, config.sgld,
-                                (config.noise_seed, t.id, round_idx))
+            bank, stack, t.state, t.experiment_ids, config.bregman_steps_per_round,
+            config.draw_seed, key=t.id, t_max=config.t_max, center=center, lam=lam)
+        z_new, _ = sgld_run(t.z, state.x_primal, arch, w, lam, config.sgld,
+                            (config.noise_seed, t.id, round_idx))
         new_tuples.append(replace(t, state=state, z=z_new))
     return new_tuples, traces
 
@@ -242,8 +238,8 @@ def train(bank, stack: ConstraintStack, arch: NetArch, config: TrainConfig,
         raise ConfigError(f"[net] generator output {arch.out_shape} does not match the bank "
                           f"grid {tuple(bank.shape)}; adjust base shape or stages")
     stack_final = stack if stack_final is None else stack_final
-    w0 = net_init(arch, config.init_seed, config.init_scale)
-    w, start_round, window = w0.copy(), 0, _ramp_window(config)
+    w = net_init(arch, config.init_seed, config.init_scale)
+    start_round, window = 0, _ramp_window(config)
     tuples = init_tuples(bank, config.n_tuples, config.z_seed, arch.latent_dim)
     round_records, tuple_traces = [], {t.id: [] for t in tuples}
     fingerprint = (None if run_dir is None and resume_from is None
@@ -285,7 +281,7 @@ def train(bank, stack: ConstraintStack, arch: NetArch, config: TrainConfig,
         if run_dir is not None:
             save_checkpoint(run_dir, arch, w, tuples, r, window, fingerprint,
                             round_records[-1:], traces, append=True)
-    return TrainResult(w, w0, tuples, round_records, tuple_traces)
+    return TrainResult(w, tuples, round_records, tuple_traces)
 
 
 def save_checkpoint(dirpath, arch: NetArch, w, tuples, round_completed: int,

@@ -402,9 +402,8 @@ def project_intersection(x, stack: ConstraintStack) -> IntersectionResult:
     else:
         out, solved, gap, iters = _dual_solve(x, lo, hi, r1, r2, r_tv, stack.tv_tol,
                                               stack.tv_max_iters)
-    violations = np.array([constraint_violation(s, out) for s in stack.sets])
-    return IntersectionResult(out, solved and bool(violations.max() <= stack.dykstra_tol),
-                              iters, violations, gap)
+    report = is_feasible(out, stack, stack.dykstra_tol)
+    return IntersectionResult(out, solved and report.feasible, iters, report.violations, gap)
 
 
 def is_feasible(x, stack: ConstraintStack, tol: float) -> FeasibilityReport:

@@ -269,7 +269,8 @@ def test_criterion_8_end_to_end_structure(desk_bank, desk_training):
     best = min(tuple_errors)
     latents = draw_latents(DESK_ARCH.latent_dim, 3200, 43)
     post = summarize(SampleSet(DESK_ARCH, result.weights, latents))
-    prior = summarize(SampleSet(DESK_ARCH, result.initial_weights, latents))
+    prior_weights = net_init(DESK_ARCH, DESK_TRAIN["init_seed"], DESK_TRAIN["init_scale"])
+    prior = summarize(SampleSet(DESK_ARCH, prior_weights, latents))
     mean_err = model_quality(post.mean, truth)["relative_l2"]
     elapsed = desk_training["train_seconds"] + (time.time() - t0)
     ok_a = mean_err <= 1.05 * best

@@ -214,6 +214,13 @@ def test_run_bregman_deterministic(rng):
     s2, t2 = run_bregman(bank, WIDE, initial_state(bank.shape), range(bank.n), 25, seed=9)
     assert t1 == t2
     np.testing.assert_array_equal(s1.x_primal, s2.x_primal)
+    # a chain continued from its returned state continues its draw stream
+    s10, t10 = run_bregman(bank, WIDE, initial_state(bank.shape), range(bank.n), 10, seed=9)
+    s25, t15 = run_bregman(bank, WIDE, s10, range(bank.n), 15, seed=9)
+    assert t10 + t15 == t1
+    assert s25.iter == s1.iter == 25
+    np.testing.assert_array_equal(s25.x_primal, s1.x_primal)
+    np.testing.assert_array_equal(s25.x_dual, s1.x_dual)
 
 
 def test_feasibility_and_steplength_bounds_along_run(rng, monkeypatch):

@@ -96,6 +96,13 @@ def test_gen_outputs_and_snr_print(tmp_path, capsys):
     assert "measured snr_db: -5.0" in capsys.readouterr().out
     assert sorted(os.listdir(out)) == ["data.pgrd", "manifest.json", "masks.pgrd",
                                        "resolved.cfg", "truth_delta.pgrd"]
+    # the recipe lives in resolved.cfg alone; the manifest holds what gen measured
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert sorted(manifest) == ["cols", "format", "kernel_size", "kernel_taps", "masks",
+                                "rows", "snr_report", "version"]
+    assert sorted(manifest["snr_report"]) == [
+        "coherent_energy", "gamma", "measured_snr_db", "noise_energy",
+        "perturbation_energy", "signal_energy"]
 
 
 def test_gen_deterministic_bytes(tmp_path):
