@@ -153,7 +153,7 @@ def cmd_stats(args, config) -> int:
 
 
 def cmd_check(args, config) -> int:
-    # imported here: its oracles load scipy.optimize, which no other command needs
+    # imported here: its oracles load scipy.optimize, the only scipy any command loads
     from . import checks
 
     results = checks.run_property_suite()

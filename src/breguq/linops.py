@@ -4,9 +4,10 @@ Building blocks for the synthetic survey operators: circular (periodic)
 convolution, index restriction (subsampling), and composition. Each
 operator validates the arrays it is built from and keeps read-only copies
 of them: a convolution its taps, a restriction its indices.
-The convolution is a direct per-tap summation on the torus, evaluated in C
-by `scipy.ndimage`; its adjoint is the circular correlation with the same
-taps.
+The convolution runs on the torus as one gather of the grid into column
+blocks with a wrapped halo and one banded matrix product; its adjoint is the
+circular correlation with the same taps, the same product with the
+point-reflected taps.
 Every operator exposes an exact adjoint under the Euclidean inner product,
 and `dot_test` measures the worst relative adjoint discrepancy over seeded
 Gaussian probes.
@@ -19,7 +20,6 @@ array, so shared operators are safe to use from concurrent evaluations.
 from __future__ import annotations
 
 import numpy as np
-from scipy import ndimage
 
 __all__ = [
     "as_grid",
@@ -29,6 +29,10 @@ __all__ = [
     "ComposeOp",
     "dot_test",
 ]
+
+# Output columns per block of the convolution's matrix product; 16 ran faster
+# than 32 and 64 on 64x64 and 256x256 grids.
+_BLOCK = 16
 
 
 def as_grid(x) -> np.ndarray:
@@ -72,13 +76,21 @@ class LinearOp:
 
 
 class ConvOp(LinearOp):
-    """Circular 2-D convolution by direct per-tap summation,
+    """Circular 2-D convolution,
 
     out[r, c] = sum_{u,v} taps[u, v] * x[(r - u + k//2) % rows, (c - v + k//2) % cols],
 
     with square, odd-sided, finite taps, kept as a read-only float64 copy.
     The adjoint is the circular correlation with the same taps. Kernels
     wider than the grid wrap around it more than once.
+
+    The output is computed in column blocks of w = min(cols, 16). One flat
+    `take` gathers, for each output row and block, the k input rows the
+    taps reach, each over the block's w columns and a k//2 halo on either
+    side. One matrix product against a banded Toeplitz table of shape
+    (k·(w + 2·(k//2)), w) sums the taps; the columns past `cols` in the
+    last block are cropped. The gather table and the two tap tables (the
+    adjoint's from the point-reflected taps) are built once, here.
     """
 
     def __init__(self, taps, shape):
@@ -90,12 +102,37 @@ class ConvOp(LinearOp):
         t.flags.writeable = False
         self.taps = t
         self.domain_shape = self.range_shape = tuple(shape)
+        rows, cols = self.domain_shape
+        k, h = t.shape[0], t.shape[0] // 2
+        w = min(cols, _BLOCK)
+        blocks = -(-cols // w)
+        span = w + 2 * h
+        # gather[r, b, u, j] = flat index of x[(r - u + h) % rows, (b*w - h + j) % cols]
+        row_base = (np.arange(rows)[:, None] - np.arange(k) + h) % rows * cols
+        col = (np.arange(blocks)[:, None] * w - h + np.arange(span)) % cols
+        self._gather = (row_base[:, None, :, None] + col[None, :, None, :]).reshape(
+            rows * blocks, k * span)
+        # table[u, j, i] = kernel[u, v] at j = i - v + 2h: output column i of
+        # a block reads gathered column j through tap column v
+        u, v, i = np.indices((k, k, w))
+
+        def banded(kernel):
+            table = np.zeros((k, span, w))
+            table[u, i - v + 2 * h, i] = kernel[u, v]
+            return table.reshape(k * span, w)
+
+        self._apply_table, self._adjoint_table = banded(t), banded(t[::-1, ::-1])
+
+    def _blocked(self, a, table):
+        rows, cols = self.domain_shape
+        out = (a.take(self._gather) @ table).reshape(rows, -1)
+        return np.ascontiguousarray(out[:, :cols])
 
     def apply(self, x):
-        return ndimage.convolve(self._check_domain(x), self.taps, mode="wrap")
+        return self._blocked(self._check_domain(x), self._apply_table)
 
     def adjoint(self, y):
-        return ndimage.correlate(self._check_range(y), self.taps, mode="wrap")
+        return self._blocked(self._check_range(y), self._adjoint_table)
 
 
 class RestrictOp(LinearOp):

@@ -1155,14 +1155,15 @@ def test_check_exit_1_on_failure(monkeypatch, capsys):
     assert "dot_test:injected" in capsys.readouterr().out
 
 
-def test_cli_import_leaves_scipy_optimize_unloaded():
-    # only `check` needs the scipy.optimize oracles; a fresh interpreter
-    # shows what every other command loads
+def test_cli_import_loads_no_scipy():
+    # only `check` needs scipy, for the scipy.optimize oracles it imports
+    # itself; a fresh interpreter shows what every other command loads
     src = os.path.dirname(os.path.dirname(breguq.__file__))
-    code = "import sys, breguq.cli; print('scipy.optimize' in sys.modules)"
+    code = ("import sys, breguq.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": src})
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"
 
 
 def test_numerical_abort_maps_to_exit_3(monkeypatch, tmp_path):

@@ -46,11 +46,13 @@ def test_offcenter_tap_is_circular_shift_and_matches_reference():
 
 
 @pytest.mark.parametrize("k", [1, 3, 5, 7, 9], ids="k{}".format)
-@pytest.mark.parametrize("shape", [(1, 1), (1, 5), (2, 3), (3, 3), (6, 5), (17, 3)],
+@pytest.mark.parametrize("shape", [(1, 1), (1, 5), (2, 3), (3, 3), (6, 5), (17, 3),
+                                   (5, 37), (3, 70)],
                          ids=lambda s: "{}x{}".format(*s))
 def test_random_kernel_matches_reference(shape, k):
-    # includes kernels wider than the grid, which wrap around it repeatedly;
-    # the adjoint is the convolution with the point-reflected taps
+    # includes kernels wider than the grid, which wrap around it repeatedly,
+    # and grids wider than one 16-column block whose width is not a multiple
+    # of it; the adjoint is the convolution with the point-reflected taps
     rng = np.random.default_rng([k, *shape])
     taps = rng.standard_normal((k, k))
     x = rng.standard_normal(shape)
@@ -60,6 +62,8 @@ def test_random_kernel_matches_reference(shape, k):
                                conv_reference(taps, x), rtol=1e-13, atol=1e-13)
     np.testing.assert_allclose(op.adjoint(y),
                                conv_reference(taps[::-1, ::-1], y), rtol=1e-13, atol=1e-13)
+    for out, a in ((op.apply(x), x), (op.adjoint(y), y)):  # a fresh grid each call
+        assert out.flags.c_contiguous and not np.shares_memory(out, a)
 
 
 def test_symmetric_kernel_self_adjoint():
