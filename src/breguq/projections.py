@@ -6,13 +6,18 @@ box [lo, hi], and of several balls of one kind only the smallest counts,
 because it lies inside the others. Every stack without a TV ball is
 projected exactly, in closed form, by one separable map: dualizing the l2
 ball scales v by s = 1/(1 + mu), so the projection is P_box∩l1(s*v) (a soft
-threshold followed by the clamp, with the threshold found by a vectorized
-sorted-breakpoint search: a sort, a prefix sum per kink set and two batched
-evaluations of the norm, with no Python loop over kinks), with s in (0, 1]
-found by bisection. That search is the one l1-ball projection: without a
-box it has no start kinks, and the TV dual prox runs it too. A stack with
-a TV ball is projected by one iterative solve: FISTA (Beck & Teboulle, SIAM
-J. Imaging Sci. 2009) on the dual of
+threshold followed by the clamp), with s in (0, 1] found by bisection. The
+threshold comes from a safeguarded Newton walk over the sorted kinks of the
+piecewise-linear l1 norm: one sort (of |v|, or of v when the box has one
+upper bound of |x| per sign, so that each sign is one sorted run), then
+O(log n) evaluations of the norm in practice, at O(log n + band) each (two
+binary searches and one slice sum per sorted run). When a Newton step
+leaves its bracket the walk bisects over kink indices, not over the
+threshold, because a threshold bisection stalls on flat pieces of the norm
+and between adjacent floats. That walk is the one l1-ball projection:
+without a box it has no start kinks, and the TV dual prox runs it too. A
+stack with a TV ball is projected by one iterative solve: FISTA (Beck &
+Teboulle, SIAM J. Imaging Sci. 2009) on the dual of
 
     min_x 0.5*||x - v||^2  s.t.  x in C,  ||D x||_1 <= r,
 
@@ -155,23 +160,15 @@ def _box_l1_project_flat(v: np.ndarray, lo: float, hi: float,
     (lo = -inf, hi = inf), p = 0 and q = inf. The norm is therefore
     continuous, non-increasing and piecewise linear in theta, with kinks at
     a_i - q_i (none when q = inf: every |x_i| starts on its linear piece)
-    and a_i - p. Prefix sums over the sorted kink sets give the norm at a
-    whole batch of kinks in one vectorized evaluation, and two such
-    evaluations find the last kink whose norm is still >= radius (a
-    breakpoint search in the style of Condat, "Fast projection onto the
-    simplex and the l1 ball", Math. Prog. 2016): one at every
-    ceil(sqrt(n))-th kink of each set finds the last sampled kink that
-    qualifies, and one at the ceil(sqrt(n)) kinks of each set from there
-    finds the kink itself. The root lies on the linear piece right of that
-    kink, or of 0 if it is larger, and is solved there from a direct
-    evaluation of the norm. The cost is one sort when q is one number
-    (sort(a) - c equals sort(a - c) bit for bit, and q = inf leaves no
-    start kinks to sort) and two otherwise, a prefix sum per kink set,
-    O(sqrt(n) log n) lookups and a few passes over the vector, with no
-    Python loop over kinks. The TV dual prox runs the no-box search too.
-    When the box misses the ball (n * p > radius) the norm never falls to
-    the radius, theta stops at the last kink, and the result is
-    clip(0, lo, hi), the box point of least l1 norm.
+    and a_i - p. `_last_kink_at_or_above` walks the sorted kinks to the last
+    one whose norm is still >= radius; the root lies on the linear piece
+    right of that kink, or of 0 if it is larger, and is solved there from a
+    direct evaluation of the norm. The walk runs on the magnitudes sorted
+    once per distinct q: one run for a box symmetric about 0 or no box (the
+    TV dual prox runs the no-box case), and one per sign otherwise, both
+    read off one sort of v. When the box misses the ball (n * p > radius)
+    the norm never falls to the radius, theta stops at the last kink, and
+    the result is clip(0, lo, hi), the box point of least l1 norm.
     """
     a = np.abs(v)
     p = max(lo, -hi, 0.0)
@@ -184,51 +181,101 @@ def _box_l1_project_flat(v: np.ndarray, lo: float, hi: float,
 
     theta = 0.0
     if norm_at(0.0) > radius:
-        ends = np.sort(a)
-        if np.ndim(q):
-            starts = np.sort(a - q)
+        if np.ndim(q):  # one sort of v gives both signs' magnitudes in order
+            sv = np.sort(v)
+            k = int(sv.searchsorted(0.0))
+            groups = ((sv[k:], q_pos), (-sv[:k][::-1], q_neg))
         else:
-            starts = ends - q if q < math.inf else ends[:0]
-        ends -= p
-        cum_starts, cum_ends = np.zeros(starts.size + 1), np.zeros(a.size + 1)
-        starts.cumsum(out=cum_starts[1:])
-        ends.cumsum(out=cum_ends[1:])
-        if starts.size:
-            q_sum = float(np.full_like(a, q).sum())  # pairwise, unlike q * n
-
-            def started(t):
-                """(start kinks <= t, the norm at t were no end kink passed)"""
-                ks = starts.searchsorted(t, "right")
-                return ks, q_sum - (ks * t - cum_starts[ks])
-        else:  # no box: every |x_i| is a_i - t until its end kink
-            def started(t):
-                return a.size, cum_ends[-1] - a.size * t
-
-        def at_or_above(t: np.ndarray) -> np.ndarray:
-            """Whether the norm at each kink in `t` is still >= radius."""
-            ke = ends.searchsorted(t, "right")
-            return started(t)[1] + (ke * t - cum_ends[ke]) >= radius
-
-        stride = math.isqrt(a.size - 1) + 1
-        sampled = np.concatenate((starts[::stride], ends[::stride]))
-        last = sampled[at_or_above(sampled)].max(initial=-math.inf)
-
-        def block(kinks: np.ndarray) -> np.ndarray:
-            """The stride of kinks from the last one <= `last`; the next
-            sampled kink of the set is past `last`, so it and every kink
-            after it are below the radius."""
-            i = max(int(kinks.searchsorted(last, "right")) - 1, 0)
-            return kinks[i:i + stride]
-
-        near = np.concatenate((block(starts), block(ends)))
-        theta = max(theta, float(near[at_or_above(near)].max(initial=-math.inf)))
-        slope = int(started(theta)[0] - ends.searchsorted(theta, "right"))
+            groups = ((np.sort(a), q),)
+        theta, slope = _last_kink_at_or_above(groups, p, radius)
         if slope:
             theta += (norm_at(theta) - radius) / slope
     x = a - theta
     np.maximum(x, 0.0, out=x)
     np.copysign(x, v, out=x)
     return np.clip(x, lo, hi, out=x)
+
+
+def _last_kink_at_or_above(groups, p: float, radius: float) -> tuple[float, int]:
+    """The last kink t of the box-l1 norm (see `_box_l1_project_flat`) whose
+    norm is >= radius, or 0 if t is negative, and the norm's slope right of
+    it: the count of |x_i| on their linear piece there.
+
+    `groups` pairs each ascending run s of magnitudes with its upper bound
+    q. A run's start kinks s - q and end kinks s - p are ascending too, so
+    two searchsorteds split the run at any theta into |x_i| still at q, on
+    their linear piece (the band) and ended at p, and the norm there is
+    q*#unstarted + p*#ended + sum(s[band]) - theta*#band: O(log n + band)
+    per evaluation, with no prefix sum. The search is a safeguarded Newton
+    walk on a bracket [below, above] with norm(below) >= radius >
+    norm(above). Each step goes along the linear piece at the end that moved
+    last to where that piece meets the radius. When that point leaves the
+    bracket, the walk bisects over kink indices instead: it takes the middle
+    kink of the widest run of kinks strictly inside the bracket, so every
+    such step removes a kink, where bisecting theta stalls on flat pieces
+    and between adjacent floats. The walk stops when the Newton target from
+    `below` lies before the next kink, when the one from `above` lies at or
+    after the kink before it, or when no kink is left strictly inside. It
+    takes 3 to 6 evaluations on the 4096-pixel box∩l1 inputs of a desk
+    `invert`, 6 to 8 on the 8192-entry duals of the TV prox, and at most 28
+    on adversarial 20000-entry inputs (geometric, log-uniform, Cauchy and
+    squared magnitudes): O(log n) in practice, though no such bound is
+    proven. It always ends: every probe lies strictly inside the shrinking
+    bracket, a Newton target is the root of one of finitely many pieces'
+    lines, and a bisection removes a kink. The answer is a kink's own
+    value, a_i - q or a_i - p, so the root solved on its piece does not
+    depend on the path the walk took.
+    """
+    # each run's start kinks (none when q = inf) and end kinks, in turn;
+    # s - 0.0 is s bit for bit
+    kinks = [k for s, q in groups
+             for k in (s - q if q < math.inf else s[:0], s - p if p else s)]
+
+    def counts(t: float, side: str = "right") -> list:
+        """How many kinks of each kink array lie at or before t ("right")
+        or strictly before it ("left")."""
+        return [int(k.searchsorted(t, side)) for k in kinks]
+
+    def norm_and_slope(at: list, t: float) -> tuple[float, int]:
+        """The norm at t, and its slope on the piece right of t for "right"
+        counts `at`, left of t for "left" counts."""
+        norm, slope = 0.0, 0
+        for (s, q), starts, ks, ke in zip(groups, kinks[::2], at[::2], at[1::2]):
+            unstarted = starts.size - ks
+            band = s.size - unstarted - ke
+            norm += ((q * unstarted if unstarted else 0.0) + p * ke
+                     + float(s[ke:ke + band].sum()) - t * band)
+            slope += band
+        return norm, slope
+
+    below, above = 0.0, math.inf
+    at_below = counts(below)
+    norm_below, slope_below = norm_and_slope(at_below, below)
+    at_above, norm_above, slope_above = [k.size for k in kinks], -math.inf, 0
+    moved_below = True
+    while inside := [(k, i, j) for k, i, j in zip(kinks, at_below, at_above) if i < j]:
+        if moved_below:
+            t = below + (norm_below - radius) / slope_below if slope_below else math.inf
+            if t < min(k[i] for k, i, _ in inside):
+                break
+        else:
+            t = above - (radius - norm_above) / slope_above if slope_above else -math.inf
+            if t >= max(k[j - 1] for k, _, j in inside):
+                # the root's piece starts at the last kink before `above`
+                at_below, slope_below = at_above, slope_above
+                break
+        if not below < t < above:
+            k, i, j = max(inside, key=lambda kij: kij[2] - kij[1])
+            t = float(k[(i + j) // 2])
+        at = counts(t)
+        norm, slope = norm_and_slope(at, t)
+        if moved_below := norm >= radius:
+            below, at_below, norm_below, slope_below = t, at, norm, slope
+        else:
+            above, at_above = t, counts(t, "left")
+            norm_above, slope_above = norm_and_slope(at_above, t)
+    last = max((float(k[i - 1]) for k, i in zip(kinks, at_below) if i), default=0.0)
+    return max(0.0, last), slope_below
 
 
 def tv_forward_diff(x: np.ndarray) -> np.ndarray:
@@ -307,9 +354,9 @@ def _dual_solve(v, lo, hi, r1, r2, radius, tol, max_iters):
         h(s) = min_{x in C} 0.5*||x - v||^2 + <x, s>,
     whose gradient is -D x(s) with x(s) the separable projection of v - s
     onto C. The step is 1/||D||^2 = 1/8; the dual prox is the Moreau
-    complement of the l1 ball projection, the breakpoint search with no
-    box. Each x(s) is pulled toward a constant anchor in C, which has TV 0,
-    just far enough to enter the TV ball: clip(mean(v), lo, hi) when C is
+    complement of the l1 ball projection, the kink walk with no box. Each
+    x(s) is pulled toward a constant anchor in C, which has TV 0, just far
+    enough to enter the TV ball: clip(mean(v), lo, hi) when C is
     the box alone, else clip(0, lo, hi), the box point of least l1 and l2
     norm. An anchor outside C means the sets do not meet; it is returned
     unconverged with an infinite gap. Momentum restarts whenever the dual

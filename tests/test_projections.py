@@ -99,19 +99,35 @@ tie_prone = st.one_of(st.sampled_from([0.0, 0.5, -0.5, 1.0, -1.0, 2.0, -3.0]),
                       st.floats(-5, 5, allow_nan=False, width=64))
 
 
+# no box (one sort, no start kinks), a symmetric box (one q), an
+# asymmetric one (one q per sign, two sorted runs) and one that excludes 0
+L1_SEARCH_BOXES = [None, Box(-1.0, 1.0), Box(-0.4, 1.0), Box(0.1, 0.9)]
+
+
 @given(v=hnp.arrays(np.float64, st.integers(1, 32), elements=tie_prone),
-       fraction=st.floats(0.0, 1.5))
-@example(v=np.array([0.7]), fraction=0.5)
-@example(v=np.array([1.0, -1.0, 1.0, 0.0]), fraction=0.5)
-@example(v=np.array([2.0, -1.0, 0.0]), fraction=1.0)
-@example(v=np.zeros(3), fraction=0.5)
+       box=st.sampled_from(L1_SEARCH_BOXES), radius=st.floats(1e-3, 20.0))
+@example(v=np.array([0.7]), box=None, radius=0.35)
+@example(v=np.array([1.0, -1.0, 1.0, 0.0]), box=None, radius=1.5)
+@example(v=np.array([2.0, -1.0, 0.0]), box=None, radius=3.0)
+@example(v=np.zeros(3), box=None, radius=1e-3)
+# each of these ends on a case that stalls a naive walk: a flat piece of
+# the norm exactly at the radius (the result is [1, 1, 0]), a root exactly
+# on a kink, a box that misses the ball (the result is [0.5, 0.5, 0.5]),
+# and a single entry
+@example(v=np.array([3.0, 3.0, 0.1]), box=Box(-1.0, 1.0), radius=2.0)
+@example(v=np.array([3.0, -2.5, 0.5, 1.5]), box=Box(-1.0, 1.0), radius=3.0)
+@example(v=np.array([5.0, -5.0, 5.0]), box=Box(0.5, 1.0), radius=1.0)
+@example(v=np.array([-4.0]), box=Box(-0.4, 1.0), radius=0.25)
 @settings(max_examples=200, deadline=None)
-def test_l1_search_matches_sort_and_threshold(v, fraction):
-    # the no-box breakpoint search, as the l1 stack and the TV dual prox run it
-    radius = max(fraction * float(np.abs(v).sum()), 1e-3)
-    got = project_one(L1Ball(radius), v)
-    ref = l1_ball_reference(v, radius)
-    assert np.max(np.abs(got - ref)) <= 1e-14 * max(1.0, float(np.max(np.abs(v))))
+def test_l1_search_matches_sort_and_threshold(v, box, radius):
+    # the one l1 search: the Newton walk over the sorted kinks, as the
+    # box-l1 stack, the l1 stack and the TV dual prox (no box) run it
+    if box is None:
+        got, ref = project_one(L1Ball(radius), v), l1_ball_reference(v, radius)
+    else:
+        got = project_intersection(np.atleast_2d(v), ConstraintStack((box, L1Ball(radius)))).x
+        ref = _box_l1_by_bisection(v, box.lo, box.hi, radius)
+    assert np.max(np.abs(got.ravel() - ref)) <= 1e-14 * max(1.0, float(np.max(np.abs(v))))
 
 
 # --- tv differences ---
@@ -299,6 +315,7 @@ def test_box_l1_closed_form_matches_exact_bisection():
         (box, ball, layered),
         (box, ball, np.round(noise, 1)),  # tied magnitudes, so repeated kinks
         (Box(-0.4, 1.0), ball, noise),  # asymmetric: one upper bound per sign
+        (Box(-0.4, 1.0), ball, np.round(noise, 1)),  # per-sign runs with ties
         (Box(0.1, 0.9), L1Ball(1000.0), noise),  # excludes 0: p > 0
         (None, ball, noise),  # l1 alone: q_i = |v_i|
         (box, L1Ball(0.5), np.array([[-5.0]])),  # n = 1
