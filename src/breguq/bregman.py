@@ -24,6 +24,7 @@ import numpy as np
 
 from .errors import NumericalAbortError
 from .projections import ConstraintStack, project_intersection
+from .stats import keyed_rng
 
 __all__ = [
     "T_MAX_DEFAULT",
@@ -135,7 +136,7 @@ def run_bregman(bank, stack: ConstraintStack, state: BregmanState, ids, steps: i
     """
     ids = np.asarray(ids, dtype=np.int64)
     exps = bank.experiments
-    rng = np.random.default_rng(np.random.SeedSequence([int(seed), int(key)]))
+    rng = keyed_rng(seed, key)
     # replay (not jump) the chain's past draws: bounded-integer rejection
     # sampling consumes a bound-dependent amount of the bitstream
     for _ in range(state.iter):

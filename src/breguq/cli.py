@@ -10,8 +10,9 @@ produced the run, `resolved.cfg`, after the command succeeds.
 Exit codes: 0 success, 1 property-check failure, 2 usage/config error,
 malformed or missing input file, or a path of the wrong kind (a directory
 where a file belongs, or a file where a directory does), which leaves no
-`--out` that the run created, 3 numerical abort. A numerical abort also
-writes `<out>/abort.json` with the message and the solver's diagnostics.
+`--out` that the run created, 3 numerical abort. A numerical abort prints
+one stderr line and writes `<out>/abort.json` with the message and the
+solver's diagnostics.
 """
 
 from __future__ import annotations
@@ -254,7 +255,9 @@ def main(argv=None) -> int:
         config = load_config(args.config, args.seed, getattr(args, "count", None))
         if out is not None:
             os.makedirs(out, exist_ok=True)
-        code = args.func(args, config)
+        # the package's own non-finite checks report an overflow, as exit 3
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = args.func(args, config)
         if out is not None:
             write_resolved(config, os.path.join(out, "resolved.cfg"))
         return code

@@ -13,17 +13,17 @@ are reduced in ascending id order and averaged, and the weights take
 shared center the per-tuple solutions are elastically pulled toward.
 `round_schedule` gives each round's trade-off parameter and stack.
 
-Randomness is counter-keyed: experiment draws come from per-tuple streams
-(seed, tuple id), continued from the tuple's Bregman step count, and
-Langevin noise from per-step streams (seed, tuple id, round, step). E-step
-results are therefore independent of tuple scheduling, and a resume, which
-restores the step counts, draws as the uninterrupted run does. `train`
-alone writes a run directory, one copy per file: the weights and the logs,
-which each round appends to, at its root; the per-tuple state, the ramp
-window and the fingerprint of what a resume must share with the run in
-`checkpoint/`. A resume reads the logs back, so it writes every file as an
-uninterrupted run does. Checkpoint files use `breguq.stats` formats; a
-malformed one raises `CheckpointFormatError`.
+Randomness is counter-keyed (`stats.keyed_rng`): experiment draws come
+from per-tuple streams (seed, tuple id), continued from the tuple's
+Bregman step count, and Langevin noise from per-step streams (seed, tuple
+id, round, step). E-step results are therefore independent of tuple
+scheduling, and a resume, which restores the step counts, draws as the
+uninterrupted run does. `train` alone writes a run directory, one copy per
+file: the weights and the logs, which each round appends to, at its root;
+the per-tuple state, the ramp window and the fingerprint of what a resume
+must share with the run in `checkpoint/`. A resume reads the logs back, so
+it writes every file as an uninterrupted run does. Checkpoint files use
+`breguq.stats` formats; a malformed one raises `CheckpointFormatError`.
 """
 
 from __future__ import annotations
@@ -41,8 +41,8 @@ from .errors import CheckpointFormatError, ConfigError, NumericalAbortError
 from .net import NetArch, net_eval_and_backward, net_forward, net_init
 from .projections import ConstraintStack
 from .sgld import SgldParams, sgld_run
-from .stats import (load_weights, read_portable_grid, read_records, save_weights,
-                    write_portable_grid, write_records)
+from .stats import (keyed_rng, load_weights, read_portable_grid, read_records,
+                    save_weights, write_portable_grid, write_records)
 
 __all__ = [
     "TrainTuple",
@@ -149,7 +149,7 @@ def init_tuples(bank, n: int, seed: int, latent_dim: int) -> list:
     n_exp = bank.n
     if n > n_exp:
         raise ConfigError(f"[em] tuples: cannot split {n_exp} experiments into {n} tuples")
-    rng = np.random.default_rng(np.random.SeedSequence([int(seed)]))
+    rng = keyed_rng(seed)
     return [TrainTuple(t, np.arange(t, n_exp, n, dtype=np.int64), initial_state(bank.shape),
                        rng.standard_normal(latent_dim)) for t in range(n)]
 

@@ -43,7 +43,8 @@ per (input phase, tap). Each output pixel then gathers and sums the
 Tables. Every neighbor access goes through cached, read-only flat-index
 tables keyed by value: (kernel, channels, grid, layout and phase offset).
 A stage's shift-stack is `h.take(table)`, read straight out of the map in
-its own layout. Its adjoint is a gather-sum through the inverse table,
+its own layout: the table is the layout rule evaluated at the shifted
+pixels (`_positions`). Its adjoint is a gather-sum through the inverse table,
 one row per read of a map entry, ordered by stack position so that the
 sum adds in the order a scatter-add would. The final layer has two tables
 that invert each other: `inv` names the G plane entries each output pixel
@@ -243,29 +244,17 @@ def _params(arch: NetArch, w: np.ndarray) -> dict:
             for p in arch.param_layout()}
 
 
-def _shifts(a: np.ndarray, k: int) -> np.ndarray:
-    """All k*k circular shifts of a (c, R, C) array, stacked as (k*k, c, R, C):
-    entry u*k + v is `a` rolled by (u - k//2, v - k//2)."""
-    h = k // 2
-    return np.stack([np.roll(a, (u - h, v - h), axis=(1, 2))
-                     for u in range(k) for v in range(k)])
-
-
-def _to_layout(a: np.ndarray, phased: bool, offset: int) -> np.ndarray:
-    """Reorder the trailing grid axes (..., R, C) of `a` into the map layout
-    (P, ..., n): natural (P = 1), or phase-major (P = 4) with phase offset
-    `offset`, so that entry (2p + q, ..., y*C/2 + x) holds pixel
-    (2(y + offset*(1 - p)) + p, 2(x + offset*(1 - q)) + q)."""
-    *lead, rows, cols = a.shape
-    if not phased:
-        return a.reshape(1, *lead, rows * cols)
-
-    def phase_index(size):
-        p = np.arange(2)[:, None]
-        return 2 * ((np.arange(size // 2) + offset * (1 - p)) % (size // 2)) + p
-
-    a = a[..., phase_index(rows)[:, None, :, None], phase_index(cols)[None, :, None, :]]
-    return np.moveaxis(a, (-4, -3), (0, 1)).reshape(4, *lead, -1)
+def _positions(channels: int, rows: int, cols: int, phased: bool, offset: int):
+    """Flat index (channels, rows, cols) of every pixel in the map layout.
+    Phase-major, pixel (Y, X) sits at phase (Y % 2, X % 2) and coarse pixel
+    (Y//2 - offset*(1 - Y % 2), X//2 - offset*(1 - X % 2)) modulo the coarse
+    grid; natural is the same rule with 1 in place of 2 (and offset 0)."""
+    Q = 2 if phased else 1
+    Y, X = np.arange(rows)[:, None], np.arange(cols)
+    y = (Y // Q - offset * (1 - Y % Q)) % (rows // Q)
+    x = (X // Q - offset * (1 - X % Q)) % (cols // Q)
+    plane = (Q * (Y % Q) + X % Q) * channels + np.arange(channels)[:, None, None]
+    return ((plane * (rows // Q) + y) * (cols // Q) + x).astype(np.int32)
 
 
 @functools.lru_cache(maxsize=None)
@@ -273,13 +262,13 @@ def _stack_table(m: int, channels: int, rows: int, cols: int,
                  phased: bool, offset: int) -> np.ndarray:
     """Flat indices (m*m*channels, rows*cols) into a (channels, rows, cols) map
     held natural or phase-major with phase offset `offset`: `h.take(table)`
-    is the `_shifts` stack of the map, one column per pixel in raster order."""
-    n = channels * rows * cols
-    position = np.empty(n, dtype=np.int32)
-    grid = np.arange(n).reshape(channels, rows, cols)
-    position[_to_layout(grid, phased, offset).ravel()] = np.arange(n)
-    table = _shifts(position.reshape(channels, rows, cols), m)
-    table = table.reshape(m * m * channels, rows * cols)
+    is the map's m x m shift-stack, one column per pixel in raster order:
+    row (u*m + v)*channels + c is channel c rolled by (u - m//2, v - m//2)."""
+    shift = np.arange(m)[:, None] - m // 2
+    ys, xs = (np.arange(rows) - shift) % rows, (np.arange(cols) - shift) % cols
+    table = _positions(channels, rows, cols, phased, offset)[
+        np.arange(channels)[:, None, None], ys[:, None, None, :, None],
+        xs[None, :, None, None, :]].reshape(m * m * channels, rows * cols)
     table.flags.writeable = False
     return table
 
@@ -308,7 +297,7 @@ def _fold(k: int) -> tuple:
     window starts at offset (1 - k//2) // 2 and phase 0's r = (k//2) % 2
     pixels before it, so in the output layout with phase offset r, where
     phase 0's pixel (y, x) is fine pixel (2(y + r), 2(x + r)), every phase
-    reads the same window of the `_shifts` stack of width w: shift i reads
+    reads the same window of the w x w shift-stack: shift i reads
     coarse row y - i + w//2. Returns (M, w, r): column
     (2p + q)*w*w + i*w + j of the 0/1 matrix M (k*k, 4*w*w) gathers the
     taps of phase (p, q) that read shift i*w + j.

@@ -8,10 +8,10 @@ gradient of the potential
 and injects N(0, epsilon*I) noise. The default latent-prior weight is
 c = 1, the literal potential; c = 0.5 (the weight implied by a standard
 normal latent prior) is selectable for comparison. `sgld_step` is the only
-update: `sgld_run` chains it for training, and the property checks drive
-it with their own generator. Chains for different training tuples use
-independent noise streams keyed by (seed, tuple id, round, step), so
-results do not depend on scheduling.
+update: `sgld_run` chains it for training, and `checks.sgld_moments`
+drives it at lam = 0 with no generator (`x`, `arch` and `w` None). Each
+step of a training chain draws its noise from `stats.keyed_rng(seed,
+tuple id, round, step)`, so results do not depend on scheduling.
 """
 
 from __future__ import annotations
@@ -23,10 +23,10 @@ import numpy as np
 
 from .errors import NumericalAbortError
 from .net import net_eval_and_backward
+from .stats import keyed_rng
 
 __all__ = [
     "SgldParams",
-    "noise_rng",
     "sgld_step",
     "sgld_run",
 ]
@@ -52,11 +52,6 @@ class SgldParams:
         if self.z_prior_weight not in (1.0, 0.5):
             raise ValueError(
                 f"z prior weight must be 1.0 (literal) or 0.5, got {self.z_prior_weight}")
-
-
-def noise_rng(key) -> np.random.Generator:
-    """Counter-based stream: a fresh generator keyed by a tuple of ints."""
-    return np.random.default_rng(np.random.SeedSequence([int(v) for v in key]))
 
 
 def sgld_step(z, x, arch, w, lam: float, params: SgldParams,
@@ -87,14 +82,13 @@ def sgld_step(z, x, arch, w, lam: float, params: SgldParams,
 def sgld_run(z_warm, x, arch, w, lam: float, params: SgldParams, noise_key):
     """Run `params.steps` sequential updates from the warm-started latent.
 
-    `noise_key` is a tuple of ints; step s draws its noise from the stream
-    keyed by noise_key + (s,). Returns the final latent and the potential
+    `noise_key` is a tuple of ints; step s draws its noise from
+    `keyed_rng(*noise_key, s)`. Returns the final latent and the potential
     evaluated at each visited state (U(z_0) ... U(z_{steps-1})).
     """
     z = np.asarray(z_warm, dtype=np.float64).ravel().copy()
-    key = tuple(int(v) for v in noise_key)
     trace = []
     for s in range(params.steps):
-        z, pot = sgld_step(z, x, arch, w, lam, params, noise_rng(key + (s,)))
+        z, pot = sgld_step(z, x, arch, w, lam, params, keyed_rng(*noise_key, s))
         trace.append(pot)
     return z, trace

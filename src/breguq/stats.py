@@ -2,16 +2,17 @@
 every binary and CSV file format of the package.
 
 Realizations g(z, w) are regenerated on demand from an array of latents,
-drawn once from counter-based standard-normal streams keyed by (seed,
-index) and shared by every pass and weight vector that reads them.
-`summarize` is the one pass over realizations: it streams the mean and
-pointwise-standard-deviation grids through a Welford accumulator, so the
-full sample set never has to sit in memory; a pass whose sums are not
-finite is a numerical abort. The values of a few probe pixels across all
-realizations come from `SampleSet.probe_values`, which evaluates only the
-probes' receptive cone, a batch of latents at a time (`net.net_pixels`),
-so probes chosen from a finished pass need no second pass. Model-quality and
-calibration metrics and probe-pixel histograms support the reporting CLI.
+drawn once from the standard-normal streams `keyed_rng(seed, index)` (the
+package's one counter-keyed stream) and shared by every pass and weight
+vector that reads them. `summarize` is the one pass over realizations: it
+streams the mean and pointwise-standard-deviation grids through a Welford
+accumulator, so the full sample set never has to sit in memory; a pass
+whose sums are not finite is a numerical abort. The values of a few probe
+pixels across all realizations come from `SampleSet.probe_values`, which
+evaluates only the probes' receptive cone, a batch of latents at a time
+(`net.net_pixels`), so probes chosen from a finished pass need no second
+pass. Model-quality and calibration metrics and probe-pixel histograms
+support the reporting CLI.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from .errors import CheckpointFormatError, GridFormatError, NumericalAbortError
 from .net import NetArch, net_forward, net_pixels
 
 __all__ = [
+    "keyed_rng",
     "draw_latents",
     "SampleSet",
     "SampleSummary",
@@ -48,12 +50,17 @@ __all__ = [
 ]
 
 
+def keyed_rng(*key) -> np.random.Generator:
+    """The counter-keyed stream: a fresh generator seeded by the ints `key`,
+    so what it draws depends on the key alone, not on what ran before."""
+    return np.random.default_rng(np.random.SeedSequence([int(v) for v in key]))
+
+
 def draw_latents(latent_dim: int, count: int, seed: int) -> np.ndarray:
     """(count, latent_dim) standard-normal latents; row j is drawn from the
     stream keyed (seed, j), so it does not depend on `count`."""
-    return np.array([np.random.default_rng(np.random.SeedSequence([int(seed), j]))
-                     .standard_normal(latent_dim) for j in range(count)]
-                    ).reshape(count, latent_dim)
+    return np.array([keyed_rng(seed, j).standard_normal(latent_dim)
+                     for j in range(count)]).reshape(count, latent_dim)
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import InputFormatError
 from .linops import ComposeOp, ConvOp, RestrictOp
-from .stats import read_portable_grid, write_portable_grid
+from .stats import keyed_rng, read_portable_grid, write_portable_grid
 
 __all__ = [
     "NoiseSpec",
@@ -116,7 +116,7 @@ def make_ground_truth(shape, seed: int) -> np.ndarray:
     interfaces and per-layer amplitudes in [-1, 1]."""
     rows, cols = int(shape[0]), int(shape[1])
     _check_grid(rows, cols)
-    rng = np.random.default_rng(np.random.SeedSequence([int(seed)]))
+    rng = keyed_rng(seed)
     n_layers = int(rng.integers(3, 7))
     n_if = n_layers - 1
 
@@ -158,7 +158,7 @@ def make_bank(truth: np.ndarray, n_experiments: int, taps: np.ndarray,
     m_keep = max(1, int(round(sampling_fraction * size)))
     conv = ConvOp(taps, shape)
     blurred = conv.apply(truth)
-    rng = np.random.default_rng(np.random.SeedSequence([int(seed)]))
+    rng = keyed_rng(seed)
     experiments = []
     for _ in range(n_experiments):
         idx = np.sort(rng.choice(size, size=m_keep, replace=False))
@@ -208,7 +208,7 @@ def add_noise_to_snr(bank: ExperimentBank, spec: NoiseSpec, seed: int):
             f"coherent error energy {e_total:.6g} exceeds the perturbation "
             f"budget {p_total:.6g} implied by the target SNR")
 
-    rng = np.random.default_rng(np.random.SeedSequence([int(seed)]))
+    rng = keyed_rng(seed)
     white = [rng.standard_normal(e.y.shape) for e in bank.experiments]
     cross = float(sum(np.dot(e.ravel(), h.ravel()) for e, h in zip(coherent, white)))
     h_total = float(sum(np.dot(h.ravel(), h.ravel()) for h in white))

@@ -1018,9 +1018,8 @@ def test_overflowing_realizations_abort_with_exit_3(gen_dir, tmp_path, capsys, c
     huge = tmp_path / "huge.dpnw"
     save_weights(huge, arch, scale * load_weights(train_out / "weights.dpnw", arch))
     out = tmp_path / command
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert main([command, "--config", cfg, "--checkpoint", str(huge),
-                     "--out", str(out)]) == 3
+    assert main([command, "--config", cfg, "--checkpoint", str(huge),
+                 "--out", str(out)]) == 3
     assert capsys.readouterr().err.startswith("numerical abort: non-finite realization")
     report = strict_json(out / "abort.json")
     assert {k: report["diagnostics"][k] for k in diagnostics} == diagnostics
@@ -1189,9 +1188,8 @@ def test_train_gradient_abort_writes_abort_json(gen_dir, tmp_path, capsys):
     body = SMALL_TESTBED.replace("eta = 0.0001", "eta = 1e200\nm_steps_per_round = 2")
     cfg = write_cfg(tmp_path, body, name="blowup.cfg")
     out = tmp_path / "tr"
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert main(["train", "--config", cfg, "--bank", str(bank_dir),
-                     "--out", str(out)]) == 3
+    assert main(["train", "--config", cfg, "--bank", str(bank_dir),
+                 "--out", str(out)]) == 3
     assert "numerical abort: non-finite weight gradient" in capsys.readouterr().err
     report = strict_json(out / "abort.json")
     assert report["message"] == "non-finite weight gradient"
@@ -1206,9 +1204,8 @@ def test_train_prior_misfit_abort_writes_abort_json(gen_dir, tmp_path, capsys):
                                  "eta = 1e100\nlam_init = 0.25\nlam_final = 0.25")
     cfg = write_cfg(tmp_path, body, name="misfit.cfg")
     out = tmp_path / "tr"
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert main(["train", "--config", cfg, "--bank", str(bank_dir),
-                     "--out", str(out)]) == 3
+    assert main(["train", "--config", cfg, "--bank", str(bank_dir),
+                 "--out", str(out)]) == 3
     assert "numerical abort: non-finite prior misfit" in capsys.readouterr().err
     report = strict_json(out / "abort.json")
     assert report["message"] == "non-finite prior misfit"
@@ -1218,6 +1215,36 @@ def test_train_prior_misfit_abort_writes_abort_json(gen_dir, tmp_path, capsys):
     assert csvs
     for path in csvs:
         assert "nan" not in path.read_text(), path
+
+
+def test_numerical_abort_prints_one_stderr_line(gen_dir, tmp_path):
+    # each abort path above, in a fresh interpreter: the abort message is the
+    # only stderr line, with no numpy RuntimeWarning lines before it
+    cfg, bank_dir = gen_dir
+    train_out = tmp_path / "tr"
+    assert main(["train", "--config", cfg, "--bank", str(bank_dir),
+                 "--out", str(train_out)]) == 0
+    arch = load_config(cfg).arch
+    weights = load_weights(train_out / "weights.dpnw", arch)
+    runs = []
+    for command, scale in [("stats", 1e60), ("sample", 1e100)]:
+        huge = tmp_path / f"{command}.dpnw"
+        save_weights(huge, arch, scale * weights)
+        runs.append([command, "--config", cfg, "--checkpoint", str(huge)])
+    for name, setting in [("blowup", "eta = 1e200\nm_steps_per_round = 2"),
+                          ("misfit", "eta = 1e100\nlam_init = 0.25\nlam_final = 0.25")]:
+        body = SMALL_TESTBED.replace("eta = 0.0001", setting)
+        runs.append(["train", "--config", write_cfg(tmp_path, body, name=f"{name}.cfg"),
+                     "--bank", str(bank_dir)])
+    src = os.path.dirname(os.path.dirname(breguq.__file__))
+    for i, argv in enumerate(runs):
+        run = subprocess.run([sys.executable, "-m", "breguq.cli", *argv,
+                              "--out", str(tmp_path / f"abort{i}")],
+                             capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": src})
+        assert run.returncode == 3, (argv, run.stderr)
+        lines = run.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("numerical abort:"), (argv, run.stderr)
 
 
 def test_abort_json_is_strict_json(monkeypatch, tmp_path):

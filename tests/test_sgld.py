@@ -3,7 +3,8 @@ import pytest
 
 from breguq.errors import NumericalAbortError
 from breguq.net import NetArch, net_forward, net_init
-from breguq.sgld import SgldParams, noise_rng, sgld_run, sgld_step
+from breguq.sgld import SgldParams, sgld_run, sgld_step
+from breguq.stats import keyed_rng
 
 from conftest import small_arch
 
@@ -167,8 +168,8 @@ def test_linear_generator_posterior_mean_matches_ridge():
 
 
 def test_counter_keyed_streams_are_independent():
-    a = noise_rng((1, 2, 3)).standard_normal(4)
-    b = noise_rng((1, 2, 3)).standard_normal(4)
-    c = noise_rng((1, 2, 4)).standard_normal(4)
+    a = keyed_rng(1, 2, 3).standard_normal(4)
+    b = keyed_rng(1, 2, 3).standard_normal(4)
+    c = keyed_rng(1, 2, 4).standard_normal(4)
     np.testing.assert_array_equal(a, b)
     assert not np.array_equal(a, c)
