@@ -1,11 +1,15 @@
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import breguq
 from breguq.errors import CheckpointFormatError
 from breguq.net import (NetArch, StageSpec, _final_backward, _final_forward,
-                        _final_plan, _fold, _stack_inverse, _stack_table,
+                        _final_plan, _fold, _pixel_plan, _stack_tables,
                         _stage_backward, _stage_forward, _stage_plan,
                         net_eval_and_backward, net_forward, net_init, net_pixels)
 from breguq.stats import load_weights, save_weights
@@ -402,29 +406,59 @@ def test_final_fold_puts_each_tap_in_one_group(k):
 
 
 def test_index_tables_are_cached_and_read_only():
-    tables = [_stack_table(2, 2, 4, 6, False, 0), _stack_table(2, 2, 4, 6, True, 1),
+    tables = [*_stack_tables(2, 2, 4, 6, False, 0), *_stack_tables(2, 2, 4, 6, True, 1),
               *_final_plan(3, 1, 4, 6, False, 0)[:3], *_final_plan(3, 1, 4, 6, True, 1)[:3],
-              _fold(3)[0], _stack_inverse(2, 2, 4, 6, True, 1)]
-    assert _stack_table(2, 2, 4, 6, True, 1) is tables[1]
-    assert _final_plan(3, 1, 4, 6, True, 1).inv is tables[7]
+              _fold(3)[0]]
+    assert _stack_tables(2, 2, 4, 6, True, 1)[1] is tables[3]
+    assert _final_plan(3, 1, 4, 6, True, 1).inv is tables[9]
     for table in tables:
         assert not table.flags.writeable
         with pytest.raises(ValueError):
             table[(0,) * table.ndim] = 0
 
 
+def plan_tables(plan):
+    """Every index table of a plan: base, stage tables and inverses, final
+    table and inverse."""
+    return (plan.base, *(a for s in plan.stages for a in (s.table, s.inv)),
+            plan.final.table, plan.final.inv)
+
+
 def test_arch_plans_are_shared_by_equal_archs():
     a, b = (NetArch(latent_dim=64, base_rows=4, base_cols=4, base_channels=8,
                     stages=tuple(StageSpec(8) for _ in range(4))) for _ in range(2))
     assert a is not b and a == b
-    (_, stages_a, final_a), (_, stages_b, final_b) = a._plan, b._plan
-    assert final_a.inv is final_b.inv and final_a.table is final_b.table
-    assert all(p.table is q.table and p.inv is q.inv and p.M is q.M
-               for p, q in zip(stages_a, stages_b))
-    for table in (a._plan.base, final_a.inv, final_a.table, final_a.M,
-                  *(p.table for p in stages_a), *(p.inv for p in stages_a)):
-        assert not table.flags.writeable
-    assert a._plan is a._plan  # resolved once per instance
+    assert a._plan is b._plan  # resolved once by value
+    for table in plan_tables(a._plan):  # one index type, every table read-only
+        assert table.dtype == np.intp and not table.flags.writeable
+    # tables are cached by layer, so archs that differ elsewhere share them too
+    c = NetArch(latent_dim=32, base_rows=4, base_cols=4, base_channels=8,
+                stages=tuple(StageSpec(8) for _ in range(4)), leaky_slope=0.1)
+    assert all(p is q for p, q in zip(plan_tables(a._plan)[1:], plan_tables(c._plan)[1:]))
+
+
+def test_pixel_plan_stages_carry_no_inverse():
+    arch = DESK_SHAPED
+    plan = _pixel_plan(arch, np.array([5, 40]), np.array([7, 22]))
+    assert plan.final.table is None
+    assert len(plan.stages) == len(arch.stages)
+    assert all(stage.inv is None for stage in plan.stages)
+
+
+def test_plan_holds_the_inverses_before_any_backward():
+    # a fresh interpreter that resolves a plan and runs no backward; each
+    # inverse is a field the plan holds, not a value computed on access
+    src = os.path.dirname(os.path.dirname(breguq.__file__))
+    code = ("import numpy as np; from breguq.net import NetArch, StageSpec; "
+            "arch = NetArch(latent_dim=64, base_rows=4, base_cols=4, base_channels=8, "
+            "stages=tuple(StageSpec(8) for _ in range(4))); "
+            "invs = [s._asdict()['inv'] for s in arch._plan.stages]; "
+            "print([(type(i).__name__, i.dtype == np.intp, i.shape) for i in invs])")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src})
+    # a 2x2 window over 8 channels of each stage's input map
+    maps = [(4, 8 * (4 << i) ** 2) for i in range(4)]
+    assert out.stdout.strip() == str([("ndarray", True, shape) for shape in maps])
 
 
 def test_latent_only_backward_gives_identical_grad_z():
