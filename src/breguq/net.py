@@ -45,17 +45,18 @@ flat-index tables keyed by value: (kernel, channels, grid, layout and phase
 offset). A stage's shift-stack is `h.take(table)`, read straight out of the
 map in its own layout: the table is the layout rule evaluated at the shifted
 pixels (`_positions`). Its adjoint is a gather-sum through the inverse
-table, built with it, one row per read of a map entry, ordered by stack
-position so that the sum adds in the order a scatter-add would. The final
-layer has two tables that invert each other: `inv` names the G plane entries
-each output pixel sums (forward), and `table` the output pixel each plane
-entry feeds, through which the backward gathers the upstream gradient onto
-the planes. Its input and weight gradients are then one GEMM each, the
-weight gradient folded back onto the taps by the same 0/1 matrix. A map's
-phase offset lives only in the tables that read it, so no map is ever
-rolled or copied to undo it. `NetArch` resolves every table and fold of its
-layers once, on first use, into a plan that equal archs share, so a forward
-or backward looks nothing up.
+table, one row per read of a map entry, ordered by stack position so that
+the sum adds in the order a scatter-add would; each inverse is built on the
+first backward that reads it, so a process that only samples never holds
+one. The final layer has two tables that invert each other: `inv` names the
+G plane entries each output pixel sums (forward), and `table` the output
+pixel each plane entry feeds, through which the backward gathers the
+upstream gradient onto the planes. Its input and weight gradients are then
+one GEMM each, the weight gradient folded back onto the taps by the same
+0/1 matrix. A map's phase offset lives only in the tables that read it, so
+no map is ever rolled or copied to undo it. `NetArch` resolves every other
+table and fold of its layers once, on first use, into a plan that equal
+archs share, so a forward looks nothing up.
 
 Batches and pixel plans. Every map holds a batch of B latents: entry e of
 a one-latent map becomes the B entries e*B + b, so each table reads rows
@@ -196,8 +197,14 @@ class NetArch:
 class _StagePlan(NamedTuple):
     M: np.ndarray      # fold of the stage kernel onto its phase kernels
     table: np.ndarray  # window-stack table into the input map
-    inv: np.ndarray    # stack entries reading each map entry, one row per read
+    key: tuple         # the table's `_stack_table` arguments (None: no backward)
     phases: int        # P of the input map
+
+    @property
+    def inv(self) -> np.ndarray:
+        """Stack entries reading each map entry, one row per read: built on
+        the first backward, so a process that runs none holds no copy."""
+        return _stack_inverse(*self.key)
 
 
 class _FinalPlan(NamedTuple):
@@ -208,7 +215,7 @@ class _FinalPlan(NamedTuple):
 
 class _Plan(NamedTuple):
     """The layers of a forward; a pixel plan (`_pixel_plan`) has no
-    backward, and its `inv` of each stage and `table` of the final layer
+    backward, and its `key` of each stage and `table` of the final layer
     are None."""
     base: np.ndarray   # dense-layer outputs the first layer reads
     stages: tuple      # one _StagePlan per stage
@@ -237,28 +244,33 @@ def _positions(channels: int, rows: int, cols: int, phased: bool, offset: int):
 
 
 @functools.lru_cache(maxsize=None)
-def _stack_tables(m: int, channels: int, rows: int, cols: int,
-                  phased: bool, offset: int) -> tuple:
-    """Window-stack table of a (channels, rows, cols) map held natural or
-    phase-major with phase offset `offset`, and its inverse.
-
-    `table` (m*m*channels, rows*cols) holds flat map indices: `h.take(table)`
-    is the map's m x m shift-stack, one column per pixel in raster order, and
-    row (u*m + v)*channels + c is channel c rolled by (u - m//2, v - m//2).
-    `inv` (m*m, channels*rows*cols) holds in row r, for each map entry, the
-    flat stack position of the r-th stack entry that reads it. Every entry is
-    read once per shift, and the rows follow stack order, so adding the rows
-    of `stack.ravel().take(inv)` in turn adds each entry's reads in the order
-    of a scatter-add over the stack."""
+def _stack_table(m: int, channels: int, rows: int, cols: int,
+                 phased: bool, offset: int) -> np.ndarray:
+    """Flat indices (m*m*channels, rows*cols) into a (channels, rows, cols) map
+    held natural or phase-major with phase offset `offset`: `h.take(table)`
+    is the map's m x m shift-stack, one column per pixel in raster order:
+    row (u*m + v)*channels + c is channel c rolled by (u - m//2, v - m//2)."""
     shift = np.arange(m)[:, None] - m // 2
     ys, xs = (np.arange(rows) - shift) % rows, (np.arange(cols) - shift) % cols
     table = _positions(channels, rows, cols, phased, offset)[
         np.arange(channels)[:, None, None], ys[:, None, None, :, None],
         xs[None, :, None, None, :]].reshape(m * m * channels, rows * cols)
+    table.flags.writeable = False
+    return table
+
+
+@functools.lru_cache(maxsize=None)
+def _stack_inverse(m: int, channels: int, rows: int, cols: int,
+                   phased: bool, offset: int) -> np.ndarray:
+    """Inverse of `_stack_table`: (m*m, channels*rows*cols), where row r
+    holds, for each map entry, the flat position of the r-th stack entry
+    that reads it. Every entry is read once per shift, and the rows follow
+    stack order, so adding the rows of `stack.ravel().take(inv)` in turn
+    adds each entry's reads in the order of a scatter-add over the stack."""
+    table = _stack_table(m, channels, rows, cols, phased, offset)
     inv = np.argsort(table.ravel(), kind="stable").reshape(-1, m * m).T.copy()
-    for a in (table, inv):
-        a.flags.writeable = False
-    return table, inv
+    inv.flags.writeable = False
+    return inv
 
 
 @functools.lru_cache(maxsize=None)
@@ -339,12 +351,12 @@ def _final_plan(k: int, channels: int, rows: int, cols: int, phased: bool,
 
 def _stage_plan(k: int, channels: int, grid: tuple, phased: bool,
                 offset: int) -> _StagePlan:
-    """Fold and window-stack tables of a stage with k x k kernels reading a
+    """Fold and window-stack table of a stage with k x k kernels reading a
     map of `channels` on the coarse `grid`, natural or phase-major with
     phase offset `offset`."""
     M, w, _ = _fold(k)
-    return _StagePlan(M, *_stack_tables(w, channels, *grid, phased, offset),
-                      4 if phased else 1)
+    key = (w, channels, *grid, phased, offset)
+    return _StagePlan(M, _stack_table(*key), key, 4 if phased else 1)
 
 
 @functools.lru_cache(maxsize=None)

@@ -1,16 +1,12 @@
-import os
-import subprocess
-import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
-import breguq
 from breguq.errors import CheckpointFormatError
 from breguq.net import (NetArch, StageSpec, _final_backward, _final_forward,
-                        _final_plan, _fold, _pixel_plan, _stack_tables,
-                        _stage_backward, _stage_forward, _stage_plan,
+                        _final_plan, _fold, _pixel_plan, _stack_inverse,
+                        _stack_table, _stage_backward, _stage_forward, _stage_plan,
                         net_eval_and_backward, net_forward, net_init, net_pixels)
 from breguq.stats import load_weights, save_weights
 
@@ -406,11 +402,11 @@ def test_final_fold_puts_each_tap_in_one_group(k):
 
 
 def test_index_tables_are_cached_and_read_only():
-    tables = [*_stack_tables(2, 2, 4, 6, False, 0), *_stack_tables(2, 2, 4, 6, True, 1),
+    tables = [_stack_table(2, 2, 4, 6, False, 0), _stack_table(2, 2, 4, 6, True, 1),
               *_final_plan(3, 1, 4, 6, False, 0)[:3], *_final_plan(3, 1, 4, 6, True, 1)[:3],
-              _fold(3)[0]]
-    assert _stack_tables(2, 2, 4, 6, True, 1)[1] is tables[3]
-    assert _final_plan(3, 1, 4, 6, True, 1).inv is tables[9]
+              _fold(3)[0], _stack_inverse(2, 2, 4, 6, True, 1)]
+    assert _stack_table(2, 2, 4, 6, True, 1) is tables[1]
+    assert _final_plan(3, 1, 4, 6, True, 1).inv is tables[7]
     for table in tables:
         assert not table.flags.writeable
         with pytest.raises(ValueError):
@@ -442,23 +438,22 @@ def test_pixel_plan_stages_carry_no_inverse():
     plan = _pixel_plan(arch, np.array([5, 40]), np.array([7, 22]))
     assert plan.final.table is None
     assert len(plan.stages) == len(arch.stages)
-    assert all(stage.inv is None for stage in plan.stages)
+    assert all(stage.key is None for stage in plan.stages)
 
 
-def test_plan_holds_the_inverses_before_any_backward():
-    # a fresh interpreter that resolves a plan and runs no backward; each
-    # inverse is a field the plan holds, not a value computed on access
-    src = os.path.dirname(os.path.dirname(breguq.__file__))
-    code = ("import numpy as np; from breguq.net import NetArch, StageSpec; "
-            "arch = NetArch(latent_dim=64, base_rows=4, base_cols=4, base_channels=8, "
-            "stages=tuple(StageSpec(8) for _ in range(4))); "
-            "invs = [s._asdict()['inv'] for s in arch._plan.stages]; "
-            "print([(type(i).__name__, i.dtype == np.intp, i.shape) for i in invs])")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         check=True, env={**os.environ, "PYTHONPATH": src})
-    # a 2x2 window over 8 channels of each stage's input map
-    maps = [(4, 8 * (4 << i) ** 2) for i in range(4)]
-    assert out.stdout.strip() == str([("ndarray", True, shape) for shape in maps])
+def test_stage_inverses_are_built_on_the_first_backward():
+    # grids no other test uses, so their inverses are not cached yet
+    arch = NetArch(latent_dim=4, base_rows=3, base_cols=5, base_channels=3,
+                   stages=(StageSpec(3), StageSpec(2, kernel_size=5)))
+    built = _stack_inverse.cache_info().currsize
+    plan = arch._plan
+    net_forward(arch, net_init(arch, seed=1), np.ones(arch.latent_dim))
+    assert _stack_inverse.cache_info().currsize == built
+    net_eval_and_backward(arch, net_init(arch, seed=1), np.ones(arch.latent_dim),
+                          lambda out: out)
+    assert _stack_inverse.cache_info().currsize == built + len(arch.stages)
+    for stage, m, n in zip(plan.stages, (2, 3), (3 * 15, 3 * 60)):
+        assert stage.inv.dtype == np.intp and stage.inv.shape == (m * m, n)
 
 
 def test_latent_only_backward_gives_identical_grad_z():
